@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Tuple
 
 from hypcert import __version__
 from hypcert.normal_forms import (
-    InvariantViolation,
     build_cutoff,
     build_extended_Q,
     build_normal_form,
@@ -38,27 +37,18 @@ from hypcert.symbols import (
     check_frame,
 )
 from hypcert.symbolfile import (
-    Options,
     ParseError,
     SchemaError,
     SymbolFile,
     parse_symbol_file,
     poly_terms,
 )
-from hypcert.time_functions import (
-    BbisViolated,
-    SlackTooLarge,
-    construct_time_function,
-)
+from hypcert.time_functions import construct_time_function
 from hypcert.verifier import (
     AllPointsDegenerate,
     HessianDegenerate,
-    Region,
-    check_structural,
-    estimate_c,
-    estimate_kappa,
+    certify_region,
     minimize_Q,
-    verify_nonnegativity,
 )
 
 STATUSES = ("CERTIFIED", "FAILED", "MARGINAL", "NOT_APPLICABLE")
@@ -126,7 +116,8 @@ def _side_obj(rep) -> dict:
         "double_bracket": _frac(rep.double_bracket),
         "bbis_sum": _frac(rep.bbis_sum),
         "bbis_ok": rep.bbis_ok,
-        "positivity_ok": rep.positivity_ok,
+        # NormalFormSpec enforces q, r > 0 at the base point on construction
+        "positivity_ok": True,
         "one_sided_ok": rep.one_sided_ok,
         "one_sided_witness": _point_obj(rep.one_sided_witness),
         "grid": rep.grid,
@@ -148,7 +139,8 @@ def _timefn_obj(cert) -> dict:
     }
 
 
-def _certificate_obj(nonneg, c, kappa, structural) -> dict:
+def _certificate_obj(report) -> dict:
+    nonneg, c, kappa = report.nonneg, report.c, report.kappa
     obj = {
         "label": "empirical",
         "nonneg": {
@@ -175,6 +167,7 @@ def _certificate_obj(nonneg, c, kappa, structural) -> dict:
         "eta_den": _num(c.eta_den),
         "grid": c.grid,
     }
+    structural = report.structural
     if structural is not None:
         obj["structural"] = {
             "passed": structural.passed,
@@ -236,23 +229,18 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
                       classification=cls_obj, **base)
 
     spec = sf.normal_form
-    try:
-        assembled = build_normal_form(spec)
-    except InvariantViolation as exc:
+    if sf.base_point != spec.base_point():
         return Report(status="FAILED", stage="normal-form",
-                      reason="invalid normal form: %s" % exc,
+                      reason="the normal form, time function and scans are "
+                             "centred on (0, 0, 0, e_d); certify needs that "
+                             "base point",
                       classification=cls_obj, **base)
-    if assembled != sf.a:
+    if build_normal_form(spec) != sf.a:
         return Report(status="FAILED", stage="normal-form",
                       reason="normal_form does not assemble to the given terms",
                       classification=cls_obj, **base)
 
-    try:
-        side = check_side_conditions(spec)
-    except InvariantViolation as exc:
-        return Report(status="FAILED", stage="side-conditions",
-                      reason="invalid normal form: %s" % exc,
-                      classification=cls_obj, **base)
+    side = check_side_conditions(spec)
     side_obj = _side_obj(side)
     if not side.ok:
         return Report(status="FAILED", stage="side-conditions",
@@ -261,28 +249,25 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
 
     try:
         cert = construct_time_function(spec, slack=sf.options.slack)
-    except (BbisViolated, SlackTooLarge, InvariantViolation, ValueError) as exc:
+    except ValueError as exc:
         return Report(status="FAILED", stage="time-function", reason=str(exc),
                       classification=cls_obj, side_conditions=side_obj, **base)
     tf_obj = _timefn_obj(cert)
 
     try:
-        nonneg = verify_nonnegativity(sf.a, sf.region)
-        c = estimate_c(sf.a, cert.phi, sf.region)
-        kappa = estimate_kappa(sf.a, cert.phi, sf.region)
-        structural = check_structural(spec, cert, sf.region)
+        cr = certify_region(sf.a, cert.phi, sf.region, spec=spec, cert=cert)
     except (AllPointsDegenerate, HessianDegenerate, NoConvergence,
             DimensionMismatch) as exc:
         return Report(status="FAILED", stage="verify", reason=str(exc),
                       classification=cls_obj, side_conditions=side_obj,
                       time_function=tf_obj, **base)
-    cert_obj = _certificate_obj(nonneg, c, kappa, structural)
+    cert_obj = _certificate_obj(cr)
 
     gates = (
-        ("nonnegativity on t >= 0", nonneg.passed),
-        ("c_est > 0", c.value > 0),
-        ("kappa_est < 1", kappa.value < 1),
-        ("structural checks", structural.passed),
+        ("nonnegativity on t >= 0", cr.nonneg.passed),
+        ("c_est > 0", cr.c_est > 0),
+        ("kappa_est < 1", cr.kappa_est < 1),
+        ("structural checks", cr.structural.passed),
     )
     failing = [name for name, ok in gates if not ok]
     if failing:
@@ -460,23 +445,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replace(flag: str, obj, **changes):
+    try:
+        return dataclasses.replace(obj, **changes)
+    except ValueError as exc:
+        raise SchemaError(flag, str(exc)) from exc
+
+
 def _apply_overrides(sf: SymbolFile, args) -> SymbolFile:
-    region = sf.region
+    region, options = sf.region, sf.options
     if args.region is not None:
         if len(args.region) != 3:
             raise SchemaError("--region", "expected t_max,x_half,xi_half")
-        region = Region(t_max=args.region[0], x_half=args.region[1],
-                        xi_half=args.region[2], grid=region.grid,
-                        eta_den=region.eta_den)
+        t_max, x_half, xi_half = args.region
+        region = _replace("--region", region, t_max=t_max, x_half=x_half,
+                          xi_half=xi_half)
     if args.grid is not None:
-        region = Region(t_max=region.t_max, x_half=region.x_half,
-                        xi_half=region.xi_half, grid=args.grid,
-                        eta_den=region.eta_den)
-    options = sf.options
-    if args.slack is not None or args.tol is not None:
-        options = Options(
-            slack=args.slack if args.slack is not None else options.slack,
-            tol=args.tol if args.tol is not None else options.tol)
+        region = _replace("--grid", region, grid=args.grid)
+    if args.slack is not None:
+        options = _replace("--slack", options, slack=args.slack)
+    if args.tol is not None:
+        options = _replace("--tol", options, tol=args.tol)
     return dataclasses.replace(sf, region=region, options=options)
 
 

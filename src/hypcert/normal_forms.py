@@ -38,6 +38,7 @@ reconstruction inequality is stated for.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +68,8 @@ class InvariantViolation(ValueError):
 
 @dataclass(frozen=True)
 class NormalFormSpec:
-    """Validated data for one of the two branch shapes.
+    """Data for one of the two branch shapes, validated on construction
+    (InvariantViolation names the first field that breaks an invariant).
 
     q has length p+1 for form1 (the last entry multiplies the remainder
     square) and length p for form2; r always has length p.  phi/psi are
@@ -82,6 +84,9 @@ class NormalFormSpec:
     phi: Optional[PolySymbol] = None
     psi: Optional[PolySymbol] = None
     g: Optional[PolySymbol] = None
+
+    def __post_init__(self):
+        validate_spec(self)
 
     def base_point(self) -> PhasePoint:
         return PhasePoint.base(self.d)
@@ -161,7 +166,6 @@ def validate_spec(spec: NormalFormSpec) -> None:
 
 def build_normal_form(spec: NormalFormSpec) -> PolySymbol:
     """Assemble the composite a for a validated spec (exact)."""
-    validate_spec(spec)
     d, p = spec.d, spec.p
     t = PolySymbol.coordinate(d, "t")
     xs = [PolySymbol.coordinate(d, "x%d" % i) for i in range(1, d + 1)]
@@ -188,7 +192,6 @@ class SideConditionReport:
     double_bracket: Fraction
     bbis_sum: Optional[Fraction]
     bbis_ok: Optional[bool]
-    positivity_ok: bool
     one_sided_ok: bool
     one_sided_witness: Optional[Tuple]
     grid: dict
@@ -216,7 +219,6 @@ def check_side_conditions(spec: NormalFormSpec,
     the elliptic weights satisfy sum_i 1/r_i(base) > 1 strictly, and
     g >= 0 wherever x_p >= 0 on the sample grid.
     """
-    validate_spec(spec)
     d, p = spec.d, spec.p
     base = spec.base_point()
     notes = []
@@ -241,8 +243,6 @@ def check_side_conditions(spec: NormalFormSpec,
                          "not effectively hyperbolic" % bbis_sum)
         sign_poly, gate_poly = spec.g, PolySymbol.coordinate(d, "x%d" % p)
 
-    positivity_ok = True  # validate_spec already enforced q, r positivity
-
     # one-sided sign scan over the variables the sign polynomial uses
     moving = [i for i in range(2 * (d + 1))
               if sign_poly.depends_on(i) or gate_poly.depends_on(i)]
@@ -256,25 +256,13 @@ def check_side_conditions(spec: NormalFormSpec,
     one_sided_ok = True
     witness = None
     pt = list(xi_base)
-    idx = [0] * len(moving)
-    while True:
-        for k, i in enumerate(moving):
-            pt[i] = axes[k][idx[k]]
+    for combo in itertools.product(*axes):
+        for i, v in zip(moving, combo):
+            pt[i] = v
         if gate_poly.eval(pt) >= 0 and sign_poly.eval(pt) < 0:
             one_sided_ok = False
             witness = tuple(pt)
             break
-        j = len(moving) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(axes[j]):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0 or not moving:
-            break
-    if not moving:
-        one_sided_ok = sign_poly.eval(xi_base) >= 0
 
     ok = (double_bracket == 0) and (bbis_ok is not False) and one_sided_ok
     grid = {"half_width": str(half), "points": points,
@@ -282,7 +270,6 @@ def check_side_conditions(spec: NormalFormSpec,
             "moving_slots": moving}
     return SideConditionReport(ok=ok, double_bracket=double_bracket,
                                bbis_sum=bbis_sum, bbis_ok=bbis_ok,
-                               positivity_ok=positivity_ok,
                                one_sided_ok=one_sided_ok,
                                one_sided_witness=witness,
                                grid=grid, notes=tuple(notes))
@@ -405,7 +392,6 @@ class ExtendedQ:
     def __post_init__(self):
         if self.mode not in ("raw", "normalized"):
             raise ValueError("mode must be 'raw' or 'normalized'")
-        validate_spec(self.spec)
 
     # -- shape helpers -------------------------------------------------
 

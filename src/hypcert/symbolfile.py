@@ -59,6 +59,8 @@ class Options:
     def __post_init__(self):
         if self.slack <= 0:
             raise ValueError("slack must be positive")
+        if self.tol is not None and not self.tol > 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from hypcert.normal_forms import NormalFormSpec, check_side_conditions, validate_spec
+from hypcert.normal_forms import NormalFormSpec
 from hypcert.symbols import (
     DimensionMismatch,
     PhasePoint,
@@ -138,18 +138,15 @@ class TimeFunctionCert:
 def construct_time_function(spec: NormalFormSpec,
                             slack: Number) -> TimeFunctionCert:
     """Build the branch-appropriate certificate for a validated spec."""
-    validate_spec(spec)
     slack = as_fraction(slack)
     if slack <= 0:
         raise ValueError("slack must be positive")
-    side = check_side_conditions(spec)
-    notes = side.notes
     if spec.variant == "form1":
         kappa = slack / 2
         if kappa >= 1:
             raise SlackTooLarge("kappa = %s >= 1" % kappa)
         return TimeFunctionCert(phi=spec.phi, branch=FORM1_LIFT,
-                                kappa_target=kappa, slack=slack, notes=notes)
+                                kappa_target=kappa, slack=slack)
     sel = epsilon_weights(spec.r_bars(), slack)
     d = spec.d
     phi = PolySymbol.zero(d)
@@ -159,7 +156,7 @@ def construct_time_function(spec: NormalFormSpec,
     return TimeFunctionCert(phi=phi, branch=FORM2_WEIGHTS,
                             kappa_target=sel.kappa, slack=slack,
                             eps=sel.eps, rho_weight=sel.rho_weight,
-                            alpha=alpha, notes=notes)
+                            alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ and the per-chunk results are folded in chunk order.  Worker count
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -565,21 +566,6 @@ def _theta_axes(eq: ExtendedQ, region: Region, n_axis: int):
     return t_axis, zx_axis, zxi_axis, xp_axis
 
 
-def _iter_product(axes):
-    idx = [0] * len(axes)
-    while True:
-        yield tuple(ax[i] for ax, i in zip(axes, idx))
-        j = len(axes) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(axes[j]):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
-
-
 def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
                      region: Region, cutoff: Optional[Cutoff] = None,
                      n_axis: int = 5, n_w: int = 16,
@@ -611,7 +597,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
 
     thetas = []
     keys = []
-    for combo in _iter_product(axes):
+    for combo in itertools.product(*axes):
         t = combo[0]
         z_x = combo[1:1 + k]
         z_xi = combo[1 + k:1 + 2 * k]
@@ -654,7 +640,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     zero_axes = [zx_axis] * k + [zxi_axis] * k
     if xp_axis is not None:
         zero_axes.append(xp_axis)
-    for combo in _iter_product(zero_axes):
+    for combo in itertools.product(*zero_axes):
         z_x = combo[:k]
         z_xi = combo[k:2 * k]
         x_p = combo[-1] if xp_axis is not None else None

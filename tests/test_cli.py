@@ -1,14 +1,21 @@
 """Pipeline statuses, report emission, exit codes, CLI entry point."""
 
+import importlib.util
 import json
 import pathlib
 
 import pytest
 
+from hypcert import cli, normal_forms, time_functions
 from hypcert.cli import Report, emit_report, exit_code, main, run_pipeline
-from hypcert.symbolfile import parse_symbol_data, parse_symbol_file
+from hypcert.symbolfile import (
+    parse_symbol_data,
+    parse_symbol_file,
+    serialize_symbol_file,
+)
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
 NAMES = ("b1", "b2", "b2_bbis2", "nonsingular", "classical")
 
@@ -22,6 +29,10 @@ MARGINAL_DOC = {
 
 def parse_doc(doc):
     return parse_symbol_data(json.dumps(doc).encode("utf-8"))
+
+
+def fixture_doc(name):
+    return json.loads((FIXTURES / ("%s.json" % name)).read_bytes())
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +96,53 @@ def test_classical_two_sided(reports):
 def test_report_hash_matches_input(reports):
     sf = parse_symbol_file(FIXTURES / "b2.json")
     assert reports["b2"].input_hash == sf.sha256
+
+
+def test_custom_base_point_not_certified():
+    # the normal form, time function and scans are centred on e_d, so a
+    # certificate there says nothing about the point the file names
+    doc = fixture_doc("b1")
+    doc["base_point"]["xi"] = ["5", "1"]
+    doc["region"]["grid"] = 5
+    sf = parse_doc(doc)
+    rep = run_pipeline(sf, "certify")
+    assert rep.status == "FAILED" and exit_code(rep) == 1
+    assert rep.stage == "normal-form"
+    assert "(0, 0, 0, e_d)" in rep.reason
+    assert rep.certificate is None
+
+    cls = run_pipeline(sf, "classify")
+    assert cls.status == "NOT_APPLICABLE" and exit_code(cls) == 0
+    assert cls.classification["effective"] is True
+
+
+def test_each_stage_runs_once(monkeypatch):
+    sf = parse_symbol_file(FIXTURES / "b2.json")
+    calls = {"check_side_conditions": 0, "validate_spec": 0}
+    for name in calls:
+        original = getattr(normal_forms, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (cli, normal_forms, time_functions):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    assert run_pipeline(sf, "certify").status == "CERTIFIED"
+    assert calls == {"check_side_conditions": 1, "validate_spec": 0}
+
+
+def test_regen_script_matches_fixtures():
+    path = ROOT / "scripts" / "regen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("regen_fixtures", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    files = regen.fixture_files()
+    assert sorted(files) == sorted(NAMES)
+    for name, sf in files.items():
+        expected = (FIXTURES / ("%s.json" % name)).read_bytes()
+        assert serialize_symbol_file(sf) == expected, name
 
 
 # ----------------------------------------------------- classify and exits
@@ -186,6 +244,20 @@ def test_main_usage_errors(tmp_path, capsys):
     assert main(["certify", str(FIXTURES / "b2.json"),
                  "--region", "1/10,1/10"]) == 3
     capsys.readouterr()
+    for flag, value in (("--grid", "2"), ("--region", "0,1/10,1/10"),
+                        ("--slack", "-1"), ("--tol", "-1")):
+        assert main(["certify", str(FIXTURES / "b2.json"), flag, value]) == 3
+        assert flag in capsys.readouterr().err
+
+
+def test_invalid_normal_form_is_a_usage_error(tmp_path, capsys):
+    doc = fixture_doc("b2")
+    doc["normal_form"]["r"] = [[{"coeff": "-1/2", "exponents": {}}]]
+    path = tmp_path / "bad_r.json"
+    path.write_bytes(json.dumps(doc).encode("utf-8"))
+    for verb in ("certify", "classify"):
+        assert main([verb, str(path)]) == 3
+        assert "r1" in capsys.readouterr().err
 
 
 def test_main_version(capsys):

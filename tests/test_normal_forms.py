@@ -22,7 +22,6 @@ from hypcert import (
     check_side_conditions,
     classify_effective_hyperbolicity,
     phase_variables,
-    validate_spec,
 )
 
 F = Fraction
@@ -81,10 +80,9 @@ def test_assembly_round_trip_hand_built():
 
 def test_nonvanishing_psi_rejected():
     t, xs, tau, xis = phase_variables(2)
-    spec = NormalFormSpec(variant="form1", d=2, p=0, q=(xis[1] ** 2,),
-                          r=(), phi=xs[0], psi=1 + xs[0] ** 3)
     with pytest.raises(InvariantViolation) as ei:
-        validate_spec(spec)
+        NormalFormSpec(variant="form1", d=2, p=0, q=(xis[1] ** 2,),
+                       r=(), phi=xs[0], psi=1 + xs[0] ** 3)
     assert ei.value.field == "psi_0"
     assert "vanish" in str(ei.value)
 
@@ -102,31 +100,30 @@ def test_nonvanishing_psi_rejected():
 def test_invariant_violations(mangle, field):
     t, xs, tau, xis = phase_variables(2)
     good = b2_spec()
-    if mangle == "q_negative":
-        spec = NormalFormSpec(variant="form2", d=2, p=1, q=(-xis[1] ** 2,),
-                              r=good.r, g=good.g)
-    elif mangle == "q_inhomogeneous":
-        spec = NormalFormSpec(variant="form2", d=2, p=1,
-                              q=(xis[1] ** 2 + xis[1],), r=good.r, g=good.g)
-    elif mangle == "r_tau":
-        spec = NormalFormSpec(variant="form2", d=2, p=1, q=good.q,
-                              r=(PolySymbol.constant(2, 1) + tau,), g=good.g)
-    elif mangle == "g_uses_xi1":
-        spec = NormalFormSpec(variant="form2", d=2, p=1, q=good.q, r=good.r,
-                              g=xs[0] * xis[0] * xis[1])
-    elif mangle == "g_nonvanishing":
-        spec = NormalFormSpec(variant="form2", d=2, p=1, q=good.q, r=good.r,
-                              g=good.g + xis[1] ** 2)
-    elif mangle == "q_short":
-        spec = NormalFormSpec(variant="form1", d=2, p=1, q=(xis[1] ** 2,),
-                              r=good.r, phi=xs[1], psi=xs[1] ** 2)
-    elif mangle == "p_zero_form2":
-        spec = NormalFormSpec(variant="form2", d=2, p=0, q=(), r=(), g=good.g)
-    else:
-        spec = NormalFormSpec(variant="form3", d=2, p=1, q=good.q,
-                              r=good.r, g=good.g)
     with pytest.raises(InvariantViolation) as ei:
-        validate_spec(spec)
+        if mangle == "q_negative":
+            NormalFormSpec(variant="form2", d=2, p=1, q=(-xis[1] ** 2,),
+                           r=good.r, g=good.g)
+        elif mangle == "q_inhomogeneous":
+            NormalFormSpec(variant="form2", d=2, p=1,
+                           q=(xis[1] ** 2 + xis[1],), r=good.r, g=good.g)
+        elif mangle == "r_tau":
+            NormalFormSpec(variant="form2", d=2, p=1, q=good.q,
+                           r=(PolySymbol.constant(2, 1) + tau,), g=good.g)
+        elif mangle == "g_uses_xi1":
+            NormalFormSpec(variant="form2", d=2, p=1, q=good.q, r=good.r,
+                           g=xs[0] * xis[0] * xis[1])
+        elif mangle == "g_nonvanishing":
+            NormalFormSpec(variant="form2", d=2, p=1, q=good.q, r=good.r,
+                           g=good.g + xis[1] ** 2)
+        elif mangle == "q_short":
+            NormalFormSpec(variant="form1", d=2, p=1, q=(xis[1] ** 2,),
+                           r=good.r, phi=xs[1], psi=xs[1] ** 2)
+        elif mangle == "p_zero_form2":
+            NormalFormSpec(variant="form2", d=2, p=0, q=(), r=(), g=good.g)
+        else:
+            NormalFormSpec(variant="form3", d=2, p=1, q=good.q,
+                           r=good.r, g=good.g)
     assert ei.value.field == field
 
 
