@@ -14,6 +14,9 @@ import pathlib
 import sys
 from fractions import Fraction as F
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # runs from a checkout, no install
+
 from hypcert import NormalFormSpec, PhasePoint, PolySymbol, Region
 from hypcert.cli import emit_report, run_pipeline
 from hypcert.symbolfile import (
@@ -24,7 +27,6 @@ from hypcert.symbolfile import (
 )
 from hypcert.symbols import phase_variables
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
 

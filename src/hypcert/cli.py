@@ -47,6 +47,7 @@ from hypcert.time_functions import construct_time_function
 from hypcert.verifier import (
     AllPointsDegenerate,
     HessianDegenerate,
+    ScanTooLarge,
     certify_region,
     minimize_Q,
 )
@@ -257,7 +258,7 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     try:
         cr = certify_region(sf.a, cert.phi, sf.region, spec=spec, cert=cert)
     except (AllPointsDegenerate, HessianDegenerate, NoConvergence,
-            DimensionMismatch) as exc:
+            DimensionMismatch, ScanTooLarge) as exc:
         return Report(status="FAILED", stage="verify", reason=str(exc),
                       classification=cls_obj, side_conditions=side_obj,
                       time_function=tf_obj, **base)

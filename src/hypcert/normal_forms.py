@@ -19,6 +19,19 @@ with g of xi-degree 2, free of (t, x_1..x_{p-1}, xi_1..xi_p), vanishing
 at the base point.  The q_i are xi-degree-2 factors positive at the base
 point; the r_i are xi-degree-0 factors positive there.
 
+Both shapes are a chain of springs between anchored ends, then the
+remainder (psi resp. g) times its factor (q_{p+1} resp. r_p), gated by
+phi resp. x_p.  In the extended functional below the chain nodes are
+
+    form1:  (0, y_1, .., y_p, -1)
+    form2:  (-1, y_1, .., y_{p-1}, 0)        (y_p pinned to 0)
+
+and spring j joins nodes j-1 and j and carries q_j.  At theta = 0 the
+springs act in series between the anchored ends, so the partial
+resistances 1/q_bar accumulate: node k sits at
+n_0 + (n_last - n_0) * (1/q_bar_1 + .. + 1/q_bar_k) / S with
+S = sum_j 1/q_bar_j, and the minimum of the chain is 1/S.
+
 The extended functional Q(w, theta) substitutes scaled, cutoff-bounded
 chain coordinates into the factors:
 
@@ -41,6 +54,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -98,6 +112,26 @@ class NormalFormSpec:
     def r_bars(self) -> Tuple[Fraction, ...]:
         b = self.base_point()
         return tuple(ri.eval(b) for ri in self.r)
+
+    @property
+    def remainder(self) -> PolySymbol:
+        """psi (form1) resp. g (form2)."""
+        return self.psi if self.variant == "form1" else self.g
+
+    @property
+    def remainder_factor(self) -> PolySymbol:
+        """The factor multiplying the remainder: q_{p+1} resp. r_p."""
+        if self.variant == "form1":
+            return self.q[self.p]
+        return self.r[self.p - 1]
+
+    @property
+    def gate(self) -> PolySymbol:
+        """phi (form1) resp. the x_p coordinate (form2): the remainder
+        must be nonnegative where the gate is."""
+        if self.variant == "form1":
+            return self.phi
+        return PolySymbol.coordinate(self.d, "x%d" % self.p)
 
 
 def _require(cond, fieldname, message):
@@ -230,7 +264,6 @@ def check_side_conditions(spec: NormalFormSpec,
         double_bracket = br.eval(base)
         bbis_sum = None
         bbis_ok = None
-        sign_poly, gate_poly = spec.psi, spec.phi
     else:
         xi_p = PolySymbol.coordinate(d, "xi%d" % p)
         br = poisson_bracket(xi_p, poisson_bracket(xi_p, spec.g))
@@ -241,9 +274,9 @@ def check_side_conditions(spec: NormalFormSpec,
             notes.append("elliptic weights give no real eigenvalue pair "
                          "(sum of inverse r at the base point is %s <= 1); "
                          "not effectively hyperbolic" % bbis_sum)
-        sign_poly, gate_poly = spec.g, PolySymbol.coordinate(d, "x%d" % p)
 
-    # one-sided sign scan over the variables the sign polynomial uses
+    # one-sided sign scan over the variables the remainder and gate use
+    sign_poly, gate_poly = spec.remainder, spec.gate
     moving = [i for i in range(2 * (d + 1))
               if sign_poly.depends_on(i) or gate_poly.depends_on(i)]
     xi_base = base.as_tuple()
@@ -279,8 +312,8 @@ def check_side_conditions(spec: NormalFormSpec,
 
 
 _H = (Fraction(1), Fraction(1), Fraction(0), Fraction(4), Fraction(-7), Fraction(3))
-_H1 = (Fraction(1), Fraction(0), Fraction(12), Fraction(-28), Fraction(15))
-_H2 = (Fraction(0), Fraction(24), Fraction(-84), Fraction(60))
+_H1 = tuple(k * c for k, c in enumerate(_H) if k)
+_H2 = tuple(k * c for k, c in enumerate(_H1) if k)
 
 
 def _horner(coeffs, v):
@@ -395,22 +428,40 @@ class ExtendedQ:
 
     # -- shape helpers -------------------------------------------------
 
-    @property
+    @cached_property
+    def _w_slots(self):
+        """w index -> (phase slot, sign): y_a moves x_a away from the
+        chain anchor (t for form1, x_p with sign -1 for form2), eta_a
+        moves xi_a away from 0."""
+        d, p = self.spec.d, self.spec.p
+        sign, ny = (1, p) if self.spec.variant == "form1" else (-1, p - 1)
+        return tuple([(a, sign) for a in range(1, ny + 1)]
+                     + [(d + 1 + a, 1) for a in range(1, p + 1)])
+
+    @cached_property
     def w_dim(self) -> int:
-        p = self.spec.p
-        return 2 * p if self.spec.variant == "form1" else 2 * p - 1
+        return len(self._w_slots)
 
     def _split(self, w):
-        p = self.spec.p
-        if len(w) != self.w_dim:
-            raise DimensionMismatch("w must have length %d" % self.w_dim)
+        """(free ys, etas) of w."""
+        nw = self.w_dim
+        if len(w) != nw:
+            raise DimensionMismatch("w must have length %d" % nw)
+        ny = nw - self.spec.p
+        return list(w[:ny]), list(w[ny:])
+
+    def _nodes(self, ys):
+        """Spring-chain nodes with the anchored ends (module docstring)."""
         if self.spec.variant == "form1":
-            ys = list(w[:p])
-            etas = list(w[p:])
-        else:
-            ys = list(w[:p - 1]) + [0]
-            etas = list(w[p - 1:])
-        return ys, etas
+            return [0] + list(ys) + [-1]
+        return [-1] + list(ys) + [0]
+
+    def _move(self, out, w, anchor, eps, dchi):
+        """Write the slots w moves: x_a = anchor + sign * eps * dchi(y_a),
+        xi_a = eps * dchi(eta_a)."""
+        for (slot, sign), v in zip(self._w_slots, w):
+            step = eps * dchi(v)
+            out[slot] = anchor + sign * step if slot <= self.spec.d else step
 
     def theta_zero(self) -> Theta:
         k = self.spec.d - self.spec.p
@@ -442,51 +493,27 @@ class ExtendedQ:
 
     def substituted_point(self, w, theta: Theta):
         """Full phase point fed to every factor (tau slot stays 0)."""
-        d, p = self.spec.d, self.spec.p
-        ys, etas = self._split(w)
-        k = d - p
+        self._split(w)  # checks the length of w
+        k = self.spec.d - self.spec.p
         if len(theta.z_x) != k or len(theta.z_xi) != k:
             raise DimensionMismatch("transverse block must have length %d" % k)
         pt = self._transverse_point(theta.t, theta.z_x, theta.z_xi)
-        eps = theta.eps
-        if self.spec.variant == "form1":
-            for a in range(1, p + 1):
-                pt[a] = theta.t + eps * self.cutoff.scaled(ys[a - 1])
-        else:
+        anchor = theta.t
+        if self.spec.variant == "form2":
             if theta.x_p is None:
                 raise ValueError("form2 theta needs x_p")
-            for a in range(1, p):
-                pt[a] = theta.x_p - eps * self.cutoff.scaled(ys[a - 1])
-            pt[p] = theta.x_p
-        for a in range(1, p + 1):
-            pt[d + 1 + a] = eps * self.cutoff.scaled(etas[a - 1])
+            anchor = pt[self.spec.p] = theta.x_p
+        self._move(pt, w, anchor, theta.eps, self.cutoff.scaled)
         return pt
 
     # -- prefactor table ------------------------------------------------
 
     def _terms(self, ys, etas):
         """(prefactor value, factor symbol) pairs at raw w."""
-        spec = self.spec
-        p = spec.p
-        out = []
-        if spec.variant == "form1":
-            prev = 0
-            for j in range(1, p + 1):
-                out.append(((prev - ys[j - 1]) ** 2, spec.q[j - 1]))
-                prev = ys[j - 1]
-            out.append(((prev + 1) ** 2, spec.q[p]))
-        else:
-            out.append(((ys[0] + 1) ** 2 if p > 1 else 1, spec.q[0]))
-            for j in range(2, p + 1):
-                out.append(((ys[j - 2] - ys[j - 1]) ** 2, spec.q[j - 1]))
-        for a in range(1, p + 1):
-            out.append((etas[a - 1] ** 2, spec.r[a - 1]))
-        return out
-
-    def _remainder_factor_symbol(self) -> PolySymbol:
-        if self.spec.variant == "form1":
-            return self.spec.q[self.spec.p]
-        return self.spec.r[self.spec.p - 1]
+        n = self._nodes(ys)
+        springs = [((n[j] - n[j + 1]) ** 2, q)
+                   for j, q in enumerate(self.spec.q)]
+        return springs + [(e ** 2, r) for e, r in zip(etas, self.spec.r)]
 
     # -- evaluation ------------------------------------------------------
 
@@ -499,149 +526,66 @@ class ExtendedQ:
             if pref != 0:
                 total = total + pref * sym.eval(pt)
         if self.mode == "normalized":
-            total = total / self._remainder_factor_symbol().eval(pt)
+            total = total / self.spec.remainder_factor.eval(pt)
         return total
 
     def remainder(self, w, theta: Theta):
         """psi * q_{p+1}(P) (form1) resp. g * r_p(P) (form2) at the
         substituted point; this completes a(P) = eps^2 Q + remainder."""
         pt = self.substituted_point(w, theta)
-        fac = self._remainder_factor_symbol().eval(pt)
-        if self.spec.variant == "form1":
-            return self.spec.psi.eval(pt) * fac
-        return self.spec.g.eval(pt) * fac
+        spec = self.spec
+        return spec.remainder.eval(pt) * spec.remainder_factor.eval(pt)
 
     def theta0_value(self, w):
-        """Closed quadratic Q(w, 0) from the cached base values."""
-        ys, etas = self._split(w)
-        qb, rb = self.spec.q_bars(), self.spec.r_bars()
-        spec = self.spec
-        p = spec.p
-        total = Fraction(0)
-        if spec.variant == "form1":
-            prev = 0
-            for j in range(1, p + 1):
-                total += (prev - ys[j - 1]) ** 2 * qb[j - 1]
-                prev = ys[j - 1]
-            total += (prev + 1) ** 2 * qb[p]
-        else:
-            total += ((ys[0] + 1) ** 2 if p > 1 else 1) * qb[0]
-            for j in range(2, p + 1):
-                total += (ys[j - 2] - ys[j - 1]) ** 2 * qb[j - 1]
-        for a in range(1, p + 1):
-            total += etas[a - 1] ** 2 * rb[a - 1]
-        if self.mode == "normalized":
-            total = total / (qb[p] if spec.variant == "form1" else rb[p - 1])
-        return total
+        """Q(w, 0), the quadratic in w with the base values as weights."""
+        return self.value(w, self.theta_zero())
 
     def theta0_minimizer(self):
-        """Exact minimizer and minimum of Q(., 0): the chain terms form
-        springs in series between the anchored endpoints, so the partial
-        resistances 1/q_bar accumulate."""
+        """Exact minimizer and minimum of Q(., 0): the springs in series
+        of the module docstring."""
         spec = self.spec
-        qb, rb = spec.q_bars(), spec.r_bars()
-        p = spec.p
-        if spec.variant == "form1":
-            inv = [Fraction(1) / v for v in qb]
-            s = sum(inv)
-            m0 = 1 / s
-            ys = []
-            acc = Fraction(0)
-            for k in range(p):
-                acc += inv[k]
-                ys.append(-acc / s)
-            w = tuple(ys) + (Fraction(0),) * p
-        else:
-            inv = [Fraction(1) / v for v in qb]
-            s = sum(inv)
-            m0 = 1 / s
-            ys = []
-            acc = Fraction(0)
-            for k in range(p - 1):
-                acc += inv[k]
-                ys.append(-1 + acc / s)
-            w = tuple(ys) + (Fraction(0),) * p
+        inv = [Fraction(1) / v for v in spec.q_bars()]
+        s = sum(inv)
+        first, last = self._nodes([])
+        partial = itertools.accumulate(inv[:self.w_dim - spec.p])
+        ys = tuple(first + (last - first) * acc / s for acc in partial)
+        m0 = 1 / s
         if self.mode == "normalized":
-            m0 = m0 / (qb[p] if spec.variant == "form1" else rb[p - 1])
-        return w, m0
+            m0 = m0 / spec.remainder_factor.eval(spec.base_point())
+        return ys + (Fraction(0),) * spec.p, m0
 
     # -- analytic derivatives in w ----------------------------------------
 
-    def _moving_slots(self, ys, etas, eps):
+    def _moving_slots(self, w, eps):
         """w index -> (phase slot, dP/dw, d2P/dw2)."""
-        d, p = self.spec.d, self.spec.p
         cut = self.cutoff
-        slots = []
-        sign = 1 if self.spec.variant == "form1" else -1
-        ny = p if self.spec.variant == "form1" else p - 1
-        for a in range(1, ny + 1):
-            y = ys[a - 1]
-            slots.append((a, sign * eps * cut.scaled_prime(y),
-                          sign * eps * cut.scaled_second(y)))
-        for a in range(1, p + 1):
-            e = etas[a - 1]
-            slots.append((d + 1 + a, eps * cut.scaled_prime(e),
-                          eps * cut.scaled_second(e)))
-        return slots
+        return [(slot, sign * eps * cut.scaled_prime(v),
+                 sign * eps * cut.scaled_second(v))
+                for (slot, sign), v in zip(self._w_slots, w)]
 
     def _pref_derivatives(self, ys, etas):
-        """Prefactor values with gradients/Hessians in w per term."""
-        spec = self.spec
-        p = spec.p
+        """Prefactor values with gradients/Hessians in w per term; free
+        chain node i is w index i - 1."""
         nw = self.w_dim
-        terms = []
+        n = self._nodes(ys)
+        last = len(n) - 1
 
-        def quad(val, grad_pairs, hess_pairs):
+        def square(diff, moving):
+            # diff**2 where diff moves with sign s along each (w index, s)
             grad = [0] * nw
-            for idx, v in grad_pairs:
-                grad[idx] += v
             hess = [[0] * nw for _ in range(nw)]
-            for i, j, v in hess_pairs:
-                hess[i][j] += v
-                if i != j:
-                    hess[j][i] += v
-            return val, grad, hess
+            for i, s in moving:
+                grad[i] += s * 2 * diff
+                for j, u in moving:
+                    hess[i][j] += s * u * 2
+            return diff ** 2, grad, hess
 
-        if spec.variant == "form1":
-            prev_idx = None
-            for j in range(1, p + 1):
-                cur = j - 1
-                diff = (ys[j - 2] if j > 1 else 0) - ys[j - 1]
-                gp = [(cur, -2 * diff)]
-                hp = [(cur, cur, 2)]
-                if prev_idx is not None:
-                    gp.append((prev_idx, 2 * diff))
-                    hp.append((prev_idx, prev_idx, 2))
-                    hp.append((prev_idx, cur, -2))
-                terms.append(quad(diff ** 2, gp, hp))
-                prev_idx = cur
-            anchor = ys[p - 1] + 1 if p else 1
-            gp = [(p - 1, 2 * anchor)] if p else []
-            hp = [(p - 1, p - 1, 2)] if p else []
-            terms.append(quad(anchor ** 2, gp, hp))
-            eta_off = p
-        else:
-            if p > 1:
-                anchor = ys[0] + 1
-                terms.append(quad(anchor ** 2, [(0, 2 * anchor)], [(0, 0, 2)]))
-            else:
-                terms.append(quad(1, [], []))
-            for j in range(2, p + 1):
-                iy, jy = j - 2, j - 1
-                diff = ys[j - 2] - ys[j - 1]
-                gp = [(iy, 2 * diff)]
-                hp = [(iy, iy, 2)]
-                if jy < p - 1:  # y_p is pinned, carries no w index
-                    gp.append((jy, -2 * diff))
-                    hp.append((jy, jy, 2))
-                    hp.append((iy, jy, -2))
-                terms.append(quad(diff ** 2, gp, hp))
-            eta_off = p - 1
-        for a in range(1, p + 1):
-            idx = eta_off + a - 1
-            e = etas[a - 1]
-            terms.append(quad(e ** 2, [(idx, 2 * e)], [(idx, idx, 2)]))
-        return terms
+        terms = [square(n[j] - n[j + 1],
+                        [(i - 1, s) for i, s in ((j, 1), (j + 1, -1))
+                         if 0 < i < last])
+                 for j in range(last)]
+        return terms + [square(e, [(last - 1 + a, 1)])
+                        for a, e in enumerate(etas)]
 
     def value_grad_hess(self, w, theta: Theta):
         """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule."""
@@ -649,14 +593,13 @@ class ExtendedQ:
         pt = [float(v) for v in self.substituted_point(w, theta)]
         eps = float(theta.eps)
         nw = self.w_dim
-        slots = self._moving_slots([float(y) for y in ys],
-                                   [float(e) for e in etas], eps)
-        slot_of = {i: (s, d1, d2) for i, (s, d1, d2) in enumerate(slots)}
+        slot_of = dict(enumerate(self._moving_slots([float(v) for v in w],
+                                                    eps)))
         prefs = self._pref_derivatives([float(y) for y in ys],
                                        [float(e) for e in etas])
-        syms = [sym for _, sym in self._terms(ys, etas)]
+        syms = self.spec.q + self.spec.r
         if self.mode == "normalized":
-            syms = syms + [self._remainder_factor_symbol()]
+            syms = syms + (self.spec.remainder_factor,)
             prefs = prefs + [(1.0, [0.0] * nw, [[0.0] * nw for _ in range(nw)])]
 
         val = 0.0
@@ -712,23 +655,15 @@ class ExtendedQ:
         ys, etas = self._split(w)
         pt = [float(v) for v in self.substituted_point(w, theta)]
         d, p = self.spec.d, self.spec.p
-        cut = self.cutoff
         vel = [0.0] * (2 * (d + 1))
-        vel[0] = float(dtheta.t)
+        vel[0] = anchor = float(dtheta.t)
         for k in range(d - p):
             vel[p + 1 + k] = float(dtheta.z_x[k])
             vel[d + 2 + p + k] = float(dtheta.z_xi[k])
-        deps = float(dtheta.eps)
-        if self.spec.variant == "form1":
-            for a in range(1, p + 1):
-                vel[a] = float(dtheta.t) + deps * float(cut.scaled(ys[a - 1]))
-        else:
-            dxp = float(dtheta.x_p or 0)
-            for a in range(1, p):
-                vel[a] = dxp - deps * float(cut.scaled(ys[a - 1]))
-            vel[p] = dxp
-        for a in range(1, p + 1):
-            vel[d + 1 + a] = deps * float(cut.scaled(etas[a - 1]))
+        if self.spec.variant == "form2":
+            anchor = vel[p] = float(dtheta.x_p or 0)
+        self._move(vel, w, anchor, float(dtheta.eps),
+                   lambda v: float(self.cutoff.scaled(v)))
 
         def directional(sym):
             return sum(float(sym.diff(i).eval(pt)) * vel[i]
@@ -744,7 +679,7 @@ class ExtendedQ:
             numdot += pv * directional(sym)
         if self.mode == "raw":
             return numdot
-        rsym = self._remainder_factor_symbol()
+        rsym = self.spec.remainder_factor
         rv = float(rsym.eval(pt))
         return (numdot - (num / rv) * directional(rsym)) / rv
 

@@ -46,6 +46,11 @@ Number = Union[int, float, Fraction]
 
 DEFAULT_GRID = 33
 _CHUNK = 1 << 18
+MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
+
+
+class ScanTooLarge(ValueError):
+    """A tensor scan would visit more than MAX_SCAN_POINTS grid points."""
 
 
 class AllPointsDegenerate(ValueError):
@@ -170,6 +175,9 @@ class TensorGrid:
             acc *= n
         self._strides = tuple(reversed(strides))
         self.total = acc
+        if acc > MAX_SCAN_POINTS:
+            raise ScanTooLarge("a scan of %d grid points exceeds the budget "
+                               "of %d" % (acc, MAX_SCAN_POINTS))
         self._float_axes = [np.array([float(v) for v in ax]) for ax in self.axes]
 
     def point(self, flat: int) -> PhasePoint:
@@ -586,8 +594,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     k = d - p
     rng = random.Random(seed)
     delta = float(cutoff.delta)
-    remfac = spec.q[p] if spec.variant == "form1" else spec.r[p - 1]
-    remainder_sym = spec.psi if spec.variant == "form1" else spec.g
+    remfac, remainder_sym = spec.remainder_factor, spec.remainder
     a = build_normal_form(spec)
 
     t_axis, zx_axis, zxi_axis, xp_axis = _theta_axes(eq, region, n_axis)
@@ -661,10 +668,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
 
     # (iii) branch floors on the pinned cone
     eta = region.denominator_floor()
-    gate = spec.phi if spec.variant == "form1" else \
-        PolySymbol.coordinate(d, "x%d" % p)
     comp_a = compile_poly(a)
-    comp_gate = compile_poly(gate)
+    comp_gate = compile_poly(spec.gate)
     comp_phi = compile_poly(cert.phi)
     cone = TensorGrid(d, region_axes(region, d, pin_last_xi=True))
 

@@ -2,13 +2,27 @@
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
-from hypcert import cli, normal_forms, time_functions
+from hypcert import (
+    NormalFormSpec,
+    PhasePoint,
+    Region,
+    cli,
+    normal_forms,
+    phase_variables,
+    time_functions,
+)
 from hypcert.cli import Report, emit_report, exit_code, main, run_pipeline
 from hypcert.symbolfile import (
+    Options,
+    SymbolFile,
     parse_symbol_data,
     parse_symbol_file,
     serialize_symbol_file,
@@ -116,6 +130,21 @@ def test_custom_base_point_not_certified():
     assert cls.classification["effective"] is True
 
 
+def test_oversized_scan_fails_at_verify():
+    # b1 lifted to d = 3 at the default region: 33**7 points per scan
+    t, (x1, x2, x3), tau, (xi1, xi2, xi3) = phase_variables(3)
+    spec = NormalFormSpec(variant="form1", d=3, p=0, q=(xi3 ** 2,), r=(),
+                          phi=x1, psi=x1 ** 3)
+    sf = SymbolFile(schema=1, d=3, base_point=PhasePoint.base(3),
+                    a=((t - x1) ** 2 + x1 ** 3) * xi3 ** 2, region=Region(),
+                    options=Options(slack=Fraction(1, 100)), normal_form=spec)
+    rep = run_pipeline(sf, "certify")
+    assert rep.status == "FAILED" and exit_code(rep) == 1
+    assert rep.stage == "verify"
+    assert "42618442977" in rep.reason
+    assert rep.time_function is not None and rep.certificate is None
+
+
 def test_each_stage_runs_once(monkeypatch):
     sf = parse_symbol_file(FIXTURES / "b2.json")
     calls = {"check_side_conditions": 0, "validate_spec": 0}
@@ -143,6 +172,20 @@ def test_regen_script_matches_fixtures():
     for name, sf in files.items():
         expected = (FIXTURES / ("%s.json" % name)).read_bytes()
         assert serialize_symbol_file(sf) == expected, name
+
+
+def test_regen_script_runs_without_pythonpath(tmp_path):
+    # the README runs the script from a plain checkout, nothing installed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = ("import runpy, sys; "
+            "ns = runpy.run_path(sys.argv[1], run_name='regen'); "
+            "print(' '.join(sorted(ns['fixture_files']())))")
+    script = ROOT / "scripts" / "regen_fixtures.py"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == sorted(NAMES)
 
 
 # ----------------------------------------------------- classify and exits

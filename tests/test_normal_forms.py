@@ -21,6 +21,7 @@ from hypcert import (
     build_normal_form,
     check_side_conditions,
     classify_effective_hyperbolicity,
+    minimize_Q,
     phase_variables,
 )
 
@@ -397,6 +398,138 @@ def test_minimizer_random_chains():
             if any(v):
                 probe = tuple(a + b for a, b in zip(w, v))
                 assert Q.theta0_value(probe) > m0
+
+
+# ----------------------------------------------- deep chains, frozen bits
+
+
+def deep_chain_specs():
+    """Chains of length two and three whose factors move with the chain,
+    eta and transverse slots."""
+    t, (x1, x2, x3), tau, (xi1, xi2, xi3) = phase_variables(3)
+    one3 = PolySymbol.constant(3, 1)
+    form1_p2 = NormalFormSpec(
+        variant="form1", d=3, p=2,
+        q=((1 + x1) * xi3 ** 2,
+           (F(3, 2) + x2 - t) * xi3 ** 2 + xi1 * xi3,
+           xi3 ** 2 + x1 * xi2 * xi3),
+        r=(one3 + x2 ** 2, F(5, 4) * one3 + x1 * x3),
+        phi=x3, psi=x3 ** 2)
+    form2_p2 = NormalFormSpec(
+        variant="form2", d=3, p=2,
+        q=((2 + x1) * xi3 ** 2, xi3 ** 2 + xi2 * xi3),
+        r=(F(1, 2) * one3 + x1 * x2, F(3, 4) * one3 + x2 ** 2),
+        g=x2 ** 3 * xi3 ** 2 + x3 ** 2 * xi3 ** 2)
+    t, (y1, y2, y3, y4), tau, (e1, e2, e3, e4) = phase_variables(4)
+    one4 = PolySymbol.constant(4, 1)
+    form2_p3 = NormalFormSpec(
+        variant="form2", d=4, p=3,
+        q=((1 + y2) * e4 ** 2, 2 * e4 ** 2 + e1 * e4,
+           (F(1, 2) + y1 * y3) * e4 ** 2),
+        r=(one4 + y1 ** 2, F(2, 3) * one4, F(1, 2) * one4 + y3),
+        g=y3 ** 3 * e4 ** 2 + y4 ** 2 * e4 ** 2)
+    return {"form1-p2-d3": form1_p2, "form2-p2-d3": form2_p2,
+            "form2-p3-d4": form2_p3}
+
+
+DEEP_W = (0.3, -0.7, 0.15, -1.3, 0.45)  # -0.7 and -1.3 reach the quintic
+
+# theta0_minimizer(), value_grad_hess (value, gradient, Hessian),
+# substituted_point and minimize_Q(...).m, recorded bit for bit
+DEEP_FROZEN = {
+    ('form1-p2-d3', 'raw'): (
+        ((F(-3, 8), F(-5, 8), F(0), F(0)), F(3, 8)),
+        3.769547511299222,
+        [3.5387743947601313, -2.23931189482998, 0.346730210979375,
+         -3.2531103515625],
+        [[5.072683934936524, -2.7594598214721677, 0.093017578125,
+          -0.0019042968750000002],
+         [-2.7594598214721677, 4.580584412736815, -0.0918622801875, 0.0],
+         [0.093017578125, -0.0918622801875, 2.0014761461125, 0.0],
+         [-0.0019042968750000002, 0.0, 0.0, 2.502392578125]],
+        [F(1, 16), 0.0765625, 0.027167499999999997, F(1, 64), 0,
+         0.007031249999999999, -0.046875, F(127, 128)],
+        0.37334085838430614),
+    ('form1-p2-d3', 'normalized'): (
+        ((F(-3, 8), F(-5, 8), F(0), F(0)), F(3, 8)),
+        3.8430449544094363,
+        [3.616313872977929, -2.28297328869833, 0.3534906467822563,
+         -3.3165384665493853],
+        [[5.187664803722521, -2.8183370458099635, 0.09561687595906462,
+          -0.009312785795515055],
+         [-2.8183370458099635, 4.669895196399183, -0.09365338182286004, 0.0],
+         [0.09561687595906462, -0.09365338182286004, 2.0405002939032926, 0.0],
+         [-0.009312785795515055, 0.0, 0.0, 2.551183435807219]],
+        [F(1, 16), 0.0765625, 0.027167499999999997, F(1, 64), 0,
+         0.007031249999999999, -0.046875, F(127, 128)],
+        0.3792433564761009),
+    ('form2-p2-d3', 'raw'): (
+        ((F(-2, 3), F(0), F(0)), F(2, 3)),
+        3.715036924362183,
+        [5.716040287017823, -0.70095703125, 0.22808349609374998],
+        [[5.799016189575196, 0.0013671875, 0.018603515625],
+         [0.0013671875, 1.0013671875, 0.0],
+         [0.018603515625, 0.0, 1.501953125]],
+        [F(1, 16), 0.021875, F(1, 32), F(1, 64), 0, -0.023555, 0.0046875,
+         F(127, 128)],
+        0.6619741747264525),
+    ('form2-p2-d3', 'normalized'): (
+        ((F(-2, 3), F(0), F(0)), F(8, 9)),
+        4.946941236081762,
+        [7.611476272960014, -0.9333940182054616, 0.3037158647594278],
+        [[7.721966941644995, 0.0018205461638491547, 0.024772431729518856],
+         [0.0018205461638491547, 1.3334200260078024, 0.0],
+         [0.024772431729518856, 0.0, 2.0]],
+        [F(1, 16), 0.021875, F(1, 32), F(1, 64), 0, -0.023555, 0.0046875,
+         F(127, 128)],
+        0.8814844667358743),
+    ('form2-p3-d4', 'raw'): (
+        ((F(-5, 7), F(-4, 7), F(0), F(0), F(0)), F(2, 7)),
+        5.2266708917039555,
+        [6.646353004057884, -4.71570293759346, 0.3311494140625,
+         -1.7333333333333334, 0.478125],
+        [[6.023865947875977, -4.06663795671463, 0.0616015625, 0.0, 0.0],
+         [-4.06663795671463, 4.932827842235565, -0.06201171875, 0.0, 0.0],
+         [0.0616015625, -0.06201171875, 2.00095703125, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 1.3333333333333333, 0.0],
+         [0.0, 0.0, 0.0, 0.0, 1.0625]],
+        [F(1, 16), 0.021875, 0.054805, F(1, 32), F(1, 64), 0, 0.0046875,
+         -0.03125, 0.0140625, F(127, 128)],
+        0.28568380423524503),
+    ('form2-p3-d4', 'normalized'): (
+        ((F(-5, 7), F(-4, 7), F(0), F(0), F(0)), F(4, 7)),
+        9.838439325560387,
+        [12.510782125285429, -8.876617294293572, 0.6233400735294117,
+         -3.2627450980392156, 0.9],
+        [[11.339041784237132, -7.654847918521657, 0.11595588235294117, 0.0,
+          0.0],
+         [-7.654847918521657, 9.285322997149299, -0.11672794117647059, 0.0,
+          0.0],
+         [0.11595588235294117, -0.11672794117647059, 3.7665073529411766, 0.0,
+          0.0],
+         [0.0, 0.0, 0.0, 2.5098039215686274, 0.0],
+         [0.0, 0.0, 0.0, 0.0, 2.0]],
+        [F(1, 16), 0.021875, 0.054805, F(1, 32), F(1, 64), 0, 0.0046875,
+         -0.03125, 0.0140625, F(127, 128)],
+        0.5377577491486966),
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(DEEP_FROZEN))
+def test_deep_chain_bits_frozen(name, mode):
+    spec = deep_chain_specs()[name]
+    Q = qext(spec, mode=mode)
+    k = spec.d - spec.p
+    theta = Q.pinned_theta(
+        F(1, 16), [F(j + 1, 64) for j in range(k)],
+        [F(-j - 1, 128) for j in range(k)],
+        x_p=F(1, 32) if spec.variant == "form2" else None)
+    w = DEEP_W[:Q.w_dim]
+    val, grad, hess = Q.value_grad_hess(w, theta)
+    got = (Q.theta0_minimizer(), float(val), grad.tolist(), hess.tolist(),
+           Q.substituted_point(w, theta), float(minimize_Q(Q, theta).m))
+    # repr tells -0.0 from 0.0 and a Fraction from an equal float
+    assert repr(got) == repr(DEEP_FROZEN[(name, mode)])
 
 
 # ----------------------------------------------------- derivatives (floats)

@@ -11,6 +11,7 @@ from hypcert import (
     NormalFormSpec,
     PolySymbol,
     Region,
+    ScanTooLarge,
     Theta,
     build_cutoff,
     build_extended_Q,
@@ -24,7 +25,7 @@ from hypcert import (
     verify_nonnegativity,
 )
 from hypcert.symbols import DimensionMismatch, phase_variables
-from hypcert.verifier import TensorGrid, region_axes
+from hypcert.verifier import MAX_SCAN_POINTS, TensorGrid, region_axes
 
 t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
 
@@ -81,6 +82,15 @@ def test_grid_points_are_exact_and_ties_resolve_low(small_region):
     res = grid.scan(lambda coords: (coords[0] * 0.0 + 7.0, None))
     assert res.min_flat == 0 and res.max_flat == 0
     assert res.n_included == res.n_total == 9**5
+
+
+def test_scan_budget():
+    # the documented region at d = 2 fits; at d = 3 one scan would be
+    # 33**7 points and the grid refuses it on construction
+    assert TensorGrid(2, region_axes(Region(), 2)).total == 33**5
+    assert 33**5 < MAX_SCAN_POINTS < 33**7
+    with pytest.raises(ScanTooLarge, match="42618442977"):
+        TensorGrid(3, region_axes(Region(), 3))
 
 
 # ---------------------------------------------------------- nonnegativity
