@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Tuple
 
 from hypcert import __version__
 from hypcert.normal_forms import (
-    build_cutoff,
     build_extended_Q,
     build_normal_form,
     check_side_conditions,
@@ -47,6 +46,7 @@ from hypcert.time_functions import construct_time_function
 from hypcert.verifier import (
     AllPointsDegenerate,
     HessianDegenerate,
+    STRUCTURAL_CUTOFF,
     ScanTooLarge,
     certify_region,
     minimize_Q,
@@ -483,8 +483,7 @@ def _run_minimize(sf: SymbolFile, args) -> int:
     if sf.normal_form is None:
         sys.stderr.write("minimize requires a normal_form block\n")
         return 3
-    eq = build_extended_Q(sf.normal_form, build_cutoff(Fraction(1, 2)),
-                          mode=args.mode)
+    eq = build_extended_Q(sf.normal_form, STRUCTURAL_CUTOFF, mode=args.mode)
     k = sf.normal_form.d - sf.normal_form.p
     zx = args.theta_zx if args.theta_zx is not None else (Fraction(0),) * k
     zxi = args.theta_zxi if args.theta_zxi is not None else (Fraction(0),) * k

@@ -72,6 +72,25 @@ from hypcert.symbols import (
 Number = Union[int, float, Fraction]
 
 
+def uniform_axis(lo: Fraction, hi: Fraction, n: int) -> Tuple[Fraction, ...]:
+    """n >= 2 equally spaced exact points from lo to hi."""
+    step = (hi - lo) / (n - 1)
+    return tuple(lo + k * step for k in range(n))
+
+
+def horner(coeffs, v):
+    """sum_k coeffs[k] v^k; Fraction(0) for no coefficients."""
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * v + c
+    return out
+
+
+def poly_derivative(coeffs):
+    """Coefficients of the derivative of sum_k coeffs[k] v^k."""
+    return tuple(k * c for k, c in enumerate(coeffs) if k)
+
+
 class InvariantViolation(ValueError):
     """A branch ingredient breaks a declared invariant; names the field."""
 
@@ -232,18 +251,16 @@ class SideConditionReport:
     notes: Tuple[str, ...]
 
 
-def _sample_axis(half: Fraction, n: int):
-    if n <= 1:
-        return [Fraction(0)]
-    step = 2 * half / (n - 1)
-    return [-half + k * step for k in range(n)]
+# The one-sided sign scan of check_side_conditions: POINTS per x axis on
+# [-HALF_WIDTH, HALF_WIDTH], XI_POINTS per xi axis within XI_HALF_WIDTH of
+# the base covector.  The report's side-condition grid prints them.
+HALF_WIDTH = Fraction(1, 2)
+POINTS = 11
+XI_HALF_WIDTH = Fraction(1, 4)
+XI_POINTS = 3
 
 
-def check_side_conditions(spec: NormalFormSpec,
-                          half_width: Number = Fraction(1, 2),
-                          points: int = 11,
-                          xi_half_width: Number = Fraction(1, 4),
-                          xi_points: int = 3) -> SideConditionReport:
+def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
     """Exact side conditions plus sampled one-sided sign checks.
 
     form1: {phi, {phi, psi}} vanishes at the base point (trivially exact
@@ -256,8 +273,6 @@ def check_side_conditions(spec: NormalFormSpec,
     d, p = spec.d, spec.p
     base = spec.base_point()
     notes = []
-    half = as_fraction(half_width)
-    xi_half = as_fraction(xi_half_width)
 
     if spec.variant == "form1":
         br = poisson_bracket(spec.phi, poisson_bracket(spec.phi, spec.psi))
@@ -280,12 +295,14 @@ def check_side_conditions(spec: NormalFormSpec,
     moving = [i for i in range(2 * (d + 1))
               if sign_poly.depends_on(i) or gate_poly.depends_on(i)]
     xi_base = base.as_tuple()
+    x_axis = uniform_axis(-HALF_WIDTH, HALF_WIDTH, POINTS)
+    xi_axis = uniform_axis(-XI_HALF_WIDTH, XI_HALF_WIDTH, XI_POINTS)
     axes = []
     for i in moving:
         if i >= d + 2:  # xi slot: box around the base covector
-            axes.append([xi_base[i] + v for v in _sample_axis(xi_half, xi_points)])
+            axes.append([xi_base[i] + v for v in xi_axis])
         else:
-            axes.append(_sample_axis(half, points))
+            axes.append(x_axis)
     one_sided_ok = True
     witness = None
     pt = list(xi_base)
@@ -298,8 +315,8 @@ def check_side_conditions(spec: NormalFormSpec,
             break
 
     ok = (double_bracket == 0) and (bbis_ok is not False) and one_sided_ok
-    grid = {"half_width": str(half), "points": points,
-            "xi_half_width": str(xi_half), "xi_points": xi_points,
+    grid = {"half_width": str(HALF_WIDTH), "points": POINTS,
+            "xi_half_width": str(XI_HALF_WIDTH), "xi_points": XI_POINTS,
             "moving_slots": moving}
     return SideConditionReport(ok=ok, double_bracket=double_bracket,
                                bbis_sum=bbis_sum, bbis_ok=bbis_ok,
@@ -312,15 +329,8 @@ def check_side_conditions(spec: NormalFormSpec,
 
 
 _H = (Fraction(1), Fraction(1), Fraction(0), Fraction(4), Fraction(-7), Fraction(3))
-_H1 = tuple(k * c for k, c in enumerate(_H) if k)
-_H2 = tuple(k * c for k, c in enumerate(_H1) if k)
-
-
-def _horner(coeffs, v):
-    out = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        out = out * v + c
-    return out
+_H1 = poly_derivative(_H)
+_H2 = poly_derivative(_H1)
 
 
 @dataclass(frozen=True)
@@ -344,7 +354,7 @@ class Cutoff:
         elif u >= 2:
             out = u - u + 2  # keeps the numeric type of s
         else:
-            out = _horner(_H, u - 1)
+            out = horner(_H, u - 1)
         return -out if neg else out
 
     def chi_prime(self, s: Number) -> Number:
@@ -353,7 +363,7 @@ class Cutoff:
             return u - u + 1
         if u >= 2:
             return u - u
-        return _horner(_H1, u - 1)
+        return horner(_H1, u - 1)
 
     def chi_second(self, s: Number) -> Number:
         neg = s < 0
@@ -361,7 +371,7 @@ class Cutoff:
         if u <= 1 or u >= 2:
             out = u - u
         else:
-            out = _horner(_H2, u - 1)
+            out = horner(_H2, u - 1)
         return -out if neg else out
 
     def scaled(self, s: Number) -> Number:
@@ -462,6 +472,18 @@ class ExtendedQ:
         for (slot, sign), v in zip(self._w_slots, w):
             step = eps * dchi(v)
             out[slot] = anchor + sign * step if slot <= self.spec.d else step
+
+    @cached_property
+    def theta_dim(self) -> int:
+        """Length of the flat slow vector (t, z_x, z_xi[, x_p])."""
+        k = self.spec.d - self.spec.p
+        return 1 + 2 * k + (1 if self.spec.variant == "form2" else 0)
+
+    def theta_at(self, v: Sequence) -> Theta:
+        """pinned_theta of the flat slow vector (t, z_x, z_xi[, x_p])."""
+        k = self.spec.d - self.spec.p
+        x_p = v[1 + 2 * k] if self.spec.variant == "form2" else None
+        return self.pinned_theta(v[0], v[1:1 + k], v[1 + k:1 + 2 * k], x_p=x_p)
 
     def theta_zero(self) -> Theta:
         k = self.spec.d - self.spec.p
@@ -691,19 +713,12 @@ class ExtendedQ:
         ||w||_inf <= w_inf and |t| + |z| (+ |x_p|) <= delta / 4."""
         rng = random.Random(seed)
         budget = float(self.cutoff.delta) / 4
-        k = self.spec.d - self.spec.p
         worst = 0.0
         for _ in range(n_samples):
             w = [rng.uniform(-w_inf, w_inf) for _ in range(self.w_dim)]
-            raw = [rng.uniform(-1, 1) for _ in range(1 + 2 * k +
-                   (1 if self.spec.variant == "form2" else 0))]
+            raw = [rng.uniform(-1, 1) for _ in range(self.theta_dim)]
             scale = rng.uniform(0, budget) / max(sum(abs(v) for v in raw), 1e-12)
-            raw = [v * scale for v in raw]
-            t = raw[0]
-            z_x = tuple(raw[1:1 + k])
-            z_xi = tuple(raw[1 + k:1 + 2 * k])
-            x_p = raw[-1] if self.spec.variant == "form2" else None
-            theta = self.pinned_theta(t, z_x, z_xi, x_p=x_p)
+            theta = self.theta_at([v * scale for v in raw])
             q0 = float(self.theta0_value(w))
             q = float(self.value(w, theta))
             worst = max(worst, abs(q - q0) / q0)

@@ -177,10 +177,6 @@ class Spectrum:
     def has_real_pair(self) -> bool:
         return self.tag == "real-pair-present"
 
-    @property
-    def is_marginal(self) -> bool:
-        return bool(self.marginal)
-
 
 def default_tol(norm: float) -> float:
     return 1e-9 * (1.0 + norm)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction, str]
 
@@ -167,9 +167,6 @@ class PolySymbol:
 
     def term_xi_degree(self, exps: Tuple[int, ...]) -> int:
         return sum(exps[i] for i in self.xi_slots())
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def depends_on(self, i: int) -> bool:
         return any(e[i] for e in self.terms)
@@ -492,16 +489,6 @@ class QuadraticJet:
                 if m != 0:
                     total = total + m * vals[i] * vals[j]
         return total
-
-    def with_partition(self, pairs: Iterable[int]) -> "QuadraticJet":
-        return QuadraticJet(self.d, self.matrix, frozenset(pairs))
-
-    def pair_slots(self, pair: int) -> Tuple[int, int]:
-        """Position and momentum slot indices of a conjugate pair."""
-        return pair, self.d + 1 + pair
-
-    def as_float_rows(self):
-        return [[float(v) for v in row] for row in self.matrix]
 
 
 def gradient_at(f: PolySymbol, at: Union[PhasePoint, Sequence]) -> Tuple[Fraction, ...]:

@@ -24,13 +24,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from hypcert.normal_forms import (
-    Cutoff,
     ExtendedQ,
     NormalFormSpec,
     Theta,
     build_cutoff,
     build_extended_Q,
     build_normal_form,
+    horner,
+    poly_derivative,
+    uniform_axis,
 )
 from hypcert.spectral import NoConvergence
 from hypcert.symbols import (
@@ -47,6 +49,16 @@ Number = Union[int, float, Fraction]
 DEFAULT_GRID = 33
 _CHUNK = 1 << 18
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
+MAX_NEWTON_ITER = 80
+_EPS = float(np.finfo(float).eps)
+
+# The structural sampling plan, printed in the structural report's grid:
+# N_AXIS points per slow axis, and N_W random w samples (drawn with SEED)
+# besides the minimizer at each theta.
+STRUCTURAL_CUTOFF = build_cutoff(Fraction(1, 2))
+N_AXIS = 5
+N_W = 16
+SEED = 0
 
 
 class ScanTooLarge(ValueError):
@@ -118,31 +130,26 @@ class Region:
         }
 
 
-def _axis(lo: Fraction, hi: Fraction, n: int) -> Tuple[Fraction, ...]:
-    step = (hi - lo) / (n - 1)
-    return tuple(lo + k * step for k in range(n))
-
-
 def region_axes(region: Region, d: int, negative_t: bool = False,
                 pin_last_xi: bool = False):
     """(slot, exact axis) pairs in slot order; tau stays out (fixed 0)."""
     n = region.grid
     if negative_t:
-        pos = _axis(Fraction(0), region.t_max, n)
+        pos = uniform_axis(Fraction(0), region.t_max, n)
         t_axis = tuple(-v for v in reversed(pos[1:]))
     else:
-        t_axis = _axis(Fraction(0), region.t_max, n)
+        t_axis = uniform_axis(Fraction(0), region.t_max, n)
     axes = [(0, t_axis)]
     for j in range(1, d + 1):
-        axes.append((j, _axis(-region.x_half, region.x_half, n)))
+        axes.append((j, uniform_axis(-region.x_half, region.x_half, n)))
     for j in range(1, d + 1):
         center = Fraction(1) if j == d else Fraction(0)
         if pin_last_xi and j == d:
             axes.append((d + 1 + j, (Fraction(1),)))
         else:
             axes.append((d + 1 + j,
-                         _axis(center - region.xi_half,
-                               center + region.xi_half, n)))
+                         uniform_axis(center - region.xi_half,
+                                      center + region.xi_half, n)))
     return axes
 
 
@@ -162,11 +169,10 @@ class ScanResult:
 class TensorGrid:
     """Uniform tensor grid over selected phase-space slots (tau fixed 0)."""
 
-    def __init__(self, d: int, axes, chunk: int = _CHUNK):
+    def __init__(self, d: int, axes):
         self.d = d
         self.slots = tuple(slot for slot, _ in axes)
         self.axes = tuple(tuple(ax) for _, ax in axes)
-        self.chunk = chunk
         self._lens = tuple(len(ax) for ax in self.axes)
         strides = []
         acc = 1
@@ -206,8 +212,8 @@ class TensorGrid:
         comparisons, so the earliest (lowest flat index) extremum wins
         ties and thread count cannot affect the result.
         """
-        ranges = [(s, min(s + self.chunk, self.total))
-                  for s in range(0, self.total, self.chunk)]
+        ranges = [(s, min(s + _CHUNK, self.total))
+                  for s in range(0, self.total, _CHUNK)]
 
         def part(rng):
             start, stop = rng
@@ -421,17 +427,6 @@ class GlaeserReport:
     n_points: int
 
 
-def _poly_derivative(coeffs):
-    return tuple(k * c for k, c in enumerate(coeffs) if k)
-
-
-def _poly_eval(coeffs, s):
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * s + c
-    return out
-
-
 def glaeser_check(coeffs: Sequence[Number], interval, margin: Number = 0,
                   points: int = 257) -> GlaeserReport:
     """For nonnegative f, check f'(s)^2 <= 2 sup|f''| f(s) on the core
@@ -441,19 +436,19 @@ def glaeser_check(coeffs: Sequence[Number], interval, margin: Number = 0,
     margin = as_fraction(margin)
     if margin < 0 or hi <= lo:
         raise ValueError("need lo < hi and margin >= 0")
-    d1 = _poly_derivative(cs)
-    d2 = _poly_derivative(d1)
-    wide = _axis(lo - margin, hi + margin, points)
+    d1 = poly_derivative(cs)
+    d2 = poly_derivative(d1)
+    wide = uniform_axis(lo - margin, hi + margin, points)
     for s in wide:
-        if _poly_eval(cs, s) < 0:
+        if horner(cs, s) < 0:
             raise NegativeInput("f(%s) < 0 on the enlarged interval" % s)
-    sup2 = max(abs(_poly_eval(d2, s)) for s in wide)
-    core = _axis(lo, hi, points)
+    sup2 = max(abs(horner(d2, s)) for s in wide)
+    core = uniform_axis(lo, hi, points)
     worst = Fraction(0)
     worst_point = None
     for s in core:
-        num = _poly_eval(d1, s) ** 2
-        den = 2 * sup2 * _poly_eval(cs, s)
+        num = horner(d1, s) ** 2
+        den = 2 * sup2 * horner(cs, s)
         if den == 0:
             if num == 0:
                 continue
@@ -482,11 +477,11 @@ class MinimizeResult:
 
 
 def minimize_Q(eq: ExtendedQ, theta: Theta,
-               w0: Optional[Sequence[float]] = None,
-               max_iter: int = 80) -> MinimizeResult:
+               w0: Optional[Sequence[float]] = None) -> MinimizeResult:
     """Safeguarded damped Newton on grad_w Q = 0, started from the
     closed-form theta = 0 minimizer (or a warm start), accepting only
-    Q-decreasing steps."""
+    Q-decreasing steps.  An iterate from which no step decreases Q is
+    converged when the Newton decrement is below the rounding floor of Q."""
     nw = eq.w_dim
     if nw == 0:
         return MinimizeResult(m=float(eq.value((), theta)), w_bar=(),
@@ -494,16 +489,12 @@ def minimize_Q(eq: ExtendedQ, theta: Theta,
     if w0 is None:
         w0 = [float(v) for v in eq.theta0_minimizer()[0]]
     w = np.array([float(v) for v in w0], dtype=float)
-    cond = 1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON_ITER + 1):
         val, grad, hess = eq.value_grad_hess(tuple(w), theta)
         gn = float(np.linalg.norm(grad))
-        if gn <= 1e-10 * (1 + abs(val)):
-            cond = float(np.linalg.cond(hess))
-            return MinimizeResult(m=float(val), w_bar=tuple(float(v) for v in w),
-                                  hessian_cond=cond, grad_norm=gn,
-                                  iterations=it - 1)
         cond = float(np.linalg.cond(hess))
+        if gn <= 1e-10 * (1 + abs(val)):
+            break
         if not math.isfinite(cond) or cond > 1e12:
             raise HessianDegenerate("condition number %.3e" % cond)
         try:
@@ -513,17 +504,21 @@ def minimize_Q(eq: ExtendedQ, theta: Theta,
         if float(grad @ step) >= 0:
             step = -grad
         t = 1.0
-        moved = False
         for _ in range(40):
             cand = w + t * step
             if float(eq.value(tuple(float(v) for v in cand), theta)) < val:
                 w = cand
-                moved = True
                 break
             t *= 0.5
-        if not moved:
+        else:
+            if -float(grad @ step) <= 4 * _EPS * (1 + abs(val)):
+                break
             raise NoConvergence("no decreasing step at grad norm %.3e" % gn)
-    raise NoConvergence("no convergence in %d iterations" % max_iter)
+    else:
+        raise NoConvergence("no convergence in %d iterations"
+                            % MAX_NEWTON_ITER)
+    return MinimizeResult(m=float(val), w_bar=tuple(float(v) for v in w),
+                          hessian_cond=cond, grad_norm=gn, iterations=it - 1)
 
 
 def minimize_Q_path(eq: ExtendedQ, thetas: Sequence[Theta]):
@@ -559,25 +554,20 @@ class StructuralReport:
     grid: dict
 
 
-def _theta_axes(eq: ExtendedQ, region: Region, n_axis: int):
-    """Coordinate axes for the slow variables, budgeted so that every
-    tensor point satisfies |t| + |z| (+|x_p|) <= delta/4."""
-    spec = eq.spec
-    k = spec.d - spec.p
-    slots = 1 + 2 * k + (1 if spec.variant == "form2" else 0)
-    budget = eq.cutoff.delta / 4
-    h = budget / slots
-    t_axis = _axis(Fraction(0), min(region.t_max, h), n_axis)
-    zx_axis = _axis(-min(region.x_half, h), min(region.x_half, h), n_axis)
-    zxi_axis = _axis(-min(region.xi_half, h), min(region.xi_half, h), n_axis)
-    xp_axis = zx_axis if spec.variant == "form2" else None
-    return t_axis, zx_axis, zxi_axis, xp_axis
+def _theta_axes(eq: ExtendedQ, region: Region):
+    """Axes of the slow vector (t, z_x, z_xi[, x_p]), budgeted so that
+    every tensor point satisfies |t| + |z| (+|x_p|) <= delta/4."""
+    k = eq.spec.d - eq.spec.p
+    h = eq.cutoff.delta / 4 / eq.theta_dim
+    hx, hxi = min(region.x_half, h), min(region.xi_half, h)
+    zx_axis = uniform_axis(-hx, hx, N_AXIS)
+    axes = ([uniform_axis(Fraction(0), min(region.t_max, h), N_AXIS)]
+            + [zx_axis] * k + [uniform_axis(-hxi, hxi, N_AXIS)] * k)
+    return axes + [zx_axis] * (eq.theta_dim - len(axes))  # x_p shares z_x
 
 
 def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
-                     region: Region, cutoff: Optional[Cutoff] = None,
-                     n_axis: int = 5, n_w: int = 16,
-                     seed: int = 0) -> StructuralReport:
+                     region: Region) -> StructuralReport:
     """Sampled verification of the reconstruction chain.
 
     In the normalized frame (divide by the remainder-square factor):
@@ -586,31 +576,18 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     (iii) branch floors a >= c1 t^2 on the negative side of the gate and
     a >= c' (t - phi)^2 on the nonnegative side (best measured constants,
     on the cone with the last covector slot pinned to 1), (iv) a measured
-    Lipschitz constant for m1 in t.
+    Lipschitz constant for m1 in t.  (i), (ii) and (iv) read one
+    warm-started sweep of m1 over the slow axes.
     """
-    cutoff = cutoff or build_cutoff(Fraction(1, 2))
-    eq = build_extended_Q(spec, cutoff, mode="normalized")
-    d, p = spec.d, spec.p
-    k = d - p
-    rng = random.Random(seed)
-    delta = float(cutoff.delta)
+    eq = build_extended_Q(spec, STRUCTURAL_CUTOFF, mode="normalized")
+    d = spec.d
+    rng = random.Random(SEED)
+    delta = float(STRUCTURAL_CUTOFF.delta)
     remfac, remainder_sym = spec.remainder_factor, spec.remainder
     a = build_normal_form(spec)
 
-    t_axis, zx_axis, zxi_axis, xp_axis = _theta_axes(eq, region, n_axis)
-    axes = [t_axis] + [zx_axis] * k + [zxi_axis] * k
-    if xp_axis is not None:
-        axes.append(xp_axis)
-
-    thetas = []
-    keys = []
-    for combo in itertools.product(*axes):
-        t = combo[0]
-        z_x = combo[1:1 + k]
-        z_xi = combo[1 + k:1 + 2 * k]
-        x_p = combo[-1] if xp_axis is not None else None
-        thetas.append(eq.pinned_theta(t, z_x, z_xi, x_p=x_p))
-        keys.append((z_x, z_xi, x_p))
+    slow = list(itertools.product(*_theta_axes(eq, region)))
+    thetas = [eq.theta_at(v) for v in slow]
     results = minimize_Q_path(eq, thetas)
 
     # (i) reconstruction floor at sampled (w, theta)
@@ -620,7 +597,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     for theta, res in zip(thetas, results):
         samples = [tuple(res.w_bar)]
         if eq.w_dim:
-            for _ in range(n_w):
+            for _ in range(N_W):
                 samples.append(tuple(rng.uniform(-delta, delta)
                                      for _ in range(eq.w_dim)))
         eps = float(theta.eps)
@@ -644,23 +621,17 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     bnd_min = math.inf
     bnd_worst = None
     n_bnd = 0
-    zero_axes = [zx_axis] * k + [zxi_axis] * k
-    if xp_axis is not None:
-        zero_axes.append(xp_axis)
-    for combo in itertools.product(*zero_axes):
-        z_x = combo[:k]
-        z_xi = combo[k:2 * k]
-        x_p = combo[-1] if xp_axis is not None else None
-        theta = eq.pinned_theta(Fraction(0), z_x, z_xi, x_p=x_p)
-        res = minimize_Q(eq, theta)
-        pt = [float(v) for v in eq.substituted_point((0.0,) * eq.w_dim, theta)]
+    for v, theta, res in zip(slow, thetas, results):
+        if v[0] != 0:
+            continue
+        pt = [float(c) for c in eq.substituted_point((0.0,) * eq.w_dim, theta)]
         rem = float(remainder_sym.eval(pt))
         shift = -float(theta.eps)  # phi(z) resp. x_p at t = 0
         val = res.m * shift ** 2 + rem
         n_bnd += 1
         if val < bnd_min:
             bnd_min = val
-            bnd_worst = (z_x, z_xi, x_p)
+            bnd_worst = (theta.z_x, theta.z_xi, theta.x_p)
     boundary = StructuralCheck(name="zero-time-boundary",
                                passed=bnd_min >= -1e-9,
                                value=bnd_min, worst=bnd_worst,
@@ -705,8 +676,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
 
     # (iv) Lipschitz constant of m1 in t over the theta sweep
     m_at = {}
-    for theta, key, res in zip(thetas, keys, results):
-        m_at.setdefault(key, {})[theta.t] = res.m
+    for v, res in zip(slow, results):
+        m_at.setdefault(v[1:], {})[v[0]] = res.m
     lip = 0.0
     n_lip = 0
     for key, by_t in m_at.items():
@@ -723,9 +694,9 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
 
     checks = (recon, boundary, floors[0], floors[1], lipschitz)
     meta = dict(region.metadata())
-    meta.update({"n_axis": n_axis, "n_w": n_w, "seed": seed,
-                 "cutoff_delta": str(cutoff.delta),
-                 "theta_budget": str(cutoff.delta / 4),
+    meta.update({"n_axis": N_AXIS, "n_w": N_W, "seed": SEED,
+                 "cutoff_delta": str(STRUCTURAL_CUTOFF.delta),
+                 "theta_budget": str(STRUCTURAL_CUTOFF.delta / 4),
                  "label": "empirical"})
     return StructuralReport(passed=all(c.passed for c in checks),
                             checks=checks, grid=meta)
@@ -754,14 +725,12 @@ class CertificateReport:
 
 def certify_region(a: PolySymbol, phi: PolySymbol, region: Region,
                    spec: Optional[NormalFormSpec] = None,
-                   cert: Optional[TimeFunctionCert] = None,
-                   structural_kwargs: Optional[dict] = None) -> CertificateReport:
+                   cert: Optional[TimeFunctionCert] = None) -> CertificateReport:
     nonneg = verify_nonnegativity(a, region)
     c = estimate_c(a, phi, region)
     kappa = estimate_kappa(a, phi, region)
     structural = None
     if spec is not None and cert is not None:
-        structural = check_structural(spec, cert, region,
-                                      **(structural_kwargs or {}))
+        structural = check_structural(spec, cert, region)
     return CertificateReport(nonneg=nonneg, c=c, kappa=kappa,
                              structural=structural, grid=region.metadata())

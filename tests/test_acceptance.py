@@ -45,7 +45,8 @@ from hypcert import (
 from hypcert.symbols import phase_variables
 from hypcert.symbolfile import parse_symbol_file
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
 
@@ -356,8 +357,11 @@ def test_criterion_10_time_function_condition():
 def test_criterion_11_thread_count_determinism(tmp_path):
     outputs = []
     codes = []
+    # the subprocess imports this checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     for threads in ("1", "8"):
-        env = dict(os.environ, HYPCERT_THREADS=threads)
+        env = dict(os.environ, HYPCERT_THREADS=threads, PYTHONPATH=path)
         out = tmp_path / ("report_%s.json" % threads)
         proc = subprocess.run(
             [sys.executable, "-m", "hypcert", "certify",

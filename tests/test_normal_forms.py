@@ -15,12 +15,15 @@ from hypcert import (
     NormalFormSpec,
     PhasePoint,
     PolySymbol,
+    Region,
     Theta,
     build_cutoff,
     build_extended_Q,
     build_normal_form,
     check_side_conditions,
+    check_structural,
     classify_effective_hyperbolicity,
+    construct_time_function,
     minimize_Q,
     phase_variables,
 )
@@ -530,6 +533,14 @@ def test_deep_chain_bits_frozen(name, mode):
            Q.substituted_point(w, theta), float(minimize_Q(Q, theta).m))
     # repr tells -0.0 from 0.0 and a Fraction from an equal float
     assert repr(got) == repr(DEEP_FROZEN[(name, mode)])
+
+
+def test_deep_chain_structural_passes():
+    # the Newton solves of this sweep end at the rounding floor of Q,
+    # where no step decreases Q any more; they count as converged
+    spec = deep_chain_specs()["form1-p2-d3"]
+    cert = construct_time_function(spec, slack=F(1, 100))
+    assert check_structural(spec, cert, Region(grid=5)).passed
 
 
 # ----------------------------------------------------- derivatives (floats)

@@ -1,5 +1,6 @@
 """Grid certification: scans, ratio estimates, minimizer, structural checks."""
 
+import inspect
 import math
 from fractions import Fraction as F
 
@@ -15,6 +16,8 @@ from hypcert import (
     Theta,
     build_cutoff,
     build_extended_Q,
+    certify_region,
+    check_side_conditions,
     check_structural,
     construct_time_function,
     estimate_c,
@@ -25,6 +28,7 @@ from hypcert import (
     verify_nonnegativity,
 )
 from hypcert.symbols import DimensionMismatch, phase_variables
+from hypcert import verifier
 from hypcert.verifier import MAX_SCAN_POINTS, TensorGrid, region_axes
 
 t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
@@ -364,6 +368,35 @@ def test_structural_b2_boundary_margin_is_zero(small_region):
     assert checks["negative-branch-floor"].value >= 0.9
     assert checks["graph-branch-floor"].value >= 0.9
     assert checks["reconstruction-lower-bound"].value >= -1e-9
+
+
+def test_structural_solves_each_theta_once(small_region, monkeypatch):
+    # b2 has 5^4 slow points (t, z_x, z_xi, x_p); the t = 0 boundary
+    # reads its 5^3 minima from the same sweep
+    calls = []
+    original = verifier.minimize_Q
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "minimize_Q", counted)
+    spec = b2_spec()
+    cert = construct_time_function(spec, slack=F(1, 100))
+    rep = check_structural(spec, cert, small_region)
+    assert rep.passed and len(calls) == 5 ** 4 == len(set(calls))
+    assert _by_name(rep)["zero-time-boundary"].n_points == 5 ** 3
+
+
+@pytest.mark.parametrize("fn,params", [
+    (check_structural, ["spec", "cert", "region"]),
+    (check_side_conditions, ["spec"]),
+    (certify_region, ["a", "phi", "region", "spec", "cert"]),
+    (minimize_Q, ["eq", "theta", "w0"]),
+    (TensorGrid, ["d", "axes"]),
+])
+def test_sampling_plans_are_constants(fn, params):
+    assert list(inspect.signature(fn).parameters) == params
 
 
 # -------------------------------------------------- refinement, threading
