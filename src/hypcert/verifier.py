@@ -4,9 +4,18 @@ Everything here is an empirical estimate: inf/sup of exact polynomial
 data evaluated in floats over uniform tensor grids.  Grid points are
 exact rationals, so every witness can be re-evaluated exactly.
 
-Determinism contract: scans are chunked, each chunk is reduced
-independently (argmin/argmax with the lowest flat index winning ties),
-and the per-chunk results are folded in chunk order.  Worker count
+One walker, TensorGrid.scan, visits a grid in C order as contiguous
+flat blocks: one t value and a run of consecutive x_1 values, at most
+_BLOCK points (split on further axes when one x_1 value alone is over).
+Each axis is a float array shaped for numpy broadcasting, so a block's
+coordinates are views, never rebuilt from flat indices.  certify_region
+makes one fused pass over t >= 0, evaluating a, phi and {phi, a} once
+per block for the nonneg, c and kappa reductions, and one pass over the
+mirrored t < 0 grid evaluating a only.
+
+Determinism contract: each block is reduced independently (argmin/argmax
+with the lowest flat index winning ties), and the per-block results are
+folded in block order with strict comparisons.  Worker count
 (HYPCERT_THREADS) therefore never changes a single output bit.
 """
 
@@ -47,7 +56,7 @@ from hypcert.time_functions import TimeFunctionCert
 Number = Union[int, float, Fraction]
 
 DEFAULT_GRID = 33
-_CHUNK = 1 << 18
+_BLOCK = 1 << 18  # points per scan block
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 MAX_NEWTON_ITER = 80
 _EPS = float(np.finfo(float).eps)
@@ -174,17 +183,31 @@ class TensorGrid:
         self.slots = tuple(slot for slot, _ in axes)
         self.axes = tuple(tuple(ax) for _, ax in axes)
         self._lens = tuple(len(ax) for ax in self.axes)
-        strides = []
-        acc = 1
-        for n in reversed(self._lens):
-            strides.append(acc)
-            acc *= n
-        self._strides = tuple(reversed(strides))
-        self.total = acc
-        if acc > MAX_SCAN_POINTS:
+        self.total = math.prod(self._lens)
+        if self.total > MAX_SCAN_POINTS:
             raise ScanTooLarge("a scan of %d grid points exceeds the budget "
-                               "of %d" % (acc, MAX_SCAN_POINTS))
-        self._float_axes = [np.array([float(v) for v in ax]) for ax in self.axes]
+                               "of %d" % (self.total, MAX_SCAN_POINTS))
+        self._strides = tuple(math.prod(self._lens[i + 1:])
+                              for i in range(len(self._lens)))
+        # Blocks fix the axes before `split` and run along it: the first
+        # axis after t whose trailing axes fit in one block.
+        split = min(1, len(self._lens) - 1)
+        while (split < len(self._lens) - 1
+               and self._strides[split] > _BLOCK):
+            split += 1
+        self._split = split
+        self._run = max(1, _BLOCK // self._strides[split])
+        self.n_blocks = (math.prod(self._lens[:split])
+                         * len(range(0, self._lens[split], self._run)))
+        ndim = len(self._lens) - split
+        self._float_axes = []
+        for i, ax in enumerate(self.axes):
+            fax = np.array([float(v) for v in ax])
+            if i >= split:
+                shape = [1] * ndim
+                shape[i - split] = -1
+                fax = fax.reshape(shape)
+            self._float_axes.append(fax)
 
     def point(self, flat: int) -> PhasePoint:
         vals = [Fraction(0)] * (2 * (self.d + 1))
@@ -193,63 +216,83 @@ class TensorGrid:
             vals[slot] = ax[(flat // stride) % n]
         return PhasePoint.from_sequence(self.d, vals)
 
-    def _coords(self, start: int, stop: int):
-        flat = np.arange(start, stop, dtype=np.int64)
-        coords = [None] * (2 * (self.d + 1))
-        for slot, fax, stride, n in zip(self.slots, self._float_axes,
-                                        self._strides, self._lens):
-            coords[slot] = fax[(flat // stride) % n]
-        zero = np.zeros(stop - start)
-        for i, c in enumerate(coords):
-            if c is None:
-                coords[i] = zero
-        return coords
+    def _blocks(self):
+        """(first flat index, block shape, coordinates by slot) in C order;
+        the coordinates broadcast against the block shape."""
+        split, run = self._split, self._run
+        lead = (1,) * (len(self._lens) - split)
+        zero = np.zeros(lead)
+        n = self._lens[split]
+        tail = self._lens[split + 1:]
+        for prefix in itertools.product(*map(range, self._lens[:split])):
+            base = sum(i * s for i, s in zip(prefix, self._strides))
+            fixed = [fax[i:i + 1].reshape(lead)
+                     for fax, i in zip(self._float_axes, prefix)]
+            for lo in range(0, n, run):
+                hi = min(lo + run, n)
+                arrays = (fixed + [self._float_axes[split][lo:hi]]
+                          + self._float_axes[split + 1:])
+                coords = [zero] * (2 * (self.d + 1))
+                for slot, arr in zip(self.slots, arrays):
+                    coords[slot] = arr
+                yield (base + lo * self._strides[split], (hi - lo,) + tail,
+                       coords)
 
-    def scan(self, fn) -> ScanResult:
-        """fn(coords) -> (values, include_mask or None); reduce min/max.
+    def scan(self, fn) -> Tuple[ScanResult, ...]:
+        """fn(coords) -> [(values, include_mask or None), ...] per block;
+        one min/max reduction per pair, over the values broadcast to the
+        block shape.
 
-        Chunk partials are combined in chunk order with strict
+        Block partials are combined in block order with strict
         comparisons, so the earliest (lowest flat index) extremum wins
         ties and thread count cannot affect the result.
         """
-        ranges = [(s, min(s + _CHUNK, self.total))
-                  for s in range(0, self.total, _CHUNK)]
 
-        def part(rng):
-            start, stop = rng
-            vals, mask = fn(self._coords(start, stop))
-            if mask is None:
-                i = int(np.argmin(vals))
-                j = int(np.argmax(vals))
-                return (float(vals[i]), start + i, float(vals[j]), start + j,
-                        stop - start)
-            sel = np.nonzero(mask)[0]
-            if sel.size == 0:
-                return (math.inf, -1, -math.inf, -1, 0)
-            sub = vals[sel]
-            i = int(np.argmin(sub))
-            j = int(np.argmax(sub))
-            return (float(sub[i]), start + int(sel[i]),
-                    float(sub[j]), start + int(sel[j]), int(sel.size))
+        def part(block):
+            start, shape, coords = block
+            return [_reduce(np.broadcast_to(vals, shape),
+                            None if mask is None
+                            else np.broadcast_to(mask, shape), start)
+                    for vals, mask in fn(coords)]
 
         workers = _workers()
-        if workers > 1 and len(ranges) > 1:
+        if workers > 1 and self.n_blocks > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(part, ranges))
+                parts = list(pool.map(part, self._blocks()))
         else:
-            parts = [part(r) for r in ranges]
+            parts = [part(b) for b in self._blocks()]
+        return tuple(_fold(column, self.total) for column in zip(*parts))
 
-        best_min, min_flat = math.inf, -1
-        best_max, max_flat = -math.inf, -1
-        included = 0
-        for mn, mni, mx, mxi, inc in parts:
-            included += inc
-            if mn < best_min:
-                best_min, min_flat = mn, mni
-            if mx > best_max:
-                best_max, max_flat = mx, mxi
-        return ScanResult(best_min, min_flat, best_max, max_flat,
-                          included, self.total)
+
+def _reduce(vals, mask, start: int):
+    """(min, its flat index, max, its flat index, included) of one block;
+    C-order argmin/argmax return the first extremum."""
+    if mask is None:
+        i = int(np.argmin(vals))
+        j = int(np.argmax(vals))
+        return (float(vals.flat[i]), start + i, float(vals.flat[j]),
+                start + j, vals.size)
+    sel = np.flatnonzero(mask)
+    if sel.size == 0:
+        return (math.inf, -1, -math.inf, -1, 0)
+    sub = vals[mask]
+    i = int(np.argmin(sub))
+    j = int(np.argmax(sub))
+    return (float(sub[i]), start + int(sel[i]),
+            float(sub[j]), start + int(sel[j]), int(sel.size))
+
+
+def _fold(parts, total: int) -> ScanResult:
+    best_min, min_flat = math.inf, -1
+    best_max, max_flat = -math.inf, -1
+    included = 0
+    for mn, mni, mx, mxi, inc in parts:
+        included += inc
+        if mn < best_min:
+            best_min, min_flat = mn, mni
+        if mx > best_max:
+            best_max, max_flat = mx, mxi
+    return ScanResult(best_min, min_flat, best_max, max_flat, included, total)
 
 
 def compile_poly(p: PolySymbol):
@@ -284,7 +327,7 @@ def _require_tau_free(p: PolySymbol, name: str):
         raise ValueError("%s must not depend on tau" % name)
 
 
-# ------------------------------------------------------------ nonnegativity
+# ------------------------------------------------- nonnegativity, c, kappa
 
 
 @dataclass(frozen=True)
@@ -304,37 +347,6 @@ class NonnegReport:
     grid: dict
 
 
-def verify_nonnegativity(a: PolySymbol, region: Region) -> NonnegReport:
-    """Grid minimum of a on t >= 0, plus a mirrored t < 0 scan reporting
-    whether a attains negative values there (one-sidedness)."""
-    _require_tau_free(a, "a")
-    comp = compile_poly(a)
-
-    def fn(coords):
-        return eval_compiled(comp, coords), None
-
-    grid_pos = TensorGrid(a.d, region_axes(region, a.d))
-    pos = grid_pos.scan(fn)
-    scale = max(1.0, abs(pos.min_value), abs(pos.max_value))
-    passed = pos.min_value >= -1e-12 * scale
-
-    grid_neg = TensorGrid(a.d, region_axes(region, a.d, negative_t=True))
-    neg = grid_neg.scan(fn)
-    neg_scale = max(1.0, abs(neg.min_value), abs(neg.max_value))
-    found = neg.min_value < -1e-12 * neg_scale
-    side = SideWitness(
-        found_negative=found,
-        witness=grid_neg.point(neg.min_flat) if found else None,
-        value=neg.min_value if found else None)
-    return NonnegReport(passed=passed, min_value=pos.min_value,
-                        witness=grid_pos.point(pos.min_flat),
-                        negative_side=side, n_points=pos.n_total,
-                        grid=region.metadata())
-
-
-# ------------------------------------------------------------- c and kappa
-
-
 @dataclass(frozen=True)
 class RatioEstimate:
     value: float
@@ -346,73 +358,114 @@ class RatioEstimate:
     grid: dict
 
 
-def estimate_c(a: PolySymbol, phi: PolySymbol, region: Region) -> RatioEstimate:
-    """inf over the grid of a / (min{t^2, (t-phi)^2} |xi|^2), excluding
-    points where the denominator is below the region floor."""
+def _require_ratio_inputs(a: PolySymbol, phi: PolySymbol):
     if phi.d != a.d:
         raise DimensionMismatch("phi has d=%d, a has d=%d" % (phi.d, a.d))
     _require_tau_free(a, "a")
     _require_tau_free(phi, "phi")
+
+
+def _region_pass(a: PolySymbol, phi: Optional[PolySymbol], region: Region,
+                 names: Tuple[str, ...]):
+    """One scan of the t >= 0 grid for the named reductions ("nonneg",
+    "c", "kappa").  Per block a is evaluated once, and phi and {phi, a}
+    once each when c resp. kappa is named, sharing one monomial-power
+    cache.  Returns (grid, {name: ScanResult})."""
+    d = a.d
     eta = region.denominator_floor()
     comp_a = compile_poly(a)
-    comp_phi = compile_poly(phi)
-    d = a.d
+    comp_phi = compile_poly(phi) if "c" in names else None
+    comp_br = compile_poly(poisson_bracket(phi, a)) if "kappa" in names \
+        else None
 
     def fn(coords):
         pw = {}
         av = eval_compiled(comp_a, coords, pw)
-        pv = eval_compiled(comp_phi, coords, pw)
-        t = coords[0]
-        xi2 = None
-        for j in range(1, d + 1):
-            s = coords[d + 1 + j] ** 2
-            xi2 = s if xi2 is None else xi2 + s
-        den = np.minimum(t ** 2, (t - pv) ** 2) * xi2
-        mask = den >= eta
-        vals = av / np.where(mask, den, 1.0)
-        return vals, mask
+        out = []
+        if "nonneg" in names:
+            out.append((av, None))
+        if "c" in names:
+            # a / (min{t^2, (t - phi)^2} |xi|^2) where the denominator
+            # clears the floor
+            pv = eval_compiled(comp_phi, coords, pw)
+            t = coords[0]
+            xi2 = None
+            for j in range(1, d + 1):
+                s = coords[d + 1 + j] ** 2
+                xi2 = s if xi2 is None else xi2 + s
+            den = np.minimum(t ** 2, (t - pv) ** 2) * xi2
+            mask = den >= eta
+            out.append((av / np.where(mask, den, 1.0), mask))
+        if "kappa" in names:
+            # {phi, a}^2 / (4a) where a clears the floor
+            bv = eval_compiled(comp_br, coords, pw)
+            mask = av >= eta
+            out.append((bv ** 2 / np.where(mask, 4.0 * av, 1.0), mask))
+        return out
 
     grid = TensorGrid(d, region_axes(region, d))
-    res = grid.scan(fn)
+    return grid, dict(zip(names, grid.scan(fn)))
+
+
+def _nonneg_report(a: PolySymbol, region: Region, grid: TensorGrid,
+                   pos: ScanResult) -> NonnegReport:
+    """The t >= 0 minimum, plus the mirrored t < 0 scan of a."""
+    scale = max(1.0, abs(pos.min_value), abs(pos.max_value))
+    passed = pos.min_value >= -1e-12 * scale
+
+    comp_a = compile_poly(a)
+    grid_neg = TensorGrid(a.d, region_axes(region, a.d, negative_t=True))
+    neg, = grid_neg.scan(lambda coords: [(eval_compiled(comp_a, coords),
+                                          None)])
+    neg_scale = max(1.0, abs(neg.min_value), abs(neg.max_value))
+    found = neg.min_value < -1e-12 * neg_scale
+    side = SideWitness(
+        found_negative=found,
+        witness=grid_neg.point(neg.min_flat) if found else None,
+        value=neg.min_value if found else None)
+    return NonnegReport(passed=passed, min_value=pos.min_value,
+                        witness=grid.point(pos.min_flat),
+                        negative_side=side, n_points=pos.n_total,
+                        grid=region.metadata())
+
+
+def _ratio_estimate(region: Region, grid: TensorGrid, res: ScanResult,
+                    use_max: bool) -> RatioEstimate:
     if res.n_included == 0:
         raise AllPointsDegenerate("all %d grid points fell below eta_den"
                                   % res.n_total)
-    return RatioEstimate(value=res.min_value, witness=grid.point(res.min_flat),
+    value, flat = ((res.max_value, res.max_flat) if use_max
+                   else (res.min_value, res.min_flat))
+    return RatioEstimate(value=value, witness=grid.point(flat),
                          n_excluded=res.n_total - res.n_included,
                          n_included=res.n_included, n_total=res.n_total,
-                         eta_den=eta, grid=region.metadata())
+                         eta_den=region.denominator_floor(),
+                         grid=region.metadata())
+
+
+def verify_nonnegativity(a: PolySymbol, region: Region) -> NonnegReport:
+    """Grid minimum of a on t >= 0, plus a mirrored t < 0 scan reporting
+    whether a attains negative values there (one-sidedness)."""
+    _require_tau_free(a, "a")
+    grid, res = _region_pass(a, None, region, ("nonneg",))
+    return _nonneg_report(a, region, grid, res["nonneg"])
+
+
+def estimate_c(a: PolySymbol, phi: PolySymbol, region: Region) -> RatioEstimate:
+    """inf over the grid of a / (min{t^2, (t-phi)^2} |xi|^2), excluding
+    points where the denominator is below the region floor."""
+    _require_ratio_inputs(a, phi)
+    grid, res = _region_pass(a, phi, region, ("c",))
+    return _ratio_estimate(region, grid, res["c"], use_max=False)
 
 
 def estimate_kappa(a: PolySymbol, phi: PolySymbol,
                    region: Region) -> RatioEstimate:
     """sup over the grid of {phi, a}^2 / (4a) where a clears the floor.
     The bracket is computed exactly; only evaluation is in floats."""
-    if phi.d != a.d:
-        raise DimensionMismatch("phi has d=%d, a has d=%d" % (phi.d, a.d))
-    _require_tau_free(a, "a")
-    _require_tau_free(phi, "phi")
-    eta = region.denominator_floor()
-    br = poisson_bracket(phi, a)
-    comp_a = compile_poly(a)
-    comp_br = compile_poly(br)
-
-    def fn(coords):
-        pw = {}
-        av = eval_compiled(comp_a, coords, pw)
-        bv = eval_compiled(comp_br, coords, pw)
-        mask = av >= eta
-        vals = bv ** 2 / np.where(mask, 4.0 * av, 1.0)
-        return vals, mask
-
-    grid = TensorGrid(a.d, region_axes(region, a.d))
-    res = grid.scan(fn)
-    if res.n_included == 0:
-        raise AllPointsDegenerate("all %d grid points fell below eta_den"
-                                  % res.n_total)
-    return RatioEstimate(value=res.max_value, witness=grid.point(res.max_flat),
-                         n_excluded=res.n_total - res.n_included,
-                         n_included=res.n_included, n_total=res.n_total,
-                         eta_den=eta, grid=region.metadata())
+    _require_ratio_inputs(a, phi)
+    grid, res = _region_pass(a, phi, region, ("kappa",))
+    return _ratio_estimate(region, grid, res["kappa"], use_max=True)
 
 
 # ----------------------------------------------------------------- glaeser
@@ -436,6 +489,8 @@ def glaeser_check(coeffs: Sequence[Number], interval, margin: Number = 0,
     margin = as_fraction(margin)
     if margin < 0 or hi <= lo:
         raise ValueError("need lo < hi and margin >= 0")
+    if points < 3:
+        raise ValueError("points must be >= 3, got %d" % points)
     d1 = poly_derivative(cs)
     d2 = poly_derivative(d1)
     wide = uniform_axis(lo - margin, hi + margin, points)
@@ -644,26 +699,20 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     comp_phi = compile_poly(cert.phi)
     cone = TensorGrid(d, region_axes(region, d, pin_last_xi=True))
 
-    def fn_c1(coords):
+    def fn(coords):
         pw = {}
         av = eval_compiled(comp_a, coords, pw)
         gv = eval_compiled(comp_gate, coords, pw)
         t2 = coords[0] ** 2
-        mask = (gv < 0) & (t2 >= eta)
-        return av / np.where(mask, t2, 1.0), mask
-
-    def fn_cprime(coords):
-        pw = {}
-        av = eval_compiled(comp_a, coords, pw)
-        gv = eval_compiled(comp_gate, coords, pw)
+        neg = (gv < 0) & (t2 >= eta)
         sv = (coords[0] - eval_compiled(comp_phi, coords, pw)) ** 2
-        mask = (gv >= 0) & (sv >= eta)
-        return av / np.where(mask, sv, 1.0), mask
+        graph = (gv >= 0) & (sv >= eta)
+        return [(av / np.where(neg, t2, 1.0), neg),
+                (av / np.where(graph, sv, 1.0), graph)]
 
     floors = []
-    for name, fn in (("negative-branch-floor", fn_c1),
-                     ("graph-branch-floor", fn_cprime)):
-        res = cone.scan(fn)
+    for name, res in zip(("negative-branch-floor", "graph-branch-floor"),
+                         cone.scan(fn)):
         if res.n_included == 0:
             # branch is empty on this region: vacuously true
             floors.append(StructuralCheck(name=name, passed=True,
@@ -726,9 +775,14 @@ class CertificateReport:
 def certify_region(a: PolySymbol, phi: PolySymbol, region: Region,
                    spec: Optional[NormalFormSpec] = None,
                    cert: Optional[TimeFunctionCert] = None) -> CertificateReport:
-    nonneg = verify_nonnegativity(a, region)
-    c = estimate_c(a, phi, region)
-    kappa = estimate_kappa(a, phi, region)
+    """nonneg, c and kappa from one fused pass over t >= 0 and one pass
+    over the mirrored t < 0 grid; the structural check when spec and cert
+    are given."""
+    _require_ratio_inputs(a, phi)
+    grid, res = _region_pass(a, phi, region, ("nonneg", "c", "kappa"))
+    c = _ratio_estimate(region, grid, res["c"], use_max=False)
+    kappa = _ratio_estimate(region, grid, res["kappa"], use_max=True)
+    nonneg = _nonneg_report(a, region, grid, res["nonneg"])
     structural = None
     if spec is not None and cert is not None:
         structural = check_structural(spec, cert, region)

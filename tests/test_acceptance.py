@@ -28,6 +28,7 @@ from hypcert import (
     alpha_coefficients,
     build_cutoff,
     build_extended_Q,
+    certify_region,
     classify_effective_hyperbolicity,
     construct_time_function,
     epsilon_weights,
@@ -81,9 +82,57 @@ def grid33():
         kappa = estimate_kappa(sf.a, cert.phi, region)
         ratio_elapsed = time.perf_counter() - start
         nonneg = verify_nonnegativity(sf.a, region)
-        out[name] = {"sf": sf, "c": c, "kappa": kappa,
+        out[name] = {"sf": sf, "phi": cert.phi, "c": c, "kappa": kappa,
                      "ratio_elapsed": ratio_elapsed, "nonneg": nonneg}
     return out
+
+
+def node(t, x1, x2, xi1, xi2):
+    return PhasePoint.from_sequence(2, [F(t), F(x1), F(x2), 0,
+                                        F(xi1), F(xi2)])
+
+
+# Recorded at the documented region with the flat-index scans the fused
+# walker replaced: (value, witness[, n_included, n_excluded]).
+GRID33_BITS = {
+    "b1": {
+        "nonneg": (0.0, node(0, 0, "-1/10", "-1/10", "9/10")),
+        "negative_side": (-0.0012100000000000006,
+                          node("-1/10", "-1/10", "-1/10", "-1/10", "11/10")),
+        "c": (0.9878048780487804, node("1/320", 0, "-1/10", "-1/10", "9/10"),
+              37374480, 1760913),
+        "kappa": (0.0, node(0, "-1/10", "-1/10", "-1/10", "9/10"),
+                  39099456, 35937),
+    },
+    "b2": {
+        "nonneg": (0.0, node(0, 0, "-1/10", 0, "9/10")),
+        "negative_side": (-0.0006050000000000003,
+                          node("-1/10", "-1/10", "-1/10", 0, "11/10")),
+        "c": (1.0, node("1/320", 0, "-1/10", 0, "9/10"), 37374480, 1760913),
+        "kappa": (0.5, node(0, 0, "-1/10", "-1/10", "9/10"), 39134304, 1089),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID33_BITS))
+def test_grid33_bits_frozen(grid33, name):
+    bits, got = GRID33_BITS[name], grid33[name]
+    nonneg, side = got["nonneg"], got["nonneg"].negative_side
+    assert (nonneg.min_value, nonneg.witness) == bits["nonneg"]
+    assert side.found_negative
+    assert (side.value, side.witness) == bits["negative_side"]
+    for key in ("c", "kappa"):
+        est = got[key]
+        assert (est.value, est.witness, est.n_included,
+                est.n_excluded) == bits[key]
+
+
+def test_grid33_certify_matches_public_scans(grid33):
+    b2 = grid33["b2"]
+    rep = certify_region(b2["sf"].a, b2["phi"], Region())
+    assert rep.nonneg == b2["nonneg"]
+    assert rep.c == b2["c"]
+    assert rep.kappa == b2["kappa"]
 
 
 def test_criterion_01_model_spectrum():

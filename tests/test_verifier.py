@@ -83,9 +83,44 @@ def test_grid_points_are_exact_and_ties_resolve_low(small_region):
     pt = grid.point(0)
     assert pt.t == 0 and pt.x == (F(-1, 10), F(-1, 10))
     assert pt.xi == (F(-1, 10), F(9, 10))
-    res = grid.scan(lambda coords: (coords[0] * 0.0 + 7.0, None))
+    res, = grid.scan(lambda coords: [(coords[0] * 0.0 + 7.0, None)])
     assert res.min_flat == 0 and res.max_flat == 0
     assert res.n_included == res.n_total == 9**5
+
+
+def test_ties_resolve_low_across_blocks(monkeypatch):
+    # grid 33 walks 33 t values x 5 runs of x_1; a budget of 50 points
+    # splits a grid-5 scan below one x_1 value, onto the x_2 axis
+    grid = TensorGrid(2, region_axes(Region(), 2))
+    assert grid.n_blocks == 33 * 5
+    res, = grid.scan(lambda coords: [(7.0, None)])
+    assert res.min_flat == res.max_flat == 0
+    assert res.n_included == res.n_total == 33**5
+    monkeypatch.setattr(verifier, "_BLOCK", 50)
+    grid = TensorGrid(2, region_axes(Region(grid=5), 2))
+    assert grid.n_blocks == 5 * 5 * 3
+    res, = grid.scan(lambda coords: [(coords[0] * 0.0 + 7.0, None)])
+    assert res.min_flat == res.max_flat == 0
+    assert res.n_included == res.n_total == 5**5
+
+
+@pytest.mark.parametrize("budget", [7, 50, 125, 1 << 18])
+def test_block_budget_does_not_change_results(budget, monkeypatch):
+    # every reduction of the walker, flat indices included, is the same
+    # whatever the block boundaries, with and without the worker pool
+    def fn(coords):
+        t, xa, xb, _, ya, yb = coords
+        v = (t - xa) * yb + xb * ya ** 2
+        mask = v > 0
+        return [(v, None), (v, mask), (xa * 0.0, mask), (1.0, t > 1.0)]
+
+    reference = TensorGrid(2, region_axes(Region(grid=5), 2)).scan(fn)
+    monkeypatch.setattr(verifier, "_BLOCK", budget)
+    for threads in ("1", "3"):
+        monkeypatch.setenv("HYPCERT_THREADS", threads)
+        grid = TensorGrid(2, region_axes(Region(grid=5), 2))
+        assert grid.scan(fn) == reference
+    assert reference[3].n_included == 0 and reference[3].min_flat == -1
 
 
 def test_scan_budget():
@@ -243,6 +278,12 @@ def test_glaeser_margin_enlarges_sup_domain():
     wide = glaeser_check([0, 0, 0, 0, 1], (-1, 1), margin=1)
     assert wide.sup_second == 48 and tight.sup_second == 12
     assert wide.worst_ratio < tight.worst_ratio
+
+
+@pytest.mark.parametrize("points", [0, 1, 2])
+def test_glaeser_rejects_too_few_points(points):
+    with pytest.raises(ValueError, match="points"):
+        glaeser_check([0, 0, 1], (-1, 1), points=points)
 
 
 def test_glaeser_rejects_bad_interval():
@@ -413,7 +454,28 @@ def test_refinement_monotonicity(b2_a):
     assert k9 >= k5 - 1e-15
 
 
+def _count_pools(monkeypatch):
+    pools = []
+    original = verifier.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "ThreadPoolExecutor", counted)
+    return pools
+
+
+def test_scans_have_more_than_one_block(small_region):
+    # one block per t value at grid 9, so a multi-worker scan uses the pool
+    for axes in (region_axes(small_region, 2),
+                 region_axes(small_region, 2, negative_t=True),
+                 region_axes(small_region, 2, pin_last_xi=True)):
+        assert TensorGrid(2, axes).n_blocks > 1
+
+
 def test_thread_count_does_not_change_results(b2_a, small_region, monkeypatch):
+    pools = _count_pools(monkeypatch)
     monkeypatch.setenv("HYPCERT_THREADS", "1")
     one_c = estimate_c(b2_a, x1, small_region)
     one_k = estimate_kappa(b2_a, x1, small_region)
@@ -422,3 +484,35 @@ def test_thread_count_does_not_change_results(b2_a, small_region, monkeypatch):
     assert estimate_c(b2_a, x1, small_region) == one_c
     assert estimate_kappa(b2_a, x1, small_region) == one_k
     assert verify_nonnegativity(b2_a, small_region) == one_n
+    assert len(pools) == 4  # t >= 0 and t < 0 for nonneg, t >= 0 for c, kappa
+
+
+def test_certify_region_thread_count_does_not_change_results(
+        b2_a, small_region, monkeypatch):
+    # the structural cone scan is covered end to end by criterion 11
+    phi = construct_time_function(b2_spec(), slack=F(1, 100)).phi
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setenv("HYPCERT_THREADS", "1")
+    one = certify_region(b2_a, phi, small_region)
+    assert pools == []
+    monkeypatch.setenv("HYPCERT_THREADS", "4")
+    assert certify_region(b2_a, phi, small_region) == one
+    assert len(pools) == 2  # the t >= 0 and t < 0 passes
+
+
+def test_certify_region_scans_twice_outside_structural(
+        b2_a, small_region, monkeypatch):
+    scans = []
+    original = TensorGrid.scan
+
+    def counted(self, fn):
+        scans.append(self.total)
+        return original(self, fn)
+
+    monkeypatch.setattr(TensorGrid, "scan", counted)
+    cert = construct_time_function(b2_spec(), slack=F(1, 100))
+    rep = certify_region(b2_a, cert.phi, small_region)
+    assert scans == [9**5, 8 * 9**4]
+    assert rep.nonneg == verify_nonnegativity(b2_a, small_region)
+    assert rep.c == estimate_c(b2_a, cert.phi, small_region)
+    assert rep.kappa == estimate_kappa(b2_a, cert.phi, small_region)
