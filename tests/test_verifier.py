@@ -112,7 +112,8 @@ def test_block_budget_does_not_change_results(budget, monkeypatch):
         t, xa, xb, _, ya, yb = coords
         v = (t - xa) * yb + xb * ya ** 2
         mask = v > 0
-        return [(v, None), (v, mask), (xa * 0.0, mask), (1.0, t > 1.0)]
+        return [(v, None), (v, mask), (xa * 0.0, mask), (1.0, t > 1.0),
+                (math.inf, xb > 0), (-math.inf, xb > 0)]
 
     reference = TensorGrid(2, region_axes(Region(grid=5), 2)).scan(fn)
     monkeypatch.setattr(verifier, "_BLOCK", budget)
@@ -121,6 +122,12 @@ def test_block_budget_does_not_change_results(budget, monkeypatch):
         grid = TensorGrid(2, region_axes(Region(grid=5), 2))
         assert grid.scan(fn) == reference
     assert reference[3].n_included == 0 and reference[3].min_flat == -1
+    # +inf never beats the fold's start for a minimum, nor -inf for a
+    # maximum; the other extremum is the first included node, x_2 = 1/20
+    pos, neg = reference[4:]
+    assert (pos.min_flat, pos.max_flat) == (-1, 3 * 5**2)
+    assert (neg.min_flat, neg.max_flat) == (3 * 5**2, -1)
+    assert pos.n_included == neg.n_included == 2 * 5**4
 
 
 def test_scan_budget():
