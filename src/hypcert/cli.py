@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 from hypcert import __version__
 from hypcert.normal_forms import (
+    InvariantViolation,
     build_extended_Q,
     build_normal_form,
     check_side_conditions,
@@ -136,7 +137,8 @@ def _timefn_obj(cert) -> dict:
         "eps": [str(v) for v in cert.eps],
         "rho_weight": _frac(cert.rho_weight),
         "alpha": [str(v) for v in cert.alpha],
-        "notes": list(cert.notes),
+        # no step of the time-function construction writes notes
+        "notes": [],
     }
 
 
@@ -258,7 +260,7 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     try:
         cr = certify_region(sf.a, cert.phi, sf.region, spec=spec, cert=cert)
     except (AllPointsDegenerate, HessianDegenerate, NoConvergence,
-            DimensionMismatch, ScanTooLarge) as exc:
+            DimensionMismatch, ScanTooLarge, InvariantViolation) as exc:
         return Report(status="FAILED", stage="verify", reason=str(exc),
                       classification=cls_obj, side_conditions=side_obj,
                       time_function=tf_obj, **base)

@@ -548,7 +548,7 @@ class ExtendedQ:
             if pref != 0:
                 total = total + pref * sym.eval(pt)
         if self.mode == "normalized":
-            total = total / self.spec.remainder_factor.eval(pt)
+            total = total / self.divisor(pt)
         return total
 
     def remainder(self, w, theta: Theta):
@@ -609,68 +609,76 @@ class ExtendedQ:
         return terms + [square(e, [(last - 1 + a, 1)])
                         for a, e in enumerate(etas)]
 
+    @cached_property
+    def _derivatives(self):
+        """(factor, its first derivatives by phase slot, its second
+        derivatives by w index pair i <= j) for each q, each r and then
+        the remainder factor, differentiated once per ExtendedQ."""
+        slots = [slot for slot, _ in self._w_slots]
+        table = []
+        for sym in self.spec.q + self.spec.r + (self.spec.remainder_factor,):
+            first = tuple(sym.diff(i) for i in range(sym.nvars))
+            second = {(i, j): first[s_i].diff(slots[j])
+                      for i, s_i in enumerate(slots)
+                      for j in range(i, len(slots))}
+            table.append((sym, first, second))
+        return tuple(table)
+
+    def divisor(self, pt):
+        """The remainder factor at pt, which the normalized functional
+        divides by; InvariantViolation names it where it vanishes."""
+        value = self.spec.remainder_factor.eval(pt)
+        if value == 0:
+            p = self.spec.p
+            raise InvariantViolation(
+                "q%d" % (p + 1) if self.spec.variant == "form1" else "r%d" % p,
+                "vanishes at (t, x, tau, xi) = (%s), where the normalized "
+                "functional divides by it" % ", ".join(map(str, pt)))
+        return value
+
     def value_grad_hess(self, w, theta: Theta):
         """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule."""
         ys, etas = self._split(w)
         pt = [float(v) for v in self.substituted_point(w, theta)]
-        eps = float(theta.eps)
         nw = self.w_dim
-        slot_of = dict(enumerate(self._moving_slots([float(v) for v in w],
-                                                    eps)))
+        moving = self._moving_slots([float(v) for v in w], float(theta.eps))
         prefs = self._pref_derivatives([float(y) for y in ys],
                                        [float(e) for e in etas])
-        syms = self.spec.q + self.spec.r
+        # the remainder factor, last in _derivatives (zip skips it in raw)
         if self.mode == "normalized":
-            syms = syms + (self.spec.remainder_factor,)
-            prefs = prefs + [(1.0, [0.0] * nw, [[0.0] * nw for _ in range(nw)])]
-
-        val = 0.0
-        grad = np.zeros(nw)
-        hess = np.zeros((nw, nw))
+            prefs.append((1.0, [0.0] * nw, [[0.0] * nw for _ in range(nw)]))
         parts = []
-        for sym, (pv, pg, ph) in zip(syms, prefs):
-            f = float(sym.eval(pt))
-            f1 = {}
-            f2 = {}
-            for i in range(nw):
-                s_i, d1_i, _ = slot_of[i]
-                f1[i] = float(sym.diff(s_i).eval(pt))
-            for i in range(nw):
-                s_i, d1_i, d2_i = slot_of[i]
-                for j in range(i, nw):
-                    s_j, d1_j, _ = slot_of[j]
-                    f2[(i, j)] = float(sym.diff(s_i).diff(s_j).eval(pt))
-            tv = pv * f
-            tg = np.array([pg[i] * f + pv * f1[i] * slot_of[i][1]
+        for (sym, first, second), (pv, pg, ph) in zip(self._derivatives,
+                                                      prefs):
+            f = sym.eval(pt)
+            f1 = [first[slot].eval(pt) for slot, _, _ in moving]
+            tg = np.array([pg[i] * f + pv * f1[i] * moving[i][1]
                            for i in range(nw)])
             th = np.zeros((nw, nw))
-            for i in range(nw):
-                s_i, d1_i, d2_i = slot_of[i]
-                for j in range(i, nw):
-                    s_j, d1_j, _ = slot_of[j]
-                    v = (ph[i][j] * f
-                         + pg[i] * f1[j] * d1_j + pg[j] * f1[i] * d1_i
-                         + pv * f2[(i, j)] * d1_i * d1_j)
-                    if i == j:
-                        v += pv * f1[i] * d2_i
-                    th[i, j] = v
-                    th[j, i] = v
-            parts.append((tv, tg, th))
+            for (i, j), d2 in second.items():
+                _, d1_i, d2_i = moving[i]
+                d1_j = moving[j][1]
+                v = (ph[i][j] * f
+                     + pg[i] * f1[j] * d1_j + pg[j] * f1[i] * d1_i
+                     + pv * d2.eval(pt) * d1_i * d1_j)
+                if i == j:
+                    v += pv * f1[i] * d2_i
+                th[i, j] = th[j, i] = v
+            parts.append((pv * f, tg, th))
         if self.mode == "normalized":
-            rv, rg, rh = parts.pop()
-            for tv, tg, th in parts:
-                val += tv
-                grad += tg
-                hess += th
-            q = val / rv
-            qg = (grad - q * rg) / rv
-            qh = (hess - q * rh - np.outer(qg, rg) - np.outer(rg, qg)) / rv
-            return q, qg, qh
+            _, rg, rh = parts.pop()
+        val, grad, hess = 0.0, np.zeros(nw), np.zeros((nw, nw))
         for tv, tg, th in parts:
             val += tv
             grad += tg
             hess += th
-        return val, grad, hess
+        if self.mode == "raw":
+            return val, grad, hess
+        rv = self.divisor(pt)
+        q = val / rv
+        qg = (grad - q * rg) / rv
+        qh = (hess - q * rh - np.outer(qg, rg) - np.outer(rg, qg)) / rv
+        return q, qg, qh
 
     def theta_directional_derivative(self, w, theta: Theta, dtheta: Theta):
         """d/ds Q(w, theta + s dtheta) at s = 0, w held fixed."""
@@ -687,23 +695,24 @@ class ExtendedQ:
         self._move(vel, w, anchor, float(dtheta.eps),
                    lambda v: float(self.cutoff.scaled(v)))
 
-        def directional(sym):
-            return sum(float(sym.diff(i).eval(pt)) * vel[i]
+        def directional(first):
+            return sum(first[i].eval(pt) * vel[i]
                        for i in range(2 * (d + 1)) if vel[i] != 0.0)
 
         num = 0.0
         numdot = 0.0
-        for pref, sym in self._terms(ys, etas):
+        for (pref, sym), (_, first, _) in zip(self._terms(ys, etas),
+                                              self._derivatives):
             pv = float(pref)
             if pv == 0.0:
                 continue
-            num += pv * float(sym.eval(pt))
-            numdot += pv * directional(sym)
+            num += pv * sym.eval(pt)
+            numdot += pv * directional(first)
         if self.mode == "raw":
             return numdot
-        rsym = self.spec.remainder_factor
-        rv = float(rsym.eval(pt))
-        return (numdot - (num / rv) * directional(rsym)) / rv
+        rv = self.divisor(pt)
+        rdot = directional(self._derivatives[-1][1])
+        return (numdot - (num / rv) * rdot) / rv
 
     # -- stability --------------------------------------------------------
 

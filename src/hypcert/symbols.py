@@ -33,6 +33,8 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 Coeff = Union[int, Fraction, str]
 
 _ZERO = Fraction(0)
@@ -100,7 +102,7 @@ class PolySymbol:
     Terms map exponent tuples (length 2*(d+1)) to nonzero Fractions.
     """
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d", "terms", "_table")
 
     def __init__(self, d: int, terms: Optional[Mapping[Tuple[int, ...], Coeff]] = None):
         if d < 0:
@@ -128,6 +130,8 @@ class PolySymbol:
                             clean[exps] = s
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "terms", clean)
+        # built by the first eval; threads that build it at once agree
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("PolySymbol is immutable")
@@ -297,20 +301,36 @@ class PolySymbol:
                     out[key] = s
         return PolySymbol(self.d, out)
 
-    def eval(self, point: Sequence) -> Union[Fraction, float]:
+    def eval(self, point: Sequence):
         """Evaluate at a point (any sequence of length 2*(d+1)).
 
-        Exact when all coordinates are Fractions or ints, float otherwise.
+        Exact when every coordinate is an int or a Fraction.  Otherwise in
+        floats, after converting every coordinate but numpy arrays (so a
+        mixed point too), broadcasting over the arrays: terms in ``terms``
+        order, each the float coefficient times its factors x**e left to
+        right, summed from 0.0.  x**e is the product x * x * ... * x, so
+        an array entry rounds as its point alone does (numpy's array power
+        and libm's pow can differ in the last bit).
         """
         vals = point.as_tuple() if isinstance(point, PhasePoint) else tuple(point)
         if len(vals) != self.nvars:
             raise DimensionMismatch("point of length %d for d=%d" % (len(vals), self.d))
-        total = _ZERO
-        for exps, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exps):
-                if e:
-                    v = v * vals[i] ** e
+        exact = all(isinstance(v, (int, Fraction)) for v in vals)
+        if not exact:
+            vals = [v if isinstance(v, np.ndarray) else float(v) for v in vals]
+        if self._table is None:
+            object.__setattr__(self, "_table", tuple(
+                (c, float(c), tuple((i, e) for i, e in enumerate(exps) if e))
+                for exps, c in self.terms.items()))
+        total = _ZERO if exact else 0.0
+        for c, float_c, factors in self._table:
+            v = c if exact else float_c
+            for i, e in factors:
+                x = p = vals[i]
+                while e > 1:  # x**e as x * x * ... * x, left to right
+                    p = p * x
+                    e -= 1
+                v = v * p
             total = total + v
         return total
 

@@ -50,6 +50,10 @@ class WeightsNotNormalized(ValueError):
     """weights must sum to exactly 1."""
 
 
+class AlphaMismatch(ValueError):
+    """alpha does not rewrite t - phi as sum alpha_j (x_{j-1} - x_j)."""
+
+
 @dataclass(frozen=True)
 class WeightSelection:
     eps: Tuple[Fraction, ...]
@@ -81,26 +85,34 @@ def epsilon_weights(rbar: Sequence[Number], slack: Number) -> WeightSelection:
     return WeightSelection(eps=eps, rho_weight=rho, kappa=kappa)
 
 
+def _check_telescope(phi: PolySymbol, alpha: Sequence[Fraction]) -> None:
+    """Raise AlphaMismatch unless t - phi = sum_j alpha_j (x_{j-1} - x_j)
+    with x_0 = t, as an exact polynomial identity."""
+    d = phi.d
+    chain = [PolySymbol.coordinate(d, "t")] + [
+        PolySymbol.coordinate(d, "x%d" % i) for i in range(1, d + 1)]
+    rhs = sum((a * (chain[j] - chain[j + 1]) for j, a in enumerate(alpha)),
+              PolySymbol.zero(d))
+    if chain[0] - phi != rhs:
+        raise AlphaMismatch("alpha (%s) does not rewrite t - phi = %s"
+                            % (", ".join(map(str, alpha)), chain[0] - phi))
+
+
 def alpha_coefficients(eps: Sequence[Number]) -> Tuple[Fraction, ...]:
     """Tail sums alpha_j = sum_{i=j}^p eps_i, rewriting t - sum eps_i x_i
     as sum alpha_j (x_{j-1} - x_j) with x_0 = t.
 
-    The telescoping identity is asserted as an exact polynomial identity
-    before returning.
+    The telescoping identity is checked as an exact polynomial identity
+    before returning (AlphaMismatch if it fails).
     """
     ep = [as_fraction(v) for v in eps]
     if sum(ep) != 1:
         raise WeightsNotNormalized("weights sum to %s, not 1" % sum(ep))
-    p = len(ep)
-    alpha = tuple(sum(ep[j:]) for j in range(p))
-    d = p
-    t = PolySymbol.coordinate(d, "t")
-    xs = [PolySymbol.coordinate(d, "x%d" % i) for i in range(1, d + 1)]
-    chain = [t] + xs
-    lhs = t - sum((e * x for e, x in zip(ep, xs)), PolySymbol.zero(d))
-    rhs = sum((a * (chain[j] - chain[j + 1]) for j, a in enumerate(alpha)),
-              PolySymbol.zero(d))
-    assert lhs == rhs
+    d = len(ep)
+    alpha = tuple(sum(ep[j:]) for j in range(d))
+    phi = sum((e * PolySymbol.coordinate(d, "x%d" % i)
+               for i, e in enumerate(ep, start=1)), PolySymbol.zero(d))
+    _check_telescope(phi, alpha)
     return alpha
 
 
@@ -113,7 +125,6 @@ class TimeFunctionCert:
     eps: Tuple[Fraction, ...] = ()
     rho_weight: Optional[Fraction] = None
     alpha: Tuple[Fraction, ...] = ()
-    notes: Tuple[str, ...] = ()
 
     def __post_init__(self):
         ok, _ = homogeneity_check(self.phi, 0)
@@ -125,14 +136,7 @@ class TimeFunctionCert:
         if self.eps:
             if sum(self.eps) != 1:
                 raise WeightsNotNormalized("weights sum to %s" % sum(self.eps))
-            d = self.phi.d
-            t = PolySymbol.coordinate(d, "t")
-            xs = [PolySymbol.coordinate(d, "x%d" % i) for i in range(1, d + 1)]
-            chain = [t] + xs
-            rhs = PolySymbol.zero(d)
-            for j, a in enumerate(self.alpha):
-                rhs = rhs + a * (chain[j] - chain[j + 1])
-            assert t - self.phi == rhs
+            _check_telescope(self.phi, self.alpha)
 
 
 def construct_time_function(spec: NormalFormSpec,

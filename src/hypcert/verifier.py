@@ -2,7 +2,8 @@
 
 Everything here is an empirical estimate: inf/sup of exact polynomial
 data evaluated in floats over uniform tensor grids.  Grid points are
-exact rationals, so every witness can be re-evaluated exactly.
+exact rationals, so every witness can be re-evaluated exactly.  The one
+polynomial evaluator is PolySymbol.eval, called on a block's coordinates.
 
 One walker, TensorGrid.scan, visits a grid in C order as contiguous
 flat blocks: one t value and a run of consecutive x_1 values, at most
@@ -49,6 +50,7 @@ from hypcert.symbols import (
     PhasePoint,
     PolySymbol,
     as_fraction,
+    phase_variables,
     poisson_bracket,
 )
 from hypcert.time_functions import TimeFunctionCert
@@ -295,33 +297,6 @@ def _fold(parts, total: int) -> ScanResult:
     return ScanResult(best_min, min_flat, best_max, max_flat, included, total)
 
 
-def compile_poly(p: PolySymbol):
-    return tuple((float(c), tuple((i, e) for i, e in enumerate(exps) if e))
-                 for exps, c in p.sorted_terms())
-
-
-def eval_compiled(compiled, coords, powers: Optional[dict] = None):
-    if powers is None:
-        powers = {}
-    total = None
-    for c, facs in compiled:
-        term = None
-        for slot, e in facs:
-            key = (slot, e)
-            arr = powers.get(key)
-            if arr is None:
-                arr = coords[slot] if e == 1 else coords[slot] ** e
-                powers[key] = arr
-            term = arr if term is None else term * arr
-        term = c if term is None else c * term
-        total = term if total is None else total + term
-    if total is None:
-        return np.zeros_like(coords[0])
-    if np.ndim(total) == 0:
-        return np.full_like(coords[0], float(total))
-    return total
-
-
 def _require_tau_free(p: PolySymbol, name: str):
     if p.depends_on(p.d + 1):
         raise ValueError("%s must not depend on tau" % name)
@@ -369,36 +344,29 @@ def _region_pass(a: PolySymbol, phi: Optional[PolySymbol], region: Region,
                  names: Tuple[str, ...]):
     """One scan of the t >= 0 grid for the named reductions ("nonneg",
     "c", "kappa").  Per block a is evaluated once, and phi and {phi, a}
-    once each when c resp. kappa is named, sharing one monomial-power
-    cache.  Returns (grid, {name: ScanResult})."""
+    once each when c resp. kappa is named.  Returns (grid, {name:
+    ScanResult})."""
     d = a.d
     eta = region.denominator_floor()
-    comp_a = compile_poly(a)
-    comp_phi = compile_poly(phi) if "c" in names else None
-    comp_br = compile_poly(poisson_bracket(phi, a)) if "kappa" in names \
-        else None
+    bracket = poisson_bracket(phi, a) if "kappa" in names else None
+    xi_sq = sum((xi * xi for xi in phase_variables(d)[3]), PolySymbol.zero(d))
 
     def fn(coords):
-        pw = {}
-        av = eval_compiled(comp_a, coords, pw)
+        av = a.eval(coords)
         out = []
         if "nonneg" in names:
             out.append((av, None))
         if "c" in names:
             # a / (min{t^2, (t - phi)^2} |xi|^2) where the denominator
             # clears the floor
-            pv = eval_compiled(comp_phi, coords, pw)
+            pv = phi.eval(coords)
             t = coords[0]
-            xi2 = None
-            for j in range(1, d + 1):
-                s = coords[d + 1 + j] ** 2
-                xi2 = s if xi2 is None else xi2 + s
-            den = np.minimum(t ** 2, (t - pv) ** 2) * xi2
+            den = np.minimum(t ** 2, (t - pv) ** 2) * xi_sq.eval(coords)
             mask = den >= eta
             out.append((av / np.where(mask, den, 1.0), mask))
         if "kappa" in names:
             # {phi, a}^2 / (4a) where a clears the floor
-            bv = eval_compiled(comp_br, coords, pw)
+            bv = bracket.eval(coords)
             mask = av >= eta
             out.append((bv ** 2 / np.where(mask, 4.0 * av, 1.0), mask))
         return out
@@ -413,10 +381,8 @@ def _nonneg_report(a: PolySymbol, region: Region, grid: TensorGrid,
     scale = max(1.0, abs(pos.min_value), abs(pos.max_value))
     passed = pos.min_value >= -1e-12 * scale
 
-    comp_a = compile_poly(a)
     grid_neg = TensorGrid(a.d, region_axes(region, a.d, negative_t=True))
-    neg, = grid_neg.scan(lambda coords: [(eval_compiled(comp_a, coords),
-                                          None)])
+    neg, = grid_neg.scan(lambda coords: [(a.eval(coords), None)])
     neg_scale = max(1.0, abs(neg.min_value), abs(neg.max_value))
     found = neg.min_value < -1e-12 * neg_scale
     side = SideWitness(
@@ -638,7 +604,6 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     d = spec.d
     rng = random.Random(SEED)
     delta = float(STRUCTURAL_CUTOFF.delta)
-    remfac, remainder_sym = spec.remainder_factor, spec.remainder
     a = build_normal_form(spec)
 
     slow = list(itertools.product(*_theta_axes(eq, region)))
@@ -658,9 +623,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
         eps = float(theta.eps)
         for w in samples:
             pt = [float(v) for v in eq.substituted_point(w, theta)]
-            fac = float(remfac.eval(pt))
-            ahat = float(a.eval(pt)) / fac
-            rem = float(remainder_sym.eval(pt))
+            ahat = a.eval(pt) / eq.divisor(pt)
+            rem = spec.remainder.eval(pt)
             margin = ahat - res.m * eps ** 2 - rem
             scale = 1 + abs(ahat)
             n_recon += 1
@@ -679,8 +643,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     for v, theta, res in zip(slow, thetas, results):
         if v[0] != 0:
             continue
-        pt = [float(c) for c in eq.substituted_point((0.0,) * eq.w_dim, theta)]
-        rem = float(remainder_sym.eval(pt))
+        rem = spec.remainder.eval(
+            eq.substituted_point((0.0,) * eq.w_dim, theta))
         shift = -float(theta.eps)  # phi(z) resp. x_p at t = 0
         val = res.m * shift ** 2 + rem
         n_bnd += 1
@@ -694,18 +658,14 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
 
     # (iii) branch floors on the pinned cone
     eta = region.denominator_floor()
-    comp_a = compile_poly(a)
-    comp_gate = compile_poly(spec.gate)
-    comp_phi = compile_poly(cert.phi)
     cone = TensorGrid(d, region_axes(region, d, pin_last_xi=True))
 
     def fn(coords):
-        pw = {}
-        av = eval_compiled(comp_a, coords, pw)
-        gv = eval_compiled(comp_gate, coords, pw)
+        av = a.eval(coords)
+        gv = spec.gate.eval(coords)
         t2 = coords[0] ** 2
         neg = (gv < 0) & (t2 >= eta)
-        sv = (coords[0] - eval_compiled(comp_phi, coords, pw)) ** 2
+        sv = (coords[0] - cert.phi.eval(coords)) ** 2
         graph = (gv >= 0) & (sv >= eta)
         return [(av / np.where(neg, t2, 1.0), neg),
                 (av / np.where(graph, sv, 1.0), graph)]

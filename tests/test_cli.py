@@ -145,6 +145,28 @@ def test_oversized_scan_fails_at_verify():
     assert rep.time_function is not None and rep.certificate is None
 
 
+def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
+    # b2 with r1 = 1/2 - 16 x2: positive at the base point, but zero at
+    # x2 = 1/32 on the structural z_x axis, where the normalized
+    # functional divides by it
+    t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
+    spec = NormalFormSpec(variant="form2", d=2, p=1, q=(xi2 ** 2,),
+                          r=(Fraction(1, 2) - 16 * x2,), g=x1 ** 3 * xi2 ** 2)
+    sf = SymbolFile(schema=1, d=2, base_point=PhasePoint.base(2),
+                    a=normal_forms.build_normal_form(spec),
+                    region=Region(grid=9),
+                    options=Options(slack=Fraction(1, 100)), normal_form=spec)
+    rep = run_pipeline(sf, "certify")
+    assert rep.status == "FAILED" and exit_code(rep) == 1
+    assert rep.stage == "verify"
+    assert rep.reason.startswith("r1: vanishes at")
+    path = tmp_path / "r1.json"
+    path.write_bytes(serialize_symbol_file(sf))
+    out = tmp_path / "rep.json"
+    assert main(["certify", str(path), "--out", str(out)]) == 1
+    assert json.loads(out.read_bytes())["reason"] == rep.reason
+
+
 def test_each_stage_runs_once(monkeypatch):
     sf = parse_symbol_file(FIXTURES / "b2.json")
     calls = {"check_side_conditions": 0, "validate_spec": 0}

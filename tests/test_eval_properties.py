@@ -1,0 +1,103 @@
+"""PolySymbol.eval, the one polynomial evaluator, on random symbols.
+
+Coordinate arrays against the same points evaluated one at a time (bit
+for bit), floats against the exact value within the rounding bound of the
+term-by-term evaluation, and the ring laws in exact arithmetic.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hypcert import PolySymbol
+
+EPS = 2.0 ** -52
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+rationals = st.builds(F, st.integers(-999, 999), st.integers(1, 999))
+
+
+@st.composite
+def symbols(draw, d):
+    n = 2 * (d + 1)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return PolySymbol(d, draw(st.dictionaries(exps, rationals, max_size=6)))
+
+
+@st.composite
+def symbol_and_points(draw, count=1):
+    d = draw(st.integers(1, 2))
+    points = [draw(st.lists(rationals, min_size=2 * (d + 1),
+                            max_size=2 * (d + 1))) for _ in range(count)]
+    return (d, draw(symbols(d))) + tuple(points)
+
+
+@st.composite
+def block(draw):
+    """A symbol and a 2-D block: each coordinate is a scalar or an axis
+    shaped for broadcasting along one of the two block axes."""
+    d = draw(st.integers(1, 2))
+    n = 2 * (d + 1)
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    kinds = draw(st.lists(st.sampled_from((None, 0, 1)), min_size=n,
+                          max_size=n))
+    axes = [draw(st.lists(rationals, min_size=1, max_size=1)) if k is None
+            else draw(st.lists(rationals, min_size=shape[k],
+                               max_size=shape[k])) for k in kinds]
+    return draw(symbols(d)), shape, kinds, axes
+
+
+@PROPERTY
+@given(block())
+def test_arrays_equal_points_one_at_a_time(case):
+    p, shape, kinds, axes = case
+    coords = []
+    for kind, ax in zip(kinds, axes):
+        if kind is None:
+            coords.append(float(ax[0]))
+        else:
+            arr = np.array([float(v) for v in ax])
+            coords.append(arr.reshape((-1, 1) if kind == 0 else (1, -1)))
+    got = np.broadcast_to(p.eval(coords), shape)
+    for i, j in itertools.product(range(shape[0]), range(shape[1])):
+        exact = [ax[0] if k is None else ax[(i, j)[k]]
+                 for k, ax in zip(kinds, axes)]
+        alone = p.eval([float(v) for v in exact])
+        # repr tells -0.0 from 0.0
+        assert repr(float(got[i, j])) == repr(alone)
+        # a mixed Fraction/float point is evaluated in floats
+        mixed = exact[:-1] + [float(exact[-1])]
+        assert repr(p.eval(mixed)) == repr(alone)
+
+
+@PROPERTY
+@given(symbol_and_points())
+def test_float_within_rounding_of_exact(case):
+    d, p, point = case
+    exact = p.eval(point)
+    assert isinstance(exact, F)
+    got = p.eval([float(v) for v in point])
+    assert isinstance(got, float)
+    if p.is_zero:
+        assert repr(got) == "0.0"
+        return
+    degree = max(sum(exps) for exps in p.terms)
+    size = sum(abs(c * PolySymbol(d, {exps: 1}).eval(point))
+               for exps, c in p.terms.items())
+    assert abs(F(got) - exact) <= size * (len(p.terms) + degree) * F(EPS)
+
+
+@PROPERTY
+@given(symbol_and_points(), st.data())
+def test_ring_laws_exact(case, data):
+    d, p, point = case
+    q = data.draw(symbols(d))
+    assert (p + q).eval(point) == p.eval(point) + q.eval(point)
+    assert (p * q).eval(point) == p.eval(point) * q.eval(point)
+    assert (p - q).eval(point) == p.eval(point) - q.eval(point)

@@ -535,6 +535,33 @@ def test_deep_chain_bits_frozen(name, mode):
     assert repr(got) == repr(DEEP_FROZEN[(name, mode)])
 
 
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+def test_derivatives_taken_once(monkeypatch, mode):
+    spec = deep_chain_specs()["form1-p2-d3"]
+    Q = qext(spec, mode=mode)
+    theta = Q.pinned_theta(F(1, 16), [F(1, 64)], [F(-1, 128)])
+    dtheta = Q.pinned_theta(F(1, 8), [F(1, 32)], [F(1, 32)])
+    w = DEEP_W[:Q.w_dim]
+
+    def evaluate():
+        val, grad, hess = Q.value_grad_hess(w, theta)
+        return repr((val, grad.tolist(), hess.tolist(),
+                     Q.theta_directional_derivative(w, theta, dtheta)))
+
+    first = evaluate()
+    calls = []
+    diff = PolySymbol.diff
+
+    def counted(self, var):
+        calls.append(var)
+        return diff(self, var)
+
+    monkeypatch.setattr(PolySymbol, "diff", counted)
+    for _ in range(3):
+        assert evaluate() == first
+    assert calls == []
+
+
 def test_deep_chain_structural_passes():
     # the Newton solves of this sweep end at the rounding floor of Q,
     # where no step decreases Q any more; they count as converged

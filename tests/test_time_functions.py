@@ -1,6 +1,10 @@
 """Weight selection, the telescoping rewrite, and the pointwise criterion."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,7 @@ from hypcert import (
     PhasePoint,
     PolySymbol,
     SlackTooLarge,
+    TimeFunctionCert,
     WeightsNotNormalized,
     alpha_coefficients,
     construct_time_function,
@@ -155,6 +160,46 @@ def test_construct_b2():
     assert cert.kappa_target == F(101, 200)
     assert float(cert.kappa_target) == 0.505
     assert cert.eps == (F(1),) and cert.alpha == (F(1),)
+
+
+# eps = (1/2, 1/2) needs alpha = (1, 1/2); (1, 1/3) does not telescope
+BAD_ALPHA = """
+from fractions import Fraction as F
+from hypcert import TimeFunctionCert, phase_variables
+t, (x1, x2), tau, xis = phase_variables(2)
+try:
+    TimeFunctionCert(phi=F(1, 2) * x1 + F(1, 2) * x2, branch="form2-weights",
+                     kappa_target=F(1, 2), slack=F(1, 100),
+                     eps=(F(1, 2), F(1, 2)), alpha=(F(1), F(1, 3)))
+except ValueError as exc:
+    print(type(exc).__name__)
+else:
+    print("accepted")
+"""
+
+
+def test_cert_rejects_alpha_that_does_not_telescope():
+    t, xs, tau, xis = phase_variables(2)
+    phi = F(1, 2) * xs[0] + F(1, 2) * xs[1]
+    with pytest.raises(ValueError, match="does not rewrite t - phi"):
+        TimeFunctionCert(phi=phi, branch="form2-weights",
+                         kappa_target=F(1, 2), slack=F(1, 100),
+                         eps=(F(1, 2), F(1, 2)), alpha=(F(1), F(1, 3)))
+    cert = TimeFunctionCert(phi=phi, branch="form2-weights",
+                            kappa_target=F(1, 2), slack=F(1, 100),
+                            eps=(F(1, 2), F(1, 2)), alpha=(F(1), F(1, 2)))
+    assert cert.alpha == alpha_coefficients(cert.eps)
+
+
+def test_cert_alpha_check_survives_optimize_flag():
+    # python -O strips assert statements; the subprocess imports this
+    # checkout, installed or not
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", BAD_ALPHA],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "AlphaMismatch"
 
 
 def test_construct_propagates_weight_violation():
