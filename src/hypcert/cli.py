@@ -3,7 +3,7 @@
 certify runs: singular-point check -> classification -> side conditions
 -> time function -> grid certificates, short-circuiting on the first
 failing stage.  Reports are deterministic: identical input bytes and
-options produce identical output bytes, independent of worker count.
+options produce identical output bytes.
 
 Exit codes: 0 CERTIFIED, 1 FAILED (and NOT_APPLICABLE under certify),
 2 MARGINAL, 3 usage or unreadable input.  `classify` exits 0 when the

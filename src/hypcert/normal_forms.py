@@ -528,15 +528,6 @@ class ExtendedQ:
         self._move(pt, w, anchor, theta.eps, self.cutoff.scaled)
         return pt
 
-    # -- prefactor table ------------------------------------------------
-
-    def _terms(self, ys, etas):
-        """(prefactor value, factor symbol) pairs at raw w."""
-        n = self._nodes(ys)
-        springs = [((n[j] - n[j + 1]) ** 2, q)
-                   for j, q in enumerate(self.spec.q)]
-        return springs + [(e ** 2, r) for e, r in zip(etas, self.spec.r)]
-
     # -- evaluation ------------------------------------------------------
 
     def value(self, w, theta: Theta):
@@ -544,7 +535,9 @@ class ExtendedQ:
         ys, etas = self._split(w)
         pt = self.substituted_point(w, theta)
         total = 0
-        for pref, sym in self._terms(ys, etas):
+        # zip stops before the remainder factor, last in _derivatives
+        for (pref, _, _), (sym, _, _) in zip(
+                self._pref_derivatives(ys, etas), self._derivatives):
             if pref != 0:
                 total = total + pref * sym.eval(pt)
         if self.mode == "normalized":
@@ -701,8 +694,8 @@ class ExtendedQ:
 
         num = 0.0
         numdot = 0.0
-        for (pref, sym), (_, first, _) in zip(self._terms(ys, etas),
-                                              self._derivatives):
+        for (pref, _, _), (sym, first, _) in zip(
+                self._pref_derivatives(ys, etas), self._derivatives):
             pv = float(pref)
             if pv == 0.0:
                 continue

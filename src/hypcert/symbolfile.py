@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,8 +60,9 @@ class Options:
     def __post_init__(self):
         if self.slack <= 0:
             raise ValueError("slack must be positive")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None and not (self.tol > 0
+                                         and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

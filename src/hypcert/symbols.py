@@ -130,11 +130,14 @@ class PolySymbol:
                             clean[exps] = s
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "terms", clean)
-        # built by the first eval; threads that build it at once agree
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_table", None)  # built by the first eval
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("PolySymbol is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked setattr
+        return (PolySymbol, (self.d, self.terms))
 
     # -- constructors -------------------------------------------------
 

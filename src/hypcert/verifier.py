@@ -14,19 +14,18 @@ makes one fused pass over t >= 0, evaluating a, phi and {phi, a} once
 per block for the nonneg, c and kappa reductions, and one pass over the
 mirrored t < 0 grid evaluating a only.
 
-Determinism contract: each block is reduced independently (argmin/argmax
-with the lowest flat index winning ties), and the per-block results are
-folded in block order with strict comparisons.  Worker count
-(HYPCERT_THREADS) therefore never changes a single output bit.
+Determinism contract: the scan is serial.  Each block is reduced on its
+own (argmin/argmax with the lowest flat index winning ties), over the
+values' own shape rather than their broadcast to the block, and the
+per-block results are folded in block order with strict comparisons, so
+the block budget never changes a single output bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -88,17 +87,6 @@ class HessianDegenerate(RuntimeError):
     """Newton model unusable: singular or ill-conditioned Hessian."""
 
 
-def _workers() -> int:
-    raw = os.environ.get("HYPCERT_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
 # ------------------------------------------------------------------ region
 
 
@@ -121,8 +109,9 @@ class Region:
             raise ValueError("region extents must be positive")
         if self.grid < 3:
             raise ValueError("grid counts must be >= 3")
-        if self.eta_den is not None and not self.eta_den > 0:
-            raise ValueError("eta_den must be positive")
+        if self.eta_den is not None and not (self.eta_den > 0
+                                             and math.isfinite(self.eta_den)):
+            raise ValueError("eta_den must be positive and finite")
 
     @property
     def scale(self) -> float:
@@ -199,8 +188,6 @@ class TensorGrid:
             split += 1
         self._split = split
         self._run = max(1, _BLOCK // self._strides[split])
-        self.n_blocks = (math.prod(self._lens[:split])
-                         * len(range(0, self._lens[split], self._run)))
         ndim = len(self._lens) - split
         self._float_axes = []
         for i, ax in enumerate(self.axes):
@@ -242,46 +229,44 @@ class TensorGrid:
 
     def scan(self, fn) -> Tuple[ScanResult, ...]:
         """fn(coords) -> [(values, include_mask or None), ...] per block;
-        one min/max reduction per pair, over the values broadcast to the
-        block shape.
+        one min/max reduction per pair.
 
         Block partials are combined in block order with strict
         comparisons, so the earliest (lowest flat index) extremum wins
-        ties and thread count cannot affect the result.
+        ties.
         """
-
-        def part(block):
-            start, shape, coords = block
-            return [_reduce(np.broadcast_to(vals, shape),
-                            None if mask is None
-                            else np.broadcast_to(mask, shape), start)
-                    for vals, mask in fn(coords)]
-
-        workers = _workers()
-        if workers > 1 and self.n_blocks > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(part, self._blocks()))
-        else:
-            parts = [part(b) for b in self._blocks()]
+        parts = [[_reduce(vals, mask, start, shape)
+                  for vals, mask in fn(coords)]
+                 for start, shape, coords in self._blocks()]
         return tuple(_fold(column, self.total) for column in zip(*parts))
 
 
-def _reduce(vals, mask, start: int):
-    """(min, its flat index, max, its flat index, included) of one block;
-    C-order argmin/argmax return the first extremum."""
+def _reduce(vals, mask, start: int, shape):
+    """(min, its flat index, max, its flat index, included) of the values
+    broadcast to the block shape, reduced over the pair's own shape: the
+    first C-order extremum of a broadcast array has index 0 on every
+    broadcast axis, and each entry stands for that many block points."""
+    own = np.broadcast_shapes(np.shape(vals),
+                              () if mask is None else np.shape(mask))
+    own = (1,) * (len(shape) - len(own)) + own
+    vals = np.broadcast_to(vals, own)
     if mask is None:
-        i = int(np.argmin(vals))
-        j = int(np.argmax(vals))
-        return (float(vals.flat[i]), start + i, float(vals.flat[j]),
-                start + j, vals.size)
-    sel = np.flatnonzero(mask)
-    if sel.size == 0:
-        return (math.inf, -1, -math.inf, -1, 0)
-    sub = vals[mask]
-    i = int(np.argmin(sub))
-    j = int(np.argmax(sub))
-    return (float(sub[i]), start + int(sel[i]),
-            float(sub[j]), start + int(sel[j]), int(sel.size))
+        i, j = int(np.argmin(vals)), int(np.argmax(vals))
+        mn, mx, n = vals.flat[i], vals.flat[j], vals.size
+    else:
+        mask = np.broadcast_to(mask, own)
+        sel = np.flatnonzero(mask)
+        if sel.size == 0:
+            return (math.inf, -1, -math.inf, -1, 0)
+        sub = vals[mask]
+        i, j = int(np.argmin(sub)), int(np.argmax(sub))
+        mn, mx, n = sub[i], sub[j], sel.size
+        i, j = int(sel[i]), int(sel[j])
+    if own != shape:
+        i, j = (int(np.ravel_multi_index(np.unravel_index(k, own), shape))
+                for k in (i, j))
+    return (float(mn), start + i, float(mx), start + j,
+            n * (math.prod(shape) // math.prod(own)))
 
 
 def _fold(parts, total: int) -> ScanResult:

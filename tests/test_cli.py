@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -310,9 +311,18 @@ def test_main_usage_errors(tmp_path, capsys):
                  "--region", "1/10,1/10"]) == 3
     capsys.readouterr()
     for flag, value in (("--grid", "2"), ("--region", "0,1/10,1/10"),
-                        ("--slack", "-1"), ("--tol", "-1")):
+                        ("--slack", "-1"), ("--tol", "-1"), ("--tol", "inf")):
         assert main(["certify", str(FIXTURES / "b2.json"), flag, value]) == 3
         assert flag in capsys.readouterr().err
+    # json.loads accepts Infinity, which no finite tolerance or floor is
+    for block, key in (("options", "tol"), ("region", "eta_den")):
+        doc = fixture_doc("b2")
+        doc.setdefault(block, {})[key] = math.inf
+        path = tmp_path / ("%s_inf.json" % key)
+        path.write_bytes(json.dumps(doc).encode("utf-8"))
+        assert main(["certify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "$.%s" % block in err and key in err
 
 
 def test_invalid_normal_form_is_a_usage_error(tmp_path, capsys):

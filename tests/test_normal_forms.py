@@ -4,6 +4,8 @@ Derivative formulas are checked against central finite differences; the
 substitution identity and minimizers are checked exactly over Fractions.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -136,6 +138,27 @@ def test_base_values():
     assert spec.q_bars() == (F(1),)
     assert spec.r_bars() == (F(1, 2),)
     assert spec.base_point() == PhasePoint.base(2)
+
+
+def test_spec_copies_and_pickles():
+    t = PolySymbol.coordinate(1, "t")
+    for copied in (copy.copy(t), copy.deepcopy(t),
+                   pickle.loads(pickle.dumps(t))):
+        assert copied == t
+
+    def symbols(spec):
+        return spec.q + spec.r + (spec.g, spec.remainder)
+
+    spec = b2_spec()
+    exact = [F(1, 20), F(-1, 30), F(1, 40), 0, F(1, 10), F(9, 10)]
+    points = (exact, [float(v) for v in exact])
+    for sym in symbols(spec):
+        sym.eval(points[1])  # the copies must not depend on the term table
+    for other in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert other == spec
+        for mine, theirs in zip(symbols(spec), symbols(other)):
+            for pt in points:
+                assert repr(theirs.eval(pt)) == repr(mine.eval(pt))
 
 
 # ----------------------------------------------------------- side conditions

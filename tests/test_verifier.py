@@ -2,8 +2,10 @@
 
 import inspect
 import math
+import threading
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from hypcert import (
@@ -92,13 +94,13 @@ def test_ties_resolve_low_across_blocks(monkeypatch):
     # grid 33 walks 33 t values x 5 runs of x_1; a budget of 50 points
     # splits a grid-5 scan below one x_1 value, onto the x_2 axis
     grid = TensorGrid(2, region_axes(Region(), 2))
-    assert grid.n_blocks == 33 * 5
+    assert len(list(grid._blocks())) == 33 * 5
     res, = grid.scan(lambda coords: [(7.0, None)])
     assert res.min_flat == res.max_flat == 0
     assert res.n_included == res.n_total == 33**5
     monkeypatch.setattr(verifier, "_BLOCK", 50)
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
-    assert grid.n_blocks == 5 * 5 * 3
+    assert len(list(grid._blocks())) == 5 * 5 * 3
     res, = grid.scan(lambda coords: [(coords[0] * 0.0 + 7.0, None)])
     assert res.min_flat == res.max_flat == 0
     assert res.n_included == res.n_total == 5**5
@@ -107,27 +109,32 @@ def test_ties_resolve_low_across_blocks(monkeypatch):
 @pytest.mark.parametrize("budget", [7, 50, 125, 1 << 18])
 def test_block_budget_does_not_change_results(budget, monkeypatch):
     # every reduction of the walker, flat indices included, is the same
-    # whatever the block boundaries, with and without the worker pool
+    # whatever the block boundaries; the last pair has its values and its
+    # mask on different axes
     def fn(coords):
         t, xa, xb, _, ya, yb = coords
         v = (t - xa) * yb + xb * ya ** 2
         mask = v > 0
         return [(v, None), (v, mask), (xa * 0.0, mask), (1.0, t > 1.0),
-                (math.inf, xb > 0), (-math.inf, xb > 0)]
+                (math.inf, xb > 0), (-math.inf, xb > 0), (xa, yb > 0)]
 
     reference = TensorGrid(2, region_axes(Region(grid=5), 2)).scan(fn)
     monkeypatch.setattr(verifier, "_BLOCK", budget)
-    for threads in ("1", "3"):
-        monkeypatch.setenv("HYPCERT_THREADS", threads)
-        grid = TensorGrid(2, region_axes(Region(grid=5), 2))
-        assert grid.scan(fn) == reference
+    grid = TensorGrid(2, region_axes(Region(grid=5), 2))
+    assert grid.scan(fn) == reference
     assert reference[3].n_included == 0 and reference[3].min_flat == -1
     # +inf never beats the fold's start for a minimum, nor -inf for a
     # maximum; the other extremum is the first included node, x_2 = 1/20
-    pos, neg = reference[4:]
+    pos, neg = reference[4:6]
     assert (pos.min_flat, pos.max_flat) == (-1, 3 * 5**2)
     assert (neg.min_flat, neg.max_flat) == (3 * 5**2, -1)
     assert pos.n_included == neg.n_included == 2 * 5**4
+    # xi_2 > 0 everywhere (centre 1); x_1 is least first and greatest at
+    # the first point of its last value
+    both = reference[6]
+    assert both.n_included == both.n_total == 5**5
+    assert (both.min_value, both.min_flat) == (-0.1, 0)
+    assert (both.max_value, both.max_flat) == (0.1, 4 * 5**3)
 
 
 def test_scan_budget():
@@ -461,54 +468,14 @@ def test_refinement_monotonicity(b2_a):
     assert k9 >= k5 - 1e-15
 
 
-def _count_pools(monkeypatch):
-    pools = []
-    original = verifier.ThreadPoolExecutor
+def _forbid_threads(monkeypatch):
+    def start(self):
+        raise RuntimeError("a scan started a thread")
 
-    def counted(*args, **kwargs):
-        pools.append(kwargs)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(verifier, "ThreadPoolExecutor", counted)
-    return pools
+    monkeypatch.setattr(threading.Thread, "start", start)
 
 
-def test_scans_have_more_than_one_block(small_region):
-    # one block per t value at grid 9, so a multi-worker scan uses the pool
-    for axes in (region_axes(small_region, 2),
-                 region_axes(small_region, 2, negative_t=True),
-                 region_axes(small_region, 2, pin_last_xi=True)):
-        assert TensorGrid(2, axes).n_blocks > 1
-
-
-def test_thread_count_does_not_change_results(b2_a, small_region, monkeypatch):
-    pools = _count_pools(monkeypatch)
-    monkeypatch.setenv("HYPCERT_THREADS", "1")
-    one_c = estimate_c(b2_a, x1, small_region)
-    one_k = estimate_kappa(b2_a, x1, small_region)
-    one_n = verify_nonnegativity(b2_a, small_region)
-    monkeypatch.setenv("HYPCERT_THREADS", "4")
-    assert estimate_c(b2_a, x1, small_region) == one_c
-    assert estimate_kappa(b2_a, x1, small_region) == one_k
-    assert verify_nonnegativity(b2_a, small_region) == one_n
-    assert len(pools) == 4  # t >= 0 and t < 0 for nonneg, t >= 0 for c, kappa
-
-
-def test_certify_region_thread_count_does_not_change_results(
-        b2_a, small_region, monkeypatch):
-    # the structural cone scan is covered end to end by criterion 11
-    phi = construct_time_function(b2_spec(), slack=F(1, 100)).phi
-    pools = _count_pools(monkeypatch)
-    monkeypatch.setenv("HYPCERT_THREADS", "1")
-    one = certify_region(b2_a, phi, small_region)
-    assert pools == []
-    monkeypatch.setenv("HYPCERT_THREADS", "4")
-    assert certify_region(b2_a, phi, small_region) == one
-    assert len(pools) == 2  # the t >= 0 and t < 0 passes
-
-
-def test_certify_region_scans_twice_outside_structural(
-        b2_a, small_region, monkeypatch):
+def _count_scans(monkeypatch):
     scans = []
     original = TensorGrid.scan
 
@@ -517,6 +484,61 @@ def test_certify_region_scans_twice_outside_structural(
         return original(self, fn)
 
     monkeypatch.setattr(TensorGrid, "scan", counted)
+    return scans
+
+
+def test_scans_have_more_than_one_block(small_region):
+    # one block per t value at grid 9, so the fold combines blocks
+    for axes in (region_axes(small_region, 2),
+                 region_axes(small_region, 2, negative_t=True),
+                 region_axes(small_region, 2, pin_last_xi=True)):
+        assert len(list(TensorGrid(2, axes)._blocks())) > 1
+
+
+def test_scans_start_no_thread(b2_a, small_region, monkeypatch):
+    one_c = estimate_c(b2_a, x1, small_region)
+    one_k = estimate_kappa(b2_a, x1, small_region)
+    one_n = verify_nonnegativity(b2_a, small_region)
+    _forbid_threads(monkeypatch)
+    scans = _count_scans(monkeypatch)
+    assert estimate_c(b2_a, x1, small_region) == one_c
+    assert estimate_kappa(b2_a, x1, small_region) == one_k
+    assert verify_nonnegativity(b2_a, small_region) == one_n
+    assert len(scans) == 4  # t >= 0 and t < 0 for nonneg, t >= 0 for c, kappa
+
+
+def test_certify_region_starts_no_thread(b2_a, small_region, monkeypatch):
+    # the structural cone scan is covered end to end by criterion 11
+    phi = construct_time_function(b2_spec(), slack=F(1, 100)).phi
+    one = certify_region(b2_a, phi, small_region)
+    _forbid_threads(monkeypatch)
+    scans = _count_scans(monkeypatch)
+    assert certify_region(b2_a, phi, small_region) == one
+    assert len(scans) == 2  # the t >= 0 and t < 0 passes
+
+
+def test_b2_reduces_values_smaller_than_their_block(b2_a, small_region,
+                                                    monkeypatch):
+    # b2's a, phi and {phi, a} have no x_2, so their values are reduced
+    # without the x_2 axis of the block (x_1, x_2, xi_1, xi_2)
+    seen = []
+    original = verifier._reduce
+
+    def spy(vals, mask, start, shape):
+        seen.append((np.shape(vals), shape))
+        return original(vals, mask, start, shape)
+
+    monkeypatch.setattr(verifier, "_reduce", spy)
+    phi = construct_time_function(b2_spec(), slack=F(1, 100)).phi
+    certify_region(b2_a, phi, small_region)
+    smaller = [(own, shape) for own, shape in seen
+               if math.prod(own) < math.prod(shape)]
+    assert smaller and all(own[1] == 1 < shape[1] for own, shape in smaller)
+
+
+def test_certify_region_scans_twice_outside_structural(
+        b2_a, small_region, monkeypatch):
+    scans = _count_scans(monkeypatch)
     cert = construct_time_function(b2_spec(), slack=F(1, 100))
     rep = certify_region(b2_a, cert.phi, small_region)
     assert scans == [9**5, 8 * 9**4]
