@@ -52,6 +52,7 @@ reconstruction inequality is stated for.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,6 +90,11 @@ def horner(coeffs, v):
 def poly_derivative(coeffs):
     """Coefficients of the derivative of sum_k coeffs[k] v^k."""
     return tuple(k * c for k, c in enumerate(coeffs) if k)
+
+
+def _floats(v):
+    """float(v), elementwise for an array (of exact values or floats)."""
+    return v.astype(float) if isinstance(v, np.ndarray) else float(v)
 
 
 class InvariantViolation(ValueError):
@@ -347,6 +353,14 @@ class Cutoff:
     delta: Fraction
 
     def chi(self, s: Number) -> Number:
+        if isinstance(s, np.ndarray):  # elementwise, as for a float s
+            neg = s < 0
+            u = np.where(neg, -s, s)
+            mid = np.zeros_like(u)
+            for c in reversed(_H):
+                mid = mid * (u - 1) + float(c)
+            out = np.where(u <= 1, u, np.where(u >= 2, 2.0, mid))
+            return np.where(neg, -out, out)
         neg = s < 0
         u = -s if neg else s
         if u <= 1:
@@ -375,7 +389,8 @@ class Cutoff:
         return -out if neg else out
 
     def scaled(self, s: Number) -> Number:
-        return self.delta * self.chi(s / self.delta)
+        delta = float(self.delta) if isinstance(s, np.ndarray) else self.delta
+        return delta * self.chi(s / delta)
 
     def scaled_prime(self, s: Number) -> Number:
         return self.chi_prime(s / self.delta)
@@ -401,7 +416,13 @@ def build_cutoff(delta: Number) -> Cutoff:
 class Theta:
     """Slow coordinates of the extended functional: time t, transverse
     block z = (z_x, z_xi) relative to the base covector, the scale eps,
-    and (form2 only) the raw x_p slot."""
+    and (form2 only) the raw x_p slot.
+
+    A batch of thetas is one Theta whose fields are numpy arrays of exact
+    values (dtype object) that broadcast together, as ExtendedQ.theta_at
+    gives for axes shaped to broadcast; its thetas are numbered in C order
+    of the broadcast shape.
+    """
 
     t: Number
     z_x: Tuple[Number, ...]
@@ -409,12 +430,37 @@ class Theta:
     eps: Number
     x_p: Optional[Number] = None
 
-    def magnitude(self) -> float:
-        m = abs(self.t) + sum(abs(v) for v in self.z_x) \
-            + sum(abs(v) for v in self.z_xi)
-        if self.x_p is not None:
-            m += abs(self.x_p)
-        return float(m)
+    def _slow(self):
+        return [self.t, *self.z_x, *self.z_xi] + (
+            [] if self.x_p is None else [self.x_p])
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return np.broadcast_shapes(*map(np.shape, self._slow() + [self.eps]))
+
+    def map(self, fn) -> "Theta":
+        """The Theta with fn applied to every field."""
+        return Theta(t=fn(self.t), z_x=tuple(map(fn, self.z_x)),
+                     z_xi=tuple(map(fn, self.z_xi)), eps=fn(self.eps),
+                     x_p=None if self.x_p is None else fn(self.x_p))
+
+    def entry(self, i: int) -> "Theta":
+        """Theta number i of a batch."""
+        shape = self.shape
+        return self.map(lambda v: np.broadcast_to(v, shape).flat[i])
+
+    def magnitude(self):
+        """|t| + |z| (+ |x_p|) rounded once to a float from the exact sum;
+        elementwise over a batch, where the sums are taken in integers over
+        a common denominator of the values."""
+        parts = [np.asarray(v, dtype=object) for v in self._slow()]
+        den = math.lcm(*(Fraction(v).denominator
+                         for p in parts for v in p.flat))
+        scaled = np.frompyfunc(lambda v: int(abs(Fraction(v)) * den), 1, 1)
+        total = sum(scaled(p) for p in parts)
+        if isinstance(total, np.ndarray):
+            return (total / den).astype(float)
+        return total / den
 
 
 @dataclass(frozen=True)
@@ -514,18 +560,23 @@ class ExtendedQ:
         return pt
 
     def substituted_point(self, w, theta: Theta):
-        """Full phase point fed to every factor (tau slot stays 0)."""
+        """Full phase point fed to every factor (tau slot stays 0).  For a
+        batch of thetas it is float arrays, rounded from the exact
+        transverse point before w (floats or arrays) moves it."""
         self._split(w)  # checks the length of w
         k = self.spec.d - self.spec.p
         if len(theta.z_x) != k or len(theta.z_xi) != k:
             raise DimensionMismatch("transverse block must have length %d" % k)
         pt = self._transverse_point(theta.t, theta.z_x, theta.z_xi)
-        anchor = theta.t
+        anchor, eps = theta.t, theta.eps
         if self.spec.variant == "form2":
             if theta.x_p is None:
                 raise ValueError("form2 theta needs x_p")
             anchor = pt[self.spec.p] = theta.x_p
-        self._move(pt, w, anchor, theta.eps, self.cutoff.scaled)
+        if isinstance(eps, np.ndarray):
+            pt, anchor, eps = [_floats(v) for v in pt], _floats(anchor), \
+                _floats(eps)
+        self._move(pt, w, anchor, eps, self.cutoff.scaled)
         return pt
 
     # -- evaluation ------------------------------------------------------
@@ -536,8 +587,8 @@ class ExtendedQ:
         pt = self.substituted_point(w, theta)
         total = 0
         # zip stops before the remainder factor, last in _derivatives
-        for (pref, _, _), (sym, _, _) in zip(
-                self._pref_derivatives(ys, etas), self._derivatives):
+        for pref, (sym, _, _) in zip(self._prefactors(ys, etas),
+                                     self._derivatives):
             if pref != 0:
                 total = total + pref * sym.eval(pt)
         if self.mode == "normalized":
@@ -577,6 +628,12 @@ class ExtendedQ:
         return [(slot, sign * eps * cut.scaled_prime(v),
                  sign * eps * cut.scaled_second(v))
                 for (slot, sign), v in zip(self._w_slots, w)]
+
+    def _prefactors(self, ys, etas):
+        """Prefactor values per term: the springs, then the etas."""
+        n = self._nodes(ys)
+        return ([(n[j] - n[j + 1]) ** 2 for j in range(len(n) - 1)]
+                + [e ** 2 for e in etas])
 
     def _pref_derivatives(self, ys, etas):
         """Prefactor values with gradients/Hessians in w per term; free
@@ -618,10 +675,21 @@ class ExtendedQ:
         return tuple(table)
 
     def divisor(self, pt):
-        """The remainder factor at pt, which the normalized functional
-        divides by; InvariantViolation names it where it vanishes."""
+        """The remainder factor at pt (elementwise over arrays), which the
+        normalized functional divides by.  InvariantViolation names it and
+        the first point where it is zero: as exact rationals when it
+        vanishes there exactly."""
         value = self.spec.remainder_factor.eval(pt)
-        if value == 0:
+        if isinstance(value, np.ndarray):
+            zero = np.flatnonzero(value == 0)
+            if zero.size:
+                shape = np.broadcast_shapes(value.shape, *map(np.shape, pt))
+                at = np.unravel_index(zero[0], (1,) * (len(shape) - value.ndim)
+                                      + value.shape)
+                point = [float(np.broadcast_to(v, shape)[at]) for v in pt]
+                self.divisor([Fraction(v) for v in point])
+                self.divisor(point)
+        elif value == 0:
             p = self.spec.p
             raise InvariantViolation(
                 "q%d" % (p + 1) if self.spec.variant == "form1" else "r%d" % p,
@@ -630,11 +698,14 @@ class ExtendedQ:
         return value
 
     def value_grad_hess(self, w, theta: Theta):
-        """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule."""
+        """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule.  Over a
+        batch of thetas each is an array over the batch's shape, after the
+        w axes for the gradient and Hessian."""
         ys, etas = self._split(w)
-        pt = [float(v) for v in self.substituted_point(w, theta)]
+        pt = [_floats(v) for v in self.substituted_point(w, theta)]
+        shape = np.broadcast_shapes(*map(np.shape, pt))
         nw = self.w_dim
-        moving = self._moving_slots([float(v) for v in w], float(theta.eps))
+        moving = self._moving_slots([float(v) for v in w], _floats(theta.eps))
         prefs = self._pref_derivatives([float(y) for y in ys],
                                        [float(e) for e in etas])
         # the remainder factor, last in _derivatives (zip skips it in raw)
@@ -645,9 +716,10 @@ class ExtendedQ:
                                                       prefs):
             f = sym.eval(pt)
             f1 = [first[slot].eval(pt) for slot, _, _ in moving]
-            tg = np.array([pg[i] * f + pv * f1[i] * moving[i][1]
-                           for i in range(nw)])
-            th = np.zeros((nw, nw))
+            tg = np.zeros((nw,) + shape)
+            for i in range(nw):
+                tg[i] = pg[i] * f + pv * f1[i] * moving[i][1]
+            th = np.zeros((nw, nw) + shape)
             for (i, j), d2 in second.items():
                 _, d1_i, d2_i = moving[i]
                 d1_j = moving[j][1]
@@ -660,9 +732,10 @@ class ExtendedQ:
             parts.append((pv * f, tg, th))
         if self.mode == "normalized":
             _, rg, rh = parts.pop()
-        val, grad, hess = 0.0, np.zeros(nw), np.zeros((nw, nw))
+        val, grad = 0.0, np.zeros((nw,) + shape)
+        hess = np.zeros((nw, nw) + shape)
         for tv, tg, th in parts:
-            val += tv
+            val = val + tv
             grad += tg
             hess += th
         if self.mode == "raw":
@@ -670,7 +743,8 @@ class ExtendedQ:
         rv = self.divisor(pt)
         q = val / rv
         qg = (grad - q * rg) / rv
-        qh = (hess - q * rh - np.outer(qg, rg) - np.outer(rg, qg)) / rv
+        qh = (hess - q * rh - qg[:, None] * rg[None]
+              - rg[:, None] * qg[None]) / rv
         return q, qg, qh
 
     def theta_directional_derivative(self, w, theta: Theta, dtheta: Theta):
@@ -694,8 +768,8 @@ class ExtendedQ:
 
         num = 0.0
         numdot = 0.0
-        for (pref, _, _), (sym, first, _) in zip(
-                self._pref_derivatives(ys, etas), self._derivatives):
+        for pref, (sym, first, _) in zip(self._prefactors(ys, etas),
+                                         self._derivatives):
             pv = float(pref)
             if pv == 0.0:
                 continue

@@ -3,7 +3,8 @@
 Everything here is an empirical estimate: inf/sup of exact polynomial
 data evaluated in floats over uniform tensor grids.  Grid points are
 exact rationals, so every witness can be re-evaluated exactly.  The one
-polynomial evaluator is PolySymbol.eval, called on a block's coordinates.
+polynomial evaluator is PolySymbol.eval, called on a block's coordinates
+and on the structural check's sample arrays.
 
 One walker, TensorGrid.scan, visits a grid in C order as contiguous
 flat blocks: one t value and a run of consecutive x_1 values, at most
@@ -13,6 +14,13 @@ coordinates are views, never rebuilt from flat indices.  certify_region
 makes one fused pass over t >= 0, evaluating a, phi and {phi, a} once
 per block for the nonneg, c and kappa reductions, and one pass over the
 mirrored t < 0 grid evaluating a only.
+
+The structural check treats its slow grid of thetas as one batch: exact
+values per axis, broadcast over the grid.  minimize_Q_path takes the
+Newton stop test for the whole batch as one array at the theta = 0
+minimizer and runs Newton, one theta at a time, only from the first
+theta in continuation order that fails it; the reconstruction samples
+are evaluated as arrays over sub-grids of at most _BLOCK samples.
 
 Determinism contract: the scan is serial.  Each block is reduced on its
 own (argmin/argmax with the lowest flat index winning ties), over the
@@ -28,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -497,9 +505,9 @@ def minimize_Q(eq: ExtendedQ, theta: Theta,
     w = np.array([float(v) for v in w0], dtype=float)
     for it in range(1, MAX_NEWTON_ITER + 1):
         val, grad, hess = eq.value_grad_hess(tuple(w), theta)
-        gn = float(np.linalg.norm(grad))
+        gn, converged = _stationary(val, grad)
         cond = float(np.linalg.cond(hess))
-        if gn <= 1e-10 * (1 + abs(val)):
+        if converged:
             break
         if not math.isfinite(cond) or cond > 1e12:
             raise HessianDegenerate("condition number %.3e" % cond)
@@ -524,21 +532,58 @@ def minimize_Q(eq: ExtendedQ, theta: Theta,
         raise NoConvergence("no convergence in %d iterations"
                             % MAX_NEWTON_ITER)
     return MinimizeResult(m=float(val), w_bar=tuple(float(v) for v in w),
-                          hessian_cond=cond, grad_norm=gn, iterations=it - 1)
+                          hessian_cond=cond, grad_norm=float(gn),
+                          iterations=it - 1)
 
 
-def minimize_Q_path(eq: ExtendedQ, thetas: Sequence[Theta]):
-    """Continuation: process thetas sorted by magnitude, warm-starting
-    each from the previous minimizer; results in input order."""
-    order = sorted(range(len(thetas)),
-                   key=lambda i: (thetas[i].magnitude(), i))
-    out: List[Optional[MinimizeResult]] = [None] * len(thetas)
-    w_prev = None
-    for i in order:
-        res = minimize_Q(eq, thetas[i], w0=w_prev)
-        out[i] = res
-        w_prev = res.w_bar
-    return out
+def _stationary(val, grad):
+    """minimize_Q's stop test: (|grad_w Q|, |grad_w Q| <= 1e-10 (1 + |Q|)),
+    elementwise over a batch of thetas.  The squares are summed in w
+    order, so a batch entry rounds as its theta alone does."""
+    sq = 0.0
+    for g in grad:
+        sq = sq + g * g
+    gn = np.sqrt(sq)
+    return gn, gn <= 1e-10 * (1 + abs(val))
+
+
+@dataclass(frozen=True)
+class PathMinima:
+    """Minima along a continuation path over a batch of thetas, numbered
+    as the batch is: m[i], and w_bar[i] with one entry per w coordinate.
+    The thetas order[:newton_from] met minimize_Q's stop test at the warm
+    start; Newton solved the rest in order, each warm-started from the
+    one before."""
+
+    m: np.ndarray
+    w_bar: np.ndarray
+    order: np.ndarray
+    newton_from: int
+
+
+def minimize_Q_path(eq: ExtendedQ, thetas: Theta) -> PathMinima:
+    """Continuation over a batch of thetas, sorted by (magnitude, number).
+
+    The stop test is taken for the whole batch as one array at the
+    closed-form theta = 0 minimizer, which warm-starts the path.  Up to
+    the first theta that fails it, each minimum is Q there (iteration 0).
+    From that theta on minimize_Q runs in order, warm-started from the
+    previous minimizer, so every result is the sequential path's."""
+    w0 = tuple(float(v) for v in eq.theta0_minimizer()[0])
+    val, grad, _ = eq.value_grad_hess(w0, thetas)
+    shape = thetas.shape
+    converged = np.broadcast_to(_stationary(val, grad)[1], shape).ravel()
+    m = np.broadcast_to(val, shape).flatten()
+    w_bar = np.tile(np.asarray(w0, dtype=float), (m.size, 1))
+    order = np.argsort(np.broadcast_to(thetas.magnitude(), shape).ravel(),
+                       kind="stable")
+    failed = np.flatnonzero(~converged[order])
+    start = int(failed[0]) if failed.size else m.size
+    w_prev = w0
+    for i in order[start:]:
+        res = minimize_Q(eq, thetas.entry(i), w0=w_prev)
+        m[i], w_bar[i], w_prev = res.m, res.w_bar, res.w_bar
+    return PathMinima(m=m, w_bar=w_bar, order=order, newton_from=start)
 
 
 # --------------------------------------------------------------- structural
@@ -572,6 +617,25 @@ def _theta_axes(eq: ExtendedQ, region: Region):
     return axes + [zx_axis] * (eq.theta_dim - len(axes))  # x_p shares z_x
 
 
+def _subgrids(shape, per_point: int):
+    """(first number, index prefix) of the sub-grids that fix the leading
+    axes of a grid numbered in C order, each of at most _BLOCK //
+    per_point points (a single point at the least)."""
+    lead = 0
+    while lead < len(shape) and per_point * math.prod(shape[lead:]) > _BLOCK:
+        lead += 1
+    size = math.prod(shape[lead:])
+    for k, prefix in enumerate(itertools.product(*map(range, shape[:lead]))):
+        yield k * size, prefix
+
+
+def _fix(v, prefix):
+    """v at an index prefix of the grid it broadcasts over, every axis kept
+    and a trailing one added."""
+    return v[tuple(slice(i, i + 1) if n > 1 else slice(None)
+                   for i, n in zip(prefix, v.shape))][..., None]
+
+
 def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
                      region: Region) -> StructuralReport:
     """Sampled verification of the reconstruction chain.
@@ -584,62 +648,76 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     on the cone with the last covector slot pinned to 1), (iv) a measured
     Lipschitz constant for m1 in t.  (i), (ii) and (iv) read one
     warm-started sweep of m1 over the slow axes.
+
+    The slow grid is one batch of thetas, exact per axis value and
+    broadcast over the grid; its samples are evaluated as float arrays,
+    and minima are taken with the lowest number winning ties.
     """
     eq = build_extended_Q(spec, STRUCTURAL_CUTOFF, mode="normalized")
     d = spec.d
-    rng = random.Random(SEED)
     delta = float(STRUCTURAL_CUTOFF.delta)
     a = build_normal_form(spec)
 
-    slow = list(itertools.product(*_theta_axes(eq, region)))
-    thetas = [eq.theta_at(v) for v in slow]
-    results = minimize_Q_path(eq, thetas)
+    axes = _theta_axes(eq, region)
+    thetas = eq.theta_at([
+        np.array(ax, dtype=object).reshape(
+            [-1 if i == j else 1 for i in range(len(axes))])
+        for j, ax in enumerate(axes)])
+    shape = thetas.shape
+    path = minimize_Q_path(eq, thetas)
+    # eps^2 once per distinct exact eps, squared as a Python float
+    eps2 = np.frompyfunc(lambda e: float(e) ** 2, 1, 1)(
+        thetas.eps).astype(float)
 
-    # (i) reconstruction floor at sampled (w, theta)
-    recon_min = math.inf
-    recon_worst = None
-    n_recon = 0
-    for theta, res in zip(thetas, results):
-        samples = [tuple(res.w_bar)]
-        if eq.w_dim:
-            for _ in range(N_W):
-                samples.append(tuple(rng.uniform(-delta, delta)
-                                     for _ in range(eq.w_dim)))
-        eps = float(theta.eps)
-        for w in samples:
-            pt = [float(v) for v in eq.substituted_point(w, theta)]
-            ahat = a.eval(pt) / eq.divisor(pt)
-            rem = spec.remainder.eval(pt)
-            margin = ahat - res.m * eps ** 2 - rem
-            scale = 1 + abs(ahat)
-            n_recon += 1
-            if margin / scale < recon_min:
-                recon_min = margin / scale
-                recon_worst = (tuple(w), theta)
+    # (i) reconstruction floor at the minimizer and N_W seeded w draws per
+    # theta, in theta order; sub-grids of thetas keep a block's samples
+    # within _BLOCK
+    rng = random.Random(SEED)
+    n, nw = path.w_bar.shape
+    draws = [rng.uniform(-delta, delta) for _ in range(n * N_W * nw)]
+    samples = path.w_bar[:, None]
+    if nw:
+        samples = np.concatenate(
+            [samples, np.reshape(draws, (n, N_W, nw))], axis=1)
+    per = samples.shape[1]
+    recon_min, recon_at = math.inf, None
+    for first, prefix in _subgrids(shape, per):
+        sub = (1,) * len(prefix) + shape[len(prefix):]
+        rows = slice(first, first + math.prod(sub))
+        pt = eq.substituted_point(
+            [samples[rows, :, j].reshape(sub + (per,)) for j in range(nw)],
+            thetas.map(lambda v: _fix(v, prefix)))
+        ahat = a.eval(pt) / eq.divisor(pt)
+        margin = (ahat - path.m[rows].reshape(sub + (1,)) * _fix(eps2, prefix)
+                  - spec.remainder.eval(pt))
+        ratio = np.broadcast_to(margin / (1 + abs(ahat)), sub + (per,))
+        k = int(np.argmin(ratio))
+        if ratio.flat[k] < recon_min:
+            recon_min, recon_at = float(ratio.flat[k]), first * per + k
+    recon_worst = None if recon_at is None else (
+        tuple(float(v) for v in samples[divmod(recon_at, per)]),
+        thetas.entry(recon_at // per))
     recon = StructuralCheck(name="reconstruction-lower-bound",
                             passed=recon_min >= -1e-9,
                             value=recon_min, worst=recon_worst,
-                            n_points=n_recon)
+                            n_points=n * per)
 
-    # (ii) t = 0 boundary: m1(0, z) shift^2 + remainder >= 0
-    bnd_min = math.inf
-    bnd_worst = None
-    n_bnd = 0
-    for v, theta, res in zip(slow, thetas, results):
-        if v[0] != 0:
-            continue
-        rem = spec.remainder.eval(
-            eq.substituted_point((0.0,) * eq.w_dim, theta))
-        shift = -float(theta.eps)  # phi(z) resp. x_p at t = 0
-        val = res.m * shift ** 2 + rem
-        n_bnd += 1
-        if val < bnd_min:
-            bnd_min = val
-            bnd_worst = (theta.z_x, theta.z_xi, theta.x_p)
+    # (ii) t = 0 boundary: m1(0, z) shift^2 + remainder >= 0, with
+    # shift = -eps = phi(z) resp. x_p; the t = 0 thetas come first
+    edge = thetas.map(lambda v: v[:1])
+    rem = spec.remainder.eval(
+        eq.substituted_point((0.0,) * nw, edge))
+    bnd = np.broadcast_to(path.m.reshape(shape)[:1] * eps2[:1] + rem,
+                          edge.shape).ravel()
+    k = int(np.argmin(bnd))
+    bnd_min, bnd_worst = math.inf, None
+    if bnd[k] < bnd_min:
+        th = thetas.entry(k)
+        bnd_min, bnd_worst = float(bnd[k]), (th.z_x, th.z_xi, th.x_p)
     boundary = StructuralCheck(name="zero-time-boundary",
                                passed=bnd_min >= -1e-9,
                                value=bnd_min, worst=bnd_worst,
-                               n_points=n_bnd)
+                               n_points=bnd.size)
 
     # (iii) branch floors on the pinned cone
     eta = region.denominator_floor()
@@ -669,22 +747,13 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
                 worst=(cone.point(res.min_flat),), n_points=res.n_included))
 
     # (iv) Lipschitz constant of m1 in t over the theta sweep
-    m_at = {}
-    for v, res in zip(slow, results):
-        m_at.setdefault(v[1:], {})[v[0]] = res.m
-    lip = 0.0
-    n_lip = 0
-    for key, by_t in m_at.items():
-        base = by_t.get(Fraction(0))
-        if base is None:
-            continue
-        for t, m in by_t.items():
-            if t > 0:
-                lip = max(lip, abs(m - base) / float(t))
-                n_lip += 1
+    by_t = path.m.reshape(len(axes[0]), -1)
+    t_pos = np.array([float(v) for v in axes[0][1:]])[:, None]
+    slopes = np.abs(by_t[1:] - by_t[0]) / t_pos
+    lip = max(0.0, float(slopes.max()))
     lipschitz = StructuralCheck(name="minimum-lipschitz",
                                 passed=math.isfinite(lip), value=lip,
-                                worst=None, n_points=n_lip)
+                                worst=None, n_points=slopes.size)
 
     checks = (recon, boundary, floors[0], floors[1], lipschitz)
     meta = dict(region.metadata())

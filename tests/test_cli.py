@@ -401,7 +401,9 @@ def test_main_check_frame(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_thread_count_invariance(tmp_path, monkeypatch):
+def test_main_report_does_not_depend_on_environment(tmp_path, monkeypatch):
+    # two certify runs in one process, under different settings of a
+    # variable the package once read: the report bytes are the same
     outputs = []
     for threads in ("1", "4"):
         monkeypatch.setenv("HYPCERT_THREADS", threads)

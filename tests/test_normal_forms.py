@@ -9,6 +9,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypcert import (
@@ -591,6 +592,24 @@ def test_deep_chain_structural_passes():
     spec = deep_chain_specs()["form1-p2-d3"]
     cert = construct_time_function(spec, slack=F(1, 100))
     assert check_structural(spec, cert, Region(grid=5)).passed
+
+
+@pytest.mark.parametrize("slope,x2,named", [
+    (4, 0.25, "(0, 0, 1/4, 0, 0, 1)"),
+    # 3 * float(1/3) rounds to 1: zero in floats, not exactly
+    (3, 1 / 3, "(0.0, 0.0, 0.3333333333333333, 0.0, 0.0, 1.0)"),
+])
+def test_divisor_names_first_zero_of_an_array(slope, x2, named):
+    t, xs, tau, xis = phase_variables(2)
+    spec = NormalFormSpec(variant="form2", d=2, p=1, q=(xis[1] ** 2,),
+                          r=(1 - slope * xs[1],), g=xs[0] ** 3 * xis[1] ** 2)
+    Q = qext(spec, mode="normalized")
+    column = np.array([0.0, x2, x2])[:, None]
+    with pytest.raises(InvariantViolation) as ei:
+        Q.divisor([0.0, np.zeros((1, 2)), column, 0.0, 0.0, 1.0])
+    assert ei.value.field == "r1"
+    assert str(ei.value).startswith("r1: vanishes at (t, x, tau, xi) = %s,"
+                                    % named)
 
 
 # ----------------------------------------------------- derivatives (floats)

@@ -1,9 +1,12 @@
 """Grid certification: scans, ratio estimates, minimizer, structural checks."""
 
 import inspect
+import itertools
 import math
+import random
 import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from hypcert import (
     Theta,
     build_cutoff,
     build_extended_Q,
+    build_normal_form,
     certify_region,
     check_side_conditions,
     check_structural,
@@ -29,9 +33,13 @@ from hypcert import (
     minimize_Q_path,
     verify_nonnegativity,
 )
+from hypcert.symbolfile import parse_symbol_file
 from hypcert.symbols import DimensionMismatch, phase_variables
 from hypcert import verifier
 from hypcert.verifier import MAX_SCAN_POINTS, TensorGrid, region_axes
+from test_normal_forms import deep_chain_specs
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
 
@@ -365,14 +373,14 @@ def test_minimize_dominates_probes():
 
 def test_minimize_path_matches_cold_starts():
     eq = build_extended_Q(crit7_spec(F(1, 2)), build_cutoff(F(1, 2)))
-    thetas = [eq.pinned_theta(tt, (zx,), (zxi,))
-              for tt, zx, zxi in [(F(1, 20), F(1, 40), F(-1, 50)),
-                                  (0, 0, 0),
-                                  (F(1, 100), F(-1, 80), F(1, 100))]]
+    slow = [(F(1, 20), F(1, 40), F(-1, 50)), (0, 0, 0),
+            (F(1, 100), F(-1, 80), F(1, 100))]
+    # one batch of the three thetas: (t, z_x, z_xi) as parallel arrays
+    thetas = eq.theta_at([np.array(col, dtype=object) for col in zip(*slow)])
     path = minimize_Q_path(eq, thetas)
-    cold = [minimize_Q(eq, th) for th in thetas]
-    for a, b in zip(path, cold):
-        assert abs(a.m - b.m) <= 1e-10
+    cold = [minimize_Q(eq, eq.theta_at(v)) for v in slow]
+    for m, b in zip(path.m, cold):
+        assert abs(m - b.m) <= 1e-10
 
 
 def test_envelope_derivative_matches_fd():
@@ -425,22 +433,161 @@ def test_structural_b2_boundary_margin_is_zero(small_region):
     assert checks["reconstruction-lower-bound"].value >= -1e-9
 
 
-def test_structural_solves_each_theta_once(small_region, monkeypatch):
-    # b2 has 5^4 slow points (t, z_x, z_xi, x_p); the t = 0 boundary
-    # reads its 5^3 minima from the same sweep
-    calls = []
-    original = verifier.minimize_Q
+def _sweep(spec, region, monkeypatch):
+    """check_structural's report, its continuation path with the batch of
+    thetas it ran over, and the thetas minimize_Q was called for."""
+    paths, solved = [], []
+    path_fn, solve_fn = verifier.minimize_Q_path, verifier.minimize_Q
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def path_spy(eq, thetas):
+        paths.append((eq, thetas, path_fn(eq, thetas)))
+        return paths[-1][2]
 
-    monkeypatch.setattr(verifier, "minimize_Q", counted)
-    spec = b2_spec()
+    def solve_spy(eq, theta, w0=None):
+        solved.append(theta)
+        return solve_fn(eq, theta, w0)
+
+    monkeypatch.setattr(verifier, "minimize_Q_path", path_spy)
+    monkeypatch.setattr(verifier, "minimize_Q", solve_spy)
     cert = construct_time_function(spec, slack=F(1, 100))
-    rep = check_structural(spec, cert, small_region)
-    assert rep.passed and len(calls) == 5 ** 4 == len(set(calls))
+    rep = check_structural(spec, cert, region)
+    (eq, thetas, path), = paths
+    return rep, eq, thetas, path, solved
+
+
+def _assert_solved_once(eq, thetas, path, solved):
+    """Each theta is solved once: the array stop test takes the sorted
+    thetas before the first one it fails, Newton the rest, in order."""
+    n = path.m.size
+    newton = [thetas.entry(i) for i in path.order[path.newton_from:]]
+    assert solved == newton and len(set(solved)) == len(solved)
+    assert sorted(path.order) == list(range(n))
+    assert path.newton_from + len(solved) == n
+    # the stop test at the theta = 0 minimizer holds for each theta
+    # before newton_from in sorted order and fails at newton_from; a cold
+    # start gives the array-tested minima at iteration 0
+    w0 = tuple(float(v) for v in eq.theta0_minimizer()[0])
+    for pos, i in enumerate(path.order[:path.newton_from + 1]):
+        theta = thetas.entry(i)
+        val, grad, _ = eq.value_grad_hess(w0, theta)
+        assert verifier._stationary(val, grad)[1] == (pos < path.newton_from)
+        if pos < path.newton_from:
+            res = minimize_Q(eq, theta)
+            assert res.iterations == 0 and res.m == path.m[i]
+
+
+def test_structural_solves_each_theta_once(small_region, monkeypatch):
+    # b2 has 5^4 slow points (t, z_x, z_xi, x_p), every one met by the
+    # array stop test; the t = 0 boundary reads its 5^3 minima from the
+    # same sweep
+    rep, eq, thetas, path, solved = _sweep(b2_spec(), small_region,
+                                           monkeypatch)
+    assert rep.passed and path.m.size == 5 ** 4
+    _assert_solved_once(eq, thetas, path, solved)
+    assert path.newton_from == 5 ** 4 and solved == []
     assert _by_name(rep)["zero-time-boundary"].n_points == 5 ** 3
+
+
+def test_structural_newton_starts_at_first_failing_theta(monkeypatch):
+    # the deep chain's factors move with w: theta = 0 meets the stop test
+    # at its closed-form minimizer, and Newton takes over from the next
+    # theta in sorted order
+    rep, eq, thetas, path, solved = _sweep(
+        deep_chain_specs()["form1-p2-d3"], Region(grid=5), monkeypatch)
+    assert rep.passed and path.m.size == 5 ** 3
+    _assert_solved_once(eq, thetas, path, solved)
+    assert 0 < path.newton_from < 5 ** 3
+
+
+def _structural_reference(spec, region):
+    """Checks (i), (ii) and (iv) of check_structural written per theta:
+    minimize_Q along the sorted path over every Theta, then one scalar
+    evaluation per sample, folded with strict comparisons."""
+    eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
+    a = build_normal_form(spec)
+    rng = random.Random(verifier.SEED)
+    delta = float(verifier.STRUCTURAL_CUTOFF.delta)
+    slow = list(itertools.product(*verifier._theta_axes(eq, region)))
+    thetas = [eq.theta_at(v) for v in slow]
+
+    def magnitude(th):
+        return float(abs(th.t) + sum(map(abs, th.z_x + th.z_xi))
+                     + abs(th.x_p or 0))
+
+    results = [None] * len(thetas)
+    w_prev = None
+    for i in sorted(range(len(thetas)),
+                    key=lambda i: (magnitude(thetas[i]), i)):
+        results[i] = minimize_Q(eq, thetas[i], w0=w_prev)
+        w_prev = results[i].w_bar
+
+    recon_min, recon_worst, n_recon = math.inf, None, 0
+    for theta, res in zip(thetas, results):
+        samples = [tuple(res.w_bar)]
+        if eq.w_dim:
+            for _ in range(verifier.N_W):
+                samples.append(tuple(rng.uniform(-delta, delta)
+                                     for _ in range(eq.w_dim)))
+        for w in samples:
+            pt = [float(v) for v in eq.substituted_point(w, theta)]
+            ahat = a.eval(pt) / eq.divisor(pt)
+            margin = (ahat - res.m * float(theta.eps) ** 2
+                      - spec.remainder.eval(pt))
+            n_recon += 1
+            if margin / (1 + abs(ahat)) < recon_min:
+                recon_min = margin / (1 + abs(ahat))
+                recon_worst = (tuple(w), theta)
+
+    bnd_min, bnd_worst, n_bnd = math.inf, None, 0
+    for v, theta, res in zip(slow, thetas, results):
+        if v[0] == 0:
+            rem = spec.remainder.eval(
+                eq.substituted_point((0.0,) * eq.w_dim, theta))
+            val = res.m * (-float(theta.eps)) ** 2 + rem
+            n_bnd += 1
+            if val < bnd_min:
+                bnd_min, bnd_worst = val, (theta.z_x, theta.z_xi, theta.x_p)
+
+    base = {v[1:]: res.m for v, res in zip(slow, results) if v[0] == 0}
+    lip, n_lip = 0.0, 0
+    for v, res in zip(slow, results):
+        if v[0] > 0:
+            lip = max(lip, abs(res.m - base[v[1:]]) / float(v[0]))
+            n_lip += 1
+    return {"reconstruction-lower-bound": (recon_min, recon_min >= -1e-9,
+                                           n_recon, recon_worst),
+            "zero-time-boundary": (bnd_min, bnd_min >= -1e-9, n_bnd,
+                                   bnd_worst),
+            "minimum-lipschitz": (lip, math.isfinite(lip), n_lip, None)}
+
+
+@pytest.mark.parametrize("name", ["b1", "b2", "classical", "form1-p2-d3"])
+def test_structural_matches_per_theta_reference(name):
+    if name in deep_chain_specs():
+        spec = deep_chain_specs()[name]
+    else:
+        spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
+    region = Region(grid=5)
+    cert = construct_time_function(spec, slack=F(1, 100))
+    checks = _by_name(check_structural(spec, cert, region))
+    for check, want in _structural_reference(spec, region).items():
+        got = checks[check]
+        # repr tells -0.0 from 0.0 and a Fraction from an equal float
+        assert repr((got.value, got.passed, got.n_points, got.worst)) \
+            == repr(want), check
+
+
+def test_structural_d3_passes():
+    # b1 lifted to d = 3: 5^7 slow points, one sample each (w_dim = 0)
+    t, (x1, x2, x3), tau, (xi1, xi2, xi3) = phase_variables(3)
+    spec = NormalFormSpec(variant="form1", d=3, p=0, q=(xi3 ** 2,), r=(),
+                          phi=x1, psi=x1 ** 3)
+    cert = construct_time_function(spec, slack=F(1, 100))
+    rep = check_structural(spec, cert, Region(grid=9))
+    assert rep.passed
+    checks = _by_name(rep)
+    assert checks["reconstruction-lower-bound"].n_points == 5 ** 7
+    assert checks["zero-time-boundary"].n_points == 5 ** 6
 
 
 @pytest.mark.parametrize("fn,params", [
