@@ -526,7 +526,10 @@ class ExtendedQ:
         return 1 + 2 * k + (1 if self.spec.variant == "form2" else 0)
 
     def theta_at(self, v: Sequence) -> Theta:
-        """pinned_theta of the flat slow vector (t, z_x, z_xi[, x_p])."""
+        """pinned_theta of the flat slow vector (t, z_x, z_xi[, x_p]); its
+        entries may be object arrays of exact values that broadcast
+        together, which gives a batch (phi is then evaluated once per
+        distinct z it reads)."""
         k = self.spec.d - self.spec.p
         x_p = v[1 + 2 * k] if self.spec.variant == "form2" else None
         return self.pinned_theta(v[0], v[1:1 + k], v[1 + k:1 + 2 * k], x_p=x_p)

@@ -665,7 +665,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
         for j, ax in enumerate(axes)])
     shape = thetas.shape
     path = minimize_Q_path(eq, thetas)
-    # eps^2 once per distinct exact eps, squared as a Python float
+    # eps^2 once per distinct eps, as Python's float ** 2 (libm pow), which
+    # numpy's square can differ from in the last bit
     eps2 = np.frompyfunc(lambda e: float(e) ** 2, 1, 1)(
         thetas.eps).astype(float)
 

@@ -127,9 +127,17 @@ def test_block_budget_does_not_change_results(budget, monkeypatch):
                 (math.inf, xb > 0), (-math.inf, xb > 0), (xa, yb > 0)]
 
     reference = TensorGrid(2, region_axes(Region(grid=5), 2)).scan(fn)
+    # so is the structural check, whose samples (5^5 of b1, 5^4 x 17 of
+    # b2) are split into sub-grids of thetas below 2^18
+    certs = [(spec, construct_time_function(spec, slack=F(1, 100)))
+             for spec in (b1_spec(), b2_spec())]
+    structural = [repr(check_structural(spec, cert, Region(grid=5)))
+                  for spec, cert in certs]
     monkeypatch.setattr(verifier, "_BLOCK", budget)
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
     assert grid.scan(fn) == reference
+    assert [repr(check_structural(spec, cert, Region(grid=5)))
+            for spec, cert in certs] == structural
     assert reference[3].n_included == 0 and reference[3].min_flat == -1
     # +inf never beats the fold's start for a minimum, nor -inf for a
     # maximum; the other extremum is the first included node, x_2 = 1/20
@@ -455,13 +463,20 @@ def _sweep(spec, region, monkeypatch):
     return rep, eq, thetas, path, solved
 
 
+def _magnitude(theta):
+    """The continuation key's exact L1 norm, rounded once."""
+    return float(abs(theta.t) + sum(map(abs, theta.z_x + theta.z_xi))
+                 + abs(theta.x_p or 0))
+
+
 def _assert_solved_once(eq, thetas, path, solved):
     """Each theta is solved once: the array stop test takes the sorted
     thetas before the first one it fails, Newton the rest, in order."""
     n = path.m.size
+    keys = [(_magnitude(thetas.entry(i)), i) for i in path.order]
+    assert keys == sorted(keys) and len(keys) == len(set(keys)) == n
     newton = [thetas.entry(i) for i in path.order[path.newton_from:]]
     assert solved == newton and len(set(solved)) == len(solved)
-    assert sorted(path.order) == list(range(n))
     assert path.newton_from + len(solved) == n
     # the stop test at the theta = 0 minimizer holds for each theta
     # before newton_from in sorted order and fails at newton_from; a cold
@@ -509,15 +524,10 @@ def _structural_reference(spec, region):
     delta = float(verifier.STRUCTURAL_CUTOFF.delta)
     slow = list(itertools.product(*verifier._theta_axes(eq, region)))
     thetas = [eq.theta_at(v) for v in slow]
-
-    def magnitude(th):
-        return float(abs(th.t) + sum(map(abs, th.z_x + th.z_xi))
-                     + abs(th.x_p or 0))
-
     results = [None] * len(thetas)
     w_prev = None
     for i in sorted(range(len(thetas)),
-                    key=lambda i: (magnitude(thetas[i]), i)):
+                    key=lambda i: (_magnitude(thetas[i]), i)):
         results[i] = minimize_Q(eq, thetas[i], w0=w_prev)
         w_prev = results[i].w_bar
 
@@ -561,13 +571,18 @@ def _structural_reference(spec, region):
             "minimum-lipschitz": (lip, math.isfinite(lip), n_lip, None)}
 
 
-@pytest.mark.parametrize("name", ["b1", "b2", "classical", "form1-p2-d3"])
-def test_structural_matches_per_theta_reference(name):
+@pytest.mark.parametrize("name,region", [
+    ("b1", Region(grid=5)), ("b2", Region(grid=5)),
+    ("classical", Region(grid=5)), ("form1-p2-d3", Region(grid=5)),
+    # the worst sample here has an eps whose pow(eps, 2) is not eps * eps
+    ("b1", Region(grid=5, t_max=F(1, 217), x_half=F(2, 217),
+                  xi_half=F(2, 217))),
+], ids=["b1", "b2", "classical", "form1-p2-d3", "b1-eps-squared"])
+def test_structural_matches_per_theta_reference(name, region):
     if name in deep_chain_specs():
         spec = deep_chain_specs()[name]
     else:
         spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
-    region = Region(grid=5)
     cert = construct_time_function(spec, slack=F(1, 100))
     checks = _by_name(check_structural(spec, cert, region))
     for check, want in _structural_reference(spec, region).items():
