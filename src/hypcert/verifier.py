@@ -675,11 +675,12 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     # within _BLOCK
     rng = random.Random(SEED)
     n, nw = path.w_bar.shape
-    draws = [rng.uniform(-delta, delta) for _ in range(n * N_W * nw)]
+    draws = np.fromiter((rng.uniform(-delta, delta)
+                         for _ in range(n * N_W * nw)), float, n * N_W * nw)
     samples = path.w_bar[:, None]
     if nw:
         samples = np.concatenate(
-            [samples, np.reshape(draws, (n, N_W, nw))], axis=1)
+            [samples, draws.reshape(n, N_W, nw)], axis=1)
     per = samples.shape[1]
     recon_min, recon_at = math.inf, None
     for first, prefix in _subgrids(shape, per):
