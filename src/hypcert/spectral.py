@@ -3,8 +3,11 @@
 The Hamilton map of a quadratic form Q(v) = v^T M v on phase coordinates
 (t, x, tau, xi) is F = J M where J = [[0, I], [-I, 0]] splits positions
 u = (t, x) from momenta v = (tau, xi).  Because J M is similar to its
-negative transpose, the characteristic polynomial of F is even; the
-spectrum is computed from that exact rational polynomial: zero roots are
+negative transpose, the characteristic polynomial of F is even.  It is
+computed exactly in Python ints: F is scaled by the lcm of its entry
+denominators to an integer matrix, and the Faddeev-LeVerrier recursion
+runs over that matrix's nonzero entries only (a Hamilton map of a jet
+has few).  The spectrum comes from that exact polynomial: zero roots are
 deflated exactly (no spurious eigenvalues from defective zero blocks)
 and the nonzero ones come from companion-matrix root-finding on the
 polynomial in mu = lambda^2.  A symbol is effectively hyperbolic at a
@@ -14,6 +17,7 @@ double characteristic when F has a real nonzero eigenvalue there.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -42,6 +46,10 @@ class CrossTermsPresent(ValueError):
 
 class NonPositiveInput(ValueError):
     """Chain / elliptic coefficients must be strictly positive."""
+
+
+class InexactTrace(ArithmeticError):
+    """An integer Faddeev-LeVerrier trace was not divisible by its step."""
 
 
 @dataclass(frozen=True)
@@ -90,24 +98,37 @@ def hamilton_map(jet: QuadraticJet) -> HamiltonMap:
 def charpoly_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, ...]:
     """Monic characteristic polynomial det(lambda I - A), exact rationals.
 
-    Faddeev-LeVerrier recursion; O(n^4) Fraction operations, fine for the
-    small matrices handled here.
+    Faddeev-LeVerrier recursion in Python ints: A is scaled by D, the lcm
+    of its entry denominators, to the integer matrix B = D A, and the
+    recursion runs over each row's nonzero entries of B only.  Every
+    c_k(B) is an integer, so the trace division by k is exact, and
+    c_k(A) = c_k(B) / D^k.
     """
     n = len(rows)
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        mk[i][i] = Fraction(1)
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    sparse = [[(j, v.numerator * (scale // v.denominator))
+               for j, v in enumerate(row) if v]
+              for row in rows]
+    coeffs = [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        # mk <- A (mk + c_{k-1} I), with c_0 folded in at k = 1
+        # mk <- B (mk + c_{k-1} I), with c_0 folded in at k = 1
         prev = mk
-        mk = [[sum(rows[i][l] * prev[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-        ck = -sum(mk[i][i] for i in range(n)) / k
+        mk = []
+        for row in sparse:
+            acc = [0] * n
+            for l, b in row:
+                acc = [x + b * y for x, y in zip(acc, prev[l])]
+            mk.append(acc)
+        trace = sum(mk[i][i] for i in range(n))
+        ck, rem = divmod(-trace, k)
+        if rem:
+            raise InexactTrace("step %d: trace %d is not divisible by %d"
+                               % (k, trace, k))
         coeffs.append(ck)
         for i in range(n):
             mk[i][i] += ck
-    return tuple(coeffs)
+    return tuple(Fraction(c, scale ** k) for k, c in enumerate(coeffs))
 
 
 def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:

@@ -675,8 +675,10 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     # within _BLOCK
     rng = random.Random(SEED)
     n, nw = path.w_bar.shape
-    draws = np.fromiter((rng.uniform(-delta, delta)
-                         for _ in range(n * N_W * nw)), float, n * N_W * nw)
+    # random.uniform(-delta, delta)'s own formula on the same draws, so
+    # the values are bit-identical to drawing them one uniform at a time
+    draws = -delta + (delta - -delta) * np.fromiter(
+        (rng.random() for _ in range(n * N_W * nw)), float, n * N_W * nw)
     samples = path.w_bar[:, None]
     if nw:
         samples = np.concatenate(

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypcert.spectral import (
     BlockFactorization,
@@ -70,6 +72,96 @@ def test_charpoly_faddeev_leverrier():
     # companion-style cross-check on a known matrix
     rows = ((Fraction(2), Fraction(1)), (Fraction(0), Fraction(3)))
     assert charpoly_exact(rows) == (F1, Fraction(-5), Fraction(6))
+
+
+# ----------------------------------------- integer recursion vs. Fractions
+
+
+def reference_charpoly(rows):
+    """Faddeev-LeVerrier in Fractions over the dense matrix, the reference
+    for the integer recursion of charpoly_exact."""
+    n = len(rows)
+    coeffs = [F1]
+    mk = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prev = mk
+        mk = [[sum((rows[i][l] * prev[l][j] for l in range(n)), F0)
+               for j in range(n)] for i in range(n)]
+        ck = -sum((mk[i][i] for i in range(n)), F0) / k
+        coeffs.append(ck)
+        for i in range(n):
+            mk[i][i] += ck
+    return tuple(coeffs)
+
+
+def assert_same_charpoly(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is Fraction
+        assert g == w
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+entries = st.one_of(
+    st.just(F0),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def rational_matrices(draw):
+    """n = 1..8, sparse, negative entries, denominators up to 10^6, with
+    some whole rows and columns zeroed."""
+    n = draw(st.integers(1, 8))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        rows[i] = [F0] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in rows:
+            row[j] = F0
+    return rows
+
+
+@st.composite
+def symmetric_jets(draw, split=False):
+    """Random symmetric jet in d = 0..3; when split, with a random block
+    partition and no entry coupling its conjugate pairs to the rest."""
+    d = draw(st.integers(1 if split else 0, 3))
+    n = 2 * (d + 1)
+    partition = (draw(st.frozensets(st.integers(0, d), min_size=1, max_size=d))
+                 if split else None)
+    rows = [[F0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if split and (i % (d + 1) in partition) != (j % (d + 1) in partition):
+                continue
+            rows[i][j] = rows[j][i] = draw(entries)
+    return jet_from(rows, d, partition)
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_charpoly_matches_fraction_reference(rows):
+    assert_same_charpoly(charpoly_exact(rows), reference_charpoly(rows))
+
+
+@PROPERTY
+@given(symmetric_jets())
+def test_charpoly_of_hamilton_map_matches_reference_and_is_even(jet):
+    got = charpoly_exact(hamilton_map(jet).exact)
+    assert_same_charpoly(got, reference_charpoly(hamilton_map(jet).exact))
+    assert all(c == 0 for c in got[1::2])
+
+
+@PROPERTY
+@given(symmetric_jets(split=True))
+def test_block_factorization_exact_on_random_split_jets(jet):
+    fac = block_char_factorization(jet)
+    assert fac.max_coeff_dev == 0
+    assert_same_charpoly(fac.full, reference_charpoly(hamilton_map(jet).exact))
 
 
 # ------------------------------------------------------------------ spectrum
@@ -200,8 +292,10 @@ def _coupled_blocks_jet(partition=None):
 
 
 def test_block_factorization_exact_on_split_form():
-    fac = block_char_factorization(_coupled_blocks_jet({0, 1}))
+    jet = _coupled_blocks_jet({0, 1})
+    fac = block_char_factorization(jet)
     assert fac.max_coeff_dev == 0.0
+    assert_same_charpoly(fac.full, reference_charpoly(hamilton_map(jet).exact))
     assert fac.full == fac.product
     # harmonic B block contributes lambda^2 + 1
     assert fac.factors[1] == (F1, F0, F1)
@@ -214,9 +308,11 @@ def test_block_factorization_zero_block_gives_pure_power():
     rows[0][1] = rows[1][0] = -F1
     rows[3][3] = -F1
     rows[4][4] = Fraction(1, 2)
-    fac = block_char_factorization(jet_from(rows, d=2, partition={0, 1}))
+    jet = jet_from(rows, d=2, partition={0, 1})
+    fac = block_char_factorization(jet)
     assert fac.factors[1] == (F1, F0, F0)  # lambda^(2|B|), one pair in B
     assert fac.max_coeff_dev == 0.0
+    assert_same_charpoly(fac.full, reference_charpoly(hamilton_map(jet).exact))
 
 
 def test_block_factorization_rejects_cross_terms():
