@@ -151,8 +151,9 @@ def test_charpoly_matches_fraction_reference(rows):
 @PROPERTY
 @given(symmetric_jets())
 def test_charpoly_of_hamilton_map_matches_reference_and_is_even(jet):
-    got = charpoly_exact(hamilton_map(jet).exact)
-    assert_same_charpoly(got, reference_charpoly(hamilton_map(jet).exact))
+    rows = hamilton_map(jet).exact
+    got = charpoly_exact(rows)
+    assert_same_charpoly(got, reference_charpoly(rows))
     assert all(c == 0 for c in got[1::2])
 
 
