@@ -1,9 +1,9 @@
 """Pipeline orchestration and report emission.
 
 certify runs: singular-point check -> classification -> side conditions
--> time function -> grid certificates, short-circuiting on the first
-failing stage.  Reports are deterministic: identical input bytes and
-options produce identical output bytes.
+-> time function -> region scan -> structural check, short-circuiting on
+the first failing stage.  Reports are deterministic: identical input
+bytes and options produce identical output bytes.
 
 Exit codes: 0 CERTIFIED, 1 FAILED (and NOT_APPLICABLE under certify),
 2 MARGINAL, 3 usage or unreadable input.  `classify` exits 0 when the
@@ -32,7 +32,6 @@ from hypcert.spectral import NoConvergence, classify_effective_hyperbolicity
 from hypcert.symbols import (
     DimensionMismatch,
     NotSingular,
-    PhasePoint,
     PolySymbol,
     check_frame,
 )
@@ -41,15 +40,16 @@ from hypcert.symbolfile import (
     SchemaError,
     SymbolFile,
     parse_symbol_file,
+    point_obj,
     poly_terms,
 )
 from hypcert.time_functions import construct_time_function
 from hypcert.verifier import (
-    AllPointsDegenerate,
     HessianDegenerate,
     STRUCTURAL_CUTOFF,
     ScanTooLarge,
     certify_region,
+    check_structural,
     minimize_Q,
 )
 
@@ -87,15 +87,6 @@ def _complex_obj(z):
     return None if z is None else {"re": _num(z.real), "im": _num(z.imag)}
 
 
-def _point_obj(pt):
-    if pt is None:
-        return None
-    if isinstance(pt, PhasePoint):
-        return {"t": str(pt.t), "x": [str(v) for v in pt.x],
-                "tau": str(pt.tau), "xi": [str(v) for v in pt.xi]}
-    return [str(v) for v in pt]
-
-
 def _frac(v):
     return None if v is None else str(v)
 
@@ -121,7 +112,7 @@ def _side_obj(rep) -> dict:
         # NormalFormSpec enforces q, r > 0 at the base point on construction
         "positivity_ok": True,
         "one_sided_ok": rep.one_sided_ok,
-        "one_sided_witness": _point_obj(rep.one_sided_witness),
+        "one_sided_witness": point_obj(rep.one_sided_witness),
         "grid": rep.grid,
         "notes": list(rep.notes),
     }
@@ -142,45 +133,42 @@ def _timefn_obj(cert) -> dict:
     }
 
 
-def _certificate_obj(report) -> dict:
+def _certificate_obj(report, structural) -> dict:
     nonneg, c, kappa = report.nonneg, report.c, report.kappa
-    obj = {
+    return {
         "label": "empirical",
         "nonneg": {
             "passed": nonneg.passed,
             "min_value": _num(nonneg.min_value),
-            "witness": _point_obj(nonneg.witness),
+            "witness": point_obj(nonneg.witness),
             "n_points": nonneg.n_points,
         },
         "one_sided": nonneg.negative_side.found_negative,
         "negative_side": {
             "found_negative": nonneg.negative_side.found_negative,
-            "witness": _point_obj(nonneg.negative_side.witness),
+            "witness": point_obj(nonneg.negative_side.witness),
             "value": None if nonneg.negative_side.value is None
             else _num(nonneg.negative_side.value),
         },
         "c_est": _num(c.value),
-        "c_witness": _point_obj(c.witness),
+        "c_witness": point_obj(c.witness),
         "c_excluded": c.n_excluded,
         "c_total": c.n_total,
         "kappa_est": _num(kappa.value),
-        "kappa_witness": _point_obj(kappa.witness),
+        "kappa_witness": point_obj(kappa.witness),
         "kappa_excluded": kappa.n_excluded,
         "kappa_total": kappa.n_total,
         "eta_den": _num(c.eta_den),
         "grid": c.grid,
-    }
-    structural = report.structural
-    if structural is not None:
-        obj["structural"] = {
+        "structural": {
             "passed": structural.passed,
             "checks": [{"name": ch.name, "passed": ch.passed,
                         "value": None if ch.value is None else _num(ch.value),
                         "n_points": ch.n_points}
                        for ch in structural.checks],
             "grid": structural.grid,
-        }
-    return obj
+        },
+    }
 
 
 # ---------------------------------------------------------------- pipeline
@@ -255,22 +243,27 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     except ValueError as exc:
         return Report(status="FAILED", stage="time-function", reason=str(exc),
                       classification=cls_obj, side_conditions=side_obj, **base)
-    tf_obj = _timefn_obj(cert)
+    so_far = dict(classification=cls_obj, side_conditions=side_obj,
+                  time_function=_timefn_obj(cert), **base)
 
     try:
-        cr = certify_region(sf.a, cert.phi, sf.region, spec=spec, cert=cert)
-    except (AllPointsDegenerate, HessianDegenerate, NoConvergence,
-            DimensionMismatch, ScanTooLarge, InvariantViolation) as exc:
+        cr = certify_region(sf.a, cert.phi, sf.region)
+        for est in (cr.c, cr.kappa):
+            if est.n_included == 0:
+                return Report(status="FAILED", stage="verify",
+                              reason="all %d grid points fell below eta_den"
+                              % est.n_total, **so_far)
+        structural = check_structural(spec, cert, sf.region)
+    except (HessianDegenerate, NoConvergence, DimensionMismatch,
+            ScanTooLarge, InvariantViolation) as exc:
         return Report(status="FAILED", stage="verify", reason=str(exc),
-                      classification=cls_obj, side_conditions=side_obj,
-                      time_function=tf_obj, **base)
-    cert_obj = _certificate_obj(cr)
+                      **so_far)
 
     gates = (
         ("nonnegativity on t >= 0", cr.nonneg.passed),
         ("c_est > 0", cr.c_est > 0),
         ("kappa_est < 1", cr.kappa_est < 1),
-        ("structural checks", cr.structural.passed),
+        ("structural checks", structural.passed),
     )
     failing = [name for name, ok in gates if not ok]
     if failing:
@@ -280,8 +273,7 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     else:
         status, reason = "CERTIFIED", None
     return Report(status=status, reason=reason, stage="done",
-                  classification=cls_obj, side_conditions=side_obj,
-                  time_function=tf_obj, certificate=cert_obj, **base)
+                  certificate=_certificate_obj(cr, structural), **so_far)
 
 
 def exit_code(report: Report) -> int:
@@ -312,9 +304,10 @@ def _fmt_complex(z: dict) -> str:
 
 
 def _report_dict(report: Report) -> dict:
-    doc = dataclasses.asdict(report)
-    return {k: v for k, v in doc.items() if v is not None or
-            k in ("reason",)}
+    """The report's fields, read as they are (no deep copy), None ones
+    dropped except reason."""
+    return {k: v for k, v in vars(report).items()
+            if v is not None or k == "reason"}
 
 
 def _text_lines(report: Report):
@@ -361,14 +354,12 @@ def _text_lines(report: Report):
         lines.append("kappa estimate: %r (empirical; gate kappa < 1: %s)"
                      % (ct["kappa_est"],
                         "pass" if ct["kappa_est"] < 1 else "FAIL"))
-        st = ct.get("structural")
-        if st is not None:
-            parts = ", ".join("%s=%s" % (c["name"],
-                                         "n/a" if c["value"] is None
-                                         else "%r" % c["value"])
-                              for c in st["checks"])
-            lines.append("structural: %s (%s)"
-                         % ("pass" if st["passed"] else "FAIL", parts))
+        st = ct["structural"]
+        parts = ", ".join("%s=%s" % (c["name"], "n/a" if c["value"] is None
+                                     else "%r" % c["value"])
+                          for c in st["checks"])
+        lines.append("structural: %s (%s)"
+                     % ("pass" if st["passed"] else "FAIL", parts))
         g = ct["grid"]
         lines.append("grid: %d per axis; t_max %s; x_half %s; xi_half %s; "
                      "eta_den %r" % (g["grid"], g["t_max"], g["x_half"],

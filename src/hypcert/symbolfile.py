@@ -296,9 +296,15 @@ def poly_terms(p: PolySymbol) -> List[dict]:
     return out
 
 
-def _point_obj(pt: PhasePoint) -> dict:
-    return {"t": str(pt.t), "x": [str(v) for v in pt.x],
-            "tau": str(pt.tau), "xi": [str(v) for v in pt.xi]}
+def point_obj(pt):
+    """A PhasePoint as its named coordinates, a plain sequence of exact
+    values as a list, None as None."""
+    if pt is None:
+        return None
+    if isinstance(pt, PhasePoint):
+        return {"t": str(pt.t), "x": [str(v) for v in pt.x],
+                "tau": str(pt.tau), "xi": [str(v) for v in pt.xi]}
+    return [str(v) for v in pt]
 
 
 def _normal_form_obj(spec: NormalFormSpec) -> dict:
@@ -330,7 +336,7 @@ def _options_obj(options: Options) -> dict:
 
 def serialize_symbol_file(sf: SymbolFile) -> bytes:
     doc = {"schema": sf.schema, "d": sf.d,
-           "base_point": _point_obj(sf.base_point),
+           "base_point": point_obj(sf.base_point),
            "terms": poly_terms(sf.a),
            "region": _region_obj(sf.region),
            "options": _options_obj(sf.options)}

@@ -10,12 +10,17 @@ One walker, TensorGrid.scan, visits a grid in C order as contiguous
 flat blocks: one t value and a run of consecutive x_1 values, at most
 _BLOCK points (split on further axes when one x_1 value alone is over).
 Each axis is a float array shaped for numpy broadcasting, so a block's
-coordinates are views, never rebuilt from flat indices.  certify_region
-makes one fused pass over t >= 0, evaluating a, phi and {phi, a} once
-per block for the nonneg, c and kappa reductions, and one pass over the
-mirrored t < 0 grid evaluating a only.
+coordinates are views, never rebuilt from flat indices.
 
-The structural check treats its slow grid of thetas as one batch: exact
+certify_region is the one region scan: one fused pass over t >= 0,
+evaluating a, phi and {phi, a} once per block for the nonneg, c and
+kappa reductions, and one pass over the mirrored t < 0 grid evaluating a
+only.  A c or kappa set with no point above the denominator floor is
+reported as such (n_included == 0, no value, no witness); the caller
+decides what it means.
+
+check_structural is a stage of its own.  It treats its slow grid of
+thetas as one batch, refused past MAX_THETAS before any is built: exact
 values per axis, broadcast over the grid.  minimize_Q_path takes the
 Newton stop test for the whole batch as one array at the theta = 0
 minimizer and runs Newton, one theta at a time, only from the first
@@ -67,6 +72,7 @@ Number = Union[int, float, Fraction]
 DEFAULT_GRID = 33
 _BLOCK = 1 << 18  # points per scan block
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
+MAX_THETAS = 1 << 21  # structural slow grid; b1 lifted to d = 4 has 5^9
 MAX_NEWTON_ITER = 80
 _EPS = float(np.finfo(float).eps)
 
@@ -80,11 +86,8 @@ SEED = 0
 
 
 class ScanTooLarge(ValueError):
-    """A tensor scan would visit more than MAX_SCAN_POINTS grid points."""
-
-
-class AllPointsDegenerate(ValueError):
-    """Every grid point fell below the denominator threshold."""
+    """A tensor scan would visit more than MAX_SCAN_POINTS grid points, or
+    a structural check would solve at more than MAX_THETAS thetas."""
 
 
 class NegativeInput(ValueError):
@@ -290,11 +293,6 @@ def _fold(parts, total: int) -> ScanResult:
     return ScanResult(best_min, min_flat, best_max, max_flat, included, total)
 
 
-def _require_tau_free(p: PolySymbol, name: str):
-    if p.depends_on(p.d + 1):
-        raise ValueError("%s must not depend on tau" % name)
-
-
 # ------------------------------------------------- nonnegativity, c, kappa
 
 
@@ -317,55 +315,15 @@ class NonnegReport:
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    value: float
-    witness: PhasePoint
+    """value and witness are None when no grid point cleared the floor."""
+
+    value: Optional[float]
+    witness: Optional[PhasePoint]
     n_excluded: int
     n_included: int
     n_total: int
     eta_den: float
     grid: dict
-
-
-def _require_ratio_inputs(a: PolySymbol, phi: PolySymbol):
-    if phi.d != a.d:
-        raise DimensionMismatch("phi has d=%d, a has d=%d" % (phi.d, a.d))
-    _require_tau_free(a, "a")
-    _require_tau_free(phi, "phi")
-
-
-def _region_pass(a: PolySymbol, phi: Optional[PolySymbol], region: Region,
-                 names: Tuple[str, ...]):
-    """One scan of the t >= 0 grid for the named reductions ("nonneg",
-    "c", "kappa").  Per block a is evaluated once, and phi and {phi, a}
-    once each when c resp. kappa is named.  Returns (grid, {name:
-    ScanResult})."""
-    d = a.d
-    eta = region.denominator_floor()
-    bracket = poisson_bracket(phi, a) if "kappa" in names else None
-    xi_sq = sum((xi * xi for xi in phase_variables(d)[3]), PolySymbol.zero(d))
-
-    def fn(coords):
-        av = a.eval(coords)
-        out = []
-        if "nonneg" in names:
-            out.append((av, None))
-        if "c" in names:
-            # a / (min{t^2, (t - phi)^2} |xi|^2) where the denominator
-            # clears the floor
-            pv = phi.eval(coords)
-            t = coords[0]
-            den = np.minimum(t ** 2, (t - pv) ** 2) * xi_sq.eval(coords)
-            mask = den >= eta
-            out.append((av / np.where(mask, den, 1.0), mask))
-        if "kappa" in names:
-            # {phi, a}^2 / (4a) where a clears the floor
-            bv = bracket.eval(coords)
-            mask = av >= eta
-            out.append((bv ** 2 / np.where(mask, 4.0 * av, 1.0), mask))
-        return out
-
-    grid = TensorGrid(d, region_axes(region, d))
-    return grid, dict(zip(names, grid.scan(fn)))
 
 
 def _nonneg_report(a: PolySymbol, region: Region, grid: TensorGrid,
@@ -391,40 +349,16 @@ def _nonneg_report(a: PolySymbol, region: Region, grid: TensorGrid,
 def _ratio_estimate(region: Region, grid: TensorGrid, res: ScanResult,
                     use_max: bool) -> RatioEstimate:
     if res.n_included == 0:
-        raise AllPointsDegenerate("all %d grid points fell below eta_den"
-                                  % res.n_total)
-    value, flat = ((res.max_value, res.max_flat) if use_max
-                   else (res.min_value, res.min_flat))
-    return RatioEstimate(value=value, witness=grid.point(flat),
+        value, witness = None, None
+    elif use_max:
+        value, witness = res.max_value, grid.point(res.max_flat)
+    else:
+        value, witness = res.min_value, grid.point(res.min_flat)
+    return RatioEstimate(value=value, witness=witness,
                          n_excluded=res.n_total - res.n_included,
                          n_included=res.n_included, n_total=res.n_total,
                          eta_den=region.denominator_floor(),
                          grid=region.metadata())
-
-
-def verify_nonnegativity(a: PolySymbol, region: Region) -> NonnegReport:
-    """Grid minimum of a on t >= 0, plus a mirrored t < 0 scan reporting
-    whether a attains negative values there (one-sidedness)."""
-    _require_tau_free(a, "a")
-    grid, res = _region_pass(a, None, region, ("nonneg",))
-    return _nonneg_report(a, region, grid, res["nonneg"])
-
-
-def estimate_c(a: PolySymbol, phi: PolySymbol, region: Region) -> RatioEstimate:
-    """inf over the grid of a / (min{t^2, (t-phi)^2} |xi|^2), excluding
-    points where the denominator is below the region floor."""
-    _require_ratio_inputs(a, phi)
-    grid, res = _region_pass(a, phi, region, ("c",))
-    return _ratio_estimate(region, grid, res["c"], use_max=False)
-
-
-def estimate_kappa(a: PolySymbol, phi: PolySymbol,
-                   region: Region) -> RatioEstimate:
-    """sup over the grid of {phi, a}^2 / (4a) where a clears the floor.
-    The bracket is computed exactly; only evaluation is in floats."""
-    _require_ratio_inputs(a, phi)
-    grid, res = _region_pass(a, phi, region, ("kappa",))
-    return _ratio_estimate(region, grid, res["kappa"], use_max=True)
 
 
 # ----------------------------------------------------------------- glaeser
@@ -659,6 +593,10 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     a = build_normal_form(spec)
 
     axes = _theta_axes(eq, region)
+    n_thetas = math.prod(map(len, axes))
+    if n_thetas > MAX_THETAS:
+        raise ScanTooLarge("a structural check at %d thetas exceeds the "
+                           "budget of %d" % (n_thetas, MAX_THETAS))
     thetas = eq.theta_at([
         np.array(ax, dtype=object).reshape(
             [-1 if i == j else 1 for i in range(len(axes))])
@@ -777,32 +715,52 @@ class CertificateReport:
     nonneg: NonnegReport
     c: RatioEstimate
     kappa: RatioEstimate
-    structural: Optional[StructuralReport]
     grid: dict
     label: str = "empirical"
 
     @property
-    def c_est(self) -> float:
+    def c_est(self) -> Optional[float]:
         return self.c.value
 
     @property
-    def kappa_est(self) -> float:
+    def kappa_est(self) -> Optional[float]:
         return self.kappa.value
 
 
-def certify_region(a: PolySymbol, phi: PolySymbol, region: Region,
-                   spec: Optional[NormalFormSpec] = None,
-                   cert: Optional[TimeFunctionCert] = None) -> CertificateReport:
-    """nonneg, c and kappa from one fused pass over t >= 0 and one pass
-    over the mirrored t < 0 grid; the structural check when spec and cert
-    are given."""
-    _require_ratio_inputs(a, phi)
-    grid, res = _region_pass(a, phi, region, ("nonneg", "c", "kappa"))
-    c = _ratio_estimate(region, grid, res["c"], use_max=False)
-    kappa = _ratio_estimate(region, grid, res["kappa"], use_max=True)
-    nonneg = _nonneg_report(a, region, grid, res["nonneg"])
-    structural = None
-    if spec is not None and cert is not None:
-        structural = check_structural(spec, cert, region)
-    return CertificateReport(nonneg=nonneg, c=c, kappa=kappa,
-                             structural=structural, grid=region.metadata())
+def certify_region(a: PolySymbol, phi: PolySymbol,
+                   region: Region) -> CertificateReport:
+    """nonneg, c and kappa from one fused pass over t >= 0, evaluating a,
+    phi and {phi, a} once per block, and one pass over the mirrored t < 0
+    grid evaluating a only.
+
+    c is the inf of a / (min{t^2, (t - phi)^2} |xi|^2) where that
+    denominator clears the region floor, and kappa the sup of
+    {phi, a}^2 / (4a) where a clears it; the bracket is exact, only the
+    evaluation is in floats."""
+    if phi.d != a.d:
+        raise DimensionMismatch("phi has d=%d, a has d=%d" % (phi.d, a.d))
+    for p, name in ((a, "a"), (phi, "phi")):
+        if p.depends_on(p.d + 1):
+            raise ValueError("%s must not depend on tau" % name)
+    d = a.d
+    eta = region.denominator_floor()
+    bracket = poisson_bracket(phi, a)
+    xi_sq = sum((xi * xi for xi in phase_variables(d)[3]), PolySymbol.zero(d))
+
+    def fn(coords):
+        av = a.eval(coords)
+        t = coords[0]
+        den = (np.minimum(t ** 2, (t - phi.eval(coords)) ** 2)
+               * xi_sq.eval(coords))
+        c_in, kappa_in = den >= eta, av >= eta
+        return [(av, None),
+                (av / np.where(c_in, den, 1.0), c_in),
+                (bracket.eval(coords) ** 2 / np.where(kappa_in, 4.0 * av, 1.0),
+                 kappa_in)]
+
+    grid = TensorGrid(d, region_axes(region, d))
+    pos, c, kappa = grid.scan(fn)
+    return CertificateReport(
+        c=_ratio_estimate(region, grid, c, use_max=False),
+        kappa=_ratio_estimate(region, grid, kappa, use_max=True),
+        nonneg=_nonneg_report(a, region, grid, pos), grid=region.metadata())

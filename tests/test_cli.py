@@ -1,5 +1,6 @@
 """Pipeline statuses, report emission, exit codes, CLI entry point."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -19,6 +20,7 @@ from hypcert import (
     normal_forms,
     phase_variables,
     time_functions,
+    verifier,
 )
 from hypcert.cli import Report, emit_report, exit_code, main, run_pipeline
 from hypcert.symbolfile import (
@@ -131,19 +133,70 @@ def test_custom_base_point_not_certified():
     assert cls.classification["effective"] is True
 
 
+def lifted_b1(d, region):
+    """b1 = ((t - x1)^2 + x1^3) xi_d^2 in d dimensions."""
+    t, xs, tau, xis = phase_variables(d)
+    spec = NormalFormSpec(variant="form1", d=d, p=0, q=(xis[-1] ** 2,),
+                          r=(), phi=xs[0], psi=xs[0] ** 3)
+    return SymbolFile(schema=1, d=d, base_point=PhasePoint.base(d),
+                      a=normal_forms.build_normal_form(spec), region=region,
+                      options=Options(slack=Fraction(1, 100)),
+                      normal_form=spec)
+
+
 def test_oversized_scan_fails_at_verify():
     # b1 lifted to d = 3 at the default region: 33**7 points per scan
-    t, (x1, x2, x3), tau, (xi1, xi2, xi3) = phase_variables(3)
-    spec = NormalFormSpec(variant="form1", d=3, p=0, q=(xi3 ** 2,), r=(),
-                          phi=x1, psi=x1 ** 3)
-    sf = SymbolFile(schema=1, d=3, base_point=PhasePoint.base(3),
-                    a=((t - x1) ** 2 + x1 ** 3) * xi3 ** 2, region=Region(),
-                    options=Options(slack=Fraction(1, 100)), normal_form=spec)
-    rep = run_pipeline(sf, "certify")
+    rep = run_pipeline(lifted_b1(3, Region()), "certify")
     assert rep.status == "FAILED" and exit_code(rep) == 1
     assert rep.stage == "verify"
     assert "42618442977" in rep.reason
     assert rep.time_function is not None and rep.certificate is None
+
+
+def test_oversized_structural_grid_fails_at_verify(monkeypatch):
+    # b1 lifted to d = 5: its scans at grid 3 pass (3**11 points), but the
+    # structural slow grid would hold 5**11 thetas; it is refused before
+    # any theta is built
+    def build(*args):
+        raise AssertionError("a batch of thetas was built")
+
+    monkeypatch.setattr(normal_forms.ExtendedQ, "theta_at", build)
+    rep = run_pipeline(lifted_b1(5, Region(grid=3)), "certify")
+    assert rep.status == "FAILED" and exit_code(rep) == 1
+    assert rep.stage == "verify"
+    assert rep.reason == ("a structural check at 48828125 thetas exceeds "
+                          "the budget of %d" % verifier.MAX_THETAS)
+    assert rep.time_function is not None and rep.certificate is None
+
+
+def test_structural_grid_within_budget_certifies():
+    # b1 lifted to d = 4: 5**9 thetas, the largest slow grid of the lifts
+    # that fits the budget
+    assert 5 ** 9 <= verifier.MAX_THETAS < 5 ** 10
+    rep = run_pipeline(lifted_b1(4, Region(grid=3)), "certify")
+    assert rep.status == "CERTIFIED" and exit_code(rep) == 0
+    recon = rep.certificate["structural"]["checks"][0]
+    assert recon["name"] == "reconstruction-lower-bound"
+    assert recon["n_points"] == 5 ** 9
+
+
+def test_empty_ratio_set_fails_at_verify(monkeypatch):
+    # at eta_den 1e6 every grid point of b2 falls below the floor: FAILED
+    # at verify with the sections of the shipped report, and the
+    # structural check never runs
+    ran = []
+    monkeypatch.setattr(cli, "check_structural", lambda *args: ran.append(1))
+    sf = parse_symbol_file(FIXTURES / "b2.json")
+    sf = dataclasses.replace(
+        sf, region=dataclasses.replace(sf.region, eta_den=1e6))
+    rep = run_pipeline(sf, "certify")
+    assert ran == [] and exit_code(rep) == 1
+    want = json.loads((GOLDEN / "b2.certify.json").read_bytes())
+    del want["certificate"]
+    want.update(status="FAILED", stage="verify",
+                reason="all 59049 grid points fell below eta_den")
+    assert emit_report(rep) == (json.dumps(want, sort_keys=True, indent=2)
+                                + "\n").encode("utf-8")
 
 
 def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
@@ -170,19 +223,22 @@ def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
 
 def test_each_stage_runs_once(monkeypatch):
     sf = parse_symbol_file(FIXTURES / "b2.json")
-    calls = {"check_side_conditions": 0, "validate_spec": 0}
+    calls = {"check_side_conditions": 0, "validate_spec": 0,
+             "check_structural": 0}
     for name in calls:
-        original = getattr(normal_forms, name)
+        original = getattr(normal_forms, name, None) \
+            or getattr(verifier, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in (cli, normal_forms, time_functions):
+        for mod in (cli, normal_forms, time_functions, verifier):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     assert run_pipeline(sf, "certify").status == "CERTIFIED"
-    assert calls == {"check_side_conditions": 1, "validate_spec": 0}
+    assert calls == {"check_side_conditions": 1, "validate_spec": 0,
+                     "check_structural": 1}
 
 
 def test_regen_script_matches_fixtures():

@@ -3,7 +3,8 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hypcert"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hypcert"
 
 
 def _nodes():
@@ -40,3 +41,14 @@ def test_no_threads_or_environment_settings():
     found = ["%s:%d" % (name, node.lineno) for name, node in _nodes()
              if _threads_or_environment(node)]
     assert found == []
+
+
+def test_readme_library_example_runs():
+    # the README's library example is code a reader copies; run it as is
+    section = (ROOT / "README.md").read_text().split("\n## Library\n")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    report = scope["report"]
+    assert (report.c_est, report.kappa_est) == (1.0, 0.5)
+    assert scope["structural"].passed

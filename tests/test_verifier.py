@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hypcert import (
-    AllPointsDegenerate,
+    ExtendedQ,
     NegativeInput,
     NormalFormSpec,
     PolySymbol,
@@ -26,12 +26,9 @@ from hypcert import (
     check_side_conditions,
     check_structural,
     construct_time_function,
-    estimate_c,
-    estimate_kappa,
     glaeser_check,
     minimize_Q,
     minimize_Q_path,
-    verify_nonnegativity,
 )
 from hypcert.symbolfile import parse_symbol_file
 from hypcert.symbols import DimensionMismatch, phase_variables
@@ -166,7 +163,7 @@ def test_scan_budget():
 
 
 def test_nonneg_b1_passes_forward_fails_backward(b1_a, small_region):
-    rep = verify_nonnegativity(b1_a, small_region)
+    rep = certify_region(b1_a, PolySymbol.zero(2), small_region).nonneg
     assert rep.passed
     assert rep.min_value == 0.0
     assert rep.negative_side.found_negative
@@ -182,17 +179,17 @@ def test_nonneg_b1_passes_forward_fails_backward(b1_a, small_region):
 
 
 def test_nonneg_two_sided_and_failing_examples(small_region):
-    rep = verify_nonnegativity(xi1**2, small_region)
+    rep = certify_region(xi1**2, PolySymbol.zero(2), small_region).nonneg
     assert rep.passed and not rep.negative_side.found_negative
 
-    rep = verify_nonnegativity(-t**2, small_region)
+    rep = certify_region(-t**2, PolySymbol.zero(2), small_region).nonneg
     assert not rep.passed
     assert rep.min_value < 0
     assert rep.witness.t > 0
 
 
 def test_nonneg_b2_passes(b2_a, small_region):
-    rep = verify_nonnegativity(b2_a, small_region)
+    rep = certify_region(b2_a, PolySymbol.zero(2), small_region).nonneg
     assert rep.passed
     assert rep.negative_side.found_negative
     assert rep.negative_side.value < -1e-6
@@ -200,7 +197,7 @@ def test_nonneg_b2_passes(b2_a, small_region):
 
 def test_nonneg_rejects_tau_dependence(small_region):
     with pytest.raises(ValueError):
-        verify_nonnegativity(tau**2, small_region)
+        certify_region(tau**2, PolySymbol.zero(2), small_region)
 
 
 # ------------------------------------------------------------- c estimate
@@ -208,7 +205,7 @@ def test_nonneg_rejects_tau_dependence(small_region):
 
 def test_c_exact_ratio_one(small_region):
     a = t**2 * (xi1**2 + xi2**2)
-    est = estimate_c(a, PolySymbol.zero(2), small_region)
+    est = certify_region(a, PolySymbol.zero(2), small_region).c
     assert abs(est.value - 1.0) <= 1e-12
     # only the t = 0 slice is excluded
     assert est.n_excluded == 9**4
@@ -216,41 +213,43 @@ def test_c_exact_ratio_one(small_region):
 
 
 def test_c_fixtures_clear_point_nine(b1_a, b2_a, small_region):
-    assert estimate_c(b1_a, x1, small_region).value >= 0.9
-    assert estimate_c(b2_a, x1, small_region).value >= 0.9
+    assert certify_region(b1_a, x1, small_region).c.value >= 0.9
+    assert certify_region(b2_a, x1, small_region).c.value >= 0.9
 
 
 def test_c_degenerate_direction_is_zero(small_region):
     a = (t - x1)**2 * xi2**2
-    est = estimate_c(a, PolySymbol.zero(2), small_region)
+    est = certify_region(a, PolySymbol.zero(2), small_region).c
     assert abs(est.value) <= 1e-12
 
 
 def test_c_all_points_degenerate(b2_a):
-    reg = Region(grid=5, eta_den=1e6)
-    with pytest.raises(AllPointsDegenerate):
-        estimate_c(b2_a, x1, reg)
-    with pytest.raises(AllPointsDegenerate):
-        estimate_kappa(b2_a, x1, reg)
+    # an empty ratio set is data: no value, no witness, every point counted
+    # as excluded
+    rep = certify_region(b2_a, x1, Region(grid=5, eta_den=1e6))
+    for est in (rep.c, rep.kappa):
+        assert est.n_included == 0 and est.witness is None
+        assert est.value is None and est.n_excluded == est.n_total == 5**5
+    assert rep.nonneg.passed
 
 
 def test_c_dimension_mismatch(b2_a, small_region):
     phi3 = PolySymbol.coordinate(3, "x1")
     with pytest.raises(DimensionMismatch):
-        estimate_c(b2_a, phi3, small_region)
+        certify_region(b2_a, phi3, small_region)
 
 
 # --------------------------------------------------------- kappa estimate
 
 
 def test_kappa_b1_vanishes(b1_a, small_region):
-    est = estimate_kappa(b1_a, x1, small_region)
+    est = certify_region(b1_a, x1, small_region).kappa
     assert est.value == 0.0
     assert est.n_excluded + est.n_included == est.n_total
 
 
 def test_kappa_b2_half(b2_a, small_region):
-    est = estimate_kappa(b2_a, x1, small_region)
+    est = certify_region(b2_a, x1, small_region).kappa
     assert 0.4 < est.value <= 0.5 + 1e-6
     assert abs(est.value - 0.5) <= 1e-12
     # witness sits on the t = x1 = 0 face where the bound is tight
@@ -258,14 +257,14 @@ def test_kappa_b2_half(b2_a, small_region):
 
 
 def test_kappa_boundary_case_reaches_one(small_region):
-    est = estimate_kappa(xi1**2, x1, small_region)
+    est = certify_region(xi1**2, x1, small_region).kappa
     assert est.value == 1.0
     assert not est.value < 1  # a pipeline gate on kappa < 1 must fail here
 
 
 def test_kappa_witness_reevaluates_exactly(b2_a, small_region):
     from hypcert.symbols import poisson_bracket
-    est = estimate_kappa(b2_a, x1, small_region)
+    est = certify_region(b2_a, x1, small_region).kappa
     pt = list(est.witness.as_tuple())
     br = poisson_bracket(x1, b2_a).eval(pt)
     exact = br * br / (4 * b2_a.eval(pt))
@@ -592,6 +591,34 @@ def test_structural_matches_per_theta_reference(name, region):
             == repr(want), check
 
 
+@pytest.mark.parametrize("spec,w_dim", [(b2_spec(), 1),
+                                        (crit7_spec(F(1, 2)), 2)],
+                         ids=["b2", "crit7"])
+def test_structural_w_draws_are_seeded_uniforms(spec, w_dim, monkeypatch):
+    # the worst reconstruction sample of every tested spec is a minimizer,
+    # so the reports alone cannot tell the draws apart: read the samples
+    # handed to substituted_point, the minimizer then N_W draws per theta,
+    # and compare the draws with random.uniform in theta, sample, w order
+    seen = []
+    original = ExtendedQ.substituted_point
+
+    def spy(self, w, theta):
+        if isinstance(w, list):  # the reconstruction sub-grids, in order
+            seen.append(np.stack([np.reshape(wj, (-1, np.shape(wj)[-1]))
+                                  for wj in w], axis=-1))
+        return original(self, w, theta)
+
+    monkeypatch.setattr(ExtendedQ, "substituted_point", spy)
+    cert = construct_time_function(spec, slack=F(1, 100))
+    check_structural(spec, cert, Region(grid=9))
+    draws = np.concatenate(seen)[:, 1:]
+    assert draws.shape[1:] == (verifier.N_W, w_dim)
+    rng = random.Random(verifier.SEED)
+    delta = float(verifier.STRUCTURAL_CUTOFF.delta)
+    assert draws.ravel().tolist() == [rng.uniform(-delta, delta)
+                                      for _ in range(draws.size)]
+
+
 def test_structural_d3_passes():
     # b1 lifted to d = 3: 5^7 slow points, one sample each (w_dim = 0)
     t, (x1, x2, x3), tau, (xi1, xi2, xi3) = phase_variables(3)
@@ -608,7 +635,7 @@ def test_structural_d3_passes():
 @pytest.mark.parametrize("fn,params", [
     (check_structural, ["spec", "cert", "region"]),
     (check_side_conditions, ["spec"]),
-    (certify_region, ["a", "phi", "region", "spec", "cert"]),
+    (certify_region, ["a", "phi", "region"]),
     (minimize_Q, ["eq", "theta", "w0"]),
     (TensorGrid, ["d", "axes"]),
 ])
@@ -622,12 +649,10 @@ def test_sampling_plans_are_constants(fn, params):
 def test_refinement_monotonicity(b2_a):
     coarse = Region(grid=5)
     fine = Region(grid=9)  # 9 = 2*5 - 1: strict superset of grid points
-    c5 = estimate_c(b2_a, x1, coarse).value
-    c9 = estimate_c(b2_a, x1, fine).value
-    assert c9 <= c5 + 1e-15
-    k5 = estimate_kappa(b2_a, x1, coarse).value
-    k9 = estimate_kappa(b2_a, x1, fine).value
-    assert k9 >= k5 - 1e-15
+    rep5 = certify_region(b2_a, x1, coarse)
+    rep9 = certify_region(b2_a, x1, fine)
+    assert rep9.c.value <= rep5.c.value + 1e-15
+    assert rep9.kappa.value >= rep5.kappa.value - 1e-15
 
 
 def _forbid_threads(monkeypatch):
@@ -655,18 +680,6 @@ def test_scans_have_more_than_one_block(small_region):
                  region_axes(small_region, 2, negative_t=True),
                  region_axes(small_region, 2, pin_last_xi=True)):
         assert len(list(TensorGrid(2, axes)._blocks())) > 1
-
-
-def test_scans_start_no_thread(b2_a, small_region, monkeypatch):
-    one_c = estimate_c(b2_a, x1, small_region)
-    one_k = estimate_kappa(b2_a, x1, small_region)
-    one_n = verify_nonnegativity(b2_a, small_region)
-    _forbid_threads(monkeypatch)
-    scans = _count_scans(monkeypatch)
-    assert estimate_c(b2_a, x1, small_region) == one_c
-    assert estimate_kappa(b2_a, x1, small_region) == one_k
-    assert verify_nonnegativity(b2_a, small_region) == one_n
-    assert len(scans) == 4  # t >= 0 and t < 0 for nonneg, t >= 0 for c, kappa
 
 
 def test_certify_region_starts_no_thread(b2_a, small_region, monkeypatch):
@@ -704,6 +717,6 @@ def test_certify_region_scans_twice_outside_structural(
     cert = construct_time_function(b2_spec(), slack=F(1, 100))
     rep = certify_region(b2_a, cert.phi, small_region)
     assert scans == [9**5, 8 * 9**4]
-    assert rep.nonneg == verify_nonnegativity(b2_a, small_region)
-    assert rep.c == estimate_c(b2_a, cert.phi, small_region)
-    assert rep.kappa == estimate_kappa(b2_a, cert.phi, small_region)
+    # nonneg reads a alone
+    assert rep.nonneg == certify_region(b2_a, PolySymbol.zero(2),
+                                        small_region).nonneg

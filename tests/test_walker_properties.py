@@ -1,6 +1,6 @@
 """The scan walker against exact brute force.
 
-Random rational polynomials are scanned by the public estimates on small
+Random rational polynomials are scanned by certify_region on small
 grids, and every node is re-evaluated exactly together with a bound on
 the float rounding of the same operations.  A reported witness must sit
 within that bound of the exact grid extremum, and the included count must
@@ -15,14 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypcert import (
-    AllPointsDegenerate,
-    PolySymbol,
-    Region,
-    estimate_c,
-    estimate_kappa,
-    verify_nonnegativity,
-)
+from hypcert import PolySymbol, Region, certify_region
 from hypcert.symbols import poisson_bracket
 from hypcert.verifier import region_axes
 
@@ -159,7 +152,7 @@ def cases(draw):
 @given(cases())
 def test_nonneg_witnesses_match_exact_extrema(case):
     d, region, a, _ = case
-    rep = verify_nonnegativity(a, region)
+    rep = certify_region(a, PolySymbol.zero(d), region).nonneg
     pos = evaluate(a, nodes(region, d))
     assert rep.n_points == len(pos)
     check_extremum(pos, rep.min_value, flat_index(region, d, rep.witness))
@@ -209,13 +202,12 @@ def ratio_values(d, region, a, phi, kind):
 def test_ratio_witnesses_match_exact_extrema(kind, case):
     d, region, a, phi = case
     exact = ratio_values(d, region, a, phi, kind)
-    estimate = estimate_c if kind == "c" else estimate_kappa
-    try:
-        est = estimate(a, phi, region)
-    except AllPointsDegenerate:
+    est = getattr(certify_region(a, phi, region), kind)
+    assert est.n_included + est.n_excluded == est.n_total
+    if est.n_included == 0:
+        assert est.witness is None and est.value is None
         assert exact is None or exact == {}
         return
-    assert est.n_included + est.n_excluded == est.n_total
     if exact is None:  # a node within rounding of eta: counts may differ
         return
     assert est.n_included == len(exact)
