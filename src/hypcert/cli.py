@@ -6,8 +6,8 @@ the first failing stage.  Reports are deterministic: identical input
 bytes and options produce identical output bytes.
 
 Exit codes: 0 CERTIFIED, 1 FAILED (and NOT_APPLICABLE under certify),
-2 MARGINAL, 3 usage or unreadable input.  `classify` exits 0 when the
-point is effectively hyperbolic even though nothing was certified.
+3 usage or unreadable input.  `classify` exits 0 when the point is
+effectively hyperbolic even though nothing was certified.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from hypcert.verifier import (
     minimize_Q,
 )
 
-STATUSES = ("CERTIFIED", "FAILED", "MARGINAL", "NOT_APPLICABLE")
+STATUSES = ("CERTIFIED", "FAILED", "NOT_APPLICABLE")
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ def _classification_obj(cl) -> dict:
         "effective": cl.effective,
         "witness": _complex_obj(cl.witness),
         "tag": sp.tag,
-        "tol": _num(sp.tol),
         "eigenvalues": [_complex_obj(z) for z in sp.eigenvalues],
-        "marginal": [_complex_obj(z) for z in sp.marginal],
     }
 
 
@@ -109,8 +107,6 @@ def _side_obj(rep) -> dict:
         "double_bracket": _frac(rep.double_bracket),
         "bbis_sum": _frac(rep.bbis_sum),
         "bbis_ok": rep.bbis_ok,
-        # NormalFormSpec enforces q, r > 0 at the base point on construction
-        "positivity_ok": True,
         "one_sided_ok": rep.one_sided_ok,
         "one_sided_witness": point_obj(rep.one_sided_witness),
         "grid": rep.grid,
@@ -128,8 +124,6 @@ def _timefn_obj(cert) -> dict:
         "eps": [str(v) for v in cert.eps],
         "rho_weight": _frac(cert.rho_weight),
         "alpha": [str(v) for v in cert.alpha],
-        # no step of the time-function construction writes notes
-        "notes": [],
     }
 
 
@@ -186,8 +180,7 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     p = _minus_tau_squared(sf.d) + sf.a
 
     try:
-        cl = classify_effective_hyperbolicity(p, sf.base_point,
-                                              tol=sf.options.tol)
+        cl = classify_effective_hyperbolicity(p, sf.base_point)
     except NotSingular as exc:
         reason = "base point is not a double characteristic: %s" % exc
         return Report(status="FAILED", reason=reason, stage="singular-check",
@@ -196,12 +189,9 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
         return Report(status="FAILED", reason=str(exc), stage="classify",
                       **base)
     cls_obj = _classification_obj(cl)
-    marginal = bool(cl.spectrum.marginal)
 
     if verb == "classify":
-        if marginal:
-            status, reason = "MARGINAL", "eigenvalues within the tolerance band"
-        elif cl.effective:
+        if cl.effective:
             status, reason = "NOT_APPLICABLE", "classification only; nothing certified"
         else:
             status, reason = "FAILED", "not effectively hyperbolic (tag %s)" % cl.spectrum.tag
@@ -209,8 +199,7 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
                       classification=cls_obj, **base)
 
     if not cl.effective:
-        status = "MARGINAL" if marginal else "FAILED"
-        return Report(status=status, stage="classify",
+        return Report(status="FAILED", stage="classify",
                       reason="not effectively hyperbolic (tag %s)" % cl.spectrum.tag,
                       classification=cls_obj, **base)
 
@@ -268,8 +257,6 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     failing = [name for name, ok in gates if not ok]
     if failing:
         status, reason = "FAILED", "failed: " + "; ".join(failing)
-    elif marginal:
-        status, reason = "MARGINAL", "eigenvalues within the tolerance band"
     else:
         status, reason = "CERTIFIED", None
     return Report(status=status, reason=reason, stage="done",
@@ -279,8 +266,6 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
 def exit_code(report: Report) -> int:
     if report.status == "CERTIFIED":
         return 0
-    if report.status == "MARGINAL":
-        return 2
     if report.status == "NOT_APPLICABLE" and report.verb == "classify":
         return 0
     return 1
@@ -323,10 +308,6 @@ def _text_lines(report: Report):
         lines.append("classification: %s; witness eigenvalue %s; tag %s"
                      % ("effective" if cl["effective"] else "not effective",
                         wit, cl["tag"]))
-        if cl["marginal"]:
-            eigs = ", ".join(_fmt_complex(z) for z in cl["marginal"])
-            lines.append("marginal eigenvalues (within 10*tol of the real "
-                         "axis): %s" % eigs)
     sc = report.side_conditions
     if sc is not None:
         extra = "" if sc["bbis_sum"] is None \
@@ -410,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("file", help="symbol JSON file")
     common.add_argument("--grid", type=int, default=None,
                         help="override grid points per axis")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override classification tolerance")
     common.add_argument("--slack", type=_rational_arg, default=None,
                         help="override kappa slack (exact rational)")
     common.add_argument("--region", type=_rational_list, default=None,
@@ -458,8 +437,6 @@ def _apply_overrides(sf: SymbolFile, args) -> SymbolFile:
         region = _replace("--grid", region, grid=args.grid)
     if args.slack is not None:
         options = _replace("--slack", options, slack=args.slack)
-    if args.tol is not None:
-        options = _replace("--tol", options, tol=args.tol)
     return dataclasses.replace(sf, region=region, options=options)
 
 

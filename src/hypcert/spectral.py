@@ -7,11 +7,13 @@ negative transpose, the characteristic polynomial of F is even.  It is
 computed exactly in Python ints: F is scaled by the lcm of its entry
 denominators to an integer matrix, and the Faddeev-LeVerrier recursion
 runs over that matrix's nonzero entries only (a Hamilton map of a jet
-has few).  The spectrum comes from that exact polynomial: zero roots are
-deflated exactly (no spurious eigenvalues from defective zero blocks)
-and the nonzero ones come from companion-matrix root-finding on the
-polynomial in mu = lambda^2.  A symbol is effectively hyperbolic at a
-double characteristic when F has a real nonzero eigenvalue there.
+has few).  A symbol is effectively hyperbolic at a double characteristic
+when F has a real nonzero eigenvalue there, that is, when the polynomial
+in mu = lambda^2, its exact zero roots deflated, has a root mu > 0.  One
+Sturm sequence of that polynomial in Python ints counts its distinct
+negative and positive roots, so the verdict and the spectrum's tag are
+exact.  Floats only display the eigenvalues: +-sqrt of the
+companion-matrix roots of the deflated polynomial, plus the exact zeros.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +39,7 @@ MAX_SIZE = 64  # matrices are 2(d+1) x 2(d+1); d <= 31
 
 
 class NoConvergence(RuntimeError):
-    """Eigenvalue extraction failed or exceeded its residual budget."""
+    """An iteration (root-finding, Newton) failed to converge."""
 
 
 class CrossTermsPresent(ValueError):
@@ -54,7 +56,7 @@ class InexactTrace(ArithmeticError):
 
 @dataclass(frozen=True)
 class HamiltonMap:
-    """F = J M with exact rational entries plus a float view."""
+    """F = J M with exact rational entries."""
 
     jet: QuadraticJet
     exact: Tuple[Tuple[Fraction, ...], ...]
@@ -62,14 +64,6 @@ class HamiltonMap:
     @property
     def size(self) -> int:
         return len(self.exact)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.exact])
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
 
 
 def _jm(rows: Sequence[Sequence[Fraction]], n_pos: int) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -139,13 +133,14 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, .
     return tuple(out)
 
 
-def _eigenvalues_from_even_charpoly(coeffs: Sequence[Fraction]) -> Tuple[complex, ...]:
-    """Roots of an even monic charpoly, zero roots deflated exactly.
+def _deflated_mu(coeffs: Sequence[Fraction]) -> Tuple[Tuple[Fraction, ...], int]:
+    """An even monic charpoly as a polynomial in mu = lambda^2, leading
+    coefficient first, with its exact zero roots deflated, and the number
+    of zero pairs deflated.
 
-    coeffs[i] multiplies lambda^(n-i).  Substituting mu = lambda^2 halves
-    the degree; exact trailing zeros of the mu-polynomial become exact
-    zero eigenvalues (multiplicity 2 each), so defective zero blocks can
-    never shed spurious real pairs.
+    coeffs[i] multiplies lambda^(n-i).  Each trailing zero of the
+    mu-polynomial is an exact zero eigenvalue of multiplicity 2, so
+    defective zero blocks can never shed spurious real pairs.
     """
     n = len(coeffs) - 1
     for i in range(1, n + 1, 2):
@@ -157,11 +152,16 @@ def _eigenvalues_from_even_charpoly(coeffs: Sequence[Fraction]) -> Tuple[complex
     nz = len(mu)
     while nz > 1 and mu[nz - 1] == 0:
         nz -= 1
-    zero_pairs = len(mu) - nz
+    return tuple(mu[:nz]), len(mu) - nz
+
+
+def _eigenvalues(mu: Sequence[Fraction], zero_pairs: int) -> Tuple[complex, ...]:
+    """Float eigenvalues for display: the deflated zero pairs exactly, and
+    +-sqrt of each companion-matrix root of the deflated mu-polynomial."""
     eigs = [0j] * (2 * zero_pairs)
-    if nz > 1:
+    if len(mu) > 1:
         try:
-            roots = np.roots([float(c) for c in mu[:nz]])
+            roots = np.roots([float(c) for c in mu])
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("companion-matrix iteration failed") from exc
         for r in roots:
@@ -172,77 +172,98 @@ def _eigenvalues_from_even_charpoly(coeffs: Sequence[Fraction]) -> Tuple[complex
     return tuple(eigs)
 
 
+def _signed_remainder(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """A positive multiple of the remainder of a by b.
+
+    Polynomials are integer coefficient lists, leading coefficient first,
+    with b[0] != 0; the zero polynomial is [].  Each division step scales
+    a by |b[0]| > 0 before cancelling its leading term, so the result is
+    |b[0]|^k times the true remainder and keeps its sign everywhere.
+    """
+    lead, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+    a = list(a)
+    while len(a) >= len(b):
+        f = sign * a[0]
+        a = ([lead * x - f * y for x, y in zip(a, b)]
+             + [lead * x for x in a[len(b):]])
+        k = 1
+        while k < len(a) and a[k] == 0:
+            k += 1
+        a = a[k:]
+    return a
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def sturm_root_counts(coeffs: Sequence[Fraction]) -> Tuple[int, int, int]:
+    """(negative, positive, distinct): the numbers of distinct real roots
+    < 0 and > 0, and of distinct complex roots, of a rational polynomial.
+
+    coeffs is leading coefficient first; the leading and constant
+    coefficients must be nonzero (0 is not a root).  The polynomial is
+    scaled to integers by the lcm of its denominators, and its Sturm
+    sequence p, p', then minus each positive multiple of a remainder
+    divided by its content, is built in Python ints.  Sign changes at
+    -inf, 0 and +inf count the distinct real roots on each side of 0; the
+    last member is gcd(p, p') up to a constant, so deg p minus its degree
+    counts the distinct roots.
+    """
+    if len(coeffs) == 1:
+        return 0, 0, 0
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    p = [c.numerator * (scale // c.denominator) for c in coeffs]
+    deg = len(p) - 1
+    seq = [p, [c * (deg - i) for i, c in enumerate(p[:-1])]]
+    while True:
+        r = _signed_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        g = math.gcd(*r)
+        seq.append([-c // g for c in r])
+    at_minus = _sign_changes(s[0] if len(s) % 2 else -s[0] for s in seq)
+    at_zero = _sign_changes(s[-1] for s in seq)
+    at_plus = _sign_changes(s[0] for s in seq)
+    return at_minus - at_zero, at_zero - at_plus, deg - (len(seq[-1]) - 1)
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a Hamilton map with classification bookkeeping.
+    """Eigenvalues of a Hamilton map and its exact classification tag.
 
-    eigenvalues are sorted by (Re, Im) and carry multiplicity by
-    repetition; the list is closed under negation and conjugation by
-    construction.  tag is one of real-pair-present / pure-imaginary-only
-    / zero-only / mixed ("mixed" covers genuinely complex quartets that
-    the classified theory never produces but arbitrary input can).
+    eigenvalues are floats for display, sorted by (Re, Im), and carry
+    multiplicity by repetition; the list is closed under negation and
+    conjugation by construction.  tag is decided exactly from the
+    deflated mu-polynomial: real-pair-present when it has a root mu > 0,
+    zero-only when no nonzero root is left, pure-imaginary-only when every
+    distinct root is < 0, and mixed otherwise ("mixed" covers genuinely
+    complex quartets that the classified theory never produces but
+    arbitrary input can).
     """
 
     eigenvalues: Tuple[complex, ...]
-    tol: float
     tag: str
-    marginal: Tuple[complex, ...]
-    norm: float
-    max_residual: float
-
-    def real_nonzero(self) -> Tuple[complex, ...]:
-        return tuple(z for z in self.eigenvalues
-                     if abs(z.imag) <= self.tol < abs(z.real))
 
     @property
     def has_real_pair(self) -> bool:
         return self.tag == "real-pair-present"
 
 
-def default_tol(norm: float) -> float:
-    return 1e-9 * (1.0 + norm)
-
-
-def spectrum(F: HamiltonMap, tol: Optional[float] = None) -> Spectrum:
-    """Residual-checked spectrum of F, symmetrized under +/- and conj.
-
-    Every returned eigenvalue satisfies min_v ||Fv - lambda v|| / ||v||
-    <= tol * ||F|| (smallest singular value of F - lambda I).  An
-    eigenvalue is real-nonzero when |Im| <= tol < |Re|; verdicts within a
-    factor 10 of the tolerance boundary are collected in `marginal`.
-    """
-    norm = F.norm
-    if tol is None:
-        tol = default_tol(norm)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    eigs = _eigenvalues_from_even_charpoly(charpoly_exact(F.exact))
-    fm = F.matrix.astype(complex)
-    eye = np.eye(F.size)
-    max_res = 0.0
-    for z in sorted(set(eigs), key=lambda z: (z.real, z.imag)):
-        sigma = np.linalg.svd(fm - z * eye, compute_uv=False)[-1]
-        max_res = max(max_res, float(sigma))
-    if max_res > tol * norm and norm > 0:
-        raise NoConvergence(
-            "eigenvalue residual %.3e exceeds tol*|F| = %.3e" % (max_res, tol * norm))
-    reals = [z for z in eigs if abs(z.imag) <= tol < abs(z.real)]
-    zeros = [z for z in eigs if abs(z.imag) <= tol and abs(z.real) <= tol]
-    imags = [z for z in eigs if abs(z.real) <= tol < abs(z.imag)]
-    if reals:
+def spectrum(F: HamiltonMap) -> Spectrum:
+    """Spectrum of F with its tag decided exactly by a Sturm count."""
+    mu, zero_pairs = _deflated_mu(charpoly_exact(F.exact))
+    negative, positive, distinct = sturm_root_counts(mu)
+    if positive:
         tag = "real-pair-present"
-    elif len(zeros) == len(eigs):
+    elif not distinct:
         tag = "zero-only"
-    elif len(zeros) + len(imags) == len(eigs):
+    elif negative == distinct:
         tag = "pure-imaginary-only"
     else:
         tag = "mixed"
-    marginal = tuple(
-        z for z in eigs
-        if (abs(z.imag) <= tol and tol < abs(z.real) <= 10 * tol)
-        or (abs(z.real) > tol and tol < abs(z.imag) <= 10 * tol))
-    return Spectrum(eigenvalues=eigs, tol=tol, tag=tag, marginal=marginal,
-                    norm=norm, max_residual=max_res)
+    return Spectrum(eigenvalues=_eigenvalues(mu, zero_pairs), tag=tag)
 
 
 @dataclass(frozen=True)
@@ -254,21 +275,24 @@ class Classification:
     jet: QuadraticJet
 
 
-def classify_effective_hyperbolicity(p: PolySymbol, at: Union[PhasePoint, Sequence],
-                                     tol: Optional[float] = None) -> Classification:
+def classify_effective_hyperbolicity(p: PolySymbol,
+                                     at: Union[PhasePoint, Sequence]) -> Classification:
     """Is p effectively hyperbolic at the double characteristic `at`?
 
     Effective iff the Hamilton map of the quadratic jet has a real
-    nonzero eigenvalue; the witness is the largest such (positive branch).
-    NotSingular propagates from the jet when `at` is not a double
-    characteristic.
+    nonzero eigenvalue, decided exactly (spectrum's tag).  The witness is
+    then the displayed eigenvalue with Re > 0 closest to the real axis,
+    ties going to the larger Re; otherwise None.  NotSingular propagates
+    from the jet when `at` is not a double characteristic.
     """
     jet = quadratic_jet(p, at)
     F = hamilton_map(jet)
-    spec = spectrum(F, tol)
-    reals = spec.real_nonzero()
-    witness = max(reals, key=lambda z: z.real) if reals else None
-    return Classification(effective=bool(reals), witness=witness,
+    spec = spectrum(F)
+    witness = None
+    if spec.has_real_pair:
+        witness = min((z for z in spec.eigenvalues if z.real > 0),
+                      key=lambda z: (abs(z.imag), -z.real), default=None)
+    return Classification(effective=spec.has_real_pair, witness=witness,
                           spectrum=spec, map=F, jet=jet)
 
 
@@ -385,15 +409,12 @@ class SignEquivalence:
     spectrum: Spectrum
 
 
-def psi_zero_sign_equivalence(qbar: Sequence, rbar: Sequence,
-                              tol: float = 1e-7) -> SignEquivalence:
+def psi_zero_sign_equivalence(qbar: Sequence, rbar: Sequence) -> SignEquivalence:
     """Check sign(psi_zero) < 0 against real-eigenvalue presence for the
     chain model built from (qbar, rbar).  The boundary sign 0 agrees with
     the no-real-pair verdict."""
-    if len(tuple(qbar)) > 8:
-        raise ValueError("chain length p <= 8 supported")
     psi = psi_zero(qbar, rbar)
-    spec = spectrum(hamilton_map(chain_quadratic_jet(qbar, rbar)), tol)
+    spec = spectrum(hamilton_map(chain_quadratic_jet(qbar, rbar)))
     sign = (psi > 0) - (psi < 0)
     has_real = spec.has_real_pair
     return SignEquivalence(sign_psi=sign, has_real_eig=has_real,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,14 +54,10 @@ class DimensionError(SchemaError):
 @dataclass(frozen=True)
 class Options:
     slack: Fraction = Fraction(1, 100)
-    tol: Optional[float] = None
 
     def __post_init__(self):
         if self.slack <= 0:
             raise ValueError("slack must be positive")
-        if self.tol is not None and not (self.tol > 0
-                                         and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -204,15 +199,12 @@ def _region(obj, path) -> Region:
 
 
 def _options(obj, path) -> Options:
-    opt = _dict(obj, path, required=(), optional=("slack", "tol"))
+    opt = _dict(obj, path, required=(), optional=("slack",))
     slack = Fraction(1, 100)
     if "slack" in opt:
         slack = _rational(opt["slack"], path + ".slack")
-    tol = opt.get("tol")
-    if tol is not None and not isinstance(tol, (int, float)):
-        raise SchemaError(path + ".tol", "expected a number")
     try:
-        return Options(slack=slack, tol=None if tol is None else float(tol))
+        return Options(slack=slack)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -328,10 +320,7 @@ def _region_obj(region: Region) -> dict:
 
 
 def _options_obj(options: Options) -> dict:
-    obj = {"slack": str(options.slack)}
-    if options.tol is not None:
-        obj["tol"] = options.tol
-    return obj
+    return {"slack": str(options.slack)}
 
 
 def serialize_symbol_file(sf: SymbolFile) -> bytes:

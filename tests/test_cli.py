@@ -36,11 +36,11 @@ FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
 NAMES = ("b1", "b2", "b2_bbis2", "nonsingular", "classical")
 
-# real pair at +-5e-8 sits inside the (tol, 10*tol] band for tol = 1e-8
-MARGINAL_DOC = {
+# a real pair at +-5e-8: small, but decided exactly like any other
+SMALL_PAIR_DOC = {
     "schema": 1, "d": 2,
     "terms": [{"coeff": "25/10000000000000000", "exponents": {"t": 2}}],
-    "options": {"slack": "1/100", "tol": 1e-8},
+    "options": {"slack": "1/100"},
 }
 
 
@@ -285,11 +285,20 @@ def test_classify_non_effective_exit():
     assert exit_code(rep) == 1
 
 
-def test_marginal_classification_exit_2():
-    rep = run_pipeline(parse_doc(MARGINAL_DOC), "classify")
-    assert rep.status == "MARGINAL"
-    assert exit_code(rep) == 2
-    assert rep.classification["marginal"]  # nonempty band
+def test_small_real_pair_classifies_exactly():
+    rep = run_pipeline(parse_doc(SMALL_PAIR_DOC), "classify")
+    assert rep.status == "NOT_APPLICABLE"
+    assert exit_code(rep) == 0
+    assert rep.classification["tag"] == "real-pair-present"
+    assert rep.classification["witness"] == {"re": 5e-08, "im": 0.0}
+
+
+def test_statuses_and_exit_codes_have_no_band():
+    assert cli.STATUSES == ("CERTIFIED", "FAILED", "NOT_APPLICABLE")
+    assert {exit_code(Report(status=st, verb=verb, version="0",
+                             input_hash=""))
+            for st in cli.STATUSES for verb in ("classify", "certify")} \
+        == {0, 1}
 
 
 def test_certify_exit_codes(reports):
@@ -332,11 +341,11 @@ def test_text_emission(reports):
     assert "negative for t < 0" in b1 or "one-sided" in b1
 
 
-def test_marginal_text_names_eigenvalue():
-    rep = run_pipeline(parse_doc(MARGINAL_DOC), "classify")
+def test_small_real_pair_text_names_witness():
+    rep = run_pipeline(parse_doc(SMALL_PAIR_DOC), "classify")
     text = emit_report(rep, "text").decode("utf-8")
-    assert "marginal eigenvalues" in text
-    assert "5e-08" in text
+    assert "classification: effective; witness eigenvalue 5e-08; " \
+        "tag real-pair-present" in text
 
 
 # --------------------------------------------------------------- main()
@@ -367,18 +376,28 @@ def test_main_usage_errors(tmp_path, capsys):
                  "--region", "1/10,1/10"]) == 3
     capsys.readouterr()
     for flag, value in (("--grid", "2"), ("--region", "0,1/10,1/10"),
-                        ("--slack", "-1"), ("--tol", "-1"), ("--tol", "inf")):
+                        ("--slack", "-1")):
         assert main(["certify", str(FIXTURES / "b2.json"), flag, value]) == 3
         assert flag in capsys.readouterr().err
-    # json.loads accepts Infinity, which no finite tolerance or floor is
-    for block, key in (("options", "tol"), ("region", "eta_den")):
+    # the classification is exact: there is no tolerance flag or key
+    for verb in ("classify", "certify"):
+        assert main([verb, str(FIXTURES / "b2.json"), "--tol", "1e-8"]) == 3
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    for value in (1e-8, math.inf):
         doc = fixture_doc("b2")
-        doc.setdefault(block, {})[key] = math.inf
-        path = tmp_path / ("%s_inf.json" % key)
+        doc["options"]["tol"] = value
+        path = tmp_path / "tol.json"
         path.write_bytes(json.dumps(doc).encode("utf-8"))
-        assert main(["certify", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert "$.%s" % block in err and key in err
+        assert main(["classify", str(path)]) == 3
+        assert "$.options: unknown key 'tol'" in capsys.readouterr().err
+    # json.loads accepts Infinity, which no finite floor is
+    doc = fixture_doc("b2")
+    doc["region"]["eta_den"] = math.inf
+    path = tmp_path / "eta_den_inf.json"
+    path.write_bytes(json.dumps(doc).encode("utf-8"))
+    assert main(["certify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "$.region" in err and "eta_den" in err
 
 
 def test_invalid_normal_form_is_a_usage_error(tmp_path, capsys):

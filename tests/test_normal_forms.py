@@ -738,6 +738,6 @@ def test_elliptic_weight_criterion_matches_classification():
         rep = check_side_conditions(spec)
         a = build_normal_form(spec)
         cl = classify_effective_hyperbolicity(-tau ** 2 + a,
-                                              PhasePoint.base(d), tol=1e-7)
+                                              PhasePoint.base(d))
         assert rep.bbis_ok == cl.effective
         done += 1

@@ -167,9 +167,9 @@ def test_region_and_options_validation():
     doc["options"] = {"slack": "-1/100"}
     with pytest.raises(SchemaError, match="slack"):
         parse_symbol_data(doc_bytes(doc))
-    doc = minimal_doc()
-    doc["options"] = {"tol": "big"}
-    with pytest.raises(SchemaError, match="tol"):
+    doc = minimal_doc()  # the classification is exact: no tolerance key
+    doc["options"] = {"tol": 1e-8}
+    with pytest.raises(SchemaError, match=r"\$\.options: unknown key 'tol'"):
         parse_symbol_data(doc_bytes(doc))
 
 
