@@ -7,9 +7,12 @@ Run from the repository root:
 
 Fixture files are written through the canonical serializer, so they are
 byte-stable; golden reports are the certify pipeline output on each
-fixture (deterministic for a fixed tool version).
+fixture (deterministic for a fixed tool version).  For each golden it
+rewrites, the script prints the JSON paths whose values changed, with
+the old and the new value ("absent" for a key that is new or gone).
 """
 
+import json
 import pathlib
 import sys
 from fractions import Fraction as F
@@ -69,6 +72,28 @@ def fixture_files():
             "nonsingular": nonsingular, "classical": classical}
 
 
+def changed_paths(old, new, path="$"):
+    """(path, old value, new value) for each leaf that differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from changed_paths(old.get(key, ABSENT),
+                                     new.get(key, ABSENT),
+                                     "%s.%s" % (path, key))
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from changed_paths(o, n, "%s[%d]" % (path, i))
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+ABSENT = object()
+
+
+def _show(value):
+    return "absent" if value is ABSENT else json.dumps(value)
+
+
 def main():
     FIXTURES.mkdir(exist_ok=True)
     GOLDEN.mkdir(exist_ok=True)
@@ -77,9 +102,13 @@ def main():
         path.write_bytes(serialize_symbol_file(sf))
         parsed = parse_symbol_file(path)
         report = run_pipeline(parsed, verb="certify")
-        (GOLDEN / ("%s.certify.json" % name)).write_bytes(
-            emit_report(report, format="json"))
+        golden = GOLDEN / ("%s.certify.json" % name)
+        old = json.loads(golden.read_bytes()) if golden.exists() else {}
+        data = emit_report(report, format="json")
+        golden.write_bytes(data)
         print("%-12s -> %s" % (name, report.status))
+        for path, was, now in changed_paths(old, json.loads(data)):
+            print("  %s: %s -> %s" % (path, _show(was), _show(now)))
     return 0
 
 

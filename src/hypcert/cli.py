@@ -79,8 +79,7 @@ class Report:
 
 def _num(x):
     """Floats must be finite for strict JSON; None marks non-finite."""
-    x = float(x)
-    return x if math.isfinite(x) else None
+    return float(x) if x is not None and math.isfinite(x) else None
 
 
 def _complex_obj(z):
@@ -127,6 +126,24 @@ def _timefn_obj(cert) -> dict:
     }
 
 
+def _theta_obj(theta) -> dict:
+    return {"t": str(theta.t), "z_x": [str(v) for v in theta.z_x],
+            "z_xi": [str(v) for v in theta.z_xi], "eps": str(theta.eps),
+            "x_p": _frac(theta.x_p)}
+
+
+def _worst_obj(worst):
+    """A structural check's worst: (cone point,) of a branch floor, (w,
+    theta) of the reconstruction, (z_x, z_xi, x_p) of the boundary."""
+    if worst is None or len(worst) == 1:
+        return point_obj(worst and worst[0])
+    if len(worst) == 2:
+        return {"w": [_num(v) for v in worst[0]],
+                "theta": _theta_obj(worst[1])}
+    return {"z_x": [str(v) for v in worst[0]],
+            "z_xi": [str(v) for v in worst[1]], "x_p": _frac(worst[2])}
+
+
 def _certificate_obj(report, structural) -> dict:
     nonneg, c, kappa = report.nonneg, report.c, report.kappa
     return {
@@ -141,8 +158,7 @@ def _certificate_obj(report, structural) -> dict:
         "negative_side": {
             "found_negative": nonneg.negative_side.found_negative,
             "witness": point_obj(nonneg.negative_side.witness),
-            "value": None if nonneg.negative_side.value is None
-            else _num(nonneg.negative_side.value),
+            "value": _num(nonneg.negative_side.value),
         },
         "c_est": _num(c.value),
         "c_witness": point_obj(c.witness),
@@ -152,12 +168,12 @@ def _certificate_obj(report, structural) -> dict:
         "kappa_witness": point_obj(kappa.witness),
         "kappa_excluded": kappa.n_excluded,
         "kappa_total": kappa.n_total,
-        "eta_den": _num(c.eta_den),
-        "grid": c.grid,
+        "grid": report.grid,
         "structural": {
             "passed": structural.passed,
             "checks": [{"name": ch.name, "passed": ch.passed,
-                        "value": None if ch.value is None else _num(ch.value),
+                        "value": _num(ch.value),
+                        "worst": _worst_obj(ch.worst),
                         "n_points": ch.n_points}
                        for ch in structural.checks],
             "grid": structural.grid,
@@ -168,16 +184,11 @@ def _certificate_obj(report, structural) -> dict:
 # ---------------------------------------------------------------- pipeline
 
 
-def _minus_tau_squared(d: int) -> PolySymbol:
-    tau = PolySymbol.coordinate(d, "tau")
-    return PolySymbol.zero(d) - tau * tau
-
-
 def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     """classify or certify a parsed symbol file; never raises for
     mathematical failures, which land in the report instead."""
     base = dict(verb=verb, version=__version__, input_hash=sf.sha256)
-    p = _minus_tau_squared(sf.d) + sf.a
+    p = sf.a - PolySymbol.coordinate(sf.d, "tau") ** 2
 
     try:
         cl = classify_effective_hyperbolicity(p, sf.base_point)
@@ -220,7 +231,11 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
                       reason="normal_form does not assemble to the given terms",
                       classification=cls_obj, **base)
 
-    side = check_side_conditions(spec)
+    try:
+        side = check_side_conditions(spec)
+    except ScanTooLarge as exc:
+        return Report(status="FAILED", stage="side-conditions",
+                      reason=str(exc), classification=cls_obj, **base)
     side_obj = _side_obj(side)
     if not side.ok:
         return Report(status="FAILED", stage="side-conditions",
@@ -237,11 +252,12 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
 
     try:
         cr = certify_region(sf.a, cert.phi, sf.region)
-        for est in (cr.c, cr.kappa):
+        for est, name, cond in ((cr.c, "c", "a nonzero denominator"),
+                                (cr.kappa, "kappa", "a > 0")):
             if est.n_included == 0:
                 return Report(status="FAILED", stage="verify",
-                              reason="all %d grid points fell below eta_den"
-                              % est.n_total, **so_far)
+                              reason="%s is empty: none of the %d grid points "
+                              "has %s" % (name, est.n_total, cond), **so_far)
         structural = check_structural(spec, cert, sf.region)
     except (HessianDegenerate, NoConvergence, DimensionMismatch,
             ScanTooLarge, InvariantViolation) as exc:
@@ -342,9 +358,8 @@ def _text_lines(report: Report):
         lines.append("structural: %s (%s)"
                      % ("pass" if st["passed"] else "FAIL", parts))
         g = ct["grid"]
-        lines.append("grid: %d per axis; t_max %s; x_half %s; xi_half %s; "
-                     "eta_den %r" % (g["grid"], g["t_max"], g["x_half"],
-                                     g["xi_half"], g["eta_den"]))
+        lines.append("grid: %d per axis; t_max %s; x_half %s; xi_half %s"
+                     % (g["grid"], g["t_max"], g["x_half"], g["xi_half"]))
     return lines
 
 
@@ -474,10 +489,7 @@ def _run_minimize(sf: SymbolFile, args) -> int:
         "grad_norm": _num(res.grad_norm),
         "iterations": res.iterations,
         "mode": args.mode,
-        "theta": {"t": str(theta.t), "z_x": [str(v) for v in theta.z_x],
-                  "z_xi": [str(v) for v in theta.z_xi],
-                  "eps": str(theta.eps),
-                  "x_p": None if theta.x_p is None else str(theta.x_p)},
+        "theta": _theta_obj(theta),
         "version": __version__,
         "input_hash": sf.sha256,
     }), args.out)

@@ -61,22 +61,18 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from hypcert.grid import TensorGrid, uniform_axis
 from hypcert.symbols import (
     DimensionMismatch,
     PhasePoint,
     PolySymbol,
     as_fraction,
     homogeneity_check,
+    phase_variables,
     poisson_bracket,
 )
 
 Number = Union[int, float, Fraction]
-
-
-def uniform_axis(lo: Fraction, hi: Fraction, n: int) -> Tuple[Fraction, ...]:
-    """n >= 2 equally spaced exact points from lo to hi."""
-    step = (hi - lo) / (n - 1)
-    return tuple(lo + k * step for k in range(n))
 
 
 def horner(coeffs, v):
@@ -226,9 +222,7 @@ def validate_spec(spec: NormalFormSpec) -> None:
 def build_normal_form(spec: NormalFormSpec) -> PolySymbol:
     """Assemble the composite a for a validated spec (exact)."""
     d, p = spec.d, spec.p
-    t = PolySymbol.coordinate(d, "t")
-    xs = [PolySymbol.coordinate(d, "x%d" % i) for i in range(1, d + 1)]
-    xis = [PolySymbol.coordinate(d, "xi%d" % i) for i in range(1, d + 1)]
+    t, xs, _, xis = phase_variables(d)
     chain = [t] + xs
     a = PolySymbol.zero(d)
     for i in range(1, p + 1):
@@ -264,6 +258,8 @@ HALF_WIDTH = Fraction(1, 2)
 POINTS = 11
 XI_HALF_WIDTH = Fraction(1, 4)
 XI_POINTS = 3
+_X_AXIS = uniform_axis(-HALF_WIDTH, HALF_WIDTH, POINTS)
+_XI_AXIS = uniform_axis(-XI_HALF_WIDTH, XI_HALF_WIDTH, XI_POINTS)
 
 
 def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
@@ -279,16 +275,13 @@ def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
     d, p = spec.d, spec.p
     base = spec.base_point()
     notes = []
-
-    if spec.variant == "form1":
-        br = poisson_bracket(spec.phi, poisson_bracket(spec.phi, spec.psi))
-        double_bracket = br.eval(base)
-        bbis_sum = None
-        bbis_ok = None
-    else:
-        xi_p = PolySymbol.coordinate(d, "xi%d" % p)
-        br = poisson_bracket(xi_p, poisson_bracket(xi_p, spec.g))
-        double_bracket = br.eval(base)
+    sign_poly, gate_poly = spec.remainder, spec.gate
+    outer = (spec.phi if spec.variant == "form1"
+             else PolySymbol.coordinate(d, "xi%d" % p))
+    double_bracket = poisson_bracket(
+        outer, poisson_bracket(outer, sign_poly)).eval(base)
+    bbis_sum = bbis_ok = None
+    if spec.variant == "form2":
         bbis_sum = sum(Fraction(1) / v for v in spec.r_bars())
         bbis_ok = bbis_sum > 1
         if not bbis_ok:
@@ -296,29 +289,24 @@ def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
                          "(sum of inverse r at the base point is %s <= 1); "
                          "not effectively hyperbolic" % bbis_sum)
 
-    # one-sided sign scan over the variables the remainder and gate use
-    sign_poly, gate_poly = spec.remainder, spec.gate
+    # one-sided sign scan over the variables the remainder and gate use,
+    # the other slots at the base point; the witness is the first failing
+    # point in C order
     moving = [i for i in range(2 * (d + 1))
               if sign_poly.depends_on(i) or gate_poly.depends_on(i)]
-    xi_base = base.as_tuple()
-    x_axis = uniform_axis(-HALF_WIDTH, HALF_WIDTH, POINTS)
-    xi_axis = uniform_axis(-XI_HALF_WIDTH, XI_HALF_WIDTH, XI_POINTS)
     axes = []
-    for i in moving:
-        if i >= d + 2:  # xi slot: box around the base covector
-            axes.append([xi_base[i] + v for v in xi_axis])
-        else:
-            axes.append(x_axis)
-    one_sided_ok = True
-    witness = None
-    pt = list(xi_base)
-    for combo in itertools.product(*axes):
-        for i, v in zip(moving, combo):
-            pt[i] = v
-        if gate_poly.eval(pt) >= 0 and sign_poly.eval(pt) < 0:
-            one_sided_ok = False
-            witness = tuple(pt)
-            break
+    for i, v in enumerate(base.as_tuple()):
+        if i in moving:  # an xi slot moves in a box around the base covector
+            axes.append((i, [v + u for u in _XI_AXIS] if i >= d + 2
+                         else _X_AXIS))
+        elif v:
+            axes.append((i, (v,)))
+    cube = TensorGrid(d, axes)
+    gate, sign, _ = cube.integer(gate_poly, sign_poly)
+    res, = cube.scan(lambda u: [(0.0, (gate.eval(u) >= 0)
+                                 & (sign.eval(u) < 0))])
+    one_sided_ok = res.n_included == 0
+    witness = None if one_sided_ok else cube.point(res.min_flat).as_tuple()
 
     ok = (double_bracket == 0) and (bbis_ok is not False) and one_sided_ok
     grid = {"half_width": str(HALF_WIDTH), "points": POINTS,
@@ -796,7 +784,7 @@ class ExtendedQ:
         for _ in range(n_samples):
             w = [rng.uniform(-w_inf, w_inf) for _ in range(self.w_dim)]
             raw = [rng.uniform(-1, 1) for _ in range(self.theta_dim)]
-            scale = rng.uniform(0, budget) / max(sum(abs(v) for v in raw), 1e-12)
+            scale = rng.uniform(0, budget) / (sum(map(abs, raw)) or 1.0)
             theta = self.theta_at([v * scale for v in raw])
             q0 = float(self.theta0_value(w))
             q = float(self.value(w, theta))

@@ -183,17 +183,12 @@ def _normal_form(obj, d, path) -> NormalFormSpec:
 
 
 def _region(obj, path) -> Region:
-    reg = _dict(obj, path, required=("t_max", "x_half", "xi_half", "grid"),
-                optional=("eta_den",))
-    eta = reg.get("eta_den")
-    if eta is not None and not isinstance(eta, (int, float)):
-        raise SchemaError(path + ".eta_den", "expected a number")
+    reg = _dict(obj, path, required=("t_max", "x_half", "xi_half", "grid"))
     try:
         return Region(t_max=_rational(reg["t_max"], path + ".t_max"),
                       x_half=_rational(reg["x_half"], path + ".x_half"),
                       xi_half=_rational(reg["xi_half"], path + ".xi_half"),
-                      grid=_int(reg["grid"], path + ".grid"),
-                      eta_den=None if eta is None else float(eta))
+                      grid=_int(reg["grid"], path + ".grid"))
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -311,14 +306,6 @@ def _normal_form_obj(spec: NormalFormSpec) -> dict:
     return obj
 
 
-def _region_obj(region: Region) -> dict:
-    obj = {"t_max": str(region.t_max), "x_half": str(region.x_half),
-           "xi_half": str(region.xi_half), "grid": region.grid}
-    if region.eta_den is not None:
-        obj["eta_den"] = region.eta_den
-    return obj
-
-
 def _options_obj(options: Options) -> dict:
     return {"slack": str(options.slack)}
 
@@ -327,7 +314,7 @@ def serialize_symbol_file(sf: SymbolFile) -> bytes:
     doc = {"schema": sf.schema, "d": sf.d,
            "base_point": point_obj(sf.base_point),
            "terms": poly_terms(sf.a),
-           "region": _region_obj(sf.region),
+           "region": sf.region.metadata(),
            "options": _options_obj(sf.options)}
     if sf.normal_form is not None:
         doc["normal_form"] = _normal_form_obj(sf.normal_form)

@@ -82,17 +82,13 @@ def var_index(d: int, name: str) -> int:
         return 0
     if name == "tau":
         return d + 1
-    if name.startswith("xi"):
-        i = int(name[2:])
-        if not 1 <= i <= d:
-            raise DimensionMismatch("variable %s out of range for d=%d" % (name, d))
-        return d + 1 + i
-    if name.startswith("x"):
-        i = int(name[1:])
-        if not 1 <= i <= d:
-            raise DimensionMismatch("variable %s out of range for d=%d" % (name, d))
-        return i
-    raise ValueError("unknown variable name %r" % (name,))
+    if name[:1] != "x":
+        raise ValueError("unknown variable name %r" % (name,))
+    xi = name.startswith("xi")
+    i = int(name[2:] if xi else name[1:])
+    if not 1 <= i <= d:
+        raise DimensionMismatch("variable %s out of range for d=%d" % (name, d))
+    return d + 1 + i if xi else i
 
 
 class PolySymbol:
@@ -118,16 +114,11 @@ class PolySymbol:
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in %r" % (exps,))
                 c = as_fraction(c)
-                if c != 0:
-                    prev = clean.get(exps)
-                    if prev is None:
-                        clean[exps] = c
-                    else:
-                        s = prev + c
-                        if s == 0:
-                            del clean[exps]
-                        else:
-                            clean[exps] = s
+                s = clean[exps] + c if exps in clean else c
+                if s == 0:
+                    clean.pop(exps, None)
+                else:
+                    clean[exps] = s
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_table", None)  # built by the first eval

@@ -1,23 +1,18 @@
 """Grid certification engine.
 
-Everything here is an empirical estimate: inf/sup of exact polynomial
-data evaluated in floats over uniform tensor grids.  Grid points are
-exact rationals, so every witness can be re-evaluated exactly.  The one
-polynomial evaluator is PolySymbol.eval, called on a block's coordinates
-and on the structural check's sample arrays.
-
-One walker, TensorGrid.scan, visits a grid in C order as contiguous
-flat blocks: one t value and a run of consecutive x_1 values, at most
-_BLOCK points (split on further axes when one x_1 value alone is over).
-Each axis is a float array shaped for numpy broadcasting, so a block's
-coordinates are views, never rebuilt from flat indices.
+The region scan and the structural branch floors walk TensorGrid (module
+grid), so each of their decisions is exact and each reported value the
+exact one at an exact grid point, correctly rounded.  What is estimated
+is the sampling (inf and sup over a finite grid, labelled empirical),
+and the structural reconstruction, boundary and Lipschitz checks are
+float evaluations of the exact data against the -1e-9 gates.
 
 certify_region is the one region scan: one fused pass over t >= 0,
 evaluating a, phi and {phi, a} once per block for the nonneg, c and
 kappa reductions, and one pass over the mirrored t < 0 grid evaluating a
-only.  A c or kappa set with no point above the denominator floor is
-reported as such (n_included == 0, no value, no witness); the caller
-decides what it means.
+only.  A c or kappa set with no grid point (no nonzero denominator resp.
+no a > 0) is reported as such (n_included == 0, no value, no witness);
+the caller decides what it means.
 
 check_structural is a stage of its own.  It treats its slow grid of
 thetas as one batch, refused past MAX_THETAS before any is built: exact
@@ -25,18 +20,12 @@ values per axis, broadcast over the grid.  minimize_Q_path takes the
 Newton stop test for the whole batch as one array at the theta = 0
 minimizer and runs Newton, one theta at a time, only from the first
 theta in continuation order that fails it; the reconstruction samples
-are evaluated as arrays over sub-grids of at most _BLOCK samples.
-
-Determinism contract: the scan is serial.  Each block is reduced on its
-own (argmin/argmax with the lowest flat index winning ties), over the
-values' own shape rather than their broadcast to the block, and the
-per-block results are folded in block order with strict comparisons, so
-the block budget never changes a single output bit.
+are evaluated as arrays over blocks of the slow grid (grid.blocks) of at
+most _BLOCK samples.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -45,6 +34,14 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from hypcert.grid import (
+    _BLOCK,
+    ScanTooLarge,
+    TensorGrid,
+    blocks,
+    check_exact,
+    uniform_axis,
+)
 from hypcert.normal_forms import (
     ExtendedQ,
     NormalFormSpec,
@@ -54,7 +51,6 @@ from hypcert.normal_forms import (
     build_normal_form,
     horner,
     poly_derivative,
-    uniform_axis,
 )
 from hypcert.spectral import NoConvergence
 from hypcert.symbols import (
@@ -70,8 +66,6 @@ from hypcert.time_functions import TimeFunctionCert
 Number = Union[int, float, Fraction]
 
 DEFAULT_GRID = 33
-_BLOCK = 1 << 18  # points per scan block
-MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 MAX_THETAS = 1 << 21  # structural slow grid; b1 lifted to d = 4 has 5^9
 MAX_NEWTON_ITER = 80
 _EPS = float(np.finfo(float).eps)
@@ -83,11 +77,6 @@ STRUCTURAL_CUTOFF = build_cutoff(Fraction(1, 2))
 N_AXIS = 5
 N_W = 16
 SEED = 0
-
-
-class ScanTooLarge(ValueError):
-    """A tensor scan would visit more than MAX_SCAN_POINTS grid points, or
-    a structural check would solve at more than MAX_THETAS thetas."""
 
 
 class NegativeInput(ValueError):
@@ -104,193 +93,39 @@ class HessianDegenerate(RuntimeError):
 @dataclass(frozen=True)
 class Region:
     """t in [0, t_max], |x_j| <= x_half, |xi - e_d| <= xi_half per axis,
-    uniform grid points per axis, and the denominator exclusion level."""
+    and uniform grid points per axis."""
 
     t_max: Fraction = Fraction(1, 10)
     x_half: Fraction = Fraction(1, 10)
     xi_half: Fraction = Fraction(1, 10)
     grid: int = DEFAULT_GRID
-    eta_den: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t_max", as_fraction(self.t_max))
-        object.__setattr__(self, "x_half", as_fraction(self.x_half))
-        object.__setattr__(self, "xi_half", as_fraction(self.xi_half))
+        for name in ("t_max", "x_half", "xi_half"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.t_max <= 0 or self.x_half < 0 or self.xi_half < 0:
             raise ValueError("region extents must be positive")
         if self.grid < 3:
             raise ValueError("grid counts must be >= 3")
-        if self.eta_den is not None and not (self.eta_den > 0
-                                             and math.isfinite(self.eta_den)):
-            raise ValueError("eta_den must be positive and finite")
-
-    @property
-    def scale(self) -> float:
-        return float(max(self.t_max, self.x_half, 1 + self.xi_half))
-
-    def denominator_floor(self) -> float:
-        if self.eta_den is not None:
-            return float(self.eta_den)
-        return 1e-10 * self.scale ** 2
 
     def metadata(self) -> dict:
-        return {
-            "t_max": str(self.t_max), "x_half": str(self.x_half),
-            "xi_half": str(self.xi_half), "grid": self.grid,
-            "eta_den": self.denominator_floor(),
-        }
+        return {"t_max": str(self.t_max), "x_half": str(self.x_half),
+                "xi_half": str(self.xi_half), "grid": self.grid}
 
 
 def region_axes(region: Region, d: int, negative_t: bool = False,
                 pin_last_xi: bool = False):
     """(slot, exact axis) pairs in slot order; tau stays out (fixed 0)."""
     n = region.grid
+    t_axis = uniform_axis(Fraction(0), region.t_max, n)
     if negative_t:
-        pos = uniform_axis(Fraction(0), region.t_max, n)
-        t_axis = tuple(-v for v in reversed(pos[1:]))
-    else:
-        t_axis = uniform_axis(Fraction(0), region.t_max, n)
-    axes = [(0, t_axis)]
-    for j in range(1, d + 1):
-        axes.append((j, uniform_axis(-region.x_half, region.x_half, n)))
-    for j in range(1, d + 1):
-        center = Fraction(1) if j == d else Fraction(0)
-        if pin_last_xi and j == d:
-            axes.append((d + 1 + j, (Fraction(1),)))
-        else:
-            axes.append((d + 1 + j,
-                         uniform_axis(center - region.xi_half,
-                                      center + region.xi_half, n)))
-    return axes
-
-
-# ----------------------------------------------------------- tensor engine
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    min_value: float
-    min_flat: int
-    max_value: float
-    max_flat: int
-    n_included: int
-    n_total: int
-
-
-class TensorGrid:
-    """Uniform tensor grid over selected phase-space slots (tau fixed 0)."""
-
-    def __init__(self, d: int, axes):
-        self.d = d
-        self.slots = tuple(slot for slot, _ in axes)
-        self.axes = tuple(tuple(ax) for _, ax in axes)
-        self._lens = tuple(len(ax) for ax in self.axes)
-        self.total = math.prod(self._lens)
-        if self.total > MAX_SCAN_POINTS:
-            raise ScanTooLarge("a scan of %d grid points exceeds the budget "
-                               "of %d" % (self.total, MAX_SCAN_POINTS))
-        self._strides = tuple(math.prod(self._lens[i + 1:])
-                              for i in range(len(self._lens)))
-        # Blocks fix the axes before `split` and run along it: the first
-        # axis after t whose trailing axes fit in one block.
-        split = min(1, len(self._lens) - 1)
-        while (split < len(self._lens) - 1
-               and self._strides[split] > _BLOCK):
-            split += 1
-        self._split = split
-        self._run = max(1, _BLOCK // self._strides[split])
-        ndim = len(self._lens) - split
-        self._float_axes = []
-        for i, ax in enumerate(self.axes):
-            fax = np.array([float(v) for v in ax])
-            if i >= split:
-                shape = [1] * ndim
-                shape[i - split] = -1
-                fax = fax.reshape(shape)
-            self._float_axes.append(fax)
-
-    def point(self, flat: int) -> PhasePoint:
-        vals = [Fraction(0)] * (2 * (self.d + 1))
-        for slot, ax, stride, n in zip(self.slots, self.axes,
-                                       self._strides, self._lens):
-            vals[slot] = ax[(flat // stride) % n]
-        return PhasePoint.from_sequence(self.d, vals)
-
-    def _blocks(self):
-        """(first flat index, block shape, coordinates by slot) in C order;
-        the coordinates broadcast against the block shape."""
-        split, run = self._split, self._run
-        lead = (1,) * (len(self._lens) - split)
-        zero = np.zeros(lead)
-        n = self._lens[split]
-        tail = self._lens[split + 1:]
-        for prefix in itertools.product(*map(range, self._lens[:split])):
-            base = sum(i * s for i, s in zip(prefix, self._strides))
-            fixed = [fax[i:i + 1].reshape(lead)
-                     for fax, i in zip(self._float_axes, prefix)]
-            for lo in range(0, n, run):
-                hi = min(lo + run, n)
-                arrays = (fixed + [self._float_axes[split][lo:hi]]
-                          + self._float_axes[split + 1:])
-                coords = [zero] * (2 * (self.d + 1))
-                for slot, arr in zip(self.slots, arrays):
-                    coords[slot] = arr
-                yield (base + lo * self._strides[split], (hi - lo,) + tail,
-                       coords)
-
-    def scan(self, fn) -> Tuple[ScanResult, ...]:
-        """fn(coords) -> [(values, include_mask or None), ...] per block;
-        one min/max reduction per pair.
-
-        Block partials are combined in block order with strict
-        comparisons, so the earliest (lowest flat index) extremum wins
-        ties.
-        """
-        parts = [[_reduce(vals, mask, start, shape)
-                  for vals, mask in fn(coords)]
-                 for start, shape, coords in self._blocks()]
-        return tuple(_fold(column, self.total) for column in zip(*parts))
-
-
-def _reduce(vals, mask, start: int, shape):
-    """(min, its flat index, max, its flat index, included) of the values
-    broadcast to the block shape, reduced over the pair's own shape: the
-    first C-order extremum of a broadcast array has index 0 on every
-    broadcast axis, and each entry stands for that many block points."""
-    own = np.broadcast_shapes(np.shape(vals),
-                              () if mask is None else np.shape(mask))
-    own = (1,) * (len(shape) - len(own)) + own
-    vals = np.broadcast_to(vals, own)
-    if mask is None:
-        i, j = int(np.argmin(vals)), int(np.argmax(vals))
-        mn, mx, n = vals.flat[i], vals.flat[j], vals.size
-    else:
-        mask = np.broadcast_to(mask, own)
-        sel = np.flatnonzero(mask)
-        if sel.size == 0:
-            return (math.inf, -1, -math.inf, -1, 0)
-        sub = vals[mask]
-        i, j = int(np.argmin(sub)), int(np.argmax(sub))
-        mn, mx, n = sub[i], sub[j], sel.size
-        i, j = int(sel[i]), int(sel[j])
-    if own != shape:
-        i, j = (int(np.ravel_multi_index(np.unravel_index(k, own), shape))
-                for k in (i, j))
-    return (float(mn), start + i, float(mx), start + j,
-            n * (math.prod(shape) // math.prod(own)))
-
-
-def _fold(parts, total: int) -> ScanResult:
-    best_min, min_flat = math.inf, -1
-    best_max, max_flat = -math.inf, -1
-    included = 0
-    for mn, mni, mx, mxi, inc in parts:
-        included += inc
-        if mn < best_min:
-            best_min, min_flat = mn, mni
-        if mx > best_max:
-            best_max, max_flat = mx, mxi
-    return ScanResult(best_min, min_flat, best_max, max_flat, included, total)
+        t_axis = tuple(-v for v in reversed(t_axis[1:]))
+    x_axis = uniform_axis(-region.x_half, region.x_half, n)
+    xi_axis = uniform_axis(-region.xi_half, region.xi_half, n)
+    last = (Fraction(1),) if pin_last_xi else tuple(1 + v for v in xi_axis)
+    return ([(0, t_axis)] + [(j, x_axis) for j in range(1, d + 1)]
+            + [(d + 1 + j, xi_axis) for j in range(1, d)]
+            + [(2 * d + 1, last)])
 
 
 # ------------------------------------------------- nonnegativity, c, kappa
@@ -310,55 +145,37 @@ class NonnegReport:
     witness: PhasePoint
     negative_side: SideWitness
     n_points: int
-    grid: dict
 
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """value and witness are None when no grid point cleared the floor."""
+    """value and witness are None when the ratio's set has no grid
+    point."""
 
     value: Optional[float]
     witness: Optional[PhasePoint]
     n_excluded: int
     n_included: int
     n_total: int
-    eta_den: float
-    grid: dict
 
 
-def _nonneg_report(a: PolySymbol, region: Region, grid: TensorGrid,
-                   pos: ScanResult) -> NonnegReport:
-    """The t >= 0 minimum, plus the mirrored t < 0 scan of a."""
-    scale = max(1.0, abs(pos.min_value), abs(pos.max_value))
-    passed = pos.min_value >= -1e-12 * scale
-
-    grid_neg = TensorGrid(a.d, region_axes(region, a.d, negative_t=True))
-    neg, = grid_neg.scan(lambda coords: [(a.eval(coords), None)])
-    neg_scale = max(1.0, abs(neg.min_value), abs(neg.max_value))
-    found = neg.min_value < -1e-12 * neg_scale
-    side = SideWitness(
-        found_negative=found,
-        witness=grid_neg.point(neg.min_flat) if found else None,
-        value=neg.min_value if found else None)
-    return NonnegReport(passed=passed, min_value=pos.min_value,
-                        witness=grid.point(pos.min_flat),
-                        negative_side=side, n_points=pos.n_total,
-                        grid=region.metadata())
+def _quotient(num, den, k: Fraction, mask):
+    """(k num / den where mask holds, mask), for num and den exact float
+    integers: k is folded into them, so each value is one correctly
+    rounded division.  The caller bounds k num and k den (check_exact)."""
+    num = num if k.numerator == 1 else k.numerator * num
+    den = den if k.denominator == 1 else k.denominator * den
+    return num / np.where(mask, den, 1.0), mask
 
 
-def _ratio_estimate(region: Region, grid: TensorGrid, res: ScanResult,
-                    use_max: bool) -> RatioEstimate:
-    if res.n_included == 0:
-        value, witness = None, None
-    elif use_max:
-        value, witness = res.max_value, grid.point(res.max_flat)
-    else:
-        value, witness = res.min_value, grid.point(res.min_flat)
-    return RatioEstimate(value=value, witness=witness,
+def _ratio_estimate(grid: TensorGrid, res, use_max: bool) -> RatioEstimate:
+    value, flat = ((res.max_value, res.max_flat) if use_max
+                   else (res.min_value, res.min_flat))
+    empty = res.n_included == 0
+    return RatioEstimate(value=None if empty else value,
+                         witness=None if empty else grid.point(flat),
                          n_excluded=res.n_total - res.n_included,
-                         n_included=res.n_included, n_total=res.n_total,
-                         eta_den=region.denominator_floor(),
-                         grid=region.metadata())
+                         n_included=res.n_included, n_total=res.n_total)
 
 
 # ----------------------------------------------------------------- glaeser
@@ -551,23 +368,11 @@ def _theta_axes(eq: ExtendedQ, region: Region):
     return axes + [zx_axis] * (eq.theta_dim - len(axes))  # x_p shares z_x
 
 
-def _subgrids(shape, per_point: int):
-    """(first number, index prefix) of the sub-grids that fix the leading
-    axes of a grid numbered in C order, each of at most _BLOCK //
-    per_point points (a single point at the least)."""
-    lead = 0
-    while lead < len(shape) and per_point * math.prod(shape[lead:]) > _BLOCK:
-        lead += 1
-    size = math.prod(shape[lead:])
-    for k, prefix in enumerate(itertools.product(*map(range, shape[:lead]))):
-        yield k * size, prefix
-
-
-def _fix(v, prefix):
-    """v at an index prefix of the grid it broadcasts over, every axis kept
-    and a trailing one added."""
-    return v[tuple(slice(i, i + 1) if n > 1 else slice(None)
-                   for i, n in zip(prefix, v.shape))][..., None]
+def _fix(v, slices):
+    """v at a block (slices) of the grid it broadcasts over, every axis
+    kept and a trailing one added."""
+    return v[tuple(s if n > 1 else slice(None)
+                   for s, n in zip(slices, v.shape))][..., None]
 
 
 def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
@@ -609,8 +414,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
         thetas.eps).astype(float)
 
     # (i) reconstruction floor at the minimizer and N_W seeded w draws per
-    # theta, in theta order; sub-grids of thetas keep a block's samples
-    # within _BLOCK
+    # theta, in theta order; blocks of thetas keep their samples within
+    # _BLOCK
     rng = random.Random(SEED)
     n, nw = path.w_bar.shape
     # random.uniform(-delta, delta)'s own formula on the same draws, so
@@ -623,14 +428,13 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
             [samples, draws.reshape(n, N_W, nw)], axis=1)
     per = samples.shape[1]
     recon_min, recon_at = math.inf, None
-    for first, prefix in _subgrids(shape, per):
-        sub = (1,) * len(prefix) + shape[len(prefix):]
+    for first, slices, sub in blocks(shape, _BLOCK // per):
         rows = slice(first, first + math.prod(sub))
         pt = eq.substituted_point(
             [samples[rows, :, j].reshape(sub + (per,)) for j in range(nw)],
-            thetas.map(lambda v: _fix(v, prefix)))
+            thetas.map(lambda v: _fix(v, slices)))
         ahat = a.eval(pt) / eq.divisor(pt)
-        margin = (ahat - path.m[rows].reshape(sub + (1,)) * _fix(eps2, prefix)
+        margin = (ahat - path.m[rows].reshape(sub + (1,)) * _fix(eps2, slices)
                   - spec.remainder.eval(pt))
         ratio = np.broadcast_to(margin / (1 + abs(ahat)), sub + (per,))
         k = int(np.argmin(ratio))
@@ -647,8 +451,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     # (ii) t = 0 boundary: m1(0, z) shift^2 + remainder >= 0, with
     # shift = -eps = phi(z) resp. x_p; the t = 0 thetas come first
     edge = thetas.map(lambda v: v[:1])
-    rem = spec.remainder.eval(
-        eq.substituted_point((0.0,) * nw, edge))
+    rem = spec.remainder.eval(eq.substituted_point((0.0,) * nw, edge))
     bnd = np.broadcast_to(path.m.reshape(shape)[:1] * eps2[:1] + rem,
                           edge.shape).ravel()
     k = int(np.argmin(bnd))
@@ -661,32 +464,29 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
                                value=bnd_min, worst=bnd_worst,
                                n_points=bnd.size)
 
-    # (iii) branch floors on the pinned cone
-    eta = region.denominator_floor()
+    # (iii) branch floors on the pinned cone: a / t^2 and a / (t - phi)^2
+    # are k A / T^2 and k A / E^2 in the cone's integers
     cone = TensorGrid(d, region_axes(region, d, pin_last_xi=True))
+    a_int, a_den = cone.integer(a)
+    gate, _ = cone.integer(spec.gate)
+    t = PolySymbol.coordinate(d, "t")
+    t_int, e_int, t_den = cone.integer(t, t - cert.phi)
+    k = Fraction(t_den ** 2, a_den)
+    check_exact(k.numerator * cone.bound(a_int), k.denominator
+                * max(cone.bound(t_int), cone.bound(e_int)) ** 2)
 
-    def fn(coords):
-        av = a.eval(coords)
-        gv = spec.gate.eval(coords)
-        t2 = coords[0] ** 2
-        neg = (gv < 0) & (t2 >= eta)
-        sv = (coords[0] - cert.phi.eval(coords)) ** 2
-        graph = (gv >= 0) & (sv >= eta)
-        return [(av / np.where(neg, t2, 1.0), neg),
-                (av / np.where(graph, sv, 1.0), graph)]
+    def fn(u):
+        av, gv, tv, ev = (p.eval(u) for p in (a_int, gate, t_int, e_int))
+        return [_quotient(av, tv * tv, k, (gv < 0) & (tv != 0)),
+                _quotient(av, ev * ev, k, (gv >= 0) & (ev != 0))]
 
-    floors = []
-    for name, res in zip(("negative-branch-floor", "graph-branch-floor"),
-                         cone.scan(fn)):
-        if res.n_included == 0:
-            # branch is empty on this region: vacuously true
-            floors.append(StructuralCheck(name=name, passed=True,
-                                          value=None, worst=None,
-                                          n_points=0))
-        else:
-            floors.append(StructuralCheck(
-                name=name, passed=res.min_value > 0, value=res.min_value,
-                worst=(cone.point(res.min_flat),), n_points=res.n_included))
+    # an empty branch (min_value inf) is vacuously true
+    floors = [StructuralCheck(
+        name=name, passed=res.min_value > 0,
+        value=res.min_value if res.n_included else None,
+        worst=(cone.point(res.min_flat),) if res.n_included else None,
+        n_points=res.n_included) for name, res in zip(
+            ("negative-branch-floor", "graph-branch-floor"), cone.scan(fn))]
 
     # (iv) Lipschitz constant of m1 in t over the theta sweep
     by_t = path.m.reshape(len(axes[0]), -1)
@@ -716,7 +516,6 @@ class CertificateReport:
     c: RatioEstimate
     kappa: RatioEstimate
     grid: dict
-    label: str = "empirical"
 
     @property
     def c_est(self) -> Optional[float]:
@@ -734,33 +533,47 @@ def certify_region(a: PolySymbol, phi: PolySymbol,
     grid evaluating a only.
 
     c is the inf of a / (min{t^2, (t - phi)^2} |xi|^2) where that
-    denominator clears the region floor, and kappa the sup of
-    {phi, a}^2 / (4a) where a clears it; the bracket is exact, only the
-    evaluation is in floats."""
+    denominator is nonzero, and kappa the sup of {phi, a}^2 / (4a) where
+    a > 0.  In the grid's integers they are kc A / (min{T^2, E^2} X) and
+    kk B^2 / A, one correctly rounded division each."""
     if phi.d != a.d:
         raise DimensionMismatch("phi has d=%d, a has d=%d" % (phi.d, a.d))
     for p, name in ((a, "a"), (phi, "phi")):
         if p.depends_on(p.d + 1):
             raise ValueError("%s must not depend on tau" % name)
     d = a.d
-    eta = region.denominator_floor()
-    bracket = poisson_bracket(phi, a)
-    xi_sq = sum((xi * xi for xi in phase_variables(d)[3]), PolySymbol.zero(d))
-
-    def fn(coords):
-        av = a.eval(coords)
-        t = coords[0]
-        den = (np.minimum(t ** 2, (t - phi.eval(coords)) ** 2)
-               * xi_sq.eval(coords))
-        c_in, kappa_in = den >= eta, av >= eta
-        return [(av, None),
-                (av / np.where(c_in, den, 1.0), c_in),
-                (bracket.eval(coords) ** 2 / np.where(kappa_in, 4.0 * av, 1.0),
-                 kappa_in)]
-
+    t, _, _, xis = phase_variables(d)
     grid = TensorGrid(d, region_axes(region, d))
+    a_int, a_den = grid.integer(a)
+    b_int, b_den = grid.integer(poisson_bracket(phi, a))
+    t_int, e_int, t_den = grid.integer(t, t - phi)
+    x_int, x_den = grid.integer(sum((xi * xi for xi in xis),
+                                    PolySymbol.zero(d)))
+    kc = Fraction(t_den ** 2 * x_den, a_den)
+    kk = Fraction(a_den, 4 * b_den ** 2)
+    a_max, den_max = grid.bound(a_int), grid.bound(x_int) * max(
+        grid.bound(t_int), grid.bound(e_int)) ** 2
+    check_exact(kc.numerator * a_max, kc.denominator * den_max,
+                kk.numerator * grid.bound(b_int) ** 2, kk.denominator * a_max)
+
+    def fn(u):
+        av, tv, bv = a_int.eval(u), t_int.eval(u), b_int.eval(u)
+        den = np.minimum(tv * tv, e_int.eval(u) ** 2) * x_int.eval(u)
+        return [(av, None), _quotient(av, den, kc, den > 0),
+                _quotient(bv * bv, av, kk, av > 0)]
+
     pos, c, kappa = grid.scan(fn)
-    return CertificateReport(
-        c=_ratio_estimate(region, grid, c, use_max=False),
-        kappa=_ratio_estimate(region, grid, kappa, use_max=True),
-        nonneg=_nonneg_report(a, region, grid, pos), grid=region.metadata())
+    grid_neg = TensorGrid(d, region_axes(region, d, negative_t=True))
+    a_neg, neg_den = grid_neg.integer(a)
+    neg, = grid_neg.scan(lambda u: [(a_neg.eval(u), None)])
+    found = neg.min_value < 0
+    side = SideWitness(found, grid_neg.point(neg.min_flat) if found else None,
+                       neg.min_value / neg_den if found else None)
+    nonneg = NonnegReport(passed=pos.min_value >= 0,
+                          min_value=pos.min_value / a_den,
+                          witness=grid.point(pos.min_flat),
+                          negative_side=side, n_points=pos.n_total)
+    return CertificateReport(nonneg=nonneg,
+                             c=_ratio_estimate(grid, c, use_max=False),
+                             kappa=_ratio_estimate(grid, kappa, use_max=True),
+                             grid=region.metadata())

@@ -89,20 +89,24 @@ def node(t, x1, x2, xi1, xi2):
 
 
 # Recorded at the documented region with the flat-index scans the fused
-# walker replaced: (value, witness[, n_included, n_excluded]).
+# walker replaced: (value, witness[, n_included, n_excluded]).  The values
+# are the exact ones at the witnesses, correctly rounded, since the scans
+# decide in exact integers (b1's negative side is -121/100000 and its c
+# 81/82; the float scans read -0.0012100000000000006, 0.9878048780487804
+# and b2's negative side -0.0006050000000000003).
 GRID33_BITS = {
     "b1": {
         "nonneg": (0.0, node(0, 0, "-1/10", "-1/10", "9/10")),
-        "negative_side": (-0.0012100000000000006,
+        "negative_side": (-0.00121,
                           node("-1/10", "-1/10", "-1/10", "-1/10", "11/10")),
-        "c": (0.9878048780487804, node("1/320", 0, "-1/10", "-1/10", "9/10"),
+        "c": (0.9878048780487805, node("1/320", 0, "-1/10", "-1/10", "9/10"),
               37374480, 1760913),
         "kappa": (0.0, node(0, "-1/10", "-1/10", "-1/10", "9/10"),
                   39099456, 35937),
     },
     "b2": {
         "nonneg": (0.0, node(0, 0, "-1/10", 0, "9/10")),
-        "negative_side": (-0.0006050000000000003,
+        "negative_side": (-0.000605,
                           node("-1/10", "-1/10", "-1/10", 0, "11/10")),
         "c": (1.0, node("1/320", 0, "-1/10", 0, "9/10"), 37374480, 1760913),
         "kappa": (0.5, node(0, 0, "-1/10", "-1/10", "9/10"), 39134304, 1089),

@@ -181,22 +181,42 @@ def test_structural_grid_within_budget_certifies():
 
 
 def test_empty_ratio_set_fails_at_verify(monkeypatch):
-    # at eta_den 1e6 every grid point of b2 falls below the floor: FAILED
-    # at verify with the sections of the shipped report, and the
-    # structural check never runs
+    # scanned with phi = t, no grid point of b2 has a nonzero c
+    # denominator: FAILED at verify with the sections of the shipped
+    # report, and the structural check never runs
     ran = []
     monkeypatch.setattr(cli, "check_structural", lambda *args: ran.append(1))
-    sf = parse_symbol_file(FIXTURES / "b2.json")
-    sf = dataclasses.replace(
-        sf, region=dataclasses.replace(sf.region, eta_den=1e6))
-    rep = run_pipeline(sf, "certify")
+    t = phase_variables(2)[0]
+    monkeypatch.setattr(cli, "certify_region", lambda a, phi, region:
+                        verifier.certify_region(a, t, region))
+    rep = run_pipeline(parse_symbol_file(FIXTURES / "b2.json"), "certify")
     assert ran == [] and exit_code(rep) == 1
     want = json.loads((GOLDEN / "b2.certify.json").read_bytes())
     del want["certificate"]
     want.update(status="FAILED", stage="verify",
-                reason="all 59049 grid points fell below eta_den")
+                reason="c is empty: none of the 59049 grid points has a "
+                       "nonzero denominator")
     assert emit_report(rep) == (json.dumps(want, sort_keys=True, indent=2)
                                 + "\n").encode("utf-8")
+
+
+def test_scans_past_exact_integers_fail():
+    # b1 with 1/3^40 in a factor: the integers of its scans over a common
+    # denominator would pass 2^53, and no scan decides on rounded floats
+    t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
+    small = Fraction(1, 3 ** 40)
+    for stage, q, psi in (("verify", xi2 ** 2 + small * xi1 ** 2, x1 ** 3),
+                          ("side-conditions", xi2 ** 2, small * x1 ** 3)):
+        spec = NormalFormSpec(variant="form1", d=2, p=0, q=(q,), r=(),
+                              phi=x1, psi=psi)
+        sf = SymbolFile(schema=1, d=2, base_point=PhasePoint.base(2),
+                        a=normal_forms.build_normal_form(spec),
+                        region=Region(grid=5),
+                        options=Options(slack=Fraction(1, 100)),
+                        normal_form=spec)
+        rep = run_pipeline(sf, "certify")
+        assert (rep.status, rep.stage) == ("FAILED", stage)
+        assert "past the 2^53" in rep.reason and rep.certificate is None
 
 
 def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
@@ -390,14 +410,13 @@ def test_main_usage_errors(tmp_path, capsys):
         path.write_bytes(json.dumps(doc).encode("utf-8"))
         assert main(["classify", str(path)]) == 3
         assert "$.options: unknown key 'tol'" in capsys.readouterr().err
-    # json.loads accepts Infinity, which no finite floor is
+    # the scans decide exactly: there is no denominator floor key either
     doc = fixture_doc("b2")
-    doc["region"]["eta_den"] = math.inf
-    path = tmp_path / "eta_den_inf.json"
+    doc["region"]["eta_den"] = 1e-10
+    path = tmp_path / "eta_den.json"
     path.write_bytes(json.dumps(doc).encode("utf-8"))
     assert main(["certify", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "$.region" in err and "eta_den" in err
+    assert "$.region: unknown key 'eta_den'" in capsys.readouterr().err
 
 
 def test_invalid_normal_form_is_a_usage_error(tmp_path, capsys):

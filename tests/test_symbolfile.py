@@ -4,9 +4,13 @@ import json
 import pathlib
 from fractions import Fraction as F
 
-import pytest
+import dataclasses
 
-from hypcert import NormalFormSpec, PhasePoint, Region
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypcert import NormalFormSpec, PhasePoint, PolySymbol, Region
 from hypcert.symbolfile import (
     DimensionError,
     Options,
@@ -171,6 +175,12 @@ def test_region_and_options_validation():
     doc["options"] = {"tol": 1e-8}
     with pytest.raises(SchemaError, match=r"\$\.options: unknown key 'tol'"):
         parse_symbol_data(doc_bytes(doc))
+    doc = minimal_doc()  # nor do the scans read a denominator floor
+    doc["region"] = {"t_max": "1/10", "x_half": "1/10", "xi_half": "1/10",
+                     "grid": 9, "eta_den": 1e-10}
+    with pytest.raises(SchemaError,
+                       match=r"\$\.region: unknown key 'eta_den'"):
+        parse_symbol_data(doc_bytes(doc))
 
 
 def test_frame_block_parses():
@@ -205,6 +215,51 @@ def test_serialize_reaches_fixed_point():
     doc = json.loads(first)
     assert set(doc) == {"schema", "d", "base_point", "terms", "region",
                         "options"}
+
+
+@st.composite
+def symbol_files(draw):
+    """SymbolFiles with random exact data, half of them with a form1
+    normal form (p = 0, phi and psi linear resp. quadratic in x)."""
+    d = draw(st.integers(1, 3))
+    rational = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+    positive = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+    nonneg = st.builds(F, st.integers(0, 9), st.integers(1, 9))
+    n = 2 * (d + 1)
+
+    def poly(max_terms, exps=st.lists(st.integers(0, 2), min_size=n,
+                                      max_size=n)):
+        return PolySymbol(d, dict(draw(st.lists(
+            st.tuples(exps.map(tuple), rational), max_size=max_terms))))
+
+    a = poly(5)
+    if a.is_zero:
+        a = PolySymbol.constant(d, 1)
+    normal_form = None
+    if draw(st.booleans()):
+        x = [PolySymbol.coordinate(d, "x%d" % j) for j in range(1, d + 1)]
+        xi_d = PolySymbol.coordinate(d, "xi%d" % d)
+        normal_form = NormalFormSpec(
+            variant="form1", d=d, p=0, q=(draw(positive) * xi_d ** 2,),
+            r=(), phi=sum((draw(rational) * v for v in x),
+                          PolySymbol.zero(d)),
+            psi=sum((draw(rational) * v * v for v in x), PolySymbol.zero(d)))
+    return SymbolFile(
+        schema=1, d=d,
+        base_point=PhasePoint.from_sequence(d, draw(st.lists(
+            rational, min_size=n, max_size=n))),
+        a=a, region=Region(t_max=draw(positive), x_half=draw(nonneg),
+                           xi_half=draw(nonneg), grid=draw(st.integers(3, 65))),
+        options=Options(slack=draw(positive)), normal_form=normal_form)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(symbol_files())
+def test_serializer_round_trip(sf):
+    data = serialize_symbol_file(sf)
+    parsed = parse_symbol_data(data)
+    assert dataclasses.replace(parsed, sha256="") == sf
+    assert serialize_symbol_file(parsed) == data
 
 
 def test_canonical_term_order_is_graded_lex():

@@ -32,8 +32,10 @@ from hypcert import (
 )
 from hypcert.symbolfile import parse_symbol_file
 from hypcert.symbols import DimensionMismatch, phase_variables
+from hypcert import grid as walker
 from hypcert import verifier
-from hypcert.verifier import MAX_SCAN_POINTS, TensorGrid, region_axes
+from hypcert.grid import MAX_SCAN_POINTS, TensorGrid
+from hypcert.verifier import region_axes
 from test_normal_forms import deep_chain_specs
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -70,15 +72,14 @@ def small_region():
 def test_region_defaults():
     reg = Region()
     assert reg.grid == 33
-    assert reg.scale == 1.1
-    assert reg.denominator_floor() == pytest.approx(1.21e-10, rel=1e-12)
     meta = reg.metadata()
-    assert meta["t_max"] == "1/10" and meta["grid"] == 33
+    assert meta == {"t_max": "1/10", "x_half": "1/10", "xi_half": "1/10",
+                    "grid": 33}
 
 
 @pytest.mark.parametrize("kwargs", [
     {"t_max": 0}, {"t_max": -1}, {"grid": 2},
-    {"eta_den": 0.0}, {"eta_den": -1.0}, {"x_half": -1},
+    {"xi_half": -1}, {"grid": 0}, {"x_half": -1},
 ])
 def test_region_rejects_bad_inputs(kwargs):
     with pytest.raises(ValueError):
@@ -103,7 +104,7 @@ def test_ties_resolve_low_across_blocks(monkeypatch):
     res, = grid.scan(lambda coords: [(7.0, None)])
     assert res.min_flat == res.max_flat == 0
     assert res.n_included == res.n_total == 33**5
-    monkeypatch.setattr(verifier, "_BLOCK", 50)
+    monkeypatch.setattr(walker, "_BLOCK", 50)
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
     assert len(list(grid._blocks())) == 5 * 5 * 3
     res, = grid.scan(lambda coords: [(coords[0] * 0.0 + 7.0, None)])
@@ -115,12 +116,13 @@ def test_ties_resolve_low_across_blocks(monkeypatch):
 def test_block_budget_does_not_change_results(budget, monkeypatch):
     # every reduction of the walker, flat indices included, is the same
     # whatever the block boundaries; the last pair has its values and its
-    # mask on different axes
+    # mask on different axes.  fn sees index coordinates: t in 0..4,
+    # x_1, x_2 and xi_1 in -2..2, xi_2 in 18..22 (units 1/40 and 1/20)
     def fn(coords):
         t, xa, xb, _, ya, yb = coords
         v = (t - xa) * yb + xb * ya ** 2
         mask = v > 0
-        return [(v, None), (v, mask), (xa * 0.0, mask), (1.0, t > 1.0),
+        return [(v, None), (v, mask), (xa * 0.0, mask), (1.0, t > 4.0),
                 (math.inf, xb > 0), (-math.inf, xb > 0), (xa, yb > 0)]
 
     reference = TensorGrid(2, region_axes(Region(grid=5), 2)).scan(fn)
@@ -130,7 +132,8 @@ def test_block_budget_does_not_change_results(budget, monkeypatch):
              for spec in (b1_spec(), b2_spec())]
     structural = [repr(check_structural(spec, cert, Region(grid=5)))
                   for spec, cert in certs]
-    monkeypatch.setattr(verifier, "_BLOCK", budget)
+    monkeypatch.setattr(walker, "_BLOCK", budget)
+    monkeypatch.setattr(verifier, "_BLOCK", budget)  # structural sub-grids
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
     assert grid.scan(fn) == reference
     assert [repr(check_structural(spec, cert, Region(grid=5)))
@@ -146,8 +149,8 @@ def test_block_budget_does_not_change_results(budget, monkeypatch):
     # the first point of its last value
     both = reference[6]
     assert both.n_included == both.n_total == 5**5
-    assert (both.min_value, both.min_flat) == (-0.1, 0)
-    assert (both.max_value, both.max_flat) == (0.1, 4 * 5**3)
+    assert (both.min_value, both.min_flat) == (-2.0, 0)
+    assert (both.max_value, both.max_flat) == (2.0, 4 * 5**3)
 
 
 def test_scan_budget():
@@ -224,13 +227,15 @@ def test_c_degenerate_direction_is_zero(small_region):
 
 
 def test_c_all_points_degenerate(b2_a):
-    # an empty ratio set is data: no value, no witness, every point counted
-    # as excluded
-    rep = certify_region(b2_a, x1, Region(grid=5, eta_den=1e6))
-    for est in (rep.c, rep.kappa):
+    # with phi = t the c denominator min{t^2, (t - phi)^2} |xi|^2 is 0 at
+    # every grid point, and a = 0 is positive at none: an empty ratio set
+    # is data, no value, no witness, every point counted as excluded
+    rep = certify_region(b2_a, t, Region(grid=5))
+    zero = certify_region(PolySymbol.zero(2), x1, Region(grid=5))
+    for est in (rep.c, zero.kappa):
         assert est.n_included == 0 and est.witness is None
         assert est.value is None and est.n_excluded == est.n_total == 5**5
-    assert rep.nonneg.passed
+    assert rep.nonneg.passed and rep.kappa.n_included > 0
 
 
 def test_c_dimension_mismatch(b2_a, small_region):
@@ -675,11 +680,13 @@ def _count_scans(monkeypatch):
 
 
 def test_scans_have_more_than_one_block(small_region):
-    # one block per t value at grid 9, so the fold combines blocks
-    for axes in (region_axes(small_region, 2),
-                 region_axes(small_region, 2, negative_t=True),
-                 region_axes(small_region, 2, pin_last_xi=True)):
-        assert len(list(TensorGrid(2, axes)._blocks())) > 1
+    # at the documented grid 33 a block is a run of t or x_1 values, so the
+    # fold combines blocks; the 9^5 points of grid 9 fit in one
+    for options in ({}, {"negative_t": True}, {"pin_last_xi": True}):
+        grid = TensorGrid(2, region_axes(Region(), 2, **options))
+        assert len(list(grid._blocks())) > 1
+        grid = TensorGrid(2, region_axes(small_region, 2, **options))
+        assert len(list(grid._blocks())) == 1
 
 
 def test_certify_region_starts_no_thread(b2_a, small_region, monkeypatch):
@@ -695,20 +702,20 @@ def test_certify_region_starts_no_thread(b2_a, small_region, monkeypatch):
 def test_b2_reduces_values_smaller_than_their_block(b2_a, small_region,
                                                     monkeypatch):
     # b2's a, phi and {phi, a} have no x_2, so their values are reduced
-    # without the x_2 axis of the block (x_1, x_2, xi_1, xi_2)
+    # without the x_2 axis of the block (t, x_1, x_2, xi_1, xi_2)
     seen = []
-    original = verifier._reduce
+    original = walker._reduce
 
     def spy(vals, mask, start, shape):
         seen.append((np.shape(vals), shape))
         return original(vals, mask, start, shape)
 
-    monkeypatch.setattr(verifier, "_reduce", spy)
+    monkeypatch.setattr(walker, "_reduce", spy)
     phi = construct_time_function(b2_spec(), slack=F(1, 100)).phi
     certify_region(b2_a, phi, small_region)
     smaller = [(own, shape) for own, shape in seen
                if math.prod(own) < math.prod(shape)]
-    assert smaller and all(own[1] == 1 < shape[1] for own, shape in smaller)
+    assert smaller and all(own[2] == 1 < shape[2] for own, shape in smaller)
 
 
 def test_certify_region_scans_twice_outside_structural(
