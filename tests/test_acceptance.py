@@ -29,6 +29,7 @@ from hypcert import (
     build_cutoff,
     build_extended_Q,
     certify_region,
+    check_structural,
     classify_effective_hyperbolicity,
     construct_time_function,
     epsilon_weights,
@@ -71,13 +72,13 @@ def grid33():
     region = Region()
     assert region.grid == 33
     out = {}
-    for name in ("b1", "b2"):
+    for name in ("b1", "b2", "classical"):
         sf = fixture_symbol(name)
         cert = construct_time_function(sf.normal_form, slack=sf.options.slack)
         start = time.perf_counter()
         rep = certify_region(sf.a, cert.phi, region)
         elapsed = time.perf_counter() - start
-        out[name] = {"sf": sf, "phi": cert.phi, "c": rep.c,
+        out[name] = {"sf": sf, "cert": cert, "c": rep.c,
                      "kappa": rep.kappa, "nonneg": rep.nonneg,
                      "elapsed": elapsed}
     return out
@@ -93,7 +94,10 @@ def node(t, x1, x2, xi1, xi2):
 # are the exact ones at the witnesses, correctly rounded, since the scans
 # decide in exact integers (b1's negative side is -121/100000 and its c
 # 81/82; the float scans read -0.0012100000000000006, 0.9878048780487804
-# and b2's negative side -0.0006050000000000003).
+# and b2's negative side -0.0006050000000000003).  classical's a reads
+# t, xi1 and xi2 only, so its walk skips both x axes; it has no negative
+# side on the grid (value and witness None).  Grid 33 is many blocks, so
+# these pin the fold across blocks.
 GRID33_BITS = {
     "b1": {
         "nonneg": (0.0, node(0, 0, "-1/10", "-1/10", "9/10")),
@@ -111,6 +115,14 @@ GRID33_BITS = {
         "c": (1.0, node("1/320", 0, "-1/10", 0, "9/10"), 37374480, 1760913),
         "kappa": (0.5, node(0, 0, "-1/10", "-1/10", "9/10"), 39134304, 1089),
     },
+    "classical": {
+        "nonneg": (0.0, node(0, "-1/10", "-1/10", "-1/10", "9/10")),
+        "negative_side": (None, None),
+        "c": (1.0, node("1/320", "-1/10", "-1/10", "-1/10", "9/10"),
+              37949472, 1185921),
+        "kappa": (0.0, node("1/320", "-1/10", "-1/10", "-1/10", "9/10"),
+                  37949472, 1185921),
+    },
 }
 
 
@@ -119,12 +131,43 @@ def test_grid33_bits_frozen(grid33, name):
     bits, got = GRID33_BITS[name], grid33[name]
     nonneg, side = got["nonneg"], got["nonneg"].negative_side
     assert (nonneg.min_value, nonneg.witness) == bits["nonneg"]
-    assert side.found_negative
+    assert nonneg.n_points == 33**5
+    assert side.found_negative == (bits["negative_side"][0] is not None)
     assert (side.value, side.witness) == bits["negative_side"]
     for key in ("c", "kappa"):
         est = got[key]
         assert (est.value, est.witness, est.n_included,
                 est.n_excluded) == bits[key]
+
+
+# The structural branch floors at the documented region, recorded the same
+# way: (value, witness, n_points) on the cone with xi2 pinned to 1, 33^4
+# points in many blocks.
+BRANCH_FLOORS33 = {
+    "b1": {
+        "negative-branch-floor": (
+            1.1288818359375, node("1/10", "-1/160", "-1/10", "-1/10", 1),
+            557568),
+        "graph-branch-floor": (
+            1.0, node("1/320", 0, "-1/10", "-1/10", 1), 592416),
+    },
+    "b2": {
+        "negative-branch-floor": (
+            1.12889404296875, node("1/10", "-1/160", "-1/10", 0, 1), 557568),
+        "graph-branch-floor": (
+            1.0, node("1/320", 0, "-1/10", 0, 1), 592416),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_FLOORS33))
+def test_grid33_branch_floors_frozen(grid33, name):
+    got = grid33[name]
+    checks = check_structural(got["sf"].normal_form, got["cert"],
+                              Region()).checks
+    floors = {ch.name: (ch.value, ch.worst[0], ch.n_points)
+              for ch in checks if ch.name.endswith("branch-floor")}
+    assert floors == BRANCH_FLOORS33[name]
 
 
 def test_criterion_01_model_spectrum():
