@@ -1,21 +1,23 @@
 """The one grid walker, over exact axes in integer index coordinates.
 
 A TensorGrid axis holds exact rationals, integer multiples of its unit
-(their gcd), so a grid point is unit * U with an integer U per slot, and
-fn sees the U as floats.  TensorGrid.integer rescales a polynomial to
-integer coefficients, p(unit * U) = P(U) / D.  Integers below 2^53 add
-and multiply exactly in float64 and a quotient of two is correctly
-rounded, hence monotone: each scan decision is the sign of an exact
-integer, each reported extremum the exact one correctly rounded.  A scan
-whose integers could reach 2^53 is refused (ScanTooLarge).
-
-Blocks are contiguous in C order, at most _BLOCK points: a run along the
-first axis whose trailing axes fit, the axes before it fixed.  Each axis
-is a float array shaped for broadcasting, so a block's coordinates are
-views.  Determinism contract: the scan is serial; each block is reduced
-on its own (lowest flat index wins ties), over the values' own shape,
-and the partials are folded in block order with strict comparisons, so
-the block budget never changes an output bit.
+(their gcd), so a grid point is unit * U with an integer U per slot.
+TensorGrid.integer rescales a polynomial to integer coefficients,
+p(unit * U) = P(U) / D, and refuses one whose integers could reach 2^53
+(ScanTooLarge).  Below 2^53 float64 adds and multiplies integers exactly,
+in any order, and rounds a quotient of two correctly, hence monotonely:
+each scan decision is the sign of an exact integer, each reported minimum
+the exact one correctly rounded (a maximum is read as the minimum of the
+negated values).  scan(fn, *polys) evaluates the polynomials on each
+block, their terms varying over the most points first, and fn(*values)
+returns (values, mask) pairs.  It walks only the axes they depend on: a
+skipped axis holds index 0 in every witness, each walked point counts
+for the points along the skipped axes, and total and MAX_SCAN_POINTS
+stay the full grid's.  Blocks are contiguous in C order over the walked
+axes, at most _BLOCK points.  Determinism contract: the scan is serial;
+each block is reduced on its own (lowest flat index wins ties), over the
+values' own shape, and the partials are folded in block order with
+strict comparisons, so the block budget never changes an output bit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ import numpy as np
 
 from hypcert.symbols import PhasePoint, PolySymbol
 
-_BLOCK = 1 << 18  # points per scan block
+# Walked points per block: a grid-33 block (15 x 33 x 33 doubles) stays
+# under glibc's 128 KiB mmap threshold.  At 2^15-2^18 certify_region (grid
+# 33) re-faulted 7,000-17,000 pages a call; 2^13 took about 1.3x as long.
+_BLOCK = 1 << 14
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 EXACT = 1 << 53  # float64 integers are exact below this
 
@@ -59,7 +64,10 @@ def blocks(lens, budget: int):
     """(first flat index, slices, shape) of the contiguous C-order blocks
     of a grid with these axis lengths, of at most budget points (one at
     the least): a run along the first axis whose trailing axes fit, the
-    axes before it fixed."""
+    axes before it fixed.  A grid of no axes is one point."""
+    if not lens:
+        yield 0, (), ()
+        return
     strides = [math.prod(lens[i + 1:]) for i in range(len(lens))]
     split = 0
     while split < len(lens) - 1 and strides[split] > budget:
@@ -79,8 +87,6 @@ def blocks(lens, budget: int):
 class ScanResult:
     min_value: float
     min_flat: int
-    max_value: float
-    max_flat: int
     n_included: int
     n_total: int
 
@@ -94,22 +100,17 @@ class TensorGrid:
         self.slots = tuple(slot for slot, _ in axes)
         self.axes = tuple(tuple(ax) for _, ax in axes)
         self._lens = tuple(len(ax) for ax in self.axes)
-        self.total = math.prod(self._lens)
-        if self.total > MAX_SCAN_POINTS:
-            raise ScanTooLarge("a scan of %d grid points exceeds the budget "
-                               "of %d" % (self.total, MAX_SCAN_POINTS))
-        self._units = [Fraction(1)] * (2 * (d + 1))
+        self.total = grid_points(self._lens)
+        self._units = [Fraction(0)] * (2 * (d + 1))  # a slot off the grid
         self._umax = [0] * (2 * (d + 1))
         self._float_axes = []
-        for i, (slot, ax) in enumerate(zip(self.slots, self.axes)):
+        for slot, ax in zip(self.slots, self.axes):
             den = math.lcm(*(v.denominator for v in ax))
             nums = [v.numerator * (den // v.denominator) for v in ax]
             unit = math.gcd(*nums) or den
             self._units[slot] = Fraction(unit, den)
             self._umax[slot] = max(map(abs, nums)) // unit
-            self._float_axes.append(np.array(
-                [v // unit for v in nums], dtype=float).reshape(
-                    [-1 if j == i else 1 for j in range(len(self._lens))]))
+            self._float_axes.append(np.array([v // unit for v in nums], float))
 
     def point(self, flat: int) -> PhasePoint:
         vals = [Fraction(0)] * (2 * (self.d + 1))
@@ -121,14 +122,18 @@ class TensorGrid:
     def integer(self, *polys: PolySymbol):
         """(P_1, .., P_k, D): integer polynomials over one integer D > 0
         with p_i = P_i(U) / D at every grid point, U its index coordinates;
-        refused when D or the bound of a P_i reaches EXACT."""
+        refused when D or the bound of a P_i reaches EXACT.  Terms on a
+        slot off the grid (0 there) drop; the rest vary over most points
+        first."""
         scaled = [{e: math.prod((u ** k for u, k in zip(self._units, e) if k),
                                 start=c)
                    for e, c in p.terms.items()} for p in polys]
         den = math.lcm(*(c.denominator for s in scaled for c in s.values()))
-        out = tuple(PolySymbol(self.d, {e: c.numerator * (den // c.denominator)
-                                        for e, c in s.items()})
-                    for s in scaled)
+        out = tuple(PolySymbol(self.d, {
+            e: s[e].numerator * (den // s[e].denominator)
+            for e in sorted(s, reverse=True, key=lambda e: math.prod(
+                n for slot, n in zip(self.slots, self._lens) if e[slot]))})
+            for s in scaled)
         check_exact(den, *map(self.bound, out))
         return out + (den,)
 
@@ -139,62 +144,73 @@ class TensorGrid:
                                           zip(self._umax, e))
                        for e, c in poly.terms.items()))
 
-    def _blocks(self):
-        """(first flat index, block shape, index coordinates by slot) in C
-        order; the coordinates broadcast against the block shape."""
-        zero = np.zeros((1,) * len(self._lens))
-        for start, slices, shape in blocks(self._lens, _BLOCK):
-            coords = [zero] * (2 * (self.d + 1))
-            for i, (slot, fax) in enumerate(zip(self.slots, self._float_axes)):
-                coords[slot] = fax[(slice(None),) * i + (slices[i],)]
-            yield start, shape, coords
+    def _walked(self, polys):
+        return [i for i, slot in enumerate(self.slots)
+                if any(p.depends_on(slot) for p in polys)]
 
-    def scan(self, fn) -> Tuple[ScanResult, ...]:
-        """fn(index coordinates) -> [(values, include_mask or None), ...]
-        per block; one min/max reduction per pair, folded over the blocks
-        as the determinism contract says."""
+    def _blocks(self, *polys):
+        """(first walked flat index, block shape, index coordinates by
+        slot; 0.0 on slots no polynomial reads) over the axes they read."""
+        walk = self._walked(polys)
+        axes = [self._float_axes[i].reshape((-1,) + (1,) * (len(walk) - k - 1))
+                for k, i in enumerate(walk)]
+        coords = [0.0] * (2 * (self.d + 1))
+        for start, slices, shape in blocks([self._lens[i] for i in walk],
+                                           _BLOCK):
+            for i, ax, part in zip(walk, axes, slices):
+                coords[self.slots[i]] = ax[part]
+            yield start, shape, tuple(coords)
+
+    def scan(self, fn, *polys: PolySymbol) -> Tuple[ScanResult, ...]:
+        """fn(*values of polys on a block) -> [(values, include_mask or
+        None), ...]; one minimum per pair, folded over the blocks as the
+        determinism contract says."""
         parts = [[_reduce(vals, mask, start, shape)
-                  for vals, mask in fn(coords)]
-                 for start, shape, coords in self._blocks()]
-        return tuple(_fold(column, self.total) for column in zip(*parts))
+                  for vals, mask in fn(*(p.eval(coords) for p in polys))]
+                 for start, shape, coords in self._blocks(*polys)]
+        walk = self._walked(polys)
+        lens = [self._lens[i] for i in walk]
+        strides = [math.prod(self._lens[i + 1:]) for i in walk]
+        per = self.total // math.prod(lens)
+        out = []
+        for column in zip(*parts):  # the first least value in block order
+            best, flat, _ = min(column, key=lambda part: part[0])
+            if best == math.inf:  # nothing beats the fold's start
+                flat = -1
+            elif flat > 0:  # the walked flat index, index 0 on skipped axes
+                flat = int(sum(k * s for k, s in zip(
+                    np.unravel_index(flat, lens), strides)))
+            out.append(ScanResult(best, flat, per * sum(
+                part[2] for part in column), self.total))
+        return tuple(out)
+
+
+def grid_points(lens) -> int:
+    """Points of a grid of these axis lengths, refused past the budget."""
+    total = math.prod(lens)
+    if total > MAX_SCAN_POINTS:
+        raise ScanTooLarge("a scan of %d grid points exceeds the budget "
+                           "of %d" % (total, MAX_SCAN_POINTS))
+    return total
 
 
 def _reduce(vals, mask, start: int, shape):
-    """(min, its flat index, max, its flat index, included) of the values
-    broadcast to the block shape, reduced over the pair's own shape: the
-    first C-order extremum of a broadcast array has index 0 on every
-    broadcast axis, and each entry stands for that many block points."""
-    own = np.broadcast_shapes(np.shape(vals),
-                              () if mask is None else np.shape(mask))
-    own = (1,) * (len(shape) - len(own)) + own
-    vals = np.broadcast_to(vals, own)
-    if mask is None:
-        i, j = int(np.argmin(vals)), int(np.argmax(vals))
-        mn, mx, n = vals.flat[i], vals.flat[j], vals.size
-    else:
-        mask = np.broadcast_to(mask, own)
-        sel = np.flatnonzero(mask)
-        if sel.size == 0:
-            return (math.inf, -1, -math.inf, -1, 0)
-        sub = vals[mask]
-        i, j = int(np.argmin(sub)), int(np.argmax(sub))
-        mn, mx, n = sub[i], sub[j], sel.size
-        i, j = int(sel[i]), int(sel[j])
-    if own != shape:
-        i, j = (int(np.ravel_multi_index(np.unravel_index(k, own), shape))
-                for k in (i, j))
-    return (float(mn), start + i, float(mx), start + j,
-            n * (math.prod(shape) // math.prod(own)))
+    """(min, its flat index, included) of the values broadcast to the
+    block shape, reduced over the pair's own shape: the first C-order
+    minimum of a broadcast array has index 0 on every broadcast axis, and
+    each entry stands for that many block points.  Excluded entries read
+    +inf, which never beats the fold's start."""
+    n = math.prod(shape)
+    if mask is not None:
+        n = int(np.count_nonzero(mask)) * (n // np.size(mask))
+        if n == 0:
+            return math.inf, -1, 0
+        vals = np.where(mask, vals, math.inf)
+    vals = np.asarray(vals)
+    i = int(np.argmin(vals))
+    mn = float(vals.flat[i])
+    if vals.shape != shape:
+        i = int(np.ravel_multi_index((0,) * (len(shape) - vals.ndim)
+                                     + np.unravel_index(i, vals.shape), shape))
+    return mn, start + i, n
 
-
-def _fold(parts, total: int) -> ScanResult:
-    best_min, min_flat = math.inf, -1
-    best_max, max_flat = -math.inf, -1
-    included = 0
-    for mn, mni, mx, mxi, inc in parts:
-        included += inc
-        if mn < best_min:
-            best_min, min_flat = mn, mni
-        if mx > best_max:
-            best_max, max_flat = mx, mxi
-    return ScanResult(best_min, min_flat, best_max, max_flat, included, total)

@@ -289,22 +289,16 @@ def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
                          "(sum of inverse r at the base point is %s <= 1); "
                          "not effectively hyperbolic" % bbis_sum)
 
-    # one-sided sign scan over the variables the remainder and gate use,
-    # the other slots at the base point; the witness is the first failing
-    # point in C order
+    # one-sided sign scan over the variables the remainder and gate use
+    # (an xi slot in a box around the base covector), the other slots at
+    # the base point; the witness is the first failing point in C order
     moving = [i for i in range(2 * (d + 1))
               if sign_poly.depends_on(i) or gate_poly.depends_on(i)]
-    axes = []
-    for i, v in enumerate(base.as_tuple()):
-        if i in moving:  # an xi slot moves in a box around the base covector
-            axes.append((i, [v + u for u in _XI_AXIS] if i >= d + 2
-                         else _X_AXIS))
-        elif v:
-            axes.append((i, (v,)))
-    cube = TensorGrid(d, axes)
+    cube = TensorGrid(d, [(i, (v,) if i not in moving else _X_AXIS
+                           if i < d + 2 else [v + u for u in _XI_AXIS])
+                          for i, v in enumerate(base.as_tuple())])
     gate, sign, _ = cube.integer(gate_poly, sign_poly)
-    res, = cube.scan(lambda u: [(0.0, (gate.eval(u) >= 0)
-                                 & (sign.eval(u) < 0))])
+    res, = cube.scan(lambda g, s: [(0.0, (g >= 0) & (s < 0))], gate, sign)
     one_sided_ok = res.n_included == 0
     witness = None if one_sided_ok else cube.point(res.min_flat).as_tuple()
 

@@ -7,10 +7,10 @@ is the sampling (inf and sup over a finite grid, labelled empirical),
 and the structural reconstruction, boundary and Lipschitz checks are
 float evaluations of the exact data against the -1e-9 gates.
 
-certify_region is the one region scan: one fused pass over t >= 0,
-evaluating a, phi and {phi, a} once per block for the nonneg, c and
-kappa reductions, and one pass over the mirrored t < 0 grid evaluating a
-only.  A c or kappa set with no grid point (no nonzero denominator resp.
+certify_region is the one region scan: one fused pass over t >= 0 for
+the nonneg, c and kappa minima, and one pass over the mirrored t < 0
+grid on a alone, each over the axes its polynomials depend on (b2 has no
+x_2).  A c or kappa set with no grid point (no nonzero denominator resp.
 no a > 0) is reported as such (n_included == 0, no value, no witness);
 the caller decides what it means.
 
@@ -40,6 +40,7 @@ from hypcert.grid import (
     TensorGrid,
     blocks,
     check_exact,
+    grid_points,
     uniform_axis,
 )
 from hypcert.normal_forms import (
@@ -115,8 +116,11 @@ class Region:
 
 def region_axes(region: Region, d: int, negative_t: bool = False,
                 pin_last_xi: bool = False):
-    """(slot, exact axis) pairs in slot order; tau stays out (fixed 0)."""
+    """(slot, exact axis) pairs in slot order; tau stays out (fixed 0).
+    A grid past MAX_SCAN_POINTS is refused before any axis is built."""
     n = region.grid
+    grid_points([n - 1 if negative_t else n] + [n] * (2 * d - 1)
+                + [1 if pin_last_xi else n])
     t_axis = uniform_axis(Fraction(0), region.t_max, n)
     if negative_t:
         t_axis = tuple(-v for v in reversed(t_axis[1:]))
@@ -159,21 +163,20 @@ class RatioEstimate:
     n_total: int
 
 
-def _quotient(num, den, k: Fraction, mask):
-    """(k num / den where mask holds, mask), for num and den exact float
-    integers: k is folded into them, so each value is one correctly
-    rounded division.  The caller bounds k num and k den (check_exact)."""
+def _quotient(num, den, k: Fraction):
+    """k num / den, k folded into the exact float integers num and den (the
+    caller bounds them): one correctly rounded division, inf or nan at a
+    zero den, which the pair's mask excludes."""
     num = num if k.numerator == 1 else k.numerator * num
     den = den if k.denominator == 1 else k.denominator * den
-    return num / np.where(mask, den, 1.0), mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(num, den)
 
 
-def _ratio_estimate(grid: TensorGrid, res, use_max: bool) -> RatioEstimate:
-    value, flat = ((res.max_value, res.max_flat) if use_max
-                   else (res.min_value, res.min_flat))
+def _ratio_estimate(grid: TensorGrid, res, value: float) -> RatioEstimate:
     empty = res.n_included == 0
     return RatioEstimate(value=None if empty else value,
-                         witness=None if empty else grid.point(flat),
+                         witness=None if empty else grid.point(res.min_flat),
                          n_excluded=res.n_total - res.n_included,
                          n_included=res.n_included, n_total=res.n_total)
 
@@ -475,10 +478,9 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     check_exact(k.numerator * cone.bound(a_int), k.denominator
                 * max(cone.bound(t_int), cone.bound(e_int)) ** 2)
 
-    def fn(u):
-        av, gv, tv, ev = (p.eval(u) for p in (a_int, gate, t_int, e_int))
-        return [_quotient(av, tv * tv, k, (gv < 0) & (tv != 0)),
-                _quotient(av, ev * ev, k, (gv >= 0) & (ev != 0))]
+    def fn(av, gv, tv, ev):
+        return [(_quotient(av, tv * tv, k), (gv < 0) & (tv != 0)),
+                (_quotient(av, ev * ev, k), (gv >= 0) & (ev != 0))]
 
     # an empty branch (min_value inf) is vacuously true
     floors = [StructuralCheck(
@@ -486,7 +488,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
         value=res.min_value if res.n_included else None,
         worst=(cone.point(res.min_flat),) if res.n_included else None,
         n_points=res.n_included) for name, res in zip(
-            ("negative-branch-floor", "graph-branch-floor"), cone.scan(fn))]
+            ("negative-branch-floor", "graph-branch-floor"),
+            cone.scan(fn, a_int, gate, t_int, e_int))]
 
     # (iv) Lipschitz constant of m1 in t over the theta sweep
     by_t = path.m.reshape(len(axes[0]), -1)
@@ -528,14 +531,14 @@ class CertificateReport:
 
 def certify_region(a: PolySymbol, phi: PolySymbol,
                    region: Region) -> CertificateReport:
-    """nonneg, c and kappa from one fused pass over t >= 0, evaluating a,
-    phi and {phi, a} once per block, and one pass over the mirrored t < 0
-    grid evaluating a only.
+    """nonneg, c and kappa from one fused pass over t >= 0, and one pass
+    over the mirrored t < 0 grid on a alone.
 
     c is the inf of a / (min{t^2, (t - phi)^2} |xi|^2) where that
     denominator is nonzero, and kappa the sup of {phi, a}^2 / (4a) where
     a > 0.  In the grid's integers they are kc A / (min{T^2, E^2} X) and
-    kk B^2 / A, one correctly rounded division each."""
+    kk B^2 / A, one correctly rounded division each (kappa as the minimum
+    of -kk B^2 / A)."""
     if phi.d != a.d:
         raise DimensionMismatch("phi has d=%d, a has d=%d" % (phi.d, a.d))
     for p, name in ((a, "a"), (phi, "phi")):
@@ -556,16 +559,15 @@ def certify_region(a: PolySymbol, phi: PolySymbol,
     check_exact(kc.numerator * a_max, kc.denominator * den_max,
                 kk.numerator * grid.bound(b_int) ** 2, kk.denominator * a_max)
 
-    def fn(u):
-        av, tv, bv = a_int.eval(u), t_int.eval(u), b_int.eval(u)
-        den = np.minimum(tv * tv, e_int.eval(u) ** 2) * x_int.eval(u)
-        return [(av, None), _quotient(av, den, kc, den > 0),
-                _quotient(bv * bv, av, kk, av > 0)]
+    def fn(av, tv, ev, bv, xv):
+        den = np.minimum(tv * tv, ev * ev) * xv
+        return [(av, None), (_quotient(av, den, kc), den > 0),
+                (_quotient(-(bv * bv), av, kk), av > 0)]
 
-    pos, c, kappa = grid.scan(fn)
+    pos, c, kappa = grid.scan(fn, a_int, t_int, e_int, b_int, x_int)
     grid_neg = TensorGrid(d, region_axes(region, d, negative_t=True))
     a_neg, neg_den = grid_neg.integer(a)
-    neg, = grid_neg.scan(lambda u: [(a_neg.eval(u), None)])
+    neg, = grid_neg.scan(lambda av: [(av, None)], a_neg)
     found = neg.min_value < 0
     side = SideWitness(found, grid_neg.point(neg.min_flat) if found else None,
                        neg.min_value / neg_den if found else None)
@@ -573,7 +575,7 @@ def certify_region(a: PolySymbol, phi: PolySymbol,
                           min_value=pos.min_value / a_den,
                           witness=grid.point(pos.min_flat),
                           negative_side=side, n_points=pos.n_total)
-    return CertificateReport(nonneg=nonneg,
-                             c=_ratio_estimate(grid, c, use_max=False),
-                             kappa=_ratio_estimate(grid, kappa, use_max=True),
-                             grid=region.metadata())
+    return CertificateReport(
+        nonneg=nonneg, c=_ratio_estimate(grid, c, c.min_value),
+        kappa=_ratio_estimate(grid, kappa, -kappa.min_value),
+        grid=region.metadata())

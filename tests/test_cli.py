@@ -169,6 +169,23 @@ def test_oversized_structural_grid_fails_at_verify(monkeypatch):
     assert rep.time_function is not None and rep.certificate is None
 
 
+def test_oversized_region_fails_before_its_axes_are_built(monkeypatch):
+    # b2 at grid 10^7 is 10^35 points per scan; the count is taken from
+    # the axis lengths, so no exact axis is built before the refusal
+    def build(*args):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(verifier, "uniform_axis", build)
+    doc = fixture_doc("b2")
+    doc["region"]["grid"] = 10 ** 7
+    rep = run_pipeline(parse_doc(doc), "certify")
+    assert rep.status == "FAILED" and exit_code(rep) == 1
+    assert rep.stage == "verify"
+    assert rep.reason == ("a scan of %d grid points exceeds the budget of "
+                          "%d" % (10 ** 35, 1 << 30))
+    assert rep.time_function is not None and rep.certificate is None
+
+
 def test_structural_grid_within_budget_certifies():
     # b1 lifted to d = 4: 5**9 thetas, the largest slow grid of the lifts
     # that fits the budget

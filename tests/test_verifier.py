@@ -86,48 +86,72 @@ def test_region_rejects_bad_inputs(kwargs):
         Region(**kwargs)
 
 
+def coordinates(*names):
+    """Coordinate polynomials: the walker hands fn their index coordinates."""
+    return [PolySymbol.coordinate(2, name) for name in names]
+
+
+AXES = ("t", "x1", "x2", "xi1", "xi2")
+
+
 def test_grid_points_are_exact_and_ties_resolve_low(small_region):
     grid = TensorGrid(2, region_axes(small_region, 2))
     pt = grid.point(0)
     assert pt.t == 0 and pt.x == (F(-1, 10), F(-1, 10))
     assert pt.xi == (F(-1, 10), F(9, 10))
-    res, = grid.scan(lambda coords: [(coords[0] * 0.0 + 7.0, None)])
-    assert res.min_flat == 0 and res.max_flat == 0
-    assert res.n_included == res.n_total == 9**5
+    # a pass on t alone walks the 9 t values; one on no axis, one point
+    for polys in (coordinates("t"), []):
+        res = grid.scan(lambda *u: [(7.0, None), (-7.0, None)], *polys)
+        assert [r.min_flat for r in res] == [0, 0]
+        assert all(r.n_included == r.n_total == 9**5 for r in res)
+    res, = grid.scan(lambda tv: [(tv * 0.0 + 7.0, None)], *coordinates("t"))
+    assert res.min_flat == 0 and res.n_included == res.n_total == 9**5
 
 
 def test_ties_resolve_low_across_blocks(monkeypatch):
-    # grid 33 walks 33 t values x 5 runs of x_1; a budget of 50 points
-    # splits a grid-5 scan below one x_1 value, onto the x_2 axis
+    # at grid 33 a block of the five axes is one t, one x_1 and a run of 15,
+    # 15 or 3 x_2 values, the most whole x_2 rows within _BLOCK = 2^14
+    # points; a budget of 50 points splits a grid-5 scan below one x_1
+    # value, onto the x_2 axis
+    assert walker._BLOCK == 1 << 14
+    polys = coordinates(*AXES)
     grid = TensorGrid(2, region_axes(Region(), 2))
-    assert len(list(grid._blocks())) == 33 * 5
-    res, = grid.scan(lambda coords: [(7.0, None)])
-    assert res.min_flat == res.max_flat == 0
-    assert res.n_included == res.n_total == 33**5
+    plan = [(start, shape) for start, shape, _ in grid._blocks(*polys)]
+    assert len(plan) == 33 * 33 * 3
+    assert plan[:4] == [(0, (1, 1, 15, 33, 33)),
+                        (15 * 33**2, (1, 1, 15, 33, 33)),
+                        (30 * 33**2, (1, 1, 3, 33, 33)),
+                        (33**3, (1, 1, 15, 33, 33))]
+    res = grid.scan(lambda *u: [(7.0, None), (-7.0, None)], *polys)
+    assert [r.min_flat for r in res] == [0, 0]
+    assert all(r.n_included == r.n_total == 33**5 for r in res)
     monkeypatch.setattr(walker, "_BLOCK", 50)
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
-    assert len(list(grid._blocks())) == 5 * 5 * 3
-    res, = grid.scan(lambda coords: [(coords[0] * 0.0 + 7.0, None)])
-    assert res.min_flat == res.max_flat == 0
-    assert res.n_included == res.n_total == 5**5
+    assert len(list(grid._blocks(*polys))) == 5 * 5 * 3
+    res = grid.scan(lambda tv, *u: [(tv * 0.0 + 7.0, None),
+                                    (tv * 0.0 - 7.0, None)], *polys)
+    assert [r.min_flat for r in res] == [0, 0]
+    assert all(r.n_included == r.n_total == 5**5 for r in res)
 
 
-@pytest.mark.parametrize("budget", [7, 50, 125, 1 << 18])
+@pytest.mark.parametrize("budget", [7, 50, 125, 1 << 18, walker._BLOCK])
 def test_block_budget_does_not_change_results(budget, monkeypatch):
     # every reduction of the walker, flat indices included, is the same
-    # whatever the block boundaries; the last pair has its values and its
-    # mask on different axes.  fn sees index coordinates: t in 0..4,
-    # x_1, x_2 and xi_1 in -2..2, xi_2 in 18..22 (units 1/40 and 1/20)
-    def fn(coords):
-        t, xa, xb, _, ya, yb = coords
+    # whatever the block boundaries; the seventh pair has its values and
+    # its mask on different axes, and a maximum is read as the minimum of
+    # the negated pair (the last seven).  fn sees index coordinates: t in
+    # 0..4, x_1, x_2 and xi_1 in -2..2, xi_2 in 18..22 (units 1/40, 1/20)
+    def fn(t, xa, xb, ya, yb):
         v = (t - xa) * yb + xb * ya ** 2
         mask = v > 0
-        return [(v, None), (v, mask), (xa * 0.0, mask), (1.0, t > 4.0),
-                (math.inf, xb > 0), (-math.inf, xb > 0), (xa, yb > 0)]
+        pairs = [(v, None), (v, mask), (xa * 0.0, mask), (1.0, t > 4.0),
+                 (math.inf, xb > 0), (-math.inf, xb > 0), (xa, yb > 0)]
+        return pairs + [(-vals, m) for vals, m in pairs]
 
-    reference = TensorGrid(2, region_axes(Region(grid=5), 2)).scan(fn)
+    polys = coordinates(*AXES)
+    reference = TensorGrid(2, region_axes(Region(grid=5), 2)).scan(fn, *polys)
     # so is the structural check, whose samples (5^5 of b1, 5^4 x 17 of
-    # b2) are split into sub-grids of thetas below 2^18
+    # b2) are split into sub-grids of thetas below _BLOCK
     certs = [(spec, construct_time_function(spec, slack=F(1, 100)))
              for spec in (b1_spec(), b2_spec())]
     structural = [repr(check_structural(spec, cert, Region(grid=5)))
@@ -135,22 +159,24 @@ def test_block_budget_does_not_change_results(budget, monkeypatch):
     monkeypatch.setattr(walker, "_BLOCK", budget)
     monkeypatch.setattr(verifier, "_BLOCK", budget)  # structural sub-grids
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
-    assert grid.scan(fn) == reference
+    assert grid.scan(fn, *polys) == reference
     assert [repr(check_structural(spec, cert, Region(grid=5)))
             for spec, cert in certs] == structural
     assert reference[3].n_included == 0 and reference[3].min_flat == -1
-    # +inf never beats the fold's start for a minimum, nor -inf for a
-    # maximum; the other extremum is the first included node, x_2 = 1/20
+    # +inf never beats the fold's start for a minimum, so -inf never beats
+    # it for a maximum; the other extremum is the first included node,
+    # x_2 = 1/20
     pos, neg = reference[4:6]
-    assert (pos.min_flat, pos.max_flat) == (-1, 3 * 5**2)
-    assert (neg.min_flat, neg.max_flat) == (3 * 5**2, -1)
+    assert (pos.min_flat, neg.min_flat) == (-1, 3 * 5**2)
+    assert (reference[12].min_flat, reference[11].min_flat) == (
+        pos.min_flat, neg.min_flat)
     assert pos.n_included == neg.n_included == 2 * 5**4
     # xi_2 > 0 everywhere (centre 1); x_1 is least first and greatest at
     # the first point of its last value
-    both = reference[6]
-    assert both.n_included == both.n_total == 5**5
+    both, most = reference[6], reference[13]
+    assert both.n_included == most.n_included == both.n_total == 5**5
     assert (both.min_value, both.min_flat) == (-2.0, 0)
-    assert (both.max_value, both.max_flat) == (2.0, 4 * 5**3)
+    assert (-most.min_value, most.min_flat) == (2.0, 4 * 5**3)
 
 
 def test_scan_budget():
@@ -671,22 +697,31 @@ def _count_scans(monkeypatch):
     scans = []
     original = TensorGrid.scan
 
-    def counted(self, fn):
+    def counted(self, fn, *polys):
         scans.append(self.total)
-        return original(self, fn)
+        return original(self, fn, *polys)
 
     monkeypatch.setattr(TensorGrid, "scan", counted)
     return scans
 
 
-def test_scans_have_more_than_one_block(small_region):
-    # at the documented grid 33 a block is a run of t or x_1 values, so the
-    # fold combines blocks; the 9^5 points of grid 9 fit in one
-    for options in ({}, {"negative_t": True}, {"pin_last_xi": True}):
+def test_scans_have_more_than_one_block(b2_a, small_region):
+    # b2's passes walk (t, x_1, xi_1, xi_2); at the documented grid 33 a
+    # block is one t and a run of 15, 15 or 3 x_1 values (the cone, with
+    # xi_2 pinned, a run of t values), so the fold combines blocks; the
+    # walked points of grid 9 fit in one
+    plans = {(): [(1, 15, 33, 33)] * 2 + [(1, 3, 33, 33)],
+             ("negative_t",): [(1, 15, 33, 33)] * 2 + [(1, 3, 33, 33)],
+             ("pin_last_xi",): [(15, 33, 33, 1)] * 2 + [(3, 33, 33, 1)]}
+    for options, head in plans.items():
+        options = dict.fromkeys(options, True)
         grid = TensorGrid(2, region_axes(Region(), 2, **options))
-        assert len(list(grid._blocks())) > 1
+        plan = [shape for _, shape, _ in grid._blocks(grid.integer(b2_a)[0])]
+        assert plan[:3] == head
+        assert len(plan) == (3 if options.get("pin_last_xi") else
+                             (32 if options else 33) * 3)
         grid = TensorGrid(2, region_axes(small_region, 2, **options))
-        assert len(list(grid._blocks())) == 1
+        assert len(list(grid._blocks(grid.integer(b2_a)[0]))) == 1
 
 
 def test_certify_region_starts_no_thread(b2_a, small_region, monkeypatch):
@@ -701,21 +736,32 @@ def test_certify_region_starts_no_thread(b2_a, small_region, monkeypatch):
 
 def test_b2_reduces_values_smaller_than_their_block(b2_a, small_region,
                                                     monkeypatch):
-    # b2's a, phi and {phi, a} have no x_2, so their values are reduced
-    # without the x_2 axis of the block (t, x_1, x_2, xi_1, xi_2)
+    # b2's a, phi and {phi, a} have no x_2, so the walker skips that axis:
+    # its blocks are (t, x_1, xi_1, xi_2), and a value on fewer of them is
+    # reduced over its own shape, index 0 and each entry counted for the
+    # block points along the others
     seen = []
     original = walker._reduce
 
     def spy(vals, mask, start, shape):
-        seen.append((np.shape(vals), shape))
+        seen.append((np.broadcast_shapes(np.shape(vals), np.shape(mask)),
+                     shape))
         return original(vals, mask, start, shape)
 
     monkeypatch.setattr(walker, "_reduce", spy)
     phi = construct_time_function(b2_spec(), slack=F(1, 100)).phi
     certify_region(b2_a, phi, small_region)
-    smaller = [(own, shape) for own, shape in seen
-               if math.prod(own) < math.prod(shape)]
-    assert smaller and all(own[2] == 1 < shape[2] for own, shape in smaller)
+    assert {shape for _, shape in seen} == {(9, 9, 9, 9), (8, 9, 9, 9)}
+    seen.clear()
+    grid = TensorGrid(2, region_axes(small_region, 2))
+    a_int, _ = grid.integer(b2_a)
+    res = grid.scan(lambda av, tv: [(tv, None), (-tv, av >= 0)],
+                    a_int, *coordinates("t"))
+    assert seen == [((9, 1, 1, 1), (9, 9, 9, 9)),
+                    ((9, 9, 9, 9), (9, 9, 9, 9))]
+    assert (res[0].min_value, res[0].min_flat) == (0.0, 0)
+    assert (res[1].min_value, res[1].min_flat) == (-8.0, 8 * 9**4)
+    assert res[0].n_included == res[1].n_included == 9**5
 
 
 def test_certify_region_scans_twice_outside_structural(

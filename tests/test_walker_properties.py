@@ -1,13 +1,16 @@
 """The scan walker against exact brute force.
 
 Random rational polynomials are scanned by certify_region on small
-grids, and every node is evaluated exactly in Fractions.  The scans
+grids, and random integer polynomials by TensorGrid.scan itself, and
+every node is evaluated exactly in Fractions resp. Python ints.  The scans
 decide in exact integers, so the included counts are the exact counts,
 each reported value is the exact extremum correctly rounded, and each
 witness the first node in C order whose exact value rounds to it.
 """
 
 import itertools
+import math
+from unittest import mock
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,8 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hypcert import PolySymbol, Region, ScanTooLarge, certify_region
+from hypcert import grid as walker
 from hypcert.grid import TensorGrid
-from hypcert.symbols import poisson_bracket
+from hypcert.symbols import poisson_bracket, var_names
 from hypcert.verifier import region_axes
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
@@ -156,7 +160,8 @@ def test_integer_form_is_exact(case):
     P, D = grid.integer(p)
     assert all(c.denominator == 1 for c in P.terms.values()) and D > 0
     seen = 0
-    for start, shape, coords in grid._blocks():
+    every = [PolySymbol.coordinate(d, v) for v in var_names(d) if v != "tau"]
+    for start, shape, coords in grid._blocks(P, *every):  # walk every axis
         got = np.broadcast_to(P.eval(coords), shape).ravel()
         for k, value in enumerate(got):
             assert value == D * p.eval(grid.point(start + k))
@@ -174,3 +179,74 @@ def test_scan_past_exact_integers_is_refused():
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
     P, D = grid.integer(t * t)
     assert grid.bound(P) == 4 ** 2 and D == 40 ** 2
+
+
+@st.composite
+def walk_cases(draw):
+    """Integer axes on the five scanned slots of d = 2, integer
+    polynomials on a random subset of them (so some axes go unwalked, or
+    none is walked), and a block budget."""
+    axes = []
+    for slot in (0, 1, 2, 4, 5):
+        lo, n = draw(st.integers(-3, 3)), draw(st.integers(1, 4))
+        axes.append((slot, tuple(F(lo + k) for k in range(n))))
+    used = draw(st.lists(st.sampled_from([0, 1, 2, 4, 5]), max_size=3,
+                         unique=True))
+
+    def poly():
+        terms = draw(st.lists(st.tuples(
+            st.lists(st.sampled_from(used), max_size=3) if used
+            else st.just([]), st.integers(-5, 5)), min_size=1, max_size=4))
+        out = {}
+        for factors, c in terms:
+            exps = [0] * 6
+            for slot in factors:
+                exps[slot] += 1
+            out[tuple(exps)] = out.get(tuple(exps), 0) + c
+        return PolySymbol(2, out)
+
+    return axes, [poly() for _ in range(3)], draw(st.integers(1, 40))
+
+
+def walk_pairs(a, b, c):
+    """The pairs under test; each also evaluates on Python ints."""
+    return [(a, None), (a, b > 0), (-a, b > 0), (c, b <= 0), (a * c, c >= 0),
+            (b, a < -1000)]
+
+
+@PROPERTY
+@given(walk_cases())
+def test_walker_matches_brute_force(case):
+    # on each grid node in C order, the polynomials are evaluated at the
+    # index coordinates U = value / gcd(axis) in Python ints; the walker
+    # reports the least included value, its first node and the count, over
+    # the full grid, whatever axes it walks and whatever the block budget
+    axes, polys, budget = case
+    grid = TensorGrid(2, axes)
+    units = [math.gcd(*(int(v) for v in ax)) or 1 for _, ax in axes]
+    exact = [[] for _ in walk_pairs(0, 0, 0)]
+    for values in itertools.product(*(ax for _, ax in axes)):
+        point = [0] * 6
+        for (slot, _), unit, v in zip(axes, units, values):
+            point[slot] = int(v) // unit
+        for k, (v, m) in enumerate(walk_pairs(*(p.eval(point)
+                                                for p in polys))):
+            exact[k].append(v if m is None or m else None)
+    with mock.patch.object(walker, "_BLOCK", budget):
+        got = grid.scan(walk_pairs, *polys)
+        # a pass on polynomials of no axis, and one on no polynomial
+        const = grid.scan(lambda v: [(v, None), (v, v > 0)],
+                          PolySymbol.constant(2, 3))
+        none = grid.scan(lambda: [(-1.0, None)])
+    for res, values in zip(got, exact):
+        included = [v for v in values if v is not None]
+        assert res.n_total == grid.total == len(values)
+        assert res.n_included == len(included)
+        if not included:
+            assert (res.min_value, res.min_flat) == (math.inf, -1)
+            continue
+        assert res.min_value == float(min(included))
+        assert res.min_flat == values.index(min(included))
+    for res in const + none:
+        assert (res.min_flat, res.n_included) == (0, grid.total)
+    assert [r.min_value for r in const + none] == [3.0, 3.0, -1.0]
