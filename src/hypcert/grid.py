@@ -33,8 +33,8 @@ import numpy as np
 from hypcert.symbols import PhasePoint, PolySymbol
 
 # Walked points per block: a grid-33 block (15 x 33 x 33 doubles) stays
-# under glibc's 128 KiB mmap threshold.  At 2^15-2^18 certify_region (grid
-# 33) re-faulted 7,000-17,000 pages a call; 2^13 took about 1.3x as long.
+# under glibc's 128 KiB mmap threshold.  certify_region at grid 33 (2-core
+# x86_64) re-faulted 7,000-17,000 pages at 2^15-2^18, ran 1.4x as long at 2^13.
 _BLOCK = 1 << 14
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 EXACT = 1 << 53  # float64 integers are exact below this
@@ -131,8 +131,8 @@ class TensorGrid:
         den = math.lcm(*(c.denominator for s in scaled for c in s.values()))
         out = tuple(PolySymbol(self.d, {
             e: s[e].numerator * (den // s[e].denominator)
-            for e in sorted(s, reverse=True, key=lambda e: math.prod(
-                n for slot, n in zip(self.slots, self._lens) if e[slot]))})
+            for e in sorted(s, reverse=True, key=lambda x: math.prod(
+                n for slot, n in zip(self.slots, self._lens) if x[slot]))})
             for s in scaled)
         check_exact(den, *map(self.bound, out))
         return out + (den,)
