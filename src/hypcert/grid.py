@@ -32,9 +32,8 @@ import numpy as np
 
 from hypcert.symbols import PhasePoint, PolySymbol
 
-# Walked points per block: a grid-33 block (15 x 33 x 33 doubles) stays
-# under glibc's 128 KiB mmap threshold.  certify_region at grid 33 (2-core
-# x86_64) re-faulted 7,000-17,000 pages at 2^15-2^18, ran 1.4x as long at 2^13.
+# Walked points per block, measured with certify_region on b2 at grid 33
+# (2-core x86_64): 2^15-2^18 ran slower, 2^13 about 1.4x as long.
 _BLOCK = 1 << 14
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 EXACT = 1 << 53  # float64 integers are exact below this
@@ -46,8 +45,8 @@ class ScanTooLarge(ValueError):
 
 
 def uniform_axis(lo: Fraction, hi: Fraction, n: int) -> Tuple[Fraction, ...]:
-    """n >= 2 equally spaced exact points from lo to hi."""
-    step = (hi - lo) / (n - 1)
+    """n >= 1 equally spaced exact points from lo to hi (lo alone at 1)."""
+    step = (hi - lo) / max(n - 1, 1)
     return tuple(lo + k * step for k in range(n))
 
 
@@ -64,10 +63,7 @@ def blocks(lens, budget: int):
     """(first flat index, slices, shape) of the contiguous C-order blocks
     of a grid with these axis lengths, of at most budget points (one at
     the least): a run along the first axis whose trailing axes fit, the
-    axes before it fixed.  A grid of no axes is one point."""
-    if not lens:
-        yield 0, (), ()
-        return
+    axes before it fixed."""
     strides = [math.prod(lens[i + 1:]) for i in range(len(lens))]
     split = 0
     while split < len(lens) - 1 and strides[split] > budget:
@@ -144,19 +140,14 @@ class TensorGrid:
                                           zip(self._umax, e))
                        for e, c in poly.terms.items()))
 
-    def _walked(self, polys):
-        return [i for i, slot in enumerate(self.slots)
-                if any(p.depends_on(slot) for p in polys)]
-
-    def _blocks(self, *polys):
+    def _blocks(self, walk):
         """(first walked flat index, block shape, index coordinates by
-        slot; 0.0 on slots no polynomial reads) over the axes they read."""
-        walk = self._walked(polys)
+        slot; 0.0 on slots off the walk) over the walked axes."""
         axes = [self._float_axes[i].reshape((-1,) + (1,) * (len(walk) - k - 1))
                 for k, i in enumerate(walk)]
         coords = [0.0] * (2 * (self.d + 1))
-        for start, slices, shape in blocks([self._lens[i] for i in walk],
-                                           _BLOCK):
+        lens = [self._lens[i] for i in walk] or [1]  # no axis: one point
+        for start, slices, shape in blocks(lens, _BLOCK):
             for i, ax, part in zip(walk, axes, slices):
                 coords[self.slots[i]] = ax[part]
             yield start, shape, tuple(coords)
@@ -165,10 +156,11 @@ class TensorGrid:
         """fn(*values of polys on a block) -> [(values, include_mask or
         None), ...]; one minimum per pair, folded over the blocks as the
         determinism contract says."""
+        walk = [i for i, slot in enumerate(self.slots)
+                if any(p.depends_on(slot) for p in polys)]
         parts = [[_reduce(vals, mask, start, shape)
                   for vals, mask in fn(*(p.eval(coords) for p in polys))]
-                 for start, shape, coords in self._blocks(*polys)]
-        walk = self._walked(polys)
+                 for start, shape, coords in self._blocks(walk)]
         lens = [self._lens[i] for i in walk]
         strides = [math.prod(self._lens[i + 1:]) for i in walk]
         per = self.total // math.prod(lens)

@@ -186,8 +186,12 @@ class PolySymbol:
         other = self._coerce(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, _ZERO) + c
-        return PolySymbol(self.d, out)  # which drops zero terms
+            s = out.get(exps, _ZERO) + c
+            if s == 0:
+                out.pop(exps, None)
+            else:
+                out[exps] = s
+        return PolySymbol(self.d, out)
 
     __radd__ = __add__
 
@@ -278,10 +282,18 @@ class PolySymbol:
         return var
 
     def diff(self, var: Union[int, str]) -> "PolySymbol":
-        i = self._var(var)  # distinct terms give distinct derivative terms
-        return PolySymbol(self.d, {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
-            for exps, c in self.terms.items() if exps[i]})
+        i = self._var(var)
+        out = {}
+        for exps, c in self.terms.items():
+            e = exps[i]
+            if e:
+                key = exps[:i] + (e - 1,) + exps[i + 1:]
+                s = out.get(key, _ZERO) + c * e
+                if s == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return PolySymbol(self.d, out)
 
     def eval(self, point: Sequence):
         """Evaluate at a point (any sequence of length 2*(d+1)).

@@ -118,18 +118,14 @@ def region_axes(region: Region, d: int, negative_t: bool = False,
                 pin_last_xi: bool = False):
     """(slot, exact axis) pairs in slot order; tau stays out (fixed 0).
     A grid past MAX_SCAN_POINTS is refused before any axis is built."""
-    n = region.grid
-    grid_points([n - 1 if negative_t else n] + [n] * (2 * d - 1)
-                + [1 if pin_last_xi else n])
-    t_axis = uniform_axis(Fraction(0), region.t_max, n)
-    if negative_t:
-        t_axis = tuple(-v for v in reversed(t_axis[1:]))
-    x_axis = uniform_axis(-region.x_half, region.x_half, n)
-    xi_axis = uniform_axis(-region.xi_half, region.xi_half, n)
-    last = (Fraction(1),) if pin_last_xi else tuple(1 + v for v in xi_axis)
-    return ([(0, t_axis)] + [(j, x_axis) for j in range(1, d + 1)]
-            + [(d + 1 + j, xi_axis) for j in range(1, d)]
-            + [(2 * d + 1, last)])
+    n, t, x, xi = region.grid, region.t_max, region.x_half, region.xi_half
+    zero, one = Fraction(0), Fraction(1)
+    spans = ([(-t, -t / (n - 1), n - 1) if negative_t else (zero, t, n)]
+             + [(-x, x, n)] * d + [(-xi, xi, n)] * (d - 1)
+             + [(one, one, 1) if pin_last_xi else (one - xi, one + xi, n)])
+    grid_points([k for _, _, k in spans])
+    return [(slot, uniform_axis(*span)) for slot, span in
+            zip([i for i in range(2 * d + 2) if i != d + 1], spans)]
 
 
 # ------------------------------------------------- nonnegativity, c, kappa

@@ -116,7 +116,7 @@ def test_ties_resolve_low_across_blocks(monkeypatch):
     assert walker._BLOCK == 1 << 14
     polys = coordinates(*AXES)
     grid = TensorGrid(2, region_axes(Region(), 2))
-    plan = [(start, shape) for start, shape, _ in grid._blocks(*polys)]
+    plan = [(start, shape) for start, shape, _ in grid._blocks(range(5))]
     assert len(plan) == 33 * 33 * 3
     assert plan[:4] == [(0, (1, 1, 15, 33, 33)),
                         (15 * 33**2, (1, 1, 15, 33, 33)),
@@ -127,7 +127,7 @@ def test_ties_resolve_low_across_blocks(monkeypatch):
     assert all(r.n_included == r.n_total == 33**5 for r in res)
     monkeypatch.setattr(walker, "_BLOCK", 50)
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
-    assert len(list(grid._blocks(*polys))) == 5 * 5 * 3
+    assert len(list(grid._blocks(range(5)))) == 5 * 5 * 3
     res = grid.scan(lambda tv, *u: [(tv * 0.0 + 7.0, None),
                                     (tv * 0.0 - 7.0, None)], *polys)
     assert [r.min_flat for r in res] == [0, 0]
@@ -710,18 +710,21 @@ def test_scans_have_more_than_one_block(b2_a, small_region):
     # block is one t and a run of 15, 15 or 3 x_1 values (the cone, with
     # xi_2 pinned, a run of t values), so the fold combines blocks; the
     # walked points of grid 9 fit in one
+    walk = [0, 1, 3, 4]  # the axes of t, x_1, xi_1, xi_2
     plans = {(): [(1, 15, 33, 33)] * 2 + [(1, 3, 33, 33)],
              ("negative_t",): [(1, 15, 33, 33)] * 2 + [(1, 3, 33, 33)],
              ("pin_last_xi",): [(15, 33, 33, 1)] * 2 + [(3, 33, 33, 1)]}
     for options, head in plans.items():
         options = dict.fromkeys(options, True)
         grid = TensorGrid(2, region_axes(Region(), 2, **options))
-        plan = [shape for _, shape, _ in grid._blocks(grid.integer(b2_a)[0])]
+        assert [i for i, slot in enumerate(grid.slots)
+                if b2_a.depends_on(slot)] == walk
+        plan = [shape for _, shape, _ in grid._blocks(walk)]
         assert plan[:3] == head
         assert len(plan) == (3 if options.get("pin_last_xi") else
                              (32 if options else 33) * 3)
         grid = TensorGrid(2, region_axes(small_region, 2, **options))
-        assert len(list(grid._blocks(grid.integer(b2_a)[0]))) == 1
+        assert len(list(grid._blocks(walk))) == 1
 
 
 def test_certify_region_starts_no_thread(b2_a, small_region, monkeypatch):
