@@ -1,6 +1,7 @@
 """Pipeline statuses, report emission, exit codes, CLI entry point."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -471,6 +472,36 @@ def test_main_minimize(tmp_path):
         assert key in doc
     assert doc["mode"] == "normalized"
     assert doc["m"] > 0
+
+
+# sha256 of `hypcert minimize FILE --theta-t 1/50 --mode MODE` output
+MINIMIZE_DIGESTS = {
+    ("b1", "raw"):
+        "4b93bbcacf8b52fa0951cb56b371c8e6cdc0caf3e6376037705afaa3045c2f55",
+    ("b1", "normalized"):
+        "a7fb433820b6f9d892315a866f29f81c4232e3ecbda0b3103bc52829c5559694",
+    ("b2", "raw"):
+        "9d755a7e94deafb0f571011fc1765549db3eb6b56b4292e7feef7e5ebeca5f97",
+    ("b2", "normalized"):
+        "840c2333330c5bfa83866cb05679a9b5f0e5e4072b8cc9aac6c1030f5261ed14",
+    ("classical", "raw"):
+        "eb4e26898adf731f7252168f954b275e315b8134bc8660a50f909fcf04e36c31",
+    ("classical", "normalized"):
+        "6b3265a6d3f2b6d375593679ef1a1fae9ee67dbf77abfac6e271f73d1966f716",
+    ("b2_bbis2", "raw"):
+        "9e60a064bdf4e7378be5b9d5032a5fa2e0f73a6a5a419ec567306da8b988b909",
+    ("b2_bbis2", "normalized"):
+        "cd86baddf5b6baa1756cd48a786f81867d8d357000d140e5155bae514c9f74f7",
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(MINIMIZE_DIGESTS))
+def test_main_minimize_bytes_frozen(name, mode, tmp_path):
+    out = tmp_path / "min.json"
+    assert main(["minimize", str(FIXTURES / ("%s.json" % name)),
+                 "--theta-t", "1/50", "--mode", mode, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == MINIMIZE_DIGESTS[(name, mode)]
 
 
 def test_main_minimize_requires_normal_form(capsys):

@@ -15,6 +15,7 @@ import pytest
 from hypcert import (
     DimensionMismatch,
     InvariantViolation,
+    MinimizeResult,
     NormalFormSpec,
     PhasePoint,
     PolySymbol,
@@ -557,6 +558,103 @@ def test_deep_chain_bits_frozen(name, mode):
            Q.substituted_point(w, theta), float(minimize_Q(Q, theta).m))
     # repr tells -0.0 from 0.0 and a Fraction from an equal float
     assert repr(got) == repr(DEEP_FROZEN[(name, mode)])
+
+
+# minimize_Q at theta = (s/64, ((j+s)/128)_j, (-(j+s)/256)_j[, s/64]), where
+# Newton takes one or two steps from the theta = 0 minimizer, recorded bit
+# for bit
+DEEP_MINIMA = {
+    ('form1-p2-d3', 'raw', 1): MinimizeResult(
+        m=0.373521715965863, w_bar=(-0.3721907835013239, -0.623955692958551,
+        -0.0002466049618309142, -5.597412188447739e-06),
+        hessian_cond=3.9756349988382564, grad_norm=3.1324147095980043e-16,
+        iterations=2),
+    ('form1-p2-d3', 'raw', 3): MinimizeResult(
+        m=0.3704518688949661, w_bar=(-0.36664363443787, -0.6219350792902567,
+        -0.0007540380279222219, -5.066000336836933e-05),
+        hessian_cond=3.927368607460216, grad_norm=2.226620124166883e-13,
+        iterations=2),
+    ('form1-p2-d3', 'raw', 7): MinimizeResult(
+        m=0.36388741373405004, w_bar=(-0.3558343202218465, -0.6181679266360249,
+        -0.0018201664863458412, -0.00027783108140504197),
+        hessian_cond=3.832994859417224, grad_norm=7.303371677840086e-11,
+        iterations=2),
+    ('form1-p2-d3', 'normalized', 1): MinimizeResult(
+        m=0.3764570422608821, w_bar=(-0.3721907836832591, -0.6239556932922186,
+        -0.00024660496212817806, 9.303905668438252e-06),
+        hessian_cond=3.9756349886484372, grad_norm=2.4085396342878534e-16,
+        iterations=2),
+    ('form1-p2-d3', 'normalized', 3): MinimizeResult(
+        m=0.37928937047892136, w_bar=(-0.3666436493260442, -0.6219351069170892,
+        -0.0007540381032152561, 8.377214600536493e-05),
+        hessian_cond=3.927367801174904, grad_norm=2.281668202429265e-13,
+        iterations=2),
+    ('form1-p2-d3', 'normalized', 7): MinimizeResult(
+        m=0.38463435845157606, w_bar=(-0.3558347685148581, -0.6181687792196768,
+        -0.0018201721135614735, 0.00045513648174806643),
+        hessian_cond=3.8329721465336237, grad_norm=7.737124617885484e-11,
+        iterations=2),
+    ('form2-p2-d3', 'raw', 1): MinimizeResult(
+        m=0.6631821548382854, w_bar=(-0.6683937823834197, 0.0, 0.0),
+        hessian_cond=5.981302331167643, grad_norm=2.220446049250313e-16,
+        iterations=1),
+    ('form2-p2-d3', 'raw', 3): MinimizeResult(
+        m=0.6561419364733574, w_bar=(-0.6717948717948719, 0.0, 0.0),
+        hessian_cond=5.925723805147059, grad_norm=2.220446049250313e-16,
+        iterations=1),
+    ('form2-p2-d3', 'raw', 7): MinimizeResult(
+        m=0.6417996200484847, w_bar=(-0.678391959798995, 0.0, 0.0),
+        hessian_cond=5.745838083422747, grad_norm=4.440892098500626e-16,
+        iterations=1),
+    ('form2-p2-d3', 'normalized', 1): MinimizeResult(
+        m=0.8839551273080433, w_bar=(-0.6683937823834197, 0.0, 0.0),
+        hessian_cond=5.981302331167643, grad_norm=2.9596313106831376e-16,
+        iterations=1),
+    ('form2-p2-d3', 'normalized', 3): MinimizeResult(
+        m=0.8723003478724024, w_bar=(-0.6717948717948719, 0.0, 0.0),
+        hessian_cond=5.92572380514706, grad_norm=2.9519464517134963e-16,
+        iterations=1),
+    ('form2-p2-d3', 'normalized', 7): MinimizeResult(
+        m=0.8422977390959927, w_bar=(-0.678391959798995, 0.0, 0.0),
+        hessian_cond=5.745838083422747, grad_norm=5.828226220909505e-16,
+        iterations=1),
+    ('form2-p3-d4', 'raw', 1): MinimizeResult(
+        m=0.2848178797252858, w_bar=(-0.7173601225083168, -0.5738320597195714,
+        0.0, 0.0, 0.0), hessian_cond=9.187373873051722,
+        grad_norm=4.002966042486721e-16, iterations=1),
+    ('form2-p3-d4', 'raw', 3): MinimizeResult(
+        m=0.28339109337563934, w_bar=(-0.7228401890989169, -0.5777643505803812,
+        0.0, 0.0, 0.0), hessian_cond=8.560119816714533,
+        grad_norm=1.1102230246251565e-16, iterations=1),
+    ('form2-p3-d4', 'raw', 7): MinimizeResult(
+        m=0.282012467514964, w_bar=(-0.7312978321912837, -0.5822520984848865,
+        0.0, 0.0, 0.0), hessian_cond=7.503046679411682,
+        grad_norm=1.1102230246251565e-16, iterations=1),
+    ('form2-p3-d4', 'normalized', 1): MinimizeResult(
+        m=0.5523740697702513, w_bar=(-0.7173601225083168, -0.5738320597195714,
+        0.0, 0.0, 0.0), hessian_cond=9.187373873051724,
+        grad_norm=7.76332808239849e-16, iterations=1),
+    ('form2-p3-d4', 'normalized', 3): MinimizeResult(
+        m=0.5182008564583119, w_bar=(-0.7228401890989169, -0.5777643505803812,
+        0.0, 0.0, 0.0), hessian_cond=8.560119816714533,
+        grad_norm=2.0301221021717148e-16, iterations=1),
+    ('form2-p3-d4', 'normalized', 7): MinimizeResult(
+        m=0.46278969028096656, w_bar=(-0.7312978321912837, -0.5822520984848865,
+        0.0, 0.0, 0.0), hessian_cond=7.503046679411683,
+        grad_norm=1.8219044506669235e-16, iterations=1),
+}
+
+
+@pytest.mark.parametrize("name,mode,s", sorted(DEEP_MINIMA))
+def test_deep_chain_minima_frozen(name, mode, s):
+    spec = deep_chain_specs()[name]
+    Q = qext(spec, mode=mode)
+    k = spec.d - spec.p
+    theta = Q.pinned_theta(
+        F(s, 64), [F(j + s, 128) for j in range(k)],
+        [F(-j - s, 256) for j in range(k)],
+        x_p=F(s, 64) if spec.variant == "form2" else None)
+    assert repr(minimize_Q(Q, theta)) == repr(DEEP_MINIMA[(name, mode, s)])
 
 
 @pytest.mark.parametrize("mode", ["raw", "normalized"])
