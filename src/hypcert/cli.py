@@ -468,8 +468,17 @@ def _run_minimize(sf: SymbolFile, args) -> int:
     if sf.normal_form is None:
         sys.stderr.write("minimize requires a normal_form block\n")
         return 3
-    eq = build_extended_Q(sf.normal_form, STRUCTURAL_CUTOFF, mode=args.mode)
     k = sf.normal_form.d - sf.normal_form.p
+    usage = ["%s: expected %d values, got %d" % (flag, k, len(values))
+             for flag, values in (("--theta-zx", args.theta_zx),
+                                  ("--theta-zxi", args.theta_zxi))
+             if values is not None and len(values) != k]
+    if sf.normal_form.variant == "form1" and args.theta_xp is not None:
+        usage.append("--theta-xp: form1 has no x_p slot")
+    if usage:
+        sys.stderr.write("hypcert: %s\n" % usage[0])
+        return 3
+    eq = build_extended_Q(sf.normal_form, STRUCTURAL_CUTOFF, mode=args.mode)
     zx = args.theta_zx if args.theta_zx is not None else (Fraction(0),) * k
     zxi = args.theta_zxi if args.theta_zxi is not None else (Fraction(0),) * k
     xp = args.theta_xp

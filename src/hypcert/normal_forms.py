@@ -52,7 +52,6 @@ reconstruction inequality is stated for.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,6 +90,15 @@ def poly_derivative(coeffs):
 def _floats(v):
     """float(v), elementwise for an array (of exact values or floats)."""
     return v.astype(float) if isinstance(v, np.ndarray) else float(v)
+
+
+def _stack(values, shape):
+    """The values (scalars or arrays that broadcast to shape) as one float
+    array, along a new first axis."""
+    out = np.empty((len(values),) + shape)
+    for i, v in enumerate(values):
+        out[i] = v
+    return out
 
 
 class InvariantViolation(ValueError):
@@ -316,16 +324,35 @@ def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
 # ----------------------------------------------------------------- cutoff
 
 
-_H = (Fraction(1), Fraction(1), Fraction(0), Fraction(4), Fraction(-7), Fraction(3))
+_H = (1, 1, 0, 4, -7, 3)  # integers: exact on rationals, floats on floats
 _H1 = poly_derivative(_H)
 _H2 = poly_derivative(_H1)
+
+
+def _piecewise(s, inner, coeffs, outer, odd):
+    """inner(u) on u = |s| <= 1, outer(u) on u >= 2 and the polynomial
+    coeffs in u - 1 between, negated at s < 0 when odd.  Exact on
+    rationals, and elementwise on an array as for a float s."""
+    neg = s < 0
+    if isinstance(s, np.ndarray):
+        u = np.where(neg, -s, s)
+        v, mid = u - 1, np.zeros_like(u)
+        for c in reversed(coeffs):
+            mid = mid * v + c
+        out = np.where(u <= 1, inner(u), np.where(u >= 2, outer(u), mid))
+        return np.where(neg, -out, out) if odd else out
+    u = -s if neg else s
+    out = (inner(u) if u <= 1 else outer(u) if u >= 2
+           else horner(coeffs, u - 1))
+    return -out if odd and neg else out
 
 
 @dataclass(frozen=True)
 class Cutoff:
     """Odd C^2 cutoff: chi(s) = s on |s| <= 1, |chi| = 2 on |s| >= 2,
     chi' >= 0, with a quintic transition (integer coefficients, so chi
-    is exact at rational arguments).
+    is exact at rational arguments).  The constant pieces are written
+    u - u + k, which keeps the numeric type of s.
 
     scaled(s) = delta * chi(s / delta) is the identity on |s| <= delta
     and bounded by 2 delta; its j-th derivative is chi^(j)(s/delta) *
@@ -335,50 +362,29 @@ class Cutoff:
     delta: Fraction
 
     def chi(self, s: Number) -> Number:
-        if isinstance(s, np.ndarray):  # elementwise, as for a float s
-            neg = s < 0
-            u = np.where(neg, -s, s)
-            mid = np.zeros_like(u)
-            for c in reversed(_H):
-                mid = mid * (u - 1) + float(c)
-            out = np.where(u <= 1, u, np.where(u >= 2, 2.0, mid))
-            return np.where(neg, -out, out)
-        neg = s < 0
-        u = -s if neg else s
-        if u <= 1:
-            out = u
-        elif u >= 2:
-            out = u - u + 2  # keeps the numeric type of s
-        else:
-            out = horner(_H, u - 1)
-        return -out if neg else out
+        return _piecewise(s, lambda u: u, _H, lambda u: u - u + 2, odd=True)
 
     def chi_prime(self, s: Number) -> Number:
-        u = -s if s < 0 else s
-        if u <= 1:
-            return u - u + 1
-        if u >= 2:
-            return u - u
-        return horner(_H1, u - 1)
+        return _piecewise(s, lambda u: u - u + 1, _H1, lambda u: u - u,
+                          odd=False)
 
     def chi_second(self, s: Number) -> Number:
-        neg = s < 0
-        u = -s if neg else s
-        if u <= 1 or u >= 2:
-            out = u - u
-        else:
-            out = horner(_H2, u - 1)
-        return -out if neg else out
+        return _piecewise(s, lambda u: u - u, _H2, lambda u: u - u, odd=True)
+
+    def _delta(self, s):
+        """delta, as a float for an array s (a float s rounds it alike)."""
+        return float(self.delta) if isinstance(s, np.ndarray) else self.delta
 
     def scaled(self, s: Number) -> Number:
-        delta = float(self.delta) if isinstance(s, np.ndarray) else self.delta
+        delta = self._delta(s)
         return delta * self.chi(s / delta)
 
     def scaled_prime(self, s: Number) -> Number:
-        return self.chi_prime(s / self.delta)
+        return self.chi_prime(s / self._delta(s))
 
     def scaled_second(self, s: Number) -> Number:
-        return self.chi_second(s / self.delta) / self.delta
+        delta = self._delta(s)
+        return self.chi_second(s / delta) / delta
 
 
 def build_cutoff(delta: Number) -> Cutoff:
@@ -412,13 +418,10 @@ class Theta:
     eps: Number
     x_p: Optional[Number] = None
 
-    def _slow(self):
-        return [self.t, *self.z_x, *self.z_xi] + (
-            [] if self.x_p is None else [self.x_p])
-
     @property
     def shape(self) -> Tuple[int, ...]:
-        return np.broadcast_shapes(*map(np.shape, self._slow() + [self.eps]))
+        return np.broadcast_shapes(*map(np.shape, (
+            self.t, *self.z_x, *self.z_xi, self.eps, self.x_p)))
 
     def map(self, fn) -> "Theta":
         """The Theta with fn applied to every field."""
@@ -426,23 +429,11 @@ class Theta:
                      z_xi=tuple(map(fn, self.z_xi)), eps=fn(self.eps),
                      x_p=None if self.x_p is None else fn(self.x_p))
 
-    def entry(self, i: int) -> "Theta":
-        """Theta number i of a batch."""
+    def entry(self, i) -> "Theta":
+        """Theta number i of a batch; for an array of numbers, the batch of
+        those thetas in that order (one axis)."""
         shape = self.shape
         return self.map(lambda v: np.broadcast_to(v, shape).flat[i])
-
-    def magnitude(self):
-        """|t| + |z| (+ |x_p|) rounded once to a float from the exact sum;
-        elementwise over a batch, where the sums are taken in integers over
-        a common denominator of the values."""
-        parts = [np.asarray(v, dtype=object) for v in self._slow()]
-        den = math.lcm(*(Fraction(v).denominator
-                         for p in parts for v in p.flat))
-        scaled = np.frompyfunc(lambda v: int(abs(Fraction(v)) * den), 1, 1)
-        total = sum(scaled(p) for p in parts)
-        if isinstance(total, np.ndarray):
-            return (total / den).astype(float)
-        return total / den
 
 
 @dataclass(frozen=True)
@@ -572,10 +563,9 @@ class ExtendedQ:
         pt = self.substituted_point(w, theta)
         total = 0
         # zip stops before the remainder factor, last in _derivatives
-        for pref, (sym, _, _) in zip(self._prefactors(ys, etas),
-                                     self._derivatives):
-            if pref != 0:
-                total = total + pref * sym.eval(pt)
+        for (pref, _, _), (sym, _, _) in zip(self._prefactors(ys, etas),
+                                             self._derivatives):
+            total = total + pref * sym.eval(pt)
         if self.mode == "normalized":
             total = total / self.divisor(pt)
         return total
@@ -607,22 +597,9 @@ class ExtendedQ:
 
     # -- analytic derivatives in w ----------------------------------------
 
-    def _moving_slots(self, w, eps):
-        """w index -> (phase slot, dP/dw, d2P/dw2)."""
-        cut = self.cutoff
-        return [(slot, sign * eps * cut.scaled_prime(v),
-                 sign * eps * cut.scaled_second(v))
-                for (slot, sign), v in zip(self._w_slots, w)]
-
     def _prefactors(self, ys, etas):
-        """Prefactor values per term: the springs, then the etas."""
-        n = self._nodes(ys)
-        return ([(n[j] - n[j + 1]) ** 2 for j in range(len(n) - 1)]
-                + [e ** 2 for e in etas])
-
-    def _pref_derivatives(self, ys, etas):
-        """Prefactor values with gradients/Hessians in w per term; free
-        chain node i is w index i - 1."""
+        """Prefactor values with gradients/Hessians in w per term, the
+        springs then the etas; free chain node i is w index i - 1."""
         nw = self.w_dim
         n = self._nodes(ys)
         last = len(n) - 1
@@ -684,37 +661,50 @@ class ExtendedQ:
 
     def value_grad_hess(self, w, theta: Theta):
         """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule.  Over a
-        batch of thetas each is an array over the batch's shape, after the
-        w axes for the gradient and Hessian."""
-        ys, etas = self._split(w)
+        batch of thetas, or for w of arrays (one per theta), each is an
+        array over the batch's shape, after the w axes for the gradient
+        and Hessian."""
+        w_f = [_floats(v) for v in w]
+        ys, etas = self._split(w_f)
         pt = [_floats(v) for v in self.substituted_point(w, theta)]
         shape = np.broadcast_shapes(*map(np.shape, pt))
-        nw = self.w_dim
-        moving = self._moving_slots([float(v) for v in w], _floats(theta.eps))
-        prefs = self._pref_derivatives([float(y) for y in ys],
-                                       [float(e) for e in etas])
+        nw, cut, eps = self.w_dim, self.cutoff, _floats(theta.eps)
+        prefs = self._prefactors(ys, etas)
         # the remainder factor, last in _derivatives (zip skips it in raw)
         if self.mode == "normalized":
             prefs.append((1.0, [0.0] * nw, [[0.0] * nw for _ in range(nw)]))
+        # the chain rule per factor, as arrays over (w index[, w index])
+        # and the batch: entry (i, j) of the Hessian is the formula for i
+        # <= j, mirrored; zero derivatives are not evaluated.  d1, d2:
+        # the derivatives of the phase slot w index i moves
+        signs = [sign for _, sign in self._w_slots]
+        d1 = _stack([s * eps * cut.scaled_prime(v)
+                     for s, v in zip(signs, w_f)], shape)
+        d2 = _stack([s * eps * cut.scaled_second(v)
+                     for s, v in zip(signs, w_f)], shape)
+        lead = (nw, nw) + (1,) * len(shape)
+        upper = np.triu(np.ones((nw, nw), dtype=bool)).reshape(lead)
+        diag = np.arange(nw)
         parts = []
         for (sym, first, second), (pv, pg, ph) in zip(self._derivatives,
                                                       prefs):
             f = sym.eval(pt)
-            f1 = [first[slot].eval(pt) for slot, _, _ in moving]
-            tg = np.zeros((nw,) + shape)
-            for i in range(nw):
-                tg[i] = pg[i] * f + pv * f1[i] * moving[i][1]
-            th = np.zeros((nw, nw) + shape)
-            for (i, j), d2 in second.items():
-                _, d1_i, d2_i = moving[i]
-                d1_j = moving[j][1]
-                v = (ph[i][j] * f
-                     + pg[i] * f1[j] * d1_j + pg[j] * f1[i] * d1_i
-                     + pv * d2.eval(pt) * d1_i * d1_j)
-                if i == j:
-                    v += pv * f1[i] * d2_i
-                th[i, j] = th[j, i] = v
-            parts.append((pv * f, tg, th))
+            f1 = np.zeros((nw,) + shape)
+            for i, (slot, _) in enumerate(self._w_slots):
+                if first[slot].terms:
+                    f1[i] = first[slot].eval(pt)
+            f2 = np.zeros((nw, nw) + shape)
+            for (i, j), poly in second.items():
+                if poly.terms:
+                    f2[i, j] = poly.eval(pt)
+            pg = _stack(pg, shape)
+            tg = pg * f + pv * f1 * d1
+            th = (np.array(ph, dtype=float).reshape(lead) * f
+                  + pg[:, None] * f1[None] * d1[None]
+                  + pg[None] * f1[:, None] * d1[:, None]
+                  + pv * f2 * d1[:, None] * d1[None])
+            th[diag, diag] += pv * f1 * d2
+            parts.append((pv * f, tg, np.where(upper, th, th.swapaxes(0, 1))))
         if self.mode == "normalized":
             _, rg, rh = parts.pop()
         val, grad = 0.0, np.zeros((nw,) + shape)
@@ -753,8 +743,8 @@ class ExtendedQ:
 
         num = 0.0
         numdot = 0.0
-        for pref, (sym, first, _) in zip(self._prefactors(ys, etas),
-                                         self._derivatives):
+        for (pref, _, _), (sym, first, _) in zip(
+                self._prefactors(ys, etas), self._derivatives):
             pv = float(pref)
             if pv == 0.0:
                 continue

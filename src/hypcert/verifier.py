@@ -16,10 +16,12 @@ the caller decides what it means.
 
 check_structural is a stage of its own.  It treats its slow grid of
 thetas as one batch, refused past MAX_THETAS before any is built: exact
-values per axis, broadcast over the grid.  minimize_Q_path takes the
-Newton stop test for the whole batch as one array at the theta = 0
-minimizer and runs Newton, one theta at a time, only from the first
-theta in continuation order that fails it; the reconstruction samples
+values per axis, broadcast over the grid.  One damped Newton (_newton)
+serves that batch and a single theta (minimize_Q, the batch of one):
+every theta starts at the closed-form theta = 0 minimizer, one that
+meets the stop test is frozen, and only the others take a step.  Its
+operations are elementwise or per theta, so each batch entry is
+minimize_Q on its theta alone, bit for bit.  The reconstruction samples
 are evaluated as arrays over blocks of the slow grid (grid.blocks) of at
 most _BLOCK samples.
 """
@@ -30,6 +32,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -242,98 +246,94 @@ class MinimizeResult:
 
 def minimize_Q(eq: ExtendedQ, theta: Theta,
                w0: Optional[Sequence[float]] = None) -> MinimizeResult:
-    """Safeguarded damped Newton on grad_w Q = 0, started from the
-    closed-form theta = 0 minimizer (or a warm start), accepting only
-    Q-decreasing steps.  An iterate from which no step decreases Q is
-    converged when the Newton decrement is below the rounding floor of Q."""
-    nw = eq.w_dim
-    if nw == 0:
-        return MinimizeResult(m=float(eq.value((), theta)), w_bar=(),
-                              hessian_cond=1.0, grad_norm=0.0, iterations=0)
-    if w0 is None:
-        w0 = [float(v) for v in eq.theta0_minimizer()[0]]
-    w = np.array([float(v) for v in w0], dtype=float)
+    """_newton for one theta; hessian_cond is the condition number of the
+    final Hessian (1 for no w)."""
+    m, w_bar, hess, gn, its = _newton(eq, theta, w0)
+    return MinimizeResult(
+        m=float(m[0]), w_bar=tuple(float(v) for v in w_bar[0]),
+        hessian_cond=float(np.linalg.cond(hess[0])) if eq.w_dim else 1.0,
+        grad_norm=float(gn[0]), iterations=int(its[0]))
+
+
+def _newton(eq: ExtendedQ, thetas: Theta, w0=None):
+    """Safeguarded damped Newton on grad_w Q = 0 for each theta of a batch
+    (shape () for one theta), from the closed-form theta = 0 minimizer (or
+    w0), accepting only Q-decreasing steps.  A theta is frozen when it
+    meets the stop test, or when no step decreases Q and its Newton
+    decrement is below the rounding floor of Q.  An ill-conditioned
+    Hessian, a failed line search or the iteration limit names the first
+    failing theta (C order) of the first iteration that has one.  Returns
+    m, w_bar (n, w_dim), the final Hessians (n, w_dim, w_dim), gradient
+    norms and steps taken, for the thetas in C order."""
+    shape, nw = thetas.shape, eq.w_dim
+    n = math.prod(shape)
+    w0 = [float(v) for v in (eq.theta0_minimizer()[0] if w0 is None else w0)]
+    w = np.repeat(np.array(w0, dtype=float)[:, None], n, axis=1)
+    m, gn_out, its = np.empty(n), np.empty(n), np.zeros(n, dtype=int)
+    hess_out = np.empty((n, nw, nw))
+    live, sub, w_live = np.arange(n), thetas, w0
+
+    def fail(exc, i, message):
+        raise exc(message + (" at theta %d" % live[i] if shape else ""))
+
+    def freeze(done, it):
+        at = live[done]
+        m[at], gn_out[at], its[at] = val[done], gn[done], it - 1
+        hess_out[at] = np.moveaxis(hess[..., done], -1, 0)
+
     for it in range(1, MAX_NEWTON_ITER + 1):
-        val, grad, hess = eq.value_grad_hess(tuple(w), theta)
-        gn, converged = _stationary(val, grad)
-        cond = float(np.linalg.cond(hess))
-        if converged:
+        k = live.size
+        val, grad, hess = (
+            np.broadcast_to(v, lead + sub.shape).reshape(lead + (k,))
+            for v, lead in zip(eq.value_grad_hess(w_live, sub),
+                               ((), (nw,), (nw, nw))))
+        # sums over w run in w order, so an entry rounds as its theta
+        # alone does; the stop test is |grad_w Q| <= 1e-10 (1 + |Q|)
+        gn = np.broadcast_to(np.sqrt(reduce(add, grad * grad, 0.0)), (k,))
+        done = gn <= 1e-10 * (1 + abs(val))
+        freeze(done, it)
+        live, val, grad, hess, gn = (live[~done], val[~done], grad[:, ~done],
+                                     hess[..., ~done], gn[~done])
+        if not live.size:
             break
-        if not math.isfinite(cond) or cond > 1e12:
-            raise HessianDegenerate("condition number %.3e" % cond)
+        cond = np.linalg.cond(np.moveaxis(hess, -1, 0))
+        ok = np.isfinite(cond) & (cond <= 1e12)
+        step = -grad
         try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError as exc:
+            step[:, ok] = np.linalg.solve(np.moveaxis(hess[..., ok], -1, 0),
+                                          -grad[:, ok].T[..., None])[..., 0].T
+        except np.linalg.LinAlgError as exc:  # names no theta
             raise HessianDegenerate(str(exc)) from exc
-        if float(grad @ step) >= 0:
-            step = -grad
-        t = 1.0
+        uphill = reduce(add, grad * step, 0.0) >= 0
+        step[:, uphill] = -grad[:, uphill]
+        t = np.ones(live.size)
+        moved = np.zeros(live.size, dtype=bool)
         for _ in range(40):
-            cand = w + t * step
-            if float(eq.value(tuple(float(v) for v in cand), theta)) < val:
-                w = cand
+            todo = np.flatnonzero(ok & ~moved)
+            if not todo.size:
                 break
-            t *= 0.5
-        else:
-            if -float(grad @ step) <= 4 * _EPS * (1 + abs(val)):
-                break
-            raise NoConvergence("no decreasing step at grad norm %.3e" % gn)
+            cand = w[:, live[todo]] + t[todo] * step[:, todo]
+            lower = eq.value(cand, thetas.entry(live[todo])) < val[todo]
+            w[:, live[todo[lower]]] = cand[:, lower]
+            moved[todo[lower]] = True
+            t[todo[~lower]] *= 0.5
+        floor = -reduce(add, grad * step, 0.0) <= 4 * _EPS * (1 + abs(val))
+        failed = np.flatnonzero(~ok | (~moved & ~floor))
+        if failed.size:
+            i = failed[0]
+            if not ok[i]:
+                fail(HessianDegenerate, i, "condition number %.3e" % cond[i])
+            fail(NoConvergence, i, "no decreasing step at grad norm %.3e"
+                 % gn[i])
+        freeze(~moved, it)
+        live = live[moved]
+        if not live.size:
+            break
+        sub, w_live = thetas.entry(live), w[:, live]
     else:
-        raise NoConvergence("no convergence in %d iterations"
-                            % MAX_NEWTON_ITER)
-    return MinimizeResult(m=float(val), w_bar=tuple(float(v) for v in w),
-                          hessian_cond=cond, grad_norm=float(gn),
-                          iterations=it - 1)
-
-
-def _stationary(val, grad):
-    """minimize_Q's stop test: (|grad_w Q|, |grad_w Q| <= 1e-10 (1 + |Q|)),
-    elementwise over a batch of thetas.  The squares are summed in w
-    order, so a batch entry rounds as its theta alone does."""
-    sq = 0.0
-    for g in grad:
-        sq = sq + g * g
-    gn = np.sqrt(sq)
-    return gn, gn <= 1e-10 * (1 + abs(val))
-
-
-@dataclass(frozen=True)
-class PathMinima:
-    """Minima along a continuation path over a batch of thetas, numbered
-    as the batch is: m[i], and w_bar[i] with one entry per w coordinate.
-    The thetas order[:newton_from] met minimize_Q's stop test at the warm
-    start; Newton solved the rest in order, each warm-started from the
-    one before."""
-
-    m: np.ndarray
-    w_bar: np.ndarray
-    order: np.ndarray
-    newton_from: int
-
-
-def minimize_Q_path(eq: ExtendedQ, thetas: Theta) -> PathMinima:
-    """Continuation over a batch of thetas, sorted by (magnitude, number).
-
-    The stop test is taken for the whole batch as one array at the
-    closed-form theta = 0 minimizer, which warm-starts the path.  Up to
-    the first theta that fails it, each minimum is Q there (iteration 0).
-    From that theta on minimize_Q runs in order, warm-started from the
-    previous minimizer, so every result is the sequential path's."""
-    w0 = tuple(float(v) for v in eq.theta0_minimizer()[0])
-    val, grad, _ = eq.value_grad_hess(w0, thetas)
-    shape = thetas.shape
-    converged = np.broadcast_to(_stationary(val, grad)[1], shape).ravel()
-    m = np.broadcast_to(val, shape).flatten()
-    w_bar = np.tile(np.asarray(w0, dtype=float), (m.size, 1))
-    order = np.argsort(np.broadcast_to(thetas.magnitude(), shape).ravel(),
-                       kind="stable")
-    failed = np.flatnonzero(~converged[order])
-    start = int(failed[0]) if failed.size else m.size
-    w_prev = w0
-    for i in order[start:]:
-        res = minimize_Q(eq, thetas.entry(i), w0=w_prev)
-        m[i], w_bar[i], w_prev = res.m, res.w_bar, res.w_bar
-    return PathMinima(m=m, w_bar=w_bar, order=order, newton_from=start)
+        fail(NoConvergence, 0, "no convergence in %d iterations"
+             % MAX_NEWTON_ITER)
+    return m, w.T, hess_out, gn_out, its
 
 
 # --------------------------------------------------------------- structural
@@ -385,7 +385,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     a >= c' (t - phi)^2 on the nonnegative side (best measured constants,
     on the cone with the last covector slot pinned to 1), (iv) a measured
     Lipschitz constant for m1 in t.  (i), (ii) and (iv) read one
-    warm-started sweep of m1 over the slow axes.
+    batched Newton sweep of m1 over the slow axes.
 
     The slow grid is one batch of thetas, exact per axis value and
     broadcast over the grid; its samples are evaluated as float arrays,
@@ -406,7 +406,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
             [-1 if i == j else 1 for i in range(len(axes))])
         for j, ax in enumerate(axes)])
     shape = thetas.shape
-    path = minimize_Q_path(eq, thetas)
+    m1, w_bar = _newton(eq, thetas)[:2]
     # eps^2 once per distinct eps, as Python's float ** 2 (libm pow), which
     # numpy's square can differ from in the last bit
     eps2 = np.frompyfunc(lambda e: float(e) ** 2, 1, 1)(
@@ -416,12 +416,12 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     # theta, in theta order; blocks of thetas keep their samples within
     # _BLOCK
     rng = random.Random(SEED)
-    n, nw = path.w_bar.shape
+    n, nw = w_bar.shape
     # random.uniform(-delta, delta)'s own formula on the same draws, so
     # the values are bit-identical to drawing them one uniform at a time
     draws = -delta + (delta - -delta) * np.fromiter(
         (rng.random() for _ in range(n * N_W * nw)), float, n * N_W * nw)
-    samples = path.w_bar[:, None]
+    samples = w_bar[:, None]
     if nw:
         samples = np.concatenate(
             [samples, draws.reshape(n, N_W, nw)], axis=1)
@@ -433,7 +433,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
             [samples[rows, :, j].reshape(sub + (per,)) for j in range(nw)],
             thetas.map(lambda v: _fix(v, slices)))
         ahat = a.eval(pt) / eq.divisor(pt)
-        margin = (ahat - path.m[rows].reshape(sub + (1,)) * _fix(eps2, slices)
+        margin = (ahat - m1[rows].reshape(sub + (1,)) * _fix(eps2, slices)
                   - spec.remainder.eval(pt))
         ratio = np.broadcast_to(margin / (1 + abs(ahat)), sub + (per,))
         k = int(np.argmin(ratio))
@@ -451,16 +451,13 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     # shift = -eps = phi(z) resp. x_p; the t = 0 thetas come first
     edge = thetas.map(lambda v: v[:1])
     rem = spec.remainder.eval(eq.substituted_point((0.0,) * nw, edge))
-    bnd = np.broadcast_to(path.m.reshape(shape)[:1] * eps2[:1] + rem,
+    bnd = np.broadcast_to(m1.reshape(shape)[:1] * eps2[:1] + rem,
                           edge.shape).ravel()
     k = int(np.argmin(bnd))
-    bnd_min, bnd_worst = math.inf, None
-    if bnd[k] < bnd_min:
-        th = thetas.entry(k)
-        bnd_min, bnd_worst = float(bnd[k]), (th.z_x, th.z_xi, th.x_p)
+    bnd_min, th = float(bnd[k]), thetas.entry(k)
     boundary = StructuralCheck(name="zero-time-boundary",
-                               passed=bnd_min >= -1e-9,
-                               value=bnd_min, worst=bnd_worst,
+                               passed=bnd_min >= -1e-9, value=bnd_min,
+                               worst=(th.z_x, th.z_xi, th.x_p),
                                n_points=bnd.size)
 
     # (iii) branch floors on the pinned cone: a / t^2 and a / (t - phi)^2
@@ -488,7 +485,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
             cone.scan(fn, a_int, gate, t_int, e_int))]
 
     # (iv) Lipschitz constant of m1 in t over the theta sweep
-    by_t = path.m.reshape(len(axes[0]), -1)
+    by_t = m1.reshape(len(axes[0]), -1)
     t_pos = np.array([float(v) for v in axes[0][1:]])[:, None]
     slopes = np.abs(by_t[1:] - by_t[0]) / t_pos
     lip = max(0.0, float(slopes.max()))
@@ -534,7 +531,7 @@ def certify_region(a: PolySymbol, phi: PolySymbol,
     denominator is nonzero, and kappa the sup of {phi, a}^2 / (4a) where
     a > 0.  In the grid's integers they are kc A / (min{T^2, E^2} X) and
     kk B^2 / A, one correctly rounded division each (kappa as the minimum
-    of -kk B^2 / A)."""
+    of -kk B^2 / A); kc's denominator is folded into X once per grid."""
     if phi.d != a.d:
         raise DimensionMismatch("phi has d=%d, a has d=%d" % (phi.d, a.d))
     for p, name in ((a, "a"), (phi, "phi")):
@@ -549,10 +546,11 @@ def certify_region(a: PolySymbol, phi: PolySymbol,
     x_int, x_den = grid.integer(sum((xi * xi for xi in xis),
                                     PolySymbol.zero(d)))
     kc = Fraction(t_den ** 2 * x_den, a_den)
+    x_int, kc = kc.denominator * x_int, Fraction(kc.numerator)
     kk = Fraction(a_den, 4 * b_den ** 2)
     a_max, den_max = grid.bound(a_int), grid.bound(x_int) * max(
         grid.bound(t_int), grid.bound(e_int)) ** 2
-    check_exact(kc.numerator * a_max, kc.denominator * den_max,
+    check_exact(kc.numerator * a_max, den_max,
                 kk.numerator * grid.bound(b_int) ** 2, kk.denominator * a_max)
 
     def fn(av, tv, ev, bv, xv):

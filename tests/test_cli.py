@@ -504,6 +504,26 @@ def test_main_minimize_bytes_frozen(name, mode, tmp_path):
     assert digest == MINIMIZE_DIGESTS[(name, mode)]
 
 
+def test_main_minimize_refuses_an_x_p_for_form1(capsys):
+    # b1 is form1: its theta has no x_p slot to set
+    assert main(["minimize", str(FIXTURES / "b1.json"),
+                 "--theta-xp", "1/2"]) == 3
+    captured = capsys.readouterr()
+    assert "--theta-xp" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("name,flag,value,k", [
+    ("b1", "--theta-zx", "1,2,3", 2), ("b1", "--theta-zxi", "1", 2),
+    ("b2", "--theta-zx", "", 1), ("b2", "--theta-zxi", "1/2,1/3", 1)])
+def test_main_minimize_refuses_a_transverse_block_of_wrong_length(
+        name, flag, value, k, capsys):
+    assert main(["minimize", str(FIXTURES / ("%s.json" % name)),
+                 flag, value]) == 3
+    captured = capsys.readouterr()
+    assert "%s: expected %d values" % (flag, k) in captured.err
+    assert captured.out == ""
+
+
 def test_main_minimize_requires_normal_form(capsys):
     assert main(["minimize", str(FIXTURES / "nonsingular.json")]) == 3
     capsys.readouterr()

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcert import (
     DimensionMismatch,
@@ -272,6 +274,36 @@ def test_cutoff_scaled_chain_rule():
     assert cut.scaled_second(s) == 2 * cut.chi_second(F(3, 2))
     with pytest.raises(ValueError):
         build_cutoff(0)
+
+
+CUTOFF_FUNCTIONS = ("chi", "chi_prime", "chi_second", "scaled",
+                    "scaled_prime", "scaled_second")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-3, 3) | st.sampled_from(
+           [1.0, -1.0, 2.0, -2.0, 0.0, -0.0, 0.5, -1.5]), min_size=1,
+           max_size=12),
+       st.sampled_from([F(1, 2), F(1), F(5, 4)]),
+       st.builds(F, st.integers(-300, 300), st.integers(1, 100)))
+def test_cutoff_arrays_equal_scalar_calls(values, delta, s):
+    # one piecewise helper serves arrays (elementwise, as floats) and
+    # scalars (exact on rationals); the knots +-1, +-2 (scaled by delta
+    # for the scaled forms) and both zeros are in every example
+    cut = build_cutoff(delta)
+    for scale in (1.0, float(delta)):
+        xs = np.array([v * scale for v in values]
+                      + [1.0 * scale, -1.0 * scale, 2.0 * scale,
+                         -2.0 * scale, 0.0, -0.0])
+        for name in CUTOFF_FUNCTIONS:
+            fn = getattr(cut, name)
+            got = fn(xs)
+            assert isinstance(got, np.ndarray) and got.dtype == float
+            # repr tells -0.0 from 0.0
+            assert [repr(v) for v in got.tolist()] == [
+                repr(fn(float(x))) for x in xs.tolist()], name
+    for name in CUTOFF_FUNCTIONS:
+        assert type(getattr(cut, name)(s)) is F, name
 
 
 # ------------------------------------------------------------- extended Q
@@ -728,6 +760,62 @@ def fd_check(Q, w, theta, tol=2e-5):
         _, gm, _ = Q.value_grad_hess(wm, theta)
         col = (gp - gm) / (2 * h)
         assert np.allclose(col, hess[:, i], rtol=1e-4, atol=1e-6)
+
+
+def _chain_rule_reference(Q, w, theta):
+    """value_grad_hess at one theta, written one gradient and Hessian
+    entry at a time: the formula for i <= j, mirrored."""
+    pt = [float(v) for v in Q.substituted_point(w, theta)]
+    w, nw, eps = [float(v) for v in w], Q.w_dim, float(theta.eps)
+    prefs = Q._prefactors(w[:nw - Q.spec.p], w[nw - Q.spec.p:])
+    if Q.mode == "normalized":
+        prefs.append((1.0, [0.0] * nw, [[0.0] * nw] * nw))
+    d1 = [sign * eps * Q.cutoff.scaled_prime(v)
+          for (_, sign), v in zip(Q._w_slots, w)]
+    d2 = [sign * eps * Q.cutoff.scaled_second(v)
+          for (_, sign), v in zip(Q._w_slots, w)]
+    parts = []
+    for (sym, first, second), (pv, pg, ph) in zip(Q._derivatives, prefs):
+        f = sym.eval(pt)
+        f1 = [first[slot].eval(pt) for slot, _ in Q._w_slots]
+        tg = np.array([pg[i] * f + pv * f1[i] * d1[i] for i in range(nw)])
+        th = np.zeros((nw, nw))
+        for (i, j), poly in second.items():
+            v = (ph[i][j] * f + pg[i] * f1[j] * d1[j]
+                 + pg[j] * f1[i] * d1[i] + pv * poly.eval(pt) * d1[i] * d1[j])
+            if i == j:
+                v += pv * f1[i] * d2[i]
+            th[i, j] = th[j, i] = v
+        parts.append((pv * f, tg, th))
+    if Q.mode == "normalized":
+        _, rg, rh = parts.pop()
+    val, grad, hess = 0.0, np.zeros(nw), np.zeros((nw, nw))
+    for tv, tg, th in parts:
+        val, grad, hess = val + tv, grad + tg, hess + th
+    if Q.mode == "raw":
+        return val, grad, hess
+    rv = Q.divisor(pt)
+    q = val / rv
+    qg = (grad - q * rg) / rv
+    return q, qg, (hess - q * rh - qg[:, None] * rg[None]
+                   - rg[:, None] * qg[None]) / rv
+
+
+@pytest.mark.parametrize("name", sorted(deep_chain_specs()))
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+def test_grad_hess_equal_the_entrywise_chain_rule(name, mode):
+    # the arrays over (w index, w index) are the per-entry formula, bit
+    # for bit, zero signs too (w draws include both zeros and the knots)
+    Q = qext(deep_chain_specs()[name], mode=mode)
+    rng = random.Random(17)
+    for _ in range(60):
+        w = tuple(rng.choice([rng.uniform(-1.6, 1.6), 0.0, -0.0, 0.5, -1.0])
+                  for _ in range(Q.w_dim))
+        theta = rand_theta(rng, Q, den=16, span=5)
+        val, grad, hess = Q.value_grad_hess(w, theta)
+        want = _chain_rule_reference(Q, w, theta)
+        assert repr((float(val), grad.tolist(), hess.tolist())) == repr(
+            (float(want[0]), want[1].tolist(), want[2].tolist()))
 
 
 @pytest.mark.parametrize("mode", ["raw", "normalized"])

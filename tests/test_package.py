@@ -1,7 +1,12 @@
 """Checks over the package source as a whole."""
 
 import ast
+import json
 import pathlib
+import shlex
+
+from hypcert.cli import main
+from test_cli import frame_doc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hypcert"
@@ -52,3 +57,33 @@ def test_readme_library_example_runs():
     report = scope["report"]
     assert (report.c_est, report.kappa_est) == (1.0, 0.5)
     assert scope["structural"].passed
+
+
+def _readme_commands():
+    """The `hypcert ...` lines of the README's command-line block, as argv
+    lists (comments dropped)."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+    block = section.split("```\n")[1]
+    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines()
+            if line.startswith("hypcert ")]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # each README command through cli.main, from the repository root, with
+    # the exit code the README's status table gives for its verdict
+    frame = tmp_path / "myframe.json"
+    frame.write_text(json.dumps(frame_doc()))
+    monkeypatch.chdir(ROOT)
+    b2 = "fixtures/b2.json"
+    want = [
+        (["certify", b2], 0, '"status": "CERTIFIED"'),
+        (["certify", b2, "--format", "text"], 0, "status: CERTIFIED"),
+        (["classify", b2], 0, '"status": "NOT_APPLICABLE"'),
+        (["minimize", b2, "--mode", "normalized"], 0, '"mode": "normalized"'),
+        (["check-frame", "myframe.json"], 0, '"ok": true'),
+    ]
+    assert _readme_commands() == [argv for argv, _, _ in want]
+    for argv, code, shown in want:
+        argv = [str(frame) if a == "myframe.json" else a for a in argv]
+        assert main(argv) == code, argv
+        assert shown in capsys.readouterr().out, argv

@@ -14,6 +14,7 @@ import pytest
 from hypcert import (
     ExtendedQ,
     NegativeInput,
+    NoConvergence,
     NormalFormSpec,
     PolySymbol,
     Region,
@@ -28,7 +29,6 @@ from hypcert import (
     construct_time_function,
     glaeser_check,
     minimize_Q,
-    minimize_Q_path,
 )
 from hypcert.symbolfile import parse_symbol_file
 from hypcert.symbols import DimensionMismatch, phase_variables
@@ -409,16 +409,49 @@ def test_minimize_dominates_probes():
             assert m <= float(eq.value(w, th)) + 1e-12
 
 
-def test_minimize_path_matches_cold_starts():
-    eq = build_extended_Q(crit7_spec(F(1, 2)), build_cutoff(F(1, 2)))
+def _entry(result, i):
+    """Entry i of verifier._newton's result, as minimize_Q reports it."""
+    m, w_bar, hess, gn, its = result
+    return (float(m[i]), tuple(float(v) for v in w_bar[i]),
+            float(np.linalg.cond(hess[i])) if hess.shape[1] else 1.0,
+            float(gn[i]), int(its[i]))
+
+
+def _single(res):
+    return (res.m, res.w_bar, res.hessian_cond, res.grad_norm,
+            res.iterations)
+
+
+def test_newton_batch_entries_are_single_theta_runs():
+    eq = build_extended_Q(deep_chain_specs()["form1-p2-d3"],
+                          build_cutoff(F(1, 2)))
     slow = [(F(1, 20), F(1, 40), F(-1, 50)), (0, 0, 0),
             (F(1, 100), F(-1, 80), F(1, 100))]
     # one batch of the three thetas: (t, z_x, z_xi) as parallel arrays
     thetas = eq.theta_at([np.array(col, dtype=object) for col in zip(*slow)])
-    path = minimize_Q_path(eq, thetas)
-    cold = [minimize_Q(eq, eq.theta_at(v)) for v in slow]
-    for m, b in zip(path.m, cold):
-        assert abs(m - b.m) <= 1e-10
+    result = verifier._newton(eq, thetas)
+    assert [int(i) for i in result[4]] == [2, 0, 2]
+    for i, v in enumerate(slow):
+        # repr tells -0.0 from 0.0
+        assert repr(_entry(result, i)) == repr(
+            _single(minimize_Q(eq, eq.theta_at(v))))
+
+
+def test_newton_errors_name_the_first_failing_theta(monkeypatch):
+    eq = build_extended_Q(deep_chain_specs()["form1-p2-d3"],
+                          build_cutoff(F(1, 2)))
+    slow = [(0, 0, 0), (F(1, 100), F(-1, 80), F(1, 100)),
+            (F(1, 20), F(1, 40), F(-1, 50))]
+    thetas = eq.theta_at([np.array(col, dtype=object) for col in zip(*slow)])
+    monkeypatch.setattr(verifier, "MAX_NEWTON_ITER", 1)
+    with pytest.raises(NoConvergence,
+                       match=r"^no convergence in 1 iterations at theta 1$"):
+        verifier._newton(eq, thetas)
+    # one theta: the message names none
+    with pytest.raises(NoConvergence,
+                       match=r"^no convergence in 1 iterations$"):
+        minimize_Q(eq, eq.theta_at(slow[2]))
+    assert minimize_Q(eq, eq.theta_at(slow[0])).iterations == 0
 
 
 def test_envelope_derivative_matches_fd():
@@ -472,94 +505,73 @@ def test_structural_b2_boundary_margin_is_zero(small_region):
 
 
 def _sweep(spec, region, monkeypatch):
-    """check_structural's report, its continuation path with the batch of
-    thetas it ran over, and the thetas minimize_Q was called for."""
-    paths, solved = [], []
-    path_fn, solve_fn = verifier.minimize_Q_path, verifier.minimize_Q
+    """check_structural's report, the batch of thetas its Newton ran over
+    with the results, and the thetas minimize_Q was called for."""
+    runs, solved = [], []
+    newton, solve = verifier._newton, verifier.minimize_Q
 
-    def path_spy(eq, thetas):
-        paths.append((eq, thetas, path_fn(eq, thetas)))
-        return paths[-1][2]
+    def newton_spy(eq, thetas, w0=None):
+        runs.append((eq, thetas, newton(eq, thetas, w0)))
+        return runs[-1][2]
 
     def solve_spy(eq, theta, w0=None):
         solved.append(theta)
-        return solve_fn(eq, theta, w0)
+        return solve(eq, theta, w0)
 
-    monkeypatch.setattr(verifier, "minimize_Q_path", path_spy)
+    monkeypatch.setattr(verifier, "_newton", newton_spy)
     monkeypatch.setattr(verifier, "minimize_Q", solve_spy)
     cert = construct_time_function(spec, slack=F(1, 100))
     rep = check_structural(spec, cert, region)
-    (eq, thetas, path), = paths
-    return rep, eq, thetas, path, solved
+    monkeypatch.undo()
+    (eq, thetas, result), = runs
+    return rep, eq, thetas, result, solved
 
 
-def _magnitude(theta):
-    """The continuation key's exact L1 norm, rounded once."""
-    return float(abs(theta.t) + sum(map(abs, theta.z_x + theta.z_xi))
-                 + abs(theta.x_p or 0))
+@pytest.mark.parametrize("name", ["b2", "classical", "form1-p2-d3",
+                                  "form2-p2-d3", "form2-p3-d4"])
+def test_structural_newton_entries_are_single_theta_runs(name, monkeypatch):
+    # check_structural runs the batched Newton once over the slow grid and
+    # never minimize_Q; each entry is minimize_Q on its theta alone
+    if name in deep_chain_specs():
+        spec = deep_chain_specs()[name]
+    else:
+        spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
+    rep, eq, thetas, result, solved = _sweep(spec, Region(grid=5),
+                                             monkeypatch)
+    n = math.prod(thetas.shape)
+    assert rep.passed and solved == [] and result[0].shape == (n,)
+    for i in range(n):
+        assert repr(_entry(result, i)) == repr(
+            _single(minimize_Q(eq, thetas.entry(i)))), i
+    iterations = result[4]
+    if name in deep_chain_specs():
+        # theta = 0 meets the stop test at the closed-form minimizer;
+        # Newton steps elsewhere
+        assert iterations.min() == 0 and 0 < iterations.max() <= 2
+    else:
+        assert not iterations.any()
 
 
-def _assert_solved_once(eq, thetas, path, solved):
-    """Each theta is solved once: the array stop test takes the sorted
-    thetas before the first one it fails, Newton the rest, in order."""
-    n = path.m.size
-    keys = [(_magnitude(thetas.entry(i)), i) for i in path.order]
-    assert keys == sorted(keys) and len(keys) == len(set(keys)) == n
-    newton = [thetas.entry(i) for i in path.order[path.newton_from:]]
-    assert solved == newton and len(set(solved)) == len(solved)
-    assert path.newton_from + len(solved) == n
-    # the stop test at the theta = 0 minimizer holds for each theta
-    # before newton_from in sorted order and fails at newton_from; a cold
-    # start gives the array-tested minima at iteration 0
-    w0 = tuple(float(v) for v in eq.theta0_minimizer()[0])
-    for pos, i in enumerate(path.order[:path.newton_from + 1]):
-        theta = thetas.entry(i)
-        val, grad, _ = eq.value_grad_hess(w0, theta)
-        assert verifier._stationary(val, grad)[1] == (pos < path.newton_from)
-        if pos < path.newton_from:
-            res = minimize_Q(eq, theta)
-            assert res.iterations == 0 and res.m == path.m[i]
-
-
-def test_structural_solves_each_theta_once(small_region, monkeypatch):
-    # b2 has 5^4 slow points (t, z_x, z_xi, x_p), every one met by the
-    # array stop test; the t = 0 boundary reads its 5^3 minima from the
-    # same sweep
-    rep, eq, thetas, path, solved = _sweep(b2_spec(), small_region,
-                                           monkeypatch)
-    assert rep.passed and path.m.size == 5 ** 4
-    _assert_solved_once(eq, thetas, path, solved)
-    assert path.newton_from == 5 ** 4 and solved == []
+def test_structural_sweep_covers_the_slow_grid(small_region, monkeypatch):
+    # b2 has 5^4 slow points (t, z_x, z_xi, x_p); the t = 0 boundary
+    # reads its 5^3 minima from the same sweep
+    rep, eq, thetas, result, solved = _sweep(b2_spec(), small_region,
+                                             monkeypatch)
+    assert rep.passed and thetas.shape == (5,) * 4 and solved == []
     assert _by_name(rep)["zero-time-boundary"].n_points == 5 ** 3
-
-
-def test_structural_newton_starts_at_first_failing_theta(monkeypatch):
-    # the deep chain's factors move with w: theta = 0 meets the stop test
-    # at its closed-form minimizer, and Newton takes over from the next
-    # theta in sorted order
-    rep, eq, thetas, path, solved = _sweep(
-        deep_chain_specs()["form1-p2-d3"], Region(grid=5), monkeypatch)
-    assert rep.passed and path.m.size == 5 ** 3
-    _assert_solved_once(eq, thetas, path, solved)
-    assert 0 < path.newton_from < 5 ** 3
 
 
 def _structural_reference(spec, region):
     """Checks (i), (ii) and (iv) of check_structural written per theta:
-    minimize_Q along the sorted path over every Theta, then one scalar
-    evaluation per sample, folded with strict comparisons."""
+    minimize_Q on every Theta alone, then one scalar evaluation per
+    sample, folded with strict comparisons."""
     eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
     a = build_normal_form(spec)
     rng = random.Random(verifier.SEED)
     delta = float(verifier.STRUCTURAL_CUTOFF.delta)
     slow = list(itertools.product(*verifier._theta_axes(eq, region)))
     thetas = [eq.theta_at(v) for v in slow]
-    results = [None] * len(thetas)
-    w_prev = None
-    for i in sorted(range(len(thetas)),
-                    key=lambda i: (_magnitude(thetas[i]), i)):
-        results[i] = minimize_Q(eq, thetas[i], w0=w_prev)
-        w_prev = results[i].w_bar
+    results = [minimize_Q(eq, theta) for theta in thetas]
 
     recon_min, recon_worst, n_recon = math.inf, None, 0
     for theta, res in zip(thetas, results):
@@ -632,9 +644,12 @@ def test_structural_w_draws_are_seeded_uniforms(spec, w_dim, monkeypatch):
     # and compare the draws with random.uniform in theta, sample, w order
     seen = []
     original = ExtendedQ.substituted_point
+    per = (verifier.N_W + 1,)
 
     def spy(self, w, theta):
-        if isinstance(w, list):  # the reconstruction sub-grids, in order
+        # the reconstruction sub-grids, in order: a list of arrays with a
+        # trailing sample axis (Newton hands over floats or a 2-d array)
+        if isinstance(w, list) and np.shape(w[0])[-1:] == per:
             seen.append(np.stack([np.reshape(wj, (-1, np.shape(wj)[-1]))
                                   for wj in w], axis=-1))
         return original(self, w, theta)
