@@ -530,8 +530,10 @@ def _sweep(spec, region, monkeypatch):
 @pytest.mark.parametrize("name", ["b2", "classical", "form1-p2-d3",
                                   "form2-p2-d3", "form2-p3-d4"])
 def test_structural_newton_entries_are_single_theta_runs(name, monkeypatch):
-    # check_structural runs the batched Newton once over the slow grid and
-    # never minimize_Q; each entry is minimize_Q on its theta alone
+    # check_structural runs the batched Newton once over the slow grid
+    # (N_AXIS points per slow axis; the t = 0 boundary reads the first
+    # t level) and never minimize_Q; each entry is minimize_Q on its
+    # theta alone
     if name in deep_chain_specs():
         spec = deep_chain_specs()[name]
     else:
@@ -540,6 +542,8 @@ def test_structural_newton_entries_are_single_theta_runs(name, monkeypatch):
                                              monkeypatch)
     n = math.prod(thetas.shape)
     assert rep.passed and solved == [] and result[0].shape == (n,)
+    assert thetas.shape == (verifier.N_AXIS,) * eq.theta_dim
+    assert _by_name(rep)["zero-time-boundary"].n_points == n // 5
     for i in range(n):
         assert repr(_entry(result, i)) == repr(
             _single(minimize_Q(eq, thetas.entry(i)))), i
@@ -550,15 +554,6 @@ def test_structural_newton_entries_are_single_theta_runs(name, monkeypatch):
         assert iterations.min() == 0 and 0 < iterations.max() <= 2
     else:
         assert not iterations.any()
-
-
-def test_structural_sweep_covers_the_slow_grid(small_region, monkeypatch):
-    # b2 has 5^4 slow points (t, z_x, z_xi, x_p); the t = 0 boundary
-    # reads its 5^3 minima from the same sweep
-    rep, eq, thetas, result, solved = _sweep(b2_spec(), small_region,
-                                             monkeypatch)
-    assert rep.passed and thetas.shape == (5,) * 4 and solved == []
-    assert _by_name(rep)["zero-time-boundary"].n_points == 5 ** 3
 
 
 def _structural_reference(spec, region):
