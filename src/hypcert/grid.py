@@ -1,7 +1,8 @@
 """The one grid walker, over exact axes in integer index coordinates.
 
-A TensorGrid axis holds exact rationals, integer multiples of its unit
-(their gcd), so a grid point is unit * U with an integer U per slot.
+A TensorGrid axis is a span of exact equally spaced nodes, integer
+multiples of its unit (their gcd), so a grid point is unit * U with an
+integer U per slot; no node is built but a witness.
 TensorGrid.integer rescales a polynomial to integer coefficients,
 p(unit * U) = P(U) / D, and refuses one whose integers could reach 2^53
 (ScanTooLarge).  Below 2^53 float64 adds and multiplies integers exactly,
@@ -88,31 +89,41 @@ class ScanResult:
 
 
 class TensorGrid:
-    """Tensor grid of exact axes over selected phase-space slots; the
-    other slots are 0."""
+    """Tensor grid over selected phase-space slots, the other slots 0.
+    Each axis is a span (slot, (lo, hi, n)): the n nodes of
+    uniform_axis(lo, hi, n), lo + k * step, never built.  Its unit is
+    gcd(lo, step), the gcd of its nodes, so its index axis is
+    first + inc * k with first = lo / unit and inc = step / unit."""
 
     def __init__(self, d: int, axes):
         self.d = d
         self.slots = tuple(slot for slot, _ in axes)
-        self.axes = tuple(tuple(ax) for _, ax in axes)
-        self._lens = tuple(len(ax) for ax in self.axes)
-        self.total = grid_points(self._lens)
+        self._lens = tuple(n for _, (_, _, n) in axes)
+        self.total = math.prod(self._lens)
+        if self.total > MAX_SCAN_POINTS:
+            raise ScanTooLarge("a scan of %d grid points exceeds the budget "
+                               "of %d" % (self.total, MAX_SCAN_POINTS))
         self._units = [Fraction(0)] * (2 * (d + 1))  # a slot off the grid
         self._umax = [0] * (2 * (d + 1))
-        self._float_axes = []
-        for slot, ax in zip(self.slots, self.axes):
-            den = math.lcm(*(v.denominator for v in ax))
-            nums = [v.numerator * (den // v.denominator) for v in ax]
-            unit = math.gcd(*nums) or den
+        self._steps, self._float_axes = [], []
+        for slot, (lo, hi, n) in axes:
+            lo = Fraction(lo)
+            step = (hi - lo) / (n - 1) if n > 1 else Fraction(0)
+            den = math.lcm(lo.denominator, step.denominator)
+            first, inc = int(lo * den), int(step * den)
+            unit = math.gcd(first, inc) or den
+            first, inc = first // unit, inc // unit
             self._units[slot] = Fraction(unit, den)
-            self._umax[slot] = max(map(abs, nums)) // unit
-            self._float_axes.append(np.array([v // unit for v in nums], float))
+            self._umax[slot] = max(abs(first), abs(first + inc * (n - 1)))
+            self._steps.append((lo, step))
+            self._float_axes.append(
+                np.array([first + inc * k for k in range(n)], float))
 
     def point(self, flat: int) -> PhasePoint:
         vals = [Fraction(0)] * (2 * (self.d + 1))
-        for slot, ax, k in zip(self.slots, self.axes,
-                               np.unravel_index(flat, self._lens)):
-            vals[slot] = ax[k]
+        for slot, (lo, step), k in zip(self.slots, self._steps,
+                                       np.unravel_index(flat, self._lens)):
+            vals[slot] = lo + int(k) * step
         return PhasePoint.from_sequence(self.d, vals)
 
     def integer(self, *polys: PolySymbol):
@@ -175,15 +186,6 @@ class TensorGrid:
             out.append(ScanResult(best, flat, per * sum(
                 part[2] for part in column), self.total))
         return tuple(out)
-
-
-def grid_points(lens) -> int:
-    """Points of a grid of these axis lengths, refused past the budget."""
-    total = math.prod(lens)
-    if total > MAX_SCAN_POINTS:
-        raise ScanTooLarge("a scan of %d grid points exceeds the budget "
-                           "of %d" % (total, MAX_SCAN_POINTS))
-    return total
 
 
 def _reduce(vals, mask, start: int, shape):

@@ -60,7 +60,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from hypcert.grid import TensorGrid, uniform_axis
+from hypcert.grid import TensorGrid
 from hypcert.symbols import (
     DimensionMismatch,
     PhasePoint,
@@ -266,8 +266,6 @@ HALF_WIDTH = Fraction(1, 2)
 POINTS = 11
 XI_HALF_WIDTH = Fraction(1, 4)
 XI_POINTS = 3
-_X_AXIS = uniform_axis(-HALF_WIDTH, HALF_WIDTH, POINTS)
-_XI_AXIS = uniform_axis(-XI_HALF_WIDTH, XI_HALF_WIDTH, XI_POINTS)
 
 
 def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
@@ -302,8 +300,10 @@ def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
     # the base point; the witness is the first failing point in C order
     moving = [i for i in range(2 * (d + 1))
               if sign_poly.depends_on(i) or gate_poly.depends_on(i)]
-    cube = TensorGrid(d, [(i, (v,) if i not in moving else _X_AXIS
-                           if i < d + 2 else [v + u for u in _XI_AXIS])
+    cube = TensorGrid(d, [(i, (v, v, 1) if i not in moving else
+                           (-HALF_WIDTH, HALF_WIDTH, POINTS) if i < d + 2
+                           else (v - XI_HALF_WIDTH, v + XI_HALF_WIDTH,
+                                 XI_POINTS))
                           for i, v in enumerate(base.as_tuple())])
     gate, sign, _ = cube.integer(gate_poly, sign_poly)
     res, = cube.scan(lambda g, s: [(0.0, (g >= 0) & (s < 0))], gate, sign)

@@ -111,7 +111,7 @@ def _poly(lst, d, path, allow_zero=False) -> PolySymbol:
         raise SchemaError(path, "expected a term list")
     if not lst and not allow_zero:
         raise SchemaError(path, "term list must be nonempty")
-    total = PolySymbol.zero(d)
+    pairs = []
     names = set(var_names(d))
     for i, item in enumerate(lst):
         tp = "%s[%d]" % (path, i)
@@ -130,8 +130,8 @@ def _poly(lst, d, path, allow_zero=False) -> PolySymbol:
                     raise DimensionError(ep, "variable out of range for d=%d" % d)
                 raise SchemaError(ep, "unknown variable name")
             exponents[var_index(d, name)] = _int(e, ep, minimum=0)
-        mono = PolySymbol(d, {tuple(exponents): coeff}) if coeff else PolySymbol.zero(d)
-        total = total + mono
+        pairs.append((exponents, coeff))
+    total = PolySymbol(d, pairs)
     if total.is_zero and not allow_zero:
         raise SchemaError(path, "terms cancel to zero")
     return total

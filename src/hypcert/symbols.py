@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -96,32 +97,46 @@ class PolySymbol:
 
     Instances are immutable by convention: no method mutates ``terms``.
     Terms map exponent tuples (length 2*(d+1)) to nonzero Fractions.
+    Every constructor and arithmetic method builds ``terms`` by one merge
+    of (exponents, coefficient) pairs in order (_merge): a pair adds to
+    the term with its exponents in place, a zero sum removes the term, and
+    a later pair with the same exponents starts a new term at the end.
+    Float eval sums in ``terms`` order, so this rule fixes its rounding.
     """
 
     __slots__ = ("d", "terms", "_table")
 
-    def __init__(self, d: int, terms: Optional[Mapping[Tuple[int, ...], Coeff]] = None):
+    def __init__(self, d: int, terms=None):
+        """terms: a mapping or (exponents, coefficient) pairs, validated
+        and merged in order."""
         if d < 0:
             raise ValueError("dimension must be nonnegative")
         n = 2 * (d + 1)
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
+
+        def checked(pairs):
+            for exps, c in pairs:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != n:
                     raise DimensionMismatch(
-                        "exponent tuple of length %d does not match d=%d" % (len(exps), d))
+                        "exponent tuple of length %d does not match d=%d"
+                        % (len(exps), d))
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in %r" % (exps,))
-                c = as_fraction(c)
-                s = clean[exps] + c if exps in clean else c
-                if s == 0:
-                    clean.pop(exps, None)
-                else:
-                    clean[exps] = s
+                yield exps, as_fraction(c)
+
+        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self._set(d, checked(pairs))
+
+    def _set(self, d: int, pairs) -> None:
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _merge(pairs))
         object.__setattr__(self, "_table", None)  # built by the first eval
+
+    def _new(self, pairs) -> "PolySymbol":
+        """A symbol on this phase space from pairs the package built."""
+        out = object.__new__(PolySymbol)
+        out._set(self.d, pairs)
+        return out
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("PolySymbol is immutable")
@@ -138,9 +153,6 @@ class PolySymbol:
 
     @classmethod
     def constant(cls, d: int, c: Coeff) -> "PolySymbol":
-        c = as_fraction(c)
-        if c == 0:
-            return cls(d)
         return cls(d, {(0,) * (2 * (d + 1)): c})
 
     @classmethod
@@ -184,38 +196,26 @@ class PolySymbol:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, _ZERO) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return PolySymbol(self.d, out)
+        return self._new(chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolySymbol(self.d, {e: -c for e, c in self.terms.items()})
+        return self._new((e, -c) for e, c in self.terms.items())
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return self._new(chain(self.terms.items(),
+                               ((e, -c) for e, c in other.terms.items())))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return PolySymbol(self.d, out)
+        return self._new((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                         for e1, c1 in self.terms.items()
+                         for e2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -223,7 +223,7 @@ class PolySymbol:
         c = as_fraction(other)
         if c == 0:
             raise ZeroDivisionError("division of a symbol by zero")
-        return PolySymbol(self.d, {e: v / c for e, v in self.terms.items()})
+        return self._new((e, v / c) for e, v in self.terms.items())
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -283,17 +283,9 @@ class PolySymbol:
 
     def diff(self, var: Union[int, str]) -> "PolySymbol":
         i = self._var(var)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1:]
-                s = out.get(key, _ZERO) + c * e
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return PolySymbol(self.d, out)
+        return self._new((exps[:i] + (exps[i] - 1,) + exps[i + 1:],
+                          c * exps[i])
+                         for exps, c in self.terms.items() if exps[i])
 
     def eval(self, point: Sequence):
         """Evaluate at a point (any sequence of length 2*(d+1)).
@@ -336,26 +328,29 @@ class PolySymbol:
             tuple(as_fraction(v) for v in point)
         if len(vals) != self.nvars:
             raise DimensionMismatch("point of length %d for d=%d" % (len(vals), self.d))
-        cur = dict(self.terms)
+        cur = self.terms
         for i, c0 in enumerate(vals):
-            if c0 == 0:
-                continue
-            nxt = {}
-            for exps, co in cur.items():
-                e = exps[i]
-                if e == 0:
-                    nxt[exps] = nxt.get(exps, _ZERO) + co
-                    continue
-                for k in range(e + 1):
-                    key = exps[:i] + (k,) + exps[i + 1:]
-                    add = co * comb(e, k) * c0 ** (e - k)
-                    s = nxt.get(key, _ZERO) + add
-                    if s == 0:
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = s
-            cur = nxt
-        return PolySymbol(self.d, cur)
+            if c0 != 0:
+                cur = _merge((exps[:i] + (k,) + exps[i + 1:],
+                              co * comb(exps[i], k) * c0 ** (exps[i] - k))
+                             for exps, co in cur.items()
+                             for k in range(exps[i] + 1))
+        return self._new(cur.items())
+
+
+def _merge(pairs) -> dict:
+    """The terms of (exponents, coefficient) pairs merged in order: a pair
+    adds to the term with its exponents in place, a zero sum removes the
+    term, and a later pair with the same exponents starts a new term at
+    the end."""
+    out = {}
+    for exps, c in pairs:
+        s = out.get(exps, _ZERO) + c
+        if s:
+            out[exps] = s
+        else:
+            out.pop(exps, None)
+    return out
 
 
 def phase_variables(d: int):
@@ -454,7 +449,7 @@ def homogeneity_check(f: PolySymbol, m: int) -> Tuple[bool, PolySymbol]:
         k = f.term_xi_degree(exps)
         if k != m:
             out[exps] = c * (k - m)
-    return (not out), PolySymbol(f.d, out)
+    return (not out), f._new(out.items())
 
 
 # -- jets at a double characteristic ------------------------------------

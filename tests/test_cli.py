@@ -171,8 +171,8 @@ def test_oversized_structural_grid_fails_at_verify(monkeypatch):
 
 
 def test_oversized_region_fails_before_its_axes_are_built(monkeypatch):
-    # b2 at grid 10^7 is 10^35 points per scan; the count is taken from
-    # the axis lengths, so no exact axis is built before the refusal
+    # b2 at grid 10^7 is 10^35 points per scan; TensorGrid takes the count
+    # from the span lengths, and no scan builds an exact axis
     def build(*args):
         raise AssertionError("an axis was built")
 
@@ -414,7 +414,8 @@ def test_main_usage_errors(tmp_path, capsys):
                  "--region", "1/10,1/10"]) == 3
     capsys.readouterr()
     for flag, value in (("--grid", "2"), ("--region", "0,1/10,1/10"),
-                        ("--slack", "-1")):
+                        ("--region", "1/10,0,1/10"),
+                        ("--region", "1/10,1/10,0"), ("--slack", "-1")):
         assert main(["certify", str(FIXTURES / "b2.json"), flag, value]) == 3
         assert flag in capsys.readouterr().err
     # the classification is exact: there is no tolerance flag or key

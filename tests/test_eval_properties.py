@@ -2,17 +2,22 @@
 
 Coordinate arrays against the same points evaluated one at a time (bit
 for bit), floats against the exact value within the rounding bound of the
-term-by-term evaluation, and the ring laws in exact arithmetic.
+term-by-term evaluation, the ring laws in exact arithmetic, and the term
+order that float eval sums in.
 """
 
 import itertools
+import json
 from fractions import Fraction as F
+from math import comb
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hypcert import PolySymbol
+from hypcert.symbolfile import SchemaError, parse_symbol_data
+from hypcert.symbols import var_names
 
 EPS = 2.0 ** -52
 
@@ -101,3 +106,81 @@ def test_ring_laws_exact(case, data):
     assert (p + q).eval(point) == p.eval(point) + q.eval(point)
     assert (p * q).eval(point) == p.eval(point) * q.eval(point)
     assert (p - q).eval(point) == p.eval(point) - q.eval(point)
+
+
+def reference_merge(pairs):
+    """The term order rule on a list: a pair adds to the term with its
+    exponents in place, a zero sum removes that term, and a pair whose
+    exponents are not (or no longer) present is appended."""
+    terms = []
+    for exps, c in pairs:
+        for i, (have, v) in enumerate(terms):
+            if have == exps:
+                if v + c:
+                    terms[i] = (have, v + c)
+                else:
+                    del terms[i]
+                break
+        else:
+            if c:
+                terms.append((exps, c))
+    return terms
+
+
+@st.composite
+def term_lists(draw, d):
+    """Pairs drawn from a pool of three monomials with small coefficients,
+    so that monomials repeat and sums cancel, and zero coefficients
+    occur."""
+    n = 2 * (d + 1)
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=3,
+                         max_size=3))
+    coeff = st.sampled_from([F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1),
+                             F(2)])
+    return draw(st.lists(st.tuples(st.sampled_from(pool), coeff),
+                         max_size=8))
+
+
+@PROPERTY
+@given(st.data())
+def test_term_order_follows_the_merge_rule(data):
+    d = data.draw(st.integers(1, 2))
+    ps, qs = data.draw(term_lists(d)), data.draw(term_lists(d))
+    p, q = PolySymbol(d, ps), PolySymbol(d, qs)
+
+    def order(sym):
+        return list(sym.terms.items())
+
+    assert order(p) == reference_merge(ps)
+    assert order(p + q) == reference_merge(order(p) + order(q))
+    assert order(p - q) == reference_merge(
+        order(p) + [(e, -c) for e, c in order(q)])
+    assert order(p * q) == reference_merge(
+        [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+         for e1, c1 in order(p) for e2, c2 in order(q)])
+    for i in range(2 * (d + 1)):
+        assert order(p.diff(i)) == reference_merge(
+            [(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+             for e, c in order(p) if e[i]])
+    # shift expands one variable at a time, merging each expansion
+    point = data.draw(st.lists(st.sampled_from([F(0), F(1), F(-1, 2)]),
+                               min_size=2 * (d + 1), max_size=2 * (d + 1)))
+    terms = order(p)
+    for i, c0 in enumerate(point):
+        if c0:
+            terms = reference_merge(
+                [(e[:i] + (k,) + e[i + 1:],
+                  c * comb(e[i], k) * c0 ** (e[i] - k))
+                 for e, c in terms for k in range(e[i] + 1)])
+    assert order(p.shift(point)) == terms
+    # a symbol file's term list is merged in file order
+    names = var_names(d)
+    doc = {"schema": 1, "d": d, "terms": [
+        {"coeff": str(c), "exponents": {names[i]: k for i, k in enumerate(e)
+                                        if k}} for e, c in ps]}
+    try:
+        parsed = parse_symbol_data(json.dumps(doc).encode("utf-8")).a
+    except SchemaError:  # an empty or cancelling term list is refused
+        assert not reference_merge(ps)
+    else:
+        assert order(parsed) == reference_merge(ps)

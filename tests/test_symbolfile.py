@@ -224,7 +224,6 @@ def symbol_files(draw):
     d = draw(st.integers(1, 3))
     rational = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
     positive = st.builds(F, st.integers(1, 9), st.integers(1, 9))
-    nonneg = st.builds(F, st.integers(0, 9), st.integers(1, 9))
     n = 2 * (d + 1)
 
     def poly(max_terms, exps=st.lists(st.integers(0, 2), min_size=n,
@@ -248,8 +247,9 @@ def symbol_files(draw):
         schema=1, d=d,
         base_point=PhasePoint.from_sequence(d, draw(st.lists(
             rational, min_size=n, max_size=n))),
-        a=a, region=Region(t_max=draw(positive), x_half=draw(nonneg),
-                           xi_half=draw(nonneg), grid=draw(st.integers(3, 65))),
+        a=a, region=Region(t_max=draw(positive), x_half=draw(positive),
+                           xi_half=draw(positive),
+                           grid=draw(st.integers(3, 65))),
         options=Options(slack=draw(positive)), normal_form=normal_form)
 
 

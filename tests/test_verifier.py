@@ -80,6 +80,7 @@ def test_region_defaults():
 @pytest.mark.parametrize("kwargs", [
     {"t_max": 0}, {"t_max": -1}, {"grid": 2},
     {"xi_half": -1}, {"grid": 0}, {"x_half": -1},
+    {"x_half": 0}, {"xi_half": 0},
 ])
 def test_region_rejects_bad_inputs(kwargs):
     with pytest.raises(ValueError):

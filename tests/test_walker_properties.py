@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from hypcert import PolySymbol, Region, ScanTooLarge, certify_region
 from hypcert import grid as walker
-from hypcert.grid import TensorGrid
+from hypcert.grid import TensorGrid, uniform_axis
 from hypcert.symbols import poisson_bracket
 from hypcert.verifier import region_axes
 
@@ -29,9 +29,14 @@ PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def nodes(region, d, negative_t=False):
+def exact_axes(spans):
+    """(slot, exact nodes) of TensorGrid spans, built apart from it."""
+    return [(slot, uniform_axis(*span)) for slot, span in spans]
+
+
+def grid_nodes(d, spans):
     """Exact grid nodes in flat-index order."""
-    slots, axes = zip(*region_axes(region, d, negative_t=negative_t))
+    slots, axes = zip(*exact_axes(spans))
     out = []
     for values in itertools.product(*axes):
         point = [F(0)] * (2 * d + 2)
@@ -41,11 +46,15 @@ def nodes(region, d, negative_t=False):
     return out
 
 
+def nodes(region, d, negative_t=False):
+    return grid_nodes(d, region_axes(region, d, negative_t=negative_t))
+
+
 def flat_index(region, d, witness, negative_t=False):
     """The witness's flat index; raises ValueError off the grid."""
     point = witness.as_tuple()
     flat = 0
-    for slot, ax in region_axes(region, d, negative_t=negative_t):
+    for slot, ax in exact_axes(region_axes(region, d, negative_t=negative_t)):
         flat = flat * len(ax) + ax.index(point[slot])
     return flat
 
@@ -136,17 +145,21 @@ def test_ratio_witnesses_match_exact_extrema(kind, case):
                    largest=kind == "kappa")
 
 
+def span(lo, step, n):
+    """The span of n nodes lo + k * step; a one-point span's hi is
+    arbitrary (here lo + step), as it is for uniform_axis."""
+    return lo, lo + max(n - 1, 1) * step, n
+
+
 @st.composite
 def axes_cases(draw):
-    """d, a polynomial, and an exact uniform axis per slot but tau."""
+    """d, a polynomial, and a span per slot but tau: steps of either sign
+    or 0, lo = 0 among the draws, one to four points."""
     d = draw(st.sampled_from([1, 2]))
     rational = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
-    axes = []
-    for slot in range(2 * d + 2):
-        if slot != d + 1:
-            lo, step = draw(rational), draw(rational)
-            axes.append((slot, tuple(lo + k * step for k in
-                                     range(draw(st.integers(1, 4))))))
+    axes = [(slot, span(draw(rational), draw(rational),
+                        draw(st.integers(1, 4))))
+            for slot in range(2 * d + 2) if slot != d + 1]
     return d, axes, draw(polynomials(d, coeff=rational))
 
 
@@ -154,18 +167,22 @@ def axes_cases(draw):
 @given(axes_cases())
 def test_integer_form_is_exact(case):
     # P evaluated by the walker on float index coordinates equals D * p
-    # evaluated in Fractions, at every node
+    # evaluated in Fractions, at every node, and each witness point is
+    # that node
     d, axes, p = case
     grid = TensorGrid(d, axes)
     P, D = grid.integer(p)
     assert all(c.denominator == 1 for c in P.terms.values()) and D > 0
+    exact = grid_nodes(d, axes)
     seen = 0
     for start, shape, coords in grid._blocks(range(len(axes))):  # every axis
         got = np.broadcast_to(P.eval(coords), shape).ravel()
         for k, value in enumerate(got):
-            assert value == D * p.eval(grid.point(start + k))
+            node = exact[start + k]
+            assert grid.point(start + k).as_tuple() == tuple(node)
+            assert value == D * p.eval(node)
         seen += got.size
-    assert seen == grid.total
+    assert seen == grid.total == len(exact)
 
 
 def test_scan_past_exact_integers_is_refused():
@@ -182,13 +199,13 @@ def test_scan_past_exact_integers_is_refused():
 
 @st.composite
 def walk_cases(draw):
-    """Integer axes on the five scanned slots of d = 2, integer
+    """Integer spans on the five scanned slots of d = 2 (steps of either
+    sign or 0, lo = 0 among the draws, one to four points), integer
     polynomials on a random subset of them (so some axes go unwalked, or
     none is walked), and a block budget."""
-    axes = []
-    for slot in (0, 1, 2, 4, 5):
-        lo, n = draw(st.integers(-3, 3)), draw(st.integers(1, 4))
-        axes.append((slot, tuple(F(lo + k) for k in range(n))))
+    axes = [(slot, span(F(draw(st.integers(-3, 3))), draw(st.integers(-3, 3)),
+                        draw(st.integers(1, 4))))
+            for slot in (0, 1, 2, 4, 5)]
     used = draw(st.lists(st.sampled_from([0, 1, 2, 4, 5]), max_size=3,
                          unique=True))
 
@@ -220,8 +237,9 @@ def test_walker_matches_brute_force(case):
     # index coordinates U = value / gcd(axis) in Python ints; the walker
     # reports the least included value, its first node and the count, over
     # the full grid, whatever axes it walks and whatever the block budget
-    axes, polys, budget = case
-    grid = TensorGrid(2, axes)
+    spans, polys, budget = case
+    grid = TensorGrid(2, spans)
+    axes = exact_axes(spans)
     units = [math.gcd(*(int(v) for v in ax)) or 1 for _, ax in axes]
     exact = [[] for _ in walk_pairs(0, 0, 0)]
     for values in itertools.product(*(ax for _, ax in axes)):
