@@ -91,7 +91,8 @@ class ScanResult:
 class TensorGrid:
     """Tensor grid over selected phase-space slots, the other slots 0.
     Each axis is a span (slot, (lo, hi, n)): the n nodes of
-    uniform_axis(lo, hi, n), lo + k * step, never built.  Its unit is
+    uniform_axis(lo, hi, n), lo + k * step, of which only a witness
+    point is ever built.  Its unit is
     gcd(lo, step), the gcd of its nodes, so its index axis is
     first + inc * k with first = lo / unit and inc = step / unit."""
 
