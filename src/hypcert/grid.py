@@ -1,24 +1,38 @@
 """The one grid walker, over exact axes in integer index coordinates.
 
 A TensorGrid axis is a span of exact equally spaced nodes, integer
-multiples of its unit (their gcd), so a grid point is unit * U with an
-integer U per slot; no node is built but a witness.
-TensorGrid.integer rescales a polynomial to integer coefficients,
-p(unit * U) = P(U) / D, and refuses one whose integers could reach 2^53
-(ScanTooLarge).  Below 2^53 float64 adds and multiplies integers exactly,
-in any order, and rounds a quotient of two correctly, hence monotonely:
-each scan decision is the sign of an exact integer, each reported minimum
-the exact one correctly rounded (a maximum is read as the minimum of the
-negated values).  scan(fn, *polys) evaluates the polynomials on each
-block, their terms varying over the most points first, and fn(*values)
+multiples of its unit (their gcd; 0 when every node is 0, which counts
+as off the grid), so a grid point is unit * U with an integer U per
+slot; no node is built but a witness.  TensorGrid.integer rescales a
+polynomial to integer coefficients, p(unit * U) = P(U) / D, dropping the
+terms on slots off the grid, and refuses one whose integers could reach
+2^53 (ScanTooLarge): bound(P) = sum |c| max|U|^e.  Below 2^53 float64
+adds and multiplies integers exactly, in any order, and rounds a
+quotient of two correctly, hence monotonely: each scan decision is the
+sign of an exact integer, each reported minimum the exact one correctly
+rounded (a maximum is read as the minimum of the negated values).
+
+scan(fn, *polys) evaluates the polynomials on each block and fn(*values)
 returns (values, mask) pairs.  It walks only the axes they depend on: a
 skipped axis holds index 0 in every witness, each walked point counts
 for the points along the skipped axes, and total and MAX_SCAN_POINTS
 stay the full grid's.  Blocks are contiguous in C order over the walked
-axes, at most _BLOCK points.  Determinism contract: the scan is serial;
-each block is reduced on its own (lowest flat index wins ties), over the
-values' own shape, and the partials are folded in block order with
-strict comparisons, so the block budget never changes an output bit.
+axes, at most _BLOCK points: a fixed prefix, a run along one axis, and
+the inner axes after it whole.  The values are sum-factorized (Orszag
+1980): each polynomial is split once per scan into sum_m m * H_m, its
+terms grouped by their monomial m on the inner axes, so m is evaluated
+once per scan, its cofactor H_m on the outer axes once per block of
+prefixes, and a block costs one multiply and one add per inner monomial
+whose cofactor moves along the run.  Every partial product and sum of
+that evaluation is a sub-sum of sum |c| |U|^e, because every inner axis
+of a kept term has max|U| >= 1, so bound(P) covers it and the values are
+exact whatever the split.  A scan of one block evaluates each polynomial
+whole, its terms varying over the most points first.
+
+Determinism contract: the scan is serial; each block is reduced on its
+own (lowest flat index wins ties), over the values' own shape, and the
+partials are folded in block order with strict comparisons, so the
+block budget never changes an output bit.
 """
 
 from __future__ import annotations
@@ -55,9 +69,21 @@ def check_exact(*bounds: int) -> None:
     """Refuse a scan when a bound on one of its integers reaches EXACT."""
     worst = max(bounds)
     if worst >= EXACT:
-        raise ScanTooLarge("a scan integer could reach %d (2^%.1f), past the "
+        raise ScanTooLarge("a scan integer could reach 2^%.1f, past the "
                            "2^53 below which float64 integers are exact"
-                           % (worst, math.log2(worst)))
+                           % math.log2(worst))
+
+
+def _plan(lens, budget: int):
+    """(split, run, strides) of the block plan: the axes before split are
+    fixed in a block, a run of at most run values of axis split varies,
+    and the axes after it are whole: the first axis whose trailing axes
+    fit in budget points."""
+    strides = [math.prod(lens[i + 1:]) for i in range(len(lens))]
+    split = 0
+    while split < len(lens) - 1 and strides[split] > budget:
+        split += 1
+    return split, max(1, budget // strides[split]), strides
 
 
 def blocks(lens, budget: int):
@@ -65,11 +91,7 @@ def blocks(lens, budget: int):
     of a grid with these axis lengths, of at most budget points (one at
     the least): a run along the first axis whose trailing axes fit, the
     axes before it fixed."""
-    strides = [math.prod(lens[i + 1:]) for i in range(len(lens))]
-    split = 0
-    while split < len(lens) - 1 and strides[split] > budget:
-        split += 1
-    run = max(1, budget // strides[split])
+    split, run, strides = _plan(lens, budget)
     for prefix in itertools.product(*map(range, lens[:split])):
         base = sum(i * s for i, s in zip(prefix, strides))
         for lo in range(0, lens[split], run):
@@ -92,9 +114,10 @@ class TensorGrid:
     """Tensor grid over selected phase-space slots, the other slots 0.
     Each axis is a span (slot, (lo, hi, n)): the n nodes of
     uniform_axis(lo, hi, n), lo + k * step, of which only a witness
-    point is ever built.  Its unit is
-    gcd(lo, step), the gcd of its nodes, so its index axis is
-    first + inc * k with first = lo / unit and inc = step / unit."""
+    point is ever built.  Its unit is gcd(lo, step), the gcd of its
+    nodes, so its index axis is first + inc * k with first = lo / unit
+    and inc = step / unit; on a span whose nodes are all 0 the unit is 0
+    and the index axis 0."""
 
     def __init__(self, d: int, axes):
         self.d = d
@@ -112,8 +135,9 @@ class TensorGrid:
             step = (hi - lo) / (n - 1) if n > 1 else Fraction(0)
             den = math.lcm(lo.denominator, step.denominator)
             first, inc = int(lo * den), int(step * den)
-            unit = math.gcd(first, inc) or den
-            first, inc = first // unit, inc // unit
+            unit = math.gcd(first, inc)  # 0: every node is 0, as off the grid
+            if unit:
+                first, inc = first // unit, inc // unit
             self._units[slot] = Fraction(unit, den)
             self._umax[slot] = max(abs(first), abs(first + inc * (n - 1)))
             self._steps.append((lo, step))
@@ -131,8 +155,7 @@ class TensorGrid:
         """(P_1, .., P_k, D): integer polynomials over one integer D > 0
         with p_i = P_i(U) / D at every grid point, U its index coordinates;
         refused when D or the bound of a P_i reaches EXACT.  Terms on a
-        slot off the grid (0 there) drop; the rest vary over most points
-        first."""
+        slot off the grid, or on a span whose nodes are all 0, drop."""
         scaled = [{e: math.prod((u ** k for u, k in zip(self._units, e) if k),
                                 start=c)
                    for e, c in p.terms.items()} for p in polys]
@@ -147,32 +170,81 @@ class TensorGrid:
 
     def bound(self, poly: PolySymbol) -> int:
         """sum |c| max|U|^e of an integer polynomial, which no partial
-        product or sum of its float evaluation on the grid exceeds."""
+        product or sum of its float evaluation on the grid exceeds, whole
+        or split (every max|U| on the slots of a term that integer()
+        keeps is at least 1)."""
         return int(sum(abs(c) * math.prod(m ** k for m, k in
                                           zip(self._umax, e))
                        for e, c in poly.terms.items()))
 
-    def _blocks(self, walk):
-        """(first walked flat index, block shape, index coordinates by
-        slot; 0.0 on slots off the walk) over the walked axes."""
-        axes = [self._float_axes[i].reshape((-1,) + (1,) * (len(walk) - k - 1))
-                for k, i in enumerate(walk)]
-        coords = [0.0] * (2 * (self.d + 1))
+    def _blocks(self, walk, *polys: PolySymbol):
+        """(first walked flat index, block shape, values of the polys) of
+        each block over the walked axes.  A plan of one block evaluates
+        each polynomial whole.  Otherwise each is split once into
+        sum_m m * H_m: m a monomial on the inner axes (those after the
+        run axis, whole in every block), evaluated once, and H_m its
+        cofactor on the outer axes (the fixed prefix and the run axis),
+        evaluated once per block of whole prefixes of at most _BLOCK
+        values.  At each prefix the H_m * m of the H_m free of the run
+        axis are summed once, and a block adds the products of each other
+        m with its H_m on the run."""
         lens = [self._lens[i] for i in walk] or [1]  # no axis: one point
+        split = _plan(lens, _BLOCK)[0]
+        rank = len(walk) - split  # the run axis and the inner axes
+        coords = [0.0] * (2 * (self.d + 1))
+        for k, i in enumerate(walk[split:]):
+            coords[self.slots[i]] = self._float_axes[i].reshape(
+                (-1,) + (1,) * (rank - k - 1))
+        if math.prod(lens) <= _BLOCK:
+            yield 0, tuple(lens), [p.eval(coords) for p in polys]
+            return
+        split_polys = [p.collect({self.slots[i] for i in walk[split + 1:]})
+                       for p in polys]
+        monomials = {m: PolySymbol(self.d, {m: 1}).eval(coords) if any(m)
+                     else None for groups in split_polys for m in groups}
+        run_slot = self.slots[walk[split]]
+        width = lens[split] * max(1, sum(map(len, split_polys)))
+        prefixes = (blocks(lens[:split], max(1, _BLOCK // width))
+                    if split else iter([(0, (), ())]))
+        per_prefix = math.prod(lens[split:])
+        end = 0
         for start, slices, shape in blocks(lens, _BLOCK):
-            for i, ax, part in zip(walk, axes, slices):
-                coords[self.slots[i]] = ax[part]
-            yield start, shape, tuple(coords)
+            if start >= end:  # the cofactors on the next block of prefixes
+                first, ranges, outer = next(prefixes)
+                end = (first + math.prod(outer)) * per_prefix
+                for k, (i, part) in enumerate(zip(walk, ranges)):
+                    coords[self.slots[i]] = self._float_axes[i][part].reshape(
+                        (-1,) + (1,) * (split - k - 1 + rank))
+                cofactors = [[(_outer(h.eval(coords), outer, rank),
+                               h.depends_on(run_slot), monomials[m])
+                              for m, h in groups.items()]
+                             for groups in split_polys]
+                prefix = None
+            if slices[:split] != prefix:
+                prefix = slices[:split]
+                at = tuple(p.start - (r.start or 0)
+                           for p, r in zip(prefix, ranges))
+                parts = [_at_prefix(c, at) for c in cofactors]
+            part = slices[split]
+            whole = part == slice(0, lens[split])
+            values = []
+            for total, varying in parts:
+                for h, m in varying:
+                    h = h if whole else h[part]
+                    h = h if m is None else h * m
+                    total = h if total is None else total + h
+                values.append(0.0 if total is None else total)
+            yield start, shape, values
 
     def scan(self, fn, *polys: PolySymbol) -> Tuple[ScanResult, ...]:
         """fn(*values of polys on a block) -> [(values, include_mask or
         None), ...]; one minimum per pair, folded over the blocks as the
         determinism contract says."""
-        walk = [i for i, slot in enumerate(self.slots)
-                if any(p.depends_on(slot) for p in polys)]
+        used = [any(e) for e in zip(*(e for p in polys for e in p.terms))]
+        walk = [i for i, slot in enumerate(self.slots) if used and used[slot]]
         parts = [[_reduce(vals, mask, start, shape)
-                  for vals, mask in fn(*(p.eval(coords) for p in polys))]
-                 for start, shape, coords in self._blocks(walk)]
+                  for vals, mask in fn(*values)]
+                 for start, shape, values in self._blocks(walk, *polys)]
         lens = [self._lens[i] for i in walk]
         strides = [math.prod(self._lens[i + 1:]) for i in walk]
         per = self.total // math.prod(lens)
@@ -189,6 +261,29 @@ class TensorGrid:
         return tuple(out)
 
 
+def _outer(h, prefixes, rank: int):
+    """A cofactor's values on a block of prefixes, broadcast to the shape
+    prefixes + (run or 1, 1, ..), so that h[prefix] is its values on the
+    run axis; a float stays one."""
+    if prefixes and isinstance(h, np.ndarray):
+        h = np.broadcast_to(h, prefixes + h.shape[h.ndim - rank:])
+    return h
+
+
+def _at_prefix(cofactors, at):
+    """(the sum of H_m * m over the cofactors free of the run axis, or
+    None; [(H_m along the run axis, m), ...] of the others) at the prefix
+    at; m None is the monomial 1."""
+    fixed, varying = [], []
+    for h, along, m in cofactors:
+        h = h[at] if isinstance(h, np.ndarray) else h
+        if along:
+            varying.append((h, m))
+        else:
+            fixed.append(h if m is None else h * m)
+    return (sum(fixed[1:], fixed[0]) if fixed else None), varying
+
+
 def _reduce(vals, mask, start: int, shape):
     """(min, its flat index, included) of the values broadcast to the
     block shape, reduced over the pair's own shape: the first C-order
@@ -197,12 +292,14 @@ def _reduce(vals, mask, start: int, shape):
     +inf, which never beats the fold's start."""
     n = math.prod(shape)
     if mask is not None:
-        n = int(np.count_nonzero(mask)) * (n // np.size(mask))
-        if n == 0:
+        k = int(np.count_nonzero(mask))
+        if k == 0:
             return math.inf, -1, 0
-        vals = np.where(mask, vals, math.inf)
+        if k < np.size(mask):
+            vals = np.where(mask, vals, math.inf)
+        n = k * (n // np.size(mask))
     vals = np.asarray(vals)
-    i = int(np.argmin(vals))
+    i = int(vals.argmin())
     mn = float(vals.flat[i])
     if vals.shape != shape:
         i = int(np.ravel_multi_index((0,) * (len(shape) - vals.ndim)

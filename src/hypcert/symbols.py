@@ -287,6 +287,21 @@ class PolySymbol:
                           c * exps[i])
                          for exps, c in self.terms.items() if exps[i])
 
+    def collect(self, slots) -> dict:
+        """{m: H_m} with self the sum of monomial(m) * H_m: the terms
+        grouped by their exponents m on these slots (0 on the others), in
+        the order each first appears; H_m, free of the slots, keeps the
+        group's terms in order.  A symbol free of the slots is its own
+        cofactor."""
+        if not any(map(self.depends_on, slots)):
+            return {(0,) * self.nvars: self}
+        groups = {}
+        for exps, c in self.terms.items():
+            m = tuple(e if i in slots else 0 for i, e in enumerate(exps))
+            groups.setdefault(m, []).append(
+                (tuple(0 if i in slots else e for i, e in enumerate(exps)), c))
+        return {m: self._new(pairs) for m, pairs in groups.items()}
+
     def eval(self, point: Sequence):
         """Evaluate at a point (any sequence of length 2*(d+1)).
 
@@ -345,7 +360,7 @@ def _merge(pairs) -> dict:
     the end."""
     out = {}
     for exps, c in pairs:
-        s = out.get(exps, _ZERO) + c
+        s = out[exps] + c if exps in out else c
         if s:
             out[exps] = s
         else:

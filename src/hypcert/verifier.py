@@ -161,14 +161,18 @@ class RatioEstimate:
     n_total: int
 
 
+# numpy's warnings for the zero denominators of _quotient, off for a scan
+_QUIET = dict(divide="ignore", invalid="ignore")
+
+
 def _quotient(num, den, k: Fraction):
     """k num / den, k folded into the exact float integers num and den (the
     caller bounds them): one correctly rounded division, inf or nan at a
-    zero den, which the pair's mask excludes."""
+    zero den, which the pair's mask excludes (the caller's scan runs under
+    _QUIET)."""
     num = num if k.numerator == 1 else k.numerator * num
     den = den if k.denominator == 1 else k.denominator * den
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(num, den)
+    return np.divide(num, den)
 
 
 def _ratio_estimate(grid: TensorGrid, res, value: float) -> RatioEstimate:
@@ -365,6 +369,21 @@ def _theta_axes(eq: ExtendedQ, region: Region):
     return axes + [zx_axis] * (eq.theta_dim - len(axes))  # x_p shares z_x
 
 
+def _random_draws(rng: random.Random, k: int) -> np.ndarray:
+    """The next k rng.random() values, bit for bit, from one getrandbits
+    call per chunk of 1024: CPython's random() is ((w0 >> 5) * 2^26 +
+    (w1 >> 6)) / 2^53 of its next two 32-bit outputs, which getrandbits(64
+    m) returns least significant first, so rng ends in the same state."""
+    out = np.empty(k)
+    for lo in range(0, k, 1024):
+        m = min(1024, k - lo)
+        w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"),
+                          "<u4").reshape(m, 2)
+        out[lo:lo + m] = ((w[:, 0] >> 5) * 67108864.0
+                          + (w[:, 1] >> 6)) * 2.0 ** -53
+    return out
+
+
 def _fix(v, slices):
     """v at a block (slices) of the grid it broadcasts over, every axis
     kept and a trailing one added."""
@@ -417,8 +436,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     n, nw = w_bar.shape
     # random.uniform(-delta, delta)'s own formula on the same draws, so
     # the values are bit-identical to drawing them one uniform at a time
-    draws = -delta + (delta - -delta) * np.fromiter(
-        (rng.random() for _ in range(n * N_W * nw)), float, n * N_W * nw)
+    draws = -delta + (delta - -delta) * _random_draws(rng, n * N_W * nw)
     samples = w_bar[:, None]
     if nw:
         samples = np.concatenate(
@@ -473,14 +491,15 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
         return [(_quotient(av, tv * tv, k), (gv < 0) & (tv != 0)),
                 (_quotient(av, ev * ev, k), (gv >= 0) & (ev != 0))]
 
+    with np.errstate(**_QUIET):
+        floors = cone.scan(fn, a_int, gate, t_int, e_int)
     # an empty branch (min_value inf) is vacuously true
     floors = [StructuralCheck(
         name=name, passed=res.min_value > 0,
         value=res.min_value if res.n_included else None,
         worst=(cone.point(res.min_flat),) if res.n_included else None,
         n_points=res.n_included) for name, res in zip(
-            ("negative-branch-floor", "graph-branch-floor"),
-            cone.scan(fn, a_int, gate, t_int, e_int))]
+            ("negative-branch-floor", "graph-branch-floor"), floors)]
 
     # (iv) Lipschitz constant of m1 in t over the theta sweep
     by_t = m1.reshape(len(axes[0]), -1)
@@ -556,7 +575,8 @@ def certify_region(a: PolySymbol, phi: PolySymbol,
         return [(av, None), (_quotient(av, den, kc), den > 0),
                 (_quotient(-(bv * bv), av, kk), av > 0)]
 
-    pos, c, kappa = grid.scan(fn, a_int, t_int, e_int, b_int, x_int)
+    with np.errstate(**_QUIET):
+        pos, c, kappa = grid.scan(fn, a_int, t_int, e_int, b_int, x_int)
     grid_neg = TensorGrid(d, region_axes(region, d, negative_t=True))
     a_neg, neg_den = grid_neg.integer(a)
     neg, = grid_neg.scan(lambda av: [(av, None)], a_neg)

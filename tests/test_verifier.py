@@ -661,6 +661,16 @@ def test_structural_w_draws_are_seeded_uniforms(spec, w_dim, monkeypatch):
                                       for _ in range(draws.size)]
 
 
+@pytest.mark.parametrize("k", [0, 1, 17, 10000])
+def test_random_draws_are_random_bit_for_bit(k):
+    # the draws decoded from getrandbits are rng.random()'s doubles, and
+    # leave the generator where k calls of random() would
+    rng, reference = (random.Random(verifier.SEED) for _ in range(2))
+    assert (verifier._random_draws(rng, k).tolist()
+            == [reference.random() for _ in range(k)])
+    assert rng.random() == reference.random()
+
+
 def test_structural_d3_passes():
     # b1 lifted to d = 3: 5^7 slow points, one sample each (w_dim = 0)
     t, (x1, x2, x3), tau, (xi1, xi2, xi3) = phase_variables(3)

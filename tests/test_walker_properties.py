@@ -10,6 +10,7 @@ witness the first node in C order whose exact value rounds to it.
 
 import itertools
 import math
+import re
 from unittest import mock
 from fractions import Fraction as F
 
@@ -175,8 +176,8 @@ def test_integer_form_is_exact(case):
     assert all(c.denominator == 1 for c in P.terms.values()) and D > 0
     exact = grid_nodes(d, axes)
     seen = 0
-    for start, shape, coords in grid._blocks(range(len(axes))):  # every axis
-        got = np.broadcast_to(P.eval(coords), shape).ravel()
+    for start, shape, (value,) in grid._blocks(range(len(axes)), P):
+        got = np.broadcast_to(value, shape).ravel()  # every axis walked
         for k, value in enumerate(got):
             node = exact[start + k]
             assert grid.point(start + k).as_tuple() == tuple(node)
@@ -190,8 +191,10 @@ def test_scan_past_exact_integers_is_refused():
     # denominator 1600 * 3^40 passes 2^53, and the other coefficient with it
     t, x1 = (PolySymbol.coordinate(2, v) for v in ("t", "x1"))
     a = t * t + x1 * x1 / 3 ** 40
-    with pytest.raises(ScanTooLarge, match=r"\(2\^74\.0\), past the 2\^53"):
+    with pytest.raises(ScanTooLarge,
+                       match=r"could reach 2\^74\.0, past the 2\^53") as exc:
         certify_region(a, PolySymbol.zero(2), Region(grid=5))
+    assert not re.search(r"\d{6}", str(exc.value))  # the bound as 2^x only
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
     P, D = grid.integer(t * t)
     assert grid.bound(P) == 4 ** 2 and D == 40 ** 2
@@ -224,6 +227,36 @@ def walk_cases(draw):
     return axes, [poly() for _ in range(3)], draw(st.integers(1, 40))
 
 
+def brute_force(spans, polys, pairs):
+    """Each pair's values in C order (None where excluded), from the
+    polynomials evaluated in Python ints at the index coordinates
+    U = value / gcd(axis), 0 on an axis whose nodes are all 0."""
+    axes = exact_axes(spans)
+    units = [math.gcd(*(int(v) for v in ax)) or 1 for _, ax in axes]
+    exact = [[] for _ in pairs(0, 0, 0)]
+    for values in itertools.product(*(ax for _, ax in axes)):
+        point = [0] * 6
+        for (slot, _), unit, v in zip(axes, units, values):
+            point[slot] = int(v) // unit
+        for k, (v, m) in enumerate(pairs(*(p.eval(point) for p in polys))):
+            exact[k].append(v if m is None or m else None)
+    return exact
+
+
+def check_scan(results, exact, total):
+    """The walker reports each pair's least included value, its first
+    node and the count, over the full grid."""
+    for res, values in zip(results, exact):
+        included = [v for v in values if v is not None]
+        assert res.n_total == total == len(values)
+        assert res.n_included == len(included)
+        if not included:
+            assert (res.min_value, res.min_flat) == (math.inf, -1)
+            continue
+        assert res.min_value == float(min(included))
+        assert res.min_flat == values.index(min(included))
+
+
 def walk_pairs(a, b, c):
     """The pairs under test; each also evaluates on Python ints."""
     return [(a, None), (a, b > 0), (-a, b > 0), (c, b <= 0), (a * c, c >= 0),
@@ -239,31 +272,70 @@ def test_walker_matches_brute_force(case):
     # the full grid, whatever axes it walks and whatever the block budget
     spans, polys, budget = case
     grid = TensorGrid(2, spans)
-    axes = exact_axes(spans)
-    units = [math.gcd(*(int(v) for v in ax)) or 1 for _, ax in axes]
-    exact = [[] for _ in walk_pairs(0, 0, 0)]
-    for values in itertools.product(*(ax for _, ax in axes)):
-        point = [0] * 6
-        for (slot, _), unit, v in zip(axes, units, values):
-            point[slot] = int(v) // unit
-        for k, (v, m) in enumerate(walk_pairs(*(p.eval(point)
-                                                for p in polys))):
-            exact[k].append(v if m is None or m else None)
     with mock.patch.object(walker, "_BLOCK", budget):
         got = grid.scan(walk_pairs, *polys)
         # a pass on polynomials of no axis, and one on no polynomial
         const = grid.scan(lambda v: [(v, None), (v, v > 0)],
                           PolySymbol.constant(2, 3))
         none = grid.scan(lambda: [(-1.0, None)])
-    for res, values in zip(got, exact):
-        included = [v for v in values if v is not None]
-        assert res.n_total == grid.total == len(values)
-        assert res.n_included == len(included)
-        if not included:
-            assert (res.min_value, res.min_flat) == (math.inf, -1)
-            continue
-        assert res.min_value == float(min(included))
-        assert res.min_flat == values.index(min(included))
+    check_scan(got, brute_force(spans, polys, walk_pairs), grid.total)
     for res in const + none:
         assert (res.min_flat, res.n_included) == (0, grid.total)
     assert [r.min_value for r in const + none] == [3.0, 3.0, -1.0]
+
+
+@st.composite
+def near_exact_cases(draw):
+    """Integer spans on the five scanned slots of d = 2, some of them with
+    every node 0; three integer polynomials of up to five terms whose
+    bounds lie in [2^50, 2^53), a term on an all-0 span as large as the
+    others; and a block budget of at most 40 points, so the walker splits
+    each polynomial and walks many blocks."""
+    slots = (0, 1, 2, 4, 5)
+    zeros = draw(st.lists(st.sampled_from(slots), max_size=2, unique=True))
+    spans = [(slot, span(F(0), 0, draw(st.integers(1, 3))) if slot in zeros
+              else span(F(draw(st.integers(-3, 3))),
+                        draw(st.integers(-3, 3).filter(bool)),
+                        draw(st.integers(2, 4))))
+             for slot in slots]
+    grid = TensorGrid(2, spans)
+    live = [slot for slot in slots if slot not in zeros]
+
+    def poly():
+        # the first term on live slots alone, so the bound is not 0
+        monomials = [draw(st.lists(st.sampled_from(live), max_size=3))]
+        monomials += draw(st.lists(st.lists(st.sampled_from(slots),
+                                            max_size=3), max_size=4))
+        exps = []
+        for factors in monomials:
+            e = [0] * 6
+            for slot in factors:
+                e[slot] += 1
+            exps.append(tuple(e))
+        exps = list(dict.fromkeys(exps))  # one term per monomial
+        size = [grid.bound(PolySymbol(2, {e: 1})) for e in exps]
+        weights = [draw(st.integers(1, 100)) for _ in exps]
+        top = draw(st.integers(2 ** 50 + 2 ** 20, 2 ** 53 - 1))
+        total = sum(w for w, m in zip(weights, size) if m)
+        return PolySymbol(2, [(e, draw(st.sampled_from([-1, 1]))
+                               * (top * w // (total * (m or 1))))
+                              for e, w, m in zip(exps, weights, size)])
+
+    return spans, [poly() for _ in range(3)], draw(st.integers(1, 40))
+
+
+def near_exact_pairs(a, b, c):
+    return [(a, None), (-a, b > 0), (c, a < 0), (b, c >= 0)]
+
+
+@PROPERTY
+@given(near_exact_cases())
+def test_split_scan_is_exact_near_2_53(case):
+    # every partial product and sum of the split evaluation is a sub-sum of
+    # the bound, so values up to 2^53 are exact floats whatever the blocks
+    spans, polys, budget = case
+    grid = TensorGrid(2, spans)
+    assert all(2 ** 50 <= grid.bound(p) < 2 ** 53 for p in polys)
+    with mock.patch.object(walker, "_BLOCK", budget):
+        got = grid.scan(near_exact_pairs, *polys)
+    check_scan(got, brute_force(spans, polys, near_exact_pairs), grid.total)
