@@ -290,19 +290,20 @@ def _reduce(vals, mask, start: int, shape):
     minimum of a broadcast array has index 0 on every broadcast axis, and
     each entry stands for that many block points.  Excluded entries read
     +inf, which never beats the fold's start."""
-    n = math.prod(shape)
+    n = included = math.prod(shape)
     if mask is not None:
+        size = np.size(mask)
         k = int(np.count_nonzero(mask))
         if k == 0:
             return math.inf, -1, 0
-        if k < np.size(mask):
+        if k < size:
             vals = np.where(mask, vals, math.inf)
-        n = k * (n // np.size(mask))
+        included = k * (n // size)
     vals = np.asarray(vals)
     i = int(vals.argmin())
     mn = float(vals.flat[i])
-    if vals.shape != shape:
+    if vals.size != n:  # not just the block without its leading 1s
         i = int(np.ravel_multi_index((0,) * (len(shape) - vals.ndim)
                                      + np.unravel_index(i, vals.shape), shape))
-    return mn, start + i, n
+    return mn, start + i, included
 

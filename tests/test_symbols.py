@@ -107,6 +107,26 @@ def test_eval_exact_and_float(b2_a):
     assert abs(vf - 1.75) < 1e-12
 
 
+def test_collect_splits_into_monomials_times_cofactors():
+    # self = sum_m monomial(m) * H_m, each H_m free of the slots, the
+    # monomials in the order their terms first appear
+    rng = random.Random(21)
+    for _ in range(30):
+        p = rand_poly(rng, 2)
+        slots = set(rng.sample(range(6), rng.randint(0, 3)))
+        groups = p.collect(slots)
+        assert sum((PolySymbol(2, {m: 1}) * h for m, h in groups.items()),
+                   PolySymbol.zero(2)) == p
+        assert all(not h.depends_on(i) for h in groups.values()
+                   for i in slots)
+        assert all(not m[i] for m in groups for i in range(6)
+                   if i not in slots)
+        firsts = [tuple(e if i in slots else 0 for i, e in enumerate(exps))
+                  for exps in p.terms]
+        assert list(groups) == list(dict.fromkeys(firsts)) or (
+            not any(map(p.depends_on, slots)))
+
+
 def test_shift_recenters_exactly():
     rng = random.Random(7)
     for _ in range(15):
