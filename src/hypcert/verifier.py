@@ -379,8 +379,10 @@ def _random_draws(rng: random.Random, k: int) -> np.ndarray:
         m = min(1024, k - lo)
         w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"),
                           "<u4").reshape(m, 2)
-        out[lo:lo + m] = ((w[:, 0] >> 5) * 67108864.0
-                          + (w[:, 1] >> 6)) * 2.0 ** -53
+        part = out[lo:lo + m]  # decoded in place, for the peak RSS
+        np.multiply(w[:, 0] >> 5, 67108864.0, out=part)
+        part += w[:, 1] >> 6
+        part *= 2.0 ** -53
     return out
 
 
@@ -436,7 +438,10 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     n, nw = w_bar.shape
     # random.uniform(-delta, delta)'s own formula on the same draws, so
     # the values are bit-identical to drawing them one uniform at a time
-    draws = -delta + (delta - -delta) * _random_draws(rng, n * N_W * nw)
+    # (in place: float * and + are commutative, bit for bit)
+    draws = _random_draws(rng, n * N_W * nw)
+    draws *= delta - -delta
+    draws += -delta
     samples = w_bar[:, None]
     if nw:
         samples = np.concatenate(
