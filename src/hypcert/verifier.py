@@ -371,12 +371,13 @@ def _theta_axes(eq: ExtendedQ, region: Region):
 
 def _random_draws(rng: random.Random, k: int) -> np.ndarray:
     """The next k rng.random() values, bit for bit, from one getrandbits
-    call per chunk of 1024: CPython's random() is ((w0 >> 5) * 2^26 +
+    call per _BLOCK draws: CPython's random() is ((w0 >> 5) * 2^26 +
     (w1 >> 6)) / 2^53 of its next two 32-bit outputs, which getrandbits(64
-    m) returns least significant first, so rng ends in the same state."""
+    m) returns least significant first, so rng ends in the same state.
+    (Chunks of 1024 draws raised the benchmark's peak RSS by 0.2 MB.)"""
     out = np.empty(k)
-    for lo in range(0, k, 1024):
-        m = min(1024, k - lo)
+    for lo in range(0, k, _BLOCK):
+        m = min(_BLOCK, k - lo)
         w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"),
                           "<u4").reshape(m, 2)
         part = out[lo:lo + m]  # decoded in place, for the peak RSS

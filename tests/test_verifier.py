@@ -661,10 +661,10 @@ def test_structural_w_draws_are_seeded_uniforms(spec, w_dim, monkeypatch):
                                       for _ in range(draws.size)]
 
 
-@pytest.mark.parametrize("k", [0, 1, 17, 10000])
+@pytest.mark.parametrize("k", [0, 1, 17, 10000, 2 * walker._BLOCK + 17])
 def test_random_draws_are_random_bit_for_bit(k):
     # the draws decoded from getrandbits are rng.random()'s doubles, and
-    # leave the generator where k calls of random() would
+    # leave the generator where k calls of random() would, across chunks
     rng, reference = (random.Random(verifier.SEED) for _ in range(2))
     assert (verifier._random_draws(rng, k).tolist()
             == [reference.random() for _ in range(k)])
