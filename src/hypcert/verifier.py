@@ -374,7 +374,8 @@ def _random_draws(rng: random.Random, k: int) -> np.ndarray:
     call per _BLOCK draws: CPython's random() is ((w0 >> 5) * 2^26 +
     (w1 >> 6)) / 2^53 of its next two 32-bit outputs, which getrandbits(64
     m) returns least significant first, so rng ends in the same state.
-    (Chunks of 1024 draws raised the benchmark's peak RSS by 0.2 MB.)"""
+    (Chunks of 1024 draws measured 0.2 MB more peak RSS in perfbench's
+    region-grid33 run on 2-core x86_64.)"""
     out = np.empty(k)
     for lo in range(0, k, _BLOCK):
         m = min(_BLOCK, k - lo)
