@@ -165,19 +165,21 @@ def axes_cases(draw):
 
 
 @PROPERTY
-@given(axes_cases())
-def test_integer_form_is_exact(case):
-    # P evaluated by the walker on float index coordinates equals D * p
-    # evaluated in Fractions, at every node, and each witness point is
-    # that node
+@given(axes_cases(), st.integers(1, 40))
+def test_integer_form_is_exact(case, budget):
+    # P evaluated by the walker on float index coordinates, split over the
+    # blocks of any budget, equals D * p evaluated in Fractions, at every
+    # node, and each witness point is that node
     d, axes, p = case
     grid = TensorGrid(d, axes)
     P, D = grid.integer(p)
     assert all(c.denominator == 1 for c in P.terms.values()) and D > 0
     exact = grid_nodes(d, axes)
     seen = 0
-    for start, shape, (value,) in grid._blocks(range(len(axes)), P):
-        got = np.broadcast_to(value, shape).ravel()  # every axis walked
+    with mock.patch.object(walker, "_BLOCK", budget):
+        plan = list(grid._blocks(range(len(axes)), P))  # every axis
+    for start, shape, (values,) in plan:
+        got = np.broadcast_to(values, shape).ravel()
         for k, value in enumerate(got):
             node = exact[start + k]
             assert grid.point(start + k).as_tuple() == tuple(node)
