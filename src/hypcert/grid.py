@@ -184,8 +184,8 @@ class TensorGrid:
         sum_m m * H_m: m a monomial on the inner axes (those after the
         run axis, whole in every block), evaluated once, and H_m its
         cofactor on the outer axes (the fixed prefix and the run axis),
-        evaluated once per block of whole prefixes of at most _BLOCK
-        values.  At each prefix the H_m * m of the H_m free of the run
+        evaluated once per block of whole prefixes whose cofactors hold at
+        most _BLOCK values together.  At each prefix the H_m * m of the H_m free of the run
         axis are summed once, and a block adds the products of each other
         m with its H_m on the run."""
         lens = [self._lens[i] for i in walk] or [1]  # no axis: one point
@@ -239,7 +239,8 @@ class TensorGrid:
     def scan(self, fn, *polys: PolySymbol) -> Tuple[ScanResult, ...]:
         """fn(*values of polys on a block) -> [(values, include_mask or
         None), ...]; one minimum per pair, folded over the blocks as the
-        determinism contract says."""
+        determinism contract says.  fn only reads the values: a value
+        free of the run axis is one array for all blocks of a prefix."""
         used = [any(e) for e in zip(*(e for p in polys for e in p.terms))]
         walk = [i for i, slot in enumerate(self.slots) if used and used[slot]]
         parts = [[_reduce(vals, mask, start, shape)
@@ -302,7 +303,7 @@ def _reduce(vals, mask, start: int, shape):
     vals = np.asarray(vals)
     i = int(vals.argmin())
     mn = float(vals.flat[i])
-    if vals.size != n:  # not just the block without its leading 1s
+    if vals.size != n:  # broadcast, not only short of the leading 1s
         i = int(np.ravel_multi_index((0,) * (len(shape) - vals.ndim)
                                      + np.unravel_index(i, vals.shape), shape))
     return mn, start + i, included
