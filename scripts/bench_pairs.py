@@ -13,8 +13,11 @@ BENCHMARK.json runs once per side with
 
     python3 perfbench/run.py --workload W --seed S --seconds 50 --trace 0
 
-the parent first in odd pairs and the change first in even ones, after
-src/hypcert/__pycache__ is deleted on both sides.  The output holds every
+the parent first in odd pairs and the change first in even ones, with
+PYTHONDONTWRITEBYTECODE=1: no run writes a .pyc, so every process of a
+run, its fresh set-ups included, compiles the package from source
+whatever the caller's shell sets, and setup_s means the same in every
+BENCH file.  The output holds every
 perfbench/out/result-*.json, each side's median and quartiles of each
 end-to-end metric, and the pairs the change won (ties count for
 neither).  A gain is claimed only where the change wins at least nine
@@ -25,9 +28,9 @@ interquartile range.
 import argparse
 import datetime
 import json
+import os
 import pathlib
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -37,6 +40,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PAIRS = 10  # the fewest for the nine-in-ten rule
 SEEDS = (20221, 7)
 SECONDS = 50
+# every run and its fresh set-ups compile from source, never from a .pyc
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 
 
 def parse_args(argv):
@@ -60,11 +65,9 @@ def unpack(rev, where):
 
 
 def run_once(tree, workload, seed):
-    shutil.rmtree(tree / "src" / "hypcert" / "__pycache__",
-                  ignore_errors=True)
     subprocess.run((sys.executable, "perfbench/run.py", "--workload",
                     workload, "--seed", str(seed), "--seconds", str(SECONDS),
-                    "--trace", "0"), cwd=tree, check=True,
+                    "--trace", "0"), cwd=tree, env=ENV, check=True,
                    stdout=subprocess.DEVNULL)
     path = (tree / "perfbench" / "out"
             / ("result-%s-seed%d-trace0.json" % (workload, seed)))
@@ -132,10 +135,10 @@ def main(argv=None):
                 % (revs["parent"], revs["change"]),
         "command": "python3 perfbench/run.py --workload W --seed S "
                    "--seconds %d --trace 0, in a git archive of each "
-                   "revision, src/hypcert/__pycache__ deleted before each "
-                   "run" % SECONDS,
+                   "revision" % SECONDS,
         "conditions": "%s, %s, Python %s; %s to %s UTC; pairs alternate "
-                      "which side runs first (odd pairs parent first)"
+                      "which side runs first (odd pairs parent first); "
+                      "PYTHONDONTWRITEBYTECODE=1 in every run's environment"
                       % (platform.machine(), platform.platform(),
                          platform.python_version(),
                          start.strftime("%Y-%m-%d %H:%M"),

@@ -384,7 +384,9 @@ class _Parser(argparse.ArgumentParser):
 def _rational_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("zero denominator")
+    except ValueError as exc:
         raise argparse.ArgumentTypeError("not a rational: %s" % exc)
 
 
@@ -455,13 +457,20 @@ def _apply_overrides(sf: SymbolFile, args) -> SymbolFile:
     return dataclasses.replace(sf, region=region, options=options)
 
 
-def _write(data: bytes, out: Optional[str]):
-    if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
-    else:
+def _write(data: bytes, out: Optional[str], code: int) -> int:
+    """data to the file out (stdout when None); code, or 3 when out cannot
+    be written."""
+    if not out:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
+        return code
+    try:
+        with open(out, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        sys.stderr.write("hypcert: cannot write %s: %s\n" % (out, exc))
+        return 3
+    return code
 
 
 def _run_minimize(sf: SymbolFile, args) -> int:
@@ -491,7 +500,7 @@ def _run_minimize(sf: SymbolFile, args) -> int:
             NoConvergence) as exc:
         sys.stderr.write("minimize failed: %s\n" % exc)
         return 1
-    _write(_dumps({
+    return _write(_dumps({
         "m": _num(res.m),
         "w_bar": [_num(v) for v in res.w_bar],
         "hessian_cond": _num(res.hessian_cond),
@@ -501,8 +510,7 @@ def _run_minimize(sf: SymbolFile, args) -> int:
         "theta": _theta_obj(theta),
         "version": __version__,
         "input_hash": sf.sha256,
-    }), args.out)
-    return 0
+    }), args.out, 0)
 
 
 def _run_check_frame(sf: SymbolFile, args) -> int:
@@ -510,14 +518,13 @@ def _run_check_frame(sf: SymbolFile, args) -> int:
         sys.stderr.write("check-frame requires a frame block\n")
         return 3
     rep = check_frame(sf.frame)
-    _write(_dumps({
+    return _write(_dumps({
         "ok": rep.ok,
         "checks": [{"name": name, "ok": ok} for name, ok in rep.checks],
         "failures": list(rep.failures),
         "version": __version__,
         "input_hash": sf.sha256,
-    }), args.out)
-    return 0 if rep.ok else 1
+    }), args.out, 0 if rep.ok else 1)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -542,5 +549,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_check_frame(sf, args)
 
     report = run_pipeline(sf, verb=args.verb)
-    _write(emit_report(report, format=args.format), args.out)
-    return exit_code(report)
+    return _write(emit_report(report, format=args.format), args.out,
+                  exit_code(report))

@@ -52,7 +52,6 @@ reconstruction inequality is stated for.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -755,25 +754,6 @@ class ExtendedQ:
         rv = self.divisor(pt)
         rdot = directional(self._derivatives[-1][1])
         return (numdot - (num / rv) * rdot) / rv
-
-    # -- stability --------------------------------------------------------
-
-    def stability_ratio(self, n_samples: int = 200, w_inf: float = 10.0,
-                        seed: int = 0) -> float:
-        """max |Q(w, theta) - Q(w, 0)| / Q(w, 0) over random samples with
-        ||w||_inf <= w_inf and |t| + |z| (+ |x_p|) <= delta / 4."""
-        rng = random.Random(seed)
-        budget = float(self.cutoff.delta) / 4
-        worst = 0.0
-        for _ in range(n_samples):
-            w = [rng.uniform(-w_inf, w_inf) for _ in range(self.w_dim)]
-            raw = [rng.uniform(-1, 1) for _ in range(self.theta_dim)]
-            scale = rng.uniform(0, budget) / (sum(map(abs, raw)) or 1.0)
-            theta = self.theta_at([v * scale for v in raw])
-            q0 = float(self.theta0_value(w))
-            q = float(self.value(w, theta))
-            worst = max(worst, abs(q - q0) / q0)
-        return worst
 
 
 def build_extended_Q(spec: NormalFormSpec, cutoff: Cutoff,

@@ -9,12 +9,21 @@ byte-for-byte whenever x was produced by the serializer.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
+
+# CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before): hashlib
+# maps OpenSSL's libcrypto, about 3.5 MB of resident memory, for one hash
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from hypcert.normal_forms import InvariantViolation, NormalFormSpec
 from hypcert.symbols import (
@@ -222,7 +231,7 @@ def _frame(obj, d, base, path) -> CandidateFrame:
 
 
 def parse_symbol_data(data: bytes, name: str = "<data>") -> SymbolFile:
-    digest = hashlib.sha256(data).hexdigest()
+    digest = sha256(data).hexdigest()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

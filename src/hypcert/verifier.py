@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,8 +54,6 @@ from hypcert.normal_forms import (
     build_cutoff,
     build_extended_Q,
     build_normal_form,
-    horner,
-    poly_derivative,
 )
 from hypcert.spectral import NoConvergence
 from hypcert.symbols import (
@@ -67,8 +65,6 @@ from hypcert.symbols import (
     poisson_bracket,
 )
 from hypcert.time_functions import TimeFunctionCert
-
-Number = Union[int, float, Fraction]
 
 DEFAULT_GRID = 33
 MAX_THETAS = 1 << 21  # structural slow grid; b1 lifted to d = 4 has 5^9
@@ -82,10 +78,6 @@ STRUCTURAL_CUTOFF = build_cutoff(Fraction(1, 2))
 N_AXIS = 5
 N_W = 16
 SEED = 0
-
-
-class NegativeInput(ValueError):
-    """The function must be nonnegative on the enlarged interval."""
 
 
 class HessianDegenerate(RuntimeError):
@@ -181,57 +173,6 @@ def _ratio_estimate(grid: TensorGrid, res, value: float) -> RatioEstimate:
                          witness=None if empty else grid.point(res.min_flat),
                          n_excluded=res.n_total - res.n_included,
                          n_included=res.n_included, n_total=res.n_total)
-
-
-# ----------------------------------------------------------------- glaeser
-
-
-@dataclass(frozen=True)
-class GlaeserReport:
-    passed: bool
-    worst_ratio: Union[Fraction, float]
-    worst_point: Optional[Fraction]
-    sup_second: Fraction
-    n_points: int
-
-
-def glaeser_check(coeffs: Sequence[Number], interval, margin: Number = 0,
-                  points: int = 257) -> GlaeserReport:
-    """For nonnegative f, check f'(s)^2 <= 2 sup|f''| f(s) on the core
-    interval; sup|f''| is taken over the margin-enlarged interval."""
-    cs = tuple(as_fraction(c) for c in coeffs)
-    lo, hi = (as_fraction(interval[0]), as_fraction(interval[1]))
-    margin = as_fraction(margin)
-    if margin < 0 or hi <= lo:
-        raise ValueError("need lo < hi and margin >= 0")
-    if points < 3:
-        raise ValueError("points must be >= 3, got %d" % points)
-    d1 = poly_derivative(cs)
-    d2 = poly_derivative(d1)
-    wide = uniform_axis(lo - margin, hi + margin, points)
-    for s in wide:
-        if horner(cs, s) < 0:
-            raise NegativeInput("f(%s) < 0 on the enlarged interval" % s)
-    sup2 = max(abs(horner(d2, s)) for s in wide)
-    core = uniform_axis(lo, hi, points)
-    worst = Fraction(0)
-    worst_point = None
-    for s in core:
-        num = horner(d1, s) ** 2
-        den = 2 * sup2 * horner(cs, s)
-        if den == 0:
-            if num == 0:
-                continue
-            return GlaeserReport(passed=False, worst_ratio=math.inf,
-                                 worst_point=s, sup_second=sup2,
-                                 n_points=points)
-        ratio = num / den
-        if ratio > worst:
-            worst, worst_point = ratio, s
-    passed = worst <= 1
-    return GlaeserReport(passed=passed, worst_ratio=worst,
-                         worst_point=worst_point, sup_second=sup2,
-                         n_points=points)
 
 
 # -------------------------------------------------------------- minimize Q

@@ -564,6 +564,33 @@ def test_main_check_frame(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("verb", ["certify", "minimize", "check-frame"])
+def test_main_unwritable_out_is_a_usage_error(verb, where, tmp_path, capsys):
+    # each writer: one line on stderr and exit 3, not a traceback and the
+    # exit code of a failed verdict
+    path = FIXTURES / "b2.json"
+    if verb == "check-frame":
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame_doc()))
+    out = tmp_path / "absent" / "rep.json" if where == "missing-directory" \
+        else tmp_path
+    assert main([verb, str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hypcert: cannot write %s: " % out)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--slack", "1/0"),
+                                        ("--region", "1/10,1/0,1/10")])
+def test_main_zero_denominator_is_named(flag, value, capsys):
+    assert main(["certify", str(FIXTURES / "b2.json"), flag, value]) == 3
+    err = capsys.readouterr().err
+    assert "argument %s: zero denominator" % flag in err
+    assert "Fraction(" not in err
+
+
 def test_main_report_does_not_depend_on_environment(tmp_path, monkeypatch):
     # two certify runs in one process, under different settings of a
     # variable the package once read: the report bytes are the same

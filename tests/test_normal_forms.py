@@ -888,8 +888,19 @@ def test_theta_direction_form2_xp_slot():
 
 @pytest.mark.parametrize("make", [b1_spec, b2_spec])
 def test_relative_stability_half(make):
+    # |Q(w, theta) - Q(w, 0)| <= Q(w, 0) / 2 on random samples with
+    # ||w||_inf <= 10 and |t| + |z| (+ |x_p|) <= delta / 4
     Q = qext(make())
-    assert Q.stability_ratio(n_samples=300, seed=2) <= 0.5
+    rng = random.Random(2)
+    budget = float(Q.cutoff.delta) / 4
+    for _ in range(300):
+        w = [rng.uniform(-10.0, 10.0) for _ in range(Q.w_dim)]
+        raw = [rng.uniform(-1, 1) for _ in range(Q.theta_dim)]
+        scale = rng.uniform(0, budget) / (sum(map(abs, raw)) or 1.0)
+        theta = Q.theta_at([v * scale for v in raw])
+        q0 = float(Q.theta0_value(w))
+        q = float(Q.value(w, theta))
+        assert abs(q - q0) / q0 <= 0.5
 
 
 def test_q_nonnegative_sampled():

@@ -1,9 +1,13 @@
 """Checks over the package source as a whole."""
 
 import ast
+import importlib.util
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 from hypcert.cli import main
 from test_cli import frame_doc
@@ -24,6 +28,25 @@ def test_no_assert_statements():
     found = ["%s:%d" % (name, node.lineno) for name, node in _nodes()
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_certify_does_not_load_openssl(tmp_path):
+    # input_hash comes from CPython's built-in SHA-256 where the build has
+    # one; hashlib would map OpenSSL's libcrypto into every certify
+    code = ("import sys; from hypcert.cli import main; "
+            "rc = main(['certify', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(rc, '_hashlib' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "fixtures" / "b2.json"),
+         str(tmp_path / "rep.json")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    built_in = any(importlib.util.find_spec(name) is not None
+                   for name in ("_sha2", "_sha256"))
+    assert done.stdout.split() == ["0", str(not built_in)]
 
 
 def _threads_or_environment(node) -> bool:

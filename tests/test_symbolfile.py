@@ -1,5 +1,6 @@
 """Symbol file parsing, schema enforcement, canonical serialization."""
 
+import hashlib
 import json
 import pathlib
 from fractions import Fraction as F
@@ -207,6 +208,15 @@ def test_fixture_round_trip_byte_identical(name):
     assert serialize_symbol_file(parse_symbol_file(path)) == raw
 
 
+@pytest.mark.parametrize("name", ["b1", "b2", "b2_bbis2", "nonsingular",
+                                  "classical"])
+def test_fixture_digest_is_sha256_of_its_bytes(name):
+    # the report's input_hash, whichever SHA-256 module computed it
+    path = FIXTURES / ("%s.json" % name)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert parse_symbol_file(path).sha256 == digest
+
+
 def test_serialize_reaches_fixed_point():
     first = serialize_symbol_file(parse_symbol_data(doc_bytes(minimal_doc())))
     second = serialize_symbol_file(parse_symbol_data(first))
@@ -258,6 +268,7 @@ def symbol_files(draw):
 def test_serializer_round_trip(sf):
     data = serialize_symbol_file(sf)
     parsed = parse_symbol_data(data)
+    assert parsed.sha256 == hashlib.sha256(data).hexdigest()
     assert dataclasses.replace(parsed, sha256="") == sf
     assert serialize_symbol_file(parsed) == data
 

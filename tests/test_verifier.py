@@ -13,7 +13,6 @@ import pytest
 
 from hypcert import (
     ExtendedQ,
-    NegativeInput,
     NoConvergence,
     NormalFormSpec,
     PolySymbol,
@@ -27,7 +26,6 @@ from hypcert import (
     check_side_conditions,
     check_structural,
     construct_time_function,
-    glaeser_check,
     minimize_Q,
 )
 from hypcert.symbolfile import parse_symbol_file
@@ -301,57 +299,6 @@ def test_kappa_witness_reevaluates_exactly(b2_a, small_region):
     br = poisson_bracket(x1, b2_a).eval(pt)
     exact = br * br / (4 * b2_a.eval(pt))
     assert abs(float(exact) - est.value) <= 1e-12
-
-
-# ----------------------------------------------------------------- glaeser
-
-
-def test_glaeser_square_is_tight():
-    rep = glaeser_check([0, 0, 1], (-1, 1))
-    assert rep.passed
-    assert rep.worst_ratio == 1
-    assert rep.sup_second == 2
-
-
-def test_glaeser_quartic_passes_with_slack():
-    rep = glaeser_check([0, 0, 0, 0, 1], (-1, 1), margin=0)
-    assert rep.passed
-    assert rep.worst_ratio == F(2, 3)
-    assert rep.sup_second == 12
-
-
-def test_glaeser_linear_fails():
-    rep = glaeser_check([0, 1], (0, 1))
-    assert not rep.passed
-    assert rep.worst_ratio == math.inf
-
-
-def test_glaeser_negative_input():
-    with pytest.raises(NegativeInput):
-        glaeser_check([0, 0, 0, 1], (-1, 1))  # s^3
-    with pytest.raises(NegativeInput):
-        glaeser_check([0, 2, -1], (0, 1), margin=F(1, 2))  # 2s - s^2
-
-
-def test_glaeser_margin_enlarges_sup_domain():
-    # f'' = 12 s^2: with margin the sup is taken out to |s| = 2
-    tight = glaeser_check([0, 0, 0, 0, 1], (-1, 1))
-    wide = glaeser_check([0, 0, 0, 0, 1], (-1, 1), margin=1)
-    assert wide.sup_second == 48 and tight.sup_second == 12
-    assert wide.worst_ratio < tight.worst_ratio
-
-
-@pytest.mark.parametrize("points", [0, 1, 2])
-def test_glaeser_rejects_too_few_points(points):
-    with pytest.raises(ValueError, match="points"):
-        glaeser_check([0, 0, 1], (-1, 1), points=points)
-
-
-def test_glaeser_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        glaeser_check([0, 0, 1], (1, -1))
-    with pytest.raises(ValueError):
-        glaeser_check([0, 0, 1], (-1, 1), margin=-1)
 
 
 # -------------------------------------------------------------- minimizer
