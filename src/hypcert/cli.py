@@ -196,7 +196,7 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
         reason = "base point is not a double characteristic: %s" % exc
         return Report(status="FAILED", reason=reason, stage="singular-check",
                       **base)
-    except NoConvergence as exc:
+    except (NoConvergence, DimensionMismatch) as exc:
         return Report(status="FAILED", reason=str(exc), stage="classify",
                       **base)
     cls_obj = _classification_obj(cl)
@@ -457,6 +457,11 @@ def _apply_overrides(sf: SymbolFile, args) -> SymbolFile:
     return dataclasses.replace(sf, region=region, options=options)
 
 
+def _why(exc: OSError) -> str:
+    """The reason of an OSError without the path it repeats."""
+    return exc.strerror or str(exc)
+
+
 def _write(data: bytes, out: Optional[str], code: int) -> int:
     """data to the file out (stdout when None); code, or 3 when out cannot
     be written."""
@@ -468,7 +473,7 @@ def _write(data: bytes, out: Optional[str], code: int) -> int:
         with open(out, "wb") as fh:
             fh.write(data)
     except OSError as exc:
-        sys.stderr.write("hypcert: cannot write %s: %s\n" % (out, exc))
+        sys.stderr.write("hypcert: cannot write %s: %s\n" % (out, _why(exc)))
         return 3
     return code
 
@@ -540,7 +545,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write("hypcert: %s\n" % exc)
         return 3
     except OSError as exc:
-        sys.stderr.write("hypcert: cannot read %s: %s\n" % (args.file, exc))
+        sys.stderr.write("hypcert: cannot read %s: %s\n"
+                         % (args.file, _why(exc)))
         return 3
 
     if args.verb == "minimize":

@@ -569,13 +569,6 @@ class ExtendedQ:
             total = total / self.divisor(pt)
         return total
 
-    def remainder(self, w, theta: Theta):
-        """psi * q_{p+1}(P) (form1) resp. g * r_p(P) (form2) at the
-        substituted point; this completes a(P) = eps^2 Q + remainder."""
-        pt = self.substituted_point(w, theta)
-        spec = self.spec
-        return spec.remainder.eval(pt) * spec.remainder_factor.eval(pt)
-
     def theta0_value(self, w):
         """Q(w, 0), the quadratic in w with the base values as weights."""
         return self.value(w, self.theta_zero())

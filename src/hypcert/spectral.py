@@ -42,10 +42,6 @@ class NoConvergence(RuntimeError):
     """An iteration (root-finding, Newton) failed to converge."""
 
 
-class CrossTermsPresent(ValueError):
-    """Block factorization requested across coupled variable blocks."""
-
-
 class NonPositiveInput(ValueError):
     """Chain / elliptic coefficients must be strictly positive."""
 
@@ -54,39 +50,24 @@ class InexactTrace(ArithmeticError):
     """An integer Faddeev-LeVerrier trace was not divisible by its step."""
 
 
-@dataclass(frozen=True)
-class HamiltonMap:
-    """F = J M with exact rational entries."""
-
-    jet: QuadraticJet
-    exact: Tuple[Tuple[Fraction, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.exact)
+def _refuse_size(n: int) -> None:
+    if n > MAX_SIZE:
+        raise DimensionMismatch(
+            "a %d x %d Hamilton map exceeds the supported size %d (d <= %d)"
+            % (n, n, MAX_SIZE, MAX_SIZE // 2 - 1))
 
 
-def _jm(rows: Sequence[Sequence[Fraction]], n_pos: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """J M for a symmetric matrix over n_pos positions + n_pos momenta."""
-    out = []
-    for i in range(n_pos):
-        out.append(tuple(rows[n_pos + i]))
-    for i in range(n_pos):
-        out.append(tuple(-v for v in rows[i]))
-    return tuple(out)
-
-
-def hamilton_map(jet: QuadraticJet) -> HamiltonMap:
-    """Build F = J M from the jet's coefficient matrix (half Hessian).
+def hamilton_map(jet: QuadraticJet) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The exact rows of F = J M, from the jet's coefficient matrix (half
+    Hessian).
 
     In block form with M = [[M_uu, M_uv], [M_vu, M_vv]] this is
     [[M_vu, M_vv], [-M_uu, -M_uv]]; positions are (t, x), momenta
     (tau, xi), so the -tau^2 term lands in M_vv with entry -1.
     """
-    n = jet.size
-    if n > MAX_SIZE:
-        raise DimensionMismatch("matrix size %d exceeds supported %d" % (n, MAX_SIZE))
-    return HamiltonMap(jet=jet, exact=_jm(jet.matrix, n // 2))
+    _refuse_size(jet.size)
+    m, n_pos = jet.matrix, jet.d + 1
+    return m[n_pos:] + tuple(tuple(-v for v in row) for row in m[:n_pos])
 
 
 def charpoly_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, ...]:
@@ -123,14 +104,6 @@ def charpoly_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, ...]:
         for i in range(n):
             mk[i][i] += ck
     return tuple(Fraction(c, scale ** k) for k, c in enumerate(coeffs))
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
 
 
 def _deflated_mu(coeffs: Sequence[Fraction]) -> Tuple[Tuple[Fraction, ...], int]:
@@ -251,9 +224,10 @@ class Spectrum:
         return self.tag == "real-pair-present"
 
 
-def spectrum(F: HamiltonMap) -> Spectrum:
-    """Spectrum of F with its tag decided exactly by a Sturm count."""
-    mu, zero_pairs = _deflated_mu(charpoly_exact(F.exact))
+def spectrum(F: Sequence[Sequence[Fraction]]) -> Spectrum:
+    """Spectrum of the Hamilton map with rows F, its tag decided exactly
+    by a Sturm count."""
+    mu, zero_pairs = _deflated_mu(charpoly_exact(F))
     negative, positive, distinct = sturm_root_counts(mu)
     if positive:
         tag = "real-pair-present"
@@ -271,7 +245,7 @@ class Classification:
     effective: bool
     witness: Optional[complex]
     spectrum: Spectrum
-    map: HamiltonMap
+    map: Tuple[Tuple[Fraction, ...], ...]
     jet: QuadraticJet
 
 
@@ -283,8 +257,11 @@ def classify_effective_hyperbolicity(p: PolySymbol,
     nonzero eigenvalue, decided exactly (spectrum's tag).  The witness is
     then the displayed eigenvalue with Re > 0 closest to the real axis,
     ties going to the larger Re; otherwise None.  NotSingular propagates
-    from the jet when `at` is not a double characteristic.
+    from the jet when `at` is not a double characteristic, and
+    DimensionMismatch, before the jet is built, when the map would exceed
+    MAX_SIZE.
     """
+    _refuse_size(p.nvars)
     jet = quadratic_jet(p, at)
     F = hamilton_map(jet)
     spec = spectrum(F)
@@ -294,57 +271,6 @@ def classify_effective_hyperbolicity(p: PolySymbol,
                       key=lambda z: (abs(z.imag), -z.real), default=None)
     return Classification(effective=spec.has_real_pair, witness=witness,
                           spectrum=spec, map=F, jet=jet)
-
-
-@dataclass(frozen=True)
-class BlockFactorization:
-    full: Tuple[Fraction, ...]
-    product: Tuple[Fraction, ...]
-    factors: Tuple[Tuple[Fraction, ...], ...]
-    blocks: Tuple[Tuple[int, ...], ...]
-    max_coeff_dev: float
-
-
-def block_char_factorization(jet: QuadraticJet) -> BlockFactorization:
-    """char(F) versus the product of per-block char polynomials.
-
-    The jet's partition names conjugate-pair indices forming block A; the
-    complement is block B.  Requires the coefficient matrix to have no
-    coupling between the blocks (CrossTermsPresent otherwise).  For valid
-    partitions the coefficient deviation is exactly zero; it is returned
-    as a float for reporting.
-    """
-    if jet.partition is None:
-        raise ValueError("jet carries no block partition")
-    d = jet.d
-    a_pairs = tuple(sorted(jet.partition))
-    b_pairs = tuple(sorted(set(range(d + 1)) - jet.partition))
-    m = jet.matrix
-
-    def slots(pairs):
-        return [i for i in pairs] + [d + 1 + i for i in pairs]
-
-    sa, sb = slots(a_pairs), slots(b_pairs)
-    for i in sa:
-        for j in sb:
-            if m[i][j] != 0:
-                raise CrossTermsPresent(
-                    "coefficient matrix couples blocks at entry (%d, %d)" % (i, j))
-    full = charpoly_exact(_jm(m, d + 1))
-    factors = []
-    for pairs in (a_pairs, b_pairs):
-        if not pairs:
-            factors.append((Fraction(1),))
-            continue
-        s = slots(pairs)
-        sub = [[m[i][j] for j in s] for i in s]
-        factors.append(charpoly_exact(_jm(sub, len(pairs))))
-    product = _poly_mul(factors[0], factors[1])
-    dev = max(abs(float(x - y)) for x, y in zip(full, product))
-    return BlockFactorization(full=full, product=product,
-                              factors=tuple(factors),
-                              blocks=(a_pairs, b_pairs),
-                              max_coeff_dev=dev)
 
 
 def _positive_list(vals, name) -> Tuple[Fraction, ...]:

@@ -103,7 +103,9 @@ def _rational(v, path) -> Fraction:
         raise SchemaError(path, "exact rationals must be strings, got %r" % (v,))
     try:
         return Fraction(v)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        raise SchemaError(path, "zero denominator") from exc
+    except ValueError as exc:
         raise SchemaError(path, "not a rational: %s" % exc) from exc
 
 

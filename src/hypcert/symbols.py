@@ -337,21 +337,6 @@ class PolySymbol:
             total = total + v
         return total
 
-    def shift(self, point: Sequence) -> "PolySymbol":
-        """Recenter exactly: returns q with q(v) = self(v + point)."""
-        vals = point.as_tuple() if isinstance(point, PhasePoint) else \
-            tuple(as_fraction(v) for v in point)
-        if len(vals) != self.nvars:
-            raise DimensionMismatch("point of length %d for d=%d" % (len(vals), self.d))
-        cur = self.terms
-        for i, c0 in enumerate(vals):
-            if c0 != 0:
-                cur = _merge((exps[:i] + (k,) + exps[i + 1:],
-                              co * comb(exps[i], k) * c0 ** (exps[i] - k))
-                             for exps, co in cur.items()
-                             for k in range(exps[i] + 1))
-        return self._new(cur.items())
-
 
 def _merge(pairs) -> dict:
     """The terms of (exponents, coefficient) pairs merged in order: a pair
@@ -476,14 +461,11 @@ class QuadraticJet:
 
     ``matrix`` is a tuple of tuple rows of Fractions of size 2*(d+1); the
     value of the form at v is v^T M v (so M is one half of the Hessian of
-    the underlying symbol).  ``partition`` optionally names a subset of
-    the conjugate pairs (0 for (t, tau), i for (x_i, xi_i)) split off as
-    an independent block.
+    the underlying symbol).
     """
 
     d: int
     matrix: Tuple[Tuple[Fraction, ...], ...]
-    partition: Optional[frozenset] = None
 
     def __post_init__(self):
         n = 2 * (self.d + 1)
@@ -495,11 +477,6 @@ class QuadraticJet:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("coefficient matrix must be symmetric")
         object.__setattr__(self, "matrix", rows)
-        if self.partition is not None:
-            pairs = frozenset(int(i) for i in self.partition)
-            if not pairs or not pairs <= set(range(self.d + 1)):
-                raise ValueError("partition must be a nonempty set of pair indices 0..d")
-            object.__setattr__(self, "partition", pairs)
 
     @property
     def size(self) -> int:
@@ -517,41 +494,53 @@ class QuadraticJet:
         return total
 
 
-def gradient_at(f: PolySymbol, at: Union[PhasePoint, Sequence]) -> Tuple[Fraction, ...]:
-    """All first partial derivatives of f at a point, in variable order."""
-    pt = at if isinstance(at, PhasePoint) else PhasePoint.from_sequence(f.d, at)
-    return tuple(f.diff(i).eval(pt) for i in range(f.nvars))
-
-
 def quadratic_jet(p: PolySymbol, at: Union[PhasePoint, Sequence]) -> QuadraticJet:
     """Exact second order Taylor form of p at a double characteristic.
 
     Requires p(at) = 0 and grad p(at) = 0; otherwise NotSingular is raised
-    naming the first offending derivative (the empty name '' for the value
-    itself).  The result satisfies value_at(v) = quadratic part of
-    p(at + v), i.e. the matrix is one half of the exact Hessian.
+    naming the first offending derivative (None for the value itself).
+    The result satisfies value_at(v) = quadratic part of p(at + v), i.e.
+    the matrix is one half of the exact Hessian.
+
+    p(at + v) is expanded one slot at a time, each term by the binomial
+    theorem, merged in order (_merge), but only as far as the jet reads:
+    a slot's exponent is final once it is recentered (or its coordinate
+    is 0), so no term is built whose final exponents sum past 2.
     """
     pt = at if isinstance(at, PhasePoint) else PhasePoint.from_sequence(p.d, at)
     if pt.d != p.d:
         raise DimensionMismatch("point dimension %d for symbol with d=%d" % (pt.d, p.d))
-    shifted = p.shift(pt)
+    vals = pt.as_tuple()
+    final = [not c0 for c0 in vals]
+
+    def room(exps):  # the degree left to the slots still to recenter
+        return 2 - sum(e for e, f in zip(exps, final) if f)
+
+    terms = p.terms
+    for i, c0 in enumerate(vals):
+        if c0:
+            terms = _merge((exps[:i] + (k,) + exps[i + 1:],
+                            co * comb(exps[i], k) * c0 ** (exps[i] - k))
+                           for exps, co in terms.items()
+                           for k in range(min(exps[i], room(exps)) + 1))
+            final[i] = True
     names = var_names(p.d)
     n = p.nvars
     zero_exps = (0,) * n
-    c0 = shifted.terms.get(zero_exps)
+    c0 = terms.get(zero_exps)
     if c0:
         raise NotSingular("p does not vanish at the point (value %s)" % c0,
                           derivative=None, value=c0)
     for i in range(n):
         key = zero_exps[:i] + (1,) + zero_exps[i + 1:]
-        c1 = shifted.terms.get(key)
+        c1 = terms.get(key)
         if c1:
             raise NotSingular(
                 "first derivative in %s is %s at the point, not a double "
                 "characteristic" % (names[i], c1),
                 derivative=names[i], value=c1)
     rows = [[_ZERO] * n for _ in range(n)]
-    for exps, c in shifted.terms.items():
+    for exps, c in terms.items():
         if sum(exps) != 2:
             continue
         nz = [i for i, e in enumerate(exps) if e]

@@ -1,6 +1,7 @@
 """Pipeline statuses, report emission, exit codes, CLI entry point."""
 
 import dataclasses
+import errno
 import hashlib
 import importlib.util
 import json
@@ -331,6 +332,20 @@ def test_small_real_pair_classifies_exactly():
     assert rep.classification["witness"] == {"re": 5e-08, "im": 0.0}
 
 
+@pytest.mark.parametrize("verb", ["classify", "certify"])
+def test_oversized_dimension_fails_at_classify(verb, tmp_path, capsys):
+    # d = 32 needs a 66 x 66 Hamilton map, past the supported 64 x 64
+    path = tmp_path / "d32.json"
+    path.write_text(json.dumps({"schema": 1, "d": 32, "terms": [
+        {"coeff": "1", "exponents": {"t": 2}}]}))
+    out = tmp_path / "rep.json"
+    assert main([verb, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_bytes())
+    assert (rep["status"], rep["stage"]) == ("FAILED", "classify")
+    assert "66 x 66" in rep["reason"]
+
+
 def test_statuses_and_exit_codes_have_no_band():
     assert cli.STATUSES == ("CERTIFIED", "FAILED", "NOT_APPLICABLE")
     assert {exit_code(Report(status=st, verb=verb, version="0",
@@ -405,7 +420,10 @@ def test_main_failure_exit(tmp_path):
 
 
 def test_main_usage_errors(tmp_path, capsys):
-    assert main(["certify", str(tmp_path / "absent.json")]) == 3
+    absent = tmp_path / "absent.json"
+    assert main(["certify", str(absent)]) == 3
+    assert capsys.readouterr().err == "hypcert: cannot read %s: %s\n" % (
+        absent, os.strerror(errno.ENOENT))
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"{nope")
     assert main(["certify", str(bad)]) == 3
@@ -573,13 +591,16 @@ def test_main_unwritable_out_is_a_usage_error(verb, where, tmp_path, capsys):
     if verb == "check-frame":
         path = tmp_path / "frame.json"
         path.write_text(json.dumps(frame_doc()))
-    out = tmp_path / "absent" / "rep.json" if where == "missing-directory" \
-        else tmp_path
+    if where == "missing-directory":
+        out, code = tmp_path / "absent" / "rep.json", errno.ENOENT
+    else:
+        out, code = tmp_path, errno.EISDIR
     assert main([verb, str(path), "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("hypcert: cannot write %s: " % out)
-    assert captured.err.count("\n") == 1
+    # the reason alone, not the OSError that repeats the path
+    assert captured.err == "hypcert: cannot write %s: %s\n" % (
+        out, os.strerror(code))
 
 
 @pytest.mark.parametrize("flag,value", [("--slack", "1/0"),

@@ -2,8 +2,9 @@
 
 Coordinate arrays against the same points evaluated one at a time (bit
 for bit), floats against the exact value within the rounding bound of the
-term-by-term evaluation, the ring laws in exact arithmetic, and the term
-order that float eval sums in.
+term-by-term evaluation, the ring laws in exact arithmetic, the term
+order that float eval sums in, and quadratic_jet's order-2 recentering
+against the full expansion.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from hypcert import PolySymbol
 from hypcert.symbolfile import SchemaError, parse_symbol_data
-from hypcert.symbols import var_names
+from hypcert.symbols import NotSingular, quadratic_jet, var_names
 
 EPS = 2.0 ** -52
 
@@ -162,17 +163,6 @@ def test_term_order_follows_the_merge_rule(data):
         assert order(p.diff(i)) == reference_merge(
             [(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
              for e, c in order(p) if e[i]])
-    # shift expands one variable at a time, merging each expansion
-    point = data.draw(st.lists(st.sampled_from([F(0), F(1), F(-1, 2)]),
-                               min_size=2 * (d + 1), max_size=2 * (d + 1)))
-    terms = order(p)
-    for i, c0 in enumerate(point):
-        if c0:
-            terms = reference_merge(
-                [(e[:i] + (k,) + e[i + 1:],
-                  c * comb(e[i], k) * c0 ** (e[i] - k))
-                 for e, c in terms for k in range(e[i] + 1)])
-    assert order(p.shift(point)) == terms
     # a symbol file's term list is merged in file order
     names = var_names(d)
     doc = {"schema": 1, "d": d, "terms": [
@@ -184,3 +174,65 @@ def test_term_order_follows_the_merge_rule(data):
         assert not reference_merge(ps)
     else:
         assert order(parsed) == reference_merge(ps)
+
+
+@st.composite
+def jet_cases(draw):
+    """A symbol whose terms carry exponents up to 12 on at most three
+    slots, and a point whose coordinates are often 0."""
+    d = draw(st.integers(1, 2))
+    n = 2 * (d + 1)
+    exps = st.dictionaries(st.integers(0, n - 1), st.integers(1, 12),
+                           max_size=3).map(
+        lambda m: tuple(m.get(i, 0) for i in range(n)))
+    p = PolySymbol(d, draw(st.dictionaries(exps, rationals, max_size=5)))
+    point = draw(st.lists(st.one_of(st.just(F(0)), rationals), min_size=n,
+                          max_size=n))
+    return p, point
+
+
+def full_expansion(p, point):
+    """p(point + v): each term expanded by the binomial theorem, one
+    variable at a time, every power of every slot kept."""
+    terms = dict(p.terms)
+    for i, c0 in enumerate(point):
+        if c0:
+            out = {}
+            for e, c in terms.items():
+                for k in range(e[i] + 1):
+                    key = e[:i] + (k,) + e[i + 1:]
+                    out[key] = out.get(key, 0) + c * comb(e[i], k) * c0 ** (e[i] - k)
+            terms = out
+    return terms
+
+
+@PROPERTY
+@given(jet_cases())
+def test_jet_reads_the_full_expansion(case):
+    # quadratic_jet recenters only to order 2; its value, first
+    # derivatives and matrix are those of the full expansion
+    p, point = case
+    full = full_expansion(p, point)
+    n = p.nvars
+    zero = (0,) * n
+    units = [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
+    c0, c1 = full.get(zero, 0), [full.get(u, 0) for u in units]
+    try:
+        quadratic_jet(p, point)
+    except NotSingular as exc:
+        if c0:
+            assert (exc.derivative, exc.value) == (None, c0)
+        else:
+            i = next(i for i, c in enumerate(c1) if c)
+            assert (exc.derivative, exc.value) == (var_names(p.d)[i], c1[i])
+    else:
+        assert not c0 and not any(c1)
+    # less its affine part, p is singular at the point with the same jet
+    affine = PolySymbol(p.d, [(zero, c0 - sum(c * x for c, x in zip(c1, point)))]
+                        + list(zip(units, c1)))
+    jet = quadratic_jet(p - affine, point)
+    for i in range(n):
+        for j in range(n):
+            m = tuple(int(k == i) + int(k == j) for k in range(n))
+            want = F(full.get(m, 0))
+            assert jet.matrix[i][j] == (want if i == j else want / 2)

@@ -356,7 +356,8 @@ def test_substitution_identity_exact(make):
         theta = rand_theta(rng, Q)
         pt = Q.substituted_point(w, theta)
         lhs = a.eval(pt)
-        rhs = theta.eps ** 2 * Q.value(w, theta) + Q.remainder(w, theta)
+        rhs = theta.eps ** 2 * Q.value(w, theta) \
+            + spec.remainder.eval(pt) * spec.remainder_factor.eval(pt)
         assert lhs - rhs == 0
         assert abs(float(lhs - rhs)) <= 1e-12 * max(1.0, abs(float(lhs)))
 
@@ -370,14 +371,17 @@ def test_identity_degenerates_at_eps_zero():
     assert theta.eps == 0
     w = (F(1, 4),)
     pt = Q.substituted_point(w, theta)
-    assert a.eval(pt) == Q.remainder(w, theta)
+    assert a.eval(pt) == \
+        spec.remainder.eval(pt) * spec.remainder_factor.eval(pt)
     # form1 branch: eps = t - phi(z) = 0 when t equals the graph value
     spec1 = b1_spec()
     Q1 = qext(spec1)
     a1 = build_normal_form(spec1)
     th1 = Q1.pinned_theta(F(1, 32), (F(1, 32), F(0)), (F(0), F(1, 64)))
     assert th1.eps == 0
-    assert a1.eval(Q1.substituted_point((), th1)) == Q1.remainder((), th1)
+    pt1 = Q1.substituted_point((), th1)
+    assert a1.eval(pt1) == \
+        spec1.remainder.eval(pt1) * spec1.remainder_factor.eval(pt1)
 
 
 def test_b1_normalized_profile_is_constant():

@@ -5,10 +5,12 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
 
+import hypcert
 from hypcert.cli import main
 from test_cli import frame_doc
 
@@ -28,6 +30,27 @@ def test_no_assert_statements():
     found = ["%s:%d" % (name, node.lineno) for name, node in _nodes()
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_export_is_read():
+    # a name in __all__ that only its own tests read is code to delete: each
+    # must occur, off its def or class line, in a package module other
+    # than __init__.py, in scripts/, perfbench/, the README or the
+    # acceptance tests
+    paths = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    for folder in ("scripts", "perfbench"):
+        paths += sorted((ROOT / folder).rglob("*.py"))
+        paths += sorted((ROOT / folder).rglob("*.md"))
+    paths += [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    lines = [line for p in paths for line in p.read_text().splitlines()]
+    unread = []
+    for name in hypcert.__all__:
+        word = re.compile(r"\b%s\b" % re.escape(name))
+        own = re.compile(r"\s*(def|class)\s+%s\b" % re.escape(name))
+        if not any(word.search(line) and not own.match(line)
+                   for line in lines):
+            unread.append(name)
+    assert unread == []
 
 
 def test_certify_does_not_load_openssl(tmp_path):

@@ -9,14 +9,13 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hypcert import spectral
 from hypcert.spectral import (
-    BlockFactorization,
-    CrossTermsPresent,
+    MAX_SIZE,
     NonPositiveInput,
     chain_quadratic_jet,
     charpoly_exact,
     classify_effective_hyperbolicity,
-    block_char_factorization,
     hamilton_map,
     psi_zero,
     psi_zero_sign_equivalence,
@@ -38,9 +37,9 @@ F1 = Fraction(1)
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def jet_from(rows, d, partition=None):
-    m = tuple(tuple(Fraction(v) for v in row) for row in rows)
-    return QuadraticJet(d, m, frozenset(partition) if partition else None)
+def jet_from(rows, d):
+    return QuadraticJet(d, tuple(tuple(Fraction(v) for v in row)
+                                 for row in rows))
 
 
 def sorted_eigs(spec):
@@ -54,24 +53,23 @@ def test_map_of_wave_form_d0():
     tau = PolySymbol.coordinate(0, "tau")
     t = PolySymbol.coordinate(0, "t")
     jet = quadratic_jet(-(tau ** 2) + t ** 2, PhasePoint.base(0))
-    F = hamilton_map(jet)
-    assert F.exact == ((F0, Fraction(-1)), (Fraction(-1), F0))
+    assert hamilton_map(jet) == ((F0, Fraction(-1)), (Fraction(-1), F0))
 
 
 def test_map_of_harmonic_block():
     # x1^2 + xi1^2 in d = 1: the (x1, xi1) sub-block is [[0, 1], [-1, 0]]
     jet = jet_from([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], d=1)
     F = hamilton_map(jet)
-    assert F.exact[1][3] == 1
-    assert F.exact[3][1] == -1
+    assert F[1][3] == 1
+    assert F[3][1] == -1
     others = [(i, j) for i in range(4) for j in range(4)
-              if F.exact[i][j] != 0 and (i, j) not in {(1, 3), (3, 1)}]
+              if F[i][j] != 0 and (i, j) not in {(1, 3), (3, 1)}]
     assert not others
 
 
 def test_map_of_zero_form():
     jet = jet_from([[0] * 4 for _ in range(4)], d=1)
-    assert all(v == 0 for row in hamilton_map(jet).exact for row_v in [row] for v in row_v)
+    assert all(v == 0 for row in hamilton_map(jet) for v in row)
 
 
 def test_charpoly_faddeev_leverrier():
@@ -133,8 +131,9 @@ def rational_matrices(draw):
 
 @st.composite
 def symmetric_jets(draw, split=False):
-    """Random symmetric jet in d = 0..3; when split, with a random block
-    partition and no entry coupling its conjugate pairs to the rest."""
+    """Random symmetric jet in d = 0..3; when split, (jet, partition) with
+    a random block partition of the conjugate pairs (0 for (t, tau), i
+    for (x_i, xi_i)) and no entry coupling the partition to the rest."""
     d = draw(st.integers(1 if split else 0, 3))
     n = 2 * (d + 1)
     partition = (draw(st.frozensets(st.integers(0, d), min_size=1, max_size=d))
@@ -145,7 +144,8 @@ def symmetric_jets(draw, split=False):
             if split and (i % (d + 1) in partition) != (j % (d + 1) in partition):
                 continue
             rows[i][j] = rows[j][i] = draw(entries)
-    return jet_from(rows, d, partition)
+    jet = jet_from(rows, d)
+    return (jet, partition) if split else jet
 
 
 @PROPERTY
@@ -157,18 +157,44 @@ def test_charpoly_matches_fraction_reference(rows):
 @PROPERTY
 @given(symmetric_jets())
 def test_charpoly_of_hamilton_map_matches_reference_and_is_even(jet):
-    rows = hamilton_map(jet).exact
+    rows = hamilton_map(jet)
     got = charpoly_exact(rows)
     assert_same_charpoly(got, reference_charpoly(rows))
     assert all(c == 0 for c in got[1::2])
 
 
+def block_charpolys(jet, partition):
+    """charpoly_exact of the Hamilton maps of the two blocks: the pairs in
+    partition, then the rest."""
+    d = jet.d
+    out = []
+    for pairs in (sorted(partition), sorted(set(range(d + 1)) - set(partition))):
+        slots = pairs + [d + 1 + i for i in pairs]
+        block = jet_from([[jet.matrix[i][j] for j in slots] for i in slots],
+                         len(pairs) - 1)
+        out.append(charpoly_exact(hamilton_map(block)))
+    return out
+
+
+def poly_mul(a, b):
+    out = [F0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
+
+
+def assert_charpoly_splits(jet, partition):
+    """The charpoly of the whole map is the product of its blocks'."""
+    full = charpoly_exact(hamilton_map(jet))
+    assert_same_charpoly(full, reference_charpoly(hamilton_map(jet)))
+    assert full == poly_mul(*block_charpolys(jet, partition))
+
+
 @PROPERTY
 @given(symmetric_jets(split=True))
-def test_block_factorization_exact_on_random_split_jets(jet):
-    fac = block_char_factorization(jet)
-    assert fac.max_coeff_dev == 0
-    assert_same_charpoly(fac.full, reference_charpoly(hamilton_map(jet).exact))
+def test_block_factorization_exact_on_random_split_jets(case):
+    assert_charpoly_splits(*case)
 
 
 # ------------------------------------------------------------------ spectrum
@@ -230,9 +256,9 @@ def test_spectrum_residuals_within_tolerance():
     # singular value of F - z I is within 1e-9 (1 + |F|) for each z
     for F in list(classified_fixture_maps()) + [hamilton_map(j)
                                                 for j in random_jets()]:
-        fm = np.array([[float(v) for v in row] for row in F.exact])
+        fm = np.array([[float(v) for v in row] for row in F])
         bound = 1e-9 * (1 + np.linalg.norm(fm))
-        eye = np.eye(F.size)
+        eye = np.eye(len(F))
         for z in set(spectrum(F).eigenvalues):
             sigma = np.linalg.svd(fm - z * eye, compute_uv=False)[-1]
             assert sigma <= bound, (z, sigma, bound)
@@ -299,6 +325,32 @@ def test_classify_scaling_of_a_when_jet_has_no_momentum_part(base2):
         assert all(abs(x - y) <= 1e-10 * (1 + abs(y)) for x, y in zip(got, want))
 
 
+def test_high_power_classifies_from_its_jet():
+    # -tau^2 + t^2 + x1^2 xi1^N at (0, 0, 0, 1): x1^2 (1 + v)^N adds x1^2
+    # to the jet, and the recentering builds no power of v past v^2
+    p = PolySymbol(1, {(0, 0, 2, 0): -1, (2, 0, 0, 0): 1,
+                       (0, 2, 0, 10 ** 6): 1})
+    res = classify_effective_hyperbolicity(p, PhasePoint.base(1))
+    jet = jet_from([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]],
+                   d=1)
+    assert res.jet == jet
+    assert res.map == hamilton_map(jet) == ((0, 0, -1, 0), (0, 0, 0, 0),
+                                            (-1, 0, 0, 0), (0, -1, 0, 0))
+    assert res.effective and res.witness == 1
+    assert res.spectrum.tag == "real-pair-present"
+
+
+def test_oversized_map_is_refused_before_the_jet(monkeypatch):
+    def unreachable(p, at):
+        raise AssertionError("jet built for an oversized map")
+
+    monkeypatch.setattr(spectral, "quadratic_jet", unreachable)
+    d = MAX_SIZE // 2  # a map of size MAX_SIZE + 2
+    with pytest.raises(DimensionMismatch, match="66 x 66"):
+        classify_effective_hyperbolicity(PolySymbol.coordinate(d, "t") ** 2,
+                                         PhasePoint.base(d))
+
+
 def test_effective_fixtures_have_nonzero_tt_entry(b1_p, b2_p, base2):
     t, xs, tau, xis = phase_variables(2)
     classical = -(tau ** 2) + t ** 2 * (xis[0] ** 2 + xis[1] ** 2)
@@ -311,7 +363,7 @@ def test_effective_fixtures_have_nonzero_tt_entry(b1_p, b2_p, base2):
 # --------------------------------------------------------- block char factor
 
 
-def _coupled_blocks_jet(partition=None):
+def _coupled_blocks_jet():
     # [-tau^2 + (t-x1)^2 + (1/2) xi1^2] + [x2^2 + xi2^2] in d = 2
     h = Fraction(1, 2)
     rows = [[F0] * 6 for _ in range(6)]
@@ -322,17 +374,14 @@ def _coupled_blocks_jet(partition=None):
     rows[4][4] = h
     rows[2][2] = F1
     rows[5][5] = F1
-    return jet_from(rows, d=2, partition=partition)
+    return jet_from(rows, d=2)
 
 
 def test_block_factorization_exact_on_split_form():
-    jet = _coupled_blocks_jet({0, 1})
-    fac = block_char_factorization(jet)
-    assert fac.max_coeff_dev == 0.0
-    assert_same_charpoly(fac.full, reference_charpoly(hamilton_map(jet).exact))
-    assert fac.full == fac.product
+    jet = _coupled_blocks_jet()
+    assert_charpoly_splits(jet, {0, 1})
     # harmonic B block contributes lambda^2 + 1
-    assert fac.factors[1] == (F1, F0, F1)
+    assert block_charpolys(jet, {0, 1})[1] == (F1, F0, F1)
 
 
 def test_block_factorization_zero_block_gives_pure_power():
@@ -342,20 +391,10 @@ def test_block_factorization_zero_block_gives_pure_power():
     rows[0][1] = rows[1][0] = -F1
     rows[3][3] = -F1
     rows[4][4] = Fraction(1, 2)
-    jet = jet_from(rows, d=2, partition={0, 1})
-    fac = block_char_factorization(jet)
-    assert fac.factors[1] == (F1, F0, F0)  # lambda^(2|B|), one pair in B
-    assert fac.max_coeff_dev == 0.0
-    assert_same_charpoly(fac.full, reference_charpoly(hamilton_map(jet).exact))
-
-
-def test_block_factorization_rejects_cross_terms():
-    rows = [[F0] * 6 for _ in range(6)]
-    rows[0][0] = F1
-    rows[3][3] = -F1
-    rows[0][2] = rows[2][0] = Fraction(1, 2)  # t * x2 coupling
-    with pytest.raises(CrossTermsPresent):
-        block_char_factorization(jet_from(rows, d=2, partition={0, 1}))
+    jet = jet_from(rows, d=2)
+    assert_charpoly_splits(jet, {0, 1})
+    # lambda^(2|B|), one pair in B
+    assert block_charpolys(jet, {0, 1})[1] == (F1, F0, F0)
 
 
 # ------------------------------------------------------------------ psi zero
@@ -409,8 +448,7 @@ def test_long_chain_classifies_exactly(p):
     jet = chain_quadratic_jet(q, r)
     cl = classify_effective_hyperbolicity(jet_polynomial(jet), [0] * jet.size)
     assert cl.spectrum == res.spectrum
-    fm = np.array([[float(v) for v in row]
-                   for row in hamilton_map(jet).exact])
+    fm = np.array([[float(v) for v in row] for row in hamilton_map(jet)])
     largest = max(z.real for z in np.linalg.eigvals(fm) if z.imag == 0)
     assert abs(cl.witness - largest) <= 1e-12
 
@@ -593,6 +631,6 @@ def test_symplectic_conjugation_preserves_charpoly():
         rows = rand_sym_rows(rng, n)
         s = rand_symplectic(rng, d + 1)
         ms = _sym_matmul(_sym_matmul(_transpose(s), rows), s)
-        lhs = charpoly_exact(hamilton_map(jet_from(rows, d)).exact)
-        rhs = charpoly_exact(hamilton_map(jet_from(ms, d)).exact)
+        lhs = charpoly_exact(hamilton_map(jet_from(rows, d)))
+        rhs = charpoly_exact(hamilton_map(jet_from(ms, d)))
         assert lhs == rhs

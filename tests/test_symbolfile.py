@@ -93,6 +93,18 @@ def test_float_coefficient_rejected():
         parse_symbol_data(doc_bytes(doc))
 
 
+@pytest.mark.parametrize("coeff,message", [
+    ("1/0", "$.terms[0].coeff: zero denominator"),
+    ("one", "$.terms[0].coeff: not a rational: "),
+])
+def test_bad_rational_coefficient_is_named(coeff, message):
+    doc = minimal_doc([{"coeff": coeff, "exponents": {"xi1": 2}}])
+    with pytest.raises(SchemaError) as info:
+        parse_symbol_data(doc_bytes(doc))
+    assert str(info.value).startswith(message)
+    assert "Fraction(" not in str(info.value)
+
+
 @pytest.mark.parametrize("name,err", [
     ("x3", DimensionError), ("xi9", DimensionError),
     ("y1", SchemaError), ("zeta", SchemaError),

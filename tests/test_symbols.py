@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from hypcert import symbols
 from hypcert.symbols import (
     CandidateFrame,
     DimensionMismatch,
@@ -12,7 +13,6 @@ from hypcert.symbols import (
     PolySymbol,
     QuadraticJet,
     check_frame,
-    gradient_at,
     hamilton_field,
     homogeneity_check,
     phase_variables,
@@ -127,17 +127,6 @@ def test_collect_splits_into_monomials_times_cofactors():
             not any(map(p.depends_on, slots)))
 
 
-def test_shift_recenters_exactly():
-    rng = random.Random(7)
-    for _ in range(15):
-        f = rand_poly(rng, 2)
-        c = rand_point(rng, 2)
-        g = f.shift(c)
-        v = rand_point(rng, 2)
-        moved = [a + b for a, b in zip(v.as_tuple(), c.as_tuple())]
-        assert g.eval(v) == f.eval(moved)
-
-
 def test_str_is_deterministic(b1_a):
     assert str(b1_a) == str(b1_a)
     assert "xi2^2" in str(b1_a)
@@ -209,7 +198,7 @@ def test_bracket_equals_field_dotted_into_gradient():
         pt = rand_point(rng, 2)
         lhs = poisson_bracket(f, g).eval(pt)
         hf = hamilton_field(f, pt)
-        grad = gradient_at(g, pt)
+        grad = [g.diff(i).eval(pt) for i in range(g.nvars)]
         assert lhs == sum(a * b for a, b in zip(hf, grad))
 
 
@@ -364,20 +353,43 @@ def test_jet_rejects_nonzero_value():
 
 
 def test_jet_value_at_agrees_with_shifted_symbol(b2_p, base2):
+    # value_at(v) is the quadratic part of b2_p(base2 + v), from sympy
     jet = quadratic_jet(b2_p, base2)
+    expr, syms = to_sympy(b2_p)
+    vs = sp.symbols("v0:6")
+    shifted = sp.Poly(sp.expand(expr.subs(
+        {s: v + sp.Rational(c.numerator, c.denominator)
+         for s, v, c in zip(syms, vs, base2.as_tuple())},
+        simultaneous=True)), vs)
+    quad = sum((c * sp.prod([v ** e for v, e in zip(vs, m)])
+                for m, c in shifted.terms() if sum(m) == 2), sp.Integer(0))
     rng = random.Random(3)
     for _ in range(10):
         v = [Fraction(rng.randint(-3, 3), 4) for _ in range(6)]
-        shifted = b2_p.shift(base2)
-        quad = sum(c * _mono(v, e) for e, c in shifted.terms.items() if sum(e) == 2)
-        assert jet.value_at(v) == quad
+        want = quad.subs({s: sp.Rational(x.numerator, x.denominator)
+                          for s, x in zip(vs, v)})
+        got = jet.value_at(v)
+        assert sp.Rational(got.numerator, got.denominator) == want
 
 
-def _mono(vals, exps):
-    out = Fraction(1)
-    for x, e in zip(vals, exps):
-        out *= x ** e
-    return out
+def test_jet_recentering_builds_only_terms_that_reach_it(monkeypatch):
+    # prod of v_i^2 over the 8 slots at the all-ones point: expanded in
+    # full, 3^8 terms; the recentering keeps only terms whose recentered
+    # slots sum to at most 2, so at most 1 + 8 + 36 at any step
+    sizes = []
+    merge = symbols._merge
+
+    def spy(pairs):
+        out = merge(pairs)
+        sizes.append(len(out))
+        return out
+
+    p = PolySymbol(3, {(2,) * 8: 1})
+    monkeypatch.setattr(symbols, "_merge", spy)
+    with pytest.raises(NotSingular) as exc:
+        quadratic_jet(p, [1] * 8)
+    assert exc.value.value == 1
+    assert 0 < max(sizes) <= 45
 
 
 def test_quadratic_jet_requires_symmetry():
