@@ -96,7 +96,7 @@ def test_float_coefficient_rejected():
 @pytest.mark.parametrize("coeff,message", [
     ("1/0", "$.terms[0].coeff: zero denominator"),
     ("one", "$.terms[0].coeff: not a rational: "),
-])
+], ids=["zero-denominator", "not-a-number"])
 def test_bad_rational_coefficient_is_named(coeff, message):
     doc = minimal_doc([{"coeff": coeff, "exponents": {"xi1": 2}}])
     with pytest.raises(SchemaError) as info:
