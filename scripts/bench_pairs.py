@@ -23,6 +23,13 @@ end-to-end metric, and the pairs the change won (ties count for
 neither).  A gain is claimed only where the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
 interquartile range.
+
+Each workload, seed and metric also gets a no-regression verdict against
+the metric's bound in BENCHMARK.json (a fraction of a median), the first
+that holds of: better (every change run beats every parent run),
+unresolved (either side's interquartile range is wider than the bound
+times its median), worse (the change's median is worse than the
+parent's by more than the bound times the parent's median), ok.
 """
 
 import argparse
@@ -79,9 +86,25 @@ def quartiles(values):
     return [round(q1, 4), round(q2, 4), round(q3, 4)]
 
 
+def verdict(parent, change, better, bound):
+    """better, unresolved, worse or ok: one metric's change runs against
+    its parent runs, under its bound in BENCHMARK.json."""
+    sign = 1 if better == "lower" else -1
+    if all(sign * (p - c) > 0 for p in parent for c in change):
+        return "better"
+    for side in (parent, change):
+        q1, median, q3 = statistics.quantiles(side, n=4, method="inclusive")
+        if q3 - q1 > bound * median:
+            return "unresolved"
+    median = statistics.median(parent)
+    if sign * (statistics.median(change) - median) > bound * median:
+        return "worse"
+    return "ok"
+
+
 def summarize(runs, metrics):
     out = {"pairs": len(runs["parent"])}
-    for name, better in metrics:
+    for name, better, bound in metrics:
         side = {k: [r["end_to_end"][name]["value"] for r in runs[k]]
                 for k in ("parent", "change")}
         sign = 1 if better == "lower" else -1
@@ -96,6 +119,8 @@ def summarize(runs, metrics):
             "gain_by_pair_rule": (wins >= 0.9 * len(runs["parent"])
                                   and sign * (parent[1] - change[1])
                                   > parent[2] - parent[0]),
+            "verdict": verdict(side["parent"], side["change"], better,
+                               bound),
         }
     for key in ("failed", "attempted"):
         out[key] = {k: sum(r[key] for r in runs[k])
@@ -107,7 +132,8 @@ def main(argv=None):
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"])
+               for m in bench["end_to_end"]]
     revs = {"parent": git("rev-parse", "--short", args.parent),
             "change": git("rev-parse", "--short", "HEAD")}
     start = datetime.datetime.now(datetime.timezone.utc)
@@ -147,6 +173,10 @@ def main(argv=None):
         "runs": runs,
     }
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    for key, summary in doc["summary"].items():
+        print("%s: %s" % (key, ", ".join(
+            "%s %s" % (name, summary[name]["verdict"])
+            for name, _, _ in metrics)), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -187,82 +187,67 @@ def _certificate_obj(report, structural) -> dict:
 def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     """classify or certify a parsed symbol file; never raises for
     mathematical failures, which land in the report instead."""
-    base = dict(verb=verb, version=__version__, input_hash=sf.sha256)
-    p = sf.a - PolySymbol.coordinate(sf.d, "tau") ** 2
+    fields = dict(verb=verb, version=__version__, input_hash=sf.sha256)
 
+    def report(status, stage, reason=None):
+        return Report(status=status, stage=stage, reason=reason, **fields)
+
+    p = sf.a - PolySymbol.coordinate(sf.d, "tau") ** 2
     try:
         cl = classify_effective_hyperbolicity(p, sf.base_point)
     except NotSingular as exc:
-        reason = "base point is not a double characteristic: %s" % exc
-        return Report(status="FAILED", reason=reason, stage="singular-check",
-                      **base)
+        return report("FAILED", "singular-check",
+                      "base point is not a double characteristic: %s" % exc)
     except (NoConvergence, DimensionMismatch) as exc:
-        return Report(status="FAILED", reason=str(exc), stage="classify",
-                      **base)
-    cls_obj = _classification_obj(cl)
-
-    if verb == "classify":
-        if cl.effective:
-            status, reason = "NOT_APPLICABLE", "classification only; nothing certified"
-        else:
-            status, reason = "FAILED", "not effectively hyperbolic (tag %s)" % cl.spectrum.tag
-        return Report(status=status, reason=reason, stage="classify",
-                      classification=cls_obj, **base)
-
+        return report("FAILED", "classify", str(exc))
+    fields["classification"] = _classification_obj(cl)
     if not cl.effective:
-        return Report(status="FAILED", stage="classify",
-                      reason="not effectively hyperbolic (tag %s)" % cl.spectrum.tag,
-                      classification=cls_obj, **base)
-
-    if sf.normal_form is None:
-        return Report(status="NOT_APPLICABLE", stage="normal-form",
-                      reason="no normal_form block; nothing to certify",
-                      classification=cls_obj, **base)
+        return report("FAILED", "classify",
+                      "not effectively hyperbolic (tag %s)" % cl.spectrum.tag)
+    if verb == "classify":
+        return report("NOT_APPLICABLE", "classify",
+                      "classification only; nothing certified")
 
     spec = sf.normal_form
+    if spec is None:
+        return report("NOT_APPLICABLE", "normal-form",
+                      "no normal_form block; nothing to certify")
     if sf.base_point != spec.base_point():
-        return Report(status="FAILED", stage="normal-form",
-                      reason="the normal form, time function and scans are "
-                             "centred on (0, 0, 0, e_d); certify needs that "
-                             "base point",
-                      classification=cls_obj, **base)
+        return report("FAILED", "normal-form",
+                      "the normal form, time function and scans are centred "
+                      "on (0, 0, 0, e_d); certify needs that base point")
     if build_normal_form(spec) != sf.a:
-        return Report(status="FAILED", stage="normal-form",
-                      reason="normal_form does not assemble to the given terms",
-                      classification=cls_obj, **base)
+        return report("FAILED", "normal-form",
+                      "normal_form does not assemble to the given terms")
 
     try:
         side = check_side_conditions(spec)
     except ScanTooLarge as exc:
-        return Report(status="FAILED", stage="side-conditions",
-                      reason=str(exc), classification=cls_obj, **base)
-    side_obj = _side_obj(side)
+        return report("FAILED", "side-conditions", str(exc))
+    fields["side_conditions"] = _side_obj(side)
     if not side.ok:
-        return Report(status="FAILED", stage="side-conditions",
-                      reason="; ".join(side.notes) or "side conditions failed",
-                      classification=cls_obj, side_conditions=side_obj, **base)
+        return report("FAILED", "side-conditions",
+                      "; ".join(side.notes) or "side conditions failed")
 
     try:
         cert = construct_time_function(spec, slack=sf.options.slack)
     except ValueError as exc:
-        return Report(status="FAILED", stage="time-function", reason=str(exc),
-                      classification=cls_obj, side_conditions=side_obj, **base)
-    so_far = dict(classification=cls_obj, side_conditions=side_obj,
-                  time_function=_timefn_obj(cert), **base)
+        return report("FAILED", "time-function", str(exc))
+    fields["time_function"] = _timefn_obj(cert)
 
     try:
         cr = certify_region(sf.a, cert.phi, sf.region)
         for est, name, cond in ((cr.c, "c", "a nonzero denominator"),
                                 (cr.kappa, "kappa", "a > 0")):
             if est.n_included == 0:
-                return Report(status="FAILED", stage="verify",
-                              reason="%s is empty: none of the %d grid points "
-                              "has %s" % (name, est.n_total, cond), **so_far)
+                return report("FAILED", "verify",
+                              "%s is empty: none of the %d grid points has "
+                              "%s" % (name, est.n_total, cond))
         structural = check_structural(spec, cert, sf.region)
     except (HessianDegenerate, NoConvergence, DimensionMismatch,
             ScanTooLarge, InvariantViolation) as exc:
-        return Report(status="FAILED", stage="verify", reason=str(exc),
-                      **so_far)
+        return report("FAILED", "verify", str(exc))
+    fields["certificate"] = _certificate_obj(cr, structural)
 
     gates = (
         ("nonnegativity on t >= 0", cr.nonneg.passed),
@@ -272,11 +257,8 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     )
     failing = [name for name, ok in gates if not ok]
     if failing:
-        status, reason = "FAILED", "failed: " + "; ".join(failing)
-    else:
-        status, reason = "CERTIFIED", None
-    return Report(status=status, reason=reason, stage="done",
-                  certificate=_certificate_obj(cr, structural), **so_far)
+        return report("FAILED", "done", "failed: " + "; ".join(failing))
+    return report("CERTIFIED", "done")
 
 
 def exit_code(report: Report) -> int:
@@ -501,8 +483,7 @@ def _run_minimize(sf: SymbolFile, args) -> int:
     try:
         theta = eq.pinned_theta(args.theta_t, zx, zxi, x_p=xp)
         res = minimize_Q(eq, theta)
-    except (DimensionMismatch, ValueError, HessianDegenerate,
-            NoConvergence) as exc:
+    except (ValueError, HessianDegenerate, NoConvergence) as exc:
         sys.stderr.write("minimize failed: %s\n" % exc)
         return 1
     return _write(_dumps({

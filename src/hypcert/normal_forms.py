@@ -569,10 +569,6 @@ class ExtendedQ:
             total = total / self.divisor(pt)
         return total
 
-    def theta0_value(self, w):
-        """Q(w, 0), the quadratic in w with the base values as weights."""
-        return self.value(w, self.theta_zero())
-
     def theta0_minimizer(self):
         """Exact minimizer and minimum of Q(., 0): the springs in series
         of the module docstring."""

@@ -42,14 +42,6 @@ class NoConvergence(RuntimeError):
     """An iteration (root-finding, Newton) failed to converge."""
 
 
-class NonPositiveInput(ValueError):
-    """Chain / elliptic coefficients must be strictly positive."""
-
-
-class InexactTrace(ArithmeticError):
-    """An integer Faddeev-LeVerrier trace was not divisible by its step."""
-
-
 def _refuse_size(n: int) -> None:
     if n > MAX_SIZE:
         raise DimensionMismatch(
@@ -98,8 +90,8 @@ def charpoly_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, ...]:
         trace = sum(mk[i][i] for i in range(n))
         ck, rem = divmod(-trace, k)
         if rem:
-            raise InexactTrace("step %d: trace %d is not divisible by %d"
-                               % (k, trace, k))
+            raise ArithmeticError("step %d: trace %d is not divisible by %d"
+                                  % (k, trace, k))
         coeffs.append(ck)
         for i in range(n):
             mk[i][i] += ck
@@ -130,11 +122,14 @@ def _deflated_mu(coeffs: Sequence[Fraction]) -> Tuple[Tuple[Fraction, ...], int]
 
 def _eigenvalues(mu: Sequence[Fraction], zero_pairs: int) -> Tuple[complex, ...]:
     """Float eigenvalues for display: the deflated zero pairs exactly, and
-    +-sqrt of each companion-matrix root of the deflated mu-polynomial."""
+    +-sqrt of each companion-matrix root of the deflated mu-polynomial;
+    none at all when one of its coefficients is past float range."""
     eigs = [0j] * (2 * zero_pairs)
     if len(mu) > 1:
         try:
             roots = np.roots([float(c) for c in mu])
+        except OverflowError:
+            return ()
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("companion-matrix iteration failed") from exc
         for r in roots:
@@ -256,10 +251,10 @@ def classify_effective_hyperbolicity(p: PolySymbol,
     Effective iff the Hamilton map of the quadratic jet has a real
     nonzero eigenvalue, decided exactly (spectrum's tag).  The witness is
     then the displayed eigenvalue with Re > 0 closest to the real axis,
-    ties going to the larger Re; otherwise None.  NotSingular propagates
-    from the jet when `at` is not a double characteristic, and
-    DimensionMismatch, before the jet is built, when the map would exceed
-    MAX_SIZE.
+    ties going to the larger Re; otherwise, or when none is displayed,
+    None.  NotSingular propagates from the jet when `at` is not a double
+    characteristic, and DimensionMismatch, before the jet is built, when
+    the map would exceed MAX_SIZE.
     """
     _refuse_size(p.nvars)
     jet = quadratic_jet(p, at)
@@ -276,10 +271,10 @@ def classify_effective_hyperbolicity(p: PolySymbol,
 def _positive_list(vals, name) -> Tuple[Fraction, ...]:
     out = tuple(as_fraction(v) for v in vals)
     if not out:
-        raise NonPositiveInput("%s must be nonempty" % name)
+        raise ValueError("%s must be nonempty" % name)
     for v in out:
         if v <= 0:
-            raise NonPositiveInput("%s entries must be > 0, got %s" % (name, v))
+            raise ValueError("%s entries must be > 0, got %s" % (name, v))
     return out
 
 

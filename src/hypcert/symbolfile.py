@@ -25,10 +25,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from hypcert.normal_forms import InvariantViolation, NormalFormSpec
+from hypcert.normal_forms import NormalFormSpec
 from hypcert.symbols import (
     CandidateFrame,
-    DimensionMismatch,
     PhasePoint,
     PolySymbol,
     var_index,
@@ -54,10 +53,6 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__("%s: %s" % (path, message))
         self.path = path
-
-
-class DimensionError(SchemaError):
-    """An index or length is inconsistent with the declared dimension."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,7 @@ def _poly(lst, d, path, allow_zero=False) -> PolySymbol:
                 if name == "t" or name == "tau" or \
                         (name[:1] == "x" and name[1:].isdigit()) or \
                         (name[:2] == "xi" and name[2:].isdigit()):
-                    raise DimensionError(ep, "variable out of range for d=%d" % d)
+                    raise SchemaError(ep, "variable out of range for d=%d" % d)
                 raise SchemaError(ep, "unknown variable name")
             exponents[var_index(d, name)] = _int(e, ep, minimum=0)
         pairs.append((exponents, coeff))
@@ -152,8 +147,8 @@ def _point(obj, d, path) -> PhasePoint:
     pt = _dict(obj, path, required=("t", "x", "tau", "xi"))
     for key in ("x", "xi"):
         if not isinstance(pt[key], list) or len(pt[key]) != d:
-            raise DimensionError("%s.%s" % (path, key),
-                                 "expected a list of %d rationals" % d)
+            raise SchemaError("%s.%s" % (path, key),
+                              "expected a list of %d rationals" % d)
     return PhasePoint(
         _rational(pt["t"], path + ".t"),
         tuple(_rational(v, "%s.x[%d]" % (path, i)) for i, v in enumerate(pt["x"])),
@@ -189,7 +184,7 @@ def _normal_form(obj, d, path) -> NormalFormSpec:
         kwargs["g"] = _poly(nf["g"], d, path + ".g", allow_zero=True)
     try:
         return NormalFormSpec(variant=variant, d=d, p=p, q=q, r=r, **kwargs)
-    except (InvariantViolation, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -228,8 +223,8 @@ def _frame(obj, d, base, path) -> CandidateFrame:
                       _poly(pair["Xi"], d, pp + ".Xi", allow_zero=True)))
     try:
         return CandidateFrame(d=d, j_start=j_start, pairs=tuple(pairs), base=base)
-    except (DimensionMismatch, ValueError) as exc:
-        raise DimensionError(path, str(exc)) from exc
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def parse_symbol_data(data: bytes, name: str = "<data>") -> SymbolFile:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb
+from math import comb, log2
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -494,6 +494,15 @@ class QuadraticJet:
         return total
 
 
+def _shown(c: Fraction) -> str:
+    """c exactly, or its sign and size as 2^x where str() refuses it."""
+    try:
+        return str(c)
+    except ValueError:
+        return "%s2^%.1f" % ("-" if c < 0 else "", log2(abs(c.numerator))
+                             - log2(c.denominator))
+
+
 def quadratic_jet(p: PolySymbol, at: Union[PhasePoint, Sequence]) -> QuadraticJet:
     """Exact second order Taylor form of p at a double characteristic.
 
@@ -529,15 +538,15 @@ def quadratic_jet(p: PolySymbol, at: Union[PhasePoint, Sequence]) -> QuadraticJe
     zero_exps = (0,) * n
     c0 = terms.get(zero_exps)
     if c0:
-        raise NotSingular("p does not vanish at the point (value %s)" % c0,
-                          derivative=None, value=c0)
+        raise NotSingular("p does not vanish at the point (value %s)"
+                          % _shown(c0), derivative=None, value=c0)
     for i in range(n):
         key = zero_exps[:i] + (1,) + zero_exps[i + 1:]
         c1 = terms.get(key)
         if c1:
             raise NotSingular(
                 "first derivative in %s is %s at the point, not a double "
-                "characteristic" % (names[i], c1),
+                "characteristic" % (names[i], _shown(c1)),
                 derivative=names[i], value=c1)
     rows = [[_ZERO] * n for _ in range(n)]
     for exps, c in terms.items():

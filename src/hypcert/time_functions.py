@@ -38,22 +38,6 @@ FORM1_LIFT = "form1-lift"
 FORM2_WEIGHTS = "form2-weights"
 
 
-class BbisViolated(ValueError):
-    """sum 1/rbar_i <= 1: the weight construction has no room."""
-
-
-class SlackTooLarge(ValueError):
-    """kappa would reach 1."""
-
-
-class WeightsNotNormalized(ValueError):
-    """weights must sum to exactly 1."""
-
-
-class AlphaMismatch(ValueError):
-    """alpha does not rewrite t - phi as sum alpha_j (x_{j-1} - x_j)."""
-
-
 @dataclass(frozen=True)
 class WeightSelection:
     eps: Tuple[Fraction, ...]
@@ -76,17 +60,17 @@ def epsilon_weights(rbar: Sequence[Number], slack: Number) -> WeightSelection:
     inv = [Fraction(1) / v for v in rb]
     s = sum(inv)
     if s <= 1:
-        raise BbisViolated("sum of inverse weights is %s <= 1" % s)
+        raise ValueError("sum of inverse weights is %s <= 1" % s)
     eps = tuple(v / s for v in inv)
     rho = 1 / s
     kappa = rho + slack / 2
     if kappa >= 1:
-        raise SlackTooLarge("kappa = %s >= 1" % kappa)
+        raise ValueError("kappa = %s >= 1" % kappa)
     return WeightSelection(eps=eps, rho_weight=rho, kappa=kappa)
 
 
 def _check_telescope(phi: PolySymbol, alpha: Sequence[Fraction]) -> None:
-    """Raise AlphaMismatch unless t - phi = sum_j alpha_j (x_{j-1} - x_j)
+    """Raise ValueError unless t - phi = sum_j alpha_j (x_{j-1} - x_j)
     with x_0 = t, as an exact polynomial identity."""
     d = phi.d
     chain = [PolySymbol.coordinate(d, "t")] + [
@@ -94,8 +78,8 @@ def _check_telescope(phi: PolySymbol, alpha: Sequence[Fraction]) -> None:
     rhs = sum((a * (chain[j] - chain[j + 1]) for j, a in enumerate(alpha)),
               PolySymbol.zero(d))
     if chain[0] - phi != rhs:
-        raise AlphaMismatch("alpha (%s) does not rewrite t - phi = %s"
-                            % (", ".join(map(str, alpha)), chain[0] - phi))
+        raise ValueError("alpha (%s) does not rewrite t - phi = %s"
+                         % (", ".join(map(str, alpha)), chain[0] - phi))
 
 
 def alpha_coefficients(eps: Sequence[Number]) -> Tuple[Fraction, ...]:
@@ -103,11 +87,11 @@ def alpha_coefficients(eps: Sequence[Number]) -> Tuple[Fraction, ...]:
     as sum alpha_j (x_{j-1} - x_j) with x_0 = t.
 
     The telescoping identity is checked as an exact polynomial identity
-    before returning (AlphaMismatch if it fails).
+    before returning (ValueError if it fails).
     """
     ep = [as_fraction(v) for v in eps]
     if sum(ep) != 1:
-        raise WeightsNotNormalized("weights sum to %s, not 1" % sum(ep))
+        raise ValueError("weights sum to %s, not 1" % sum(ep))
     d = len(ep)
     alpha = tuple(sum(ep[j:]) for j in range(d))
     phi = sum((e * PolySymbol.coordinate(d, "x%d" % i)
@@ -131,11 +115,11 @@ class TimeFunctionCert:
         if not ok:
             raise ValueError("phi must be xi-homogeneous of degree 0")
         if not 0 < self.kappa_target < 1:
-            raise SlackTooLarge("kappa_target = %s outside (0, 1)"
-                                % self.kappa_target)
+            raise ValueError("kappa_target = %s outside (0, 1)"
+                             % self.kappa_target)
         if self.eps:
             if sum(self.eps) != 1:
-                raise WeightsNotNormalized("weights sum to %s" % sum(self.eps))
+                raise ValueError("weights sum to %s" % sum(self.eps))
             _check_telescope(self.phi, self.alpha)
 
 
@@ -148,7 +132,7 @@ def construct_time_function(spec: NormalFormSpec,
     if spec.variant == "form1":
         kappa = slack / 2
         if kappa >= 1:
-            raise SlackTooLarge("kappa = %s >= 1" % kappa)
+            raise ValueError("kappa = %s >= 1" % kappa)
         return TimeFunctionCert(phi=spec.phi, branch=FORM1_LIFT,
                                 kappa_target=kappa, slack=slack)
     sel = epsilon_weights(spec.r_bars(), slack)

@@ -346,6 +346,150 @@ def test_oversized_dimension_fails_at_classify(verb, tmp_path, capsys):
     assert "66 x 66" in rep["reason"]
 
 
+def _term(coeff, **exponents):
+    return {"coeff": coeff, "exponents": exponents}
+
+
+@pytest.mark.parametrize("verb", ["classify", "certify"])
+def test_huge_jet_value_fails_at_singular_check(verb, tmp_path, capsys):
+    # (3/2)^1000000 has more digits than str() prints: the reason gives
+    # its size instead of a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "schema": 1, "d": 1, "terms": [_term("1", t=2),
+                                       _term("1", x1=1000000)],
+        "base_point": {"t": "0", "x": ["3/2"], "tau": "0", "xi": ["1"]}}))
+    out = tmp_path / "rep.json"
+    assert main([verb, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_bytes())
+    assert (rep["status"], rep["stage"]) == ("FAILED", "singular-check")
+    assert rep["reason"] == ("base point is not a double characteristic: p "
+                             "does not vanish at the point (value "
+                             "2^584962.5)")
+
+
+def test_mu_past_float_range_displays_no_eigenvalues(tmp_path, capsys):
+    # a = t^2 + x1^3000 (x1 - 3/2)^2 - xi1^2 at x1 = 3/2: the mu roots are
+    # 1 and (3/2)^3000, about 10^528, past float range; the verdict and
+    # the tag stay exact, and no eigenvalue is displayed
+    path = tmp_path / "huge_mu.json"
+    path.write_text(json.dumps({
+        "schema": 1, "d": 1,
+        "terms": [_term("1", t=2), _term("1", x1=3002),
+                  _term("-3", x1=3001), _term("9/4", x1=3000),
+                  _term("-1", xi1=2)],
+        "base_point": {"t": "0", "x": ["3/2"], "tau": "0", "xi": ["0"]}}))
+    out = tmp_path / "rep.json"
+    assert main(["classify", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_bytes())
+    assert rep["status"] == "NOT_APPLICABLE"
+    assert rep["classification"] == {"effective": True, "witness": None,
+                                     "tag": "real-pair-present",
+                                     "eigenvalues": []}
+
+
+def _spec_file(spec, grid):
+    """The symbol file of a normal form at its base point, at grid."""
+    return serialize_symbol_file(SymbolFile(
+        schema=1, d=spec.d, base_point=PhasePoint.base(spec.d),
+        a=normal_forms.build_normal_form(spec), region=Region(grid=grid),
+        options=Options(slack=Fraction(1, 100)), normal_form=spec))
+
+
+def exit_inputs():
+    """(verb, symbol file bytes, flags) for each way out of run_pipeline
+    that a symbol file or a flag reaches."""
+    t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
+
+    def fixture(name):
+        return (FIXTURES / ("%s.json" % name)).read_bytes()
+
+    def doc(d):
+        return json.dumps(d).encode("utf-8")
+
+    other_base = fixture_doc("b1")
+    other_base["base_point"]["xi"] = ["5", "1"]
+    unassembled = fixture_doc("b2")
+    unassembled["terms"].append(_term("1", x1=4, xi2=2))
+    return {
+        "singular-check": ("certify", fixture("nonsingular"), []),
+        "classify-refused": ("classify", doc(
+            {"schema": 1, "d": 32, "terms": [_term("1", t=2)]}), []),
+        "classify-effective": ("classify", fixture("b2"), []),
+        "classify-not-effective": ("classify", fixture("b2_bbis2"), []),
+        "not-effective": ("certify", fixture("b2_bbis2"), []),
+        "no-normal-form": ("certify", doc(SMALL_PAIR_DOC), []),
+        "other-base-point": ("certify", doc(other_base), ["--grid", "5"]),
+        "unassembled": ("certify", doc(unassembled), ["--grid", "5"]),
+        "side-conditions-refused": ("certify", _spec_file(NormalFormSpec(
+            variant="form1", d=2, p=0, q=(xi2 ** 2,), r=(), phi=x1,
+            psi=Fraction(1, 3 ** 40) * x1 ** 3), 5), []),
+        "side-conditions": ("certify", _spec_file(NormalFormSpec(
+            variant="form1", d=2, p=0, q=(xi2 ** 2,), r=(), phi=x1,
+            psi=-x1 ** 3), 5), []),
+        "time-function": ("certify", fixture("b2"), ["--slack", "2"]),
+        "verify-refused": ("certify", fixture("b2"), ["--grid", "10000000"]),
+        "verify-vanishing-factor": ("certify", _spec_file(NormalFormSpec(
+            variant="form2", d=2, p=1, q=(xi2 ** 2,),
+            r=(Fraction(1, 2) - 16 * x2,), g=x1 ** 3 * xi2 ** 2), 9), []),
+        "gates": ("certify", fixture("b1"),
+                  ["--region", "1,2,1", "--grid", "5"]),
+        "certified": ("certify", fixture("b2"), ["--grid", "5"]),
+    }
+
+
+# (exit code, sha256 of the JSON report) of each input of exit_inputs()
+EXIT_DIGESTS = {
+    "certified":
+        (0, "fd629c4914b2cb9a4e1ad22cc6a8f257806208d1b89aea9b9db621c3504f8465"),
+    "classify-effective":
+        (0, "eb539db03991cc6ad4b68b1c1de1f6a09934a114107f756a77064fbcc7e68cf2"),
+    "classify-not-effective":
+        (1, "a1136e38a2aed5a5567e5397809e9d5baebe89c9898c7be67b1d3a8c29160326"),
+    "classify-refused":
+        (1, "8d14212104fbdab2c862057f2fa58b09b62f08698e4cb1aea54d363874d6b309"),
+    "gates":
+        (1, "2ed53c4bf6450818b3066d4d17e23c4fb4486bcdff6b8b6db34904bbb3a00b2d"),
+    "no-normal-form":
+        (1, "9e6edeb53d1af02f2082a2bef340577a08ee4ce08d5083c1ac7ced03702bc8fd"),
+    "not-effective":
+        (1, "3e4c85fcd4dbeb816fb17aea8b8dc5052e49baee3c6a4ce2f7c9ce254a8be043"),
+    "other-base-point":
+        (1, "900083bb740b2fa7069ae0dcc0a18b09646135330f3cc7d62286b315066dc3b2"),
+    "side-conditions":
+        (1, "c76b02e18588e8c07341c7e03a109b75463e7ec71eb913e00df503c4ee6eecb8"),
+    "side-conditions-refused":
+        (1, "a38f010db5a95308a1aac9dcac9fbcb5bac94ea0822fcb350ea81ad090d462fd"),
+    "singular-check":
+        (1, "a028414d99f7b9e4d73a8ee679e9ba2a3fd7d538a29f5b83e62275784aa3458f"),
+    "time-function":
+        (1, "c42a958f50a01a9e9b1d8520fd575c8543e026cea2abed373ece73679a0d8239"),
+    "unassembled":
+        (1, "73179715ec3c526fc2b505259e06ebf084e7c307460d299c4cc99af082cc0dd8"),
+    "verify-refused":
+        (1, "bcaec062e43989ccf925c2fe3c67d91eb3405dab8db5724e6b05f318abb8e4c2"),
+    "verify-vanishing-factor":
+        (1, "6bff781cde701b8c8933eca07c0a85340c15c814a5b56f5c2fd7285cf2c2a08d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_DIGESTS))
+def test_pipeline_exit_bytes_frozen(name, tmp_path, capsys):
+    verb, data, flags = exit_inputs()[name]
+    path, out = tmp_path / "in.json", tmp_path / "rep.json"
+    path.write_bytes(data)
+    code = main([verb, str(path), *flags, "--out", str(out)])
+    assert capsys.readouterr().err == ""
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert (code, digest) == EXIT_DIGESTS[name]
+
+
+def test_every_pipeline_exit_is_frozen():
+    assert sorted(exit_inputs()) == sorted(EXIT_DIGESTS)
+
+
 def test_statuses_and_exit_codes_have_no_band():
     assert cli.STATUSES == ("CERTIFIED", "FAILED", "NOT_APPLICABLE")
     assert {exit_code(Report(status=st, verb=verb, version="0",

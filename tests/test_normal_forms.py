@@ -318,7 +318,6 @@ def test_b2_theta0_profile():
     assert Q.w_dim == 1
     for eta in (F(0), F(1, 3), F(-2), F(7)):
         want = 1 + F(1, 2) * eta ** 2
-        assert Q.theta0_value((eta,)) == want
         assert Q.value((eta,), Q.theta_zero()) == want
 
 
@@ -329,7 +328,6 @@ def test_theta0_value_matches_displayed_quadratic():
         y1 = F(rng.randint(-8, 8), 4)
         e1 = F(rng.randint(-8, 8), 4)
         want = F(5, 2) * y1 ** 2 + (y1 + 1) ** 2 + e1 ** 2
-        assert Q.theta0_value((y1, e1)) == want
         assert Q.value((y1, e1), Q.theta_zero()) == want
 
 
@@ -424,7 +422,7 @@ def test_chain_minimum_closed_form(qbar):
     w, m0 = Q.theta0_minimizer()
     assert m0 == qbar / (1 + qbar)
     assert w == (F(-1) / (1 + qbar), F(0))
-    assert Q.theta0_value(w) == m0
+    assert Q.value(w, Q.theta_zero()) == m0
 
 
 def test_b2_minimum_raw_and_normalized():
@@ -455,13 +453,13 @@ def test_minimizer_random_chains():
         Q = qext(spec)
         w, m0 = Q.theta0_minimizer()
         assert m0 == 1 / sum(1 / v for v in spec.q_bars())
-        assert Q.theta0_value(w) == m0
+        assert Q.value(w, Q.theta_zero()) == m0
         assert m0 > 0
         for _ in range(5):  # strict quadratic growth off the minimizer
             v = tuple(F(rng.randint(-6, 6), 8) for _ in range(Q.w_dim))
             if any(v):
                 probe = tuple(a + b for a, b in zip(w, v))
-                assert Q.theta0_value(probe) > m0
+                assert Q.value(probe, Q.theta_zero()) > m0
 
 
 # ----------------------------------------------- deep chains, frozen bits
@@ -902,7 +900,7 @@ def test_relative_stability_half(make):
         raw = [rng.uniform(-1, 1) for _ in range(Q.theta_dim)]
         scale = rng.uniform(0, budget) / (sum(map(abs, raw)) or 1.0)
         theta = Q.theta_at([v * scale for v in raw])
-        q0 = float(Q.theta0_value(w))
+        q0 = float(Q.value(w, Q.theta_zero()))
         q = float(Q.value(w, theta))
         assert abs(q - q0) / q0 <= 0.5
 

@@ -1,6 +1,7 @@
 """Checks over the package source as a whole."""
 
 import ast
+import importlib
 import importlib.util
 import json
 import os
@@ -51,6 +52,39 @@ def test_every_export_is_read():
                    for line in lines):
             unread.append(name)
     assert unread == []
+
+
+def _caught_names():
+    """Every name in an except clause of the package, scripts/ and
+    perfbench/ (the attribute of a dotted one)."""
+    paths = sorted(SRC.rglob("*.py"))
+    for folder in ("scripts", "perfbench"):
+        paths += sorted((ROOT / folder).rglob("*.py"))
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                names.update(t.id if isinstance(t, ast.Name) else t.attr
+                              for t in types)
+    return names
+
+
+def test_every_exception_class_is_caught():
+    # an error class that no caller catches tells a caller nothing that
+    # its base class with the same message does not: each one the
+    # package defines must be named in an except clause
+    caught = _caught_names()
+    uncaught = []
+    for name, node in _nodes():
+        if isinstance(node, ast.ClassDef):
+            module = importlib.import_module("hypcert." + name[:-3])
+            cls = getattr(module, node.name, None)
+            if (isinstance(cls, type) and issubclass(cls, BaseException)
+                    and node.name not in caught):
+                uncaught.append(node.name)
+    assert uncaught == []
 
 
 def test_certify_does_not_load_openssl(tmp_path):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from hypcert import NormalFormSpec, PhasePoint, PolySymbol, Region
 from hypcert.symbolfile import (
-    DimensionError,
     Options,
     ParseError,
     SchemaError,
@@ -105,14 +104,16 @@ def test_bad_rational_coefficient_is_named(coeff, message):
     assert "Fraction(" not in str(info.value)
 
 
-@pytest.mark.parametrize("name,err", [
-    ("x3", DimensionError), ("xi9", DimensionError),
-    ("y1", SchemaError), ("zeta", SchemaError),
-])
-def test_exponent_variable_names(name, err):
+@pytest.mark.parametrize("name,message", [
+    ("x3", "variable out of range for d=2"),
+    ("xi9", "variable out of range for d=2"),
+    ("y1", "unknown variable name"), ("zeta", "unknown variable name"),
+], ids=["x3", "xi9", "y1", "zeta"])
+def test_exponent_variable_names(name, message):
     doc = minimal_doc([{"coeff": "1", "exponents": {name: 2}}])
-    with pytest.raises(err):
+    with pytest.raises(SchemaError) as info:
         parse_symbol_data(doc_bytes(doc))
+    assert str(info.value) == "$.terms[0].exponents.%s: %s" % (name, message)
 
 
 def test_unknown_keys_rejected_everywhere():
@@ -157,7 +158,8 @@ def test_schema_version_enforced():
 def test_base_point_dimension_checked():
     doc = minimal_doc()
     doc["base_point"] = {"t": "0", "x": ["0"], "tau": "0", "xi": ["0", "1"]}
-    with pytest.raises(DimensionError):
+    with pytest.raises(SchemaError, match=r"^\$\.base_point\.x: expected "
+                       r"a list of 2 rationals$"):
         parse_symbol_data(doc_bytes(doc))
 
 
@@ -205,7 +207,8 @@ def test_frame_block_parses():
     sf = parse_symbol_data(doc_bytes(doc))
     assert sf.frame is not None and sf.frame.j_start == 2
     doc["frame"]["j_start"] = 1  # now one pair is missing
-    with pytest.raises(DimensionError):
+    with pytest.raises(SchemaError, match=r"^\$\.frame: expected 2 pairs "
+                       r"for j = 1\.\.2, got 1$"):
         parse_symbol_data(doc_bytes(doc))
 
 

@@ -352,6 +352,19 @@ def test_jet_rejects_nonzero_value():
     assert exc.value.value == 1
 
 
+def test_jet_refusal_prints_a_huge_value_by_its_size():
+    # -(3/2)^1000000 has more digits than str() prints: the message gives
+    # its sign and size, and the exception keeps the exact value
+    t, (x1,), tau, (xi1,) = phase_variables(1)
+    at = PhasePoint(0, (Fraction(3, 2),), 0, (0,))
+    with pytest.raises(NotSingular) as exc:
+        quadratic_jet(t ** 2 - x1 ** 1000000 * xi1, at)
+    assert exc.value.derivative == "xi1"
+    assert exc.value.value == -Fraction(3, 2) ** 1000000
+    assert str(exc.value) == ("first derivative in xi1 is -2^584962.5 at "
+                              "the point, not a double characteristic")
+
+
 def test_jet_value_at_agrees_with_shifted_symbol(b2_p, base2):
     # value_at(v) is the quadratic part of b2_p(base2 + v), from sympy
     jet = quadratic_jet(b2_p, base2)
