@@ -29,7 +29,9 @@ the metric's bound in BENCHMARK.json (a fraction of a median), the first
 that holds of: better (every change run beats every parent run),
 unresolved (either side's interquartile range is wider than the bound
 times its median), worse (the change's median is worse than the
-parent's by more than the bound times the parent's median), ok.
+parent's by more than the bound times the parent's median), ok.  Each
+metric's summary gives both sides' interquartile range over median, so
+an unresolved verdict shows which side's spread passed the bound.
 """
 
 import argparse
@@ -86,16 +88,20 @@ def quartiles(values):
     return [round(q1, 4), round(q2, 4), round(q3, 4)]
 
 
+def spread(values):
+    """Interquartile range over median."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return (q3 - q1) / median
+
+
 def verdict(parent, change, better, bound):
     """better, unresolved, worse or ok: one metric's change runs against
     its parent runs, under its bound in BENCHMARK.json."""
     sign = 1 if better == "lower" else -1
     if all(sign * (p - c) > 0 for p in parent for c in change):
         return "better"
-    for side in (parent, change):
-        q1, median, q3 = statistics.quantiles(side, n=4, method="inclusive")
-        if q3 - q1 > bound * median:
-            return "unresolved"
+    if spread(parent) > bound or spread(change) > bound:
+        return "unresolved"
     median = statistics.median(parent)
     if sign * (statistics.median(change) - median) > bound * median:
         return "worse"
@@ -114,6 +120,8 @@ def summarize(runs, metrics):
         out[name] = {
             "parent_q1_median_q3": parent,
             "change_q1_median_q3": change,
+            "parent_iqr_over_median": round(spread(side["parent"]), 4),
+            "change_iqr_over_median": round(spread(side["change"]), 4),
             "change_better_pairs": wins,
             "median_ratio_change_over_parent": round(change[1] / parent[1], 4),
             "gain_by_pair_rule": (wins >= 0.9 * len(runs["parent"])
@@ -176,7 +184,11 @@ def main(argv=None):
     for key, summary in doc["summary"].items():
         print("%s: %s" % (key, ", ".join(
             "%s %s" % (name, summary[name]["verdict"])
-            for name, _, _ in metrics)), file=sys.stderr)
+            + (" (IQR/median parent %s, change %s; bound %s)"
+               % (summary[name]["parent_iqr_over_median"],
+                  summary[name]["change_iqr_over_median"], bound)
+               if summary[name]["verdict"] == "unresolved" else "")
+            for name, _, bound in metrics)), file=sys.stderr)
 
 
 if __name__ == "__main__":

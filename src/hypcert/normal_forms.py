@@ -710,40 +710,6 @@ class ExtendedQ:
               - rg[:, None] * qg[None]) / rv
         return q, qg, qh
 
-    def theta_directional_derivative(self, w, theta: Theta, dtheta: Theta):
-        """d/ds Q(w, theta + s dtheta) at s = 0, w held fixed."""
-        ys, etas = self._split(w)
-        pt = [float(v) for v in self.substituted_point(w, theta)]
-        d, p = self.spec.d, self.spec.p
-        vel = [0.0] * (2 * (d + 1))
-        vel[0] = anchor = float(dtheta.t)
-        for k in range(d - p):
-            vel[p + 1 + k] = float(dtheta.z_x[k])
-            vel[d + 2 + p + k] = float(dtheta.z_xi[k])
-        if self.spec.variant == "form2":
-            anchor = vel[p] = float(dtheta.x_p or 0)
-        self._move(vel, w, anchor, float(dtheta.eps),
-                   lambda v: float(self.cutoff.scaled(v)))
-
-        def directional(first):
-            return sum(first[i].eval(pt) * vel[i]
-                       for i in range(2 * (d + 1)) if vel[i] != 0.0)
-
-        num = 0.0
-        numdot = 0.0
-        for (pref, _, _), (sym, first, _) in zip(
-                self._prefactors(ys, etas), self._derivatives):
-            pv = float(pref)
-            if pv == 0.0:
-                continue
-            num += pv * sym.eval(pt)
-            numdot += pv * directional(first)
-        if self.mode == "raw":
-            return numdot
-        rv = self.divisor(pt)
-        rdot = directional(self._derivatives[-1][1])
-        return (numdot - (num / rv) * rdot) / rv
-
 
 def build_extended_Q(spec: NormalFormSpec, cutoff: Cutoff,
                      mode: str = "raw") -> ExtendedQ:

@@ -31,7 +31,6 @@ from hypcert.symbols import (
     PhasePoint,
     PolySymbol,
     QuadraticJet,
-    as_fraction,
     quadratic_jet,
 )
 
@@ -240,8 +239,6 @@ class Classification:
     effective: bool
     witness: Optional[complex]
     spectrum: Spectrum
-    map: Tuple[Tuple[Fraction, ...], ...]
-    jet: QuadraticJet
 
 
 def classify_effective_hyperbolicity(p: PolySymbol,
@@ -257,86 +254,11 @@ def classify_effective_hyperbolicity(p: PolySymbol,
     the map would exceed MAX_SIZE.
     """
     _refuse_size(p.nvars)
-    jet = quadratic_jet(p, at)
-    F = hamilton_map(jet)
-    spec = spectrum(F)
+    spec = spectrum(hamilton_map(quadratic_jet(p, at)))
     witness = None
     if spec.has_real_pair:
         witness = min((z for z in spec.eigenvalues if z.real > 0),
                       key=lambda z: (abs(z.imag), -z.real), default=None)
     return Classification(effective=spec.has_real_pair, witness=witness,
-                          spectrum=spec, map=F, jet=jet)
+                          spectrum=spec)
 
-
-def _positive_list(vals, name) -> Tuple[Fraction, ...]:
-    out = tuple(as_fraction(v) for v in vals)
-    if not out:
-        raise ValueError("%s must be nonempty" % name)
-    for v in out:
-        if v <= 0:
-            raise ValueError("%s entries must be > 0, got %s" % (name, v))
-    return out
-
-
-def psi_zero(qbar: Sequence, rbar: Sequence) -> Fraction:
-    """Constant term (up to positive normalization) of the reduced
-    characteristic polynomial of the chain model:
-
-        -(prod_j 4 qbar_j)(prod_j rbar_j)(sum_j 1/rbar_j - 1).
-
-    Negative exactly when sum_j 1/rbar_j > 1; only the sign is ever used
-    for classification.
-    """
-    q = _positive_list(qbar, "qbar")
-    r = _positive_list(rbar, "rbar")
-    if len(q) != len(r):
-        raise DimensionMismatch("qbar and rbar must have equal length")
-    prod = Fraction(1)
-    for v in q:
-        prod *= 4 * v
-    for v in r:
-        prod *= v
-    return -prod * (sum(Fraction(1) / v for v in r) - 1)
-
-
-def chain_quadratic_jet(qbar: Sequence, rbar: Sequence) -> QuadraticJet:
-    """Jet of -tau^2 + sum qbar_i (x_{i-1} - x_i)^2 + sum rbar_i xi_i^2
-    with x_0 = t, on the p + 1 conjugate pairs (t, tau), (x_i, xi_i)."""
-    q = _positive_list(qbar, "qbar")
-    r = _positive_list(rbar, "rbar")
-    if len(q) != len(r):
-        raise DimensionMismatch("qbar and rbar must have equal length")
-    p = len(q)
-    n = 2 * (p + 1)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, qi in enumerate(q, start=1):
-        a, b = i - 1, i
-        rows[a][a] += qi
-        rows[b][b] += qi
-        rows[a][b] -= qi
-        rows[b][a] -= qi
-    rows[p + 1][p + 1] = Fraction(-1)
-    for i, ri in enumerate(r, start=1):
-        rows[p + 1 + i][p + 1 + i] = ri
-    return QuadraticJet(p, tuple(tuple(row) for row in rows))
-
-
-@dataclass(frozen=True)
-class SignEquivalence:
-    sign_psi: int
-    has_real_eig: bool
-    agree: bool
-    psi: Fraction
-    spectrum: Spectrum
-
-
-def psi_zero_sign_equivalence(qbar: Sequence, rbar: Sequence) -> SignEquivalence:
-    """Check sign(psi_zero) < 0 against real-eigenvalue presence for the
-    chain model built from (qbar, rbar).  The boundary sign 0 agrees with
-    the no-real-pair verdict."""
-    psi = psi_zero(qbar, rbar)
-    spec = spectrum(hamilton_map(chain_quadratic_jet(qbar, rbar)))
-    sign = (psi > 0) - (psi < 0)
-    has_real = spec.has_real_pair
-    return SignEquivalence(sign_psi=sign, has_real_eig=has_real,
-                           agree=(sign < 0) == has_real, psi=psi, spectrum=spec)

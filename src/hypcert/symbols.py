@@ -417,26 +417,6 @@ def poisson_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     return out
 
 
-def hamilton_field(f: PolySymbol, at: Union[PhasePoint, Sequence]) -> Tuple[Fraction, ...]:
-    """H_f = (f_tau, f_xi, -f_t, -f_x) evaluated at a point.
-
-    The returned tuple follows the coordinate order (t, x, tau, xi):
-    slot 0 holds f_tau, slots 1..d hold f_{xi_j}, slot d+1 holds -f_t and
-    slots d+2..2d+1 hold -f_{x_j}.
-    """
-    d = f.d
-    pt = at if isinstance(at, PhasePoint) else PhasePoint.from_sequence(d, at)
-    if pt.d != d:
-        raise DimensionMismatch("point dimension %d for symbol with d=%d" % (pt.d, d))
-    vec = [f.diff(d + 1).eval(pt)]
-    for j in range(1, d + 1):
-        vec.append(f.diff(d + 1 + j).eval(pt))
-    vec.append(-f.diff(0).eval(pt))
-    for j in range(1, d + 1):
-        vec.append(-f.diff(j).eval(pt))
-    return tuple(vec)
-
-
 def homogeneity_check(f: PolySymbol, m: int) -> Tuple[bool, PolySymbol]:
     """Euler test in xi: is sum_j xi_j f_{xi_j} - m f identically zero?
 
@@ -482,17 +462,6 @@ class QuadraticJet:
     def size(self) -> int:
         return 2 * (self.d + 1)
 
-    def value_at(self, v: Sequence) -> Union[Fraction, float]:
-        vals = v.as_tuple() if isinstance(v, PhasePoint) else tuple(v)
-        if len(vals) != self.size:
-            raise DimensionMismatch("vector of length %d for size %d" % (len(vals), self.size))
-        total = _ZERO
-        for i, row in enumerate(self.matrix):
-            for j, m in enumerate(row):
-                if m != 0:
-                    total = total + m * vals[i] * vals[j]
-        return total
-
 
 def _shown(c: Fraction) -> str:
     """c exactly, or its sign and size as 2^x where str() refuses it."""
@@ -508,8 +477,8 @@ def quadratic_jet(p: PolySymbol, at: Union[PhasePoint, Sequence]) -> QuadraticJe
 
     Requires p(at) = 0 and grad p(at) = 0; otherwise NotSingular is raised
     naming the first offending derivative (None for the value itself).
-    The result satisfies value_at(v) = quadratic part of p(at + v), i.e.
-    the matrix is one half of the exact Hessian.
+    The result's v^T M v is the quadratic part of p(at + v), i.e. the
+    matrix is one half of the exact Hessian.
 
     p(at + v) is expanded one slot at a time, each term by the binomial
     theorem, merged in order (_merge), but only as far as the jet reads:
@@ -525,13 +494,21 @@ def quadratic_jet(p: PolySymbol, at: Union[PhasePoint, Sequence]) -> QuadraticJe
     def room(exps):  # the degree left to the slots still to recenter
         return 2 - sum(e for e, f in zip(exps, final) if f)
 
+    def recentered(terms, i, c0):
+        # k from the top down, so one exact power c0^(e - top) is
+        # multiplied up by c0 instead of raised afresh for each k
+        for exps, co in terms.items():
+            e = exps[i]
+            top = min(e, room(exps))
+            power = c0 ** (e - top)
+            for k in range(top, -1, -1):
+                yield exps[:i] + (k,) + exps[i + 1:], co * comb(e, k) * power
+                power *= c0
+
     terms = p.terms
     for i, c0 in enumerate(vals):
         if c0:
-            terms = _merge((exps[:i] + (k,) + exps[i + 1:],
-                            co * comb(exps[i], k) * c0 ** (exps[i] - k))
-                           for exps, co in terms.items()
-                           for k in range(min(exps[i], room(exps)) + 1))
+            terms = _merge(recentered(terms, i, c0))
             final[i] = True
     names = var_names(p.d)
     n = p.nvars

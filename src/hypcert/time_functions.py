@@ -1,4 +1,4 @@
-"""Time functions adapted to each branch and the pointwise criterion.
+"""Time functions adapted to each branch.
 
 For the elliptic-remainder branch the time function is t - sum eps_i x_i
 with weights chosen to minimize sum eps_i^2 rbar_i subject to
@@ -11,8 +11,10 @@ For the remainder-square branch the graph function phi carried by the
 spec is already the time function shift; the double-bracket side
 condition makes the leading contribution vanish, so kappa is slack/2.
 
-The pointwise criterion evaluates the localized quadratic form on the
-backward Hamilton direction of f and asks for a negative value.
+The paper's pointwise criterion, that the localized quadratic form is
+negative on -H_{t - phi}, holds by construction and is not evaluated
+here: phi is free of xi, so -H_{t - phi} has no x component, and the
+form takes the value -1 on it for form1 and rho - 1 < 0 for form2.
 """
 
 from __future__ import annotations
@@ -22,15 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 from hypcert.normal_forms import NormalFormSpec
-from hypcert.symbols import (
-    DimensionMismatch,
-    PhasePoint,
-    PolySymbol,
-    QuadraticJet,
-    as_fraction,
-    hamilton_field,
-    homogeneity_check,
-)
+from hypcert.symbols import PolySymbol, as_fraction, homogeneity_check
 
 Number = Union[int, float, Fraction]
 
@@ -84,20 +78,12 @@ def _check_telescope(phi: PolySymbol, alpha: Sequence[Fraction]) -> None:
 
 def alpha_coefficients(eps: Sequence[Number]) -> Tuple[Fraction, ...]:
     """Tail sums alpha_j = sum_{i=j}^p eps_i, rewriting t - sum eps_i x_i
-    as sum alpha_j (x_{j-1} - x_j) with x_0 = t.
-
-    The telescoping identity is checked as an exact polynomial identity
-    before returning (ValueError if it fails).
-    """
+    as sum alpha_j (x_{j-1} - x_j) with x_0 = t; TimeFunctionCert checks
+    that identity exactly."""
     ep = [as_fraction(v) for v in eps]
     if sum(ep) != 1:
         raise ValueError("weights sum to %s, not 1" % sum(ep))
-    d = len(ep)
-    alpha = tuple(sum(ep[j:]) for j in range(d))
-    phi = sum((e * PolySymbol.coordinate(d, "x%d" % i)
-               for i, e in enumerate(ep, start=1)), PolySymbol.zero(d))
-    _check_telescope(phi, alpha)
-    return alpha
+    return tuple(sum(ep[j:]) for j in range(len(ep)))
 
 
 @dataclass(frozen=True)
@@ -146,21 +132,3 @@ def construct_time_function(spec: NormalFormSpec,
                             eps=sel.eps, rho_weight=sel.rho_weight,
                             alpha=alpha)
 
-
-@dataclass(frozen=True)
-class TimeFunctionCondition:
-    value: Union[Fraction, float]
-    is_time_function: bool
-
-
-def time_function_condition(jet: QuadraticJet, f: PolySymbol,
-                            at: PhasePoint) -> TimeFunctionCondition:
-    """Evaluate the localized form on -H_f(at); negative means f is a
-    time function for the localization."""
-    if f.d != jet.d:
-        raise DimensionMismatch("f has d=%d, jet has d=%d" % (f.d, jet.d))
-    if at.d != jet.d:
-        raise DimensionMismatch("point has d=%d, jet has d=%d" % (at.d, jet.d))
-    direction = [-v for v in hamilton_field(f, at)]
-    value = jet.value_at(direction)
-    return TimeFunctionCondition(value=value, is_time_function=value < 0)

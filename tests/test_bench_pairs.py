@@ -64,3 +64,18 @@ def test_summary_reads_each_metric_bound():
     loose = bench_pairs.summarize(side, [("m", "lower", 0.25)])
     tight = bench_pairs.summarize(side, [("m", "lower", 0.1)])
     assert (loose["m"]["verdict"], tight["m"]["verdict"]) == ("ok", "worse")
+
+
+def test_summary_names_the_wide_side():
+    # only the change's runs spread past the bound: unresolved, and the
+    # summary's spreads say which side made it so
+    def runs(values):
+        return [{"end_to_end": {"m": {"value": v}}, "failed": 0,
+                 "attempted": 1} for v in values]
+
+    wide = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 2.0]
+    side = {"parent": runs(PARENT), "change": runs(wide)}
+    got = bench_pairs.summarize(side, [("m", "lower", 0.25)])["m"]
+    assert got["verdict"] == "unresolved"
+    assert got["parent_iqr_over_median"] == 0.02
+    assert got["change_iqr_over_median"] == round(1 / 1.5, 4) > 0.25

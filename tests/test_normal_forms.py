@@ -696,13 +696,11 @@ def test_derivatives_taken_once(monkeypatch, mode):
     spec = deep_chain_specs()["form1-p2-d3"]
     Q = qext(spec, mode=mode)
     theta = Q.pinned_theta(F(1, 16), [F(1, 64)], [F(-1, 128)])
-    dtheta = Q.pinned_theta(F(1, 8), [F(1, 32)], [F(1, 32)])
     w = DEEP_W[:Q.w_dim]
 
     def evaluate():
         val, grad, hess = Q.value_grad_hess(w, theta)
-        return repr((val, grad.tolist(), hess.tolist(),
-                     Q.theta_directional_derivative(w, theta, dtheta)))
+        return repr((val, grad.tolist(), hess.tolist()))
 
     first = evaluate()
     calls = []
@@ -841,48 +839,6 @@ def test_grad_vanishes_at_chain_minimizer():
     assert max(abs(g) for g in grad) <= 1e-12
     import numpy as np
     assert np.all(np.linalg.eigvalsh(hess) > 0)
-
-
-@pytest.mark.parametrize("mode", ["raw", "normalized"])
-def test_theta_direction_against_finite_differences(mode):
-    spec = wavy_spec()
-    Q = qext(spec, mode=mode)
-    rng = random.Random(41)
-    for _ in range(6):
-        w = tuple(rng.uniform(-0.4, 0.4) for _ in range(Q.w_dim))
-        theta = rand_theta(rng, Q)
-        dth = Theta(t=rng.uniform(-1, 1),
-                    z_x=(rng.uniform(-1, 1),), z_xi=(rng.uniform(-1, 1),),
-                    eps=rng.uniform(-1, 1))
-        got = Q.theta_directional_derivative(w, theta, dth)
-        h = 1e-6
-
-        def shifted(s):
-            return Theta(t=float(theta.t) + s * dth.t,
-                         z_x=tuple(float(a) + s * b
-                                   for a, b in zip(theta.z_x, dth.z_x)),
-                         z_xi=tuple(float(a) + s * b
-                                    for a, b in zip(theta.z_xi, dth.z_xi)),
-                         eps=float(theta.eps) + s * dth.eps,
-                         x_p=theta.x_p)
-
-        fd = (Q.value(w, shifted(h)) - Q.value(w, shifted(-h))) / (2 * h)
-        assert abs(got - fd) <= 2e-4 * (1 + abs(fd))
-
-
-def test_theta_direction_form2_xp_slot():
-    Q = qext(b2_spec())
-    w = (0.3,)
-    theta = Q.pinned_theta(F(1, 16), (F(1, 32),), (F(1, 64),), x_p=F(1, 32))
-    dth = Theta(t=0.0, z_x=(0.0,), z_xi=(0.0,), eps=0.0, x_p=1.0)
-    got = Q.theta_directional_derivative(w, theta, dth)
-    h = 1e-6
-    up = Theta(t=theta.t, z_x=theta.z_x, z_xi=theta.z_xi, eps=theta.eps,
-               x_p=float(theta.x_p) + h)
-    dn = Theta(t=theta.t, z_x=theta.z_x, z_xi=theta.z_xi, eps=theta.eps,
-               x_p=float(theta.x_p) - h)
-    fd = (Q.value(w, up) - Q.value(w, dn)) / (2 * h)
-    assert abs(got - fd) <= 1e-5 * (1 + abs(fd))
 
 
 # ------------------------------------------------- stability and positivity

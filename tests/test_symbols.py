@@ -13,13 +13,13 @@ from hypcert.symbols import (
     PolySymbol,
     QuadraticJet,
     check_frame,
-    hamilton_field,
     homogeneity_check,
     phase_variables,
     poisson_bracket,
     quadratic_jet,
     var_names,
 )
+from oracles import hamilton_field, value_at
 
 
 def to_sympy(p):
@@ -366,7 +366,7 @@ def test_jet_refusal_prints_a_huge_value_by_its_size():
 
 
 def test_jet_value_at_agrees_with_shifted_symbol(b2_p, base2):
-    # value_at(v) is the quadratic part of b2_p(base2 + v), from sympy
+    # v^T M v is the quadratic part of b2_p(base2 + v), from sympy
     jet = quadratic_jet(b2_p, base2)
     expr, syms = to_sympy(b2_p)
     vs = sp.symbols("v0:6")
@@ -381,7 +381,7 @@ def test_jet_value_at_agrees_with_shifted_symbol(b2_p, base2):
         v = [Fraction(rng.randint(-3, 3), 4) for _ in range(6)]
         want = quad.subs({s: sp.Rational(x.numerator, x.denominator)
                           for s, x in zip(vs, v)})
-        got = jet.value_at(v)
+        got = value_at(jet, v)
         assert sp.Rational(got.numerator, got.denominator) == want
 
 

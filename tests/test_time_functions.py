@@ -20,12 +20,17 @@ from hypcert import (
     epsilon_weights,
     build_normal_form,
     phase_variables,
+    parse_symbol_file,
     poisson_bracket,
     quadratic_jet,
-    time_function_condition,
 )
+from hypcert import time_functions
+from hypcert.cli import run_pipeline
+from oracles import time_function_condition
+from test_normal_forms import deep_chain_specs
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def form2_spec(rbars, d=None):
@@ -200,6 +205,20 @@ def test_cert_alpha_check_survives_optimize_flag():
                                   "rewrite t - phi = -1/2*x2 - 1/2*x1 + t")
 
 
+def test_certify_checks_the_telescope_once(monkeypatch):
+    # form2 builds phi once and TimeFunctionCert checks its rewrite; form1
+    # has no weights to rewrite
+    seen = []
+    check = time_functions._check_telescope
+    monkeypatch.setattr(time_functions, "_check_telescope",
+                        lambda phi, alpha: seen.append(phi) or check(phi, alpha))
+    for name, calls in (("b1", 0), ("b2", 1)):
+        seen.clear()
+        rep = run_pipeline(parse_symbol_file(FIXTURES / ("%s.json" % name)),
+                           "certify")
+        assert rep.status == "CERTIFIED" and len(seen) == calls, name
+
+
 def test_construct_propagates_weight_violation():
     with pytest.raises(ValueError, match=r"^sum of inverse weights is 1 <= 1$"):
         construct_time_function(form2_spec([F(2), F(2)]), F(1, 100))
@@ -240,8 +259,7 @@ def oracle_value(rows, direction):
 def test_condition_b2_jet(b2_p, base2):
     t, xs, tau, xis = phase_variables(2)
     jet = quadratic_jet(b2_p, base2)
-    got = time_function_condition(jet, t - xs[0], base2)
-    assert got.value == F(-1, 2) and got.is_time_function
+    assert time_function_condition(jet, t - xs[0], base2) == F(-1, 2)
     # frozen oracle: direction -H_(t-x1) = (0, 0, 0, +1, -1, 0) in the
     # order (t, x1, x2, tau, xi1, xi2); matrix of -tau^2+(t-x1)^2+(1/2)xi1^2
     rows = [[0] * 6 for _ in range(6)]
@@ -255,15 +273,13 @@ def test_condition_b2_jet(b2_p, base2):
 def test_condition_f_equals_t(b2_p, base2):
     t, xs, tau, xis = phase_variables(2)
     jet = quadratic_jet(b2_p, base2)
-    got = time_function_condition(jet, t, base2)
-    assert got.value == -1 and got.is_time_function
+    assert time_function_condition(jet, t, base2) == -1
 
 
 def test_condition_boundary_case(base2):
     t, xs, tau, xis = phase_variables(2)
     jet = quadratic_jet(-tau ** 2 + xis[0] ** 2, base2)
-    got = time_function_condition(jet, t - xs[0], base2)
-    assert got.value == 0 and not got.is_time_function
+    assert time_function_condition(jet, t - xs[0], base2) == 0
 
 
 def test_condition_dimension_mismatch(b2_p, base2):
@@ -274,3 +290,28 @@ def test_condition_dimension_mismatch(b2_p, base2):
     with pytest.raises(DimensionMismatch):
         time_function_condition(jet, PolySymbol.coordinate(2, "t"),
                                 PhasePoint.base(3))
+
+
+def certified_specs():
+    """b1, b2 and classical as shipped, and the three deep chains."""
+    specs = {name: parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
+             for name in ("b1", "b2", "classical")}
+    specs.update(deep_chain_specs())
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(certified_specs()))
+def test_condition_is_fixed_by_the_branch(name):
+    # phi is free of xi, so -H_(t - phi) = (0, 0, 1, -grad_x phi) has no x
+    # component: the form reads -tau^2 = -1 on it, plus sum r_i eps_i^2 =
+    # rho on the chain xi for form2.  Both are negative for every spec
+    # that construct_time_function accepts (rho < 1), which is why
+    # run_pipeline has no gate on the condition
+    spec = certified_specs()[name]
+    cert = construct_time_function(spec, F(1, 100))
+    t, _, tau, _ = phase_variables(spec.d)
+    base = spec.base_point()
+    jet = quadratic_jet(build_normal_form(spec) - tau ** 2, base)
+    value = time_function_condition(jet, t - cert.phi, base)
+    assert value == (-1 if spec.variant == "form1" else cert.rho_weight - 1)
+    assert value < 0

@@ -410,8 +410,12 @@ def test_envelope_derivative_matches_fd():
 
     base = F(1, 100)
     res = minimize_Q(eq, theta_at(base))
-    dth = Theta(t=0, z_x=(0,), z_xi=(1,), eps=0)
-    env = eq.theta_directional_derivative(res.w_bar, theta_at(base), dth)
+    # dQ/ds at w_bar, w held fixed: Q is a polynomial in s, evaluated
+    # exactly at the rational w_bar, so this difference is exact to
+    # within e^2 times its third derivative
+    w, e = [F(v) for v in res.w_bar], F(1, 10 ** 12)
+    env = float((eq.value(w, theta_at(base + e))
+                 - eq.value(w, theta_at(base - e))) / (2 * e))
     h = F(1, 100000)
     m_plus = minimize_Q(eq, theta_at(base + h), w0=res.w_bar).m
     m_minus = minimize_Q(eq, theta_at(base - h), w0=res.w_bar).m
