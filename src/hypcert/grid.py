@@ -3,14 +3,18 @@
 A TensorGrid axis is a span of exact equally spaced nodes, integer
 multiples of its unit (their gcd; 0 when every node is 0, which counts
 as off the grid), so a grid point is unit * U with an integer U per
-slot; no node is built but a witness.  TensorGrid.integer rescales a
-polynomial to integer coefficients, p(unit * U) = P(U) / D, dropping the
-terms on slots off the grid, and refuses one whose integers could reach
-2^53 (ScanTooLarge): bound(P) = sum |c| max|U|^e.  Below 2^53 float64
-adds and multiplies integers exactly, in any order, and rounds a
-quotient of two correctly, hence monotonely: each scan decision is the
-sign of an exact integer, each reported minimum the exact one correctly
-rounded (a maximum is read as the minimum of the negated values).
+slot; no node is built but a witness.  The set-up is in Python ints:
+each unit is a reduced pair of ints, each index axis first + inc * k in
+ints, and a witness node is one reduced Fraction.  TensorGrid.integer
+rescales a polynomial to integer (int) coefficients, p(unit * U) =
+P(U) / D, each term c unit^e reduced once, dropping the terms on slots
+off the grid, and refuses one whose integers could reach 2^53
+(ScanTooLarge): bound(P) = sum |c| max|U|^e, an exact int.  Below 2^53
+float64 adds and multiplies integers exactly, in any order, and rounds
+a quotient of two correctly, hence monotonely: each scan decision is
+the sign of an exact integer, each reported minimum the exact one
+correctly rounded (a maximum is read as the minimum of the negated
+values).
 
 scan(fn, *polys) evaluates the polynomials on each block and fn(*values)
 returns (values, mask) pairs.  It walks only the axes they depend on: a
@@ -52,6 +56,7 @@ from hypcert.symbols import PhasePoint, PolySymbol
 _BLOCK = 1 << 14
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 EXACT = 1 << 53  # float64 integers are exact below this
+_ZERO = Fraction(0)
 
 
 class ScanTooLarge(ValueError):
@@ -59,10 +64,24 @@ class ScanTooLarge(ValueError):
     EXACT, or a structural check past MAX_THETAS thetas."""
 
 
+def _span(lo, hi, n: int):
+    """(first, inc, den) of n >= 1 equally spaced rationals from lo to hi
+    (lo alone at 1): node k is (first + inc * k) / den, and den > 0 is
+    the least common denominator of the nodes (of lo and the step)."""
+    if n == 1:
+        return lo.numerator, 0, lo.denominator
+    m = math.lcm(lo.denominator, hi.denominator)
+    first = lo.numerator * (m // lo.denominator)
+    inc = hi.numerator * (m // hi.denominator) - first
+    first, den = first * (n - 1), m * (n - 1)
+    g = math.gcd(first, inc, den)
+    return first // g, inc // g, den // g
+
+
 def uniform_axis(lo: Fraction, hi: Fraction, n: int) -> Tuple[Fraction, ...]:
     """n >= 1 equally spaced exact points from lo to hi (lo alone at 1)."""
-    step = (hi - lo) / max(n - 1, 1)
-    return tuple(lo + k * step for k in range(n))
+    first, inc, den = _span(lo, hi, n)
+    return tuple(Fraction(first + inc * k, den) for k in range(n))
 
 
 def check_exact(*bounds: int) -> None:
@@ -115,9 +134,9 @@ class TensorGrid:
     Each axis is a span (slot, (lo, hi, n)): the n nodes of
     uniform_axis(lo, hi, n), lo + k * step, of which only a witness
     point is ever built.  Its unit is gcd(lo, step), the gcd of its
-    nodes, so its index axis is first + inc * k with first = lo / unit
-    and inc = step / unit; on a span whose nodes are all 0 the unit is 0
-    and the index axis 0."""
+    nodes, kept as a reduced pair of ints, so its index axis is first +
+    inc * k with the ints first = lo / unit and inc = step / unit; on a
+    span whose nodes are all 0 the unit is 0 and the index axis 0."""
 
     def __init__(self, d: int, axes):
         self.d = d
@@ -127,44 +146,65 @@ class TensorGrid:
         if self.total > MAX_SCAN_POINTS:
             raise ScanTooLarge("a scan of %d grid points exceeds the budget "
                                "of %d" % (self.total, MAX_SCAN_POINTS))
-        self._units = [Fraction(0)] * (2 * (d + 1))  # a slot off the grid
-        self._umax = [0] * (2 * (d + 1))
-        self._steps, self._float_axes = [], []
+        nslots = 2 * (d + 1)
+        self._units = [(0, 1)] * nslots  # a slot off the grid
+        self._umax = [0] * nslots
+        self._size = [1] * nslots  # the points along each slot's axis
+        self._index, self._float_axes = [], []
         for slot, (lo, hi, n) in axes:
-            lo = Fraction(lo)
-            step = (hi - lo) / (n - 1) if n > 1 else Fraction(0)
-            den = math.lcm(lo.denominator, step.denominator)
-            first, inc = int(lo * den), int(step * den)
+            first, inc, den = _span(lo, hi, n)
             unit = math.gcd(first, inc)  # 0: every node is 0, as off the grid
             if unit:
                 first, inc = first // unit, inc // unit
-            self._units[slot] = Fraction(unit, den)
+                g = math.gcd(unit, den)
+                self._units[slot] = (unit // g, den // g)
             self._umax[slot] = max(abs(first), abs(first + inc * (n - 1)))
-            self._steps.append((lo, step))
+            self._size[slot] = n
+            self._index.append((first, inc))
             self._float_axes.append(
                 np.array([first + inc * k for k in range(n)], float))
 
     def point(self, flat: int) -> PhasePoint:
-        vals = [Fraction(0)] * (2 * (self.d + 1))
-        for slot, (lo, step), k in zip(self.slots, self._steps,
-                                       np.unravel_index(flat, self._lens)):
-            vals[slot] = lo + int(k) * step
+        """The exact grid point of a flat index (C order)."""
+        if not 0 <= flat < self.total:
+            raise ValueError("flat index %d is not on a grid of %d points"
+                             % (flat, self.total))
+        vals = [_ZERO] * (2 * (self.d + 1))
+        for slot, n, (first, inc) in zip(self.slots[::-1], self._lens[::-1],
+                                         self._index[::-1]):
+            flat, k = divmod(flat, n)
+            un, ud = self._units[slot]
+            vals[slot] = Fraction(un * (first + inc * k), ud)
         return PhasePoint.from_sequence(self.d, vals)
 
     def integer(self, *polys: PolySymbol):
         """(P_1, .., P_k, D): integer polynomials over one integer D > 0
         with p_i = P_i(U) / D at every grid point, U its index coordinates;
         refused when D or the bound of a P_i reaches EXACT.  Terms on a
-        slot off the grid, or on a span whose nodes are all 0, drop."""
-        scaled = [{e: math.prod((u ** k for u, k in zip(self._units, e) if k),
-                                start=c)
-                   for e, c in p.terms.items()} for p in polys]
-        den = math.lcm(*(c.denominator for s in scaled for c in s.values()))
-        out = tuple(PolySymbol(self.d, {
-            e: s[e].numerator * (den // s[e].denominator)
-            for e in sorted(s, reverse=True, key=lambda x: math.prod(
-                n for slot, n in zip(self.slots, self._lens) if x[slot]))})
-            for s in scaled)
+        slot off the grid, or on a span whose nodes are all 0, drop.  A
+        term c U^e is c unit^e reduced once, and the terms of each P_i
+        run from those that vary over the most points."""
+        scaled = []
+        for p in polys:
+            terms = []
+            for e, c in p.terms.items():
+                num, den, size = c.numerator, c.denominator, 1
+                for i, k in enumerate(e):
+                    if k:
+                        un, ud = self._units[i]
+                        if not un:
+                            break
+                        num, den = num * un ** k, den * ud ** k
+                        size *= self._size[i]
+                else:
+                    g = math.gcd(num, den)
+                    terms.append((size, e, num // g, den // g))
+            terms.sort(key=lambda term: -term[0])  # stable
+            scaled.append((p, terms))
+        den = math.lcm(*(term[3] for _, terms in scaled for term in terms))
+        out = tuple(p._new((e, num * (den // term_den))
+                           for _, e, num, term_den in terms)
+                    for p, terms in scaled)
         check_exact(den, *map(self.bound, out))
         return out + (den,)
 
@@ -173,8 +213,9 @@ class TensorGrid:
         product or sum of its float evaluation on the grid exceeds, whole
         or split (every max|U| on the slots of a term that integer()
         keeps is at least 1)."""
-        return int(sum(abs(c) * math.prod(m ** k for m, k in
-                                          zip(self._umax, e))
+        umax = self._umax
+        return int(sum(abs(c) * math.prod(umax[i] ** k for i, k in
+                                          enumerate(e) if k)
                        for e, c in poly.terms.items()))
 
     def _blocks(self, walk, *polys: PolySymbol):

@@ -87,8 +87,10 @@ def poly_derivative(coeffs):
 
 
 def _floats(v):
-    """float(v), elementwise for an array (of exact values or floats)."""
-    return v.astype(float) if isinstance(v, np.ndarray) else float(v)
+    """float(v), elementwise for an array (of exact values or floats; a
+    float array is itself)."""
+    return v.astype(float, copy=False) if isinstance(v, np.ndarray) \
+        else float(v)
 
 
 def _stack(values, shape):
@@ -129,6 +131,11 @@ class NormalFormSpec:
 
     def __post_init__(self):
         validate_spec(self)
+
+    @cached_property
+    def _a(self) -> PolySymbol:
+        """The composite a, assembled once per spec."""
+        return _assemble(self)
 
     def base_point(self) -> PhasePoint:
         return PhasePoint.base(self.d)
@@ -227,7 +234,12 @@ def validate_spec(spec: NormalFormSpec) -> None:
 
 
 def build_normal_form(spec: NormalFormSpec) -> PolySymbol:
-    """Assemble the composite a for a validated spec (exact)."""
+    """The composite a of a validated spec (exact), assembled at the
+    first call on the spec and kept with it."""
+    return spec._a
+
+
+def _assemble(spec: NormalFormSpec) -> PolySymbol:
     d, p = spec.d, spec.p
     t, xs, _, xis = phase_variables(d)
     chain = [t] + xs
@@ -329,29 +341,37 @@ _H2 = poly_derivative(_H1)
 
 
 def _piecewise(s, inner, coeffs, outer, odd):
-    """inner(u) on u = |s| <= 1, outer(u) on u >= 2 and the polynomial
-    coeffs in u - 1 between, negated at s < 0 when odd.  Exact on
-    rationals, and elementwise on an array as for a float s."""
+    """The piece on u = |s|, negated at s < 0 when odd: u itself (inner
+    None) or the constant inner on u <= 1, the constant outer on u >= 2,
+    and the polynomial coeffs in u - 1 between.  Exact on rationals, a
+    constant k read as u - u + k to keep the type of u; elementwise on an
+    array as for a float s, with |s| and the masks taken once and the
+    polynomial evaluated only where 1 < u < 2 (or u is nan), and nan at
+    an infinite u on the constant piece, as u - u + k reads there."""
     neg = s < 0
-    if isinstance(s, np.ndarray):
-        u = np.where(neg, -s, s)
-        v, mid = u - 1, np.zeros_like(u)
+    if not isinstance(s, np.ndarray):
+        u = -s if neg else s
+        out = ((u if inner is None else u - u + inner) if u <= 1
+               else u - u + outer if u >= 2 else horner(coeffs, u - 1))
+        return -out if odd and neg else out
+    u = np.where(neg, -s, s)
+    low, high = u <= 1, u >= 2
+    out = np.where(low, u if inner is None else float(inner), float(outer))
+    out[u == np.inf] = np.nan
+    mid = ~(low | high)
+    if mid.any():
+        v, poly = u[mid] - 1, 0.0
         for c in reversed(coeffs):
-            mid = mid * v + c
-        out = np.where(u <= 1, inner(u), np.where(u >= 2, outer(u), mid))
-        return np.where(neg, -out, out) if odd else out
-    u = -s if neg else s
-    out = (inner(u) if u <= 1 else outer(u) if u >= 2
-           else horner(coeffs, u - 1))
-    return -out if odd and neg else out
+            poly = poly * v + c
+        out[mid] = poly
+    return np.where(neg, -out, out) if odd else out
 
 
 @dataclass(frozen=True)
 class Cutoff:
     """Odd C^2 cutoff: chi(s) = s on |s| <= 1, |chi| = 2 on |s| >= 2,
     chi' >= 0, with a quintic transition (integer coefficients, so chi
-    is exact at rational arguments).  The constant pieces are written
-    u - u + k, which keeps the numeric type of s.
+    is exact at rational arguments).
 
     scaled(s) = delta * chi(s / delta) is the identity on |s| <= delta
     and bounded by 2 delta; its j-th derivative is chi^(j)(s/delta) *
@@ -361,14 +381,13 @@ class Cutoff:
     delta: Fraction
 
     def chi(self, s: Number) -> Number:
-        return _piecewise(s, lambda u: u, _H, lambda u: u - u + 2, odd=True)
+        return _piecewise(s, None, _H, 2, odd=True)
 
     def chi_prime(self, s: Number) -> Number:
-        return _piecewise(s, lambda u: u - u + 1, _H1, lambda u: u - u,
-                          odd=False)
+        return _piecewise(s, 1, _H1, 0, odd=False)
 
     def chi_second(self, s: Number) -> Number:
-        return _piecewise(s, lambda u: u - u, _H2, lambda u: u - u, odd=True)
+        return _piecewise(s, 0, _H2, 0, odd=True)
 
     def _delta(self, s):
         """delta, as a float for an array s (a float s rounds it alike)."""
@@ -422,17 +441,47 @@ class Theta:
         return np.broadcast_shapes(*map(np.shape, (
             self.t, *self.z_x, *self.z_xi, self.eps, self.x_p)))
 
-    def map(self, fn) -> "Theta":
-        """The Theta with fn applied to every field."""
-        return Theta(t=fn(self.t), z_x=tuple(map(fn, self.z_x)),
-                     z_xi=tuple(map(fn, self.z_xi)), eps=fn(self.eps),
-                     x_p=None if self.x_p is None else fn(self.x_p))
-
     def entry(self, i) -> "Theta":
         """Theta number i of a batch; for an array of numbers, the batch of
         those thetas in that order (one axis)."""
         shape = self.shape
-        return self.map(lambda v: np.broadcast_to(v, shape).flat[i])
+
+        def at(v):
+            return np.broadcast_to(v, shape).flat[i]
+        return Theta(t=at(self.t), z_x=tuple(map(at, self.z_x)),
+                     z_xi=tuple(map(at, self.z_xi)), eps=at(self.eps),
+                     x_p=None if self.x_p is None else at(self.x_p))
+
+
+@dataclass(frozen=True)
+class _Rounded:
+    """A theta, or a batch of them, as substituted_point reads it: the
+    transverse point with the chain anchor in its slot, and eps, each
+    rounded once to floats from its exact value (the xi_d offset added
+    first).  ExtendedQ._rounded builds it; its thetas are numbered as the
+    Theta's."""
+
+    point: Tuple
+    eps: Number
+
+    @cached_property
+    def shape(self) -> Tuple[int, ...]:
+        return np.broadcast_shapes(*map(np.shape, self.point),
+                                   np.shape(self.eps))
+
+    def map(self, fn) -> "_Rounded":
+        """fn applied to every array."""
+        def at(v):
+            return fn(v) if isinstance(v, np.ndarray) else v
+        return _Rounded(tuple(map(at, self.point)), at(self.eps))
+
+    def entry(self, i) -> "_Rounded":
+        """As Theta.entry."""
+        shape = self.shape
+
+        def at(v):
+            return np.broadcast_to(v, shape).flat[i]
+        return _Rounded(tuple(map(at, self.point)), at(self.eps))
 
 
 @dataclass(frozen=True)
@@ -534,30 +583,45 @@ class ExtendedQ:
         pt[2 * d + 1] = pt[2 * d + 1] + 1  # base covector offset on xi_d
         return pt
 
-    def substituted_point(self, w, theta: Theta):
-        """Full phase point fed to every factor (tau slot stays 0).  For a
-        batch of thetas it is float arrays, rounded from the exact
-        transverse point before w (floats or arrays) moves it."""
-        self._split(w)  # checks the length of w
+    def _anchored_point(self, theta: Theta):
+        """The exact transverse point of theta with the chain anchor (t
+        for form1, x_p for form2) in its slot."""
         k = self.spec.d - self.spec.p
         if len(theta.z_x) != k or len(theta.z_xi) != k:
             raise DimensionMismatch("transverse block must have length %d" % k)
         pt = self._transverse_point(theta.t, theta.z_x, theta.z_xi)
-        anchor, eps = theta.t, theta.eps
         if self.spec.variant == "form2":
             if theta.x_p is None:
                 raise ValueError("form2 theta needs x_p")
-            anchor = pt[self.spec.p] = theta.x_p
-        if isinstance(eps, np.ndarray):
-            pt, anchor, eps = [_floats(v) for v in pt], _floats(anchor), \
-                _floats(eps)
+            pt[self.spec.p] = theta.x_p
+        return pt
+
+    def _rounded(self, theta) -> _Rounded:
+        """theta rounded once to floats (a _Rounded is its own)."""
+        if isinstance(theta, _Rounded):
+            return theta
+        return _Rounded(tuple(map(_floats, self._anchored_point(theta))),
+                        _floats(theta.eps))
+
+    def substituted_point(self, w, theta):
+        """Full phase point fed to every factor (tau slot stays 0).  For a
+        batch of thetas, or a _Rounded, it is float arrays, rounded from
+        the exact transverse point before w (floats or arrays) moves it."""
+        self._split(w)  # checks the length of w
+        if isinstance(theta, Theta) and not isinstance(theta.eps, np.ndarray):
+            pt, eps = self._anchored_point(theta), theta.eps  # one theta
+        else:
+            rounded = self._rounded(theta)
+            pt, eps = list(rounded.point), rounded.eps
+        anchor = pt[0] if self.spec.variant == "form1" else pt[self.spec.p]
         self._move(pt, w, anchor, eps, self.cutoff.scaled)
         return pt
 
     # -- evaluation ------------------------------------------------------
 
-    def value(self, w, theta: Theta):
-        """Q(w, theta); exact when w and theta are rational."""
+    def value(self, w, theta):
+        """Q(w, theta) (a Theta or a _Rounded); exact when w and theta are
+        rational."""
         ys, etas = self._split(w)
         pt = self.substituted_point(w, theta)
         total = 0
@@ -647,11 +711,11 @@ class ExtendedQ:
                 "functional divides by it" % ", ".join(map(str, pt)))
         return value
 
-    def value_grad_hess(self, w, theta: Theta):
+    def value_grad_hess(self, w, theta):
         """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule.  Over a
-        batch of thetas, or for w of arrays (one per theta), each is an
-        array over the batch's shape, after the w axes for the gradient
-        and Hessian."""
+        batch of thetas (a Theta or a _Rounded), or for w of arrays (one
+        per theta), each is an array over the batch's shape, after the w
+        axes for the gradient and Hessian."""
         w_f = [_floats(v) for v in w]
         ys, etas = self._split(w_f)
         pt = [_floats(v) for v in self.substituted_point(w, theta)]

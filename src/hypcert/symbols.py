@@ -96,7 +96,8 @@ class PolySymbol:
     """Sparse polynomial in (t, x, tau, xi) with exact rational coefficients.
 
     Instances are immutable by convention: no method mutates ``terms``.
-    Terms map exponent tuples (length 2*(d+1)) to nonzero Fractions.
+    Terms map exponent tuples (length 2*(d+1)) to nonzero Fractions (to
+    ints in the integer forms that TensorGrid.integer builds).
     Every constructor and arithmetic method builds ``terms`` by one merge
     of (exponents, coefficient) pairs in order (_merge): a pair adds to
     the term with its exponents in place, a zero sum removes the term, and
@@ -132,11 +133,18 @@ class PolySymbol:
         object.__setattr__(self, "terms", _merge(pairs))
         object.__setattr__(self, "_table", None)  # built by the first eval
 
+    @classmethod
+    def _built(cls, d: int, pairs) -> "PolySymbol":
+        """A symbol on d's phase space from pairs the package built."""
+        if d < 0:
+            raise ValueError("dimension must be nonnegative")
+        out = object.__new__(cls)
+        out._set(d, pairs)
+        return out
+
     def _new(self, pairs) -> "PolySymbol":
         """A symbol on this phase space from pairs the package built."""
-        out = object.__new__(PolySymbol)
-        out._set(self.d, pairs)
-        return out
+        return PolySymbol._built(self.d, pairs)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("PolySymbol is immutable")
@@ -153,14 +161,14 @@ class PolySymbol:
 
     @classmethod
     def constant(cls, d: int, c: Coeff) -> "PolySymbol":
-        return cls(d, {(0,) * (2 * (d + 1)): c})
+        return cls._built(d, [((0,) * (2 * (d + 1)), as_fraction(c))])
 
     @classmethod
     def coordinate(cls, d: int, name: str) -> "PolySymbol":
         i = var_index(d, name)
         exps = [0] * (2 * (d + 1))
         exps[i] = 1
-        return cls(d, {tuple(exps): _ONE})
+        return cls._built(d, [(tuple(exps), _ONE)])
 
     # -- basic structure ----------------------------------------------
 
@@ -228,14 +236,13 @@ class PolySymbol:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = PolySymbol.constant(self.d, 1)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return PolySymbol.constant(self.d, 1) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, PolySymbol):
@@ -386,10 +393,10 @@ class PhasePoint:
     @classmethod
     def base(cls, d: int) -> "PhasePoint":
         """The reference double characteristic (t, x, tau, xi) = (0, 0, 0, e_d)."""
-        xi = [Fraction(0)] * d
+        xi = [_ZERO] * d
         if d:
-            xi[-1] = Fraction(1)
-        return cls(Fraction(0), tuple([Fraction(0)] * d), Fraction(0), tuple(xi))
+            xi[-1] = _ONE
+        return cls(_ZERO, (_ZERO,) * d, _ZERO, tuple(xi))
 
     @classmethod
     def from_sequence(cls, d: int, vals: Sequence) -> "PhasePoint":
@@ -406,14 +413,19 @@ class PhasePoint:
 
 
 def poisson_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
-    """{f, g} with the module's convention ({xi1, x1} = +1)."""
+    """{f, g} with the module's convention ({xi1, x1} = +1), summed in
+    the order f_tau g_t - f_t g_tau + f_xi1 g_x1 - f_x1 g_xi1 + ...; a
+    product with a zero factor is skipped, which moves no term."""
     if f.d != g.d:
         raise DimensionMismatch("bracket of symbols with d=%d and d=%d" % (f.d, g.d))
     d = f.d
-    tau = d + 1
-    out = f.diff(tau) * g.diff(0) - f.diff(0) * g.diff(tau)
-    for j in range(1, d + 1):
-        out = out + f.diff(d + 1 + j) * g.diff(j) - f.diff(j) * g.diff(d + 1 + j)
+    out = PolySymbol.zero(d)
+    for j in range(d + 1):  # j = 0 pairs tau with t
+        for k, (i, m) in enumerate(((d + 1 + j, j), (j, d + 1 + j))):
+            fi = f.diff(i)
+            gm = g.diff(m) if fi.terms else fi
+            if gm.terms:
+                out = out - fi * gm if k else out + fi * gm
     return out
 
 

@@ -17,7 +17,9 @@ the caller decides what it means.
 
 check_structural is a stage of its own.  It treats its slow grid of
 thetas as one batch, refused past MAX_THETAS before any is built: exact
-values per axis, broadcast over the grid.  One damped Newton (_newton)
+values per axis, broadcast over the grid, rounded to floats once for
+the Newton, the reconstruction and the boundary, and read exactly again
+only for the two witnesses they report.  One damped Newton (_newton)
 serves that batch and a single theta (minimize_Q, the batch of one):
 every theta starts at the closed-form theta = 0 minimizer, one that
 meets the stop test is frozen, and only the others take a step.  Its
@@ -198,16 +200,19 @@ def minimize_Q(eq: ExtendedQ, theta: Theta,
         grad_norm=float(gn[0]), iterations=int(its[0]))
 
 
-def _newton(eq: ExtendedQ, thetas: Theta, w0=None):
+def _newton(eq: ExtendedQ, thetas, w0=None):
     """Safeguarded damped Newton on grad_w Q = 0 for each theta of a batch
     (shape () for one theta), from the closed-form theta = 0 minimizer (or
     w0), accepting only Q-decreasing steps.  A theta is frozen when it
     meets the stop test, or when no step decreases Q and its Newton
     decrement is below the rounding floor of Q.  An ill-conditioned
     Hessian, a failed line search or the iteration limit names the first
-    failing theta (C order) of the first iteration that has one.  Returns
-    m, w_bar (n, w_dim), the final Hessians (n, w_dim, w_dim), gradient
-    norms and steps taken, for the thetas in C order."""
+    failing theta (C order) of the first iteration that has one.  The
+    thetas (a Theta, or its rounding by ExtendedQ._rounded) are rounded
+    to floats once.  Returns m, w_bar (n, w_dim), the final Hessians (n,
+    w_dim, w_dim), gradient norms and steps taken, for the thetas in C
+    order."""
+    thetas = eq._rounded(thetas)
     shape, nw = thetas.shape, eq.w_dim
     n = math.prod(shape)
     w0 = [float(v) for v in (eq.theta0_minimizer()[0] if w0 is None else w0)]
@@ -226,10 +231,9 @@ def _newton(eq: ExtendedQ, thetas: Theta, w0=None):
 
     for it in range(1, MAX_NEWTON_ITER + 1):
         k = live.size
-        val, grad, hess = (
-            np.broadcast_to(v, lead + sub.shape).reshape(lead + (k,))
-            for v, lead in zip(eq.value_grad_hess(w_live, sub),
-                               ((), (nw,), (nw, nw))))
+        val, grad, hess = (_flat(v, lead, sub.shape, k)
+                           for v, lead in zip(eq.value_grad_hess(w_live, sub),
+                                              ((), (nw,), (nw, nw))))
         # sums over w run in w order, so an entry rounds as its theta
         # alone does; the stop test is |grad_w Q| <= 1e-10 (1 + |Q|)
         gn = np.broadcast_to(np.sqrt(reduce(add, grad * grad, 0.0)), (k,))
@@ -277,6 +281,15 @@ def _newton(eq: ExtendedQ, thetas: Theta, w0=None):
         fail(NoConvergence, 0, "no convergence in %d iterations"
              % MAX_NEWTON_ITER)
     return m, w.T, hess_out, gn_out, its
+
+
+def _flat(v, lead, shape, k: int):
+    """v over lead + the batch shape, the batch flattened to its k
+    entries in C order: a copy only where v broadcasts to it."""
+    v = np.asarray(v)
+    if v.shape != lead + shape:
+        v = np.broadcast_to(v, lead + shape)
+    return v.reshape(lead + (k,))
 
 
 # --------------------------------------------------------------- structural
@@ -367,12 +380,15 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
         np.array(ax, dtype=object).reshape(
             [-1 if i == j else 1 for i in range(len(axes))])
         for j, ax in enumerate(axes)])
-    shape = thetas.shape
-    m1, w_bar = _newton(eq, thetas)[:2]
+    # the batch as floats, once, for the Newton, (i) and (ii); the exact
+    # thetas are read only for the two witnesses
+    rounded = eq._rounded(thetas)
+    shape = rounded.shape
+    m1, w_bar = _newton(eq, rounded)[:2]
     # eps^2 once per distinct eps, as Python's float ** 2 (libm pow), which
     # numpy's square can differ from in the last bit
     eps2 = np.frompyfunc(lambda e: float(e) ** 2, 1, 1)(
-        thetas.eps).astype(float)
+        rounded.eps).astype(float)
 
     # (i) reconstruction floor at the minimizer and N_W seeded w draws per
     # theta, in theta order; blocks of thetas keep their samples within
@@ -395,7 +411,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
         rows = slice(first, first + math.prod(sub))
         pt = eq.substituted_point(
             [samples[rows, :, j].reshape(sub + (per,)) for j in range(nw)],
-            thetas.map(lambda v: _fix(v, slices)))
+            rounded.map(lambda v: _fix(v, slices)))
         ahat = a.eval(pt) / eq.divisor(pt)
         margin = (ahat - m1[rows].reshape(sub + (1,)) * _fix(eps2, slices)
                   - spec.remainder.eval(pt))
@@ -413,7 +429,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
 
     # (ii) t = 0 boundary: m1(0, z) shift^2 + remainder >= 0, with
     # shift = -eps = phi(z) resp. x_p; the t = 0 thetas come first
-    edge = thetas.map(lambda v: v[:1])
+    edge = rounded.map(lambda v: v[:1])
     rem = spec.remainder.eval(eq.substituted_point((0.0,) * nw, edge))
     bnd = np.broadcast_to(m1.reshape(shape)[:1] * eps2[:1] + rem,
                           edge.shape).ravel()

@@ -24,7 +24,7 @@ from hypcert import (
     poisson_bracket,
     quadratic_jet,
 )
-from hypcert import time_functions
+from hypcert import normal_forms, time_functions
 from hypcert.cli import run_pipeline
 from oracles import time_function_condition
 from test_normal_forms import deep_chain_specs
@@ -217,6 +217,20 @@ def test_certify_checks_the_telescope_once(monkeypatch):
         rep = run_pipeline(parse_symbol_file(FIXTURES / ("%s.json" % name)),
                            "certify")
         assert rep.status == "CERTIFIED" and len(seen) == calls, name
+
+
+def test_certify_assembles_a_once(monkeypatch):
+    # the spec assembles a at its first build_normal_form and keeps it:
+    # run_pipeline's assembly check and check_structural read the same a
+    seen = []
+    assemble = normal_forms._assemble
+    monkeypatch.setattr(normal_forms, "_assemble",
+                        lambda spec: seen.append(spec) or assemble(spec))
+    for name in ("b1", "b2", "classical"):
+        seen.clear()
+        rep = run_pipeline(parse_symbol_file(FIXTURES / ("%s.json" % name)),
+                           "certify")
+        assert rep.status == "CERTIFIED" and len(seen) == 1, name
 
 
 def test_construct_propagates_weight_violation():

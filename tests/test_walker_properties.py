@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hypcert import PolySymbol, Region, ScanTooLarge, certify_region
@@ -45,6 +45,15 @@ def grid_nodes(d, spans):
             point[slot] = v
         out.append(point)
     return out
+
+
+def index_max(axis):
+    """max |U| over exact nodes, U = node / gcd(nodes); 0 when every node
+    is 0."""
+    den = math.lcm(*(v.denominator for v in axis))
+    ints = [int(v * den) for v in axis]
+    unit = math.gcd(*ints)
+    return max(abs(i) // unit for i in ints) if unit else 0
 
 
 def nodes(region, d, negative_t=False):
@@ -152,40 +161,67 @@ def span(lo, step, n):
     return lo, lo + max(n - 1, 1) * step, n
 
 
+RATIONAL = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+
+
 @st.composite
 def axes_cases(draw):
-    """d, a polynomial, and a span per slot but tau: steps of either sign
-    or 0, lo = 0 among the draws, one to four points."""
+    """d, two polynomials, and a span per slot but tau: steps of either
+    sign or 0, lo = 0 among the draws, one to four points."""
     d = draw(st.sampled_from([1, 2]))
-    rational = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
-    axes = [(slot, span(draw(rational), draw(rational),
+    axes = [(slot, span(draw(RATIONAL), draw(RATIONAL),
                         draw(st.integers(1, 4))))
             for slot in range(2 * d + 2) if slot != d + 1]
-    return d, axes, draw(polynomials(d, coeff=rational))
+    return d, axes, [draw(polynomials(d, coeff=RATIONAL)) for _ in range(2)]
 
 
 @PROPERTY
 @given(axes_cases(), st.integers(1, 40))
 def test_integer_form_is_exact(case, budget):
-    # P evaluated by the walker on float index coordinates, split over the
-    # blocks of any budget, equals D * p evaluated in Fractions, at every
-    # node, and each witness point is that node
-    d, axes, p = case
+    # each P_i evaluated by the walker on float index coordinates, split
+    # over the blocks of any budget, equals D * p_i evaluated in Fractions,
+    # at every node, and each witness point is that node; D is the least
+    # common denominator, and bound(P_i) is sum |c| max|U|^e over the
+    # exact nodes
+    d, axes, polys = case
     grid = TensorGrid(d, axes)
-    P, D = grid.integer(p)
-    assert all(c.denominator == 1 for c in P.terms.values()) and D > 0
+    *P, D = grid.integer(*polys)
+    coefficients = [c for Pi in P for c in Pi.terms.values()]
+    assert all(c.denominator == 1 for c in coefficients) and D > 0
+    assert math.gcd(D, *coefficients) == 1
+    umax = [0] * (2 * d + 2)  # 0 on a slot off the grid
+    for slot, axis in exact_axes(axes):
+        umax[slot] = index_max(axis)
+    for Pi in P:
+        assert grid.bound(Pi) == sum(
+            abs(c) * math.prod(m ** k for m, k in zip(umax, e))
+            for e, c in Pi.terms.items())
     exact = grid_nodes(d, axes)
     seen = 0
     with mock.patch.object(walker, "_BLOCK", budget):
-        plan = list(grid._blocks(range(len(axes)), P))  # every axis
-    for start, shape, (values,) in plan:
-        got = np.broadcast_to(values, shape).ravel()
-        for k, value in enumerate(got):
-            node = exact[start + k]
-            assert grid.point(start + k).as_tuple() == tuple(node)
-            assert value == D * p.eval(node)
-        seen += got.size
+        plan = list(grid._blocks(range(len(axes)), *P))  # every axis
+    for start, shape, values in plan:
+        for p, v in zip(polys, values):
+            got = np.broadcast_to(v, shape).ravel()
+            for k, value in enumerate(got):
+                node = exact[start + k]
+                assert grid.point(start + k).as_tuple() == tuple(node)
+                assert value == D * p.eval(node)
+        seen += math.prod(shape)
     assert seen == grid.total == len(exact)
+
+
+@PROPERTY
+@given(RATIONAL, RATIONAL, st.integers(1, 6))
+@example(F(0), F(0), 1)
+@example(F(0), F(0), 4)
+@example(F(-3, 4), F(5), 1)
+def test_uniform_axis_is_exact(lo, hi, n):
+    # node k is lo + k (hi - lo) / (n - 1), in Fractions; one node is lo
+    want = ([lo + k * (hi - lo) / (n - 1) for k in range(n)] if n > 1
+            else [lo])
+    got = uniform_axis(lo, hi, n)
+    assert list(got) == want and all(type(v) is F for v in got)
 
 
 def test_scan_past_exact_integers_is_refused():
