@@ -226,9 +226,9 @@ class TensorGrid:
         run axis, whole in every block), evaluated once, and H_m its
         cofactor on the outer axes (the fixed prefix and the run axis),
         evaluated once per block of whole prefixes whose cofactors hold at
-        most _BLOCK values together.  At each prefix the H_m * m of the H_m free of the run
-        axis are summed once, and a block adds the products of each other
-        m with its H_m on the run."""
+        most _BLOCK values together.  At each prefix the H_m * m of the
+        H_m free of the run axis are summed once, and a block adds the
+        products of each other m with its H_m on the run."""
         lens = [self._lens[i] for i in walk] or [1]  # no axis: one point
         split = _plan(lens, _BLOCK)[0]
         rank = len(walk) - split  # the run axis and the inner axes

@@ -47,6 +47,10 @@ acts as the identity the exact algebra
 holds, with remainder psi * q_{p+1}(P) resp. g * r_p(P).  The division
 of Q by the remainder factor (mode "normalized") is what the structural
 reconstruction inequality is stated for.
+
+A Theta is one exact theta.  The structural slow grid is a batch of
+floats (_Rounded) built from the exact nodes of each axis, each entry
+rounded as its theta alone would be.
 """
 
 from __future__ import annotations
@@ -87,8 +91,7 @@ def poly_derivative(coeffs):
 
 
 def _floats(v):
-    """float(v), elementwise for an array (of exact values or floats; a
-    float array is itself)."""
+    """float(v), elementwise for an array (a float array is itself)."""
     return v.astype(float, copy=False) if isinstance(v, np.ndarray) \
         else float(v)
 
@@ -420,15 +423,9 @@ def build_cutoff(delta: Number) -> Cutoff:
 
 @dataclass(frozen=True)
 class Theta:
-    """Slow coordinates of the extended functional: time t, transverse
-    block z = (z_x, z_xi) relative to the base covector, the scale eps,
-    and (form2 only) the raw x_p slot.
-
-    A batch of thetas is one Theta whose fields are numpy arrays of exact
-    values (dtype object) that broadcast together, as ExtendedQ.theta_at
-    gives for axes shaped to broadcast; its thetas are numbered in C order
-    of the broadcast shape.
-    """
+    """Slow coordinates of the extended functional, exact: time t,
+    transverse block z = (z_x, z_xi) relative to the base covector, the
+    scale eps, and (form2 only) the raw x_p slot."""
 
     t: Number
     z_x: Tuple[Number, ...]
@@ -436,30 +433,14 @@ class Theta:
     eps: Number
     x_p: Optional[Number] = None
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return np.broadcast_shapes(*map(np.shape, (
-            self.t, *self.z_x, *self.z_xi, self.eps, self.x_p)))
-
-    def entry(self, i) -> "Theta":
-        """Theta number i of a batch; for an array of numbers, the batch of
-        those thetas in that order (one axis)."""
-        shape = self.shape
-
-        def at(v):
-            return np.broadcast_to(v, shape).flat[i]
-        return Theta(t=at(self.t), z_x=tuple(map(at, self.z_x)),
-                     z_xi=tuple(map(at, self.z_xi)), eps=at(self.eps),
-                     x_p=None if self.x_p is None else at(self.x_p))
-
 
 @dataclass(frozen=True)
 class _Rounded:
-    """A theta, or a batch of them, as substituted_point reads it: the
-    transverse point with the chain anchor in its slot, and eps, each
+    """A theta, or a tensor grid of them, as substituted_point reads it:
+    the transverse point with the chain anchor in its slot, and eps, each
     rounded once to floats from its exact value (the xi_d offset added
-    first).  ExtendedQ._rounded builds it; its thetas are numbered as the
-    Theta's."""
+    first).  ExtendedQ._rounded builds one, ExtendedQ._rounded_grid a
+    grid, whose thetas are numbered in C order of its shape."""
 
     point: Tuple
     eps: Number
@@ -476,7 +457,7 @@ class _Rounded:
         return _Rounded(tuple(map(at, self.point)), at(self.eps))
 
     def entry(self, i) -> "_Rounded":
-        """As Theta.entry."""
+        """Theta number i (the thetas at an array of numbers, in order)."""
         shape = self.shape
 
         def at(v):
@@ -541,16 +522,21 @@ class ExtendedQ:
             out[slot] = anchor + sign * step if slot <= self.spec.d else step
 
     @cached_property
+    def _slots(self) -> Tuple[int, ...]:
+        """The phase slot of each entry of the flat slow vector (t, z_x,
+        z_xi[, x_p])."""
+        d, p = self.spec.d, self.spec.p
+        slots = ((0,) + tuple(range(p + 1, d + 1))
+                 + tuple(range(d + 2 + p, 2 * d + 2)))
+        return slots + ((p,) if self.spec.variant == "form2" else ())
+
+    @cached_property
     def theta_dim(self) -> int:
         """Length of the flat slow vector (t, z_x, z_xi[, x_p])."""
-        k = self.spec.d - self.spec.p
-        return 1 + 2 * k + (1 if self.spec.variant == "form2" else 0)
+        return len(self._slots)
 
     def theta_at(self, v: Sequence) -> Theta:
-        """pinned_theta of the flat slow vector (t, z_x, z_xi[, x_p]); its
-        entries may be object arrays of exact values that broadcast
-        together, which gives a batch (phi is then evaluated once per
-        distinct z it reads)."""
+        """pinned_theta of the flat slow vector (t, z_x, z_xi[, x_p])."""
         k = self.spec.d - self.spec.p
         x_p = v[1 + 2 * k] if self.spec.variant == "form2" else None
         return self.pinned_theta(v[0], v[1:1 + k], v[1 + k:1 + 2 * k], x_p=x_p)
@@ -565,22 +551,20 @@ class ExtendedQ:
         """Theta with eps = t - phi(z) (form1) resp. t - x_p (form2)."""
         z_x, z_xi = tuple(z_x), tuple(z_xi)
         if self.spec.variant == "form1":
-            pt = self._transverse_point(t, z_x, z_xi)
-            eps = t - self.spec.phi.eval(pt)
+            eps = t - self.spec.phi.eval(self._point((t,) + z_x + z_xi))
             return Theta(t=t, z_x=z_x, z_xi=z_xi, eps=eps)
         if x_p is None:
             raise ValueError("form2 needs the raw x_p slot")
         return Theta(t=t, z_x=z_x, z_xi=z_xi, eps=t - x_p, x_p=x_p)
 
-    def _transverse_point(self, t, z_x, z_xi):
-        d, p = self.spec.d, self.spec.p
-        pt = [0] * (2 * (d + 1))
-        pt[0] = t
-        for k, v in enumerate(z_x):
-            pt[p + 1 + k] = v
-        for k, v in enumerate(z_xi):
-            pt[d + 2 + p + k] = v
-        pt[2 * d + 1] = pt[2 * d + 1] + 1  # base covector offset on xi_d
+    def _point(self, v):
+        """The phase point of a flat slow vector (t, z_x, z_xi[, x_p]; an
+        entry past it is not read), tau 0 and the base covector offset
+        added on xi_d."""
+        pt = [0] * (2 * (self.spec.d + 1))
+        for slot, x in zip(self._slots, v):
+            pt[slot] = x
+        pt[-1] = pt[-1] + 1
         return pt
 
     def _anchored_point(self, theta: Theta):
@@ -589,32 +573,53 @@ class ExtendedQ:
         k = self.spec.d - self.spec.p
         if len(theta.z_x) != k or len(theta.z_xi) != k:
             raise DimensionMismatch("transverse block must have length %d" % k)
-        pt = self._transverse_point(theta.t, theta.z_x, theta.z_xi)
-        if self.spec.variant == "form2":
-            if theta.x_p is None:
-                raise ValueError("form2 theta needs x_p")
-            pt[self.spec.p] = theta.x_p
-        return pt
+        if self.spec.variant == "form2" and theta.x_p is None:
+            raise ValueError("form2 theta needs x_p")
+        return self._point((theta.t, *theta.z_x, *theta.z_xi, theta.x_p))
 
     def _rounded(self, theta) -> _Rounded:
         """theta rounded once to floats (a _Rounded is its own)."""
         if isinstance(theta, _Rounded):
             return theta
-        return _Rounded(tuple(map(_floats, self._anchored_point(theta))),
-                        _floats(theta.eps))
+        return _Rounded(tuple(map(float, self._anchored_point(theta))),
+                        float(theta.eps))
+
+    def _rounded_grid(self, axes) -> _Rounded:
+        """The tensor grid of thetas over axes (exact nodes per entry of
+        the flat slow vector), each as _rounded rounds it: a slot's floats
+        are its nodes plus theta = 0's point (the xi_d offset), and eps =
+        t - gate per t node and point of the axes the gate reads (never
+        t's), the gate evaluated once per such point."""
+        n, gate = len(axes), self.spec.gate
+        origin = self._point([0] * n)
+        point = [float(v) for v in origin]
+        for j, (slot, ax) in enumerate(zip(self._slots, axes)):
+            o = origin[slot]
+            point[slot] = np.reshape([float(x + o if o else x) for x in ax],
+                                     (1,) * j + (-1,) + (1,) * (n - 1 - j))
+        reads = [len(ax) if gate.depends_on(slot) else 1
+                 for slot, ax in zip(self._slots[1:], axes[1:])]
+        eps = np.empty([len(axes[0])] + reads)
+        ts = [(t.numerator, t.denominator) for t in axes[0]]
+        for at in np.ndindex(*reads):
+            g = gate.eval(self._point([0, *(ax[i] for ax, i in
+                                            zip(axes[1:], at))]))
+            gn, gd = g.numerator, g.denominator
+            # float(t - g): int / int rounds correctly, as Fraction's does
+            eps[(slice(None),) + at] = [(tn * gd - gn * td) / (td * gd)
+                                        for tn, td in ts]
+        return _Rounded(tuple(point), eps)
 
     def substituted_point(self, w, theta):
-        """Full phase point fed to every factor (tau slot stays 0).  For a
-        batch of thetas, or a _Rounded, it is float arrays, rounded from
-        the exact transverse point before w (floats or arrays) moves it."""
+        """Full phase point fed to every factor (tau slot stays 0), exact
+        for a Theta until w moves it.  For a _Rounded it is floats or
+        float arrays, rounded from the exact transverse point before w
+        (floats or arrays) moves it."""
         self._split(w)  # checks the length of w
-        if isinstance(theta, Theta) and not isinstance(theta.eps, np.ndarray):
-            pt, eps = self._anchored_point(theta), theta.eps  # one theta
-        else:
-            rounded = self._rounded(theta)
-            pt, eps = list(rounded.point), rounded.eps
+        pt = (self._anchored_point(theta) if isinstance(theta, Theta)
+              else list(theta.point))
         anchor = pt[0] if self.spec.variant == "form1" else pt[self.spec.p]
-        self._move(pt, w, anchor, eps, self.cutoff.scaled)
+        self._move(pt, w, anchor, theta.eps, self.cutoff.scaled)
         return pt
 
     # -- evaluation ------------------------------------------------------
@@ -713,9 +718,9 @@ class ExtendedQ:
 
     def value_grad_hess(self, w, theta):
         """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule.  Over a
-        batch of thetas (a Theta or a _Rounded), or for w of arrays (one
-        per theta), each is an array over the batch's shape, after the w
-        axes for the gradient and Hessian."""
+        grid of thetas (a _Rounded), or for w of arrays (one per theta),
+        each is an array over the grid's shape, after the w axes for the
+        gradient and Hessian."""
         w_f = [_floats(v) for v in w]
         ys, etas = self._split(w_f)
         pt = [_floats(v) for v in self.substituted_point(w, theta)]
@@ -726,7 +731,7 @@ class ExtendedQ:
         if self.mode == "normalized":
             prefs.append((1.0, [0.0] * nw, [[0.0] * nw for _ in range(nw)]))
         # the chain rule per factor, as arrays over (w index[, w index])
-        # and the batch: entry (i, j) of the Hessian is the formula for i
+        # and the grid: entry (i, j) of the Hessian is the formula for i
         # <= j, mirrored; zero derivatives are not evaluated.  d1, d2:
         # the derivatives of the phase slot w index i moves
         signs = [sign for _, sign in self._w_slots]

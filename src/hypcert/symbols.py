@@ -312,8 +312,7 @@ class PolySymbol:
     def eval(self, point: Sequence):
         """Evaluate at a point (any sequence of length 2*(d+1)).
 
-        Exact when every coordinate is an int, a Fraction or a numpy array
-        of them (dtype object), broadcasting over the arrays.  Otherwise in
+        Exact when every coordinate is an int or a Fraction.  Otherwise in
         floats, after converting every coordinate but numpy arrays (so a
         mixed point too), broadcasting over the arrays: terms in ``terms``
         order, each the float coefficient times its factors x**e left to
@@ -324,8 +323,7 @@ class PolySymbol:
         vals = point.as_tuple() if isinstance(point, PhasePoint) else tuple(point)
         if len(vals) != self.nvars:
             raise DimensionMismatch("point of length %d for d=%d" % (len(vals), self.d))
-        exact = all(isinstance(v, (int, Fraction)) or (
-            isinstance(v, np.ndarray) and v.dtype == object) for v in vals)
+        exact = all(isinstance(v, (int, Fraction)) for v in vals)
         if not exact:
             vals = [v if isinstance(v, np.ndarray) else float(v) for v in vals]
         if self._table is None:

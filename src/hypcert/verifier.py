@@ -15,11 +15,11 @@ x_2).  A c or kappa set with no grid point (no nonzero denominator resp.
 no a > 0) is reported as such (n_included == 0, no value, no witness);
 the caller decides what it means.
 
-check_structural is a stage of its own.  It treats its slow grid of
-thetas as one batch, refused past MAX_THETAS before any is built: exact
-values per axis, broadcast over the grid, rounded to floats once for
-the Newton, the reconstruction and the boundary, and read exactly again
-only for the two witnesses they report.  One damped Newton (_newton)
+check_structural is a stage of its own.  Its slow grid of thetas is one
+batch of floats, refused past MAX_THETAS before it is built: each slot
+rounded once per exact axis node, and eps = t - gate once per exact t
+node and point of the gate's axes; the two witnesses it reports are
+exact thetas rebuilt from their nodes.  One damped Newton (_newton)
 serves that batch and a single theta (minimize_Q, the batch of one):
 every theta starts at the closed-form theta = 0 minimizer, one that
 meets the stop test is frozen, and only the others take a step.  Its
@@ -208,10 +208,9 @@ def _newton(eq: ExtendedQ, thetas, w0=None):
     decrement is below the rounding floor of Q.  An ill-conditioned
     Hessian, a failed line search or the iteration limit names the first
     failing theta (C order) of the first iteration that has one.  The
-    thetas (a Theta, or its rounding by ExtendedQ._rounded) are rounded
-    to floats once.  Returns m, w_bar (n, w_dim), the final Hessians (n,
-    w_dim, w_dim), gradient norms and steps taken, for the thetas in C
-    order."""
+    thetas (a Theta, or a _Rounded theta or grid) are rounded to floats
+    once.  Returns m, w_bar (n, w_dim), the final Hessians (n, w_dim,
+    w_dim), gradient norms and steps taken, for the thetas in C order."""
     thetas = eq._rounded(thetas)
     shape, nw = thetas.shape, eq.w_dim
     n = math.prod(shape)
@@ -362,9 +361,9 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     Lipschitz constant for m1 in t.  (i), (ii) and (iv) read one
     batched Newton sweep of m1 over the slow axes.
 
-    The slow grid is one batch of thetas, exact per axis value and
-    broadcast over the grid; its samples are evaluated as float arrays,
-    and minima are taken with the lowest number winning ties.
+    The slow grid is one batch of thetas, rounded per exact axis node
+    and broadcast over the grid; its samples are evaluated as float
+    arrays, and minima are taken with the lowest number winning ties.
     """
     eq = build_extended_Q(spec, STRUCTURAL_CUTOFF, mode="normalized")
     d = spec.d
@@ -372,23 +371,22 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     a = build_normal_form(spec)
 
     axes = _theta_axes(eq, region)
-    n_thetas = math.prod(map(len, axes))
-    if n_thetas > MAX_THETAS:
+    shape = tuple(map(len, axes))
+    if math.prod(shape) > MAX_THETAS:
         raise ScanTooLarge("a structural check at %d thetas exceeds the "
-                           "budget of %d" % (n_thetas, MAX_THETAS))
-    thetas = eq.theta_at([
-        np.array(ax, dtype=object).reshape(
-            [-1 if i == j else 1 for i in range(len(axes))])
-        for j, ax in enumerate(axes)])
-    # the batch as floats, once, for the Newton, (i) and (ii); the exact
-    # thetas are read only for the two witnesses
-    rounded = eq._rounded(thetas)
-    shape = rounded.shape
+                           "budget of %d" % (math.prod(shape), MAX_THETAS))
+    # the grid as floats, once, for the Newton, (i) and (ii); the two
+    # witnesses are the only exact thetas built
+    rounded = eq._rounded_grid(axes)
+
+    def exact(k):
+        return eq.theta_at([ax[i] for ax, i in
+                            zip(axes, np.unravel_index(k, shape))])
     m1, w_bar = _newton(eq, rounded)[:2]
     # eps^2 once per distinct eps, as Python's float ** 2 (libm pow), which
     # numpy's square can differ from in the last bit
-    eps2 = np.frompyfunc(lambda e: float(e) ** 2, 1, 1)(
-        rounded.eps).astype(float)
+    eps2 = np.reshape([e ** 2 for e in rounded.eps.ravel().tolist()],
+                      rounded.eps.shape)
 
     # (i) reconstruction floor at the minimizer and N_W seeded w draws per
     # theta, in theta order; blocks of thetas keep their samples within
@@ -421,7 +419,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
             recon_min, recon_at = float(ratio.flat[k]), first * per + k
     recon_worst = None if recon_at is None else (
         tuple(float(v) for v in samples[divmod(recon_at, per)]),
-        thetas.entry(recon_at // per))
+        exact(recon_at // per))
     recon = StructuralCheck(name="reconstruction-lower-bound",
                             passed=recon_min >= -1e-9,
                             value=recon_min, worst=recon_worst,
@@ -434,7 +432,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     bnd = np.broadcast_to(m1.reshape(shape)[:1] * eps2[:1] + rem,
                           edge.shape).ravel()
     k = int(np.argmin(bnd))
-    bnd_min, th = float(bnd[k]), thetas.entry(k)
+    bnd_min, th = float(bnd[k]), exact(k)
     boundary = StructuralCheck(name="zero-time-boundary",
                                passed=bnd_min >= -1e-9, value=bnd_min,
                                worst=(th.z_x, th.z_xi, th.x_p),

@@ -24,6 +24,7 @@ from hypcert import (
     time_functions,
     verifier,
 )
+from hypcert import grid as walker
 from hypcert.cli import Report, emit_report, exit_code, main, run_pipeline
 from hypcert.symbolfile import (
     Options,
@@ -146,6 +147,24 @@ def lifted_b1(d, region):
                       normal_form=spec)
 
 
+@pytest.mark.parametrize("d,degree,grid", [(2, 12, 3), (3, 9, 5)])
+def test_steep_phi_certifies(d, degree, grid):
+    # phi = 10^6 x1^degree: eps = t - phi over the structural slow axes
+    # would need integers past 2^53 in TensorGrid's integer form, and the
+    # structural check takes it exactly per node instead
+    t, xs, tau, xis = phase_variables(d)
+    spec = NormalFormSpec(variant="form1", d=d, p=0, q=(xis[-1] ** 2,),
+                          r=(), phi=10 ** 6 * xs[0] ** degree,
+                          psi=xs[0] ** 2)
+    sf = SymbolFile(schema=1, d=d, base_point=PhasePoint.base(d),
+                    a=normal_forms.build_normal_form(spec),
+                    region=Region(grid=grid),
+                    options=Options(slack=Fraction(1, 100)),
+                    normal_form=spec)
+    rep = run_pipeline(sf, "certify")
+    assert rep.status == "CERTIFIED" and exit_code(rep) == 0
+
+
 def test_oversized_scan_fails_at_verify():
     # b1 lifted to d = 3 at the default region: 33**7 points per scan
     rep = run_pipeline(lifted_b1(3, Region()), "certify")
@@ -158,11 +177,11 @@ def test_oversized_scan_fails_at_verify():
 def test_oversized_structural_grid_fails_at_verify(monkeypatch):
     # b1 lifted to d = 5: its scans at grid 3 pass (3**11 points), but the
     # structural slow grid would hold 5**11 thetas; it is refused before
-    # any theta is built
+    # the grid of thetas is built
     def build(*args):
-        raise AssertionError("a batch of thetas was built")
+        raise AssertionError("a grid of thetas was built")
 
-    monkeypatch.setattr(normal_forms.ExtendedQ, "theta_at", build)
+    monkeypatch.setattr(normal_forms.ExtendedQ, "_rounded_grid", build)
     rep = run_pipeline(lifted_b1(5, Region(grid=3)), "certify")
     assert rep.status == "FAILED" and exit_code(rep) == 1
     assert rep.stage == "verify"
@@ -173,11 +192,16 @@ def test_oversized_structural_grid_fails_at_verify(monkeypatch):
 
 def test_oversized_region_fails_before_its_axes_are_built(monkeypatch):
     # b2 at grid 10^7 is 10^35 points per scan; TensorGrid takes the count
-    # from the span lengths, and no scan builds an exact axis
-    def build(*args):
-        raise AssertionError("an axis was built")
+    # from the span lengths and refuses before it builds an axis (the side
+    # conditions' small grid builds its own)
+    span = walker._span
 
-    monkeypatch.setattr(verifier, "uniform_axis", build)
+    def build(lo, hi, n):
+        if n >= 10 ** 7 - 1:  # a region axis: grid or grid - 1 nodes
+            raise AssertionError("an axis of the region was built")
+        return span(lo, hi, n)
+
+    monkeypatch.setattr(walker, "_span", build)
     doc = fixture_doc("b2")
     doc["region"]["grid"] = 10 ** 7
     rep = run_pipeline(parse_doc(doc), "certify")

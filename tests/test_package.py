@@ -33,6 +33,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_object_arrays():
+    # the package computes exactly in Python ints and Fractions and in
+    # floats on float arrays: no numpy array of Python objects
+    found = ["%s:%d" % (name, node.lineno) for name, node in _nodes()
+             if (isinstance(node, ast.keyword) and node.arg == "dtype"
+                 and ast.unparse(node.value) in ("object", "'O'", "'object'",
+                                                 "np.object_"))
+             or (isinstance(node, ast.Attribute)
+                 and node.attr == "frompyfunc")]
+    assert found == []
+
+
 def test_every_export_is_read():
     # a name in __all__ that only its own tests read is code to delete: each
     # must occur, off its def or class line, in a package module other

@@ -33,6 +33,7 @@ from hypcert.symbols import DimensionMismatch, phase_variables
 from hypcert import grid as walker
 from hypcert import verifier
 from hypcert.grid import MAX_SCAN_POINTS, TensorGrid
+from hypcert.normal_forms import _Rounded
 from hypcert.verifier import region_axes
 from test_normal_forms import deep_chain_specs
 
@@ -370,14 +371,20 @@ def _single(res):
             res.iterations)
 
 
+def _batch(eq, slow):
+    """The thetas of the slow vectors as one batch along one axis, each
+    rounded alone."""
+    rounded = [eq._rounded(eq.theta_at(v)) for v in slow]
+    return _Rounded(tuple(map(np.array, zip(*(r.point for r in rounded)))),
+                    np.array([r.eps for r in rounded]))
+
+
 def test_newton_batch_entries_are_single_theta_runs():
     eq = build_extended_Q(deep_chain_specs()["form1-p2-d3"],
                           build_cutoff(F(1, 2)))
     slow = [(F(1, 20), F(1, 40), F(-1, 50)), (0, 0, 0),
             (F(1, 100), F(-1, 80), F(1, 100))]
-    # one batch of the three thetas: (t, z_x, z_xi) as parallel arrays
-    thetas = eq.theta_at([np.array(col, dtype=object) for col in zip(*slow)])
-    result = verifier._newton(eq, thetas)
+    result = verifier._newton(eq, _batch(eq, slow))
     assert [int(i) for i in result[4]] == [2, 0, 2]
     for i, v in enumerate(slow):
         # repr tells -0.0 from 0.0
@@ -390,11 +397,10 @@ def test_newton_errors_name_the_first_failing_theta(monkeypatch):
                           build_cutoff(F(1, 2)))
     slow = [(0, 0, 0), (F(1, 100), F(-1, 80), F(1, 100)),
             (F(1, 20), F(1, 40), F(-1, 50))]
-    thetas = eq.theta_at([np.array(col, dtype=object) for col in zip(*slow)])
     monkeypatch.setattr(verifier, "MAX_NEWTON_ITER", 1)
     with pytest.raises(NoConvergence,
                        match=r"^no convergence in 1 iterations at theta 1$"):
-        verifier._newton(eq, thetas)
+        verifier._newton(eq, _batch(eq, slow))
     # one theta: the message names none
     with pytest.raises(NoConvergence,
                        match=r"^no convergence in 1 iterations$"):
@@ -560,20 +566,48 @@ def _structural_reference(spec, region):
             "minimum-lipschitz": (lip, math.isfinite(lip), n_lip, None)}
 
 
+# a region whose slow grid has xi_d nodes z with float(1 + z) != 1.0 +
+# float(z), and thetas with float(t - gate) != float(t) - float(gate)
+ROUNDING_REGION = Region(grid=5, t_max=F(1, 7), x_half=F(1, 63),
+                         xi_half=F(1, 63))
+
+
 @pytest.mark.parametrize("name,region", [
     ("b1", Region(grid=5)), ("b2", Region(grid=5)),
     ("classical", Region(grid=5)), ("form1-p2-d3", Region(grid=5)),
     # the worst sample here has an eps whose pow(eps, 2) is not eps * eps
     ("b1", Region(grid=5, t_max=F(1, 217), x_half=F(2, 217),
                   xi_half=F(2, 217))),
-], ids=["b1", "b2", "classical", "form1-p2-d3", "b1-eps-squared"])
-def test_structural_matches_per_theta_reference(name, region):
+    ("b2", ROUNDING_REGION), ("form1-p2-d3", ROUNDING_REGION),
+], ids=["b1", "b2", "classical", "form1-p2-d3", "b1-eps-squared",
+        "b2-rounding", "form1-p2-d3-rounding"])
+def test_structural_matches_per_theta_reference(name, region, monkeypatch):
     if name in deep_chain_specs():
         spec = deep_chain_specs()[name]
     else:
         spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
+    grids, build = [], ExtendedQ._rounded_grid
+
+    def spy(eq, axes):
+        grids.append((eq, axes, build(eq, axes)))
+        return grids[-1][2]
+
+    monkeypatch.setattr(ExtendedQ, "_rounded_grid", spy)
     cert = construct_time_function(spec, slack=F(1, 100))
     checks = _by_name(check_structural(spec, cert, region))
+    # the grid holds each theta as _rounded rounds it alone: its point,
+    # then eps, bit for bit (repr tells -0.0 from 0.0)
+    (eq, axes, grid), = grids
+    got = [np.broadcast_to(v, grid.shape).ravel().tolist()
+           for v in grid.point + (grid.eps,)]
+    thetas = [eq.theta_at(v) for v in itertools.product(*axes)]
+    want = [r.point + (r.eps,) for r in map(eq._rounded, thetas)]
+    assert list(map(repr, zip(*got))) == list(map(repr, want))
+    if region == ROUNDING_REGION:  # rounding the parts would differ here
+        assert any(float(1 + th.z_xi[-1]) != 1.0 + float(th.z_xi[-1])
+                   for th in thetas)
+        assert any(float(th.eps) != float(th.t) - float(th.t - th.eps)
+                   for th in thetas)
     for check, want in _structural_reference(spec, region).items():
         got = checks[check]
         # repr tells -0.0 from 0.0 and a Fraction from an equal float
