@@ -48,9 +48,8 @@ holds, with remainder psi * q_{p+1}(P) resp. g * r_p(P).  The division
 of Q by the remainder factor (mode "normalized") is what the structural
 reconstruction inequality is stated for.
 
-A Theta is one exact theta.  The structural slow grid is a batch of
-floats (_Rounded) built from the exact nodes of each axis, each entry
-rounded as its theta alone would be.
+A Theta is one exact theta; the structural slow grid is one batch of
+floats (_Rounded), each entry rounded as its theta alone would be.
 """
 
 from __future__ import annotations
@@ -558,9 +557,8 @@ class ExtendedQ:
         return Theta(t=t, z_x=z_x, z_xi=z_xi, eps=t - x_p, x_p=x_p)
 
     def _point(self, v):
-        """The phase point of a flat slow vector (t, z_x, z_xi[, x_p]; an
-        entry past it is not read), tau 0 and the base covector offset
-        added on xi_d."""
+        """The phase point of a flat slow vector (t, z_x, z_xi[, x_p]; later
+        entries unread), tau 0, the base covector offset added on xi_d."""
         pt = [0] * (2 * (self.spec.d + 1))
         for slot, x in zip(self._slots, v):
             pt[slot] = x
@@ -611,10 +609,9 @@ class ExtendedQ:
         return _Rounded(tuple(point), eps)
 
     def substituted_point(self, w, theta):
-        """Full phase point fed to every factor (tau slot stays 0), exact
-        for a Theta until w moves it.  For a _Rounded it is floats or
-        float arrays, rounded from the exact transverse point before w
-        (floats or arrays) moves it."""
+        """Full phase point fed to every factor (tau slot stays 0): exact
+        for a Theta until w moves it, and for a _Rounded floats or float
+        arrays, rounded before w (floats or arrays) moves them."""
         self._split(w)  # checks the length of w
         pt = (self._anchored_point(theta) if isinstance(theta, Theta)
               else list(theta.point))
