@@ -133,15 +133,13 @@ def _theta_obj(theta) -> dict:
 
 
 def _worst_obj(worst):
-    """A structural check's worst: (cone point,) of a branch floor, (w,
-    theta) of the reconstruction, (z_x, z_xi, x_p) of the boundary."""
+    """A structural check's worst: (grid point,) of a scan, or (L,
+    ((factor, bound), ..)) of the reconstruction's spring floor."""
     if worst is None or len(worst) == 1:
         return point_obj(worst and worst[0])
-    if len(worst) == 2:
-        return {"w": [_num(v) for v in worst[0]],
-                "theta": _theta_obj(worst[1])}
-    return {"z_x": [str(v) for v in worst[0]],
-            "z_xi": [str(v) for v in worst[1]], "x_p": _frac(worst[2])}
+    floor, bounds = worst
+    return {"floor": str(floor),
+            "factors": {name: str(v) for name, v in bounds}}
 
 
 def _certificate_obj(report, structural) -> dict:
@@ -244,8 +242,7 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
                               "%s is empty: none of the %d grid points has "
                               "%s" % (name, est.n_total, cond))
         structural = check_structural(spec, cert, sf.region)
-    except (HessianDegenerate, NoConvergence, DimensionMismatch,
-            ScanTooLarge, InvariantViolation) as exc:
+    except (DimensionMismatch, ScanTooLarge, InvariantViolation) as exc:
         return report("FAILED", "verify", str(exc))
     fields["certificate"] = _certificate_obj(cr, structural)
 

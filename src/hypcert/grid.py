@@ -9,7 +9,9 @@ ints, and a witness node is one reduced Fraction.  TensorGrid.integer
 rescales a polynomial to integer (int) coefficients, p(unit * U) =
 P(U) / D, each term c unit^e reduced once, dropping the terms on slots
 off the grid, and refuses one whose integers could reach 2^53
-(ScanTooLarge): bound(P) = sum |c| max|U|^e, an exact int.  Below 2^53
+(ScanTooLarge): bound(P) = sum |c| max|U|^e, an exact int.  A term that
+logarithms put at 2^LOG2_REFUSED or past it is refused before its powers
+are formed, so no exponent sets the running time.  Below 2^53
 float64 adds and multiplies integers exactly, in any order, and rounds
 a quotient of two correctly, hence monotonely: each scan decision is
 the sign of an exact integer, each reported minimum the exact one
@@ -56,12 +58,16 @@ from hypcert.symbols import PhasePoint, PolySymbol
 _BLOCK = 1 << 14
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 EXACT = 1 << 53  # float64 integers are exact below this
+# A term whose integers have at least this many bits by their logarithms
+# is refused before its powers are formed, so that no exponent in a file
+# sets the running time; below it the refusal prints the exact bound.
+LOG2_REFUSED = 1 << 16
 _ZERO = Fraction(0)
 
 
 class ScanTooLarge(ValueError):
     """A scan past MAX_SCAN_POINTS points or with integers that could reach
-    EXACT, or a structural check past MAX_THETAS thetas."""
+    EXACT."""
 
 
 def _span(lo, hi, n: int):
@@ -88,9 +94,19 @@ def check_exact(*bounds: int) -> None:
     """Refuse a scan when a bound on one of its integers reaches EXACT."""
     worst = max(bounds)
     if worst >= EXACT:
-        raise ScanTooLarge("a scan integer could reach 2^%.1f, past the "
-                           "2^53 below which float64 integers are exact"
-                           % math.log2(worst))
+        _refuse(math.log2(worst))
+
+
+def _refuse(log2_bound: float) -> None:
+    raise ScanTooLarge("a scan integer could reach 2^%.1f, past the 2^53 "
+                       "below which float64 integers are exact" % log2_bound)
+
+
+def _check_log2(log2_bound: float) -> None:
+    """Refuse a term whose integers reach 2^log2_bound, a lower bound from
+    logarithms, at LOG2_REFUSED or past it."""
+    if log2_bound >= LOG2_REFUSED:
+        _refuse(log2_bound)
 
 
 def _plan(lens, budget: int):
@@ -188,17 +204,21 @@ class TensorGrid:
         for p in polys:
             terms = []
             for e, c in p.terms.items():
-                num, den, size = c.numerator, c.denominator, 1
-                for i, k in enumerate(e):
-                    if k:
-                        un, ud = self._units[i]
-                        if not un:
-                            break
-                        num, den = num * un ** k, den * ud ** k
-                        size *= self._size[i]
-                else:
-                    g = math.gcd(num, den)
-                    terms.append((size, e, num // g, den // g))
+                num, den = c.numerator, c.denominator
+                slots = [i for i, k in enumerate(e) if k]
+                if not all(self._units[i][0] for i in slots):
+                    continue  # on a slot off the grid
+                # c unit^e reduced is a/b with max(a, b) >= |c unit^e| and
+                # >= its inverse
+                _check_log2(abs(math.log2(abs(num)) - math.log2(den) + sum(
+                    e[i] * (math.log2(self._units[i][0])
+                            - math.log2(self._units[i][1])) for i in slots)))
+                for i in slots:
+                    un, ud = self._units[i]
+                    num, den = num * un ** e[i], den * ud ** e[i]
+                size = math.prod(self._size[i] for i in slots)
+                g = math.gcd(num, den)
+                terms.append((size, e, num // g, den // g))
             terms.sort(key=lambda term: -term[0])  # stable
             scaled.append((p, terms))
         den = math.lcm(*(term[3] for _, terms in scaled for term in terms))
@@ -213,10 +233,14 @@ class TensorGrid:
         product or sum of its float evaluation on the grid exceeds, whole
         or split (every max|U| on the slots of a term that integer()
         keeps is at least 1)."""
-        umax = self._umax
-        return int(sum(abs(c) * math.prod(umax[i] ** k for i, k in
-                                          enumerate(e) if k)
-                       for e, c in poly.terms.items()))
+        total = 0
+        for e, c in poly.terms.items():
+            powers = [(self._umax[i], k) for i, k in enumerate(e) if k]
+            if all(u for u, _ in powers):  # else the term is 0 on the grid
+                _check_log2(math.log2(abs(c)) + sum(k * math.log2(u)
+                                                    for u, k in powers))
+                total += abs(c) * math.prod(u ** k for u, k in powers)
+        return int(total)
 
     def _blocks(self, walk, *polys: PolySymbol):
         """(first walked flat index, block shape, values of the polys) of

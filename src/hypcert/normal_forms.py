@@ -48,13 +48,26 @@ holds, with remainder psi * q_{p+1}(P) resp. g * r_p(P).  The division
 of Q by the remainder factor (mode "normalized") is what the structural
 reconstruction inequality is stated for.
 
-A Theta is one exact theta; the structural slow grid is one batch of
-floats (_Rounded), each entry rounded as its theta alone would be.
+On a box of slow coordinates the same chain gives a floor for every w
+(ExtendedQ.floor).  In the normalized mode
+
+    Q(w, theta) = (sum_j q_j(P) dn_j^2 + sum_a r_a(P) eta_a^2) / rf(P),
+
+with dn_j the differences of the chain's nodes, which sum to +-1, and rf
+the remainder factor.  P moves only through dchi, |dchi| <= 2 delta, so
+P stays in the box widened by 2 delta max|eps| in the slots w moves.
+Where exact interval bounds (_interval) give rf > 0, every r_a >= 0 and
+l_j <= q_j / rf there, Cauchy-Schwarz gives Q >= L = 1 / sum_j (1 / l_j):
+the springs-in-series minimum 1/S above, with the factors' box minima.
+
+A Theta is one exact theta; _Rounded is one theta rounded to floats, as
+the Newton of the minimize verb reads it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -74,6 +87,7 @@ from hypcert.symbols import (
 )
 
 Number = Union[int, float, Fraction]
+_ZERO = Fraction(0)
 
 
 def horner(coeffs, v):
@@ -87,6 +101,39 @@ def horner(coeffs, v):
 def poly_derivative(coeffs):
     """Coefficients of the derivative of sum_k coeffs[k] v^k."""
     return tuple(k * c for k, c in enumerate(coeffs) if k)
+
+
+def _scaled(box):
+    """(ends, den): a box of exact (lo, hi) per slot as int ends over their
+    least common denominator den."""
+    den = math.lcm(*(v.denominator for ends in box for v in ends))
+    return [tuple(v.numerator * (den // v.denominator) for v in ends)
+            for ends in box], den
+
+
+def _interval(poly, box, den: int) -> Tuple[Fraction, Fraction]:
+    """Exact (lo, hi) with lo <= poly <= hi on a box given as int ends
+    times den > 0, one (lo, hi) per phase slot: the natural interval
+    extension over the monomials (Moore, Kearfott & Cloud 2009), in ints
+    over one denominator, each power of a slot taken whole, so an even
+    power of a slot about 0 is never negative."""
+    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
+    top = max(map(sum, poly.terms), default=0)
+    lo = hi = 0
+    for exps, c in poly.terms.items():
+        m_lo = m_hi = (c.numerator * (scale // c.denominator)
+                       * den ** (top - sum(exps)))
+        for (x_lo, x_hi), k in zip(box, exps):
+            if k:
+                p_lo, p_hi = x_lo ** k, x_hi ** k
+                if k % 2 == 0:
+                    p_lo, p_hi = min(p_lo, p_hi), max(p_lo, p_hi)
+                    if x_lo < 0 < x_hi:
+                        p_lo = 0
+                ends = (m_lo * p_lo, m_lo * p_hi, m_hi * p_lo, m_hi * p_hi)
+                m_lo, m_hi = min(ends), max(ends)
+        lo, hi = lo + m_lo, hi + m_hi
+    return Fraction(lo, scale * den ** top), Fraction(hi, scale * den ** top)
 
 
 def _floats(v):
@@ -162,10 +209,10 @@ class NormalFormSpec:
             return self.q[self.p]
         return self.r[self.p - 1]
 
-    @property
+    @cached_property
     def gate(self) -> PolySymbol:
-        """phi (form1) resp. the x_p coordinate (form2): the remainder
-        must be nonnegative where the gate is."""
+        """phi (form1) resp. the x_p coordinate (form2), built once per
+        spec: the remainder must be nonnegative where the gate is."""
         if self.variant == "form1":
             return self.phi
         return PolySymbol.coordinate(self.d, "x%d" % self.p)
@@ -435,33 +482,13 @@ class Theta:
 
 @dataclass(frozen=True)
 class _Rounded:
-    """A theta, or a tensor grid of them, as substituted_point reads it:
-    the transverse point with the chain anchor in its slot, and eps, each
+    """A theta as substituted_point reads it for the Newton: the
+    transverse point with the chain anchor in its slot, and eps, each
     rounded once to floats from its exact value (the xi_d offset added
-    first).  ExtendedQ._rounded builds one, ExtendedQ._rounded_grid a
-    grid, whose thetas are numbered in C order of its shape."""
+    first)."""
 
     point: Tuple
-    eps: Number
-
-    @cached_property
-    def shape(self) -> Tuple[int, ...]:
-        return np.broadcast_shapes(*map(np.shape, self.point),
-                                   np.shape(self.eps))
-
-    def map(self, fn) -> "_Rounded":
-        """fn applied to every array."""
-        def at(v):
-            return fn(v) if isinstance(v, np.ndarray) else v
-        return _Rounded(tuple(map(at, self.point)), at(self.eps))
-
-    def entry(self, i) -> "_Rounded":
-        """Theta number i (the thetas at an array of numbers, in order)."""
-        shape = self.shape
-
-        def at(v):
-            return np.broadcast_to(v, shape).flat[i]
-        return _Rounded(tuple(map(at, self.point)), at(self.eps))
+    eps: float
 
 
 @dataclass(frozen=True)
@@ -575,43 +602,15 @@ class ExtendedQ:
             raise ValueError("form2 theta needs x_p")
         return self._point((theta.t, *theta.z_x, *theta.z_xi, theta.x_p))
 
-    def _rounded(self, theta) -> _Rounded:
-        """theta rounded once to floats (a _Rounded is its own)."""
-        if isinstance(theta, _Rounded):
-            return theta
+    def _rounded(self, theta: Theta) -> _Rounded:
+        """theta rounded once to floats."""
         return _Rounded(tuple(map(float, self._anchored_point(theta))),
                         float(theta.eps))
 
-    def _rounded_grid(self, axes) -> _Rounded:
-        """The tensor grid of thetas over axes (exact nodes per entry of
-        the flat slow vector), each as _rounded rounds it: a slot's floats
-        are its nodes plus theta = 0's point (the xi_d offset), and eps =
-        t - gate per t node and point of the axes the gate reads (never
-        t's), the gate evaluated once per such point."""
-        n, gate = len(axes), self.spec.gate
-        origin = self._point([0] * n)
-        point = [float(v) for v in origin]
-        for j, (slot, ax) in enumerate(zip(self._slots, axes)):
-            o = origin[slot]
-            point[slot] = np.reshape([float(x + o if o else x) for x in ax],
-                                     (1,) * j + (-1,) + (1,) * (n - 1 - j))
-        reads = [len(ax) if gate.depends_on(slot) else 1
-                 for slot, ax in zip(self._slots[1:], axes[1:])]
-        eps = np.empty([len(axes[0])] + reads)
-        ts = [(t.numerator, t.denominator) for t in axes[0]]
-        for at in np.ndindex(*reads):
-            g = gate.eval(self._point([0, *(ax[i] for ax, i in
-                                            zip(axes[1:], at))]))
-            gn, gd = g.numerator, g.denominator
-            # float(t - g): int / int rounds correctly, as Fraction's does
-            eps[(slice(None),) + at] = [(tn * gd - gn * td) / (td * gd)
-                                        for tn, td in ts]
-        return _Rounded(tuple(point), eps)
-
     def substituted_point(self, w, theta):
         """Full phase point fed to every factor (tau slot stays 0): exact
-        for a Theta until w moves it, and for a _Rounded floats or float
-        arrays, rounded before w (floats or arrays) moves them."""
+        for a Theta until w moves it, and for a _Rounded floats, rounded
+        before w (floats or arrays) moves them."""
         self._split(w)  # checks the length of w
         pt = (self._anchored_point(theta) if isinstance(theta, Theta)
               else list(theta.point))
@@ -634,6 +633,54 @@ class ExtendedQ:
         if self.mode == "normalized":
             total = total / self.divisor(pt)
         return total
+
+    def floor(self, hull):
+        """(L, bounds): Q(w, theta) >= L for every w and every theta whose
+        flat slow vector (t, z_x, z_xi[, x_p]) lies in hull, one exact
+        (lo, hi) per entry, in the normalized mode (module docstring).
+        bounds holds (q_j, l_j) per spring, l_j <= q_j / rf on the box the
+        substituted points fill (1 for a spring that is rf itself), and L
+        = 1 / sum_j (1 / l_j).  InvariantViolation names the first factor
+        whose bound does not close (rf > 0, r_a >= 0, l_j > 0) and the
+        box."""
+        if self.mode != "normalized":
+            raise ValueError("the spring floor is for the normalized mode")
+        spec, d = self.spec, self.spec.d
+        box = [(_ZERO, _ZERO)] * (2 * (d + 1))
+        for slot, (lo, hi) in zip(self._slots, hull):
+            box[slot] = (lo, hi)
+        box[-1] = (box[-1][0] + 1, box[-1][1] + 1)  # the base covector
+        (t_lo, t_hi), rf = hull[0], spec.remainder_factor
+        g_lo, g_hi = _interval(spec.gate, *_scaled(box))
+        reach = 2 * self.cutoff.delta * max(abs(t_lo - g_hi), abs(t_hi - g_lo))
+        a_lo, a_hi = box[0] if spec.variant == "form1" else box[spec.p]
+        for slot, _ in self._w_slots:
+            lo, hi = (a_lo, a_hi) if slot <= d else (_ZERO, _ZERO)
+            box[slot] = (lo - reach, hi + reach)
+        scaled = _scaled(box)
+
+        def bound(poly):
+            return _interval(poly, *scaled)
+
+        def refuse(name, lo, sign):
+            raise InvariantViolation(name, "interval lower bound %s is %s on "
+                                     "the structural box (t, x, tau, xi) in "
+                                     "%s" % (lo, sign, " x ".join(
+                                         "[%s, %s]" % b for b in box)))
+        rf_lo, rf_hi = bound(rf)
+        if rf_lo <= 0:
+            refuse(self._rf_name, rf_lo, "not positive")
+        for a, r in enumerate(spec.r, start=1):
+            lo = bound(r)[0]
+            if lo < 0:
+                refuse("r%d" % a, lo, "negative")
+        bounds = []
+        for j, q in enumerate(spec.q, start=1):
+            lo = rf_hi if q == rf else bound(q)[0]  # q / rf = 1 when q is rf
+            if lo <= 0:
+                refuse("q%d" % j, lo, "not positive")
+            bounds.append(("q%d" % j, lo / rf_hi))
+        return 1 / sum(1 / lo for _, lo in bounds), tuple(bounds)
 
     def theta0_minimizer(self):
         """Exact minimizer and minimum of Q(., 0): the springs in series
@@ -690,6 +737,12 @@ class ExtendedQ:
             table.append((sym, first, second))
         return tuple(table)
 
+    @property
+    def _rf_name(self) -> str:
+        """The field of the remainder factor: q_{p+1} resp. r_p."""
+        p = self.spec.p
+        return "q%d" % (p + 1) if self.spec.variant == "form1" else "r%d" % p
+
     def divisor(self, pt):
         """The remainder factor at pt (elementwise over arrays), which the
         normalized functional divides by.  InvariantViolation names it and
@@ -706,18 +759,15 @@ class ExtendedQ:
                 self.divisor([Fraction(v) for v in point])
                 self.divisor(point)
         elif value == 0:
-            p = self.spec.p
             raise InvariantViolation(
-                "q%d" % (p + 1) if self.spec.variant == "form1" else "r%d" % p,
-                "vanishes at (t, x, tau, xi) = (%s), where the normalized "
-                "functional divides by it" % ", ".join(map(str, pt)))
+                self._rf_name, "vanishes at (t, x, tau, xi) = (%s), where the "
+                "normalized functional divides by it" % ", ".join(map(str, pt)))
         return value
 
     def value_grad_hess(self, w, theta):
-        """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule.  Over a
-        grid of thetas (a _Rounded), or for w of arrays (one per theta),
-        each is an array over the grid's shape, after the w axes for the
-        gradient and Hessian."""
+        """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule.  For w
+        of arrays each is an array over their shape, after the w axes for
+        the gradient and Hessian."""
         w_f = [_floats(v) for v in w]
         ys, etas = self._split(w_f)
         pt = [_floats(v) for v in self.substituted_point(w, theta)]

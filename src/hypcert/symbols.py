@@ -312,13 +312,15 @@ class PolySymbol:
     def eval(self, point: Sequence):
         """Evaluate at a point (any sequence of length 2*(d+1)).
 
-        Exact when every coordinate is an int or a Fraction.  Otherwise in
-        floats, after converting every coordinate but numpy arrays (so a
-        mixed point too), broadcasting over the arrays: terms in ``terms``
-        order, each the float coefficient times its factors x**e left to
-        right, summed from 0.0.  x**e is the product x * x * ... * x, so
-        an array entry rounds as its point alone does (numpy's array power
-        and libm's pow can differ in the last bit).
+        Exact when every coordinate is an int or a Fraction, each x**e by
+        Python's power (O(log e) products; any order gives the same
+        value).  Otherwise in floats, after converting every coordinate
+        but numpy arrays (so a mixed point too), broadcasting over the
+        arrays: terms in ``terms`` order, each the float coefficient times
+        its factors x**e left to right, summed from 0.0.  x**e is the
+        product x * x * ... * x, so an array entry rounds as its point
+        alone does (numpy's array power and libm's pow can differ in the
+        last bit).
         """
         vals = point.as_tuple() if isinstance(point, PhasePoint) else tuple(point)
         if len(vals) != self.nvars:
@@ -328,11 +330,17 @@ class PolySymbol:
             vals = [v if isinstance(v, np.ndarray) else float(v) for v in vals]
         if self._table is None:
             object.__setattr__(self, "_table", tuple(
-                (c, float(c), tuple((i, e) for i, e in enumerate(exps) if e))
+                (c, _float(c), tuple((i, e) for i, e in enumerate(exps) if e))
                 for exps, c in self.terms.items()))
-        total = _ZERO if exact else 0.0
-        for c, float_c, factors in self._table:
-            v = c if exact else float_c
+        if exact:
+            total = _ZERO
+            for c, _, factors in self._table:
+                for i, e in factors:
+                    c = c * vals[i] ** e
+                total = total + c
+            return total
+        total = 0.0
+        for _, v, factors in self._table:
             for i, e in factors:
                 x = p = vals[i]
                 while e > 1:  # x**e as x * x * ... * x, left to right
@@ -341,6 +349,15 @@ class PolySymbol:
                 v = v * p
             total = total + v
         return total
+
+
+def _float(c) -> float:
+    """float(c), or the infinity of its sign past the float range (the
+    exact path never reads it)."""
+    try:
+        return float(c)
+    except OverflowError:
+        return float("inf") if c > 0 else float("-inf")
 
 
 def _merge(pairs) -> dict:

@@ -9,6 +9,10 @@ The time-function criterion: the localized form is negative on
 -H_{t - phi}.  For every normal form the package admits it is -1 (form1)
 or rho - 1 (form2), so the pipeline does not evaluate it
 (time_functions' module docstring).
+
+The normalized extended functional Q(w, theta), written from its
+definition (normal_forms' module docstring) rather than from ExtendedQ,
+to test the structural spring floor against.
 """
 
 from fractions import Fraction
@@ -84,3 +88,33 @@ def time_function_condition(jet, f, at):
     """The localized form on -H_f(at); negative means f is a time
     function for the localization."""
     return value_at(jet, [-v for v in hamilton_field(f, at)])
+
+
+def normalized_q(spec, cutoff, w, slow):
+    """Q(w, theta) / the remainder factor, exact: slow is the flat slow
+    vector (t, z_x, z_xi[, x_p]) with z_xi about the base covector, eps =
+    t - phi(z) resp. t - x_p; w = (y, eta) with y_p pinned to 0 for
+    form2.  The chain coordinates go through the cutoff, the prefactors
+    take w raw."""
+    d, p, form1 = spec.d, spec.p, spec.variant == "form1"
+    k = d - p
+    pt = [Fraction(0)] * (2 * d + 2)
+    pt[0] = slow[0]
+    pt[p + 1:d + 1] = slow[1:1 + k]
+    pt[d + 2 + p:] = slow[1 + k:1 + 2 * k]
+    pt[-1] += 1
+    if not form1:
+        pt[p] = slow[1 + 2 * k]
+    eps = pt[0] - (spec.phi.eval(pt) if form1 else pt[p])
+    ny = p if form1 else p - 1
+    ys, etas = w[:ny], w[ny:]
+    for a, y in enumerate(ys, start=1):
+        step = eps * cutoff.scaled(y)
+        pt[a] = pt[0] + step if form1 else pt[p] - step
+    for a, eta in enumerate(etas, start=1):
+        pt[d + 1 + a] = eps * cutoff.scaled(eta)
+    nodes = [0, *ys, -1] if form1 else [-1, *ys, 0]
+    total = sum(q.eval(pt) * (nodes[j] - nodes[j + 1]) ** 2
+                for j, q in enumerate(spec.q))
+    total += sum(r.eval(pt) * eta ** 2 for r, eta in zip(spec.r, etas))
+    return total / spec.remainder_factor.eval(pt)

@@ -8,10 +8,13 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypcert import (
@@ -33,6 +36,7 @@ from hypcert.symbolfile import (
     parse_symbol_file,
     serialize_symbol_file,
 )
+from test_normal_forms import deep_chain_specs
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -175,18 +179,22 @@ def test_oversized_scan_fails_at_verify():
 
 
 def test_oversized_structural_grid_fails_at_verify(monkeypatch):
-    # b1 lifted to d = 5: its scans at grid 3 pass (3**11 points), but the
-    # structural slow grid would hold 5**11 thetas; it is refused before
-    # the grid of thetas is built
-    def build(*args):
-        raise AssertionError("a grid of thetas was built")
+    # b1 lifted to d = 7: its scans at grid 3 pass (3**15 points), but the
+    # structural boundary's slow grid would hold 5**14 points; TensorGrid
+    # refuses it from the span lengths, before it builds an axis
+    span = walker._span
 
-    monkeypatch.setattr(normal_forms.ExtendedQ, "_rounded_grid", build)
-    rep = run_pipeline(lifted_b1(5, Region(grid=3)), "certify")
+    def build(lo, hi, n):
+        if n == 5:  # a slow axis: N_AXIS nodes
+            raise AssertionError("a slow axis was built")
+        return span(lo, hi, n)
+
+    monkeypatch.setattr(walker, "_span", build)
+    rep = run_pipeline(lifted_b1(7, Region(grid=3)), "certify")
     assert rep.status == "FAILED" and exit_code(rep) == 1
     assert rep.stage == "verify"
-    assert rep.reason == ("a structural check at 48828125 thetas exceeds "
-                          "the budget of %d" % verifier.MAX_THETAS)
+    assert rep.reason == ("a scan of %d grid points exceeds the budget of %d"
+                          % (5 ** 14, walker.MAX_SCAN_POINTS))
     assert rep.time_function is not None and rep.certificate is None
 
 
@@ -213,14 +221,14 @@ def test_oversized_region_fails_before_its_axes_are_built(monkeypatch):
 
 
 def test_structural_grid_within_budget_certifies():
-    # b1 lifted to d = 4: 5**9 thetas, the largest slow grid of the lifts
-    # that fits the budget
-    assert 5 ** 9 <= verifier.MAX_THETAS < 5 ** 10
-    rep = run_pipeline(lifted_b1(4, Region(grid=3)), "certify")
+    # b1 lifted to d = 6: a boundary of 5**12 slow points, the largest of
+    # the lifts within the point budget; its scan walks x_1 alone
+    assert 5 ** 12 <= walker.MAX_SCAN_POINTS < 5 ** 14
+    rep = run_pipeline(lifted_b1(6, Region(grid=3)), "certify")
     assert rep.status == "CERTIFIED" and exit_code(rep) == 0
-    recon = rep.certificate["structural"]["checks"][0]
+    recon, boundary = rep.certificate["structural"]["checks"][:2]
     assert recon["name"] == "reconstruction-lower-bound"
-    assert recon["n_points"] == 5 ** 9
+    assert (recon["n_points"], boundary["n_points"]) == (5 ** 13, 5 ** 12)
 
 
 def test_empty_ratio_set_fails_at_verify(monkeypatch):
@@ -264,8 +272,8 @@ def test_scans_past_exact_integers_fail():
 
 def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
     # b2 with r1 = 1/2 - 16 x2: positive at the base point, but zero at
-    # x2 = 1/32 on the structural z_x axis, where the normalized
-    # functional divides by it
+    # x2 = 1/32, the end of the structural z_x axis, so the spring floor
+    # of the normalized functional, which divides by it, does not close
     t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
     spec = NormalFormSpec(variant="form2", d=2, p=1, q=(xi2 ** 2,),
                           r=(Fraction(1, 2) - 16 * x2,), g=x1 ** 3 * xi2 ** 2)
@@ -276,12 +284,116 @@ def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
     rep = run_pipeline(sf, "certify")
     assert rep.status == "FAILED" and exit_code(rep) == 1
     assert rep.stage == "verify"
-    assert rep.reason.startswith("r1: vanishes at")
+    assert rep.reason == (
+        "r1: interval lower bound 0 is not positive on the structural box "
+        "(t, x, tau, xi) in [0, 1/32] x [-1/32, 1/32] x [-1/32, 1/32] x "
+        "[0, 0] x [-1/16, 1/16] x [31/32, 33/32]")
     path = tmp_path / "r1.json"
     path.write_bytes(serialize_symbol_file(sf))
     out = tmp_path / "rep.json"
     assert main(["certify", str(path), "--out", str(out)]) == 1
     assert json.loads(out.read_bytes())["reason"] == rep.reason
+
+
+def _deep_chain_file(name):
+    spec = deep_chain_specs()[name]
+    return SymbolFile(schema=1, d=spec.d, base_point=PhasePoint.base(spec.d),
+                      a=normal_forms.build_normal_form(spec),
+                      region=Region(grid=5),
+                      options=Options(slack=Fraction(1, 100)),
+                      normal_form=spec)
+
+
+def test_vanishing_spring_fails_at_verify():
+    # form1-p2-d3 with q1 = (1 - 30 x3) xi3^2: positive at the base point,
+    # zero at x3 = 1/30, inside the structural box (|x3| <= 1/24)
+    t, (x1, x2, x3), tau, (xi1, xi2, xi3) = phase_variables(3)
+    spec = deep_chain_specs()["form1-p2-d3"]
+    spec = dataclasses.replace(spec, q=((1 - 30 * x3) * xi3 ** 2,)
+                               + spec.q[1:])
+    sf = dataclasses.replace(_deep_chain_file("form1-p2-d3"), normal_form=spec,
+                             a=normal_forms.build_normal_form(spec))
+    rep = run_pipeline(sf, "certify")
+    assert (rep.status, rep.stage, exit_code(rep)) == ("FAILED", "verify", 1)
+    assert rep.reason == (
+        "q1: interval lower bound -1009/2304 is not positive on the "
+        "structural box (t, x, tau, xi) in [0, 1/24] x [-1/12, 1/8] x "
+        "[-1/12, 1/8] x [-1/24, 1/24] x [0, 0] x [-1/12, 1/12] x "
+        "[-1/12, 1/12] x [23/24, 25/24]")
+
+
+CERTIFY_INPUTS = NAMES + tuple(sorted(deep_chain_specs()))
+
+
+@pytest.fixture(scope="module")
+def certify_bytes():
+    """The certify report bytes of the fixtures and the deep chains."""
+    return {name: emit_report(run_pipeline(_certify_input(name), "certify"))
+            for name in CERTIFY_INPUTS}
+
+
+def _certify_input(name):
+    if name in NAMES:
+        return parse_symbol_file(FIXTURES / ("%s.json" % name))
+    return _deep_chain_file(name)
+
+
+@pytest.mark.parametrize("name", CERTIFY_INPUTS)
+def test_certify_reads_no_newton(name, certify_bytes, monkeypatch):
+    # no structural verdict reads the Newton or LAPACK: with them raising,
+    # each report is the same bytes, and the deep chains certify
+    def broken(*args, **kwargs):
+        raise AssertionError("certify ran the Newton or LAPACK")
+
+    monkeypatch.setattr(verifier, "_newton", broken)
+    monkeypatch.setattr(np.linalg, "cond", broken)
+    monkeypatch.setattr(np.linalg, "solve", broken)
+    rep = run_pipeline(_certify_input(name), "certify")
+    assert emit_report(rep) == certify_bytes[name]
+    if name not in NAMES:
+        assert rep.status == "CERTIFIED"
+
+
+def _huge_exponent_doc(name):
+    """b1 with phi = x1^(2^70), and b2 with x1^(2^40) xi2^2 added to g and
+    half of it to the terms."""
+    doc = fixture_doc(name)
+    if name == "b1":
+        doc["normal_form"]["phi"][0]["exponents"]["x1"] = 2 ** 70
+    else:
+        doc["normal_form"]["g"].append(_term("1", x1=2 ** 40, xi2=2))
+        doc["terms"].append(_term("1/2", x1=2 ** 40, xi2=2))
+    return doc
+
+
+@pytest.mark.parametrize("name,verb,code,reason", [
+    ("b1", "classify", 0, "classification only; nothing certified"),
+    ("b1", "certify", 1, "normal_form does not assemble to the given terms"),
+    ("b2", "classify", 0, "classification only; nothing certified"),
+    ("b2", "certify", 1, "a scan integer could reach 2^3652498566968.4, past "
+     "the 2^53 below which float64 integers are exact"),
+], ids=["b1-classify", "b1-certify", "b2-classify", "b2-certify"])
+def test_huge_exponent_ends_at_once(name, verb, code, reason, tmp_path):
+    # no exponent's value sets the running time: the exact evaluator
+    # raises 0 to 2^70 by squaring, and the scan grid refuses a term from
+    # its logarithms before it forms 10^(2^40)
+    path, out = tmp_path / "in.json", tmp_path / "rep.json"
+    path.write_text(json.dumps(_huge_exponent_doc(name)))
+
+    def stop(signum, frame):
+        raise TimeoutError("%s %s took 5 s" % (verb, name))
+
+    handler = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        got = main([verb, str(path), "--out", str(out)])
+        seconds = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert (got, json.loads(out.read_bytes())["reason"]) == (code, reason)
+    assert seconds < 1
 
 
 def test_each_stage_runs_once(monkeypatch):
@@ -393,6 +505,23 @@ def test_huge_jet_value_fails_at_singular_check(verb, tmp_path, capsys):
                              "2^584962.5)")
 
 
+@pytest.mark.parametrize("verb", ["classify", "certify"])
+def test_coefficient_past_float_range_gives_a_report(verb, tmp_path, capsys):
+    # b2 with r1 = 10^400: the exact evaluations of validation and the
+    # pipeline read no float coefficient, so the file parses and the
+    # verdict is exact (sum of inverse r below 1: not effective)
+    doc = fixture_doc("b2")
+    doc["normal_form"]["r"][0][0]["coeff"] = "1" + "0" * 400
+    doc["terms"][0]["coeff"] = "1" + "0" * 400
+    path, out = tmp_path / "in.json", tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert main([verb, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_bytes())
+    assert (rep["stage"], rep["reason"]) == (
+        "classify", "not effectively hyperbolic (tag pure-imaginary-only)")
+
+
 def test_mu_past_float_range_displays_no_eigenvalues(tmp_path, capsys):
     # a = t^2 + x1^3000 (x1 - 3/2)^2 - xi1^2 at x1 = 3/2: the mu roots are
     # 1 and (3/2)^3000, about 10^528, past float range; the verdict and
@@ -467,7 +596,7 @@ def exit_inputs():
 # (exit code, sha256 of the JSON report) of each input of exit_inputs()
 EXIT_DIGESTS = {
     "certified":
-        (0, "fd629c4914b2cb9a4e1ad22cc6a8f257806208d1b89aea9b9db621c3504f8465"),
+        (0, "b16a0bf1f5ecfe8c0326f0a037511628b57cf0a3d9fae95026fc93f2b6ea262d"),
     "classify-effective":
         (0, "eb539db03991cc6ad4b68b1c1de1f6a09934a114107f756a77064fbcc7e68cf2"),
     "classify-not-effective":
@@ -475,7 +604,7 @@ EXIT_DIGESTS = {
     "classify-refused":
         (1, "8d14212104fbdab2c862057f2fa58b09b62f08698e4cb1aea54d363874d6b309"),
     "gates":
-        (1, "2ed53c4bf6450818b3066d4d17e23c4fb4486bcdff6b8b6db34904bbb3a00b2d"),
+        (1, "8fb9999a4f49f967d223b98276a8dd4c1c0c649ea586eea182b1ea989bef6b69"),
     "no-normal-form":
         (1, "9e6edeb53d1af02f2082a2bef340577a08ee4ce08d5083c1ac7ced03702bc8fd"),
     "not-effective":
@@ -495,7 +624,7 @@ EXIT_DIGESTS = {
     "verify-refused":
         (1, "bcaec062e43989ccf925c2fe3c67d91eb3405dab8db5724e6b05f318abb8e4c2"),
     "verify-vanishing-factor":
-        (1, "6bff781cde701b8c8933eca07c0a85340c15c814a5b56f5c2fd7285cf2c2a08d"),
+        (1, "4e280ec76862c09d0f3bb371da57622b9582b5c4fe4612a3e6c23babcf955ae4"),
 }
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from hypcert import (
-    ExtendedQ,
     NoConvergence,
     NormalFormSpec,
     PolySymbol,
@@ -21,7 +20,6 @@ from hypcert import (
     Theta,
     build_cutoff,
     build_extended_Q,
-    build_normal_form,
     certify_region,
     check_side_conditions,
     check_structural,
@@ -32,9 +30,9 @@ from hypcert.symbolfile import parse_symbol_file
 from hypcert.symbols import DimensionMismatch, phase_variables
 from hypcert import grid as walker
 from hypcert import verifier
-from hypcert.grid import MAX_SCAN_POINTS, TensorGrid
-from hypcert.normal_forms import _Rounded
+from hypcert.grid import MAX_SCAN_POINTS, TensorGrid, uniform_axis
 from hypcert.verifier import region_axes
+from oracles import normalized_q
 from test_normal_forms import deep_chain_specs
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -150,14 +148,13 @@ def test_block_budget_does_not_change_results(budget, monkeypatch):
 
     polys = coordinates(*AXES)
     reference = TensorGrid(2, region_axes(Region(grid=5), 2)).scan(fn, *polys)
-    # so is the structural check, whose samples (5^5 of b1, 5^4 x 17 of
-    # b2) are split into sub-grids of thetas below _BLOCK
+    # so is the structural check, whose boundary and cone scans walk the
+    # same blocks
     certs = [(spec, construct_time_function(spec, slack=F(1, 100)))
              for spec in (b1_spec(), b2_spec())]
     structural = [repr(check_structural(spec, cert, Region(grid=5)))
                   for spec, cert in certs]
     monkeypatch.setattr(walker, "_BLOCK", budget)
-    monkeypatch.setattr(verifier, "_BLOCK", budget)  # structural sub-grids
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
     assert grid.scan(fn, *polys) == reference
     assert [repr(check_structural(spec, cert, Region(grid=5)))
@@ -358,53 +355,15 @@ def test_minimize_dominates_probes():
             assert m <= float(eq.value(w, th)) + 1e-12
 
 
-def _entry(result, i):
-    """Entry i of verifier._newton's result, as minimize_Q reports it."""
-    m, w_bar, hess, gn, its = result
-    return (float(m[i]), tuple(float(v) for v in w_bar[i]),
-            float(np.linalg.cond(hess[i])) if hess.shape[1] else 1.0,
-            float(gn[i]), int(its[i]))
-
-
-def _single(res):
-    return (res.m, res.w_bar, res.hessian_cond, res.grad_norm,
-            res.iterations)
-
-
-def _batch(eq, slow):
-    """The thetas of the slow vectors as one batch along one axis, each
-    rounded alone."""
-    rounded = [eq._rounded(eq.theta_at(v)) for v in slow]
-    return _Rounded(tuple(map(np.array, zip(*(r.point for r in rounded)))),
-                    np.array([r.eps for r in rounded]))
-
-
-def test_newton_batch_entries_are_single_theta_runs():
+def test_newton_stops_at_the_iteration_limit(monkeypatch):
     eq = build_extended_Q(deep_chain_specs()["form1-p2-d3"],
                           build_cutoff(F(1, 2)))
-    slow = [(F(1, 20), F(1, 40), F(-1, 50)), (0, 0, 0),
-            (F(1, 100), F(-1, 80), F(1, 100))]
-    result = verifier._newton(eq, _batch(eq, slow))
-    assert [int(i) for i in result[4]] == [2, 0, 2]
-    for i, v in enumerate(slow):
-        # repr tells -0.0 from 0.0
-        assert repr(_entry(result, i)) == repr(
-            _single(minimize_Q(eq, eq.theta_at(v))))
-
-
-def test_newton_errors_name_the_first_failing_theta(monkeypatch):
-    eq = build_extended_Q(deep_chain_specs()["form1-p2-d3"],
-                          build_cutoff(F(1, 2)))
-    slow = [(0, 0, 0), (F(1, 100), F(-1, 80), F(1, 100)),
-            (F(1, 20), F(1, 40), F(-1, 50))]
+    slow = [(0, 0, 0), (F(1, 20), F(1, 40), F(-1, 50))]
     monkeypatch.setattr(verifier, "MAX_NEWTON_ITER", 1)
     with pytest.raises(NoConvergence,
-                       match=r"^no convergence in 1 iterations at theta 1$"):
-        verifier._newton(eq, _batch(eq, slow))
-    # one theta: the message names none
-    with pytest.raises(NoConvergence,
                        match=r"^no convergence in 1 iterations$"):
-        minimize_Q(eq, eq.theta_at(slow[2]))
+        minimize_Q(eq, eq.theta_at(slow[1]))
+    # the closed-form minimizer meets the stop test at once
     assert minimize_Q(eq, eq.theta_at(slow[0])).iterations == 0
 
 
@@ -442,11 +401,15 @@ def test_structural_b1(small_region):
     rep = check_structural(spec, cert, small_region)
     assert rep.passed
     checks = _by_name(rep)
-    assert checks["reconstruction-lower-bound"].value >= -1e-9
-    assert checks["zero-time-boundary"].value >= -1e-12
+    assert list(checks) == ["reconstruction-lower-bound", "zero-time-boundary",
+                            "negative-branch-floor", "graph-branch-floor"]
+    # b1's one spring is its remainder factor, so q_1 / rf = 1 and the
+    # floor is the theta = 0 minimum
+    recon = checks["reconstruction-lower-bound"]
+    assert (recon.value, recon.worst) == (1.0, (F(1), (("q1", F(1)),)))
+    assert checks["zero-time-boundary"].value == 0.0
     assert checks["negative-branch-floor"].value >= 0.98
     assert checks["graph-branch-floor"].value >= 0.98
-    assert math.isfinite(checks["minimum-lipschitz"].value)
     assert rep.grid["label"] == "empirical"
 
 
@@ -459,115 +422,35 @@ def test_structural_b2_boundary_margin_is_zero(small_region):
     assert checks["zero-time-boundary"].value == 0.0
     assert checks["negative-branch-floor"].value >= 0.9
     assert checks["graph-branch-floor"].value >= 0.9
-    assert checks["reconstruction-lower-bound"].value >= -1e-9
+    # q_1 = xi_2^2 >= (31/32)^2 on the box, over rf = r_1 = 1/2
+    floor = F(961, 512)
+    assert checks["reconstruction-lower-bound"].worst == (
+        floor, (("q1", floor),))
 
 
-def _sweep(spec, region, monkeypatch):
-    """check_structural's report, the batch of thetas its Newton ran over
-    with the results, and the thetas minimize_Q was called for."""
-    runs, solved = [], []
-    newton, solve = verifier._newton, verifier.minimize_Q
-
-    def newton_spy(eq, thetas, w0=None):
-        runs.append((eq, thetas, newton(eq, thetas, w0)))
-        return runs[-1][2]
-
-    def solve_spy(eq, theta, w0=None):
-        solved.append(theta)
-        return solve(eq, theta, w0)
-
-    monkeypatch.setattr(verifier, "_newton", newton_spy)
-    monkeypatch.setattr(verifier, "minimize_Q", solve_spy)
-    cert = construct_time_function(spec, slack=F(1, 100))
-    rep = check_structural(spec, cert, region)
-    monkeypatch.undo()
-    (eq, thetas, result), = runs
-    return rep, eq, thetas, result, solved
-
-
-@pytest.mark.parametrize("name", ["b2", "classical", "form1-p2-d3",
-                                  "form2-p2-d3", "form2-p3-d4"])
-def test_structural_newton_entries_are_single_theta_runs(name, monkeypatch):
-    # check_structural runs the batched Newton once over the slow grid
-    # (N_AXIS points per slow axis; the t = 0 boundary reads the first
-    # t level) and never minimize_Q; each entry is minimize_Q on its
-    # theta alone
-    if name in deep_chain_specs():
-        spec = deep_chain_specs()[name]
-    else:
-        spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
-    rep, eq, thetas, result, solved = _sweep(spec, Region(grid=5),
-                                             monkeypatch)
-    n = math.prod(thetas.shape)
-    assert rep.passed and solved == [] and result[0].shape == (n,)
-    assert thetas.shape == (verifier.N_AXIS,) * eq.theta_dim
-    assert _by_name(rep)["zero-time-boundary"].n_points == n // 5
-    for i in range(n):
-        assert repr(_entry(result, i)) == repr(
-            _single(minimize_Q(eq, thetas.entry(i)))), i
-    iterations = result[4]
-    if name in deep_chain_specs():
-        # theta = 0 meets the stop test at the closed-form minimizer;
-        # Newton steps elsewhere
-        assert iterations.min() == 0 and 0 < iterations.max() <= 2
-    else:
-        assert not iterations.any()
-
-
-def _structural_reference(spec, region):
-    """Checks (i), (ii) and (iv) of check_structural written per theta:
-    minimize_Q on every Theta alone, then one scalar evaluation per
-    sample, folded with strict comparisons."""
+def _structural_reference(spec, region, floor):
+    """Check (ii) of check_structural written per theta in Fractions:
+    floor eps^2 + remainder at the substituted point with w = 0 of each
+    slow-grid theta with t = 0; the least value, with the least point
+    among its ties (the first in C order over the slot-ordered axes)."""
     eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
-    a = build_normal_form(spec)
-    rng = random.Random(verifier.SEED)
-    delta = float(verifier.STRUCTURAL_CUTOFF.delta)
-    slow = list(itertools.product(*verifier._theta_axes(eq, region)))
-    thetas = [eq.theta_at(v) for v in slow]
-    results = [minimize_Q(eq, theta) for theta in thetas]
-
-    recon_min, recon_worst, n_recon = math.inf, None, 0
-    for theta, res in zip(thetas, results):
-        samples = [tuple(res.w_bar)]
-        if eq.w_dim:
-            for _ in range(verifier.N_W):
-                samples.append(tuple(rng.uniform(-delta, delta)
-                                     for _ in range(eq.w_dim)))
-        for w in samples:
-            pt = [float(v) for v in eq.substituted_point(w, theta)]
-            ahat = a.eval(pt) / eq.divisor(pt)
-            margin = (ahat - res.m * float(theta.eps) ** 2
-                      - spec.remainder.eval(pt))
-            n_recon += 1
-            if margin / (1 + abs(ahat)) < recon_min:
-                recon_min = margin / (1 + abs(ahat))
-                recon_worst = (tuple(w), theta)
-
-    bnd_min, bnd_worst, n_bnd = math.inf, None, 0
-    for v, theta, res in zip(slow, thetas, results):
-        if v[0] == 0:
-            rem = spec.remainder.eval(
-                eq.substituted_point((0.0,) * eq.w_dim, theta))
-            val = res.m * (-float(theta.eps)) ** 2 + rem
-            n_bnd += 1
-            if val < bnd_min:
-                bnd_min, bnd_worst = val, (theta.z_x, theta.z_xi, theta.x_p)
-
-    base = {v[1:]: res.m for v, res in zip(slow, results) if v[0] == 0}
-    lip, n_lip = 0.0, 0
-    for v, res in zip(slow, results):
-        if v[0] > 0:
-            lip = max(lip, abs(res.m - base[v[1:]]) / float(v[0]))
-            n_lip += 1
-    return {"reconstruction-lower-bound": (recon_min, recon_min >= -1e-9,
-                                           n_recon, recon_worst),
-            "zero-time-boundary": (bnd_min, bnd_min >= -1e-9, n_bnd,
-                                   bnd_worst),
-            "minimum-lipschitz": (lip, math.isfinite(lip), n_lip, None)}
+    axes = [uniform_axis(lo, hi, n) for lo, hi, n in
+            verifier._theta_spans(eq, region)]
+    best, n = None, 0
+    for v in itertools.product([F(0)], *axes[1:]):
+        theta = eq.theta_at(v)
+        pt = eq.substituted_point((0,) * eq.w_dim, theta)
+        value = floor * theta.eps ** 2 + spec.remainder.eval(pt)
+        n += 1
+        # the anchored point: its chain slots hold t = 0 resp. x_p, off
+        # the scan's grid, and both read only the slow slots
+        at = tuple(eq._anchored_point(theta))
+        if best is None or (value, at) < best:
+            best = (value, at)
+    return best, n
 
 
-# a region whose slow grid has xi_d nodes z with float(1 + z) != 1.0 +
-# float(z), and thetas with float(t - gate) != float(t) - float(gate)
+# a region whose slow axes have nodes of odd denominators (7, 63, 217)
 ROUNDING_REGION = Region(grid=5, t_max=F(1, 7), x_half=F(1, 63),
                          xi_half=F(1, 63))
 
@@ -575,85 +458,68 @@ ROUNDING_REGION = Region(grid=5, t_max=F(1, 7), x_half=F(1, 63),
 @pytest.mark.parametrize("name,region", [
     ("b1", Region(grid=5)), ("b2", Region(grid=5)),
     ("classical", Region(grid=5)), ("form1-p2-d3", Region(grid=5)),
-    # the worst sample here has an eps whose pow(eps, 2) is not eps * eps
     ("b1", Region(grid=5, t_max=F(1, 217), x_half=F(2, 217),
                   xi_half=F(2, 217))),
     ("b2", ROUNDING_REGION), ("form1-p2-d3", ROUNDING_REGION),
 ], ids=["b1", "b2", "classical", "form1-p2-d3", "b1-eps-squared",
         "b2-rounding", "form1-p2-d3-rounding"])
-def test_structural_matches_per_theta_reference(name, region, monkeypatch):
+def test_structural_matches_per_theta_reference(name, region):
     if name in deep_chain_specs():
         spec = deep_chain_specs()[name]
     else:
         spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
-    grids, build = [], ExtendedQ._rounded_grid
-
-    def spy(eq, axes):
-        grids.append((eq, axes, build(eq, axes)))
-        return grids[-1][2]
-
-    monkeypatch.setattr(ExtendedQ, "_rounded_grid", spy)
     cert = construct_time_function(spec, slack=F(1, 100))
     checks = _by_name(check_structural(spec, cert, region))
-    # the grid holds each theta as _rounded rounds it alone: its point,
-    # then eps, bit for bit (repr tells -0.0 from 0.0)
-    (eq, axes, grid), = grids
-    got = [np.broadcast_to(v, grid.shape).ravel().tolist()
-           for v in grid.point + (grid.eps,)]
-    thetas = [eq.theta_at(v) for v in itertools.product(*axes)]
-    want = [r.point + (r.eps,) for r in map(eq._rounded, thetas)]
-    assert list(map(repr, zip(*got))) == list(map(repr, want))
-    if region == ROUNDING_REGION:  # rounding the parts would differ here
-        assert any(float(1 + th.z_xi[-1]) != 1.0 + float(th.z_xi[-1])
-                   for th in thetas)
-        assert any(float(th.eps) != float(th.t) - float(th.t - th.eps)
-                   for th in thetas)
-    for check, want in _structural_reference(spec, region).items():
-        got = checks[check]
-        # repr tells -0.0 from 0.0 and a Fraction from an equal float
-        assert repr((got.value, got.passed, got.n_points, got.worst)) \
-            == repr(want), check
+    eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
+    spans = verifier._theta_spans(eq, region)
+    exact, bounds = eq.floor([(lo, hi) for lo, hi, _ in spans])
+    # (i): the floor of the slow box, rounded down to FLOOR_BITS bits
+    recon = checks["reconstruction-lower-bound"]
+    floor = recon.worst[0]
+    assert recon.worst[1] == bounds and recon.value == float(floor)
+    assert floor.denominator & (floor.denominator - 1) == 0  # dyadic
+    assert exact * (1 - F(1, 2 ** (verifier.FLOOR_BITS - 1))) < floor
+    assert floor <= exact
+    assert recon.passed and recon.n_points == verifier.N_AXIS ** len(spans)
+    # (ii): the integer scan gives the per-theta values' least, exactly
+    (value, at), n = _structural_reference(spec, region, floor)
+    boundary = checks["zero-time-boundary"]
+    assert (boundary.value, boundary.passed, boundary.n_points) == (
+        float(value), value >= 0, n)
+    assert boundary.worst[0].as_tuple() == at
 
 
-@pytest.mark.parametrize("spec,w_dim", [(b2_spec(), 1),
-                                        (crit7_spec(F(1, 2)), 2)],
-                         ids=["b2", "crit7"])
-def test_structural_w_draws_are_seeded_uniforms(spec, w_dim, monkeypatch):
-    # the worst reconstruction sample of every tested spec is a minimizer,
-    # so the reports alone cannot tell the draws apart: read the samples
-    # handed to substituted_point, the minimizer then N_W draws per theta,
-    # and compare the draws with random.uniform in theta, sample, w order
-    seen = []
-    original = ExtendedQ.substituted_point
-    per = (verifier.N_W + 1,)
-
-    def spy(self, w, theta):
-        # the reconstruction sub-grids, in order: a list of arrays with a
-        # trailing sample axis (Newton hands over floats or a 2-d array)
-        if isinstance(w, list) and np.shape(w[0])[-1:] == per:
-            seen.append(np.stack([np.reshape(wj, (-1, np.shape(wj)[-1]))
-                                  for wj in w], axis=-1))
-        return original(self, w, theta)
-
-    monkeypatch.setattr(ExtendedQ, "substituted_point", spy)
-    cert = construct_time_function(spec, slack=F(1, 100))
-    check_structural(spec, cert, Region(grid=9))
-    draws = np.concatenate(seen)[:, 1:]
-    assert draws.shape[1:] == (verifier.N_W, w_dim)
-    rng = random.Random(verifier.SEED)
-    delta = float(verifier.STRUCTURAL_CUTOFF.delta)
-    assert draws.ravel().tolist() == [rng.uniform(-delta, delta)
-                                      for _ in range(draws.size)]
-
-
-@pytest.mark.parametrize("k", [0, 1, 17, 10000, 2 * walker._BLOCK + 17])
-def test_random_draws_are_random_bit_for_bit(k):
-    # the draws decoded from getrandbits are rng.random()'s doubles, and
-    # leave the generator where k calls of random() would, across chunks
-    rng, reference = (random.Random(verifier.SEED) for _ in range(2))
-    assert (verifier._random_draws(rng, k).tolist()
-            == [reference.random() for _ in range(k)])
-    assert rng.random() == reference.random()
+@pytest.mark.parametrize("name", ["b1", "b2", "b2_bbis2", "classical",
+                                  "form1-p2-d3", "form2-p2-d3",
+                                  "form2-p3-d4"])
+def test_spring_floor_is_a_floor(name):
+    # Q >= L exactly at the slow box's corners and at seeded grid points,
+    # for seeded w inside the cutoff's identity zone and past 2 delta,
+    # where it saturates; Q is written from its definition in oracles.py
+    if name in deep_chain_specs():
+        spec = deep_chain_specs()[name]
+    else:
+        spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
+    cutoff = verifier.STRUCTURAL_CUTOFF
+    eq = build_extended_Q(spec, cutoff, mode="normalized")
+    spans = verifier._theta_spans(eq, Region(grid=9))
+    floor, _ = eq.floor([(lo, hi) for lo, hi, _ in spans])
+    rng = random.Random(31)
+    axes = [uniform_axis(lo, hi, n) for lo, hi, n in spans]
+    slow = list(itertools.product(*[(ax[0], ax[-1]) for ax in axes]))
+    slow += [tuple(rng.choice(ax) for ax in axes) for _ in range(16)]
+    draws = []
+    for v in slow:
+        for _ in range(3):
+            # |w_j| up to 3 delta
+            w = [F(rng.randint(-3000, 3000), 2000) for _ in range(eq.w_dim)]
+            q = normalized_q(spec, cutoff, w, v)
+            assert q == eq.value(w, eq.theta_at(v))
+            assert q >= floor, (v, w)
+            draws += w
+    if draws:  # both zones of the cutoff are drawn
+        assert min(map(abs, draws)) <= cutoff.delta
+        assert max(map(abs, draws)) > 2 * cutoff.delta
 
 
 def test_structural_d3_passes():
