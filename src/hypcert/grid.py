@@ -179,6 +179,24 @@ class TensorGrid:
             self._index.append((first, inc))
             self._float_axes.append(
                 np.array([first + inc * k for k in range(n)], float))
+        # below this exponent no unit or max|U| power reaches
+        # 2^LOG2_REFUSED, so integer() takes logarithms only above it
+        self._max_k = LOG2_REFUSED // max(
+            max(un, ud, um).bit_length()
+            for (un, ud), um in zip(self._units, self._umax))
+
+    def _check_term(self, e, c) -> None:
+        """Refuse the term c U^e from logarithms, before its powers are
+        formed: c unit^e reduced is a/b with max(a, b) at least |c unit^e|
+        and its inverse, and the term's bound is at least max|U|^e."""
+        factors = [(self._units[i], self._umax[i], k)
+                   for i, k in enumerate(e) if k]
+        if all(un for (un, _), _, _ in factors):  # else the term drops
+            _check_log2(max(abs(
+                math.log2(abs(c.numerator)) - math.log2(c.denominator)
+                + sum(k * (math.log2(un) - math.log2(ud))
+                      for (un, ud), _, k in factors)),
+                sum(k * math.log2(um) for _, um, k in factors)))
 
     def point(self, flat: int) -> PhasePoint:
         """The exact grid point of a flat index (C order)."""
@@ -204,21 +222,19 @@ class TensorGrid:
         for p in polys:
             terms = []
             for e, c in p.terms.items():
-                num, den = c.numerator, c.denominator
-                slots = [i for i, k in enumerate(e) if k]
-                if not all(self._units[i][0] for i in slots):
-                    continue  # on a slot off the grid
-                # c unit^e reduced is a/b with max(a, b) >= |c unit^e| and
-                # >= its inverse
-                _check_log2(abs(math.log2(abs(num)) - math.log2(den) + sum(
-                    e[i] * (math.log2(self._units[i][0])
-                            - math.log2(self._units[i][1])) for i in slots)))
-                for i in slots:
-                    un, ud = self._units[i]
-                    num, den = num * un ** e[i], den * ud ** e[i]
-                size = math.prod(self._size[i] for i in slots)
-                g = math.gcd(num, den)
-                terms.append((size, e, num // g, den // g))
+                num, den, size = c.numerator, c.denominator, 1
+                for i, k in enumerate(e):
+                    if k:
+                        un, ud = self._units[i]
+                        if not un:
+                            break
+                        if k > self._max_k:
+                            self._check_term(e, c)
+                        num, den = num * un ** k, den * ud ** k
+                        size *= self._size[i]
+                else:
+                    g = math.gcd(num, den)
+                    terms.append((size, e, num // g, den // g))
             terms.sort(key=lambda term: -term[0])  # stable
             scaled.append((p, terms))
         den = math.lcm(*(term[3] for _, terms in scaled for term in terms))
@@ -233,14 +249,10 @@ class TensorGrid:
         product or sum of its float evaluation on the grid exceeds, whole
         or split (every max|U| on the slots of a term that integer()
         keeps is at least 1)."""
-        total = 0
-        for e, c in poly.terms.items():
-            powers = [(self._umax[i], k) for i, k in enumerate(e) if k]
-            if all(u for u, _ in powers):  # else the term is 0 on the grid
-                _check_log2(math.log2(abs(c)) + sum(k * math.log2(u)
-                                                    for u, k in powers))
-                total += abs(c) * math.prod(u ** k for u, k in powers)
-        return int(total)
+        umax = self._umax
+        return int(sum(abs(c) * math.prod(umax[i] ** k for i, k in
+                                          enumerate(e) if k)
+                       for e, c in poly.terms.items()))
 
     def _blocks(self, walk, *polys: PolySymbol):
         """(first walked flat index, block shape, values of the polys) of
