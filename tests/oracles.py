@@ -91,7 +91,7 @@ def time_function_condition(jet, f, at):
 
 
 def normalized_q(spec, cutoff, w, slow):
-    """Q(w, theta) / the remainder factor, exact: slow is the flat slow
+    """The normalized Q(w, theta), exact: slow is the flat slow
     vector (t, z_x, z_xi[, x_p]) with z_xi about the base covector, eps =
     t - phi(z) resp. t - x_p; w = (y, eta) with y_p pinned to 0 for
     form2.  The chain coordinates go through the cutoff, the prefactors
