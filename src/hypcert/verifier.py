@@ -16,7 +16,7 @@ the caller decides what it means.
 check_structural is a stage of its own, in exact arithmetic only: the
 springs-in-series floor L of ExtendedQ.floor on the slow box, one integer
 scan of the t = 0 boundary L gate^2 + remainder over the slow axes, and
-one of the two branch floors over the pinned cone.  The damped Newton
+one of both branch floors over the pinned cone.  The damped Newton
 (_newton) serves minimize_Q, the minimize verb, alone.
 """
 
