@@ -761,7 +761,8 @@ class ExtendedQ:
         elif value == 0:
             raise InvariantViolation(
                 self._rf_name, "vanishes at (t, x, tau, xi) = (%s), where the "
-                "normalized functional divides by it" % ", ".join(map(str, pt)))
+                "normalized functional divides by it"
+                % ", ".join(map(str, pt)))
         return value
 
     def value_grad_hess(self, w, theta):
