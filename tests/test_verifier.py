@@ -489,6 +489,63 @@ def test_structural_matches_per_theta_reference(name, region):
     assert boundary.worst[0].as_tuple() == at
 
 
+@pytest.mark.parametrize("name", ["b2", "classical", "form1-p2-d3",
+                                  "form2-p2-d3", "form2-p3-d4"])
+def test_structural_newton_entries_are_single_theta_runs(name, monkeypatch):
+    # check_structural's entries were once the batched Newton's; it runs
+    # no Newton now (both entry points raise here), and check (ii) over
+    # N_AXIS points per slow axis at t = 0 is the least single-theta value
+    # in Fractions, form2 included
+    def broken(*args, **kwargs):
+        raise AssertionError("check_structural ran the Newton")
+
+    monkeypatch.setattr(verifier, "_newton", broken)
+    monkeypatch.setattr(verifier, "minimize_Q", broken)
+    if name in deep_chain_specs():
+        spec = deep_chain_specs()[name]
+    else:
+        spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
+    region = Region(grid=5)
+    cert = construct_time_function(spec, slack=F(1, 100))
+    rep = check_structural(spec, cert, region)
+    assert rep.passed
+    checks = _by_name(rep)
+    eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
+    assert checks["reconstruction-lower-bound"].n_points == (
+        verifier.N_AXIS ** eq.theta_dim)
+    (value, at), n = _structural_reference(
+        spec, region, checks["reconstruction-lower-bound"].worst[0])
+    boundary = checks["zero-time-boundary"]
+    assert n == verifier.N_AXIS ** (eq.theta_dim - 1)
+    assert (boundary.value, boundary.n_points) == (float(value), n)
+    assert boundary.worst[0].as_tuple() == at
+
+
+@pytest.mark.parametrize("spec,w_dim", [(b2_spec(), 1),
+                                        (crit7_spec(F(1, 2)), 2)],
+                         ids=["b2", "crit7"])
+def test_structural_w_draws_are_seeded_uniforms(spec, w_dim):
+    # the seeded uniform w draws the reconstruction check once sampled
+    # (16 per slow-grid theta, random.uniform(-delta, delta) from seed 0,
+    # in theta, sample, w order) lie on or above the proved floor, exactly
+    cert = construct_time_function(spec, slack=F(1, 100))
+    region = Region(grid=9)
+    recon = _by_name(check_structural(spec, cert, region))[
+        "reconstruction-lower-bound"]
+    floor = recon.worst[0]
+    eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
+    assert eq.w_dim == w_dim and recon.passed and floor > 0
+    rng = random.Random(0)
+    delta = float(verifier.STRUCTURAL_CUTOFF.delta)
+    axes = [uniform_axis(lo, hi, n)
+            for lo, hi, n in verifier._theta_spans(eq, region)]
+    for v in itertools.product(*axes):
+        theta = eq.theta_at(v)
+        for _ in range(16):
+            w = [F(rng.uniform(-delta, delta)) for _ in range(w_dim)]
+            assert eq.value(w, theta) >= floor, (v, w)
+
+
 @pytest.mark.parametrize("name", ["b1", "b2", "b2_bbis2", "classical",
                                   "form1-p2-d3", "form2-p2-d3",
                                   "form2-p3-d4"])
