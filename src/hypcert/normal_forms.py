@@ -60,8 +60,8 @@ Where exact interval bounds (_interval) give rf > 0, every r_a >= 0 and
 l_j <= q_j / rf there, Cauchy-Schwarz gives Q >= L = 1 / sum_j (1 / l_j):
 the springs-in-series minimum 1/S above, with the factors' box minima.
 
-A Theta is one exact theta; _Rounded is one theta rounded to floats, as
-the Newton of the minimize verb reads it.
+A Theta is one exact theta; _Rounded is one theta rounded once to
+floats, which the Newton of the minimize verb reads one point at a time.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from hypcert.grid import TensorGrid
 from hypcert.symbols import (
@@ -134,21 +132,6 @@ def _interval(poly, box, den: int) -> Tuple[Fraction, Fraction]:
                 m_lo, m_hi = min(ends), max(ends)
         lo, hi = lo + m_lo, hi + m_hi
     return Fraction(lo, scale * den ** top), Fraction(hi, scale * den ** top)
-
-
-def _floats(v):
-    """float(v), elementwise for an array (a float array is itself)."""
-    return v.astype(float, copy=False) if isinstance(v, np.ndarray) \
-        else float(v)
-
-
-def _stack(values, shape):
-    """The values (scalars or arrays that broadcast to shape) as one float
-    array, along a new first axis."""
-    out = np.empty((len(values),) + shape)
-    for i, v in enumerate(values):
-        out[i] = v
-    return out
 
 
 class InvariantViolation(ValueError):
@@ -393,27 +376,12 @@ def _piecewise(s, inner, coeffs, outer, odd):
     """The piece on u = |s|, negated at s < 0 when odd: u itself (inner
     None) or the constant inner on u <= 1, the constant outer on u >= 2,
     and the polynomial coeffs in u - 1 between.  Exact on rationals, a
-    constant k read as u - u + k to keep the type of u; elementwise on an
-    array as for a float s, with |s| and the masks taken once and the
-    polynomial evaluated only where 1 < u < 2 (or u is nan), and nan at
-    an infinite u on the constant piece, as u - u + k reads there."""
+    constant k read as u - u + k to keep the type of u."""
     neg = s < 0
-    if not isinstance(s, np.ndarray):
-        u = -s if neg else s
-        out = ((u if inner is None else u - u + inner) if u <= 1
-               else u - u + outer if u >= 2 else horner(coeffs, u - 1))
-        return -out if odd and neg else out
-    u = np.where(neg, -s, s)
-    low, high = u <= 1, u >= 2
-    out = np.where(low, u if inner is None else float(inner), float(outer))
-    out[u == np.inf] = np.nan
-    mid = ~(low | high)
-    if mid.any():
-        v, poly = u[mid] - 1, 0.0
-        for c in reversed(coeffs):
-            poly = poly * v + c
-        out[mid] = poly
-    return np.where(neg, -out, out) if odd else out
+    u = -s if neg else s
+    out = ((u if inner is None else u - u + inner) if u <= 1
+           else u - u + outer if u >= 2 else horner(coeffs, u - 1))
+    return -out if odd and neg else out
 
 
 @dataclass(frozen=True)
@@ -438,20 +406,14 @@ class Cutoff:
     def chi_second(self, s: Number) -> Number:
         return _piecewise(s, 0, _H2, 0, odd=True)
 
-    def _delta(self, s):
-        """delta, as a float for an array s (a float s rounds it alike)."""
-        return float(self.delta) if isinstance(s, np.ndarray) else self.delta
-
     def scaled(self, s: Number) -> Number:
-        delta = self._delta(s)
-        return delta * self.chi(s / delta)
+        return self.delta * self.chi(s / self.delta)
 
     def scaled_prime(self, s: Number) -> Number:
-        return self.chi_prime(s / self._delta(s))
+        return self.chi_prime(s / self.delta)
 
     def scaled_second(self, s: Number) -> Number:
-        delta = self._delta(s)
-        return self.chi_second(s / delta) / delta
+        return self.chi_second(s / self.delta) / self.delta
 
 
 def build_cutoff(delta: Number) -> Cutoff:
@@ -610,7 +572,7 @@ class ExtendedQ:
     def substituted_point(self, w, theta):
         """Full phase point fed to every factor (tau slot stays 0): exact
         for a Theta until w moves it, and for a _Rounded floats, rounded
-        before w (floats or arrays) moves them."""
+        before w moves them."""
         self._split(w)  # checks the length of w
         pt = (self._anchored_point(theta) if isinstance(theta, Theta)
               else list(theta.point))
@@ -713,7 +675,7 @@ class ExtendedQ:
                 grad[i] += s * 2 * diff
                 for j, u in moving:
                     hess[i][j] += s * u * 2
-            return diff ** 2, grad, hess
+            return diff * diff, grad, hess
 
         terms = [square(n[j] - n[j + 1],
                         [(i - 1, s) for i, s in ((j, 1), (j + 1, -1))
@@ -744,21 +706,17 @@ class ExtendedQ:
         return "q%d" % (p + 1) if self.spec.variant == "form1" else "r%d" % p
 
     def divisor(self, pt):
-        """The remainder factor at pt (elementwise over arrays), which the
-        normalized functional divides by.  InvariantViolation names it and
-        the first point where it is zero: as exact rationals when it
-        vanishes there exactly."""
-        value = self.spec.remainder_factor.eval(pt)
-        if isinstance(value, np.ndarray):
-            zero = np.flatnonzero(value == 0)
-            if zero.size:
-                shape = np.broadcast_shapes(value.shape, *map(np.shape, pt))
-                at = np.unravel_index(zero[0], (1,) * (len(shape) - value.ndim)
-                                      + value.shape)
-                point = [float(np.broadcast_to(v, shape)[at]) for v in pt]
-                self.divisor([Fraction(v) for v in point])
-                self.divisor(point)
-        elif value == 0:
+        """The remainder factor at pt, which the normalized functional
+        divides by.  InvariantViolation names it and pt where it is zero:
+        pt as exact rationals when it vanishes there exactly."""
+        rf = self.spec.remainder_factor
+        value = rf.eval(pt)
+        if value == 0:
+            try:
+                exact = [Fraction(v) for v in pt]
+                pt = exact if rf.eval(exact) == 0 else pt
+            except (OverflowError, ValueError):  # an inf or nan in pt
+                pass
             raise InvariantViolation(
                 self._rf_name, "vanishes at (t, x, tau, xi) = (%s), where the "
                 "normalized functional divides by it"
@@ -766,66 +724,54 @@ class ExtendedQ:
         return value
 
     def value_grad_hess(self, w, theta):
-        """(Q, grad_w Q, hess_w Q) as floats, analytic chain rule.  For w
-        of arrays each is an array over their shape, after the w axes for
-        the gradient and Hessian."""
-        w_f = [_floats(v) for v in w]
-        ys, etas = self._split(w_f)
-        pt = [_floats(v) for v in self.substituted_point(w, theta)]
-        shape = np.broadcast_shapes(*map(np.shape, pt))
-        nw, cut, eps = self.w_dim, self.cutoff, _floats(theta.eps)
-        prefs = self._prefactors(ys, etas)
+        """(Q, grad_w Q, hess_w Q) as a float, a list and a list of rows,
+        by the analytic chain rule one entry at a time: per factor, the
+        Hessian entry (i, j) is the formula for i <= j, mirrored."""
+        pt = [float(v) for v in self.substituted_point(w, theta)]
+        w, nw, eps = [float(v) for v in w], self.w_dim, float(theta.eps)
+        rows = range(nw)
+        prefs = self._prefactors(*self._split(w))
         # the remainder factor, last in _derivatives (zip skips it in raw)
         if self.mode == "normalized":
-            prefs.append((1.0, [0.0] * nw, [[0.0] * nw for _ in range(nw)]))
-        # the chain rule per factor, as arrays over (w index[, w index])
-        # and the grid: entry (i, j) of the Hessian is the formula for i
-        # <= j, mirrored; zero derivatives are not evaluated.  d1, d2:
-        # the derivatives of the phase slot w index i moves
-        signs = [sign for _, sign in self._w_slots]
-        d1 = _stack([s * eps * cut.scaled_prime(v)
-                     for s, v in zip(signs, w_f)], shape)
-        d2 = _stack([s * eps * cut.scaled_second(v)
-                     for s, v in zip(signs, w_f)], shape)
-        lead = (nw, nw) + (1,) * len(shape)
-        upper = np.triu(np.ones((nw, nw), dtype=bool)).reshape(lead)
-        diag = np.arange(nw)
+            prefs.append((1.0, [0.0] * nw, [[0.0] * nw] * nw))
+        # d1, d2: the derivatives of the phase slot w index i moves
+        d1 = [sign * eps * self.cutoff.scaled_prime(v)
+              for (_, sign), v in zip(self._w_slots, w)]
+        d2 = [sign * eps * self.cutoff.scaled_second(v)
+              for (_, sign), v in zip(self._w_slots, w)]
+
+        def at(poly):  # a zero derivative, read as 0.0 unevaluated
+            return poly.eval(pt) if poly.terms else 0.0
+
         parts = []
         for (sym, first, second), (pv, pg, ph) in zip(self._derivatives,
                                                       prefs):
             f = sym.eval(pt)
-            f1 = np.zeros((nw,) + shape)
-            for i, (slot, _) in enumerate(self._w_slots):
-                if first[slot].terms:
-                    f1[i] = first[slot].eval(pt)
-            f2 = np.zeros((nw, nw) + shape)
+            f1 = [at(first[slot]) for slot, _ in self._w_slots]
+            th = [[0.0] * nw for _ in rows]
             for (i, j), poly in second.items():
-                if poly.terms:
-                    f2[i, j] = poly.eval(pt)
-            pg = _stack(pg, shape)
-            tg = pg * f + pv * f1 * d1
-            th = (np.array(ph, dtype=float).reshape(lead) * f
-                  + pg[:, None] * f1[None] * d1[None]
-                  + pg[None] * f1[:, None] * d1[:, None]
-                  + pv * f2 * d1[:, None] * d1[None])
-            th[diag, diag] += pv * f1 * d2
-            parts.append((pv * f, tg, np.where(upper, th, th.swapaxes(0, 1))))
+                v = (ph[i][j] * f + pg[i] * f1[j] * d1[j]
+                     + pg[j] * f1[i] * d1[i]
+                     + pv * at(poly) * d1[i] * d1[j])
+                if i == j:
+                    v += pv * f1[i] * d2[i]
+                th[i][j] = th[j][i] = v
+            parts.append((pv * f, [pg[i] * f + pv * f1[i] * d1[i]
+                                   for i in rows], th))
         if self.mode == "normalized":
             _, rg, rh = parts.pop()
-        val, grad = 0.0, np.zeros((nw,) + shape)
-        hess = np.zeros((nw, nw) + shape)
+        val, grad, hess = 0.0, [0.0] * nw, [[0.0] * nw for _ in rows]
         for tv, tg, th in parts:
             val = val + tv
-            grad += tg
-            hess += th
+            grad = [a + b for a, b in zip(grad, tg)]
+            hess = [[a + b for a, b in zip(r, s)] for r, s in zip(hess, th)]
         if self.mode == "raw":
             return val, grad, hess
         rv = self.divisor(pt)
         q = val / rv
-        qg = (grad - q * rg) / rv
-        qh = (hess - q * rh - qg[:, None] * rg[None]
-              - rg[:, None] * qg[None]) / rv
-        return q, qg, qh
+        qg = [(g - q * r) / rv for g, r in zip(grad, rg)]
+        return q, qg, [[(hess[i][j] - q * rh[i][j] - qg[i] * rg[j]
+                         - rg[i] * qg[j]) / rv for j in rows] for i in rows]
 
 
 def build_extended_Q(spec: NormalFormSpec, cutoff: Cutoff,

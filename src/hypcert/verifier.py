@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,51 +182,50 @@ def minimize_Q(eq: ExtendedQ, theta: Theta,
         grad_norm=float(gn), iterations=its)
 
 
+def _dot(u, v) -> float:
+    """sum_i u_i v_i, in index order from 0.0."""
+    return reduce(add, map(mul, u, v), 0.0)
+
+
 def _newton(eq: ExtendedQ, theta: Theta, w0=None):
     """Safeguarded damped Newton on grad_w Q = 0, from the closed-form
     theta = 0 minimizer (or w0), accepting only Q-decreasing steps.  It
     stops at the stop test, or when no step decreases Q and its Newton
     decrement is below the rounding floor of Q; an ill-conditioned
     Hessian, a failed line search or the iteration limit raise.  theta is
-    rounded to floats once.  The first step reads w0 as floats and later
-    ones a column of one (a float's ** 2 is libm's pow, an array's is
-    numpy's square, and minimize's frozen bits read both).  Returns m,
-    w_bar, the final Hessian, the gradient norm and the steps taken."""
+    rounded to floats once.  Returns m, w_bar, the final Hessian, the
+    gradient norm and the steps taken."""
     theta = eq._rounded(theta)
-    nw = eq.w_dim
-    w0 = [float(v) for v in (eq.theta0_minimizer()[0] if w0 is None else w0)]
-    w = np.array(w0, dtype=float)[:, None]
-    w_live = w0
+    w = [float(v) for v in (eq.theta0_minimizer()[0] if w0 is None else w0)]
     for it in range(MAX_NEWTON_ITER):
-        val, grad, hess = (np.reshape(v, lead) for v, lead in zip(
-            eq.value_grad_hess(w_live, theta), ((), (nw,), (nw, nw))))
-        # sums over w run in w order; the stop test is |grad_w Q| <= 1e-10
-        # (1 + |Q|)
-        gn = np.sqrt(reduce(add, grad * grad, 0.0))
+        val, grad, hess = eq.value_grad_hess(w, theta)
+        # the stop test is |grad_w Q| <= 1e-10 (1 + |Q|)
+        gn = math.sqrt(_dot(grad, grad))
         if gn <= 1e-10 * (1 + abs(val)):
-            return val, w[:, 0], hess, gn, it
-        cond = np.linalg.cond(hess[None])[0]
+            return val, w, hess, gn, it
+        cond = np.linalg.cond(hess)
         if not (np.isfinite(cond) and cond <= 1e12):
             raise HessianDegenerate("condition number %.3e" % cond)
         try:
-            step = np.linalg.solve(hess[None], -grad[None, :, None])[0, :, 0]
+            step = np.linalg.solve(hess, [-g for g in grad]).tolist()
         except np.linalg.LinAlgError as exc:
             raise HessianDegenerate(str(exc)) from exc
-        if reduce(add, grad * step, 0.0) >= 0:  # uphill
-            step = -grad
+        if _dot(grad, step) >= 0:  # uphill
+            step = [-g for g in grad]
         t, moved = 1.0, False
         for _ in range(40):
-            cand = w + t * step[:, None]
-            if eq.value(cand, theta)[0] < val:
+            cand = [v + t * s for v, s in zip(w, step)]
+            if cand == w:  # rounding is monotone: no smaller t moves w
+                break
+            if eq.value(cand, theta) < val:
                 w, moved = cand, True
                 break
             t *= 0.5
         if not moved:
-            if not -reduce(add, grad * step, 0.0) <= 4 * _EPS * (1 + abs(val)):
+            if not -_dot(grad, step) <= 4 * _EPS * (1 + abs(val)):
                 raise NoConvergence("no decreasing step at grad norm %.3e"
                                     % gn)
-            return val, w[:, 0], hess, gn, it
-        w_live = w
+            return val, w, hess, gn, it
     raise NoConvergence("no convergence in %d iterations" % MAX_NEWTON_ITER)
 
 

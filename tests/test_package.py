@@ -45,6 +45,25 @@ def test_no_object_arrays():
     assert found == []
 
 
+def test_numpy_linalg_only_in_minimize_and_spectral():
+    # normal_forms computes in Python numbers alone, and LAPACK serves
+    # only the Newton of the minimize verb and the displayed eigenvalues
+    found = ["normal_forms.py:%d" % node.lineno for name, node in _nodes()
+             if name == "normal_forms.py"
+             and isinstance(node, (ast.Import, ast.ImportFrom))
+             and "numpy" in ast.unparse(node)]
+    allowed = {("verifier.py", "minimize_Q"), ("verifier.py", "_newton")}
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = (path.name, getattr(top, "name", None))
+            found += ["%s:%d" % (path.name, node.lineno)
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "linalg" and path.name != "spectral.py"
+                      and where not in allowed]
+    assert found == []
+
+
 def test_every_export_is_read():
     # a name in __all__ that only its own tests read is code to delete: each
     # must occur, off its def or class line, in a package module other
