@@ -7,7 +7,12 @@ Run from the repository root:
 
 Each side is the committed tree of its revision (--parent, and HEAD for
 the change), unpacked with git archive into a temporary directory, so
-neither sees untracked files or the other's caches.  For each of the
+neither sees untracked files or the other's caches.  The two trees are
+named alike, <tmp>/a and <tmp>/b: a run's peak RSS and times follow the
+name of the directory it runs in, so before every pair the two trees
+are renamed into place, the parent in a in odd pairs and in b in even
+ones, and each revision runs from each directory in half the pairs.
+For each of the
 seeds 20221 and 7 and each of ten pairs, every workload gated in
 BENCHMARK.json runs once per side with
 
@@ -51,6 +56,7 @@ SEEDS = (20221, 7)
 SECONDS = 50
 # every run and its fresh set-ups compile from source, never from a .pyc
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+DIRS = ("a", "b")  # one length, so neither tree's paths are longer
 
 
 def parse_args(argv):
@@ -71,6 +77,23 @@ def unpack(rev, where):
                              capture_output=True).stdout
     subprocess.run(("tar", "x", "-C", str(where)), input=archive, check=True)
     return where
+
+
+def layout(pair):
+    """The directory of each side in pair (counted from 1): the parent in
+    a in odd pairs, in b in even ones."""
+    parent, change = DIRS if pair % 2 else DIRS[::-1]
+    return {"parent": parent, "change": change}
+
+
+def arrange(tmp, where, want):
+    """Rename the trees under tmp from the layout where to want."""
+    if where != want:
+        swap = tmp / "swap"
+        (tmp / DIRS[0]).rename(swap)
+        (tmp / DIRS[1]).rename(tmp / DIRS[0])
+        swap.rename(tmp / DIRS[1])
+    return want
 
 
 def run_once(tree, workload, seed):
@@ -147,16 +170,19 @@ def main(argv=None):
     start = datetime.datetime.now(datetime.timezone.utc)
     runs = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {k: unpack(rev, pathlib.Path(tmp) / k)
-                 for k, rev in revs.items()}
+        tmp = pathlib.Path(tmp)
+        where = layout(1)
+        for side, rev in revs.items():
+            unpack(rev, tmp / where[side])
         for seed in SEEDS:
             for pair in range(1, PAIRS + 1):
+                where = arrange(tmp, where, layout(pair))
                 order = (("parent", "change") if pair % 2
                          else ("change", "parent"))
                 for workload in workloads:
                     key = "%s seed %d" % (workload, seed)
                     for side in order:
-                        result = run_once(trees[side], workload, seed)
+                        result = run_once(tmp / where[side], workload, seed)
                         runs.setdefault(key, {"parent": [], "change": []})[
                             side].append(result)
                     print("pair %d %s: %s" % (pair, key, " ".join(
@@ -172,6 +198,10 @@ def main(argv=None):
                    "revision" % SECONDS,
         "conditions": "%s, %s, Python %s; %s to %s UTC; pairs alternate "
                       "which side runs first (odd pairs parent first); "
+                      "the trees are <tmp>/a and <tmp>/b, renamed before "
+                      "every pair so that the parent is in a in odd pairs "
+                      "and in b in even ones (the side that runs first is "
+                      "always in a); "
                       "PYTHONDONTWRITEBYTECODE=1 in every run's environment"
                       % (platform.machine(), platform.platform(),
                          platform.python_version(),

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process stage times of a shipped certify, as one JSON line.
+"""In-process stage times of certify, as one JSON line.
 
 Run from anywhere:
 
@@ -9,19 +9,23 @@ The package is imported from the src/ beside this script.  Each of the
 five shipped fixtures is certified at its own grid (9) as perfbench's
 shipped-grid9 operation does it: parse_symbol_file, run_pipeline, then
 emit_report.  One warm-up operation per fixture is not timed, then each
-fixture runs --repeat times.  The stage functions that run_pipeline
-calls are wrapped in cli's namespace from here, so the package is not
-changed, and parse and emit are timed around their calls.
+fixture runs --repeat times.  The section region_grid33 times b2 at the
+documented region as perfbench's region-grid33 operation does it: the
+parsed file's region replaced by Region(grid=33), one untimed warm-up
+at grid 13, then --repeat timed operations.  The stage functions that
+run_pipeline calls are wrapped in cli's namespace from here, so the
+package is not changed, and parse and emit are timed around their calls.
 
 Each stage's figure is its best time over the repeats of a fixture,
 summed over the fixtures; total_ms is the best whole operation of each
 fixture, summed the same way.  A stage a fixture never reaches counts 0
 for it.  No stage runs inside another, so the stages sum to no more than
 the total; what is left is run_pipeline's own work (the report fields,
-the assembly check).
+the assembly check) and, in region_grid33, the region replacement.
 """
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -31,9 +35,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))  # runs from a checkout, no install
 
 from hypcert import cli, symbolfile
+from hypcert.verifier import Region
 
 FIXTURES = ROOT / "fixtures"
 SHIPPED = ("b1", "b2", "classical", "b2_bbis2", "nonsingular")
+# perfbench's region-grid33 operation: (fixture, timed grid, warm-up grid)
+REGION = ("b2", 33, 13)
 # (stage, the function run_pipeline calls by that name in cli), in the
 # order a certify reaches them
 WRAPPED = (("classify", "classify_effective_hyperbolicity"),
@@ -66,11 +73,14 @@ def timed(stage, fn, seconds):
     return wrapper
 
 
-def certify(path, seconds):
-    """One shipped-grid9 operation; its total and stage seconds."""
+def certify(path, seconds, grid=None):
+    """One certify operation, at the file's region or at Region(grid);
+    its total and stage seconds."""
     t0 = time.perf_counter()
     sf = symbolfile.parse_symbol_file(path)
     t1 = time.perf_counter()
+    if grid is not None:
+        sf = dataclasses.replace(sf, region=Region(grid=grid))
     report = cli.run_pipeline(sf, "certify")
     t2 = time.perf_counter()
     cli.emit_report(report)
@@ -80,23 +90,24 @@ def certify(path, seconds):
     return t3 - t0
 
 
-def measure(repeat):
-    """{"total_ms": .., "stages_ms": {stage: ..}}: bests per fixture,
-    summed over the fixtures."""
+def measure(ops, repeat):
+    """{"total_ms": .., "stages_ms": {stage: ..}}: bests per operation,
+    summed over ops, each (fixture, grid, warm-up grid) with None for the
+    file's own region."""
     seconds = dict.fromkeys(STAGES, 0.0)
     originals = {attr: getattr(cli, attr) for _, attr in WRAPPED}
     for stage, attr in WRAPPED:
         setattr(cli, attr, timed(stage, originals[attr], seconds))
     total, best = 0.0, dict.fromkeys(STAGES, 0.0)
     try:
-        for name in SHIPPED:
+        for name, grid, warm_grid in ops:
             path = FIXTURES / ("%s.json" % name)
-            certify(path, dict(seconds))  # warm-up, not counted
+            certify(path, dict(seconds), warm_grid)  # warm-up, not counted
             runs = []
             for _ in range(repeat):
                 for stage in seconds:
                     seconds[stage] = 0.0
-                runs.append((certify(path, seconds), dict(seconds)))
+                runs.append((certify(path, seconds, grid), dict(seconds)))
             total += min(t for t, _ in runs)
             for stage in STAGES:
                 best[stage] += min(s[stage] for _, s in runs)
@@ -110,7 +121,11 @@ def measure(repeat):
 def main(argv=None):
     args = parse_args(argv)
     out = {"fixtures": list(SHIPPED), "repeat": args.repeat}
-    out.update(measure(args.repeat))
+    out.update(measure([(name, None, None) for name in SHIPPED],
+                       args.repeat))
+    name, grid, _ = REGION
+    out["region_grid33"] = {"fixture": name, "grid": grid}
+    out["region_grid33"].update(measure([REGION], args.repeat))
     print(json.dumps(out))
 
 

@@ -29,12 +29,7 @@ from hypcert.normal_forms import (
     check_side_conditions,
 )
 from hypcert.spectral import NoConvergence, classify_effective_hyperbolicity
-from hypcert.symbols import (
-    DimensionMismatch,
-    NotSingular,
-    PolySymbol,
-    check_frame,
-)
+from hypcert.symbols import DimensionMismatch, NotSingular, PolySymbol
 from hypcert.symbolfile import (
     ParseError,
     SchemaError,
@@ -385,21 +380,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="symbol JSON file")
-    common.add_argument("--grid", type=int, default=None,
-                        help="override grid points per axis")
-    common.add_argument("--slack", type=_rational_arg, default=None,
-                        help="override kappa slack (exact rational)")
-    common.add_argument("--region", type=_rational_list, default=None,
-                        metavar="T,X,XI",
-                        help="override region extents t_max,x_half,xi_half")
-    common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write report to PATH")
+    reporting = argparse.ArgumentParser(add_help=False, parents=[common])
+    reporting.add_argument("--format", choices=("json", "text"),
+                           default="json")
 
-    sub.add_parser("classify", parents=[common],
+    sub.add_parser("classify", parents=[reporting],
                    help="singular-point check and spectrum classification")
-    sub.add_parser("certify", parents=[common],
-                   help="full pipeline: classify, side conditions, time "
-                        "function, grid certificates")
+    cert = sub.add_parser("certify", parents=[reporting],
+                          help="full pipeline: classify, side conditions, "
+                               "time function, grid certificates")
+    cert.add_argument("--grid", type=int, default=None,
+                      help="override grid points per axis")
+    cert.add_argument("--slack", type=_rational_arg, default=None,
+                      help="override kappa slack (exact rational)")
+    cert.add_argument("--region", type=_rational_list, default=None,
+                      metavar="T,X,XI",
+                      help="override region extents t_max,x_half,xi_half")
 
     mini = sub.add_parser("minimize", parents=[common],
                           help="minimize the extended quadratic functional")
@@ -408,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     mini.add_argument("--theta-zx", type=_rational_list, default=None)
     mini.add_argument("--theta-zxi", type=_rational_list, default=None)
     mini.add_argument("--theta-xp", type=_rational_arg, default=None)
-
-    sub.add_parser("check-frame", parents=[common],
-                   help="verify a candidate symplectic frame block")
     return parser
 
 
@@ -496,20 +490,6 @@ def _run_minimize(sf: SymbolFile, args) -> int:
     }), args.out, 0)
 
 
-def _run_check_frame(sf: SymbolFile, args) -> int:
-    if sf.frame is None:
-        sys.stderr.write("check-frame requires a frame block\n")
-        return 3
-    rep = check_frame(sf.frame)
-    return _write(_dumps({
-        "ok": rep.ok,
-        "checks": [{"name": name, "ok": ok} for name, ok in rep.checks],
-        "failures": list(rep.failures),
-        "version": __version__,
-        "input_hash": sf.sha256,
-    }), args.out, 0 if rep.ok else 1)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -518,7 +498,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         sf = parse_symbol_file(args.file)
-        sf = _apply_overrides(sf, args)
+        if args.verb == "certify":
+            sf = _apply_overrides(sf, args)
     except (ParseError, SchemaError) as exc:
         sys.stderr.write("hypcert: %s\n" % exc)
         return 3
@@ -529,8 +510,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.verb == "minimize":
         return _run_minimize(sf, args)
-    if args.verb == "check-frame":
-        return _run_check_frame(sf, args)
 
     report = run_pipeline(sf, verb=args.verb)
     return _write(emit_report(report, format=args.format), args.out,

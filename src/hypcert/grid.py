@@ -54,7 +54,14 @@ import numpy as np
 from hypcert.symbols import PhasePoint, PolySymbol
 
 # Walked points per block, measured with certify_region on b2 at grid 33
-# (2-core x86_64): 2^15-2^18 ran slower, 2^13 about 1.4x as long.
+# (2-core x86_64, glibc 2.36, best of 7): 11.7 ms at 2^14, 13.7 ms at
+# 2^13, and 17.7, 16.5 and 22.4 ms at 2^15, 2^16 and 2^18.  Past 2^14 a
+# float64 temporary is 256 KiB or more, over glibc's 128 KiB mmap
+# threshold, so freed temporaries go back to the kernel (unmapped, or
+# trimmed off the heap top) and every block faults them in afresh:
+# 5,247 minor faults per call at 2^15 against 0-4 at 2^14 (ru_minflt).
+# With MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ both raised there
+# are none, and 2^15 and 2^16 take 11.1-11.4 ms; the package sets neither.
 _BLOCK = 1 << 14
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 EXACT = 1 << 53  # float64 integers are exact below this

@@ -239,8 +239,8 @@ def validate_spec(spec: NormalFormSpec) -> None:
             fieldname = "%s%d" % (name, i)
             _require(poly.d == d, fieldname, "wrong dimension")
             _check_free_of(poly, [tau_slot], fieldname)
-            ok, _ = homogeneity_check(poly, deg)
-            _require(ok, fieldname, "must be xi-homogeneous of degree %d" % deg)
+            _require(homogeneity_check(poly, deg), fieldname,
+                     "must be xi-homogeneous of degree %d" % deg)
             _require(poly.eval(base) > 0, fieldname,
                      "must be positive at the base point")
 
@@ -251,8 +251,8 @@ def validate_spec(spec: NormalFormSpec) -> None:
             fieldname = "%s_%d" % (stem, p)
             _require(poly.d == d, fieldname, "wrong dimension")
             _check_free_of(poly, [0, tau_slot] + chain_x + chain_xi, fieldname)
-            ok, _ = homogeneity_check(poly, 0)
-            _require(ok, fieldname, "must be xi-homogeneous of degree 0")
+            _require(homogeneity_check(poly, 0), fieldname,
+                     "must be xi-homogeneous of degree 0")
             _require(poly.eval(base) == 0, fieldname,
                      "must vanish at the base point")
     else:
@@ -260,8 +260,8 @@ def validate_spec(spec: NormalFormSpec) -> None:
         fieldname = "g_%d" % p
         _require(g.d == d, fieldname, "wrong dimension")
         _check_free_of(g, [0, tau_slot] + chain_x[:-1] + chain_xi, fieldname)
-        ok, _ = homogeneity_check(g, 2)
-        _require(ok, fieldname, "must be xi-homogeneous of degree 2")
+        _require(homogeneity_check(g, 2), fieldname,
+                 "must be xi-homogeneous of degree 2")
         _require(g.eval(base) == 0, fieldname, "must vanish at the base point")
 
 

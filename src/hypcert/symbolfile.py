@@ -27,7 +27,6 @@ except ImportError:
 
 from hypcert.normal_forms import NormalFormSpec
 from hypcert.symbols import (
-    CandidateFrame,
     PhasePoint,
     PolySymbol,
     var_index,
@@ -73,7 +72,6 @@ class SymbolFile:
     region: Region
     options: Options
     normal_form: Optional[NormalFormSpec] = None
-    frame: Optional[CandidateFrame] = None
     sha256: str = ""  # of the source bytes; not serialized
 
 
@@ -210,23 +208,6 @@ def _options(obj, path) -> Options:
         raise SchemaError(path, str(exc)) from exc
 
 
-def _frame(obj, d, base, path) -> CandidateFrame:
-    fr = _dict(obj, path, required=("j_start", "pairs"))
-    j_start = _int(fr["j_start"], path + ".j_start", minimum=1)
-    if not isinstance(fr["pairs"], list):
-        raise SchemaError(path + ".pairs", "expected a list")
-    pairs = []
-    for i, item in enumerate(fr["pairs"]):
-        pp = "%s.pairs[%d]" % (path, i)
-        pair = _dict(item, pp, required=("X", "Xi"))
-        pairs.append((_poly(pair["X"], d, pp + ".X", allow_zero=True),
-                      _poly(pair["Xi"], d, pp + ".Xi", allow_zero=True)))
-    try:
-        return CandidateFrame(d=d, j_start=j_start, pairs=tuple(pairs), base=base)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
 def parse_symbol_data(data: bytes, name: str = "<data>") -> SymbolFile:
     digest = sha256(data).hexdigest()
     try:
@@ -250,8 +231,7 @@ def parse_symbol_data(data: bytes, name: str = "<data>") -> SymbolFile:
         raise ParseError(str(exc)) from exc
 
     top = _dict(doc, "$", required=("schema", "d", "terms"),
-                optional=("base_point", "normal_form", "region", "options",
-                          "frame"))
+                optional=("base_point", "normal_form", "region", "options"))
     if _int(top["schema"], "$.schema") != SCHEMA_VERSION:
         raise SchemaError("$.schema", "unsupported schema version %r"
                           % top["schema"])
@@ -264,10 +244,9 @@ def parse_symbol_data(data: bytes, name: str = "<data>") -> SymbolFile:
     region = _region(top["region"], "$.region") if "region" in top else Region()
     options = _options(top["options"], "$.options") \
         if "options" in top else Options()
-    frame = _frame(top["frame"], d, base, "$.frame") if "frame" in top else None
     return SymbolFile(schema=SCHEMA_VERSION, d=d, base_point=base, a=a,
                       region=region, options=options, normal_form=normal_form,
-                      frame=frame, sha256=digest)
+                      sha256=digest)
 
 
 def parse_symbol_file(path) -> SymbolFile:
@@ -324,10 +303,5 @@ def serialize_symbol_file(sf: SymbolFile) -> bytes:
            "options": _options_obj(sf.options)}
     if sf.normal_form is not None:
         doc["normal_form"] = _normal_form_obj(sf.normal_form)
-    if sf.frame is not None:
-        doc["frame"] = {
-            "j_start": sf.frame.j_start,
-            "pairs": [{"X": poly_terms(X), "Xi": poly_terms(Xi)}
-                      for X, Xi in sf.frame.pairs]}
     return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
             + "\n").encode("utf-8")

@@ -444,19 +444,10 @@ def poisson_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     return out
 
 
-def homogeneity_check(f: PolySymbol, m: int) -> Tuple[bool, PolySymbol]:
-    """Euler test in xi: is sum_j xi_j f_{xi_j} - m f identically zero?
-
-    Returns (flag, residual).  The residual collects exactly the terms of
-    f whose xi-degree differs from m, scaled by (degree - m), so it is the
-    zero polynomial precisely when f is xi-homogeneous of degree m.
-    """
-    out = {}
-    for exps, c in f.terms.items():
-        k = f.term_xi_degree(exps)
-        if k != m:
-            out[exps] = c * (k - m)
-    return (not out), f._new(out.items())
+def homogeneity_check(f: PolySymbol, m: int) -> bool:
+    """Euler test in xi: is sum_j xi_j f_{xi_j} - m f identically zero,
+    that is, does every term of f have xi-degree m?"""
+    return all(f.term_xi_degree(exps) == m for exps in f.terms)
 
 
 # -- jets at a double characteristic ------------------------------------
@@ -565,94 +556,3 @@ def quadratic_jet(p: PolySymbol, at: Union[PhasePoint, Sequence]) -> QuadraticJe
             rows[i][j] = c / 2
             rows[j][i] = c / 2
     return QuadraticJet(p.d, tuple(tuple(r) for r in rows))
-
-
-# -- candidate symplectic frames ----------------------------------------
-
-
-@dataclass(frozen=True)
-class CandidateFrame:
-    """User supplied partial frame (X_j, Xi_j), j = j_start..d, to be
-    verified against the canonical relations at a base point."""
-
-    d: int
-    j_start: int
-    pairs: Tuple[Tuple[PolySymbol, PolySymbol], ...]
-    base: PhasePoint
-
-    def __post_init__(self):
-        if not 1 <= self.j_start <= self.d:
-            raise ValueError("j_start must lie in 1..d")
-        expected = self.d - self.j_start + 1
-        if len(self.pairs) != expected:
-            raise DimensionMismatch(
-                "expected %d pairs for j = %d..%d, got %d"
-                % (expected, self.j_start, self.d, len(self.pairs)))
-        for X, Xi in self.pairs:
-            if X.d != self.d or Xi.d != self.d:
-                raise DimensionMismatch("frame entries must live on d=%d" % self.d)
-        if self.base.d != self.d:
-            raise DimensionMismatch("base point dimension mismatch")
-
-
-@dataclass(frozen=True)
-class FrameReport:
-    ok: bool
-    checks: Tuple[Tuple[str, bool], ...]
-    failures: Tuple[str, ...]
-
-
-def check_frame(frame: CandidateFrame) -> FrameReport:
-    """Verify canonical bracket relations and base point conditions.
-
-    Exact polynomial identities: {X_i, X_j} = 0, {Xi_i, Xi_j} = 0 and
-    {Xi_i, X_j} = delta_ij.  Point conditions: X_j(base) = 0 for all j,
-    Xi_j(base) = 0 for j < d and Xi_d(base) != 0.  Homogeneity: X_j of
-    xi-degree 0, Xi_j of xi-degree 1.  Every failure is reported; nothing
-    raises.
-    """
-    js = list(range(frame.j_start, frame.d + 1))
-    named = {j: frame.pairs[k] for k, j in enumerate(js)}
-    checks = []
-    failures = []
-
-    def record(name, ok, detail=""):
-        checks.append((name, bool(ok)))
-        if not ok:
-            failures.append(name + ("" if not detail else ": " + detail))
-
-    for j in js:
-        X, Xi = named[j]
-        okx, _ = homogeneity_check(X, 0)
-        record("X%d xi-degree 0" % j, okx)
-        oki, _ = homogeneity_check(Xi, 1)
-        record("Xi%d xi-degree 1" % j, oki)
-        tfree = not (X.depends_on(frame.d + 1) or Xi.depends_on(frame.d + 1))
-        record("pair %d tau-free" % j, tfree)
-    for a_i, i in enumerate(js):
-        Xi_i = named[i][1]
-        X_i = named[i][0]
-        for jdx in js[a_i:]:
-            X_j, Xi_j = named[jdx]
-            if jdx != i:
-                b = poisson_bracket(X_i, X_j)
-                record("{X%d, X%d} = 0" % (i, jdx), b.is_zero, str(b))
-                b = poisson_bracket(Xi_i, Xi_j)
-                record("{Xi%d, Xi%d} = 0" % (i, jdx), b.is_zero, str(b))
-            b = poisson_bracket(Xi_i, X_j)
-            want = PolySymbol.constant(frame.d, 1 if i == jdx else 0)
-            record("{Xi%d, X%d} = %d" % (i, jdx, 1 if i == jdx else 0),
-                   b == want, str(b))
-            if jdx != i:
-                b = poisson_bracket(Xi_j, X_i)
-                record("{Xi%d, X%d} = 0" % (jdx, i), b.is_zero, str(b))
-    for j in js:
-        X, Xi = named[j]
-        xv = X.eval(frame.base)
-        record("X%d(base) = 0" % j, xv == 0, str(xv))
-        iv = Xi.eval(frame.base)
-        if j < frame.d:
-            record("Xi%d(base) = 0" % j, iv == 0, str(iv))
-        else:
-            record("Xi%d(base) != 0" % j, iv != 0, str(iv))
-    return FrameReport(ok=not failures, checks=tuple(checks), failures=tuple(failures))

@@ -97,8 +97,7 @@ class TimeFunctionCert:
     alpha: Tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        ok, _ = homogeneity_check(self.phi, 0)
-        if not ok:
+        if not homogeneity_check(self.phi, 0):
             raise ValueError("phi must be xi-homogeneous of degree 0")
         if not 0 < self.kappa_target < 1:
             raise ValueError("kappa_target = %s outside (0, 1)"

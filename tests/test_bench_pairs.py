@@ -79,3 +79,31 @@ def test_summary_names_the_wide_side():
     assert got["verdict"] == "unresolved"
     assert got["parent_iqr_over_median"] == 0.02
     assert got["change_iqr_over_median"] == round(1 / 1.5, 4) > 0.25
+
+
+def test_each_revision_runs_from_each_directory_in_half_the_pairs(tmp_path):
+    # the two trees' paths have one length, and before each pair the
+    # renames put each revision where the pair's layout says
+    pairs = range(1, bench_pairs.PAIRS + 1)
+    for pair in pairs:
+        where = bench_pairs.layout(pair)
+        assert sorted(where.values()) == sorted(bench_pairs.DIRS)
+        paths = [str(tmp_path / name) for name in where.values()]
+        assert len(paths[0]) == len(paths[1])
+    for side in ("parent", "change"):
+        for name in bench_pairs.DIRS:
+            assert sum(bench_pairs.layout(pair)[side] == name
+                       for pair in pairs) == bench_pairs.PAIRS // 2
+
+    where = bench_pairs.layout(1)
+    for side in where:
+        (tmp_path / where[side]).mkdir()
+        (tmp_path / where[side] / "rev").write_text(side)
+    for seed in bench_pairs.SEEDS:
+        for pair in pairs:
+            where = bench_pairs.arrange(tmp_path, where,
+                                        bench_pairs.layout(pair))
+            for side in where:
+                assert (tmp_path / where[side] / "rev").read_text() == side
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        bench_pairs.DIRS)

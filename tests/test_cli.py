@@ -1,5 +1,6 @@
 """Pipeline statuses, report emission, exit codes, CLI entry point."""
 
+import argparse
 import dataclasses
 import errno
 import hashlib
@@ -28,7 +29,14 @@ from hypcert import (
     verifier,
 )
 from hypcert import grid as walker
-from hypcert.cli import Report, emit_report, exit_code, main, run_pipeline
+from hypcert.cli import (
+    Report,
+    build_parser,
+    emit_report,
+    exit_code,
+    main,
+    run_pipeline,
+)
 from hypcert.symbolfile import (
     Options,
     SymbolFile,
@@ -845,49 +853,60 @@ def test_main_minimize_requires_normal_form(capsys):
     capsys.readouterr()
 
 
-def frame_doc(shift="0"):
-    x2 = [{"coeff": "1", "exponents": {"x2": 1}}]
-    if shift != "0":
-        x2 = x2 + [{"coeff": shift, "exponents": {}}]
-    return {
-        "schema": 1, "d": 2,
-        "terms": [{"coeff": "1", "exponents": {"t": 2, "xi2": 2}}],
-        "frame": {"j_start": 2,
-                  "pairs": [{"X": x2,
-                             "Xi": [{"coeff": "1", "exponents": {"xi2": 1}}]}]},
-    }
+def _option_dests(verb):
+    """The settable values of a verb's sub-parser, as dest names."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted(a.dest for a in sub.choices[verb]._actions
+                  if a.dest != "help")
 
 
-def test_main_check_frame(tmp_path, capsys):
-    good = tmp_path / "good.json"
-    good.write_bytes(json.dumps(frame_doc()).encode())
-    out = tmp_path / "frame.json"
-    assert main(["check-frame", str(good), "--out", str(out)]) == 0
-    doc = json.loads(out.read_bytes())
-    assert doc["ok"] is True and doc["failures"] == []
+def test_each_verb_takes_only_the_options_it_reads():
+    assert _option_dests("classify") == ["file", "format", "out"]
+    assert _option_dests("certify") == [
+        "file", "format", "grid", "out", "region", "slack"]
+    assert _option_dests("minimize") == [
+        "file", "mode", "out", "theta_t", "theta_xp", "theta_zx",
+        "theta_zxi"]
 
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(json.dumps(frame_doc(shift="1")).encode())
-    assert main(["check-frame", str(bad), "--out", str(out)]) == 1
-    doc = json.loads(out.read_bytes())
-    assert doc["ok"] is False and doc["failures"]
 
-    plain = tmp_path / "plain.json"
-    plain.write_bytes(json.dumps({"schema": 1, "d": 2, "terms": [
-        {"coeff": "1", "exponents": {"t": 2}}]}).encode())
-    assert main(["check-frame", str(plain)]) == 3
-    capsys.readouterr()
+@pytest.mark.parametrize("argv,message", [
+    (["check-frame", "F"], "invalid choice: 'check-frame'"),
+    (["classify", "F", "--grid", "5"], "unrecognized arguments: --grid 5"),
+    (["classify", "F", "--region", "1,1,1"], "unrecognized arguments"),
+    (["classify", "F", "--slack", "1/2"], "unrecognized arguments"),
+    (["minimize", "F", "--grid", "5"], "unrecognized arguments: --grid 5"),
+    (["minimize", "F", "--format", "text"],
+     "unrecognized arguments: --format text"),
+])
+def test_an_option_a_verb_does_not_read_is_a_usage_error(argv, message,
+                                                         capsys):
+    argv = [str(FIXTURES / "b2.json") if a == "F" else a for a in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hypcert")
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_a_frame_key_is_an_unknown_key(tmp_path, capsys):
+    doc = fixture_doc("b2")
+    doc["frame"] = {"j_start": 2, "pairs": []}
+    path = tmp_path / "frame.json"
+    path.write_bytes(json.dumps(doc).encode("utf-8"))
+    for verb in ("classify", "certify", "minimize"):
+        assert main([verb, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hypcert: $: unknown key 'frame'\n"
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-@pytest.mark.parametrize("verb", ["certify", "minimize", "check-frame"])
+@pytest.mark.parametrize("verb", ["classify", "certify", "minimize"])
 def test_main_unwritable_out_is_a_usage_error(verb, where, tmp_path, capsys):
     # each writer: one line on stderr and exit 3, not a traceback and the
     # exit code of a failed verdict
     path = FIXTURES / "b2.json"
-    if verb == "check-frame":
-        path = tmp_path / "frame.json"
-        path.write_text(json.dumps(frame_doc()))
     if where == "missing-directory":
         out, code = tmp_path / "absent" / "rep.json", errno.ENOENT
     else:

@@ -3,7 +3,6 @@
 import ast
 import importlib
 import importlib.util
-import json
 import os
 import pathlib
 import re
@@ -13,7 +12,6 @@ import sys
 
 import hypcert
 from hypcert.cli import main
-from test_cli import frame_doc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hypcert"
@@ -179,11 +177,9 @@ def _readme_commands():
             if line.startswith("hypcert ")]
 
 
-def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+def test_readme_command_line_examples_run(monkeypatch, capsys):
     # each README command through cli.main, from the repository root, with
     # the exit code the README's status table gives for its verdict
-    frame = tmp_path / "myframe.json"
-    frame.write_text(json.dumps(frame_doc()))
     monkeypatch.chdir(ROOT)
     b2 = "fixtures/b2.json"
     want = [
@@ -191,10 +187,8 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
         (["certify", b2, "--format", "text"], 0, "status: CERTIFIED"),
         (["classify", b2], 0, '"status": "NOT_APPLICABLE"'),
         (["minimize", b2, "--mode", "normalized"], 0, '"mode": "normalized"'),
-        (["check-frame", "myframe.json"], 0, '"ok": true'),
     ]
     assert _readme_commands() == [argv for argv, _, _ in want]
     for argv, code, shown in want:
-        argv = [str(frame) if a == "myframe.json" else a for a in argv]
         assert main(argv) == code, argv
         assert shown in capsys.readouterr().out, argv

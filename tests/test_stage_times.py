@@ -25,3 +25,18 @@ def test_stage_times_split_the_total():
     assert list(doc["stages_ms"]) == STAGES
     assert all(v > 0 for v in doc["stages_ms"].values())
     assert sum(doc["stages_ms"].values()) <= doc["total_ms"]
+
+
+def test_region_section_splits_its_total():
+    # b2 at the documented region, perfbench's region-grid33 operation,
+    # with the shipped section's stage keys
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_times.py"),
+         "--repeat", "1"], capture_output=True, text=True, check=True,
+        timeout=300).stdout
+    line, = out.splitlines()
+    region = json.loads(line)["region_grid33"]
+    assert (region["fixture"], region["grid"]) == ("b2", 33)
+    assert list(region["stages_ms"]) == STAGES
+    assert all(v > 0 for v in region["stages_ms"].values())
+    assert sum(region["stages_ms"].values()) <= region["total_ms"]

@@ -56,7 +56,7 @@ def test_parse_minimal_defaults():
     assert sf.base_point == PhasePoint.base(2)
     assert sf.region == Region()
     assert sf.options == Options()
-    assert sf.normal_form is None and sf.frame is None
+    assert sf.normal_form is None
 
 
 def test_exact_rational_coefficients():
@@ -195,20 +195,6 @@ def test_region_and_options_validation():
                      "grid": 9, "eta_den": 1e-10}
     with pytest.raises(SchemaError,
                        match=r"\$\.region: unknown key 'eta_den'"):
-        parse_symbol_data(doc_bytes(doc))
-
-
-def test_frame_block_parses():
-    doc = minimal_doc()
-    doc["frame"] = {
-        "j_start": 2,
-        "pairs": [{"X": [{"coeff": "1", "exponents": {"x2": 1}}],
-                   "Xi": [{"coeff": "1", "exponents": {"xi2": 1}}]}]}
-    sf = parse_symbol_data(doc_bytes(doc))
-    assert sf.frame is not None and sf.frame.j_start == 2
-    doc["frame"]["j_start"] = 1  # now one pair is missing
-    with pytest.raises(SchemaError, match=r"^\$\.frame: expected 2 pairs "
-                       r"for j = 1\.\.2, got 1$"):
         parse_symbol_data(doc_bytes(doc))
 
 

@@ -156,7 +156,7 @@ def test_block_budget_does_not_change_results(budget, monkeypatch):
                   for spec, cert in certs]
     monkeypatch.setattr(walker, "_BLOCK", budget)
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
-    assert grid.scan(fn, *polys) == reference
+    assert repr(grid.scan(fn, *polys)) == repr(reference)  # -0.0 too
     assert [repr(check_structural(spec, cert, Region(grid=5)))
             for spec, cert in certs] == structural
     assert reference[3].n_included == 0 and reference[3].min_flat == -1
