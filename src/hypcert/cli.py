@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from hypcert import __version__
 from hypcert.normal_forms import (
     InvariantViolation,
     build_extended_Q,
-    build_normal_form,
     check_side_conditions,
 )
 from hypcert.spectral import NoConvergence, classify_effective_hyperbolicity
@@ -34,13 +32,13 @@ from hypcert.symbolfile import (
     ParseError,
     SchemaError,
     SymbolFile,
+    dumps,
     parse_symbol_file,
     point_obj,
     poly_terms,
 )
 from hypcert.time_functions import construct_time_function
 from hypcert.verifier import (
-    HessianDegenerate,
     STRUCTURAL_CUTOFF,
     ScanTooLarge,
     certify_region,
@@ -209,7 +207,7 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
         return report("FAILED", "normal-form",
                       "the normal form, time function and scans are centred "
                       "on (0, 0, 0, e_d); certify needs that base point")
-    if build_normal_form(spec) != sf.a:
+    if spec.a != sf.a:
         return report("FAILED", "normal-form",
                       "normal_form does not assemble to the given terms")
 
@@ -262,11 +260,6 @@ def exit_code(report: Report) -> int:
 
 
 # ------------------------------------------------------------------- emit
-
-
-def _dumps(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-            + "\n").encode("utf-8")
 
 
 def _fmt_complex(z: dict) -> str:
@@ -339,7 +332,7 @@ def _text_lines(report: Report):
 
 def emit_report(report: Report, format: str = "json") -> bytes:
     if format == "json":
-        return _dumps(_report_dict(report))
+        return dumps(_report_dict(report))
     if format == "text":
         return ("\n".join(_text_lines(report)) + "\n").encode("utf-8")
     raise ValueError("unknown format %r" % format)
@@ -466,18 +459,17 @@ def _run_minimize(sf: SymbolFile, args) -> int:
         sys.stderr.write("hypcert: %s\n" % usage[0])
         return 3
     eq = build_extended_Q(sf.normal_form, STRUCTURAL_CUTOFF, mode=args.mode)
-    zx = args.theta_zx if args.theta_zx is not None else (Fraction(0),) * k
-    zxi = args.theta_zxi if args.theta_zxi is not None else (Fraction(0),) * k
-    xp = args.theta_xp
-    if sf.normal_form.variant == "form2" and xp is None:
-        xp = Fraction(0)
+    zero = (Fraction(0),) * k
+    slow = (args.theta_t, *(args.theta_zx or zero), *(args.theta_zxi or zero))
+    if sf.normal_form.variant == "form2":
+        slow += (args.theta_xp or Fraction(0),)
     try:
-        theta = eq.pinned_theta(args.theta_t, zx, zxi, x_p=xp)
+        theta = eq.theta_at(slow)
         res = minimize_Q(eq, theta)
-    except (ValueError, HessianDegenerate, NoConvergence) as exc:
+    except (ValueError, NoConvergence) as exc:
         sys.stderr.write("minimize failed: %s\n" % exc)
         return 1
-    return _write(_dumps({
+    return _write(dumps({
         "m": _num(res.m),
         "w_bar": [_num(v) for v in res.w_bar],
         "hessian_cond": _num(res.hessian_cond),

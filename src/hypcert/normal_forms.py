@@ -165,8 +165,9 @@ class NormalFormSpec:
         validate_spec(self)
 
     @cached_property
-    def _a(self) -> PolySymbol:
-        """The composite a, assembled once per spec."""
+    def a(self) -> PolySymbol:
+        """The composite a (exact), assembled at the first read and kept
+        with the spec."""
         return _assemble(self)
 
     def base_point(self) -> PhasePoint:
@@ -263,12 +264,6 @@ def validate_spec(spec: NormalFormSpec) -> None:
         _require(homogeneity_check(g, 2), fieldname,
                  "must be xi-homogeneous of degree 2")
         _require(g.eval(base) == 0, fieldname, "must vanish at the base point")
-
-
-def build_normal_form(spec: NormalFormSpec) -> PolySymbol:
-    """The composite a of a validated spec (exact), assembled at the
-    first call on the spec and kept with it."""
-    return spec._a
 
 
 def _assemble(spec: NormalFormSpec) -> PolySymbol:
@@ -376,11 +371,11 @@ def _piecewise(s, inner, coeffs, outer, odd):
     """The piece on u = |s|, negated at s < 0 when odd: u itself (inner
     None) or the constant inner on u <= 1, the constant outer on u >= 2,
     and the polynomial coeffs in u - 1 between.  Exact on rationals, a
-    constant k read as u - u + k to keep the type of u."""
+    constant k read as type(u)(k), so it stays k at u = inf."""
     neg = s < 0
     u = -s if neg else s
-    out = ((u if inner is None else u - u + inner) if u <= 1
-           else u - u + outer if u >= 2 else horner(coeffs, u - 1))
+    out = ((u if inner is None else type(u)(inner)) if u <= 1
+           else type(u)(outer) if u >= 2 else horner(coeffs, u - 1))
     return -out if odd and neg else out
 
 
@@ -393,9 +388,17 @@ class Cutoff:
     scaled(s) = delta * chi(s / delta) is the identity on |s| <= delta
     and bounded by 2 delta; its j-th derivative is chi^(j)(s/delta) *
     delta^(1-j), so one factor of 1/delta is paid per derivative.
+    delta is kept exact (a float as its exact value) and must be > 0.
     """
 
     delta: Fraction
+
+    def __post_init__(self):
+        delta = (Fraction(self.delta) if isinstance(self.delta, float)
+                 else as_fraction(self.delta))
+        if delta <= 0:
+            raise ValueError("cutoff scale must be positive")
+        object.__setattr__(self, "delta", delta)
 
     def chi(self, s: Number) -> Number:
         return _piecewise(s, None, _H, 2, odd=True)
@@ -414,16 +417,6 @@ class Cutoff:
 
     def scaled_second(self, s: Number) -> Number:
         return self.chi_second(s / self.delta) / self.delta
-
-
-def build_cutoff(delta: Number) -> Cutoff:
-    if isinstance(delta, float):
-        delta = Fraction(delta)
-    else:
-        delta = as_fraction(delta)
-    if delta <= 0:
-        raise ValueError("cutoff scale must be positive")
-    return Cutoff(delta=delta)
 
 
 # --------------------------------------------------------------- extended Q
@@ -524,26 +517,17 @@ class ExtendedQ:
         return len(self._slots)
 
     def theta_at(self, v: Sequence) -> Theta:
-        """pinned_theta of the flat slow vector (t, z_x, z_xi[, x_p])."""
+        """The Theta of the flat slow vector v = (t, z_x, z_xi[, x_p]),
+        pinned: eps = t - phi(z) (form1) resp. t - x_p (form2)."""
+        if len(v) != self.theta_dim:
+            raise DimensionMismatch("slow vector must have length %d"
+                                    % self.theta_dim)
         k = self.spec.d - self.spec.p
-        x_p = v[1 + 2 * k] if self.spec.variant == "form2" else None
-        return self.pinned_theta(v[0], v[1:1 + k], v[1 + k:1 + 2 * k], x_p=x_p)
-
-    def theta_zero(self) -> Theta:
-        k = self.spec.d - self.spec.p
-        return Theta(t=0, z_x=(0,) * k, z_xi=(0,) * k, eps=0,
-                     x_p=0 if self.spec.variant == "form2" else None)
-
-    def pinned_theta(self, t: Number, z_x: Sequence, z_xi: Sequence,
-                     x_p: Optional[Number] = None) -> Theta:
-        """Theta with eps = t - phi(z) (form1) resp. t - x_p (form2)."""
-        z_x, z_xi = tuple(z_x), tuple(z_xi)
+        t, z_x, z_xi = v[0], tuple(v[1:1 + k]), tuple(v[1 + k:1 + 2 * k])
         if self.spec.variant == "form1":
-            eps = t - self.spec.phi.eval(self._point((t,) + z_x + z_xi))
+            eps = t - self.spec.phi.eval(self._point(v))
             return Theta(t=t, z_x=z_x, z_xi=z_xi, eps=eps)
-        if x_p is None:
-            raise ValueError("form2 needs the raw x_p slot")
-        return Theta(t=t, z_x=z_x, z_xi=z_xi, eps=t - x_p, x_p=x_p)
+        return Theta(t=t, z_x=z_x, z_xi=z_xi, eps=t - v[-1], x_p=v[-1])
 
     def _point(self, v):
         """The phase point of a flat slow vector (t, z_x, z_xi[, x_p]; later
@@ -607,6 +591,9 @@ class ExtendedQ:
         box."""
         if self.mode != "normalized":
             raise ValueError("the spring floor is for the normalized mode")
+        if len(hull) != self.theta_dim:
+            raise DimensionMismatch("hull must have length %d"
+                                    % self.theta_dim)
         spec, d = self.spec, self.spec.d
         box = [(_ZERO, _ZERO)] * (2 * (d + 1))
         for slot, (lo, hi) in zip(self._slots, hull):

@@ -303,5 +303,11 @@ def serialize_symbol_file(sf: SymbolFile) -> bytes:
            "options": _options_obj(sf.options)}
     if sf.normal_form is not None:
         doc["normal_form"] = _normal_form_obj(sf.normal_form)
-    return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    return dumps(doc)
+
+
+def dumps(obj) -> bytes:
+    """The canonical JSON bytes of obj: sorted keys, two-space indent,
+    strict (no nan or inf), a trailing newline."""
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
             + "\n").encode("utf-8")

@@ -34,8 +34,6 @@ from itertools import chain
 from math import comb, log2
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 Coeff = Union[int, Fraction, str]
 
 _ZERO = Fraction(0)
@@ -315,19 +313,19 @@ class PolySymbol:
         Exact when every coordinate is an int or a Fraction, each x**e by
         Python's power (O(log e) products; any order gives the same
         value).  Otherwise in floats, after converting every coordinate
-        but numpy arrays (so a mixed point too), broadcasting over the
-        arrays: terms in ``terms`` order, each the float coefficient times
-        its factors x**e left to right, summed from 0.0.  x**e is the
-        product x * x * ... * x, so an array entry rounds as its point
-        alone does (numpy's array power and libm's pow can differ in the
-        last bit).
+        but arrays (values with ndim > 0), so a mixed point too,
+        broadcasting over the arrays: terms in ``terms`` order, each the
+        float coefficient times its factors x**e left to right, summed
+        from 0.0.  x**e is the product x * x * ... * x, so an array entry
+        rounds as its point alone does (numpy's array power and libm's
+        pow can differ in the last bit).
         """
         vals = point.as_tuple() if isinstance(point, PhasePoint) else tuple(point)
         if len(vals) != self.nvars:
             raise DimensionMismatch("point of length %d for d=%d" % (len(vals), self.d))
         exact = all(isinstance(v, (int, Fraction)) for v in vals)
         if not exact:
-            vals = [v if isinstance(v, np.ndarray) else float(v) for v in vals]
+            vals = [v if getattr(v, "ndim", 0) else float(v) for v in vals]
         if self._table is None:
             object.__setattr__(self, "_table", tuple(
                 (c, _float(c), tuple((i, e) for i, e in enumerate(exps) if e))

@@ -23,6 +23,7 @@ one of both branch floors over the pinned cone.  The damped Newton
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -33,12 +34,11 @@ import numpy as np
 
 from hypcert.grid import ScanTooLarge, TensorGrid, check_exact
 from hypcert.normal_forms import (
+    Cutoff,
     ExtendedQ,
     NormalFormSpec,
     Theta,
-    build_cutoff,
     build_extended_Q,
-    build_normal_form,
 )
 from hypcert.spectral import NoConvergence
 from hypcert.symbols import (
@@ -53,19 +53,15 @@ from hypcert.time_functions import TimeFunctionCert
 
 DEFAULT_GRID = 33
 MAX_NEWTON_ITER = 80
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 # The structural plan, printed in the structural report's grid: the
 # cutoff, N_AXIS points per slow axis, and the spring floor rounded down
 # to FLOOR_BITS significant bits (a smaller floor is a floor, and a short
 # one keeps the boundary scan's integers small).
-STRUCTURAL_CUTOFF = build_cutoff(Fraction(1, 2))
+STRUCTURAL_CUTOFF = Cutoff(Fraction(1, 2))
 N_AXIS = 5
 FLOOR_BITS = 16
-
-
-class HessianDegenerate(RuntimeError):
-    """Newton model unusable: singular or ill-conditioned Hessian."""
 
 
 # ------------------------------------------------------------------ region
@@ -192,9 +188,9 @@ def _newton(eq: ExtendedQ, theta: Theta, w0=None):
     theta = 0 minimizer (or w0), accepting only Q-decreasing steps.  It
     stops at the stop test, or when no step decreases Q and its Newton
     decrement is below the rounding floor of Q; an ill-conditioned
-    Hessian, a failed line search or the iteration limit raise.  theta is
-    rounded to floats once.  Returns m, w_bar, the final Hessian, the
-    gradient norm and the steps taken."""
+    Hessian, a failed line search or the iteration limit raise
+    NoConvergence.  theta is rounded to floats once.  Returns m, w_bar,
+    the final Hessian, the gradient norm and the steps taken."""
     theta = eq._rounded(theta)
     w = [float(v) for v in (eq.theta0_minimizer()[0] if w0 is None else w0)]
     for it in range(MAX_NEWTON_ITER):
@@ -204,12 +200,12 @@ def _newton(eq: ExtendedQ, theta: Theta, w0=None):
         if gn <= 1e-10 * (1 + abs(val)):
             return val, w, hess, gn, it
         cond = np.linalg.cond(hess)
-        if not (np.isfinite(cond) and cond <= 1e12):
-            raise HessianDegenerate("condition number %.3e" % cond)
+        if not (math.isfinite(cond) and cond <= 1e12):
+            raise NoConvergence("condition number %.3e" % cond)
         try:
             step = np.linalg.solve(hess, [-g for g in grad]).tolist()
         except np.linalg.LinAlgError as exc:
-            raise HessianDegenerate(str(exc)) from exc
+            raise NoConvergence(str(exc)) from exc
         if _dot(grad, step) >= 0:  # uphill
             step = [-g for g in grad]
         t, moved = 1.0, False
@@ -312,7 +308,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
 
     # (iii) branch floors on the pinned cone: a / t^2 and a / (t - phi)^2
     # are k A / T^2 and k A / E^2 in the cone's integers
-    a = build_normal_form(spec)
+    a = spec.a
     cone = TensorGrid(d, region_axes(region, d, pin_last_xi=True))
     a_int, a_den = cone.integer(a)
     gate, _ = cone.integer(spec.gate)

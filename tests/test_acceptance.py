@@ -20,12 +20,12 @@ import pytest
 import sympy
 
 from hypcert import (
+    Cutoff,
     NormalFormSpec,
     PhasePoint,
     PolySymbol,
     Region,
     alpha_coefficients,
-    build_cutoff,
     build_extended_Q,
     certify_region,
     check_structural,
@@ -313,13 +313,13 @@ def test_criterion_07_minimizer_closed_form_and_envelope():
     closed_ok = True
     details = []
     for qbar in (F(1, 2), F(1), F(2)):
-        eq = build_extended_Q(chain_spec(qbar), build_cutoff(F(1, 2)))
-        res = minimize_Q(eq, eq.theta_zero())
+        eq = build_extended_Q(chain_spec(qbar), Cutoff(F(1, 2)))
+        res = minimize_Q(eq, eq.theta_at((0,) * eq.theta_dim))
         expect = float(qbar / (1 + qbar))
         closed_ok &= abs(res.m - expect) <= 1e-8
         details.append("m(%s)=%.8f" % (qbar, res.m))
 
-    eq = build_extended_Q(chain_spec(F(1)), build_cutoff(F(1, 2)))
+    eq = build_extended_Q(chain_spec(F(1)), Cutoff(F(1, 2)))
     h = F(1, 100000)
     e = F(1, 10 ** 12)  # exact difference of the polynomial Q(w_bar, .)
     envelope_ok = True
@@ -328,7 +328,7 @@ def test_criterion_07_minimizer_closed_form_and_envelope():
         s = F(j - 4, 200)  # ten offsets straddling zero
 
         def theta_at(v, s0=s):
-            return eq.pinned_theta(F(1, 100), (F(1, 50),), (s0 + v,))
+            return eq.theta_at((F(1, 100), F(1, 50), s0 + v))
 
         res = minimize_Q(eq, theta_at(F(0)))
         w = [F(v) for v in res.w_bar]

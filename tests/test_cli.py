@@ -154,7 +154,7 @@ def lifted_b1(d, region):
     spec = NormalFormSpec(variant="form1", d=d, p=0, q=(xis[-1] ** 2,),
                           r=(), phi=xs[0], psi=xs[0] ** 3)
     return SymbolFile(schema=1, d=d, base_point=PhasePoint.base(d),
-                      a=normal_forms.build_normal_form(spec), region=region,
+                      a=spec.a, region=region,
                       options=Options(slack=Fraction(1, 100)),
                       normal_form=spec)
 
@@ -169,7 +169,7 @@ def test_steep_phi_certifies(d, degree, grid):
                           r=(), phi=10 ** 6 * xs[0] ** degree,
                           psi=xs[0] ** 2)
     sf = SymbolFile(schema=1, d=d, base_point=PhasePoint.base(d),
-                    a=normal_forms.build_normal_form(spec),
+                    a=spec.a,
                     region=Region(grid=grid),
                     options=Options(slack=Fraction(1, 100)),
                     normal_form=spec)
@@ -269,7 +269,7 @@ def test_scans_past_exact_integers_fail():
         spec = NormalFormSpec(variant="form1", d=2, p=0, q=(q,), r=(),
                               phi=x1, psi=psi)
         sf = SymbolFile(schema=1, d=2, base_point=PhasePoint.base(2),
-                        a=normal_forms.build_normal_form(spec),
+                        a=spec.a,
                         region=Region(grid=5),
                         options=Options(slack=Fraction(1, 100)),
                         normal_form=spec)
@@ -286,7 +286,7 @@ def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
     spec = NormalFormSpec(variant="form2", d=2, p=1, q=(xi2 ** 2,),
                           r=(Fraction(1, 2) - 16 * x2,), g=x1 ** 3 * xi2 ** 2)
     sf = SymbolFile(schema=1, d=2, base_point=PhasePoint.base(2),
-                    a=normal_forms.build_normal_form(spec),
+                    a=spec.a,
                     region=Region(grid=9),
                     options=Options(slack=Fraction(1, 100)), normal_form=spec)
     rep = run_pipeline(sf, "certify")
@@ -306,7 +306,7 @@ def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
 def _deep_chain_file(name):
     spec = deep_chain_specs()[name]
     return SymbolFile(schema=1, d=spec.d, base_point=PhasePoint.base(spec.d),
-                      a=normal_forms.build_normal_form(spec),
+                      a=spec.a,
                       region=Region(grid=5),
                       options=Options(slack=Fraction(1, 100)),
                       normal_form=spec)
@@ -320,7 +320,7 @@ def test_vanishing_spring_fails_at_verify():
     spec = dataclasses.replace(spec, q=((1 - 30 * x3) * xi3 ** 2,)
                                + spec.q[1:])
     sf = dataclasses.replace(_deep_chain_file("form1-p2-d3"), normal_form=spec,
-                             a=normal_forms.build_normal_form(spec))
+                             a=spec.a)
     rep = run_pipeline(sf, "certify")
     assert (rep.status, rep.stage, exit_code(rep)) == ("FAILED", "verify", 1)
     assert rep.reason == (
@@ -555,7 +555,7 @@ def _spec_file(spec, grid):
     """The symbol file of a normal form at its base point, at grid."""
     return serialize_symbol_file(SymbolFile(
         schema=1, d=spec.d, base_point=PhasePoint.base(spec.d),
-        a=normal_forms.build_normal_form(spec), region=Region(grid=grid),
+        a=spec.a, region=Region(grid=grid),
         options=Options(slack=Fraction(1, 100)), normal_form=spec))
 
 

@@ -6,6 +6,7 @@ substitution identity and minimizers are checked exactly over Fractions.
 
 import copy
 import hashlib
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from hypcert import (
+    Cutoff,
     DimensionMismatch,
     ExtendedQ,
     InvariantViolation,
@@ -23,9 +25,7 @@ from hypcert import (
     PolySymbol,
     Region,
     Theta,
-    build_cutoff,
     build_extended_Q,
-    build_normal_form,
     check_side_conditions,
     check_structural,
     classify_effective_hyperbolicity,
@@ -73,11 +73,11 @@ def wavy_spec():
 
 
 def test_b1_assembly_matches_fixture(b1_a):
-    assert build_normal_form(b1_spec()) == b1_a
+    assert b1_spec().a == b1_a
 
 
 def test_b2_assembly_matches_fixture(b2_a):
-    assert build_normal_form(b2_spec()) == b2_a
+    assert b2_spec().a == b2_a
 
 
 def test_assembly_round_trip_hand_built():
@@ -85,7 +85,7 @@ def test_assembly_round_trip_hand_built():
     spec = crit7_spec(F(3))
     want = 3 * (t - xs[0]) ** 2 * xis[1] ** 2 + xis[0] ** 2 \
         + ((xs[0] - xs[1]) ** 2 + xs[1] ** 2) * xis[1] ** 2
-    assert build_normal_form(spec) == want
+    assert spec.a == want
 
 
 def test_nonvanishing_psi_rejected():
@@ -194,7 +194,7 @@ def test_side_conditions_elliptic_weight_failure():
     assert any("not effectively hyperbolic" in n for n in rep.notes)
     # the spectral route agrees: no real eigenvalue pair for this symbol
     t, xs, tau, xis = phase_variables(2)
-    a = build_normal_form(b2_spec(r1=F(2)))
+    a = b2_spec(r1=F(2)).a
     cl = classify_effective_hyperbolicity(-tau ** 2 + a, PhasePoint.base(2))
     assert not cl.effective
 
@@ -214,7 +214,7 @@ def test_one_sided_failure_reports_witness():
 
 
 def test_cutoff_defining_values():
-    chi = build_cutoff(1).chi
+    chi = Cutoff(1).chi
     assert chi(F(1, 2)) == F(1, 2)
     assert chi(3) == 2
     assert chi(-3) == -2
@@ -222,7 +222,7 @@ def test_cutoff_defining_values():
 
 
 def test_cutoff_hermite_data():
-    cut = build_cutoff(1)
+    cut = Cutoff(1)
     assert (cut.chi(F(1)), cut.chi_prime(F(1)), cut.chi_second(F(1))) == (1, 1, 0)
     assert (cut.chi(F(2)), cut.chi_prime(F(2)), cut.chi_second(F(2))) == (2, 0, 0)
     # approach from inside the transition: same limits, C^2 matching
@@ -236,14 +236,14 @@ CUTOFF_FUNCTIONS = ("chi", "chi_prime", "chi_second", "scaled",
 
 
 def test_cutoff_monotone_and_bounded():
-    cut = build_cutoff(1)
+    cut = Cutoff(1)
     samples = [F(i, 100) for i in range(-500, 501)]
     assert len(samples) > 1000
     assert all(cut.chi_prime(s) >= 0 for s in samples)
     vals = [cut.chi(s) for s in samples]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     for delta in (F(1, 2), F(1), F(5, 4)):
-        c = build_cutoff(delta)
+        c = Cutoff(delta)
         assert all(abs(c.scaled(s)) <= 2 * delta for s in samples)
         # exact on rationals: a Fraction in gives a Fraction out
         for name in CUTOFF_FUNCTIONS:
@@ -251,7 +251,7 @@ def test_cutoff_monotone_and_bounded():
 
 
 def test_cutoff_odd():
-    cut = build_cutoff(1)
+    cut = Cutoff(1)
     for i in range(0, 60):
         s = F(i, 13)
         assert cut.chi(-s) == -cut.chi(s)
@@ -260,7 +260,7 @@ def test_cutoff_odd():
 
 
 def test_cutoff_derivatives_match_finite_differences():
-    cut = build_cutoff(1)
+    cut = Cutoff(1)
     h = 1e-6
     rng = random.Random(7)
     for _ in range(40):
@@ -274,20 +274,41 @@ def test_cutoff_derivatives_match_finite_differences():
 
 
 def test_cutoff_scaled_chain_rule():
-    cut = build_cutoff(F(1, 2))
+    cut = Cutoff(F(1, 2))
     s = F(3, 4)
     assert cut.scaled(s) == F(1, 2) * cut.chi(F(3, 2))
     assert cut.scaled_prime(s) == cut.chi_prime(F(3, 2))
     assert cut.scaled_second(s) == 2 * cut.chi_second(F(3, 2))
-    with pytest.raises(ValueError):
-        build_cutoff(0)
+    for bad in (0, F(-1), -0.25):
+        with pytest.raises(ValueError):
+            Cutoff(bad)
+    # a float scale is kept as its exact value
+    assert type(Cutoff(0.5).delta) is F and Cutoff(0.5).delta == F(1, 2)
+
+
+def test_cutoff_bounded_at_extremes():
+    # a constant piece is read in the type of its argument, so the cutoff
+    # stays bounded at +-inf and where s / delta overflows; repr tells
+    # -0.0 from 0.0, so finite arguments keep their sign bit
+    cut = Cutoff(F(1, 2))
+    extremes = (math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0)
+    got = {name: [repr(getattr(cut, name)(s)) for s in extremes]
+           for name in CUTOFF_FUNCTIONS}
+    assert got == {
+        "chi": ["2.0", "-2.0", "2.0", "-2.0", "0.0", "-0.0"],
+        "chi_prime": ["0.0", "0.0", "0.0", "0.0", "1.0", "1.0"],
+        "chi_second": ["0.0", "-0.0", "0.0", "-0.0", "0.0", "0.0"],
+        "scaled": ["1.0", "-1.0", "1.0", "-1.0", "0.0", "-0.0"],
+        "scaled_prime": ["0.0", "0.0", "0.0", "0.0", "1.0", "1.0"],
+        "scaled_second": ["0.0", "-0.0", "0.0", "-0.0", "0.0", "0.0"],
+    }
 
 
 # ------------------------------------------------------------- extended Q
 
 
 def qext(spec, mode="raw", delta=F(1, 2)):
-    return build_extended_Q(spec, build_cutoff(delta), mode=mode)
+    return build_extended_Q(spec, Cutoff(delta), mode=mode)
 
 
 def test_b2_theta0_profile():
@@ -295,7 +316,7 @@ def test_b2_theta0_profile():
     assert Q.w_dim == 1
     for eta in (F(0), F(1, 3), F(-2), F(7)):
         want = 1 + F(1, 2) * eta ** 2
-        assert Q.value((eta,), Q.theta_zero()) == want
+        assert Q.value((eta,), Q.theta_at((0,) * Q.theta_dim)) == want
 
 
 def test_theta0_value_matches_displayed_quadratic():
@@ -305,16 +326,13 @@ def test_theta0_value_matches_displayed_quadratic():
         y1 = F(rng.randint(-8, 8), 4)
         e1 = F(rng.randint(-8, 8), 4)
         want = F(5, 2) * y1 ** 2 + (y1 + 1) ** 2 + e1 ** 2
-        assert Q.value((y1, e1), Q.theta_zero()) == want
+        assert Q.value((y1, e1), Q.theta_at((0,) * Q.theta_dim)) == want
 
 
 def rand_theta(rng, Q, den=64, span=4):
-    k = Q.spec.d - Q.spec.p
-    t = F(rng.randint(-span, span), den)
-    z_x = tuple(F(rng.randint(-span, span), den) for _ in range(k))
-    z_xi = tuple(F(rng.randint(-span, span), den) for _ in range(k))
-    x_p = F(rng.randint(-span, span), den) if Q.spec.variant == "form2" else None
-    return Q.pinned_theta(t, z_x, z_xi, x_p=x_p)
+    # drawn in slow-vector order: t, z_x, z_xi, then x_p for form2
+    return Q.theta_at([F(rng.randint(-span, span), den)
+                       for _ in range(Q.theta_dim)])
 
 
 @pytest.mark.parametrize("make", [b1_spec, b2_spec, wavy_spec,
@@ -322,7 +340,7 @@ def rand_theta(rng, Q, den=64, span=4):
 def test_substitution_identity_exact(make):
     spec = make()
     Q = qext(spec)
-    a = build_normal_form(spec)
+    a = spec.a
     rng = random.Random(11)
     delta = Q.cutoff.delta
     for _ in range(20):
@@ -340,9 +358,9 @@ def test_substitution_identity_exact(make):
 def test_identity_degenerates_at_eps_zero():
     spec = b2_spec()
     Q = qext(spec)
-    a = build_normal_form(spec)
+    a = spec.a
     # eps = t - x_p vanishes on the diagonal
-    theta = Q.pinned_theta(F(1, 16), (F(1, 32),), (F(-1, 64),), x_p=F(1, 16))
+    theta = Q.theta_at((F(1, 16), F(1, 32), F(-1, 64), F(1, 16)))
     assert theta.eps == 0
     w = (F(1, 4),)
     pt = Q.substituted_point(w, theta)
@@ -351,8 +369,8 @@ def test_identity_degenerates_at_eps_zero():
     # form1 branch: eps = t - phi(z) = 0 when t equals the graph value
     spec1 = b1_spec()
     Q1 = qext(spec1)
-    a1 = build_normal_form(spec1)
-    th1 = Q1.pinned_theta(F(1, 32), (F(1, 32), F(0)), (F(0), F(1, 64)))
+    a1 = spec1.a
+    th1 = Q1.theta_at((F(1, 32), F(1, 32), F(0), F(0), F(1, 64)))
     assert th1.eps == 0
     pt1 = Q1.substituted_point((), th1)
     assert a1.eval(pt1) == \
@@ -369,21 +387,36 @@ def test_b1_normalized_profile_is_constant():
     assert w == () and m0 == 1
 
 
-def test_pinned_theta_values():
+def test_theta_at_values():
     Q1 = qext(b1_spec())
-    th = Q1.pinned_theta(F(1, 8), (F(1, 16), F(0)), (F(0), F(0)))
+    th = Q1.theta_at((F(1, 8), F(1, 16), F(0), F(0), F(0)))
     assert th.eps == F(1, 8) - F(1, 16)  # t - phi(z) with phi = x1
     Q2 = qext(b2_spec())
-    th = Q2.pinned_theta(F(1, 8), (F(1, 32),), (F(0),), x_p=F(1, 16))
+    th = Q2.theta_at((F(1, 8), F(1, 32), F(0), F(1, 16)))
     assert th.eps == F(1, 16) and th.x_p == F(1, 16)
-    with pytest.raises(ValueError):
-        Q2.pinned_theta(F(1, 8), (F(0),), (F(0),))
+    # b2's slow vector is (t, z_x, z_xi, x_p): one without x_p, or with an
+    # entry too many, is refused, not read short (a DimensionMismatch is
+    # a ValueError)
+    for n in (3, 5):
+        with pytest.raises(DimensionMismatch, match="length 4"):
+            Q2.theta_at((F(1, 8),) + (F(0),) * (n - 1))
+
+
+def test_floor_refuses_hull_of_wrong_length():
+    # zip would drop an extra entry or leave a missing slot at [0, 0], and
+    # the floor would hold on a box the caller did not give
+    Q = qext(b2_spec(), mode="normalized")
+    hull = [(F(0), F(1, 64))] + [(F(-1, 64), F(1, 64))] * 3
+    assert Q.floor(hull)[0] > 0  # (t, z_x, z_xi, x_p)
+    for bad in (hull[:3], hull + hull[:1]):
+        with pytest.raises(DimensionMismatch, match="length 4"):
+            Q.floor(bad)
 
 
 def test_shape_errors():
     Q = qext(b2_spec())
     with pytest.raises(DimensionMismatch):
-        Q.value((F(1), F(2)), Q.theta_zero())
+        Q.value((F(1), F(2)), Q.theta_at((0,) * Q.theta_dim))
     with pytest.raises(DimensionMismatch):
         Q.value((F(1),), Theta(t=0, z_x=(0, 0), z_xi=(0,), eps=0, x_p=0))
     with pytest.raises(ValueError):
@@ -399,7 +432,7 @@ def test_chain_minimum_closed_form(qbar):
     w, m0 = Q.theta0_minimizer()
     assert m0 == qbar / (1 + qbar)
     assert w == (F(-1) / (1 + qbar), F(0))
-    assert Q.value(w, Q.theta_zero()) == m0
+    assert Q.value(w, Q.theta_at((0,) * Q.theta_dim)) == m0
 
 
 def test_b2_minimum_raw_and_normalized():
@@ -430,13 +463,13 @@ def test_minimizer_random_chains():
         Q = qext(spec)
         w, m0 = Q.theta0_minimizer()
         assert m0 == 1 / sum(1 / v for v in spec.q_bars())
-        assert Q.value(w, Q.theta_zero()) == m0
+        assert Q.value(w, Q.theta_at((0,) * Q.theta_dim)) == m0
         assert m0 > 0
         for _ in range(5):  # strict quadratic growth off the minimizer
             v = tuple(F(rng.randint(-6, 6), 8) for _ in range(Q.w_dim))
             if any(v):
                 probe = tuple(a + b for a, b in zip(w, v))
-                assert Q.value(probe, Q.theta_zero()) > m0
+                assert Q.value(probe, Q.theta_at((0,) * Q.theta_dim)) > m0
 
 
 # ----------------------------------------------- deep chains, frozen bits
@@ -559,10 +592,10 @@ def test_deep_chain_bits_frozen(name, mode):
     spec = deep_chain_specs()[name]
     Q = qext(spec, mode=mode)
     k = spec.d - spec.p
-    theta = Q.pinned_theta(
-        F(1, 16), [F(j + 1, 64) for j in range(k)],
-        [F(-j - 1, 128) for j in range(k)],
-        x_p=F(1, 32) if spec.variant == "form2" else None)
+    theta = Q.theta_at(
+        [F(1, 16)] + [F(j + 1, 64) for j in range(k)]
+        + [F(-j - 1, 128) for j in range(k)]
+        + ([F(1, 32)] if spec.variant == "form2" else []))
     w = DEEP_W[:Q.w_dim]
     val, grad, hess = Q.value_grad_hess(w, theta)
     got = (Q.theta0_minimizer(), float(val), list(grad), list(hess),
@@ -659,10 +692,10 @@ DEEP_MINIMA = {
 def deep_theta(Q, s):
     """The theta of DEEP_MINIMA at s."""
     k = Q.spec.d - Q.spec.p
-    return Q.pinned_theta(
-        F(s, 64), [F(j + s, 128) for j in range(k)],
-        [F(-j - s, 256) for j in range(k)],
-        x_p=F(s, 64) if Q.spec.variant == "form2" else None)
+    return Q.theta_at(
+        [F(s, 64)] + [F(j + s, 128) for j in range(k)]
+        + [F(-j - s, 256) for j in range(k)]
+        + ([F(s, 64)] if Q.spec.variant == "form2" else []))
 
 
 @pytest.mark.parametrize("name,mode,s", sorted(DEEP_MINIMA))
@@ -710,7 +743,7 @@ def test_line_search_stops_once_no_coordinate_moves(monkeypatch):
 def test_derivatives_taken_once(monkeypatch, mode):
     spec = deep_chain_specs()["form1-p2-d3"]
     Q = qext(spec, mode=mode)
-    theta = Q.pinned_theta(F(1, 16), [F(1, 64)], [F(-1, 128)])
+    theta = Q.theta_at((F(1, 16), F(1, 64), F(-1, 128)))
     w = DEEP_W[:Q.w_dim]
 
     def evaluate():
@@ -863,7 +896,7 @@ def test_grad_hess_against_finite_differences(mode):
 def test_grad_vanishes_at_chain_minimizer():
     Q = qext(crit7_spec(F(3, 2)))
     w, _ = Q.theta0_minimizer()
-    _, grad, hess = Q.value_grad_hess(w, Q.theta_zero())
+    _, grad, hess = Q.value_grad_hess(w, Q.theta_at((0,) * Q.theta_dim))
     assert max(abs(g) for g in grad) <= 1e-12
     import numpy as np
     assert np.all(np.linalg.eigvalsh(hess) > 0)
@@ -884,7 +917,7 @@ def test_relative_stability_half(make):
         raw = [rng.uniform(-1, 1) for _ in range(Q.theta_dim)]
         scale = rng.uniform(0, budget) / (sum(map(abs, raw)) or 1.0)
         theta = Q.theta_at([v * scale for v in raw])
-        q0 = float(Q.value(w, Q.theta_zero()))
+        q0 = float(Q.value(w, Q.theta_at((0,) * Q.theta_dim)))
         q = float(Q.value(w, theta))
         assert abs(q - q0) / q0 <= 0.5
 
@@ -919,7 +952,7 @@ def test_elliptic_weight_criterion_matches_classification():
         spec = NormalFormSpec(variant="form2", d=d, p=p, q=qs, r=rs,
                               g=xs[p - 1] ** 3 * xis[d - 1] ** 2)
         rep = check_side_conditions(spec)
-        a = build_normal_form(spec)
+        a = spec.a
         cl = classify_effective_hyperbolicity(-tau ** 2 + a,
                                               PhasePoint.base(d))
         assert rep.bbis_ok == cl.effective

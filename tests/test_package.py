@@ -44,10 +44,12 @@ def test_no_object_arrays():
 
 
 def test_numpy_linalg_only_in_minimize_and_spectral():
-    # normal_forms computes in Python numbers alone, and LAPACK serves
-    # only the Newton of the minimize verb and the displayed eigenvalues
-    found = ["normal_forms.py:%d" % node.lineno for name, node in _nodes()
-             if name == "normal_forms.py"
+    # normal_forms and symbols compute in Python numbers alone (symbols
+    # broadcasts over the arrays it is given without importing numpy), and
+    # LAPACK serves only the Newton of the minimize verb and the displayed
+    # eigenvalues
+    found = ["%s:%d" % (name, node.lineno) for name, node in _nodes()
+             if name in ("normal_forms.py", "symbols.py")
              and isinstance(node, (ast.Import, ast.ImportFrom))
              and "numpy" in ast.unparse(node)]
     allowed = {("verifier.py", "minimize_Q"), ("verifier.py", "_newton")}
@@ -60,6 +62,26 @@ def test_numpy_linalg_only_in_minimize_and_spectral():
                       and node.attr == "linalg" and path.name != "spectral.py"
                       and where not in allowed]
     assert found == []
+
+
+def test_perfbench_trace_hooks_resolve():
+    # perfbench's traced run wraps each LAYERS entry, by module and dotted
+    # attribute, and a layer it cannot find reads 0: a rename in the
+    # package would zero its metric silently.  Only the three scan layers
+    # that certify_region replaced are missing
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = set()
+    for _, module, attr, _, _ in tracing.LAYERS:
+        owner = importlib.import_module("hypcert." + module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            unresolved.add("%s.%s" % (module, attr))
+    assert unresolved <= {"verifier.verify_nonnegativity",
+                          "verifier.estimate_c", "verifier.estimate_kappa"}
 
 
 def test_every_export_is_read():

@@ -18,7 +18,6 @@ from hypcert import (
     alpha_coefficients,
     construct_time_function,
     epsilon_weights,
-    build_normal_form,
     phase_variables,
     parse_symbol_file,
     poisson_bracket,
@@ -220,7 +219,7 @@ def test_certify_checks_the_telescope_once(monkeypatch):
 
 
 def test_certify_assembles_a_once(monkeypatch):
-    # the spec assembles a at its first build_normal_form and keeps it:
+    # the spec assembles a at its first read of spec.a and keeps it:
     # run_pipeline's assembly check and check_structural read the same a
     seen = []
     assemble = normal_forms._assemble
@@ -255,7 +254,7 @@ def test_double_hamilton_identity_random():
         rb = [F(rng.randint(100, 900), 1000) for _ in range(p)]
         spec = form2_spec(rb)
         cert = construct_time_function(spec, F(1, 1000))
-        a = build_normal_form(spec)
+        a = spec.a
         twice = poisson_bracket(cert.phi, poisson_bracket(cert.phi, a))
         assert twice.eval(PhasePoint.base(spec.d)) == 2 * cert.rho_weight
 
@@ -325,7 +324,7 @@ def test_condition_is_fixed_by_the_branch(name):
     cert = construct_time_function(spec, F(1, 100))
     t, _, tau, _ = phase_variables(spec.d)
     base = spec.base_point()
-    jet = quadratic_jet(build_normal_form(spec) - tau ** 2, base)
+    jet = quadratic_jet(spec.a - tau ** 2, base)
     value = time_function_condition(jet, t - cert.phi, base)
     assert value == (-1 if spec.variant == "form1" else cert.rho_weight - 1)
     assert value < 0

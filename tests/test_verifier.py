@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from hypcert import (
+    Cutoff,
     NoConvergence,
     NormalFormSpec,
     PolySymbol,
     Region,
     ScanTooLarge,
     Theta,
-    build_cutoff,
     build_extended_Q,
     certify_region,
     check_side_conditions,
@@ -304,8 +304,8 @@ def test_kappa_witness_reevaluates_exactly(b2_a, small_region):
 
 @pytest.mark.parametrize("qbar", [F(1, 2), F(1), F(2)])
 def test_minimize_chain_closed_form(qbar):
-    eq = build_extended_Q(crit7_spec(qbar), build_cutoff(F(1, 2)))
-    res = minimize_Q(eq, eq.theta_zero())
+    eq = build_extended_Q(crit7_spec(qbar), Cutoff(F(1, 2)))
+    res = minimize_Q(eq, eq.theta_at((0,) * eq.theta_dim))
     expect = float(qbar / (1 + qbar))
     assert abs(res.m - expect) <= 1e-8
     assert abs(res.w_bar[0] + float(1 / (1 + qbar))) <= 1e-8
@@ -315,13 +315,13 @@ def test_minimize_chain_closed_form(qbar):
 
 
 def test_minimize_trivial_w_dimension():
-    eq = build_extended_Q(b1_spec(), build_cutoff(F(1, 2)), mode="normalized")
-    res = minimize_Q(eq, eq.pinned_theta(F(1, 100), (F(1, 50), 0), (0, 0)))
+    eq = build_extended_Q(b1_spec(), Cutoff(F(1, 2)), mode="normalized")
+    res = minimize_Q(eq, eq.theta_at((F(1, 100), F(1, 50), 0, 0, 0)))
     assert res.m == 1.0 and res.w_bar == ()
 
 
 def test_minimize_b2_raw_and_normalized():
-    cut = build_cutoff(F(1, 2))
+    cut = Cutoff(F(1, 2))
     raw = minimize_Q(build_extended_Q(b2_spec(), cut), Theta(
         t=0, z_x=(0,), z_xi=(0,), eps=0, x_p=0))
     assert abs(raw.m - 1.0) <= 1e-12 and abs(raw.w_bar[0]) <= 1e-10
@@ -332,22 +332,22 @@ def test_minimize_b2_raw_and_normalized():
 
 def test_minimize_theta_invariance_when_factors_fixed():
     # B2 factors depend only on the xi_2 offset; freezing it freezes m
-    eq = build_extended_Q(b2_spec(), build_cutoff(F(1, 2)))
-    m0 = minimize_Q(eq, eq.theta_zero()).m
+    eq = build_extended_Q(b2_spec(), Cutoff(F(1, 2)))
+    m0 = minimize_Q(eq, eq.theta_at((0,) * eq.theta_dim)).m
     for tt, zx, xp in [(F(1, 100), F(1, 100), F(1, 64)),
                        (F(1, 50), F(-1, 40), F(-1, 32)),
                        (F(1, 10), F(1, 10), 0)]:
-        th = eq.pinned_theta(tt, (zx,), (0,), x_p=xp)
+        th = eq.theta_at((tt, zx, 0, xp))
         assert abs(minimize_Q(eq, th).m - m0) <= 1e-12
 
 
 def test_minimize_dominates_probes():
     import random
     rng = random.Random(3)
-    eq = build_extended_Q(crit7_spec(F(2)), build_cutoff(F(1, 2)))
-    thetas = [eq.theta_zero(),
-              eq.pinned_theta(F(1, 50), (F(1, 64),), (F(1, 32),)),
-              eq.pinned_theta(F(1, 20), (F(-1, 100),), (F(-1, 64),))]
+    eq = build_extended_Q(crit7_spec(F(2)), Cutoff(F(1, 2)))
+    thetas = [eq.theta_at((0,) * eq.theta_dim),
+              eq.theta_at((F(1, 50), F(1, 64), F(1, 32))),
+              eq.theta_at((F(1, 20), F(-1, 100), F(-1, 64)))]
     for th in thetas:
         m = minimize_Q(eq, th).m
         for _ in range(1000):
@@ -357,7 +357,7 @@ def test_minimize_dominates_probes():
 
 def test_newton_stops_at_the_iteration_limit(monkeypatch):
     eq = build_extended_Q(deep_chain_specs()["form1-p2-d3"],
-                          build_cutoff(F(1, 2)))
+                          Cutoff(F(1, 2)))
     slow = [(0, 0, 0), (F(1, 20), F(1, 40), F(-1, 50))]
     monkeypatch.setattr(verifier, "MAX_NEWTON_ITER", 1)
     with pytest.raises(NoConvergence,
@@ -368,10 +368,10 @@ def test_newton_stops_at_the_iteration_limit(monkeypatch):
 
 
 def test_envelope_derivative_matches_fd():
-    eq = build_extended_Q(crit7_spec(F(1)), build_cutoff(F(1, 2)))
+    eq = build_extended_Q(crit7_spec(F(1)), Cutoff(F(1, 2)))
 
     def theta_at(s):  # xi_2 offset direction; phi = x_2 so eps is fixed
-        return eq.pinned_theta(F(1, 100), (F(1, 50),), (s,))
+        return eq.theta_at((F(1, 100), F(1, 50), s))
 
     base = F(1, 100)
     res = minimize_Q(eq, theta_at(base))
