@@ -24,12 +24,15 @@ fixture, summed the same way.  A stage a fixture never reaches counts 0
 for it.  No stage runs inside another, so the stages sum to no more than
 the total; what is left is run_pipeline's own work (the report fields,
 the assembly check) and, in region_grid33, the region replacement.
+peak_rss_mb is the process's peak resident set (ru_maxrss, in MB as
+perfbench counts it) when both sections are done.
 """
 
 import argparse
 import dataclasses
 import json
 import pathlib
+import resource
 import sys
 import time
 
@@ -128,6 +131,8 @@ def main(argv=None):
     name, grid, _ = REGION
     out["region_grid33"] = {"fixture": name, "grid": grid}
     out["region_grid33"].update(measure([REGION], args.repeat))
+    out["peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3)
     print(json.dumps(out))
 
 

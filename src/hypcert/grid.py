@@ -282,6 +282,13 @@ class TensorGrid:
         if math.prod(lens) <= _BLOCK:
             yield 0, tuple(lens), [p.eval(coords) for p in polys]
             return
+        # glibc hands a freed heap top past its trim threshold (128 KiB at
+        # first) back to the kernel, so each block would fault its
+        # temporaries in afresh: about 5,300 minor faults per grid-33
+        # certify.  Freeing one mmapped buffer, never touched, larger
+        # than a block's temporaries raises that threshold to twice its
+        # size (mallopt(3), dynamic mmap threshold).
+        np.empty(8 * _BLOCK)
         split_polys = [p.collect({self.slots[i] for i in walk[split + 1:]})
                        for p in polys]
         monomials = {m: PolySymbol(self.d, {m: 1}).eval(coords) if any(m)

@@ -409,14 +409,25 @@ class Cutoff:
     def chi_second(self, s: Number) -> Number:
         return _piecewise(s, 0, _H2, 0, odd=True)
 
+    @cached_property
+    def _float_delta(self) -> float:
+        """float(delta): what Fraction's operators compute with a float
+        argument, kept so that the float path skips their fallbacks."""
+        return float(self.delta)
+
+    def _delta_for(self, s: Number):
+        return self._float_delta if type(s) is float else self.delta
+
     def scaled(self, s: Number) -> Number:
-        return self.delta * self.chi(s / self.delta)
+        delta = self._delta_for(s)
+        return delta * self.chi(s / delta)
 
     def scaled_prime(self, s: Number) -> Number:
-        return self.chi_prime(s / self.delta)
+        return self.chi_prime(s / self._delta_for(s))
 
     def scaled_second(self, s: Number) -> Number:
-        return self.chi_second(s / self.delta) / self.delta
+        delta = self._delta_for(s)
+        return self.chi_second(s / delta) / delta
 
 
 # --------------------------------------------------------------- extended Q

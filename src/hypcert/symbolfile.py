@@ -10,9 +10,11 @@ byte-for-byte whenever x was produced by the serializer.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from typing import List, Optional
 
 # CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before): hashlib
@@ -308,6 +310,60 @@ def serialize_symbol_file(sf: SymbolFile) -> bytes:
 
 def dumps(obj) -> bytes:
     """The canonical JSON bytes of obj: sorted keys, two-space indent,
-    strict (no nan or inf), a trailing newline."""
-    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-            + "\n").encode("utf-8")
+    strict (no nan or inf), a trailing newline.
+
+    The bytes of json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) plus the newline, for str keys, written by one
+    recursive pass: json's C encoder serves no indent, and its Python
+    encoder costs a generator per container.
+    """
+    out = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+def _emit(obj, newline: str, out: List[str]) -> None:
+    """Append obj's JSON text to out, its nested lines indented past
+    newline (a newline and the current indent)."""
+    if isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant")
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s"
+                                % type(key).__name__)
+            out += [sep, inner, _string(key), ": "]
+            _emit(value, inner, out)
+            sep = ","
+        out += [newline, "}"]
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for value in obj:
+            out += [sep, inner]
+            _emit(value, inner, out)
+            sep = ","
+        out += [newline, "]"]
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)

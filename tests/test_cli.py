@@ -647,6 +647,51 @@ def test_pipeline_exit_bytes_frozen(name, tmp_path, capsys):
     assert (code, digest) == EXIT_DIGESTS[name]
 
 
+# (exit code, sha256 of the JSON report) of classify on each fixture
+CLASSIFY_DIGESTS = {
+    "b1":
+        (0, "53be2184cbbd2bb245ba575b5c740e8523a0ca3289fb3f518e6d2dbff071ef9c"),
+    "b2":
+        (0, "eb539db03991cc6ad4b68b1c1de1f6a09934a114107f756a77064fbcc7e68cf2"),
+    "b2_bbis2":
+        (1, "a1136e38a2aed5a5567e5397809e9d5baebe89c9898c7be67b1d3a8c29160326"),
+    "classical":
+        (0, "f046741d482674c48f19d90458e0e9d3065c2e304fae312ba2585a6edffa0045"),
+    "nonsingular":
+        (1, "343bb8f9b3c2f833fe77935c3f50e0370cd3f9ba283fb9fbd2e40849f71c2b13"),
+}
+
+
+def test_classify_and_certify_run_no_lapack(monkeypatch, tmp_path, capsys):
+    # the displayed eigenvalues are found in pure Python and certify runs
+    # no Newton: with numpy's root finder and the LAPACK entry points
+    # raising, classify and certify of every fixture and every pipeline
+    # exit give their frozen exit codes and bytes
+    def broken(*args, **kwargs):
+        raise AssertionError("LAPACK ran")
+
+    monkeypatch.setattr(np, "roots", broken)
+    for name in ("eig", "eigvals", "solve", "cond", "svd"):
+        monkeypatch.setattr(np.linalg, name, broken)
+    runs = [(verb, (FIXTURES / ("%s.json" % name)).read_bytes(), [])
+            for verb in ("classify", "certify") for name in NAMES]
+    want = [CLASSIFY_DIGESTS[name] for name in NAMES]
+    for name in NAMES:
+        golden = (GOLDEN / ("%s.certify.json" % name)).read_bytes()
+        want.append((0 if json.loads(golden)["status"] == "CERTIFIED" else 1,
+                     hashlib.sha256(golden).hexdigest()))
+    for name, run in sorted(exit_inputs().items()):
+        runs.append(run)
+        want.append(EXIT_DIGESTS[name])
+    path, out = tmp_path / "in.json", tmp_path / "rep.json"
+    for (verb, data, flags), expected in zip(runs, want):
+        path.write_bytes(data)
+        code = main([verb, str(path), *flags, "--out", str(out)])
+        assert capsys.readouterr().err == ""
+        assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) \
+            == expected, (verb, flags)
+
+
 def test_every_pipeline_exit_is_frozen():
     assert sorted(exit_inputs()) == sorted(EXIT_DIGESTS)
 

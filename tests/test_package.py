@@ -43,13 +43,13 @@ def test_no_object_arrays():
     assert found == []
 
 
-def test_numpy_linalg_only_in_minimize_and_spectral():
-    # normal_forms and symbols compute in Python numbers alone (symbols
-    # broadcasts over the arrays it is given without importing numpy), and
-    # LAPACK serves only the Newton of the minimize verb and the displayed
-    # eigenvalues
+def test_numpy_linalg_only_in_minimize():
+    # normal_forms, symbols and spectral compute in Python numbers alone
+    # (symbols broadcasts over the arrays it is given without importing
+    # numpy, and spectral finds the displayed roots in pure Python), and
+    # LAPACK serves only the Newton of the minimize verb
     found = ["%s:%d" % (name, node.lineno) for name, node in _nodes()
-             if name in ("normal_forms.py", "symbols.py")
+             if name in ("normal_forms.py", "symbols.py", "spectral.py")
              and isinstance(node, (ast.Import, ast.ImportFrom))
              and "numpy" in ast.unparse(node)]
     allowed = {("verifier.py", "minimize_Q"), ("verifier.py", "_newton")}
@@ -59,8 +59,7 @@ def test_numpy_linalg_only_in_minimize_and_spectral():
             found += ["%s:%d" % (path.name, node.lineno)
                       for node in ast.walk(top)
                       if isinstance(node, ast.Attribute)
-                      and node.attr == "linalg" and path.name != "spectral.py"
-                      and where not in allowed]
+                      and node.attr == "linalg" and where not in allowed]
     assert found == []
 
 

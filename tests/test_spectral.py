@@ -248,11 +248,28 @@ def classified_fixture_maps():
         yield hamilton_map(quadratic_jet(-(tau ** 2) + sf.a, sf.base_point))
 
 
+def long_chain_map(p):
+    """The Hamilton map of the chain model q_i = 1/(i+2), r_i = (i+3)/7
+    of length p, whose mu roots are all real."""
+    q = [Fraction(1, i + 2) for i in range(p)]
+    r = [Fraction(i + 3, 7) for i in range(p)]
+    return hamilton_map(chain_quadratic_jet(q, r))
+
+
+LONG_CHAINS = (16, 24, 31)
+
+
 def test_spectrum_residuals_within_tolerance():
     # the displayed eigenvalues are eigenvalues of F: the smallest
-    # singular value of F - z I is within 1e-9 (1 + |F|) for each z
-    for F in list(classified_fixture_maps()) + [hamilton_map(j)
-                                                for j in random_jets()]:
+    # singular value of F - z I is within 1e-9 (1 + |F|) for each z.  The
+    # long chains' mu roots are all real, so each displayed value is real
+    # or purely imaginary there (a companion-matrix display showed 8
+    # complex values at p = 24 and 40 at p = 31)
+    chains = [long_chain_map(p) for p in LONG_CHAINS]
+    for F in chains:
+        assert not [z for z in spectrum(F).eigenvalues if z.real and z.imag]
+    for F in list(classified_fixture_maps()) + chains + [
+            hamilton_map(j) for j in random_jets()]:
         fm = np.array([[float(v) for v in row] for row in F])
         bound = 1e-9 * (1 + np.linalg.norm(fm))
         eye = np.eye(len(F))
@@ -425,9 +442,9 @@ def test_sign_equivalence_random_smoke():
 
 @pytest.mark.parametrize("p", [16, 24, 31])
 def test_long_chain_classifies_exactly(p):
-    # p = 31 is a 64 x 64 map, MAX_SIZE; the float roots shown for it are
-    # inaccurate, but the verdict is exact and the witness, the chain's
-    # one real pair, stays accurate
+    # p = 31 is a 64 x 64 map, MAX_SIZE; the verdict is exact, and the
+    # witness, the chain's one real pair, is +-sqrt of the correctly
+    # rounded mu root
     q = [Fraction(1, i + 2) for i in range(p)]
     r = [Fraction(i + 3, 7) for i in range(p)]
     psi, spec = psi_zero_sign_equivalence(q, r)
@@ -499,6 +516,78 @@ def test_sturm_counts_match_sympy(poly):
     assert sturm_root_counts(coeffs) == (poly.count_roots(None, 0),
                                          poly.count_roots(0, None),
                                          poly.sqf_part().degree())
+
+
+small = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def factored_integer_polynomials(draw):
+    """(integer coefficients, leading first; [(root, multiplicity)]) for a
+    product of linear factors a x - b and irreducible quadratics
+    a x^2 + b x + c, degree <= 6, no root at 0, factors repeated; each
+    root as a sympy number."""
+    x = sympy.Symbol("x")
+    poly, roots, degree = sympy.Poly(draw(small), x), {}, 0
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(1, 9)), draw(small)
+            factor, found = sympy.Poly(a * x - b, x), [sympy.Rational(b, a)]
+        else:
+            a, b, c = draw(st.integers(1, 9)), draw(st.integers(-9, 9)), draw(small)
+            factor = sympy.Poly(a * x ** 2 + b * x + c, x)
+            if not factor.is_irreducible:
+                continue
+            disc = sympy.sqrt(b * b - 4 * a * c)
+            found = [(-b - disc) / (2 * a), (-b + disc) / (2 * a)]
+        m = draw(st.integers(1, 3))
+        if degree + m * factor.degree() > 6:
+            break
+        poly, degree = poly * factor ** m, degree + m * factor.degree()
+        for root in found:
+            key = sympy.nsimplify(root)
+            roots[key] = roots.get(key, 0) + m
+    return [int(c) for c in poly.all_coeffs()], sorted(roots.items(), key=str)
+
+
+@CHAINS
+@given(factored_integer_polynomials())
+def test_mu_roots_match_sympy(case):
+    # each real root is the float nearest sympy's 40-digit value, each
+    # non-real one is within 1e-12 relative, with its multiplicity
+    p, want = case
+    seq = spectral._sturm_sequence(p)
+    negative, positive, _ = spectral._root_counts(seq)
+    got = spectral._mu_roots(seq, negative, positive)
+    assert sorted(m for _, m in got) == sorted(m for _, m in want)
+    left = list(got)
+    for root, m in want:
+        value = complex(sympy.N(root, 40))
+        if root.is_real:
+            exact = sympy.Rational(sympy.N(root, 40))
+            near = complex(float(Fraction(int(exact.p), int(exact.q))))
+            assert (near, m) in left, (root, near, got)
+            left.remove((near, m))
+        else:
+            z, k = min(left, key=lambda zm: abs(zm[0] - value))
+            assert abs(z - value) <= 1e-12 * abs(value), (root, z)
+            assert k == m, (root, got)
+            left.remove((z, k))
+    assert left == []
+
+
+def test_nearest_float_decides_between_adjacent_floats():
+    # the root of 2^60 x - n in (1, 1 + 2^-52), whose ends are adjacent
+    # floats: the sign at their midpoint 1 + 2^-53 picks the nearer one,
+    # and a root on a midpoint rounds to even
+    one = 1 << 60
+    for n, want in ((one + 2 ** 7 + 1, 1 + 2 ** -52),
+                    (one + 2 ** 7 - 1, 1.0),
+                    (one + 2 ** 7, 1.0),
+                    (one + 3 * 2 ** 7, 1 + 2 ** -51)):
+        hi = 2 if n > one + 2 ** 8 else 1
+        got = spectral._nearest_float([one, -n], 1 << 52, (1 << 52) + hi, 52)
+        assert got == want == float(Fraction(n, one)), hex(n)
 
 
 def test_chain_jet_matches_symbol_route():

@@ -25,6 +25,8 @@ def test_stage_times_split_the_total():
     assert list(doc["stages_ms"]) == STAGES
     assert all(v > 0 for v in doc["stages_ms"].values())
     assert sum(doc["stages_ms"].values()) <= doc["total_ms"]
+    # the peak resident set at exit, a positive number of MB
+    assert type(doc["peak_rss_mb"]) is float and doc["peak_rss_mb"] > 0
 
 
 def test_region_section_splits_its_total():

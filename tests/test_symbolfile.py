@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypcert import NormalFormSpec, PhasePoint, PolySymbol, Region
+from hypcert.cli import main
 from hypcert.symbolfile import (
     Options,
     ParseError,
     SchemaError,
     SymbolFile,
+    dumps,
     parse_symbol_data,
     parse_symbol_file,
     poly_terms,
@@ -279,3 +281,51 @@ def test_canonical_term_order_is_graded_lex():
     terms = poly_terms(sf.a)
     degrees = [sum(t["exponents"].values()) for t in terms]
     assert degrees == sorted(degrees)
+
+
+# ---------------------------------------------------------- the JSON writer
+
+
+def reference_dumps(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+            + "\n").encode("utf-8")
+
+
+def written_documents(tmp_path):
+    """Every golden and symbol file, and the classify, certify and
+    minimize output of each fixture, as bytes."""
+    out = [p.read_bytes() for p in sorted(FIXTURES.rglob("*.json"))]
+    dest = tmp_path / "out.json"
+    for path in sorted(FIXTURES.glob("*.json")):
+        for verb in ("classify", "certify", "minimize"):
+            main([verb, str(path), "--out", str(dest)])
+            out.append(dest.read_bytes())
+    return out
+
+
+def test_dumps_matches_json_module(tmp_path):
+    # the recursive writer gives json.dumps' bytes (sort_keys, indent=2,
+    # allow_nan=False) on everything the package writes, on empty
+    # containers and on escaped and non-ASCII strings
+    docs = written_documents(tmp_path)
+    assert len(docs) == 10 + 15
+    for data in docs:
+        doc = json.loads(data)
+        assert dumps(doc) == reference_dumps(doc) == data
+    odd = {"": [], "empty": {}, "nested": [[], {}, [[{}]]],
+           "text": ["na\u00efve \u2603 \U0001f600", "\x00\x1f\"\\/\t\n",
+                    "\u00e9"],
+           "\u00fcber": {"b": None, "a": True, "c": False},
+           "numbers": [0, -1, 2 ** 80, -0.0, 1e-300, 5e-324, 1e16, 0.1,
+                       1.7976931348623157e308], "tuple": (1, "2")}
+    for obj in (odd, [], {}, "x", None, 3, 2.5, [odd, [odd]]):
+        assert dumps(obj) == reference_dumps(obj)
+
+
+def test_dumps_refuses_non_finite_floats():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for obj in (bad, [bad], {"a": [1, {"b": bad}]}):
+            with pytest.raises(ValueError):
+                reference_dumps(obj)
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                dumps(obj)
