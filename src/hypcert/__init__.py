@@ -1,63 +1,65 @@
 """Classification and grid certification of effectively hyperbolic
 double characteristics of second order symbols -tau^2 + a(t, x, xi)."""
 
-from hypcert.symbols import (
-    DimensionMismatch,
-    NotSingular,
-    PhasePoint,
-    PolySymbol,
-    QuadraticJet,
-    homogeneity_check,
-    phase_variables,
-    poisson_bracket,
-    quadratic_jet,
-)
-from hypcert.spectral import (
-    Classification,
-    NoConvergence,
-    Spectrum,
-    classify_effective_hyperbolicity,
-    hamilton_map,
-    spectrum,
-)
-from hypcert.normal_forms import (
-    Cutoff,
-    ExtendedQ,
-    InvariantViolation,
-    NormalFormSpec,
-    SideConditionReport,
-    Theta,
-    build_extended_Q,
-    check_side_conditions,
-    validate_spec,
-)
-from hypcert.time_functions import (
-    TimeFunctionCert,
-    WeightSelection,
-    alpha_coefficients,
-    construct_time_function,
-    epsilon_weights,
-)
-from hypcert.verifier import (
-    CertificateReport,
-    MinimizeResult,
-    NonnegReport,
-    RatioEstimate,
-    Region,
-    ScanTooLarge,
-    StructuralReport,
-    certify_region,
-    check_structural,
-    minimize_Q,
-)
-from hypcert.symbolfile import (
-    ParseError,
-    SchemaError,
-    SymbolFile,
-    parse_symbol_data,
-    parse_symbol_file,
-    serialize_symbol_file,
-)
+import importlib
+
+# Each export's module, imported at the export's first read (PEP 562), so
+# that a verb loads only the modules it runs.
+_MODULES = {
+    # symbols
+    "DimensionMismatch": "symbols",
+    "NotSingular": "symbols",
+    "PhasePoint": "symbols",
+    "PolySymbol": "symbols",
+    "QuadraticJet": "symbols",
+    "homogeneity_check": "symbols",
+    "phase_variables": "symbols",
+    "poisson_bracket": "symbols",
+    "quadratic_jet": "symbols",
+    # spectral
+    "Classification": "spectral",
+    "NoConvergence": "spectral",
+    "Spectrum": "spectral",
+    "classify_effective_hyperbolicity": "spectral",
+    "hamilton_map": "spectral",
+    "spectrum": "spectral",
+    # normal_forms
+    "Cutoff": "normal_forms",
+    "ExtendedQ": "normal_forms",
+    "InvariantViolation": "normal_forms",
+    "NormalFormSpec": "normal_forms",
+    "SideConditionReport": "normal_forms",
+    "Theta": "normal_forms",
+    "build_extended_Q": "normal_forms",
+    "check_side_conditions": "normal_forms",
+    "validate_spec": "normal_forms",
+    # time_functions
+    "TimeFunctionCert": "time_functions",
+    "WeightSelection": "time_functions",
+    "alpha_coefficients": "time_functions",
+    "construct_time_function": "time_functions",
+    "epsilon_weights": "time_functions",
+    # verifier
+    "CertificateReport": "verifier",
+    "NonnegReport": "verifier",
+    "RatioEstimate": "verifier",
+    "StructuralReport": "verifier",
+    "certify_region": "verifier",
+    "check_structural": "verifier",
+    # grid
+    "ScanTooLarge": "grid",
+    # minimize
+    "MinimizeResult": "minimize",
+    "minimize_Q": "minimize",
+    # symbolfile
+    "ParseError": "symbolfile",
+    "Region": "symbolfile",
+    "SchemaError": "symbolfile",
+    "SymbolFile": "symbolfile",
+    "parse_symbol_data": "symbolfile",
+    "parse_symbol_file": "symbolfile",
+    "serialize_symbol_file": "symbolfile",
+}
 
 __version__ = "0.1.0"
 
@@ -108,3 +110,12 @@ __all__ = [
     "spectrum",
     "validate_spec",
 ]
+
+
+def __getattr__(name):
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("hypcert." + module), name)
+    globals()[name] = value
+    return value

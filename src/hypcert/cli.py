@@ -8,6 +8,10 @@ bytes and options produce identical output bytes.
 Exit codes: 0 CERTIFIED, 1 FAILED (and NOT_APPLICABLE under certify),
 3 usage or unreadable input.  `classify` exits 0 when the point is
 effectively hyperbolic even though nothing was certified.
+
+Each verb imports only the modules it runs: the scans (time_functions,
+verifier, grid and numpy) where certify first needs them, and module
+minimize in the minimize verb alone.
 """
 
 from __future__ import annotations
@@ -16,18 +20,12 @@ import argparse
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from hypcert import __version__
-from hypcert.normal_forms import (
-    InvariantViolation,
-    build_extended_Q,
-    check_side_conditions,
-)
 from hypcert.spectral import NoConvergence, classify_effective_hyperbolicity
-from hypcert.symbols import DimensionMismatch, NotSingular, PolySymbol
+from hypcert.symbols import DimensionMismatch, NotSingular, PolySymbol, _Record
 from hypcert.symbolfile import (
     ParseError,
     SchemaError,
@@ -37,34 +35,30 @@ from hypcert.symbolfile import (
     point_obj,
     poly_terms,
 )
-from hypcert.time_functions import construct_time_function
-from hypcert.verifier import (
-    STRUCTURAL_CUTOFF,
-    ScanTooLarge,
-    certify_region,
-    check_structural,
-    minimize_Q,
-)
 
 STATUSES = ("CERTIFIED", "FAILED", "NOT_APPLICABLE")
 
 
-@dataclass(frozen=True)
-class Report:
-    status: str
-    verb: str
-    version: str
-    input_hash: str
-    reason: Optional[str] = None
-    stage: Optional[str] = None
-    classification: Optional[dict] = None
-    side_conditions: Optional[dict] = None
-    time_function: Optional[dict] = None
-    certificate: Optional[dict] = None
+class Report(_Record):
+    _fields = ("status", "verb", "version", "input_hash", "reason", "stage",
+               "classification", "side_conditions", "time_function",
+               "certificate")
 
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError("unknown status %r" % self.status)
+    def __init__(self, status: str, verb: str, version: str,
+                 input_hash: str, reason: Optional[str] = None,
+                 stage: Optional[str] = None,
+                 classification: Optional[dict] = None,
+                 side_conditions: Optional[dict] = None,
+                 time_function: Optional[dict] = None,
+                 certificate: Optional[dict] = None):
+        if status not in STATUSES:
+            raise ValueError("unknown status %r" % status)
+        self.status, self.verb, self.version = status, verb, version
+        self.input_hash, self.reason, self.stage = input_hash, reason, stage
+        self.classification = classification
+        self.side_conditions = side_conditions
+        self.time_function = time_function
+        self.certificate = certificate
 
 
 # ------------------------------------------------------- json conversion
@@ -198,6 +192,10 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
     if verb == "classify":
         return report("NOT_APPLICABLE", "classify",
                       "classification only; nothing certified")
+
+    from hypcert.normal_forms import InvariantViolation, check_side_conditions
+    from hypcert.time_functions import construct_time_function
+    from hypcert.verifier import ScanTooLarge, certify_region, check_structural
 
     spec = sf.normal_form
     if spec is None:
@@ -458,6 +456,9 @@ def _run_minimize(sf: SymbolFile, args) -> int:
     if usage:
         sys.stderr.write("hypcert: %s\n" % usage[0])
         return 3
+    from hypcert.minimize import minimize_Q
+    from hypcert.normal_forms import STRUCTURAL_CUTOFF, build_extended_Q
+
     eq = build_extended_Q(sf.normal_form, STRUCTURAL_CUTOFF, mode=args.mode)
     zero = (Fraction(0),) * k
     slow = (args.theta_t, *(args.theta_zx or zero), *(args.theta_zxi or zero))

@@ -45,23 +45,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from hypcert.symbols import PhasePoint, PolySymbol
 
-# Walked points per block, measured with certify_region on b2 at grid 33
-# (2-core x86_64, glibc 2.36, best of 7): 11.7 ms at 2^14, 13.7 ms at
-# 2^13, and 17.7, 16.5 and 22.4 ms at 2^15, 2^16 and 2^18.  Past 2^14 a
-# float64 temporary is 256 KiB or more, over glibc's 128 KiB mmap
-# threshold, so freed temporaries go back to the kernel (unmapped, or
-# trimmed off the heap top) and every block faults them in afresh:
-# 5,247 minor faults per call at 2^15 against 0-4 at 2^14 (ru_minflt).
-# With MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ both raised there
-# are none, and 2^15 and 2^16 take 11.1-11.4 ms; the package sets neither.
+# Walked points per block.  The cap is the cache: a block's float64
+# temporaries are 8 bytes a point (128 KiB at 2^14), and a scan is fastest
+# while they stay in the core's caches.  Page faults no longer bound it,
+# since _blocks raises glibc's mmap and trim thresholds past a block's
+# temporaries (0-2 minor faults per call at 2^13 to 2^16).  certify_region
+# on b2 at grid 33 (2-core x86_64 with AVX-512, glibc 2.36, best of 15)
+# took 12.9 ms at 2^13, 10.3-10.8 ms at 2^14, 9.7-9.9 ms at 2^15 and
+# 11.2-11.4 ms at 2^16; a larger cap is for the benchmark to settle.
 _BLOCK = 1 << 14
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 EXACT = 1 << 53  # float64 integers are exact below this
@@ -144,8 +142,7 @@ def blocks(lens, budget: int):
                    (1,) * split + (hi - lo,) + tuple(lens[split + 1:]))
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     min_value: float
     min_flat: int
     n_included: int

@@ -60,24 +60,23 @@ Where exact interval bounds (_interval) give rf > 0, every r_a >= 0 and
 l_j <= q_j / rf there, Cauchy-Schwarz gives Q >= L = 1 / sum_j (1 / l_j):
 the springs-in-series minimum 1/S above, with the factors' box minima.
 
-A Theta is one exact theta; _Rounded is one theta rounded once to
-floats, which the Newton of the minimize verb reads one point at a time.
+A Theta is one exact theta.  ExtendedQ holds what the structural check
+reads (the slots, theta_at and the floor); evaluating Q, its derivatives
+in w and its minimum is the minimize verb's, in module minimize.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
-from hypcert.grid import TensorGrid
 from hypcert.symbols import (
     DimensionMismatch,
     PhasePoint,
     PolySymbol,
+    _Record,
     as_fraction,
     homogeneity_check,
     phase_variables,
@@ -94,11 +93,6 @@ def horner(coeffs, v):
     for c in reversed(coeffs):
         out = out * v + c
     return out
-
-
-def poly_derivative(coeffs):
-    """Coefficients of the derivative of sum_k coeffs[k] v^k."""
-    return tuple(k * c for k, c in enumerate(coeffs) if k)
 
 
 def _scaled(box):
@@ -142,8 +136,7 @@ class InvariantViolation(ValueError):
         self.field = fieldname
 
 
-@dataclass(frozen=True)
-class NormalFormSpec:
+class NormalFormSpec(_Record):
     """Data for one of the two branch shapes, validated on construction
     (InvariantViolation names the first field that breaks an invariant).
 
@@ -152,16 +145,15 @@ class NormalFormSpec:
     form1 data, g is form2 data.
     """
 
-    variant: str
-    d: int
-    p: int
-    q: Tuple[PolySymbol, ...]
-    r: Tuple[PolySymbol, ...]
-    phi: Optional[PolySymbol] = None
-    psi: Optional[PolySymbol] = None
-    g: Optional[PolySymbol] = None
+    _fields = ("variant", "d", "p", "q", "r", "phi", "psi", "g")
 
-    def __post_init__(self):
+    def __init__(self, variant: str, d: int, p: int,
+                 q: Tuple[PolySymbol, ...], r: Tuple[PolySymbol, ...],
+                 phi: Optional[PolySymbol] = None,
+                 psi: Optional[PolySymbol] = None,
+                 g: Optional[PolySymbol] = None):
+        self.variant, self.d, self.p, self.q, self.r = variant, d, p, q, r
+        self.phi, self.psi, self.g = phi, psi, g
         validate_spec(self)
 
     @cached_property
@@ -285,8 +277,7 @@ def _assemble(spec: NormalFormSpec) -> PolySymbol:
 # ------------------------------------------------------------- side checks
 
 
-@dataclass(frozen=True)
-class SideConditionReport:
+class SideConditionReport(NamedTuple):
     ok: bool
     double_bracket: Fraction
     bbis_sum: Optional[Fraction]
@@ -316,6 +307,8 @@ def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
     the elliptic weights satisfy sum_i 1/r_i(base) > 1 strictly, and
     g >= 0 wherever x_p >= 0 on the sample grid.
     """
+    from hypcert.grid import TensorGrid  # numpy, for certify alone
+
     d, p = spec.d, spec.p
     base = spec.base_point()
     notes = []
@@ -363,8 +356,6 @@ def check_side_conditions(spec: NormalFormSpec) -> SideConditionReport:
 
 
 _H = (1, 1, 0, 4, -7, 3)  # integers: exact on rationals, floats on floats
-_H1 = poly_derivative(_H)
-_H2 = poly_derivative(_H1)
 
 
 def _piecewise(s, inner, coeffs, outer, odd):
@@ -379,8 +370,7 @@ def _piecewise(s, inner, coeffs, outer, odd):
     return -out if odd and neg else out
 
 
-@dataclass(frozen=True)
-class Cutoff:
+class Cutoff(_Record):
     """Odd C^2 cutoff: chi(s) = s on |s| <= 1, |chi| = 2 on |s| >= 2,
     chi' >= 0, with a quintic transition (integer coefficients, so chi
     is exact at rational arguments).
@@ -389,25 +379,20 @@ class Cutoff:
     and bounded by 2 delta; its j-th derivative is chi^(j)(s/delta) *
     delta^(1-j), so one factor of 1/delta is paid per derivative.
     delta is kept exact (a float as its exact value) and must be > 0.
+    The derivatives are the minimize verb's (module minimize).
     """
 
-    delta: Fraction
+    _fields = ("delta",)
 
-    def __post_init__(self):
-        delta = (Fraction(self.delta) if isinstance(self.delta, float)
-                 else as_fraction(self.delta))
+    def __init__(self, delta: Fraction):
+        delta = (Fraction(delta) if isinstance(delta, float)
+                 else as_fraction(delta))
         if delta <= 0:
             raise ValueError("cutoff scale must be positive")
-        object.__setattr__(self, "delta", delta)
+        self.delta = delta
 
     def chi(self, s: Number) -> Number:
         return _piecewise(s, None, _H, 2, odd=True)
-
-    def chi_prime(self, s: Number) -> Number:
-        return _piecewise(s, 1, _H1, 0, odd=False)
-
-    def chi_second(self, s: Number) -> Number:
-        return _piecewise(s, 0, _H2, 0, odd=True)
 
     @cached_property
     def _float_delta(self) -> float:
@@ -422,19 +407,15 @@ class Cutoff:
         delta = self._delta_for(s)
         return delta * self.chi(s / delta)
 
-    def scaled_prime(self, s: Number) -> Number:
-        return self.chi_prime(s / self._delta_for(s))
 
-    def scaled_second(self, s: Number) -> Number:
-        delta = self._delta_for(s)
-        return self.chi_second(s / delta) / delta
+# The cutoff of the structural check and of the minimize verb's functional.
+STRUCTURAL_CUTOFF = Cutoff(Fraction(1, 2))
 
 
 # --------------------------------------------------------------- extended Q
 
 
-@dataclass(frozen=True)
-class Theta:
+class Theta(NamedTuple):
     """Slow coordinates of the extended functional, exact: time t,
     transverse block z = (z_x, z_xi) relative to the base covector, the
     scale eps, and (form2 only) the raw x_p slot."""
@@ -446,20 +427,9 @@ class Theta:
     x_p: Optional[Number] = None
 
 
-@dataclass(frozen=True)
-class _Rounded:
-    """A theta as substituted_point reads it for the Newton: the
-    transverse point with the chain anchor in its slot, and eps, each
-    rounded once to floats from its exact value (the xi_d offset added
-    first)."""
-
-    point: Tuple
-    eps: float
-
-
-@dataclass(frozen=True)
-class ExtendedQ:
-    """Evaluator for Q(w, theta) plus exact theta = 0 bookkeeping.
+class ExtendedQ(_Record):
+    """The extended functional Q(w, theta): its shape, its slow vector
+    and its floor on a box (module minimize evaluates and minimizes it).
 
     w = (y_1..y_p, eta_1..eta_p) for form1 and (y_1..y_{p-1},
     eta_1..eta_p) for form2 (y_p is pinned to 0 there).  mode "raw"
@@ -468,13 +438,13 @@ class ExtendedQ:
     factor at the substituted point.
     """
 
-    spec: NormalFormSpec
-    cutoff: Cutoff
-    mode: str = "raw"
+    _fields = ("spec", "cutoff", "mode")
 
-    def __post_init__(self):
-        if self.mode not in ("raw", "normalized"):
+    def __init__(self, spec: NormalFormSpec, cutoff: Cutoff,
+                 mode: str = "raw"):
+        if mode not in ("raw", "normalized"):
             raise ValueError("mode must be 'raw' or 'normalized'")
+        self.spec, self.cutoff, self.mode = spec, cutoff, mode
 
     # -- shape helpers -------------------------------------------------
 
@@ -491,27 +461,6 @@ class ExtendedQ:
     @cached_property
     def w_dim(self) -> int:
         return len(self._w_slots)
-
-    def _split(self, w):
-        """(free ys, etas) of w."""
-        nw = self.w_dim
-        if len(w) != nw:
-            raise DimensionMismatch("w must have length %d" % nw)
-        ny = nw - self.spec.p
-        return list(w[:ny]), list(w[ny:])
-
-    def _nodes(self, ys):
-        """Spring-chain nodes with the anchored ends (module docstring)."""
-        if self.spec.variant == "form1":
-            return [0] + list(ys) + [-1]
-        return [-1] + list(ys) + [0]
-
-    def _move(self, out, w, anchor, eps, dchi):
-        """Write the slots w moves: x_a = anchor + sign * eps * dchi(y_a),
-        xi_a = eps * dchi(eta_a)."""
-        for (slot, sign), v in zip(self._w_slots, w):
-            step = eps * dchi(v)
-            out[slot] = anchor + sign * step if slot <= self.spec.d else step
 
     @cached_property
     def _slots(self) -> Tuple[int, ...]:
@@ -548,48 +497,6 @@ class ExtendedQ:
             pt[slot] = x
         pt[-1] = pt[-1] + 1
         return pt
-
-    def _anchored_point(self, theta: Theta):
-        """The exact transverse point of theta with the chain anchor (t
-        for form1, x_p for form2) in its slot."""
-        k = self.spec.d - self.spec.p
-        if len(theta.z_x) != k or len(theta.z_xi) != k:
-            raise DimensionMismatch("transverse block must have length %d" % k)
-        if self.spec.variant == "form2" and theta.x_p is None:
-            raise ValueError("form2 theta needs x_p")
-        return self._point((theta.t, *theta.z_x, *theta.z_xi, theta.x_p))
-
-    def _rounded(self, theta: Theta) -> _Rounded:
-        """theta rounded once to floats."""
-        return _Rounded(tuple(map(float, self._anchored_point(theta))),
-                        float(theta.eps))
-
-    def substituted_point(self, w, theta):
-        """Full phase point fed to every factor (tau slot stays 0): exact
-        for a Theta until w moves it, and for a _Rounded floats, rounded
-        before w moves them."""
-        self._split(w)  # checks the length of w
-        pt = (self._anchored_point(theta) if isinstance(theta, Theta)
-              else list(theta.point))
-        anchor = pt[0] if self.spec.variant == "form1" else pt[self.spec.p]
-        self._move(pt, w, anchor, theta.eps, self.cutoff.scaled)
-        return pt
-
-    # -- evaluation ------------------------------------------------------
-
-    def value(self, w, theta):
-        """Q(w, theta) (a Theta or a _Rounded); exact when w and theta are
-        rational."""
-        ys, etas = self._split(w)
-        pt = self.substituted_point(w, theta)
-        total = 0
-        # zip stops before the remainder factor, last in _derivatives
-        for (pref, _, _), (sym, _, _) in zip(self._prefactors(ys, etas),
-                                             self._derivatives):
-            total = total + pref * sym.eval(pt)
-        if self.mode == "normalized":
-            total = total / self.divisor(pt)
-        return total
 
     def floor(self, hull):
         """(L, bounds): Q(w, theta) >= L for every w and every theta whose
@@ -642,134 +549,11 @@ class ExtendedQ:
             bounds.append(("q%d" % j, lo / rf_hi))
         return 1 / sum(1 / lo for _, lo in bounds), tuple(bounds)
 
-    def theta0_minimizer(self):
-        """Exact minimizer and minimum of Q(., 0): the springs in series
-        of the module docstring."""
-        spec = self.spec
-        inv = [Fraction(1) / v for v in spec.q_bars()]
-        s = sum(inv)
-        first, last = self._nodes([])
-        partial = itertools.accumulate(inv[:self.w_dim - spec.p])
-        ys = tuple(first + (last - first) * acc / s for acc in partial)
-        m0 = 1 / s
-        if self.mode == "normalized":
-            m0 = m0 / spec.remainder_factor.eval(spec.base_point())
-        return ys + (Fraction(0),) * spec.p, m0
-
-    # -- analytic derivatives in w ----------------------------------------
-
-    def _prefactors(self, ys, etas):
-        """Prefactor values with gradients/Hessians in w per term, the
-        springs then the etas; free chain node i is w index i - 1."""
-        nw = self.w_dim
-        n = self._nodes(ys)
-        last = len(n) - 1
-
-        def square(diff, moving):
-            # diff**2 where diff moves with sign s along each (w index, s)
-            grad = [0] * nw
-            hess = [[0] * nw for _ in range(nw)]
-            for i, s in moving:
-                grad[i] += s * 2 * diff
-                for j, u in moving:
-                    hess[i][j] += s * u * 2
-            return diff * diff, grad, hess
-
-        terms = [square(n[j] - n[j + 1],
-                        [(i - 1, s) for i, s in ((j, 1), (j + 1, -1))
-                         if 0 < i < last])
-                 for j in range(last)]
-        return terms + [square(e, [(last - 1 + a, 1)])
-                        for a, e in enumerate(etas)]
-
-    @cached_property
-    def _derivatives(self):
-        """(factor, its first derivatives by phase slot, its second
-        derivatives by w index pair i <= j) for each q, each r and then
-        the remainder factor, differentiated once per ExtendedQ."""
-        slots = [slot for slot, _ in self._w_slots]
-        table = []
-        for sym in self.spec.q + self.spec.r + (self.spec.remainder_factor,):
-            first = tuple(sym.diff(i) for i in range(sym.nvars))
-            second = {(i, j): first[s_i].diff(slots[j])
-                      for i, s_i in enumerate(slots)
-                      for j in range(i, len(slots))}
-            table.append((sym, first, second))
-        return tuple(table)
-
     @property
     def _rf_name(self) -> str:
         """The field of the remainder factor: q_{p+1} resp. r_p."""
         p = self.spec.p
         return "q%d" % (p + 1) if self.spec.variant == "form1" else "r%d" % p
-
-    def divisor(self, pt):
-        """The remainder factor at pt, which the normalized functional
-        divides by.  InvariantViolation names it and pt where it is zero:
-        pt as exact rationals when it vanishes there exactly."""
-        rf = self.spec.remainder_factor
-        value = rf.eval(pt)
-        if value == 0:
-            try:
-                exact = [Fraction(v) for v in pt]
-                pt = exact if rf.eval(exact) == 0 else pt
-            except (OverflowError, ValueError):  # an inf or nan in pt
-                pass
-            raise InvariantViolation(
-                self._rf_name, "vanishes at (t, x, tau, xi) = (%s), where the "
-                "normalized functional divides by it"
-                % ", ".join(map(str, pt)))
-        return value
-
-    def value_grad_hess(self, w, theta):
-        """(Q, grad_w Q, hess_w Q) as a float, a list and a list of rows,
-        by the analytic chain rule one entry at a time: per factor, the
-        Hessian entry (i, j) is the formula for i <= j, mirrored."""
-        pt = [float(v) for v in self.substituted_point(w, theta)]
-        w, nw, eps = [float(v) for v in w], self.w_dim, float(theta.eps)
-        rows = range(nw)
-        prefs = self._prefactors(*self._split(w))
-        # the remainder factor, last in _derivatives (zip skips it in raw)
-        if self.mode == "normalized":
-            prefs.append((1.0, [0.0] * nw, [[0.0] * nw] * nw))
-        # d1, d2: the derivatives of the phase slot w index i moves
-        d1 = [sign * eps * self.cutoff.scaled_prime(v)
-              for (_, sign), v in zip(self._w_slots, w)]
-        d2 = [sign * eps * self.cutoff.scaled_second(v)
-              for (_, sign), v in zip(self._w_slots, w)]
-
-        def at(poly):  # a zero derivative, read as 0.0 unevaluated
-            return poly.eval(pt) if poly.terms else 0.0
-
-        parts = []
-        for (sym, first, second), (pv, pg, ph) in zip(self._derivatives,
-                                                      prefs):
-            f = sym.eval(pt)
-            f1 = [at(first[slot]) for slot, _ in self._w_slots]
-            th = [[0.0] * nw for _ in rows]
-            for (i, j), poly in second.items():
-                v = (ph[i][j] * f + pg[i] * f1[j] * d1[j]
-                     + pg[j] * f1[i] * d1[i]
-                     + pv * at(poly) * d1[i] * d1[j])
-                if i == j:
-                    v += pv * f1[i] * d2[i]
-                th[i][j] = th[j][i] = v
-            parts.append((pv * f, [pg[i] * f + pv * f1[i] * d1[i]
-                                   for i in rows], th))
-        if self.mode == "normalized":
-            _, rg, rh = parts.pop()
-        val, grad, hess = 0.0, [0.0] * nw, [[0.0] * nw for _ in rows]
-        for tv, tg, th in parts:
-            val = val + tv
-            grad = [a + b for a, b in zip(grad, tg)]
-            hess = [[a + b for a, b in zip(r, s)] for r, s in zip(hess, th)]
-        if self.mode == "raw":
-            return val, grad, hess
-        rv = self.divisor(pt)
-        q = val / rv
-        qg = [(g - q * r) / rv for g, r in zip(grad, rg)]
-        return q, qg, [[(hess[i][j] - q * rh[i][j] - qg[i] * rg[j]
-                         - rg[i] * qg[j]) / rv for j in rows] for i in rows]
 
 
 def build_extended_Q(spec: NormalFormSpec, cutoff: Cutoff,

@@ -29,9 +29,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from hypcert.symbols import (
     DimensionMismatch,
@@ -536,8 +535,7 @@ def _eigenvalues(mu: Sequence[Fraction], zero_pairs: int,
     return tuple(eigs)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues of a Hamilton map and its exact classification tag.
 
     eigenvalues are floats for display, sorted by (Re, Im), and carry
@@ -578,8 +576,7 @@ def spectrum(F: Sequence[Sequence[Fraction]]) -> Spectrum:
                     tag=tag)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     effective: bool
     witness: Optional[complex]
     spectrum: Spectrum

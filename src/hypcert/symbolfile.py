@@ -31,12 +31,13 @@ from hypcert.normal_forms import NormalFormSpec
 from hypcert.symbols import (
     PhasePoint,
     PolySymbol,
+    as_fraction,
     var_index,
     var_names,
 )
-from hypcert.verifier import Region
 
 SCHEMA_VERSION = 1
+DEFAULT_GRID = 33
 
 
 class ParseError(ValueError):
@@ -54,6 +55,29 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__("%s: %s" % (path, message))
         self.path = path
+
+
+@dataclass(frozen=True)
+class Region:
+    """t in [0, t_max], |x_j| <= x_half, |xi - e_d| <= xi_half per axis,
+    and uniform grid points per axis: the region that certify scans."""
+
+    t_max: Fraction = Fraction(1, 10)
+    x_half: Fraction = Fraction(1, 10)
+    xi_half: Fraction = Fraction(1, 10)
+    grid: int = DEFAULT_GRID
+
+    def __post_init__(self):
+        for name in ("t_max", "x_half", "xi_half"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        if min(self.t_max, self.x_half, self.xi_half) <= 0:
+            raise ValueError("region extents must be positive")
+        if self.grid < 3:
+            raise ValueError("grid counts must be >= 3")
+
+    def metadata(self) -> dict:
+        return {"t_max": str(self.t_max), "x_half": str(self.x_half),
+                "xi_half": str(self.xi_half), "grid": self.grid}
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ has total xi-exponent m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, log2
@@ -323,9 +322,11 @@ class PolySymbol:
         vals = point.as_tuple() if isinstance(point, PhasePoint) else tuple(point)
         if len(vals) != self.nvars:
             raise DimensionMismatch("point of length %d for d=%d" % (len(vals), self.d))
-        exact = all(isinstance(v, (int, Fraction)) for v in vals)
-        if not exact:
-            vals = [v if getattr(v, "ndim", 0) else float(v) for v in vals]
+        return self._eval(*_coordinates(vals))
+
+    def _eval(self, vals, exact: bool):
+        """eval at vals as _coordinates returns them, unchecked: a caller
+        that evaluates many symbols at one point converts it once."""
         if self._table is None:
             object.__setattr__(self, "_table", tuple(
                 (c, _float(c), tuple((i, e) for i, e in enumerate(exps) if e))
@@ -347,6 +348,15 @@ class PolySymbol:
                 v = v * p
             total = total + v
         return total
+
+
+def _coordinates(vals: Sequence):
+    """(vals, exact): a point's coordinates as PolySymbol.eval reads them,
+    unchanged when every one is an int or a Fraction (exact), else each
+    but an array converted to float."""
+    if all(isinstance(v, (int, Fraction)) for v in vals):
+        return vals, True
+    return [v if getattr(v, "ndim", 0) else float(v) for v in vals], False
 
 
 def _float(c) -> float:
@@ -382,20 +392,41 @@ def phase_variables(d: int):
     return t, xs, tau, xis
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class _Record:
+    """The repr, == and hash a frozen dataclass would write, field by
+    field in the order _fields names them, for the classes that validate
+    their fields in a hand-written __init__."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class PhasePoint(_Record):
     """A point of the phase space with exact rational coordinates."""
 
-    t: Fraction
-    x: Tuple[Fraction, ...]
-    tau: Fraction
-    xi: Tuple[Fraction, ...]
+    __slots__ = _fields = ("t", "x", "tau", "xi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_fraction(self.t))
-        object.__setattr__(self, "tau", as_fraction(self.tau))
-        object.__setattr__(self, "x", tuple(as_fraction(v) for v in self.x))
-        object.__setattr__(self, "xi", tuple(as_fraction(v) for v in self.xi))
+    def __init__(self, t: Fraction, x: Tuple[Fraction, ...], tau: Fraction,
+                 xi: Tuple[Fraction, ...]):
+        self.t = as_fraction(t)
+        self.tau = as_fraction(tau)
+        self.x = tuple(as_fraction(v) for v in x)
+        self.xi = tuple(as_fraction(v) for v in xi)
         if len(self.x) != len(self.xi):
             raise DimensionMismatch("x and xi must have equal length")
 
@@ -451,8 +482,7 @@ def homogeneity_check(f: PolySymbol, m: int) -> bool:
 # -- jets at a double characteristic ------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticJet:
+class QuadraticJet(_Record):
     """Quadratic form given by its symmetric coefficient matrix.
 
     ``matrix`` is a tuple of tuple rows of Fractions of size 2*(d+1); the
@@ -460,19 +490,19 @@ class QuadraticJet:
     the underlying symbol).
     """
 
-    d: int
-    matrix: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("d", "matrix")
 
-    def __post_init__(self):
-        n = 2 * (self.d + 1)
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in self.matrix)
+    def __init__(self, d: int, matrix: Tuple[Tuple[Fraction, ...], ...]):
+        n = 2 * (d + 1)
+        rows = tuple(tuple(as_fraction(v) for v in row) for row in matrix)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be %dx%d" % (n, n))
         for i in range(n):
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("coefficient matrix must be symmetric")
-        object.__setattr__(self, "matrix", rows)
+        self.d = d
+        self.matrix = rows
 
     @property
     def size(self) -> int:

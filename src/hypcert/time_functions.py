@@ -19,12 +19,16 @@ form takes the value -1 on it for form1 and rho - 1 < 0 for form2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from hypcert.normal_forms import NormalFormSpec
-from hypcert.symbols import PolySymbol, as_fraction, homogeneity_check
+from hypcert.symbols import (
+    PolySymbol,
+    _Record,
+    as_fraction,
+    homogeneity_check,
+)
 
 Number = Union[int, float, Fraction]
 
@@ -32,8 +36,7 @@ FORM1_LIFT = "form1-lift"
 FORM2_WEIGHTS = "form2-weights"
 
 
-@dataclass(frozen=True)
-class WeightSelection:
+class WeightSelection(NamedTuple):
     eps: Tuple[Fraction, ...]
     rho_weight: Fraction
     kappa: Fraction
@@ -86,26 +89,26 @@ def alpha_coefficients(eps: Sequence[Number]) -> Tuple[Fraction, ...]:
     return tuple(sum(ep[j:]) for j in range(len(ep)))
 
 
-@dataclass(frozen=True)
-class TimeFunctionCert:
-    phi: PolySymbol
-    branch: str
-    kappa_target: Fraction
-    slack: Fraction
-    eps: Tuple[Fraction, ...] = ()
-    rho_weight: Optional[Fraction] = None
-    alpha: Tuple[Fraction, ...] = ()
+class TimeFunctionCert(_Record):
+    __slots__ = _fields = ("phi", "branch", "kappa_target", "slack",
+                           "eps", "rho_weight", "alpha")
 
-    def __post_init__(self):
-        if not homogeneity_check(self.phi, 0):
+    def __init__(self, phi: PolySymbol, branch: str, kappa_target: Fraction,
+                 slack: Fraction, eps: Tuple[Fraction, ...] = (),
+                 rho_weight: Optional[Fraction] = None,
+                 alpha: Tuple[Fraction, ...] = ()):
+        if not homogeneity_check(phi, 0):
             raise ValueError("phi must be xi-homogeneous of degree 0")
-        if not 0 < self.kappa_target < 1:
+        if not 0 < kappa_target < 1:
             raise ValueError("kappa_target = %s outside (0, 1)"
-                             % self.kappa_target)
-        if self.eps:
-            if sum(self.eps) != 1:
-                raise ValueError("weights sum to %s" % sum(self.eps))
-            _check_telescope(self.phi, self.alpha)
+                             % kappa_target)
+        if eps:
+            if sum(eps) != 1:
+                raise ValueError("weights sum to %s" % sum(eps))
+            _check_telescope(phi, alpha)
+        self.phi, self.branch, self.kappa_target = phi, branch, kappa_target
+        self.slack, self.eps, self.rho_weight = slack, eps, rho_weight
+        self.alpha = alpha
 
 
 def construct_time_function(spec: NormalFormSpec,

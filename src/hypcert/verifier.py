@@ -16,78 +16,44 @@ the caller decides what it means.
 check_structural is a stage of its own, in exact arithmetic only: the
 springs-in-series floor L of ExtendedQ.floor on the slow box, one integer
 scan of the t = 0 boundary L gate^2 + remainder over the slow axes, and
-one of both branch floors over the pinned cone.  The damped Newton
-(_newton) serves minimize_Q, the minimize verb, alone.
+one of both branch floors over the pinned cone.  The damped Newton of
+the minimize verb is module minimize; certify reads none of it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from hypcert.grid import ScanTooLarge, TensorGrid, check_exact
 from hypcert.normal_forms import (
-    Cutoff,
+    STRUCTURAL_CUTOFF,
     ExtendedQ,
     NormalFormSpec,
-    Theta,
     build_extended_Q,
 )
-from hypcert.spectral import NoConvergence
+from hypcert.symbolfile import Region
 from hypcert.symbols import (
     DimensionMismatch,
     PhasePoint,
     PolySymbol,
-    as_fraction,
     phase_variables,
     poisson_bracket,
 )
 from hypcert.time_functions import TimeFunctionCert
 
-DEFAULT_GRID = 33
-MAX_NEWTON_ITER = 80
-_EPS = sys.float_info.epsilon
-
 # The structural plan, printed in the structural report's grid: the
-# cutoff, N_AXIS points per slow axis, and the spring floor rounded down
-# to FLOOR_BITS significant bits (a smaller floor is a floor, and a short
-# one keeps the boundary scan's integers small).
-STRUCTURAL_CUTOFF = Cutoff(Fraction(1, 2))
+# cutoff (STRUCTURAL_CUTOFF), N_AXIS points per slow axis, and the spring
+# floor rounded down to FLOOR_BITS significant bits (a smaller floor is a
+# floor, and a short one keeps the boundary scan's integers small).
 N_AXIS = 5
 FLOOR_BITS = 16
 
 
 # ------------------------------------------------------------------ region
-
-
-@dataclass(frozen=True)
-class Region:
-    """t in [0, t_max], |x_j| <= x_half, |xi - e_d| <= xi_half per axis,
-    and uniform grid points per axis."""
-
-    t_max: Fraction = Fraction(1, 10)
-    x_half: Fraction = Fraction(1, 10)
-    xi_half: Fraction = Fraction(1, 10)
-    grid: int = DEFAULT_GRID
-
-    def __post_init__(self):
-        for name in ("t_max", "x_half", "xi_half"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        if min(self.t_max, self.x_half, self.xi_half) <= 0:
-            raise ValueError("region extents must be positive")
-        if self.grid < 3:
-            raise ValueError("grid counts must be >= 3")
-
-    def metadata(self) -> dict:
-        return {"t_max": str(self.t_max), "x_half": str(self.x_half),
-                "xi_half": str(self.xi_half), "grid": self.grid}
 
 
 def region_axes(region: Region, d: int, negative_t: bool = False,
@@ -105,15 +71,13 @@ def region_axes(region: Region, d: int, negative_t: bool = False,
 # ------------------------------------------------- nonnegativity, c, kappa
 
 
-@dataclass(frozen=True)
-class SideWitness:
+class SideWitness(NamedTuple):
     found_negative: bool
     witness: Optional[PhasePoint]
     value: Optional[float]
 
 
-@dataclass(frozen=True)
-class NonnegReport:
+class NonnegReport(NamedTuple):
     passed: bool
     min_value: float
     witness: PhasePoint
@@ -121,8 +85,7 @@ class NonnegReport:
     n_points: int
 
 
-@dataclass(frozen=True)
-class RatioEstimate:
+class RatioEstimate(NamedTuple):
     """value and witness are None when the ratio's set has no grid
     point."""
 
@@ -155,81 +118,10 @@ def _ratio_estimate(grid: TensorGrid, res, value: float) -> RatioEstimate:
                          n_included=res.n_included, n_total=res.n_total)
 
 
-# -------------------------------------------------------------- minimize Q
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    m: float
-    w_bar: Tuple[float, ...]
-    hessian_cond: float
-    grad_norm: float
-    iterations: int
-
-
-def minimize_Q(eq: ExtendedQ, theta: Theta,
-               w0: Optional[Sequence[float]] = None) -> MinimizeResult:
-    """_newton for one theta; hessian_cond is the condition number of the
-    final Hessian (1 for no w)."""
-    m, w_bar, hess, gn, its = _newton(eq, theta, w0)
-    return MinimizeResult(
-        m=float(m), w_bar=tuple(float(v) for v in w_bar),
-        hessian_cond=float(np.linalg.cond(hess)) if eq.w_dim else 1.0,
-        grad_norm=float(gn), iterations=its)
-
-
-def _dot(u, v) -> float:
-    """sum_i u_i v_i, in index order from 0.0."""
-    return reduce(add, map(mul, u, v), 0.0)
-
-
-def _newton(eq: ExtendedQ, theta: Theta, w0=None):
-    """Safeguarded damped Newton on grad_w Q = 0, from the closed-form
-    theta = 0 minimizer (or w0), accepting only Q-decreasing steps.  It
-    stops at the stop test, or when no step decreases Q and its Newton
-    decrement is below the rounding floor of Q; an ill-conditioned
-    Hessian, a failed line search or the iteration limit raise
-    NoConvergence.  theta is rounded to floats once.  Returns m, w_bar,
-    the final Hessian, the gradient norm and the steps taken."""
-    theta = eq._rounded(theta)
-    w = [float(v) for v in (eq.theta0_minimizer()[0] if w0 is None else w0)]
-    for it in range(MAX_NEWTON_ITER):
-        val, grad, hess = eq.value_grad_hess(w, theta)
-        # the stop test is |grad_w Q| <= 1e-10 (1 + |Q|)
-        gn = math.sqrt(_dot(grad, grad))
-        if gn <= 1e-10 * (1 + abs(val)):
-            return val, w, hess, gn, it
-        cond = np.linalg.cond(hess)
-        if not (math.isfinite(cond) and cond <= 1e12):
-            raise NoConvergence("condition number %.3e" % cond)
-        try:
-            step = np.linalg.solve(hess, [-g for g in grad]).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
-        if _dot(grad, step) >= 0:  # uphill
-            step = [-g for g in grad]
-        t, moved = 1.0, False
-        for _ in range(40):
-            cand = [v + t * s for v, s in zip(w, step)]
-            if cand == w:  # rounding is monotone: no smaller t moves w
-                break
-            if eq.value(cand, theta) < val:
-                w, moved = cand, True
-                break
-            t *= 0.5
-        if not moved:
-            if not -_dot(grad, step) <= 4 * _EPS * (1 + abs(val)):
-                raise NoConvergence("no decreasing step at grad norm %.3e"
-                                    % gn)
-            return val, w, hess, gn, it
-    raise NoConvergence("no convergence in %d iterations" % MAX_NEWTON_ITER)
-
-
 # --------------------------------------------------------------- structural
 
 
-@dataclass(frozen=True)
-class StructuralCheck:
+class StructuralCheck(NamedTuple):
     name: str
     passed: bool
     value: Optional[float]  # None when the branch has no admissible points
@@ -237,8 +129,7 @@ class StructuralCheck:
     n_points: int
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(NamedTuple):
     passed: bool
     checks: Tuple[StructuralCheck, ...]
     grid: dict
@@ -345,8 +236,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
 # ------------------------------------------------------------- full report
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     nonneg: NonnegReport
     c: RatioEstimate
     kappa: RatioEstimate

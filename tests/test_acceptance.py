@@ -38,6 +38,7 @@ from hypcert import (
     quadratic_jet,
     spectrum,
 )
+from hypcert import minimize
 from hypcert.symbols import phase_variables
 from hypcert.symbolfile import parse_symbol_file
 from oracles import psi_zero_sign_equivalence, time_function_condition
@@ -332,7 +333,8 @@ def test_criterion_07_minimizer_closed_form_and_envelope():
 
         res = minimize_Q(eq, theta_at(F(0)))
         w = [F(v) for v in res.w_bar]
-        env = float((eq.value(w, theta_at(e)) - eq.value(w, theta_at(-e)))
+        env = float((minimize.value(eq, w, theta_at(e))
+                     - minimize.value(eq, w, theta_at(-e)))
                     / (2 * e))
         fd = (minimize_Q(eq, theta_at(h), w0=res.w_bar).m
               - minimize_Q(eq, theta_at(-h), w0=res.w_bar).m) / (2 * float(h))

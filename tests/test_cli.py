@@ -23,6 +23,7 @@ from hypcert import (
     PhasePoint,
     Region,
     cli,
+    minimize,
     normal_forms,
     phase_variables,
     time_functions,
@@ -243,11 +244,12 @@ def test_empty_ratio_set_fails_at_verify(monkeypatch):
     # scanned with phi = t, no grid point of b2 has a nonzero c
     # denominator: FAILED at verify with the sections of the shipped
     # report, and the structural check never runs
-    ran = []
-    monkeypatch.setattr(cli, "check_structural", lambda *args: ran.append(1))
+    ran, certify_region = [], verifier.certify_region
+    monkeypatch.setattr(verifier, "check_structural",
+                        lambda *args: ran.append(1))
     t = phase_variables(2)[0]
-    monkeypatch.setattr(cli, "certify_region", lambda a, phi, region:
-                        verifier.certify_region(a, t, region))
+    monkeypatch.setattr(verifier, "certify_region", lambda a, phi, region:
+                        certify_region(a, t, region))
     rep = run_pipeline(parse_symbol_file(FIXTURES / "b2.json"), "certify")
     assert ran == [] and exit_code(rep) == 1
     want = json.loads((GOLDEN / "b2.certify.json").read_bytes())
@@ -317,8 +319,9 @@ def test_vanishing_spring_fails_at_verify():
     # zero at x3 = 1/30, inside the structural box (|x3| <= 1/24)
     t, (x1, x2, x3), tau, (xi1, xi2, xi3) = phase_variables(3)
     spec = deep_chain_specs()["form1-p2-d3"]
-    spec = dataclasses.replace(spec, q=((1 - 30 * x3) * xi3 ** 2,)
-                               + spec.q[1:])
+    spec = NormalFormSpec(variant=spec.variant, d=spec.d, p=spec.p,
+                          q=((1 - 30 * x3) * xi3 ** 2,) + spec.q[1:],
+                          r=spec.r, phi=spec.phi, psi=spec.psi)
     sf = dataclasses.replace(_deep_chain_file("form1-p2-d3"), normal_form=spec,
                              a=spec.a)
     rep = run_pipeline(sf, "certify")
@@ -353,7 +356,7 @@ def test_certify_reads_no_newton(name, certify_bytes, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("certify ran the Newton or LAPACK")
 
-    monkeypatch.setattr(verifier, "_newton", broken)
+    monkeypatch.setattr(minimize, "_newton", broken)
     monkeypatch.setattr(np.linalg, "cond", broken)
     monkeypatch.setattr(np.linalg, "solve", broken)
     rep = run_pipeline(_certify_input(name), "certify")

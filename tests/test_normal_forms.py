@@ -33,6 +33,7 @@ from hypcert import (
     minimize_Q,
     phase_variables,
 )
+from hypcert import minimize
 
 F = Fraction
 
@@ -223,31 +224,40 @@ def test_cutoff_defining_values():
 
 def test_cutoff_hermite_data():
     cut = Cutoff(1)
-    assert (cut.chi(F(1)), cut.chi_prime(F(1)), cut.chi_second(F(1))) == (1, 1, 0)
-    assert (cut.chi(F(2)), cut.chi_prime(F(2)), cut.chi_second(F(2))) == (2, 0, 0)
+    for s, want in ((F(1), (1, 1, 0)), (F(2), (2, 0, 0))):
+        assert (cut.chi(s), minimize.chi_prime(s),
+                minimize.chi_second(s)) == want
     # approach from inside the transition: same limits, C^2 matching
     for h in (F(1, 10 ** 6), F(1, 10 ** 9)):
         assert abs(cut.chi(1 + h) - 1 - h) <= 10 * h ** 2
         assert abs(cut.chi(2 - h) - 2) <= 10 * h ** 2
 
 
-CUTOFF_FUNCTIONS = ("chi", "chi_prime", "chi_second", "scaled",
-                    "scaled_prime", "scaled_second")
+# the cutoff and its derivatives, each (cutoff, s) -> value; the
+# derivatives are the minimize verb's
+CUTOFF_FUNCTIONS = {
+    "chi": lambda cut, s: cut.chi(s),
+    "chi_prime": lambda cut, s: minimize.chi_prime(s),
+    "chi_second": lambda cut, s: minimize.chi_second(s),
+    "scaled": lambda cut, s: cut.scaled(s),
+    "scaled_prime": minimize.scaled_prime,
+    "scaled_second": minimize.scaled_second,
+}
 
 
 def test_cutoff_monotone_and_bounded():
     cut = Cutoff(1)
     samples = [F(i, 100) for i in range(-500, 501)]
     assert len(samples) > 1000
-    assert all(cut.chi_prime(s) >= 0 for s in samples)
+    assert all(minimize.chi_prime(s) >= 0 for s in samples)
     vals = [cut.chi(s) for s in samples]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     for delta in (F(1, 2), F(1), F(5, 4)):
         c = Cutoff(delta)
         assert all(abs(c.scaled(s)) <= 2 * delta for s in samples)
         # exact on rationals: a Fraction in gives a Fraction out
-        for name in CUTOFF_FUNCTIONS:
-            assert all(type(getattr(c, name)(s)) is F for s in samples), name
+        for name, fn in CUTOFF_FUNCTIONS.items():
+            assert all(type(fn(c, s)) is F for s in samples), name
 
 
 def test_cutoff_odd():
@@ -255,8 +265,8 @@ def test_cutoff_odd():
     for i in range(0, 60):
         s = F(i, 13)
         assert cut.chi(-s) == -cut.chi(s)
-        assert cut.chi_second(-s) == -cut.chi_second(s)
-        assert cut.chi_prime(-s) == cut.chi_prime(s)
+        assert minimize.chi_second(-s) == -minimize.chi_second(s)
+        assert minimize.chi_prime(-s) == minimize.chi_prime(s)
 
 
 def test_cutoff_derivatives_match_finite_differences():
@@ -269,16 +279,16 @@ def test_cutoff_derivatives_match_finite_differences():
             continue  # FD stencils straddling a knot are only C^2 accurate
         d1 = (cut.chi(s + h) - cut.chi(s - h)) / (2 * h)
         d2 = (cut.chi(s + h) - 2 * cut.chi(s) + cut.chi(s - h)) / h ** 2
-        assert abs(d1 - cut.chi_prime(s)) < 1e-8
-        assert abs(d2 - cut.chi_second(s)) < 1e-3
+        assert abs(d1 - minimize.chi_prime(s)) < 1e-8
+        assert abs(d2 - minimize.chi_second(s)) < 1e-3
 
 
 def test_cutoff_scaled_chain_rule():
     cut = Cutoff(F(1, 2))
     s = F(3, 4)
     assert cut.scaled(s) == F(1, 2) * cut.chi(F(3, 2))
-    assert cut.scaled_prime(s) == cut.chi_prime(F(3, 2))
-    assert cut.scaled_second(s) == 2 * cut.chi_second(F(3, 2))
+    assert minimize.scaled_prime(cut, s) == minimize.chi_prime(F(3, 2))
+    assert minimize.scaled_second(cut, s) == 2 * minimize.chi_second(F(3, 2))
     for bad in (0, F(-1), -0.25):
         with pytest.raises(ValueError):
             Cutoff(bad)
@@ -292,8 +302,8 @@ def test_cutoff_bounded_at_extremes():
     # -0.0 from 0.0, so finite arguments keep their sign bit
     cut = Cutoff(F(1, 2))
     extremes = (math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0)
-    got = {name: [repr(getattr(cut, name)(s)) for s in extremes]
-           for name in CUTOFF_FUNCTIONS}
+    got = {name: [repr(fn(cut, s)) for s in extremes]
+           for name, fn in CUTOFF_FUNCTIONS.items()}
     assert got == {
         "chi": ["2.0", "-2.0", "2.0", "-2.0", "0.0", "-0.0"],
         "chi_prime": ["0.0", "0.0", "0.0", "0.0", "1.0", "1.0"],
@@ -316,7 +326,8 @@ def test_b2_theta0_profile():
     assert Q.w_dim == 1
     for eta in (F(0), F(1, 3), F(-2), F(7)):
         want = 1 + F(1, 2) * eta ** 2
-        assert Q.value((eta,), Q.theta_at((0,) * Q.theta_dim)) == want
+        zero = Q.theta_at((0,) * Q.theta_dim)
+        assert minimize.value(Q, (eta,), zero) == want
 
 
 def test_theta0_value_matches_displayed_quadratic():
@@ -326,7 +337,8 @@ def test_theta0_value_matches_displayed_quadratic():
         y1 = F(rng.randint(-8, 8), 4)
         e1 = F(rng.randint(-8, 8), 4)
         want = F(5, 2) * y1 ** 2 + (y1 + 1) ** 2 + e1 ** 2
-        assert Q.value((y1, e1), Q.theta_at((0,) * Q.theta_dim)) == want
+        zero = Q.theta_at((0,) * Q.theta_dim)
+        assert minimize.value(Q, (y1, e1), zero) == want
 
 
 def rand_theta(rng, Q, den=64, span=4):
@@ -347,9 +359,9 @@ def test_substitution_identity_exact(make):
         w = tuple(F(rng.randint(-8, 8), 16) for _ in range(Q.w_dim))
         assert all(abs(v) <= delta for v in w)  # inside the identity region
         theta = rand_theta(rng, Q)
-        pt = Q.substituted_point(w, theta)
+        pt = minimize.substituted_point(Q, w, theta)
         lhs = a.eval(pt)
-        rhs = theta.eps ** 2 * Q.value(w, theta) \
+        rhs = theta.eps ** 2 * minimize.value(Q, w, theta) \
             + spec.remainder.eval(pt) * spec.remainder_factor.eval(pt)
         assert lhs - rhs == 0
         assert abs(float(lhs - rhs)) <= 1e-12 * max(1.0, abs(float(lhs)))
@@ -363,7 +375,7 @@ def test_identity_degenerates_at_eps_zero():
     theta = Q.theta_at((F(1, 16), F(1, 32), F(-1, 64), F(1, 16)))
     assert theta.eps == 0
     w = (F(1, 4),)
-    pt = Q.substituted_point(w, theta)
+    pt = minimize.substituted_point(Q, w, theta)
     assert a.eval(pt) == \
         spec.remainder.eval(pt) * spec.remainder_factor.eval(pt)
     # form1 branch: eps = t - phi(z) = 0 when t equals the graph value
@@ -372,7 +384,7 @@ def test_identity_degenerates_at_eps_zero():
     a1 = spec1.a
     th1 = Q1.theta_at((F(1, 32), F(1, 32), F(0), F(0), F(1, 64)))
     assert th1.eps == 0
-    pt1 = Q1.substituted_point((), th1)
+    pt1 = minimize.substituted_point(Q1, (), th1)
     assert a1.eval(pt1) == \
         spec1.remainder.eval(pt1) * spec1.remainder_factor.eval(pt1)
 
@@ -382,8 +394,8 @@ def test_b1_normalized_profile_is_constant():
     rng = random.Random(5)
     for _ in range(10):
         theta = rand_theta(rng, Q)
-        assert Q.value((), theta) == 1
-    w, m0 = Q.theta0_minimizer()
+        assert minimize.value(Q, (), theta) == 1
+    w, m0 = minimize.theta0_minimizer(Q)
     assert w == () and m0 == 1
 
 
@@ -416,9 +428,10 @@ def test_floor_refuses_hull_of_wrong_length():
 def test_shape_errors():
     Q = qext(b2_spec())
     with pytest.raises(DimensionMismatch):
-        Q.value((F(1), F(2)), Q.theta_at((0,) * Q.theta_dim))
+        minimize.value(Q, (F(1), F(2)), Q.theta_at((0,) * Q.theta_dim))
     with pytest.raises(DimensionMismatch):
-        Q.value((F(1),), Theta(t=0, z_x=(0, 0), z_xi=(0,), eps=0, x_p=0))
+        minimize.value(Q, (F(1),), Theta(t=0, z_x=(0, 0), z_xi=(0,), eps=0,
+                                         x_p=0))
     with pytest.raises(ValueError):
         qext(b2_spec(), mode="bogus")
 
@@ -429,16 +442,16 @@ def test_shape_errors():
 @pytest.mark.parametrize("qbar", [F(1, 2), F(1), F(2)])
 def test_chain_minimum_closed_form(qbar):
     Q = qext(crit7_spec(qbar))
-    w, m0 = Q.theta0_minimizer()
+    w, m0 = minimize.theta0_minimizer(Q)
     assert m0 == qbar / (1 + qbar)
     assert w == (F(-1) / (1 + qbar), F(0))
-    assert Q.value(w, Q.theta_at((0,) * Q.theta_dim)) == m0
+    assert minimize.value(Q, w, Q.theta_at((0,) * Q.theta_dim)) == m0
 
 
 def test_b2_minimum_raw_and_normalized():
-    w, m0 = qext(b2_spec()).theta0_minimizer()
+    w, m0 = minimize.theta0_minimizer(qext(b2_spec()))
     assert w == (F(0),) and m0 == 1
-    w, m0 = qext(b2_spec(), mode="normalized").theta0_minimizer()
+    w, m0 = minimize.theta0_minimizer(qext(b2_spec(), mode="normalized"))
     assert w == (F(0),) and m0 == 2
 
 
@@ -461,15 +474,16 @@ def test_minimizer_random_chains():
             spec = NormalFormSpec(variant=variant, d=d, p=p, q=qs, r=rs,
                                   g=xs[p - 1] ** 3 * xis[d - 1] ** 2)
         Q = qext(spec)
-        w, m0 = Q.theta0_minimizer()
+        w, m0 = minimize.theta0_minimizer(Q)
         assert m0 == 1 / sum(1 / v for v in spec.q_bars())
-        assert Q.value(w, Q.theta_at((0,) * Q.theta_dim)) == m0
+        assert minimize.value(Q, w, Q.theta_at((0,) * Q.theta_dim)) == m0
         assert m0 > 0
         for _ in range(5):  # strict quadratic growth off the minimizer
             v = tuple(F(rng.randint(-6, 6), 8) for _ in range(Q.w_dim))
             if any(v):
                 probe = tuple(a + b for a, b in zip(w, v))
-                assert Q.value(probe, Q.theta_at((0,) * Q.theta_dim)) > m0
+                assert minimize.value(
+                    Q, probe, Q.theta_at((0,) * Q.theta_dim)) > m0
 
 
 # ----------------------------------------------- deep chains, frozen bits
@@ -597,9 +611,10 @@ def test_deep_chain_bits_frozen(name, mode):
         + [F(-j - 1, 128) for j in range(k)]
         + ([F(1, 32)] if spec.variant == "form2" else []))
     w = DEEP_W[:Q.w_dim]
-    val, grad, hess = Q.value_grad_hess(w, theta)
-    got = (Q.theta0_minimizer(), float(val), list(grad), list(hess),
-           Q.substituted_point(w, theta), float(minimize_Q(Q, theta).m))
+    val, grad, hess = minimize.value_grad_hess(Q, w, theta)
+    got = (minimize.theta0_minimizer(Q), float(val), list(grad), list(hess),
+           minimize.substituted_point(Q, w, theta),
+           float(minimize_Q(Q, theta).m))
     # repr tells -0.0 from 0.0 and a Fraction from an equal float
     assert repr(got) == repr(DEEP_FROZEN[(name, mode)])
 
@@ -728,13 +743,13 @@ def test_line_search_stops_once_no_coordinate_moves(monkeypatch):
     # line search stops at the first t where w + t step rounds to w,
     # not after all 40 halvings (42 value calls)
     Q = qext(deep_chain_specs()["form1-p2-d3"])
-    calls, value = [], ExtendedQ.value
+    calls, value = [], minimize.value
 
-    def counted(self, w, theta):
+    def counted(eq, w, theta):
         calls.append(w)
-        return value(self, w, theta)
+        return value(eq, w, theta)
 
-    monkeypatch.setattr(ExtendedQ, "value", counted)
+    monkeypatch.setattr(minimize, "value", counted)
     assert minimize_Q(Q, deep_theta(Q, 8)).iterations == 2
     assert len(calls) == 28
 
@@ -747,7 +762,7 @@ def test_derivatives_taken_once(monkeypatch, mode):
     w = DEEP_W[:Q.w_dim]
 
     def evaluate():
-        val, grad, hess = Q.value_grad_hess(w, theta)
+        val, grad, hess = minimize.value_grad_hess(Q, w, theta)
         return repr((val, list(grad), list(hess)))
 
     first = evaluate()
@@ -789,7 +804,7 @@ def test_divisor_names_an_exact_zero_exactly(slope, x2, named):
     # a float point where the factor is zero is named as rationals when it
     # vanishes there exactly, so every Newton iteration names it alike
     with pytest.raises(InvariantViolation) as ei:
-        _sloped_q(slope).divisor([0.0, 0.0, x2, 0.0, 0.0, 1.0])
+        minimize.divisor(_sloped_q(slope), [0.0, 0.0, x2, 0.0, 0.0, 1.0])
     assert ei.value.field == "r1"
     assert str(ei.value).startswith("r1: vanishes at (t, x, tau, xi) = %s,"
                                     % named)
@@ -799,7 +814,8 @@ def test_divisor_names_a_point_with_no_exact_value_in_floats():
     # r1 reads no t, so a nan there leaves it zero; no Fraction holds nan
     with pytest.raises(InvariantViolation, match=r"^r1: vanishes at \(t, x, "
                        r"tau, xi\) = \(nan, 0\.0, 0\.25, 0\.0, 0\.0, 1\.0\),"):
-        _sloped_q(4).divisor([float("nan"), 0.0, 0.25, 0.0, 0.0, 1.0])
+        minimize.divisor(_sloped_q(4),
+                         [float("nan"), 0.0, 0.25, 0.0, 0.0, 1.0])
 
 
 # ----------------------------------------------------- derivatives (floats)
@@ -807,17 +823,19 @@ def test_divisor_names_a_point_with_no_exact_value_in_floats():
 
 def fd_check(Q, w, theta, tol=2e-5):
     import numpy as np
-    val, grad, hess = Q.value_grad_hess(w, theta)
-    assert abs(val - float(Q.value(w, theta))) <= 1e-10 * (1 + abs(val))
+    val, grad, hess = minimize.value_grad_hess(Q, w, theta)
+    assert (abs(val - float(minimize.value(Q, w, theta)))
+            <= 1e-10 * (1 + abs(val)))
     h = 1e-5
     n = Q.w_dim
     for i in range(n):
         wp = list(map(float, w)); wp[i] += h
         wm = list(map(float, w)); wm[i] -= h
-        d1 = (Q.value(wp, theta) - Q.value(wm, theta)) / (2 * h)
+        d1 = (minimize.value(Q, wp, theta)
+              - minimize.value(Q, wm, theta)) / (2 * h)
         assert abs(d1 - grad[i]) <= tol * (1 + abs(d1))
-        _, gp, _ = Q.value_grad_hess(wp, theta)
-        _, gm, _ = Q.value_grad_hess(wm, theta)
+        _, gp, _ = minimize.value_grad_hess(Q, wp, theta)
+        _, gm, _ = minimize.value_grad_hess(Q, wm, theta)
         col = [(a - b) / (2 * h) for a, b in zip(gp, gm)]
         assert np.allclose(col, [row[i] for row in hess], rtol=1e-4,
                            atol=1e-6)
@@ -826,17 +844,18 @@ def fd_check(Q, w, theta, tol=2e-5):
 def _chain_rule_reference(Q, w, theta):
     """value_grad_hess at one theta, written one gradient and Hessian
     entry at a time: the formula for i <= j, mirrored."""
-    pt = [float(v) for v in Q.substituted_point(w, theta)]
+    pt = [float(v) for v in minimize.substituted_point(Q, w, theta)]
     w, nw, eps = [float(v) for v in w], Q.w_dim, float(theta.eps)
-    prefs = Q._prefactors(w[:nw - Q.spec.p], w[nw - Q.spec.p:])
+    prefs = minimize._prefactors(Q, w[:nw - Q.spec.p], w[nw - Q.spec.p:])
     if Q.mode == "normalized":
         prefs.append((1.0, [0.0] * nw, [[0.0] * nw] * nw))
-    d1 = [sign * eps * Q.cutoff.scaled_prime(v)
+    d1 = [sign * eps * minimize.scaled_prime(Q.cutoff, v)
           for (_, sign), v in zip(Q._w_slots, w)]
-    d2 = [sign * eps * Q.cutoff.scaled_second(v)
+    d2 = [sign * eps * minimize.scaled_second(Q.cutoff, v)
           for (_, sign), v in zip(Q._w_slots, w)]
     parts = []
-    for (sym, first, second), (pv, pg, ph) in zip(Q._derivatives, prefs):
+    for (sym, first, second), (pv, pg, ph) in zip(minimize._derivatives(Q),
+                                                  prefs):
         f = sym.eval(pt)
         f1 = [first[slot].eval(pt) for slot, _ in Q._w_slots]
         tg = np.array([pg[i] * f + pv * f1[i] * d1[i] for i in range(nw)])
@@ -855,7 +874,7 @@ def _chain_rule_reference(Q, w, theta):
         val, grad, hess = val + tv, grad + tg, hess + th
     if Q.mode == "raw":
         return val, grad, hess
-    rv = Q.divisor(pt)
+    rv = minimize.divisor(Q, pt)
     q = val / rv
     qg = (grad - q * rg) / rv
     return q, qg, (hess - q * rh - qg[:, None] * rg[None]
@@ -873,7 +892,7 @@ def test_grad_hess_equal_the_entrywise_chain_rule(name, mode):
         w = tuple(rng.choice([rng.uniform(-1.6, 1.6), 0.0, -0.0, 0.5, -1.0])
                   for _ in range(Q.w_dim))
         theta = rand_theta(rng, Q, den=16, span=5)
-        val, grad, hess = Q.value_grad_hess(w, theta)
+        val, grad, hess = minimize.value_grad_hess(Q, w, theta)
         want = _chain_rule_reference(Q, w, theta)
         assert repr((float(val), list(grad), list(hess))) == repr(
             (float(want[0]), want[1].tolist(), want[2].tolist()))
@@ -895,8 +914,9 @@ def test_grad_hess_against_finite_differences(mode):
 
 def test_grad_vanishes_at_chain_minimizer():
     Q = qext(crit7_spec(F(3, 2)))
-    w, _ = Q.theta0_minimizer()
-    _, grad, hess = Q.value_grad_hess(w, Q.theta_at((0,) * Q.theta_dim))
+    w, _ = minimize.theta0_minimizer(Q)
+    _, grad, hess = minimize.value_grad_hess(
+        Q, w, Q.theta_at((0,) * Q.theta_dim))
     assert max(abs(g) for g in grad) <= 1e-12
     import numpy as np
     assert np.all(np.linalg.eigvalsh(hess) > 0)
@@ -917,8 +937,8 @@ def test_relative_stability_half(make):
         raw = [rng.uniform(-1, 1) for _ in range(Q.theta_dim)]
         scale = rng.uniform(0, budget) / (sum(map(abs, raw)) or 1.0)
         theta = Q.theta_at([v * scale for v in raw])
-        q0 = float(Q.value(w, Q.theta_at((0,) * Q.theta_dim)))
-        q = float(Q.value(w, theta))
+        q0 = float(minimize.value(Q, w, Q.theta_at((0,) * Q.theta_dim)))
+        q = float(minimize.value(Q, w, theta))
         assert abs(q - q0) / q0 <= 0.5
 
 
@@ -929,7 +949,7 @@ def test_q_nonnegative_sampled():
         for _ in range(40):
             w = tuple(rng.uniform(-3, 3) for _ in range(Q.w_dim))
             theta = rand_theta(rng, Q, den=128)
-            assert Q.value(w, theta) >= 0
+            assert minimize.value(Q, w, theta) >= 0
 
 
 # ------------------------------------------- cross-module: weights vs spectrum

@@ -44,15 +44,16 @@ def test_no_object_arrays():
 
 
 def test_numpy_linalg_only_in_minimize():
-    # normal_forms, symbols and spectral compute in Python numbers alone
-    # (symbols broadcasts over the arrays it is given without importing
-    # numpy, and spectral finds the displayed roots in pure Python), and
-    # LAPACK serves only the Newton of the minimize verb
+    # only the scans (grid, verifier) and the minimize verb import numpy:
+    # the other modules compute in Python numbers alone (symbols
+    # broadcasts over the arrays it is given without importing numpy, and
+    # spectral finds the displayed roots in pure Python), and LAPACK
+    # serves only the Newton of module minimize
     found = ["%s:%d" % (name, node.lineno) for name, node in _nodes()
-             if name in ("normal_forms.py", "symbols.py", "spectral.py")
+             if name not in ("grid.py", "verifier.py", "minimize.py")
              and isinstance(node, (ast.Import, ast.ImportFrom))
              and "numpy" in ast.unparse(node)]
-    allowed = {("verifier.py", "minimize_Q"), ("verifier.py", "_newton")}
+    allowed = {("minimize.py", "minimize_Q"), ("minimize.py", "_newton")}
     for path in sorted(SRC.rglob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
             where = (path.name, getattr(top, "name", None))
@@ -67,7 +68,9 @@ def test_perfbench_trace_hooks_resolve():
     # perfbench's traced run wraps each LAYERS entry, by module and dotted
     # attribute, and a layer it cannot find reads 0: a rename in the
     # package would zero its metric silently.  Only the three scan layers
-    # that certify_region replaced are missing
+    # that certify_region replaced are missing, and minimize_Q, which
+    # moved to module minimize (certify runs no Newton, so its metrics
+    # read 0 either way)
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -80,7 +83,8 @@ def test_perfbench_trace_hooks_resolve():
         if owner is None:
             unresolved.add("%s.%s" % (module, attr))
     assert unresolved <= {"verifier.verify_nonnegativity",
-                          "verifier.estimate_c", "verifier.estimate_kappa"}
+                          "verifier.estimate_c", "verifier.estimate_kappa",
+                          "verifier.minimize_Q"}
 
 
 def test_every_export_is_read():
@@ -137,23 +141,62 @@ def test_every_exception_class_is_caught():
     assert uncaught == []
 
 
-def test_certify_does_not_load_openssl(tmp_path):
-    # input_hash comes from CPython's built-in SHA-256 where the build has
-    # one; hashlib would map OpenSSL's libcrypto into every certify
+def _loaded(verb, tmp_path, *modules):
+    """hypcert's exit code for verb on b2, run in a fresh process, then
+    whether each of modules is in its sys.modules afterwards."""
     code = ("import sys; from hypcert.cli import main; "
-            "rc = main(['certify', sys.argv[1], '--out', sys.argv[2]]); "
-            "print(rc, '_hashlib' in sys.modules)")
+            "rc = main([sys.argv[1], sys.argv[2], '--out', sys.argv[3]]); "
+            "print(rc, *(m in sys.modules for m in sys.argv[4:]))")
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code, str(ROOT / "fixtures" / "b2.json"),
-         str(tmp_path / "rep.json")],
+        [sys.executable, "-c", code, verb, str(ROOT / "fixtures" / "b2.json"),
+         str(tmp_path / "rep.json"), *modules],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_certify_does_not_load_openssl(tmp_path):
+    # input_hash comes from CPython's built-in SHA-256 where the build has
+    # one; hashlib would map OpenSSL's libcrypto into every certify
     built_in = any(importlib.util.find_spec(name) is not None
                    for name in ("_sha2", "_sha256"))
-    assert done.stdout.split() == ["0", str(not built_in)]
+    assert _loaded("certify", tmp_path, "_hashlib") == ["0",
+                                                        str(not built_in)]
+
+
+def test_classify_loads_no_scan_module(tmp_path):
+    # classify reads no array: numpy, the block walker and the scans stay
+    # unloaded, as does everything only certify or minimize runs
+    assert _loaded("classify", tmp_path, "numpy", "hypcert.grid",
+                   "hypcert.verifier", "hypcert.time_functions",
+                   "hypcert.minimize") == ["0"] + ["False"] * 5
+
+
+def test_certify_loads_no_minimize_code(tmp_path):
+    # the Newton, its evaluator and the cutoff's derivatives are the
+    # minimize verb's alone
+    assert _loaded("certify", tmp_path, "hypcert.minimize") == ["0", "False"]
+
+
+def test_minimize_loads_no_scan_module(tmp_path):
+    # minimize builds the functional and runs the Newton, no scan
+    assert _loaded("minimize", tmp_path, "hypcert.grid", "hypcert.verifier",
+                   "hypcert.time_functions") == ["0"] + ["False"] * 3
+
+
+def test_dataclass_only_where_replace_is_called():
+    # a dataclass generates its methods with exec when its module is
+    # imported; the others are NamedTuples or classes with a written
+    # __init__.  These three stay dataclasses because cli, perfbench and
+    # scripts/stage_times.py call dataclasses.replace on them
+    found = {node.name for _, node in _nodes()
+             if isinstance(node, ast.ClassDef)
+             and any("dataclass" in ast.unparse(dec)
+                     for dec in node.decorator_list)}
+    assert found == {"SymbolFile", "Options", "Region"}
 
 
 def _threads_or_environment(node) -> bool:

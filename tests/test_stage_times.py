@@ -27,6 +27,13 @@ def test_stage_times_split_the_total():
     assert sum(doc["stages_ms"].values()) <= doc["total_ms"]
     # the peak resident set at exit, a positive number of MB
     assert type(doc["peak_rss_mb"]) is float and doc["peak_rss_mb"] > 0
+    # each verb's best wall time with process start, and the package's
+    # best import times, its own modules' within all it loads
+    start = doc["startup"]
+    assert (start.pop("fixture"), start.pop("runs")) == ("b2", 2)
+    assert list(start) == ["classify", "certify", "minimize"]
+    for verb in start.values():
+        assert verb["wall_ms"] > 0 and 0 < verb["own_ms"] <= verb["import_ms"]
 
 
 def test_region_section_splits_its_total():

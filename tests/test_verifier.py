@@ -29,7 +29,7 @@ from hypcert import (
 from hypcert.symbolfile import parse_symbol_file
 from hypcert.symbols import DimensionMismatch, phase_variables
 from hypcert import grid as walker
-from hypcert import verifier
+from hypcert import minimize, verifier
 from hypcert.grid import MAX_SCAN_POINTS, TensorGrid, uniform_axis
 from hypcert.verifier import region_axes
 from oracles import normalized_q
@@ -352,14 +352,14 @@ def test_minimize_dominates_probes():
         m = minimize_Q(eq, th).m
         for _ in range(1000):
             w = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-            assert m <= float(eq.value(w, th)) + 1e-12
+            assert m <= float(minimize.value(eq, w, th)) + 1e-12
 
 
 def test_newton_stops_at_the_iteration_limit(monkeypatch):
     eq = build_extended_Q(deep_chain_specs()["form1-p2-d3"],
                           Cutoff(F(1, 2)))
     slow = [(0, 0, 0), (F(1, 20), F(1, 40), F(-1, 50))]
-    monkeypatch.setattr(verifier, "MAX_NEWTON_ITER", 1)
+    monkeypatch.setattr(minimize, "MAX_NEWTON_ITER", 1)
     with pytest.raises(NoConvergence,
                        match=r"^no convergence in 1 iterations$"):
         minimize_Q(eq, eq.theta_at(slow[1]))
@@ -379,8 +379,8 @@ def test_envelope_derivative_matches_fd():
     # exactly at the rational w_bar, so this difference is exact to
     # within e^2 times its third derivative
     w, e = [F(v) for v in res.w_bar], F(1, 10 ** 12)
-    env = float((eq.value(w, theta_at(base + e))
-                 - eq.value(w, theta_at(base - e))) / (2 * e))
+    env = float((minimize.value(eq, w, theta_at(base + e))
+                 - minimize.value(eq, w, theta_at(base - e))) / (2 * e))
     h = F(1, 100000)
     m_plus = minimize_Q(eq, theta_at(base + h), w0=res.w_bar).m
     m_minus = minimize_Q(eq, theta_at(base - h), w0=res.w_bar).m
@@ -439,12 +439,12 @@ def _structural_reference(spec, region, floor):
     best, n = None, 0
     for v in itertools.product([F(0)], *axes[1:]):
         theta = eq.theta_at(v)
-        pt = eq.substituted_point((0,) * eq.w_dim, theta)
+        pt = minimize.substituted_point(eq, (0,) * eq.w_dim, theta)
         value = floor * theta.eps ** 2 + spec.remainder.eval(pt)
         n += 1
         # the anchored point: its chain slots hold t = 0 resp. x_p, off
         # the scan's grid, and both read only the slow slots
-        at = tuple(eq._anchored_point(theta))
+        at = tuple(minimize._anchored_point(eq, theta))
         if best is None or (value, at) < best:
             best = (value, at)
     return best, n
@@ -499,8 +499,8 @@ def test_structural_newton_entries_are_single_theta_runs(name, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("check_structural ran the Newton")
 
-    monkeypatch.setattr(verifier, "_newton", broken)
-    monkeypatch.setattr(verifier, "minimize_Q", broken)
+    monkeypatch.setattr(minimize, "_newton", broken)
+    monkeypatch.setattr(minimize, "minimize_Q", broken)
     if name in deep_chain_specs():
         spec = deep_chain_specs()[name]
     else:
@@ -543,7 +543,7 @@ def test_structural_w_draws_are_seeded_uniforms(spec, w_dim):
         theta = eq.theta_at(v)
         for _ in range(16):
             w = [F(rng.uniform(-delta, delta)) for _ in range(w_dim)]
-            assert eq.value(w, theta) >= floor, (v, w)
+            assert minimize.value(eq, w, theta) >= floor, (v, w)
 
 
 @pytest.mark.parametrize("name", ["b1", "b2", "b2_bbis2", "classical",
@@ -571,7 +571,7 @@ def test_spring_floor_is_a_floor(name):
             # |w_j| up to 3 delta
             w = [F(rng.randint(-3000, 3000), 2000) for _ in range(eq.w_dim)]
             q = normalized_q(spec, cutoff, w, v)
-            assert q == eq.value(w, eq.theta_at(v))
+            assert q == minimize.value(eq, w, eq.theta_at(v))
             assert q >= floor, (v, w)
             draws += w
     if draws:  # both zones of the cutoff are drawn
