@@ -17,7 +17,6 @@ import pytest
 from hypcert import (
     Cutoff,
     DimensionMismatch,
-    ExtendedQ,
     InvariantViolation,
     MinimizeResult,
     NormalFormSpec,
