@@ -23,7 +23,6 @@ sys.path.insert(0, str(ROOT / "src"))  # runs from a checkout, no install
 from hypcert import NormalFormSpec, PhasePoint, PolySymbol, Region
 from hypcert.cli import emit_report, run_pipeline
 from hypcert.symbolfile import (
-    Options,
     SymbolFile,
     parse_symbol_file,
     serialize_symbol_file,
@@ -37,9 +36,8 @@ t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
 
 
 def _file(a, normal_form=None, grid=9):
-    return SymbolFile(schema=1, d=2, base_point=PhasePoint.base(2), a=a,
-                      region=Region(grid=grid), options=Options(slack=F(1, 100)),
-                      normal_form=normal_form)
+    return SymbolFile(base_point=PhasePoint.base(2), a=a,
+                      region=Region(grid=grid), normal_form=normal_form)
 
 
 def fixture_files():

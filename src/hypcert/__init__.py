@@ -63,53 +63,7 @@ _MODULES = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CertificateReport",
-    "Classification",
-    "Cutoff",
-    "DimensionMismatch",
-    "ExtendedQ",
-    "InvariantViolation",
-    "MinimizeResult",
-    "NoConvergence",
-    "NonnegReport",
-    "NormalFormSpec",
-    "NotSingular",
-    "ParseError",
-    "PhasePoint",
-    "PolySymbol",
-    "QuadraticJet",
-    "RatioEstimate",
-    "Region",
-    "ScanTooLarge",
-    "SchemaError",
-    "SideConditionReport",
-    "Spectrum",
-    "StructuralReport",
-    "SymbolFile",
-    "Theta",
-    "TimeFunctionCert",
-    "WeightSelection",
-    "alpha_coefficients",
-    "build_extended_Q",
-    "certify_region",
-    "check_side_conditions",
-    "check_structural",
-    "classify_effective_hyperbolicity",
-    "construct_time_function",
-    "epsilon_weights",
-    "hamilton_map",
-    "homogeneity_check",
-    "minimize_Q",
-    "parse_symbol_data",
-    "parse_symbol_file",
-    "phase_variables",
-    "poisson_bracket",
-    "quadratic_jet",
-    "serialize_symbol_file",
-    "spectrum",
-    "validate_spec",
-]
+__all__ = sorted(_MODULES)
 
 
 def __getattr__(name):

@@ -219,7 +219,7 @@ def run_pipeline(sf: SymbolFile, verb: str = "certify") -> Report:
                       "; ".join(side.notes) or "side conditions failed")
 
     try:
-        cert = construct_time_function(spec, slack=sf.options.slack)
+        cert = construct_time_function(spec, slack=sf.slack)
     except ValueError as exc:
         return report("FAILED", "time-function", str(exc))
     fields["time_function"] = _timefn_obj(cert)
@@ -407,7 +407,7 @@ def _replace(flag: str, obj, **changes):
 
 
 def _apply_overrides(sf: SymbolFile, args) -> SymbolFile:
-    region, options = sf.region, sf.options
+    region = sf.region
     if args.region is not None:
         if len(args.region) != 3:
             raise SchemaError("--region", "expected t_max,x_half,xi_half")
@@ -417,8 +417,8 @@ def _apply_overrides(sf: SymbolFile, args) -> SymbolFile:
     if args.grid is not None:
         region = _replace("--grid", region, grid=args.grid)
     if args.slack is not None:
-        options = _replace("--slack", options, slack=args.slack)
-    return dataclasses.replace(sf, region=region, options=options)
+        sf = _replace("--slack", sf, slack=args.slack)
+    return dataclasses.replace(sf, region=region)
 
 
 def _why(exc: OSError) -> str:

@@ -489,14 +489,21 @@ class ExtendedQ(_Record):
             return Theta(t=t, z_x=z_x, z_xi=z_xi, eps=eps)
         return Theta(t=t, z_x=z_x, z_xi=z_xi, eps=t - v[-1], x_p=v[-1])
 
+    def _box(self, hull):
+        """The phase box of hull, one (lo, hi) per entry of the flat slow
+        vector (t, z_x, z_xi[, x_p]; later entries unread): each at its
+        slot, (0, 0) at the others, the base covector's 1 added on xi_d."""
+        box = [(0, 0)] * (2 * (self.spec.d + 1))
+        for slot, span in zip(self._slots, hull):
+            box[slot] = span
+        lo, hi = box[-1]
+        box[-1] = (lo + 1, hi + 1)
+        return box
+
     def _point(self, v):
         """The phase point of a flat slow vector (t, z_x, z_xi[, x_p]; later
-        entries unread), tau 0, the base covector offset added on xi_d."""
-        pt = [0] * (2 * (self.spec.d + 1))
-        for slot, x in zip(self._slots, v):
-            pt[slot] = x
-        pt[-1] = pt[-1] + 1
-        return pt
+        entries unread), tau 0, the base covector's 1 added on xi_d."""
+        return [x for x, _ in self._box([(x, x) for x in v])]
 
     def floor(self, hull):
         """(L, bounds): Q(w, theta) >= L for every w and every theta whose
@@ -513,10 +520,7 @@ class ExtendedQ(_Record):
             raise DimensionMismatch("hull must have length %d"
                                     % self.theta_dim)
         spec, d = self.spec, self.spec.d
-        box = [(_ZERO, _ZERO)] * (2 * (d + 1))
-        for slot, (lo, hi) in zip(self._slots, hull):
-            box[slot] = (lo, hi)
-        box[-1] = (box[-1][0] + 1, box[-1][1] + 1)  # the base covector
+        box = self._box(hull)
         (t_lo, t_hi), rf = hull[0], spec.remainder_factor
         g_lo, g_hi = _interval(spec.gate, *_scaled(box))
         reach = 2 * self.cutoff.delta * max(abs(t_lo - g_hi), abs(t_hi - g_lo))

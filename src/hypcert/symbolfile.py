@@ -38,6 +38,7 @@ from hypcert.symbols import (
 
 SCHEMA_VERSION = 1
 DEFAULT_GRID = 33
+DEFAULT_SLACK = Fraction(1, 100)
 
 
 class ParseError(ValueError):
@@ -81,24 +82,24 @@ class Region:
 
 
 @dataclass(frozen=True)
-class Options:
-    slack: Fraction = Fraction(1, 100)
+class SymbolFile:
+    """A symbol file's content: its schema version is SCHEMA_VERSION and
+    its dimension is a's; slack is its "options" block."""
+
+    base_point: PhasePoint
+    a: PolySymbol
+    region: Region
+    slack: Fraction = DEFAULT_SLACK
+    normal_form: Optional[NormalFormSpec] = None
+    sha256: str = ""  # of the source bytes; not serialized
 
     def __post_init__(self):
         if self.slack <= 0:
             raise ValueError("slack must be positive")
 
-
-@dataclass(frozen=True)
-class SymbolFile:
-    schema: int
-    d: int
-    base_point: PhasePoint
-    a: PolySymbol
-    region: Region
-    options: Options
-    normal_form: Optional[NormalFormSpec] = None
-    sha256: str = ""  # of the source bytes; not serialized
+    @property
+    def d(self) -> int:
+        return self.a.d
 
 
 # ------------------------------------------------------------------ parse
@@ -223,17 +224,6 @@ def _region(obj, path) -> Region:
         raise SchemaError(path, str(exc)) from exc
 
 
-def _options(obj, path) -> Options:
-    opt = _dict(obj, path, required=(), optional=("slack",))
-    slack = Fraction(1, 100)
-    if "slack" in opt:
-        slack = _rational(opt["slack"], path + ".slack")
-    try:
-        return Options(slack=slack)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
 def parse_symbol_data(data: bytes, name: str = "<data>") -> SymbolFile:
     digest = sha256(data).hexdigest()
     try:
@@ -268,11 +258,15 @@ def parse_symbol_data(data: bytes, name: str = "<data>") -> SymbolFile:
     normal_form = _normal_form(top["normal_form"], d, "$.normal_form") \
         if "normal_form" in top else None
     region = _region(top["region"], "$.region") if "region" in top else Region()
-    options = _options(top["options"], "$.options") \
-        if "options" in top else Options()
-    return SymbolFile(schema=SCHEMA_VERSION, d=d, base_point=base, a=a,
-                      region=region, options=options, normal_form=normal_form,
-                      sha256=digest)
+    opt = _dict(top.get("options", {}), "$.options", required=(),
+                optional=("slack",))
+    slack = _rational(opt["slack"], "$.options.slack") if "slack" in opt \
+        else DEFAULT_SLACK
+    try:
+        return SymbolFile(base_point=base, a=a, region=region, slack=slack,
+                          normal_form=normal_form, sha256=digest)
+    except ValueError as exc:  # the slack
+        raise SchemaError("$.options", str(exc)) from exc
 
 
 def parse_symbol_file(path) -> SymbolFile:
@@ -317,16 +311,12 @@ def _normal_form_obj(spec: NormalFormSpec) -> dict:
     return obj
 
 
-def _options_obj(options: Options) -> dict:
-    return {"slack": str(options.slack)}
-
-
 def serialize_symbol_file(sf: SymbolFile) -> bytes:
-    doc = {"schema": sf.schema, "d": sf.d,
+    doc = {"schema": SCHEMA_VERSION, "d": sf.d,
            "base_point": point_obj(sf.base_point),
            "terms": poly_terms(sf.a),
            "region": sf.region.metadata(),
-           "options": _options_obj(sf.options)}
+           "options": {"slack": str(sf.slack)}}
     if sf.normal_form is not None:
         doc["normal_form"] = _normal_form_obj(sf.normal_form)
     return dumps(doc)

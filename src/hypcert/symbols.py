@@ -37,6 +37,8 @@ Coeff = Union[int, Fraction, str]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INF = float("inf")
+_LONG_POWER = 64  # past it, the float path's x**e stops once settled
 
 
 class DimensionMismatch(ValueError):
@@ -317,7 +319,8 @@ class PolySymbol:
         float coefficient times its factors x**e left to right, summed
         from 0.0.  x**e is the product x * x * ... * x, so an array entry
         rounds as its point alone does (numpy's array power and libm's
-        pow can differ in the last bit).
+        pow can differ in the last bit); past _LONG_POWER factors it
+        stops once the rest cannot change it (_long_power).
         """
         vals = point.as_tuple() if isinstance(point, PhasePoint) else tuple(point)
         if len(vals) != self.nvars:
@@ -342,12 +345,33 @@ class PolySymbol:
         for _, v, factors in self._table:
             for i, e in factors:
                 x = p = vals[i]
-                while e > 1:  # x**e as x * x * ... * x, left to right
-                    p = p * x
-                    e -= 1
+                if e > _LONG_POWER:
+                    p = _long_power(x, e)
+                else:
+                    while e > 1:  # x**e as x * x * ... * x, left to right
+                        p = p * x
+                        e -= 1
                 v = v * p
             total = total + v
         return total
+
+
+def _long_power(x, e: int):
+    """x * x * ... * x (e factors) left to right, as the float path of
+    PolySymbol.eval takes it, stopped once no product left can change
+    more than the sign: the partial product is 0, +-inf or nan, or x is
+    +-1 (x = 0 makes it 0).  Every product left then gives the same value
+    up to the sign of x, so one more product stands for an odd number of
+    them.  An array stops once every entry has."""
+    p = x
+    while e > 1:
+        p = p * x
+        e -= 1
+        a = abs(p)
+        settled = (a == 0) | (a == _INF) | (p != p) | (abs(x) == 1)
+        if settled if type(settled) is bool else settled.all():
+            return p * x if e % 2 == 0 else p
+    return p
 
 
 def _coordinates(vals: Sequence):

@@ -137,14 +137,13 @@ class StructuralReport(NamedTuple):
 
 def _theta_spans(eq: ExtendedQ, region: Region):
     """Spans (lo, hi, N_AXIS) of the slow vector (t, z_x, z_xi[, x_p]),
-    budgeted so that every point of their box satisfies |t| + |z|
-    (+|x_p|) <= delta/4."""
-    k = eq.spec.d - eq.spec.p
+    each by its entry's slot (t, an x or a xi), budgeted so that every
+    point of their box satisfies |t| + |z| (+|x_p|) <= delta/4."""
     h = eq.cutoff.delta / 4 / eq.theta_dim
     hx, hxi = min(region.x_half, h), min(region.xi_half, h)
-    spans = ([(Fraction(0), min(region.t_max, h), N_AXIS)]
-             + [(-hx, hx, N_AXIS)] * k + [(-hxi, hxi, N_AXIS)] * k)
-    return spans + [(-hx, hx, N_AXIS)] * (eq.theta_dim - len(spans))
+    return [(Fraction(0), min(region.t_max, h), N_AXIS) if slot == 0
+            else (-hx, hx, N_AXIS) if slot <= eq.spec.d
+            else (-hxi, hxi, N_AXIS) for slot in eq._slots]
 
 
 def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
@@ -164,7 +163,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     eq = build_extended_Q(spec, STRUCTURAL_CUTOFF, mode="normalized")
     d = spec.d
     spans = _theta_spans(eq, region)
-    floor, bounds = eq.floor([(lo, hi) for lo, hi, _ in spans])
+    hull = [(lo, hi) for lo, hi, _ in spans]
+    floor, bounds = eq.floor(hull)
     scale = Fraction(2) ** (FLOOR_BITS - floor.numerator.bit_length()
                             + floor.denominator.bit_length())
     floor = math.floor(floor * scale) / scale
@@ -173,9 +173,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
                             n_points=N_AXIS ** len(spans))
 
     # (ii) over the slow axes but t, in slot order, xi_d about 1
-    axes = sorted((slot, (lo + 1, hi + 1, n) if slot == 2 * d + 1
-                   else (lo, hi, n))
-                  for slot, (lo, hi, n) in zip(eq._slots[1:], spans[1:]))
+    box = eq._box(hull)
+    axes = [(slot, (*box[slot], N_AXIS)) for slot in sorted(eq._slots[1:])]
     edge = TensorGrid(d, axes)
     bnd_poly = spec.gate ** 2 * floor + spec.remainder
     try:

@@ -73,7 +73,7 @@ def grid33():
     out = {}
     for name in ("b1", "b2", "classical"):
         sf = fixture_symbol(name)
-        cert = construct_time_function(sf.normal_form, slack=sf.options.slack)
+        cert = construct_time_function(sf.normal_form, slack=sf.slack)
         start = time.perf_counter()
         rep = certify_region(sf.a, cert.phi, region)
         elapsed = time.perf_counter() - start
@@ -397,7 +397,7 @@ def test_criterion_09_alpha_identity():
         assert telescopes(sel.eps)
         count += 1
     b2 = fixture_symbol("b2")
-    cert = construct_time_function(b2.normal_form, slack=b2.options.slack)
+    cert = construct_time_function(b2.normal_form, slack=b2.slack)
     assert cert.eps and telescopes(cert.eps)
     assert verdict(9, "alpha telescoping identity exact", True,
                    "%d random certificates + fixture B2" % count)

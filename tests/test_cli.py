@@ -39,7 +39,6 @@ from hypcert.cli import (
     run_pipeline,
 )
 from hypcert.symbolfile import (
-    Options,
     SymbolFile,
     parse_symbol_data,
     parse_symbol_file,
@@ -154,10 +153,21 @@ def lifted_b1(d, region):
     t, xs, tau, xis = phase_variables(d)
     spec = NormalFormSpec(variant="form1", d=d, p=0, q=(xis[-1] ** 2,),
                           r=(), phi=xs[0], psi=xs[0] ** 3)
-    return SymbolFile(schema=1, d=d, base_point=PhasePoint.base(d),
-                      a=spec.a, region=region,
-                      options=Options(slack=Fraction(1, 100)),
+    return SymbolFile(base_point=PhasePoint.base(d), a=spec.a, region=region,
                       normal_form=spec)
+
+
+def test_dimension_mismatch_lands_in_the_report():
+    # a library-built b2 whose a has d = 3 and whose base point has d = 2:
+    # the file's dimension is a's, and classify reports the mismatch
+    sf = parse_symbol_file(ROOT / "fixtures" / "b2.json")
+    t, xs, tau, xis = phase_variables(3)
+    sf = dataclasses.replace(sf, a=(t - xs[0]) ** 2 * xis[2] ** 2 + xis[0] ** 2)
+    for verb in ("classify", "certify"):
+        rep = run_pipeline(sf, verb)
+        assert (rep.status, rep.stage) == ("FAILED", "classify")
+        assert rep.reason == "point dimension 2 for symbol with d=3"
+        assert exit_code(rep) == 1
 
 
 @pytest.mark.parametrize("d,degree,grid", [(2, 12, 3), (3, 9, 5)])
@@ -169,11 +179,8 @@ def test_steep_phi_certifies(d, degree, grid):
     spec = NormalFormSpec(variant="form1", d=d, p=0, q=(xis[-1] ** 2,),
                           r=(), phi=10 ** 6 * xs[0] ** degree,
                           psi=xs[0] ** 2)
-    sf = SymbolFile(schema=1, d=d, base_point=PhasePoint.base(d),
-                    a=spec.a,
-                    region=Region(grid=grid),
-                    options=Options(slack=Fraction(1, 100)),
-                    normal_form=spec)
+    sf = SymbolFile(base_point=PhasePoint.base(d), a=spec.a,
+                    region=Region(grid=grid), normal_form=spec)
     rep = run_pipeline(sf, "certify")
     assert rep.status == "CERTIFIED" and exit_code(rep) == 0
 
@@ -270,11 +277,8 @@ def test_scans_past_exact_integers_fail():
                           ("side-conditions", xi2 ** 2, small * x1 ** 3)):
         spec = NormalFormSpec(variant="form1", d=2, p=0, q=(q,), r=(),
                               phi=x1, psi=psi)
-        sf = SymbolFile(schema=1, d=2, base_point=PhasePoint.base(2),
-                        a=spec.a,
-                        region=Region(grid=5),
-                        options=Options(slack=Fraction(1, 100)),
-                        normal_form=spec)
+        sf = SymbolFile(base_point=PhasePoint.base(2), a=spec.a,
+                        region=Region(grid=5), normal_form=spec)
         rep = run_pipeline(sf, "certify")
         assert (rep.status, rep.stage) == ("FAILED", stage)
         assert "past the 2^53" in rep.reason and rep.certificate is None
@@ -287,10 +291,8 @@ def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
     t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
     spec = NormalFormSpec(variant="form2", d=2, p=1, q=(xi2 ** 2,),
                           r=(Fraction(1, 2) - 16 * x2,), g=x1 ** 3 * xi2 ** 2)
-    sf = SymbolFile(schema=1, d=2, base_point=PhasePoint.base(2),
-                    a=spec.a,
-                    region=Region(grid=9),
-                    options=Options(slack=Fraction(1, 100)), normal_form=spec)
+    sf = SymbolFile(base_point=PhasePoint.base(2), a=spec.a,
+                    region=Region(grid=9), normal_form=spec)
     rep = run_pipeline(sf, "certify")
     assert rep.status == "FAILED" and exit_code(rep) == 1
     assert rep.stage == "verify"
@@ -307,11 +309,8 @@ def test_vanishing_remainder_factor_fails_at_verify(tmp_path):
 
 def _deep_chain_file(name):
     spec = deep_chain_specs()[name]
-    return SymbolFile(schema=1, d=spec.d, base_point=PhasePoint.base(spec.d),
-                      a=spec.a,
-                      region=Region(grid=5),
-                      options=Options(slack=Fraction(1, 100)),
-                      normal_form=spec)
+    return SymbolFile(base_point=PhasePoint.base(spec.d), a=spec.a,
+                      region=Region(grid=5), normal_form=spec)
 
 
 def test_vanishing_spring_fails_at_verify():
@@ -557,9 +556,8 @@ def test_mu_past_float_range_displays_no_eigenvalues(tmp_path, capsys):
 def _spec_file(spec, grid):
     """The symbol file of a normal form at its base point, at grid."""
     return serialize_symbol_file(SymbolFile(
-        schema=1, d=spec.d, base_point=PhasePoint.base(spec.d),
-        a=spec.a, region=Region(grid=grid),
-        options=Options(slack=Fraction(1, 100)), normal_form=spec))
+        base_point=PhasePoint.base(spec.d), a=spec.a,
+        region=Region(grid=grid), normal_form=spec))
 
 
 def exit_inputs():
@@ -899,6 +897,30 @@ def test_main_minimize_refuses_a_transverse_block_of_wrong_length(
 def test_main_minimize_requires_normal_form(capsys):
     assert main(["minimize", str(FIXTURES / "nonsingular.json")]) == 3
     capsys.readouterr()
+
+
+def test_minimize_of_a_long_power_ends(tmp_path):
+    # b1 with q1 = (1 + x1^(2^40)) xi2^2: the float path evaluates
+    # x1^(2^40) at x1 = 0, and stops once its partial product is 0
+    t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
+    spec = NormalFormSpec(variant="form1", d=2, p=0,
+                          q=((1 + x1 ** 2 ** 40) * xi2 ** 2,), r=(),
+                          phi=x1, psi=x1 ** 3)
+    path = tmp_path / "long.json"
+    path.write_bytes(serialize_symbol_file(SymbolFile(
+        base_point=PhasePoint.base(2), a=spec.a, region=Region(grid=9),
+        normal_form=spec)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "hypcert", "minimize", str(path), "--out",
+         str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.monotonic() - start
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "out.json").read_bytes())["m"] == 1.0
+    assert elapsed < 1.0
 
 
 def _option_dests(verb):

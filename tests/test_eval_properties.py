@@ -3,8 +3,9 @@
 Coordinate arrays against the same points evaluated one at a time (bit
 for bit), floats against the exact value within the rounding bound of the
 term-by-term evaluation, the ring laws in exact arithmetic, the term
-order that float eval sums in, and quadratic_jet's order-2 recentering
-against the full expansion.
+order that float eval sums in, quadratic_jet's order-2 recentering
+against the full expansion, and the early stop of long float powers
+against the full product (bit for bit).
 """
 
 import itertools
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from hypcert import PolySymbol
 from hypcert.symbolfile import SchemaError, parse_symbol_data
-from hypcert.symbols import NotSingular, quadratic_jet, var_names
+from hypcert.symbols import NotSingular, _long_power, quadratic_jet, var_names
 
 EPS = 2.0 ** -52
 
@@ -236,3 +237,37 @@ def test_jet_reads_the_full_expansion(case):
             m = tuple(int(k == i) + int(k == j) for k in range(n))
             want = F(full.get(m, 0))
             assert jet.matrix[i][j] == (want if i == j else want / 2)
+
+
+# --------------------------------------------------- long float powers
+
+SPECIAL = (0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), float("nan"),
+           -float("nan"), 5e-324, -5e-324, 2.0 ** -1022, 1.0 + EPS,
+           1.0 - EPS / 2, -2.0, 0.5)
+any_float = st.floats() | st.sampled_from(SPECIAL)
+
+
+def full_power(x, e):
+    """x ** e as e - 1 products x * x * ... * x, left to right."""
+    p = x
+    for _ in range(e - 1):
+        p = p * x
+    return p
+
+
+def bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
+
+
+@PROPERTY
+@given(st.lists(any_float, min_size=1, max_size=5), st.integers(1, 3000),
+       st.booleans())
+def test_long_power_is_the_full_product(xs, e, array):
+    # the early stop gives the full product's bits, nan payloads and
+    # zero signs too, for a scalar and for an array
+    x = np.array(xs) if array else xs[0]
+    with np.errstate(over="ignore", under="ignore"):
+        want = full_power(x, e)
+        assert bits(_long_power(x, e)) == bits(want)
+        x1_e = PolySymbol(1, {(0, e, 0, 0): 1})
+        assert bits(x1_e.eval([0.0, x, 0.0, 0.0])) == bits(0.0 + 1.0 * want)

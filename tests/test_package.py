@@ -190,13 +190,15 @@ def test_minimize_loads_no_scan_module(tmp_path):
 def test_dataclass_only_where_replace_is_called():
     # a dataclass generates its methods with exec when its module is
     # imported; the others are NamedTuples or classes with a written
-    # __init__.  These three stay dataclasses because cli, perfbench and
-    # scripts/stage_times.py call dataclasses.replace on them
+    # __init__.  These two stay dataclasses because dataclasses.replace
+    # is called on them: on SymbolFile by cli._apply_overrides (region and
+    # slack), perfbench/run.py and scripts/stage_times.py (region); on
+    # Region by cli._apply_overrides (--region and --grid)
     found = {node.name for _, node in _nodes()
              if isinstance(node, ast.ClassDef)
              and any("dataclass" in ast.unparse(dec)
                      for dec in node.decorator_list)}
-    assert found == {"SymbolFile", "Options", "Region"}
+    assert found == {"SymbolFile", "Region"}
 
 
 def _threads_or_environment(node) -> bool:

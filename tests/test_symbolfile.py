@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from hypcert import NormalFormSpec, PhasePoint, PolySymbol, Region
 from hypcert.cli import main
 from hypcert.symbolfile import (
-    Options,
+    DEFAULT_SLACK,
+    SCHEMA_VERSION,
     ParseError,
     SchemaError,
     SymbolFile,
@@ -49,7 +50,7 @@ def test_parse_b2_fixture():
     assert sf.normal_form.variant == "form2"
     assert sf.base_point == PhasePoint.base(2)
     assert sf.region.grid == 9
-    assert sf.options.slack == F(1, 100)
+    assert sf.slack == F(1, 100)
     assert len(sf.sha256) == 64
 
 
@@ -57,7 +58,7 @@ def test_parse_minimal_defaults():
     sf = parse_symbol_data(doc_bytes(minimal_doc()))
     assert sf.base_point == PhasePoint.base(2)
     assert sf.region == Region()
-    assert sf.options == Options()
+    assert sf.slack == DEFAULT_SLACK
     assert sf.normal_form is None
 
 
@@ -178,6 +179,18 @@ def test_normal_form_branch_keys():
         parse_symbol_data(doc_bytes(doc))
 
 
+def test_record_holds_each_fact_once():
+    # the dimension is a's and the schema version the module's constant;
+    # the file's "options" block is the slack alone
+    assert [f.name for f in dataclasses.fields(SymbolFile)] == [
+        "base_point", "a", "region", "slack", "normal_form", "sha256"]
+    sf = parse_symbol_file(FIXTURES / "b2.json")
+    assert sf.d == sf.a.d == 2
+    for slack in (F(0), F(-1, 100)):
+        with pytest.raises(ValueError, match="^slack must be positive$"):
+            dataclasses.replace(sf, slack=slack)
+
+
 def test_region_and_options_validation():
     doc = minimal_doc()
     doc["region"] = {"t_max": "1/10", "x_half": "1/10", "xi_half": "1/10",
@@ -186,7 +199,8 @@ def test_region_and_options_validation():
         parse_symbol_data(doc_bytes(doc))
     doc = minimal_doc()
     doc["options"] = {"slack": "-1/100"}
-    with pytest.raises(SchemaError, match="slack"):
+    with pytest.raises(SchemaError,
+                       match=r"^\$\.options: slack must be positive$"):
         parse_symbol_data(doc_bytes(doc))
     doc = minimal_doc()  # the classification is exact: no tolerance key
     doc["options"] = {"tol": 1e-8}
@@ -257,13 +271,12 @@ def symbol_files(draw):
                           PolySymbol.zero(d)),
             psi=sum((draw(rational) * v * v for v in x), PolySymbol.zero(d)))
     return SymbolFile(
-        schema=1, d=d,
         base_point=PhasePoint.from_sequence(d, draw(st.lists(
             rational, min_size=n, max_size=n))),
         a=a, region=Region(t_max=draw(positive), x_half=draw(positive),
                            xi_half=draw(positive),
                            grid=draw(st.integers(3, 65))),
-        options=Options(slack=draw(positive)), normal_form=normal_form)
+        slack=draw(positive), normal_form=normal_form)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -273,6 +286,8 @@ def test_serializer_round_trip(sf):
     parsed = parse_symbol_data(data)
     assert parsed.sha256 == hashlib.sha256(data).hexdigest()
     assert dataclasses.replace(parsed, sha256="") == sf
+    assert json.loads(data)["schema"] == SCHEMA_VERSION
+    assert json.loads(data)["d"] == parsed.d == sf.d
     assert serialize_symbol_file(parsed) == data
 
 
