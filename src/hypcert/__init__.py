@@ -24,7 +24,6 @@ _MODULES = {
     "hamilton_map": "spectral",
     "spectrum": "spectral",
     # normal_forms
-    "Cutoff": "normal_forms",
     "ExtendedQ": "normal_forms",
     "InvariantViolation": "normal_forms",
     "NormalFormSpec": "normal_forms",

@@ -457,9 +457,9 @@ def _run_minimize(sf: SymbolFile, args) -> int:
         sys.stderr.write("hypcert: %s\n" % usage[0])
         return 3
     from hypcert.minimize import minimize_Q
-    from hypcert.normal_forms import STRUCTURAL_CUTOFF, build_extended_Q
+    from hypcert.normal_forms import build_extended_Q
 
-    eq = build_extended_Q(sf.normal_form, STRUCTURAL_CUTOFF, mode=args.mode)
+    eq = build_extended_Q(sf.normal_form, mode=args.mode)
     zero = (Fraction(0),) * k
     slow = (args.theta_t, *(args.theta_zx or zero), *(args.theta_zxi or zero))
     if sf.normal_form.variant == "form2":

@@ -9,14 +9,14 @@ ints, and a witness node is one reduced Fraction.  TensorGrid.integer
 rescales a polynomial to integer (int) coefficients, p(unit * U) =
 P(U) / D, each term c unit^e reduced once, dropping the terms on slots
 off the grid, and refuses one whose integers could reach 2^53
-(ScanTooLarge): bound(P) = sum |c| max|U|^e, an exact int.  A term that
-logarithms put at 2^LOG2_REFUSED or past it is refused before its powers
-are formed, so no exponent sets the running time.  Below 2^53
-float64 adds and multiplies integers exactly, in any order, and rounds
-a quotient of two correctly, hence monotonely: each scan decision is
-the sign of an exact integer, each reported minimum the exact one
-correctly rounded (a maximum is read as the minimum of the negated
-values).
+(ScanTooLarge): bound(P) = sum |c| max|U|^e, an exact int.  A term one
+of whose integers logarithms put at 2^LOG2_REFUSED or past it is refused
+before its powers are formed (check_powers), so no exponent sets the
+running time.  Below 2^53 float64 adds and multiplies integers exactly,
+in any order, and rounds a quotient of two correctly, hence monotonely:
+each scan decision is the sign of an exact integer, each reported
+minimum the exact one correctly rounded (a maximum is read as the
+minimum of the negated values).
 
 scan(fn, *polys) evaluates the polynomials on each block and fn(*values)
 returns (values, mask) pairs.  It walks only the axes they depend on: a
@@ -50,7 +50,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from hypcert.symbols import PhasePoint, PolySymbol
+from hypcert.symbols import LOG2_REFUSED, PhasePoint, PolySymbol
 
 # Walked points per block.  The cap is the cache: a block's float64
 # temporaries are 8 bytes a point (128 KiB at 2^14), and a scan is fastest
@@ -63,10 +63,6 @@ from hypcert.symbols import PhasePoint, PolySymbol
 _BLOCK = 1 << 14
 MAX_SCAN_POINTS = 1 << 30  # d = 2 at grid 33 is 39.1M points; d = 3 is 4.3e10
 EXACT = 1 << 53  # float64 integers are exact below this
-# A term whose integers have at least this many bits by their logarithms
-# is refused before its powers are formed, so that no exponent in a file
-# sets the running time; below it the refusal prints the exact bound.
-LOG2_REFUSED = 1 << 16
 _ZERO = Fraction(0)
 
 
@@ -89,12 +85,6 @@ def _span(lo, hi, n: int):
     return first // g, inc // g, den // g
 
 
-def uniform_axis(lo: Fraction, hi: Fraction, n: int) -> Tuple[Fraction, ...]:
-    """n >= 1 equally spaced exact points from lo to hi (lo alone at 1)."""
-    first, inc, den = _span(lo, hi, n)
-    return tuple(Fraction(first + inc * k, den) for k in range(n))
-
-
 def check_exact(*bounds: int) -> None:
     """Refuse a scan when a bound on one of its integers reaches EXACT."""
     worst = max(bounds)
@@ -107,11 +97,18 @@ def _refuse(log2_bound: float) -> None:
                        "below which float64 integers are exact" % log2_bound)
 
 
-def _check_log2(log2_bound: float) -> None:
-    """Refuse a term whose integers reach 2^log2_bound, a lower bound from
-    logarithms, at LOG2_REFUSED or past it."""
-    if log2_bound >= LOG2_REFUSED:
-        _refuse(log2_bound)
+def check_powers(*products) -> None:
+    """Refuse, before any power is formed, when one of the integers a
+    term builds could have 2^LOG2_REFUSED bits or more.  Each product is
+    a sequence of (int base, int exponent) pairs, the integer prod
+    base^exponent; its bits are summed from each base's logarithm, not
+    read from the product's value, so no two factors cancel."""
+    if max(sum(k * b.bit_length() for b, k in p)
+           for p in products) >= LOG2_REFUSED:  # an upper bound first
+        log2_bound = max(sum(k * math.log2(abs(b)) for b, k in p if b)
+                         for p in products)
+        if log2_bound >= LOG2_REFUSED:
+            _refuse(log2_bound)
 
 
 def _plan(lens, budget: int):
@@ -151,12 +148,13 @@ class ScanResult(NamedTuple):
 
 class TensorGrid:
     """Tensor grid over selected phase-space slots, the other slots 0.
-    Each axis is a span (slot, (lo, hi, n)): the n nodes of
-    uniform_axis(lo, hi, n), lo + k * step, of which only a witness
-    point is ever built.  Its unit is gcd(lo, step), the gcd of its
-    nodes, kept as a reduced pair of ints, so its index axis is first +
-    inc * k with the ints first = lo / unit and inc = step / unit; on a
-    span whose nodes are all 0 the unit is 0 and the index axis 0."""
+    Each axis is a span (slot, (lo, hi, n)): the n >= 1 exact nodes lo +
+    k * step, step = (hi - lo) / (n - 1), for k = 0..n-1 (lo alone at n
+    = 1), of which only a witness point is ever built.  Its unit is
+    gcd(lo, step), the gcd of its nodes, kept as a reduced pair of ints,
+    so its index axis is first + inc * k with the ints first = lo / unit
+    and inc = step / unit; on a span whose nodes are all 0 the unit is 0
+    and the index axis 0."""
 
     def __init__(self, d: int, axes):
         self.d = d
@@ -190,17 +188,18 @@ class TensorGrid:
             for (un, ud), um in zip(self._units, self._umax))
 
     def _check_term(self, e, c) -> None:
-        """Refuse the term c U^e from logarithms, before its powers are
-        formed: c unit^e reduced is a/b with max(a, b) at least |c unit^e|
-        and its inverse, and the term's bound is at least max|U|^e."""
+        """Refuse the term c U^e before its powers are formed
+        (check_powers): integer() builds c's numerator times each unit's
+        numerator to its power, c's denominator times each unit's
+        denominator to its power, and bound() max|U|^e."""
         factors = [(self._units[i], self._umax[i], k)
                    for i, k in enumerate(e) if k]
         if all(un for (un, _), _, _ in factors):  # else the term drops
-            _check_log2(max(abs(
-                math.log2(abs(c.numerator)) - math.log2(c.denominator)
-                + sum(k * (math.log2(un) - math.log2(ud))
-                      for (un, ud), _, k in factors)),
-                sum(k * math.log2(um) for _, um, k in factors)))
+            check_powers([(c.numerator, 1)]
+                         + [(un, k) for (un, _), _, k in factors],
+                         [(c.denominator, 1)]
+                         + [(ud, k) for (_, ud), _, k in factors],
+                         [(um, k) for _, um, k in factors])
 
     def point(self, flat: int) -> PhasePoint:
         """The exact grid point of a flat index (C order)."""

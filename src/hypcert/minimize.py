@@ -23,12 +23,13 @@ import numpy as np
 
 from hypcert.normal_forms import (
     _H,
-    Cutoff,
     ExtendedQ,
     InvariantViolation,
     Number,
     Theta,
+    _delta_for,
     _piecewise,
+    scaled,
 )
 from hypcert.spectral import NoConvergence
 from hypcert.symbols import DimensionMismatch, _coordinates
@@ -50,23 +51,23 @@ _H2 = poly_derivative(_H1)
 
 
 def chi_prime(s: Number) -> Number:
-    """chi' of Cutoff.chi, exact on rationals."""
+    """chi' of normal_forms.chi, exact on rationals."""
     return _piecewise(s, 1, _H1, 0, odd=False)
 
 
 def chi_second(s: Number) -> Number:
-    """chi'' of Cutoff.chi, exact on rationals."""
+    """chi'' of normal_forms.chi, exact on rationals."""
     return _piecewise(s, 0, _H2, 0, odd=True)
 
 
-def scaled_prime(cutoff: Cutoff, s: Number) -> Number:
-    """The derivative of cutoff.scaled at s."""
-    return chi_prime(s / cutoff._delta_for(s))
+def scaled_prime(s: Number) -> Number:
+    """The derivative of normal_forms.scaled at s."""
+    return chi_prime(s / _delta_for(s))
 
 
-def scaled_second(cutoff: Cutoff, s: Number) -> Number:
-    """The second derivative of cutoff.scaled at s."""
-    delta = cutoff._delta_for(s)
+def scaled_second(s: Number) -> Number:
+    """The second derivative of normal_forms.scaled at s."""
+    delta = _delta_for(s)
     return chi_second(s / delta) / delta
 
 
@@ -99,11 +100,11 @@ def _nodes(eq: ExtendedQ, ys):
     return [-1] + list(ys) + [0]
 
 
-def _move(eq: ExtendedQ, out, w, anchor, eps, dchi):
-    """Write the slots w moves: x_a = anchor + sign * eps * dchi(y_a),
-    xi_a = eps * dchi(eta_a)."""
+def _move(eq: ExtendedQ, out, w, anchor, eps):
+    """Write the slots w moves: x_a = anchor + sign * eps * scaled(y_a),
+    xi_a = eps * scaled(eta_a)."""
     for (slot, sign), v in zip(eq._w_slots, w):
-        step = eps * dchi(v)
+        step = eps * scaled(v)
         out[slot] = anchor + sign * step if slot <= eq.spec.d else step
 
 
@@ -132,7 +133,7 @@ def substituted_point(eq: ExtendedQ, w, theta):
     pt = (_anchored_point(eq, theta) if isinstance(theta, Theta)
           else list(theta.point))
     anchor = pt[0] if eq.spec.variant == "form1" else pt[eq.spec.p]
-    _move(eq, pt, w, anchor, theta.eps, eq.cutoff.scaled)
+    _move(eq, pt, w, anchor, theta.eps)
     return pt
 
 
@@ -249,9 +250,9 @@ def value_grad_hess(eq: ExtendedQ, w, theta):
     if eq.mode == "normalized":
         prefs.append((1.0, [0.0] * nw, [[0.0] * nw] * nw))
     # d1, d2: the derivatives of the phase slot w index i moves
-    d1 = [sign * eps * scaled_prime(eq.cutoff, v)
+    d1 = [sign * eps * scaled_prime(v)
           for (_, sign), v in zip(eq._w_slots, w)]
-    d2 = [sign * eps * scaled_second(eq.cutoff, v)
+    d2 = [sign * eps * scaled_second(v)
           for (_, sign), v in zip(eq._w_slots, w)]
 
     def at(poly):  # a zero derivative, read as 0.0 unevaluated

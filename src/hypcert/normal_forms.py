@@ -38,9 +38,9 @@ chain coordinates into the factors:
     form1:  x_a = t + eps * dchi(y_a),   xi_a = eps * dchi(eta_a)
     form2:  x_a = x_p - eps * dchi(y_a), xi_a = eps * dchi(eta_a)
 
-(dchi(s) = delta * chi(s / delta), the identity on |s| <= delta), while
-the quadratic prefactors use the raw w = (y, eta).  Wherever the cutoff
-acts as the identity the exact algebra
+(dchi(s) = scaled(s) = delta * chi(s / delta), delta = CUTOFF_DELTA, the
+identity on |s| <= delta), while the quadratic prefactors use the raw w =
+(y, eta).  Wherever the cutoff acts as the identity the exact algebra
 
     a(P(w, theta)) = eps^2 Q(w, theta) + remainder(w, theta)
 
@@ -70,14 +70,16 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from hypcert.symbols import (
+    LOG2_REFUSED,
     DimensionMismatch,
     PhasePoint,
     PolySymbol,
     _Record,
-    as_fraction,
     homogeneity_check,
     phase_variables,
     poisson_bracket,
@@ -96,21 +98,35 @@ def horner(coeffs, v):
 
 
 def _scaled(box):
-    """(ends, den): a box of exact (lo, hi) per slot as int ends over their
-    least common denominator den."""
-    den = math.lcm(*(v.denominator for ends in box for v in ends))
-    return [tuple(v.numerator * (den // v.denominator) for v in ends)
-            for ends in box], den
+    """(ends, den, bits): a box of exact (lo, hi) per slot as int ends
+    over their least common denominator den, and the bit length of the
+    largest of den and the ends' magnitudes."""
+    den = math.lcm(*map(attrgetter("denominator"), chain(*box)))
+    ends = [(lo.numerator * (den // lo.denominator),
+             hi.numerator * (den // hi.denominator)) for lo, hi in box]
+    return ends, den, max(den, *map(abs, chain(*ends))).bit_length()
 
 
-def _interval(poly, box, den: int) -> Tuple[Fraction, Fraction]:
+def _interval(poly, box, den: int, bits: int) -> Tuple[Fraction, Fraction]:
     """Exact (lo, hi) with lo <= poly <= hi on a box given as int ends
-    times den > 0, one (lo, hi) per phase slot: the natural interval
+    times den > 0, one (lo, hi) per phase slot, bits the bit length of
+    the largest of den and the ends' magnitudes: the natural interval
     extension over the monomials (Moore, Kearfott & Cloud 2009), in ints
     over one denominator, each power of a slot taken whole, so an even
-    power of a slot about 0 is never negative."""
+    power of a slot about 0 is never negative.  ScanTooLarge refuses a
+    polynomial one of whose integers could reach 2^LOG2_REFUSED before
+    its powers are formed (grid.check_powers)."""
     scale = math.lcm(*(c.denominator for c in poly.terms.values()))
     top = max(map(sum, poly.terms), default=0)
+    # each power formed is at most max(den, |end|)^top
+    if top * bits >= LOG2_REFUSED:
+        from hypcert.grid import check_powers  # numpy, for certify alone
+
+        mags = [max(map(abs, span)) for span in box]
+        check_powers([(scale, 1), (den, top)], *(
+            [(c.numerator * (scale // c.denominator), 1),
+             (den, top - sum(exps)), *zip(mags, exps)]
+            for exps, c in poly.terms.items()))
     lo = hi = 0
     for exps, c in poly.terms.items():
         m_lo = m_hi = (c.numerator * (scale // c.denominator)
@@ -370,46 +386,31 @@ def _piecewise(s, inner, coeffs, outer, odd):
     return -out if odd and neg else out
 
 
-class Cutoff(_Record):
-    """Odd C^2 cutoff: chi(s) = s on |s| <= 1, |chi| = 2 on |s| >= 2,
-    chi' >= 0, with a quintic transition (integer coefficients, so chi
-    is exact at rational arguments).
-
-    scaled(s) = delta * chi(s / delta) is the identity on |s| <= delta
-    and bounded by 2 delta; its j-th derivative is chi^(j)(s/delta) *
-    delta^(1-j), so one factor of 1/delta is paid per derivative.
-    delta is kept exact (a float as its exact value) and must be > 0.
-    The derivatives are the minimize verb's (module minimize).
-    """
-
-    _fields = ("delta",)
-
-    def __init__(self, delta: Fraction):
-        delta = (Fraction(delta) if isinstance(delta, float)
-                 else as_fraction(delta))
-        if delta <= 0:
-            raise ValueError("cutoff scale must be positive")
-        self.delta = delta
-
-    def chi(self, s: Number) -> Number:
-        return _piecewise(s, None, _H, 2, odd=True)
-
-    @cached_property
-    def _float_delta(self) -> float:
-        """float(delta): what Fraction's operators compute with a float
-        argument, kept so that the float path skips their fallbacks."""
-        return float(self.delta)
-
-    def _delta_for(self, s: Number):
-        return self._float_delta if type(s) is float else self.delta
-
-    def scaled(self, s: Number) -> Number:
-        delta = self._delta_for(s)
-        return delta * self.chi(s / delta)
+# The cutoff of the extended functional: chi is odd and C^2, chi(s) = s
+# on |s| <= 1, |chi| = 2 on |s| >= 2, chi' >= 0, with a quintic
+# transition (integer coefficients, so chi is exact at rational
+# arguments).  scaled(s) = delta * chi(s / delta) is the identity on |s|
+# <= delta and bounded by 2 delta, with delta = CUTOFF_DELTA, which the
+# structural report prints; its j-th derivative (module minimize) is
+# chi^(j)(s / delta) * delta^(1-j).
+CUTOFF_DELTA = Fraction(1, 2)
+_FLOAT_DELTA = float(CUTOFF_DELTA)
 
 
-# The cutoff of the structural check and of the minimize verb's functional.
-STRUCTURAL_CUTOFF = Cutoff(Fraction(1, 2))
+def chi(s: Number) -> Number:
+    return _piecewise(s, None, _H, 2, odd=True)
+
+
+def _delta_for(s: Number):
+    """delta for the argument s: for a float, float(delta), what
+    Fraction's operators compute with, so the float path skips their
+    fallbacks."""
+    return _FLOAT_DELTA if type(s) is float else CUTOFF_DELTA
+
+
+def scaled(s: Number) -> Number:
+    delta = _delta_for(s)
+    return delta * chi(s / delta)
 
 
 # --------------------------------------------------------------- extended Q
@@ -438,13 +439,12 @@ class ExtendedQ(_Record):
     factor at the substituted point.
     """
 
-    _fields = ("spec", "cutoff", "mode")
+    _fields = ("spec", "mode")
 
-    def __init__(self, spec: NormalFormSpec, cutoff: Cutoff,
-                 mode: str = "raw"):
+    def __init__(self, spec: NormalFormSpec, mode: str = "raw"):
         if mode not in ("raw", "normalized"):
             raise ValueError("mode must be 'raw' or 'normalized'")
-        self.spec, self.cutoff, self.mode = spec, cutoff, mode
+        self.spec, self.mode = spec, mode
 
     # -- shape helpers -------------------------------------------------
 
@@ -523,7 +523,7 @@ class ExtendedQ(_Record):
         box = self._box(hull)
         (t_lo, t_hi), rf = hull[0], spec.remainder_factor
         g_lo, g_hi = _interval(spec.gate, *_scaled(box))
-        reach = 2 * self.cutoff.delta * max(abs(t_lo - g_hi), abs(t_hi - g_lo))
+        reach = 2 * CUTOFF_DELTA * max(abs(t_lo - g_hi), abs(t_hi - g_lo))
         a_lo, a_hi = box[0] if spec.variant == "form1" else box[spec.p]
         for slot, _ in self._w_slots:
             lo, hi = (a_lo, a_hi) if slot <= d else (_ZERO, _ZERO)
@@ -560,6 +560,5 @@ class ExtendedQ(_Record):
         return "q%d" % (p + 1) if self.spec.variant == "form1" else "r%d" % p
 
 
-def build_extended_Q(spec: NormalFormSpec, cutoff: Cutoff,
-                     mode: str = "raw") -> ExtendedQ:
-    return ExtendedQ(spec=spec, cutoff=cutoff, mode=mode)
+def build_extended_Q(spec: NormalFormSpec, mode: str = "raw") -> ExtendedQ:
+    return ExtendedQ(spec=spec, mode=mode)

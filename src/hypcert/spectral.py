@@ -250,18 +250,6 @@ def _root_counts(seq: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
             len(seq[0]) - len(seq[-1]))
 
 
-def sturm_root_counts(coeffs: Sequence[Fraction]) -> Tuple[int, int, int]:
-    """(negative, positive, distinct): the numbers of distinct real roots
-    < 0 and > 0, and of distinct complex roots, of a rational polynomial.
-
-    coeffs is leading coefficient first; the leading and constant
-    coefficients must be nonzero (0 is not a root).  The polynomial is
-    scaled to integers by the lcm of its denominators, and its Sturm
-    sequence is built in Python ints (_sturm_sequence, _root_counts).
-    """
-    return _root_counts(_sturm_sequence(_integer(coeffs)))
-
-
 # ------------------------------------------------------------- the roots
 
 

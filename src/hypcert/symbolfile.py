@@ -312,6 +312,13 @@ def _normal_form_obj(spec: NormalFormSpec) -> dict:
 
 
 def serialize_symbol_file(sf: SymbolFile) -> bytes:
+    """The canonical bytes of sf.  ValueError names a base_point or
+    normal_form whose dimension is not a's, which the parser refuses."""
+    for name, part in (("base_point", sf.base_point),
+                       ("normal_form", sf.normal_form)):
+        if part is not None and part.d != sf.d:
+            raise ValueError("%s: dimension %d differs from the terms' d=%d"
+                             % (name, part.d, sf.d))
     doc = {"schema": SCHEMA_VERSION, "d": sf.d,
            "base_point": point_obj(sf.base_point),
            "terms": poly_terms(sf.a),

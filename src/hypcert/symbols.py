@@ -39,6 +39,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _INF = float("inf")
 _LONG_POWER = 64  # past it, the float path's x**e stops once settled
+# An exact integer that a term of a polynomial builds, with at least this
+# many bits by the logarithms of its factors, is refused before its powers
+# are formed (grid.check_powers), so that no exponent in a file sets the
+# running time; TensorGrid and the interval bounds of normal_forms read it.
+LOG2_REFUSED = 1 << 16
 
 
 class DimensionMismatch(ValueError):

@@ -30,7 +30,7 @@ import numpy as np
 
 from hypcert.grid import ScanTooLarge, TensorGrid, check_exact
 from hypcert.normal_forms import (
-    STRUCTURAL_CUTOFF,
+    CUTOFF_DELTA,
     ExtendedQ,
     NormalFormSpec,
     build_extended_Q,
@@ -46,9 +46,10 @@ from hypcert.symbols import (
 from hypcert.time_functions import TimeFunctionCert
 
 # The structural plan, printed in the structural report's grid: the
-# cutoff (STRUCTURAL_CUTOFF), N_AXIS points per slow axis, and the spring
-# floor rounded down to FLOOR_BITS significant bits (a smaller floor is a
-# floor, and a short one keeps the boundary scan's integers small).
+# cutoff's scale (CUTOFF_DELTA), N_AXIS points per slow axis, and the
+# spring floor rounded down to FLOOR_BITS significant bits (a smaller
+# floor is a floor, and a short one keeps the boundary scan's integers
+# small).
 N_AXIS = 5
 FLOOR_BITS = 16
 
@@ -139,7 +140,7 @@ def _theta_spans(eq: ExtendedQ, region: Region):
     """Spans (lo, hi, N_AXIS) of the slow vector (t, z_x, z_xi[, x_p]),
     each by its entry's slot (t, an x or a xi), budgeted so that every
     point of their box satisfies |t| + |z| (+|x_p|) <= delta/4."""
-    h = eq.cutoff.delta / 4 / eq.theta_dim
+    h = CUTOFF_DELTA / 4 / eq.theta_dim
     hx, hxi = min(region.x_half, h), min(region.xi_half, h)
     return [(Fraction(0), min(region.t_max, h), N_AXIS) if slot == 0
             else (-hx, hx, N_AXIS) if slot <= eq.spec.d
@@ -160,7 +161,7 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     slot pinned to 1).  (ii) and (iii) are integer scans; (i) counts the
     thetas of the slow grid, which its box holds.
     """
-    eq = build_extended_Q(spec, STRUCTURAL_CUTOFF, mode="normalized")
+    eq = build_extended_Q(spec, mode="normalized")
     d = spec.d
     spans = _theta_spans(eq, region)
     hull = [(lo, hi) for lo, hi, _ in spans]
@@ -225,8 +226,8 @@ def check_structural(spec: NormalFormSpec, cert: TimeFunctionCert,
     checks = (recon, boundary, floors[0], floors[1])
     meta = dict(region.metadata())
     meta.update({"n_axis": N_AXIS, "floor_bits": FLOOR_BITS,
-                 "cutoff_delta": str(STRUCTURAL_CUTOFF.delta),
-                 "theta_budget": str(STRUCTURAL_CUTOFF.delta / 4),
+                 "cutoff_delta": str(CUTOFF_DELTA),
+                 "theta_budget": str(CUTOFF_DELTA / 4),
                  "label": "empirical"})
     return StructuralReport(passed=all(c.passed for c in checks),
                             checks=checks, grid=meta)

@@ -13,11 +13,23 @@ or rho - 1 (form2), so the pipeline does not evaluate it
 The normalized extended functional Q(w, theta), written from its
 definition (normal_forms' module docstring) rather than from ExtendedQ,
 to test the structural spring floor against.
+
+The nodes of a TensorGrid span, from their formula in Fractions, apart
+from the integer arithmetic of grid._span.
 """
 
 from fractions import Fraction
 
+from hypcert.normal_forms import scaled
 from hypcert.spectral import hamilton_map, spectrum
+
+
+def uniform_nodes(lo, hi, n):
+    """The n >= 1 nodes lo + k (hi - lo) / (n - 1), k = 0..n-1, of the
+    span (lo, hi, n); lo alone at n = 1."""
+    if n == 1:
+        return (Fraction(lo),)
+    return tuple(lo + k * Fraction(hi - lo) / (n - 1) for k in range(n))
 from hypcert.symbols import DimensionMismatch, PhasePoint, QuadraticJet
 
 
@@ -90,7 +102,7 @@ def time_function_condition(jet, f, at):
     return value_at(jet, [-v for v in hamilton_field(f, at)])
 
 
-def normalized_q(spec, cutoff, w, slow):
+def normalized_q(spec, w, slow):
     """The normalized Q(w, theta), exact: slow is the flat slow
     vector (t, z_x, z_xi[, x_p]) with z_xi about the base covector, eps =
     t - phi(z) resp. t - x_p; w = (y, eta) with y_p pinned to 0 for
@@ -109,10 +121,10 @@ def normalized_q(spec, cutoff, w, slow):
     ny = p if form1 else p - 1
     ys, etas = w[:ny], w[ny:]
     for a, y in enumerate(ys, start=1):
-        step = eps * cutoff.scaled(y)
+        step = eps * scaled(y)
         pt[a] = pt[0] + step if form1 else pt[p] - step
     for a, eta in enumerate(etas, start=1):
-        pt[d + 1 + a] = eps * cutoff.scaled(eta)
+        pt[d + 1 + a] = eps * scaled(eta)
     nodes = [0, *ys, -1] if form1 else [-1, *ys, 0]
     total = sum(q.eval(pt) * (nodes[j] - nodes[j + 1]) ** 2
                 for j, q in enumerate(spec.q))

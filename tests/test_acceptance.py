@@ -20,7 +20,6 @@ import pytest
 import sympy
 
 from hypcert import (
-    Cutoff,
     NormalFormSpec,
     PhasePoint,
     PolySymbol,
@@ -314,13 +313,13 @@ def test_criterion_07_minimizer_closed_form_and_envelope():
     closed_ok = True
     details = []
     for qbar in (F(1, 2), F(1), F(2)):
-        eq = build_extended_Q(chain_spec(qbar), Cutoff(F(1, 2)))
+        eq = build_extended_Q(chain_spec(qbar))
         res = minimize_Q(eq, eq.theta_at((0,) * eq.theta_dim))
         expect = float(qbar / (1 + qbar))
         closed_ok &= abs(res.m - expect) <= 1e-8
         details.append("m(%s)=%.8f" % (qbar, res.m))
 
-    eq = build_extended_Q(chain_spec(F(1)), Cutoff(F(1, 2)))
+    eq = build_extended_Q(chain_spec(F(1)))
     h = F(1, 100000)
     e = F(1, 10 ** 12)  # exact difference of the polynomial Q(w_bar, .)
     envelope_ok = True

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -168,6 +169,22 @@ def test_dimension_mismatch_lands_in_the_report():
         assert (rep.status, rep.stage) == ("FAILED", "classify")
         assert rep.reason == "point dimension 2 for symbol with d=3"
         assert exit_code(rep) == 1
+
+
+def test_dimension_mismatch_is_not_serialized():
+    # the record admits the mismatched file above, and the serializer
+    # refuses it rather than write bytes the parser refuses; it names
+    # the part whose dimension is not a's
+    sf = parse_symbol_file(ROOT / "fixtures" / "b2.json")
+    t, xs, tau, xis = phase_variables(3)
+    a3 = (t - xs[0]) ** 2 * xis[2] ** 2 + xis[0] ** 2
+    with pytest.raises(ValueError, match=r"^base_point: dimension 2 "
+                       r"differs from the terms' d=3$"):
+        serialize_symbol_file(dataclasses.replace(sf, a=a3))
+    with pytest.raises(ValueError, match=r"^normal_form: dimension 2 "
+                       r"differs from the terms' d=3$"):
+        serialize_symbol_file(dataclasses.replace(
+            sf, a=a3, base_point=PhasePoint.base(3)))
 
 
 @pytest.mark.parametrize("d,degree,grid", [(2, 12, 3), (3, 9, 5)])
@@ -899,9 +916,9 @@ def test_main_minimize_requires_normal_form(capsys):
     capsys.readouterr()
 
 
-def test_minimize_of_a_long_power_ends(tmp_path):
-    # b1 with q1 = (1 + x1^(2^40)) xi2^2: the float path evaluates
-    # x1^(2^40) at x1 = 0, and stops once its partial product is 0
+def _run_long_power(tmp_path, *args):
+    """(completed process, seconds with process start) of a fresh
+    `python -m hypcert` on b1 with q1 = (1 + x1^(2^40)) xi2^2."""
     t, (x1, x2), tau, (xi1, xi2) = phase_variables(2)
     spec = NormalFormSpec(variant="form1", d=2, p=0,
                           q=((1 + x1 ** 2 ** 40) * xi2 ** 2,), r=(),
@@ -914,12 +931,33 @@ def test_minimize_of_a_long_power_ends(tmp_path):
         str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     start = time.monotonic()
     done = subprocess.run(
-        [sys.executable, "-m", "hypcert", "minimize", str(path), "--out",
-         str(tmp_path / "out.json")],
+        [sys.executable, "-m", "hypcert", args[0], str(path), *args[1:],
+         "--out", str(tmp_path / "out.json")],
         env=env, capture_output=True, text=True, timeout=60)
-    elapsed = time.monotonic() - start
+    return done, time.monotonic() - start
+
+
+def test_minimize_of_a_long_power_ends(tmp_path):
+    # the float path evaluates x1^(2^40) at x1 = 0, and stops once its
+    # partial product is 0
+    done, elapsed = _run_long_power(tmp_path, "minimize")
     assert done.returncode == 0, done.stderr
     assert json.loads((tmp_path / "out.json").read_bytes())["m"] == 1.0
+    assert elapsed < 1.0
+
+
+def test_certify_of_a_long_power_ends(tmp_path):
+    # the region's x nodes are -1, 0 and 1, so the scans' integers stay
+    # small, and the structural floor's interval bounds refuse the power
+    # den^(2^40) before they form it
+    done, elapsed = _run_long_power(tmp_path, "certify", "--region",
+                                    "1,1,1/10", "--grid", "3")
+    assert done.returncode == 1, done.stderr
+    rep = json.loads((tmp_path / "out.json").read_bytes())
+    assert (rep["status"], rep["stage"]) == ("FAILED", "verify")
+    assert re.fullmatch(r"a scan integer could reach 2\^\d+\.\d, past the "
+                        r"2\^53 below which float64 integers are exact",
+                        rep["reason"])
     assert elapsed < 1.0
 
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from hypcert import (
-    Cutoff,
     DimensionMismatch,
     InvariantViolation,
     MinimizeResult,
@@ -32,7 +31,7 @@ from hypcert import (
     minimize_Q,
     phase_variables,
 )
-from hypcert import minimize
+from hypcert import minimize, normal_forms
 
 F = Fraction
 
@@ -214,7 +213,7 @@ def test_one_sided_failure_reports_witness():
 
 
 def test_cutoff_defining_values():
-    chi = Cutoff(1).chi
+    chi = normal_forms.chi
     assert chi(F(1, 2)) == F(1, 2)
     assert chi(3) == 2
     assert chi(-3) == -2
@@ -222,86 +221,82 @@ def test_cutoff_defining_values():
 
 
 def test_cutoff_hermite_data():
-    cut = Cutoff(1)
+    chi = normal_forms.chi
     for s, want in ((F(1), (1, 1, 0)), (F(2), (2, 0, 0))):
-        assert (cut.chi(s), minimize.chi_prime(s),
+        assert (chi(s), minimize.chi_prime(s),
                 minimize.chi_second(s)) == want
     # approach from inside the transition: same limits, C^2 matching
     for h in (F(1, 10 ** 6), F(1, 10 ** 9)):
-        assert abs(cut.chi(1 + h) - 1 - h) <= 10 * h ** 2
-        assert abs(cut.chi(2 - h) - 2) <= 10 * h ** 2
+        assert abs(chi(1 + h) - 1 - h) <= 10 * h ** 2
+        assert abs(chi(2 - h) - 2) <= 10 * h ** 2
 
 
-# the cutoff and its derivatives, each (cutoff, s) -> value; the
-# derivatives are the minimize verb's
+# the cutoff and its derivatives, each s -> value; the derivatives are
+# the minimize verb's
 CUTOFF_FUNCTIONS = {
-    "chi": lambda cut, s: cut.chi(s),
-    "chi_prime": lambda cut, s: minimize.chi_prime(s),
-    "chi_second": lambda cut, s: minimize.chi_second(s),
-    "scaled": lambda cut, s: cut.scaled(s),
+    "chi": normal_forms.chi,
+    "chi_prime": minimize.chi_prime,
+    "chi_second": minimize.chi_second,
+    "scaled": normal_forms.scaled,
     "scaled_prime": minimize.scaled_prime,
     "scaled_second": minimize.scaled_second,
 }
 
 
 def test_cutoff_monotone_and_bounded():
-    cut = Cutoff(1)
     samples = [F(i, 100) for i in range(-500, 501)]
     assert len(samples) > 1000
     assert all(minimize.chi_prime(s) >= 0 for s in samples)
-    vals = [cut.chi(s) for s in samples]
+    vals = [normal_forms.chi(s) for s in samples]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
-    for delta in (F(1, 2), F(1), F(5, 4)):
-        c = Cutoff(delta)
-        assert all(abs(c.scaled(s)) <= 2 * delta for s in samples)
-        # exact on rationals: a Fraction in gives a Fraction out
-        for name, fn in CUTOFF_FUNCTIONS.items():
-            assert all(type(fn(c, s)) is F for s in samples), name
+    delta = normal_forms.CUTOFF_DELTA
+    assert all(abs(normal_forms.scaled(s)) <= 2 * delta for s in samples)
+    # exact on rationals: a Fraction in gives a Fraction out
+    for name, fn in CUTOFF_FUNCTIONS.items():
+        assert all(type(fn(s)) is F for s in samples), name
 
 
 def test_cutoff_odd():
-    cut = Cutoff(1)
+    chi = normal_forms.chi
     for i in range(0, 60):
         s = F(i, 13)
-        assert cut.chi(-s) == -cut.chi(s)
+        assert chi(-s) == -chi(s)
         assert minimize.chi_second(-s) == -minimize.chi_second(s)
         assert minimize.chi_prime(-s) == minimize.chi_prime(s)
 
 
 def test_cutoff_derivatives_match_finite_differences():
-    cut = Cutoff(1)
+    chi = normal_forms.chi
     h = 1e-6
     rng = random.Random(7)
     for _ in range(40):
         s = rng.uniform(-2.5, 2.5)
         if min(abs(abs(s) - 1), abs(abs(s) - 2)) < 1e-3:
             continue  # FD stencils straddling a knot are only C^2 accurate
-        d1 = (cut.chi(s + h) - cut.chi(s - h)) / (2 * h)
-        d2 = (cut.chi(s + h) - 2 * cut.chi(s) + cut.chi(s - h)) / h ** 2
+        d1 = (chi(s + h) - chi(s - h)) / (2 * h)
+        d2 = (chi(s + h) - 2 * chi(s) + chi(s - h)) / h ** 2
         assert abs(d1 - minimize.chi_prime(s)) < 1e-8
         assert abs(d2 - minimize.chi_second(s)) < 1e-3
 
 
 def test_cutoff_scaled_chain_rule():
-    cut = Cutoff(F(1, 2))
+    assert normal_forms.CUTOFF_DELTA == F(1, 2)
     s = F(3, 4)
-    assert cut.scaled(s) == F(1, 2) * cut.chi(F(3, 2))
-    assert minimize.scaled_prime(cut, s) == minimize.chi_prime(F(3, 2))
-    assert minimize.scaled_second(cut, s) == 2 * minimize.chi_second(F(3, 2))
-    for bad in (0, F(-1), -0.25):
-        with pytest.raises(ValueError):
-            Cutoff(bad)
-    # a float scale is kept as its exact value
-    assert type(Cutoff(0.5).delta) is F and Cutoff(0.5).delta == F(1, 2)
+    assert normal_forms.scaled(s) == F(1, 2) * normal_forms.chi(F(3, 2))
+    assert minimize.scaled_prime(s) == minimize.chi_prime(F(3, 2))
+    assert minimize.scaled_second(s) == 2 * minimize.chi_second(F(3, 2))
+    # a float argument computes with float(delta), in floats
+    assert normal_forms.scaled(0.75) == 0.5 * normal_forms.chi(1.5)
+    assert minimize.scaled_second(0.75) == minimize.chi_second(1.5) / 0.5
+    assert type(normal_forms.scaled(0.75)) is float
 
 
 def test_cutoff_bounded_at_extremes():
     # a constant piece is read in the type of its argument, so the cutoff
     # stays bounded at +-inf and where s / delta overflows; repr tells
     # -0.0 from 0.0, so finite arguments keep their sign bit
-    cut = Cutoff(F(1, 2))
     extremes = (math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0)
-    got = {name: [repr(fn(cut, s)) for s in extremes]
+    got = {name: [repr(fn(s)) for s in extremes]
            for name, fn in CUTOFF_FUNCTIONS.items()}
     assert got == {
         "chi": ["2.0", "-2.0", "2.0", "-2.0", "0.0", "-0.0"],
@@ -316,8 +311,8 @@ def test_cutoff_bounded_at_extremes():
 # ------------------------------------------------------------- extended Q
 
 
-def qext(spec, mode="raw", delta=F(1, 2)):
-    return build_extended_Q(spec, Cutoff(delta), mode=mode)
+def qext(spec, mode="raw"):
+    return build_extended_Q(spec, mode=mode)
 
 
 def test_b2_theta0_profile():
@@ -353,7 +348,7 @@ def test_substitution_identity_exact(make):
     Q = qext(spec)
     a = spec.a
     rng = random.Random(11)
-    delta = Q.cutoff.delta
+    delta = normal_forms.CUTOFF_DELTA
     for _ in range(20):
         w = tuple(F(rng.randint(-8, 8), 16) for _ in range(Q.w_dim))
         assert all(abs(v) <= delta for v in w)  # inside the identity region
@@ -848,9 +843,9 @@ def _chain_rule_reference(Q, w, theta):
     prefs = minimize._prefactors(Q, w[:nw - Q.spec.p], w[nw - Q.spec.p:])
     if Q.mode == "normalized":
         prefs.append((1.0, [0.0] * nw, [[0.0] * nw] * nw))
-    d1 = [sign * eps * minimize.scaled_prime(Q.cutoff, v)
+    d1 = [sign * eps * minimize.scaled_prime(v)
           for (_, sign), v in zip(Q._w_slots, w)]
-    d2 = [sign * eps * minimize.scaled_second(Q.cutoff, v)
+    d2 = [sign * eps * minimize.scaled_second(v)
           for (_, sign), v in zip(Q._w_slots, w)]
     parts = []
     for (sym, first, second), (pv, pg, ph) in zip(minimize._derivatives(Q),
@@ -930,7 +925,7 @@ def test_relative_stability_half(make):
     # ||w||_inf <= 10 and |t| + |z| (+ |x_p|) <= delta / 4
     Q = qext(make())
     rng = random.Random(2)
-    budget = float(Q.cutoff.delta) / 4
+    budget = float(normal_forms.CUTOFF_DELTA) / 4
     for _ in range(300):
         w = [rng.uniform(-10.0, 10.0) for _ in range(Q.w_dim)]
         raw = [rng.uniform(-1, 1) for _ in range(Q.theta_dim)]

@@ -108,6 +108,51 @@ def test_every_export_is_read():
     assert unread == []
 
 
+def _defined_and_read(path):
+    """(module-level definitions, names read) of one file: the names of
+    its top-level functions, classes and assigned constants, and every
+    name and attribute it reads, a definition's reads of its own name
+    aside."""
+    defined, read = [], set()
+    for top in ast.parse(path.read_text(), str(path)).body:
+        own = getattr(top, "name", None)
+        if own is not None:
+            defined.append(own)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) \
+                else [top.target]
+            defined += [node.id for target in targets
+                        for node in ast.walk(target)
+                        if isinstance(node, ast.Name)]
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    and not isinstance(node.ctx, ast.Store)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if name is not None and name != own:
+                read.add(name)
+    return defined, read
+
+
+def test_every_definition_is_read_outside_tests():
+    # the rule of test_every_export_is_read, past __all__: a module-level
+    # function, class or constant of the package that no package module,
+    # script or benchmark file reads is code only its tests use
+    paths = sorted(SRC.rglob("*.py"))
+    for folder in ("scripts", "perfbench"):
+        paths += [p for p in sorted((ROOT / folder).rglob("*.py"))
+                  if not p.name.startswith("test_")]
+    defined, read = [], set()
+    for path in paths:
+        names, reads = _defined_and_read(path)
+        read |= reads
+        if path.is_relative_to(SRC):
+            defined += ["%s.%s" % (path.stem, name) for name in names
+                        if not name.startswith("__")]
+    assert [name for name in defined
+            if name.split(".")[1] not in read] == []
+
+
 def _caught_names():
     """Every name in an except clause of the package, scripts/ and
     perfbench/ (the attribute of a dotted one)."""

@@ -16,7 +16,6 @@ from hypcert.spectral import (
     classify_effective_hyperbolicity,
     hamilton_map,
     spectrum,
-    sturm_root_counts,
 )
 from hypcert.symbolfile import parse_symbol_file
 from hypcert.symbols import (
@@ -513,9 +512,10 @@ def rational_polynomials(draw):
 @given(rational_polynomials())
 def test_sturm_counts_match_sympy(poly):
     coeffs = [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()]
-    assert sturm_root_counts(coeffs) == (poly.count_roots(None, 0),
-                                         poly.count_roots(0, None),
-                                         poly.sqf_part().degree())
+    seq = spectral._sturm_sequence(spectral._integer(coeffs))
+    assert spectral._root_counts(seq) == (poly.count_roots(None, 0),
+                                          poly.count_roots(0, None),
+                                          poly.sqf_part().degree())
 
 
 small = st.integers(-9, 9).filter(bool)

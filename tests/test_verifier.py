@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hypcert import (
-    Cutoff,
+    ExtendedQ,
     NoConvergence,
     NormalFormSpec,
     PolySymbol,
@@ -29,10 +29,10 @@ from hypcert import (
 from hypcert.symbolfile import parse_symbol_file
 from hypcert.symbols import DimensionMismatch, phase_variables
 from hypcert import grid as walker
-from hypcert import minimize, verifier
-from hypcert.grid import MAX_SCAN_POINTS, TensorGrid, uniform_axis
+from hypcert import minimize, normal_forms, verifier
+from hypcert.grid import MAX_SCAN_POINTS, TensorGrid
 from hypcert.verifier import region_axes
-from oracles import normalized_q
+from oracles import normalized_q, uniform_nodes
 from test_normal_forms import deep_chain_specs
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -304,7 +304,7 @@ def test_kappa_witness_reevaluates_exactly(b2_a, small_region):
 
 @pytest.mark.parametrize("qbar", [F(1, 2), F(1), F(2)])
 def test_minimize_chain_closed_form(qbar):
-    eq = build_extended_Q(crit7_spec(qbar), Cutoff(F(1, 2)))
+    eq = build_extended_Q(crit7_spec(qbar))
     res = minimize_Q(eq, eq.theta_at((0,) * eq.theta_dim))
     expect = float(qbar / (1 + qbar))
     assert abs(res.m - expect) <= 1e-8
@@ -315,24 +315,23 @@ def test_minimize_chain_closed_form(qbar):
 
 
 def test_minimize_trivial_w_dimension():
-    eq = build_extended_Q(b1_spec(), Cutoff(F(1, 2)), mode="normalized")
+    eq = build_extended_Q(b1_spec(), mode="normalized")
     res = minimize_Q(eq, eq.theta_at((F(1, 100), F(1, 50), 0, 0, 0)))
     assert res.m == 1.0 and res.w_bar == ()
 
 
 def test_minimize_b2_raw_and_normalized():
-    cut = Cutoff(F(1, 2))
-    raw = minimize_Q(build_extended_Q(b2_spec(), cut), Theta(
+    raw = minimize_Q(build_extended_Q(b2_spec()), Theta(
         t=0, z_x=(0,), z_xi=(0,), eps=0, x_p=0))
     assert abs(raw.m - 1.0) <= 1e-12 and abs(raw.w_bar[0]) <= 1e-10
-    norm = minimize_Q(build_extended_Q(b2_spec(), cut, mode="normalized"),
+    norm = minimize_Q(build_extended_Q(b2_spec(), mode="normalized"),
                       Theta(t=0, z_x=(0,), z_xi=(0,), eps=0, x_p=0))
     assert abs(norm.m - 2.0) <= 1e-12
 
 
 def test_minimize_theta_invariance_when_factors_fixed():
     # B2 factors depend only on the xi_2 offset; freezing it freezes m
-    eq = build_extended_Q(b2_spec(), Cutoff(F(1, 2)))
+    eq = build_extended_Q(b2_spec())
     m0 = minimize_Q(eq, eq.theta_at((0,) * eq.theta_dim)).m
     for tt, zx, xp in [(F(1, 100), F(1, 100), F(1, 64)),
                        (F(1, 50), F(-1, 40), F(-1, 32)),
@@ -344,7 +343,7 @@ def test_minimize_theta_invariance_when_factors_fixed():
 def test_minimize_dominates_probes():
     import random
     rng = random.Random(3)
-    eq = build_extended_Q(crit7_spec(F(2)), Cutoff(F(1, 2)))
+    eq = build_extended_Q(crit7_spec(F(2)))
     thetas = [eq.theta_at((0,) * eq.theta_dim),
               eq.theta_at((F(1, 50), F(1, 64), F(1, 32))),
               eq.theta_at((F(1, 20), F(-1, 100), F(-1, 64)))]
@@ -356,8 +355,7 @@ def test_minimize_dominates_probes():
 
 
 def test_newton_stops_at_the_iteration_limit(monkeypatch):
-    eq = build_extended_Q(deep_chain_specs()["form1-p2-d3"],
-                          Cutoff(F(1, 2)))
+    eq = build_extended_Q(deep_chain_specs()["form1-p2-d3"])
     slow = [(0, 0, 0), (F(1, 20), F(1, 40), F(-1, 50))]
     monkeypatch.setattr(minimize, "MAX_NEWTON_ITER", 1)
     with pytest.raises(NoConvergence,
@@ -368,7 +366,7 @@ def test_newton_stops_at_the_iteration_limit(monkeypatch):
 
 
 def test_envelope_derivative_matches_fd():
-    eq = build_extended_Q(crit7_spec(F(1)), Cutoff(F(1, 2)))
+    eq = build_extended_Q(crit7_spec(F(1)))
 
     def theta_at(s):  # xi_2 offset direction; phi = x_2 so eps is fixed
         return eq.theta_at((F(1, 100), F(1, 50), s))
@@ -433,8 +431,8 @@ def _structural_reference(spec, region, floor):
     floor eps^2 + remainder at the substituted point with w = 0 of each
     slow-grid theta with t = 0; the least value, with the least point
     among its ties (the first in C order over the slot-ordered axes)."""
-    eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
-    axes = [uniform_axis(lo, hi, n) for lo, hi, n in
+    eq = build_extended_Q(spec, mode="normalized")
+    axes = [uniform_nodes(lo, hi, n) for lo, hi, n in
             verifier._theta_spans(eq, region)]
     best, n = None, 0
     for v in itertools.product([F(0)], *axes[1:]):
@@ -470,7 +468,7 @@ def test_structural_matches_per_theta_reference(name, region):
         spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
     cert = construct_time_function(spec, slack=F(1, 100))
     checks = _by_name(check_structural(spec, cert, region))
-    eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
+    eq = build_extended_Q(spec, mode="normalized")
     spans = verifier._theta_spans(eq, region)
     exact, bounds = eq.floor([(lo, hi) for lo, hi, _ in spans])
     # (i): the floor of the slow box, rounded down to FLOOR_BITS bits
@@ -510,7 +508,7 @@ def test_structural_newton_entries_are_single_theta_runs(name, monkeypatch):
     rep = check_structural(spec, cert, region)
     assert rep.passed
     checks = _by_name(rep)
-    eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
+    eq = build_extended_Q(spec, mode="normalized")
     assert checks["reconstruction-lower-bound"].n_points == (
         verifier.N_AXIS ** eq.theta_dim)
     (value, at), n = _structural_reference(
@@ -533,11 +531,11 @@ def test_structural_w_draws_are_seeded_uniforms(spec, w_dim):
     recon = _by_name(check_structural(spec, cert, region))[
         "reconstruction-lower-bound"]
     floor = recon.worst[0]
-    eq = build_extended_Q(spec, verifier.STRUCTURAL_CUTOFF, mode="normalized")
+    eq = build_extended_Q(spec, mode="normalized")
     assert eq.w_dim == w_dim and recon.passed and floor > 0
     rng = random.Random(0)
-    delta = float(verifier.STRUCTURAL_CUTOFF.delta)
-    axes = [uniform_axis(lo, hi, n)
+    delta = float(normal_forms.CUTOFF_DELTA)
+    axes = [uniform_nodes(lo, hi, n)
             for lo, hi, n in verifier._theta_spans(eq, region)]
     for v in itertools.product(*axes):
         theta = eq.theta_at(v)
@@ -557,12 +555,12 @@ def test_spring_floor_is_a_floor(name):
         spec = deep_chain_specs()[name]
     else:
         spec = parse_symbol_file(FIXTURES / ("%s.json" % name)).normal_form
-    cutoff = verifier.STRUCTURAL_CUTOFF
-    eq = build_extended_Q(spec, cutoff, mode="normalized")
+    delta = normal_forms.CUTOFF_DELTA
+    eq = build_extended_Q(spec, mode="normalized")
     spans = verifier._theta_spans(eq, Region(grid=9))
     floor, _ = eq.floor([(lo, hi) for lo, hi, _ in spans])
     rng = random.Random(31)
-    axes = [uniform_axis(lo, hi, n) for lo, hi, n in spans]
+    axes = [uniform_nodes(lo, hi, n) for lo, hi, n in spans]
     slow = list(itertools.product(*[(ax[0], ax[-1]) for ax in axes]))
     slow += [tuple(rng.choice(ax) for ax in axes) for _ in range(16)]
     draws = []
@@ -570,13 +568,13 @@ def test_spring_floor_is_a_floor(name):
         for _ in range(3):
             # |w_j| up to 3 delta
             w = [F(rng.randint(-3000, 3000), 2000) for _ in range(eq.w_dim)]
-            q = normalized_q(spec, cutoff, w, v)
+            q = normalized_q(spec, w, v)
             assert q == minimize.value(eq, w, eq.theta_at(v))
             assert q >= floor, (v, w)
             draws += w
     if draws:  # both zones of the cutoff are drawn
-        assert min(map(abs, draws)) <= cutoff.delta
-        assert max(map(abs, draws)) > 2 * cutoff.delta
+        assert min(map(abs, draws)) <= delta
+        assert max(map(abs, draws)) > 2 * delta
 
 
 def test_structural_d3_passes():
@@ -598,6 +596,8 @@ def test_structural_d3_passes():
     (certify_region, ["a", "phi", "region"]),
     (minimize_Q, ["eq", "theta", "w0"]),
     (TensorGrid, ["d", "axes"]),
+    (build_extended_Q, ["spec", "mode"]),
+    (ExtendedQ, ["spec", "mode"]),
 ])
 def test_sampling_plans_are_constants(fn, params):
     assert list(inspect.signature(fn).parameters) == params

@@ -11,6 +11,8 @@ witness the first node in C order whose exact value rounds to it.
 import itertools
 import math
 import re
+import signal
+import time
 from unittest import mock
 from fractions import Fraction as F
 
@@ -21,9 +23,10 @@ from hypothesis import strategies as st
 
 from hypcert import PolySymbol, Region, ScanTooLarge, certify_region
 from hypcert import grid as walker
-from hypcert.grid import TensorGrid, uniform_axis
+from hypcert.grid import TensorGrid
 from hypcert.symbols import poisson_bracket
 from hypcert.verifier import region_axes
+from oracles import uniform_nodes
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
                     database=None,
@@ -32,7 +35,7 @@ PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
 
 def exact_axes(spans):
     """(slot, exact nodes) of TensorGrid spans, built apart from it."""
-    return [(slot, uniform_axis(*span)) for slot, span in spans]
+    return [(slot, uniform_nodes(*span)) for slot, span in spans]
 
 
 def grid_nodes(d, spans):
@@ -157,7 +160,7 @@ def test_ratio_witnesses_match_exact_extrema(kind, case):
 
 def span(lo, step, n):
     """The span of n nodes lo + k * step; a one-point span's hi is
-    arbitrary (here lo + step), as it is for uniform_axis."""
+    arbitrary (here lo + step), as it is for TensorGrid."""
     return lo, lo + max(n - 1, 1) * step, n
 
 
@@ -211,19 +214,6 @@ def test_integer_form_is_exact(case, budget):
     assert seen == grid.total == len(exact)
 
 
-@PROPERTY
-@given(RATIONAL, RATIONAL, st.integers(1, 6))
-@example(F(0), F(0), 1)
-@example(F(0), F(0), 4)
-@example(F(-3, 4), F(5), 1)
-def test_uniform_axis_is_exact(lo, hi, n):
-    # node k is lo + k (hi - lo) / (n - 1), in Fractions; one node is lo
-    want = ([lo + k * (hi - lo) / (n - 1) for k in range(n)] if n > 1
-            else [lo])
-    got = uniform_axis(lo, hi, n)
-    assert list(got) == want and all(type(v) is F for v in got)
-
-
 def test_scan_past_exact_integers_is_refused():
     # 1/3^40 beside an integer coefficient at grid 5: the common
     # denominator 1600 * 3^40 passes 2^53, and the other coefficient with it
@@ -236,6 +226,34 @@ def test_scan_past_exact_integers_is_refused():
     grid = TensorGrid(2, region_axes(Region(grid=5), 2))
     P, D = grid.integer(t * t)
     assert grid.bound(P) == 4 ** 2 and D == 40 ** 2
+
+
+def test_cancelling_units_are_refused_at_once():
+    # units 2 and 1/2: the value of x1^e x2^e is 1 at every node, but
+    # integer() forms 2^e in a numerator and in a denominator, so each
+    # integer's bits are bounded from its own factors, and past
+    # 2^LOG2_REFUSED the term is refused before any power is formed
+    x1, x2 = (PolySymbol.coordinate(2, v) for v in ("x1", "x2"))
+    grid = TensorGrid(2, [(1, (F(-2), F(2), 3)),
+                          (2, (F(-1, 2), F(1, 2), 3))])
+    P, D = grid.integer(x1 ** 1000 * x2 ** 1000)
+    assert (P.terms, D) == ({(0, 1000, 1000, 0, 0, 0): 1}, 1)
+
+    def stop(signum, frame):
+        raise TimeoutError("integer() took 5 s")
+
+    handler = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ScanTooLarge,
+                           match=r"could reach 2\^1099511627776\.0, past"):
+            grid.integer(x1 ** 2 ** 40 * x2 ** 2 ** 40)
+        seconds = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert seconds < 1
 
 
 @st.composite
