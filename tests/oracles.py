@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from hypcert.normal_forms import scaled
 from hypcert.spectral import hamilton_map, spectrum
+from hypcert.symbols import DimensionMismatch, PhasePoint, QuadraticJet
 
 
 def uniform_nodes(lo, hi, n):
@@ -30,7 +31,6 @@ def uniform_nodes(lo, hi, n):
     if n == 1:
         return (Fraction(lo),)
     return tuple(lo + k * Fraction(hi - lo) / (n - 1) for k in range(n))
-from hypcert.symbols import DimensionMismatch, PhasePoint, QuadraticJet
 
 
 def psi_zero(qbar, rbar):

@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hypcert import PolySymbol, Region, ScanTooLarge, certify_region
